@@ -17,14 +17,15 @@ import numpy as np
 
 from .errors import ConfigError, DimensionError, NumericError, ValidationError
 from .journey import DEFAULT_MAX_SEQ_LEN, CustomerJourney, EncodedJourney, Vocabulary, encode_journey
-from .model import ModelParams, forward_batch
+from .model import ModelParams, forward_batch, infer_step
 from .trainer import softmax
 
 EXACT_LIMIT = 12
 OLS_SAMPLE_ROWS = 2048
 RIDGE = 1e-8
 KERNEL_ENDPOINT_WEIGHT = 1e6
-_ACC_CHUNK = 1024
+# distinct mask rows per trie scan: the whole powerset at EXACT_LIMIT
+_BLOCK_ROWS = 4096
 
 METHODS = ("ols", "kernel_ols", "shapley_exact", "shapley_sampled", "auto")
 
@@ -63,33 +64,94 @@ def masked_accuracy(params: ModelParams, enc: EncodedJourney, mask: np.ndarray) 
 
     Feature rows with mask 0 are zeroed but keep their slot (the time gate
     still sees the original offsets); scoring only counts positions with
-    mask 1. The all-zero mask is defined as accuracy 0.
+    mask 1. The all-zero mask is defined as accuracy 0. This is the readable
+    reference that `masked_accuracy_batch` is checked against.
     """
-    mask = np.asarray(mask)
+    mask = np.asarray(mask, dtype=np.float64)
     if mask.shape != (len(enc.times),):
         raise DimensionError(f"mask length {mask.shape} does not match journey length {len(enc.times)}")
-    return float(masked_accuracy_batch(params, enc, mask[None, :])[0])
+    preds = _hard_labels(params, (enc.features * mask[:, None])[None], enc.times[None])[0]
+    scored = mask > 0
+    count = scored.sum()
+    if count == 0:
+        return 0.0
+    return float(((preds == enc.labels) & scored).sum() / count)
 
 
 def masked_accuracy_batch(params: ModelParams, enc: EncodedJourney, masks: np.ndarray) -> np.ndarray:
-    """Vectorized masked accuracy for many mask rows of one journey."""
-    masks = np.asarray(masks, dtype=np.float64)
+    """Masked accuracy of many 0/1 mask rows of one journey, through a prefix
+    trie; equal to `masked_accuracy` row by row.
+
+    The model is causal and a masked event keeps its slot and time, so the
+    state at step t depends only on mask[0..t]. The distinct rows are sorted,
+    so rows sharing a prefix are adjacent, and scanned in blocks of
+    _BLOCK_ROWS: at step t each distinct prefix is stepped once by the
+    cache-free `infer_step` and its hard label scored once. The full
+    powerset of n events costs sum 2^(t+1) node-steps instead of n * 2^n
+    row-steps, and the memory of a scan is bounded by the block.
+    """
+    masks = np.asarray(masks)
     if masks.ndim != 2 or masks.shape[1] != len(enc.times):
         raise DimensionError(f"masks must be (m, {len(enc.times)}), got {masks.shape}")
-    m, n = masks.shape
-    out = np.empty(m)
-    for start in range(0, m, _ACC_CHUNK):
-        chunk = masks[start:start + _ACC_CHUNK]
-        feats = enc.features[None, :, :] * chunk[:, :, None]
-        times = np.broadcast_to(enc.times, (len(chunk), n))
-        preds = _hard_labels(params, feats, times)
-        scored = chunk > 0
-        matches = ((preds == enc.labels[None, :]) & scored).sum(axis=1)
-        counts = scored.sum(axis=1)
-        with np.errstate(invalid="ignore"):
-            acc = np.where(counts > 0, matches / np.maximum(counts, 1), 0.0)
-        out[start:start + len(chunk)] = acc
-    return out
+    bits = masks != 0
+    if not np.all(masks[bits] == 1):
+        raise ValidationError("mask entries must be 0 or 1")
+    if len(bits) == 0:
+        return np.empty(0)
+    # one byte string per row; their sort order is the rows' lexicographic order
+    packed = np.packbits(bits, axis=1)
+    width = packed.shape[1]
+    keys, inverse = np.unique(packed.view(f"V{width}").reshape(-1), return_inverse=True)
+    rows = np.unpackbits(keys.view(np.uint8).reshape(-1, width), axis=1, count=bits.shape[1]).astype(bool)
+    model = _TrieModel(params, enc)
+    acc = np.concatenate([model.scan(rows[start:start + _BLOCK_ROWS]) for start in range(0, len(rows), _BLOCK_ROWS)])
+    return acc[inverse.reshape(-1)]
+
+
+class _TrieModel:
+    """The frozen model's weights arranged for a prefix-trie scan of one
+    journey."""
+
+    def __init__(self, params: ModelParams, enc: EncodedJourney):
+        self.params = params
+        self.enc = enc
+        self.Wx = [np.concatenate([lp.W_xi, lp.W_xf, lp.W_xc, lp.W_xo], axis=1) for lp in params.layers]
+        self.Wh = [np.concatenate([lp.W_hi, lp.W_hf, lp.W_hc, lp.W_ho], axis=1) for lp in params.layers]
+        # layer 0 sees only two inputs per step: the event's features or zeros
+        self.x0 = enc.features @ self.Wx[0]
+
+    def scan(self, bits: np.ndarray) -> np.ndarray:
+        """Accuracy of each of the distinct, lexicographically sorted rows."""
+        params, enc = self.params, self.enc
+        m, n = bits.shape
+        states = [(np.zeros((1, lp.hidden_size)), np.zeros((1, lp.hidden_size))) for lp in params.layers]
+        matches = np.zeros(1, dtype=np.int64)
+        new_node = np.zeros(m, dtype=bool)
+        new_node[0] = True
+        node = np.zeros(m, dtype=np.int64)
+        for t in range(n):
+            col = bits[:, t]
+            new_node[1:] |= col[1:] != col[:-1]
+            first = np.flatnonzero(new_node)
+            parent = node[first]
+            kept = col[first]
+            node = np.cumsum(new_node) - 1
+            x = None
+            for idx, lp in enumerate(params.layers):
+                h, c = (state[parent] for state in states[idx])
+                a = h @ self.Wh[idx]
+                if idx == 0:
+                    np.add(a, self.x0[t], out=a, where=kept[:, None])
+                else:
+                    a += x @ self.Wx[idx]
+                x, c = infer_step(a, h, c, enc.times[t], lp, params.ln_gain[idx], params.ln_bias[idx])
+                states[idx] = (x, c)
+            logits = x[kept] @ params.W_out + params.b_out
+            hit = np.zeros(len(first), dtype=np.int64)
+            hit[kept] = (softmax(logits)[:, 1] >= 0.5) == enc.labels[t]
+            matches = matches[parent] + hit
+        counts = bits.sum(axis=1)
+        return np.where(counts > 0, matches / np.maximum(counts, 1), 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -167,17 +229,23 @@ def _subset_vector(bitmask: int, n: int) -> np.ndarray:
 
 
 def _shapley_from_table(values: np.ndarray, n: int) -> np.ndarray:
-    """Exact values from a full table indexed by bitmask (bit j = player j)."""
+    """Exact values from a full table indexed by bitmask (bit j = player j).
+
+    Player i's value sums coeff[|S|] * (v(S + i) - v(S)) over the subsets S
+    without i in ascending bitmask order, left to right (one cumsum per
+    player, as one row of the term matrix).
+    """
     fact = [math.factorial(i) for i in range(n + 1)]
     coeff = np.array([fact[size] * fact[n - size - 1] / fact[n] for size in range(n)])
-    sizes = np.array([bin(s).count("1") for s in range(2 ** n)])
-    phi = np.zeros(n)
-    for s in range(2 ** n):
-        size = sizes[s]
-        for i in range(n):
-            if not (s >> i) & 1:
-                phi[i] += coeff[size] * (values[s | (1 << i)] - values[s])
-    return phi
+    sizes = ((np.arange(2 ** n)[:, None] >> np.arange(n)) & 1).sum(axis=1)
+    # row i lists the subsets without player i, ascending: k with a 0 bit
+    # inserted at position i
+    k = np.arange(2 ** (n - 1))
+    player = np.arange(n)[:, None]
+    without = ((k >> player) << (player + 1)) | (k & ((1 << player) - 1))
+    terms = np.zeros((n, 2 ** (n - 1) + 1))
+    terms[:, 1:] = coeff[sizes[without]] * (values[without | (1 << player)] - values[without])
+    return np.cumsum(terms, axis=1)[:, -1]
 
 
 def shapley_exact(value, n: int) -> np.ndarray:
@@ -205,31 +273,38 @@ def shapley_sampled(
     """Monte-Carlo Shapley over uniformly random player permutations.
 
     Each sampled permutation contributes one marginal per player; estimates
-    are the means. Deterministic per seed. When `value_batch` is given it is
-    called with the (n+1, n) prefix-mask matrix of each permutation instead
-    of n+1 single evaluations (same estimates, fewer calls).
+    are the means, accumulated in permutation order. Deterministic per seed.
+    `value` maps a 0/1 membership vector to a game value and is called once
+    per distinct coalition. When `value_batch` is given, `value` is unused
+    and `value_batch` is called once, with the (n_samples * (n + 1), n)
+    float 0/1 matrix of every permutation's prefix masks: row k * (n + 1) + j
+    holds the first j players of permutation k, so row 0 is the empty
+    coalition. It returns one value per row. Both paths give the same
+    estimates.
     """
     if n < 1:
         raise ValidationError("shapley_sampled needs n >= 1")
     if n_samples < 1:
         raise ValidationError("n_samples must be >= 1")
     rng = np.random.default_rng(seed)
-    marginals = np.zeros(n)
+    perms = np.array([rng.permutation(n) for _ in range(n_samples)])
     if value_batch is not None:
-        prefix = np.zeros((n + 1, n))
-        for _ in range(n_samples):
-            perm = rng.permutation(n)
-            prefix[:] = 0.0
-            for pos, player in enumerate(perm, start=1):
-                prefix[pos:, player] = 1.0
-            vals = np.asarray(value_batch(prefix), dtype=np.float64)
-            marginals[perm] += np.diff(vals)
+        samples = np.arange(n_samples)[:, None]
+        ranks = np.empty_like(perms)
+        ranks[samples, perms] = np.arange(n)
+        prefix = ranks[:, None, :] < np.arange(n + 1)[None, :, None]
+        vals = np.asarray(value_batch(prefix.reshape(-1, n).astype(np.float64)), dtype=np.float64)
+        if vals.shape != (n_samples * (n + 1),):
+            raise DimensionError(f"value_batch must return {n_samples * (n + 1)} values, got shape {vals.shape}")
+        by_player = np.zeros((n_samples + 1, n))
+        by_player[1 + samples, perms] = np.diff(vals.reshape(n_samples, n + 1), axis=1)
+        marginals = np.cumsum(by_player, axis=0)[-1]
     else:
+        marginals = np.zeros(n)
         memo: dict[bytes, float] = {}
         empty = np.zeros(n, dtype=np.int64)
         v_prev_base = float(value(empty))
-        for _ in range(n_samples):
-            perm = rng.permutation(n)
+        for perm in perms:
             mask = empty.copy()
             v_prev = v_prev_base
             for player in perm:
@@ -316,14 +391,15 @@ def attribute_journey(
         raw = _shapley_from_table(table, n)
         intercept = float(table[0])
     else:
-        raw = shapley_sampled(
-            value=lambda mask: masked_accuracy(params, enc, mask),
-            n=n,
-            n_samples=n_samples,
-            seed=seed,
-            value_batch=lambda masks: masked_accuracy_batch(params, enc, masks),
-        )
-        intercept = float(masked_accuracy_batch(params, enc, np.zeros((1, n)))[0])
+        game = {}
+
+        def value_batch(masks):
+            game["acc"] = masked_accuracy_batch(params, enc, masks)
+            return game["acc"]
+
+        raw = shapley_sampled(None, n, n_samples, seed, value_batch=value_batch)
+        # row 0 is the first permutation's empty coalition
+        intercept = float(game["acc"][0])
 
     weights, unattributed = clip_normalize(raw)
     return AttributionResult(

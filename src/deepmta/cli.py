@@ -114,7 +114,10 @@ def _cmd_eval(args) -> int:
 def _attribution_workers() -> int:
     env = os.environ.get("MTA_THREADS", "").strip()
     if env:
-        workers = int(env)
+        try:
+            workers = int(env)
+        except ValueError:
+            raise ConfigError(f"MTA_THREADS must be an integer, got {env!r}") from None
         if workers < 1:
             raise ConfigError("MTA_THREADS must be >= 1")
         return workers

@@ -4,8 +4,9 @@ A stack of recurrent cells with peephole connections whose cell and hidden
 states are written through a periodic, piecewise-linear time gate, plus layer
 normalization on gate pre-activations and inverted dropout between layers.
 Gradients are hand-derived reverse-mode for this one architecture; the
-single-step `cell_forward` is the readable reference and `_layer_forward` is
-the batched fast path (their equivalence is covered by tests).
+single-step `cell_forward` is the readable reference, `_layer_forward` is
+the batched fast path and `infer_step` the cache-free inference step (their
+equivalence is covered by tests).
 """
 
 from __future__ import annotations
@@ -269,6 +270,9 @@ class ModelParams:
             raise DimensionError(f"b_out must have shape {(N_CLASSES,)}")
         if not 0 <= self.dropout_p < 1:
             raise ParameterError(f"dropout_p must lie in [0, 1), got {self.dropout_p}")
+        for name, arr in self.named_parameters():
+            if not np.all(np.isfinite(arr)):
+                raise NumericError(f"{name} contains non-finite values")
 
     @property
     def input_dim(self) -> int:
@@ -519,6 +523,61 @@ def _layer_forward(x, times, lp, ln_g, ln_b, alpha):
         "k": ks, "phi": phis, "alpha": alpha, "Wx": Wx, "Wh": Wh,
     }
     return out, cache
+
+
+def infer_step(a, h, c, t, lp, ln_g, ln_b):
+    """One inference step (alpha 0) for N states, keeping no backward cache.
+
+    a: (N, 4H) gate pre-activations x @ Wx + h @ Wh, overwritten in place;
+    h, c: (N, H) previous states; t: this step's time in hours, shared by
+    all N rows. Returns (h_new, c_new). The operations and their order
+    match `_layer_forward` at alpha 0, so each row's state is bit-identical
+    to the batched scan's, with fewer and smaller temporaries.
+    """
+    N, H = h.shape
+    a4 = a.reshape(N, 4, H)
+    # mean and var as ndarray.mean/var compute them (sum, then divide by
+    # H), the squares one gate at a time
+    mu = a4.sum(axis=-1, keepdims=True) / H
+    np.subtract(a4, mu, out=a4)
+    g = np.empty((N, H))
+    var = np.empty((N, 4, 1))
+    for j in range(4):
+        var[:, j] = np.square(a4[:, j], out=g).sum(axis=-1, keepdims=True)
+    var /= H
+    var += LN_EPS
+    a4 *= 1.0 / np.sqrt(var)
+    a4 *= ln_g
+    a4 += ln_b
+    k, _ = _gate_forward(t, lp.tau, lp.s, lp.r_on, 0.0)
+    keep = 1.0 - k
+
+    def gate(j, w_peep, bias, out):
+        # _sigmoid(a_j + w_peep * c + bias), written into out
+        np.multiply(c, w_peep, out=out)
+        out += a4[:, j]
+        out += bias
+        out *= 0.5
+        np.tanh(out, out=out)
+        out += 1.0
+        out *= 0.5
+        return out
+
+    ct = gate(1, lp.w_cf, lp.b_f, np.empty((N, H)))
+    ct *= c
+    iu = gate(0, lp.w_ci, lp.b_i, g)
+    u = np.add(a4[:, 2], lp.b_c)
+    iu *= np.tanh(u, out=u)
+    ct += iu
+    ht = gate(3, lp.w_co, lp.b_o, g)
+    ht *= np.tanh(ct, out=u)
+    ct *= k
+    c_new = keep * c
+    c_new += ct
+    ht *= k
+    h_new = keep * h
+    h_new += ht
+    return h_new, c_new
 
 
 @dataclass

@@ -1,10 +1,12 @@
 import itertools
 import json
+import math
 
 import numpy as np
 import pytest
 
 from deepmta.attribution import (
+    _BLOCK_ROWS,
     EXACT_LIMIT,
     AttributionResult,
     attribute_journey,
@@ -19,10 +21,12 @@ from deepmta.attribution import (
     shapley_exact,
     shapley_sampled,
     solve_weights,
+    _shapley_from_table,
 )
 from deepmta.errors import ConfigError, DimensionError, NumericError, ValidationError
 from deepmta.journey import ClickEvent, CustomerJourney, Vocabulary, encode_journey
-from deepmta.model import LAYER_TENSOR_FIELDS, ModelParams, PhasedLstmLayerParams, init_params
+from deepmta.model import LAYER_TENSOR_FIELDS, ModelParams, PhasedLstmLayerParams, forward_batch, init_params
+from deepmta.trainer import softmax
 
 
 def shapley_permutation_oracle(values_by_subset, n):
@@ -37,6 +41,21 @@ def shapley_permutation_oracle(values_by_subset, n):
             phi[player] += values_by_subset[nxt] - values_by_subset[current]
             current = nxt
     return phi / len(perms)
+
+
+def shapley_table_double_loop(values, n):
+    """The subset-by-player double loop that `_shapley_from_table` replaced,
+    kept as its oracle: same terms, same order."""
+    fact = [math.factorial(i) for i in range(n + 1)]
+    coeff = np.array([fact[size] * fact[n - size - 1] / fact[n] for size in range(n)])
+    sizes = np.array([bin(s).count("1") for s in range(2 ** n)])
+    phi = np.zeros(n)
+    for s in range(2 ** n):
+        size = sizes[s]
+        for i in range(n):
+            if not (s >> i) & 1:
+                phi[i] += coeff[size] * (values[s | (1 << i)] - values[s])
+    return phi
 
 
 def table_to_value_fn(values_by_subset):
@@ -107,6 +126,15 @@ def make_journey(channels, converted, gmv=10.0):
     return CustomerJourney("u0", events, converted, gmv if converted else 0.0)
 
 
+def random_journey(rng, n):
+    """A converted journey of n events over both channels with irregular
+    gaps, so the time gates see varied offsets."""
+    channels = [("A", "B")[int(rng.integers(2))] for _ in range(n)]
+    ts = np.cumsum(rng.integers(600, 4 * 3600, size=n))
+    events = [ClickEvent(c, "c1", int(t)) for c, t in zip(channels, ts)]
+    return CustomerJourney("u0", events, True, 10.0)
+
+
 class TestMaskedAccuracy:
     params = constant_class0_model(VOCAB.encoding_dim)
 
@@ -142,6 +170,45 @@ class TestMaskedAccuracy:
         batch = masked_accuracy_batch(params, enc, masks)
         loop = np.array([masked_accuracy(params, enc, m) for m in masks])
         np.testing.assert_array_equal(batch, loop)
+
+    @pytest.mark.parametrize("n_layers", (1, 2))
+    @pytest.mark.parametrize("seed", (0, 1, 2))
+    @pytest.mark.parametrize("n", range(1, EXACT_LIMIT + 1))
+    def test_batch_matches_loop_random_masks(self, n, seed, n_layers):
+        # random rows plus repeats of some of them and of the all-zero row
+        rng = np.random.default_rng(100 * n + 10 * seed + n_layers)
+        params = init_params(VOCAB.encoding_dim, 6, n_layers, t_span_hours=12.0, rng=seed)
+        enc = encode_journey(random_journey(rng, n), VOCAB)
+        masks = rng.integers(0, 2, size=(min(2 ** n, 24), n))
+        masks = np.vstack([masks, masks[rng.integers(0, len(masks), 6)], np.zeros((2, n), dtype=np.int64)])
+        masks = masks[rng.permutation(len(masks))]
+        batch = masked_accuracy_batch(params, enc, masks)
+        loop = np.array([masked_accuracy(params, enc, m) for m in masks])
+        np.testing.assert_array_equal(batch, loop)
+
+    def test_batch_spans_several_blocks(self):
+        # more distinct rows than one trie block holds, plus duplicates;
+        # the reference is one batched forward over every row
+        rng = np.random.default_rng(13)
+        n = 14
+        params = init_params(VOCAB.encoding_dim, 8, 2, t_span_hours=12.0, rng=5)
+        enc = encode_journey(random_journey(rng, n), VOCAB)
+        masks = rng.integers(0, 2, size=(6000, n))
+        masks[:50] = 0
+        assert len(np.unique(masks, axis=0)) > _BLOCK_ROWS
+        feats = enc.features[None] * masks[:, :, None]
+        logits, _ = forward_batch(feats, np.broadcast_to(enc.times, masks.shape), params)
+        preds = (softmax(logits)[..., 1] >= 0.5).astype(np.int64)
+        scored = masks > 0
+        counts = scored.sum(axis=1)
+        matches = ((preds == enc.labels) & scored).sum(axis=1)
+        expected = np.where(counts > 0, matches / np.maximum(counts, 1), 0.0)
+        np.testing.assert_array_equal(masked_accuracy_batch(params, enc, masks), expected)
+
+    def test_non_binary_mask_rejected(self):
+        enc = encode_journey(make_journey(["A", "B"], converted=False), VOCAB)
+        with pytest.raises(ValidationError):
+            masked_accuracy_batch(self.params, enc, np.array([[0.5, 1.0]]))
 
 
 class TestSolveWeights:
@@ -280,6 +347,13 @@ class TestShapleyExact:
         with pytest.raises(ValidationError):
             shapley_exact(lambda m: 0.0, EXACT_LIMIT + 1)
 
+    @pytest.mark.parametrize("n", range(1, EXACT_LIMIT + 1))
+    def test_table_sum_matches_double_loop(self, n):
+        rng = np.random.default_rng(20 + n)
+        values = rng.random(2 ** n)
+        values[rng.integers(0, 2 ** n, size=2 ** n // 3)] = 0.5  # ties give zero terms
+        np.testing.assert_array_equal(_shapley_from_table(values, n), shapley_table_double_loop(values, n))
+
 
 class TestShapleySampled:
     game = {frozenset(): 0.0, frozenset({0}): 0.6, frozenset({1}): 0.2, frozenset({0, 1}): 1.0}
@@ -312,7 +386,22 @@ class TestShapleySampled:
 
         a = shapley_sampled(v, 5, n_samples=50, seed=4)
         b = shapley_sampled(v, 5, n_samples=50, seed=4, value_batch=v_batch)
-        np.testing.assert_allclose(a, b, atol=1e-12)
+        np.testing.assert_array_equal(a, b)
+
+    def test_batch_hook_called_once_with_every_prefix(self):
+        calls = []
+
+        def v_batch(masks):
+            calls.append(masks.copy())
+            return masks.sum(axis=1)
+
+        shapley_sampled(None, 4, n_samples=7, seed=2, value_batch=v_batch)
+        assert len(calls) == 1
+        masks = calls[0].reshape(7, 5, 4)
+        np.testing.assert_array_equal(masks[:, 0], 0.0)
+        np.testing.assert_array_equal(masks[:, -1], 1.0)
+        np.testing.assert_array_equal(masks.sum(axis=2), np.tile(np.arange(5.0), (7, 1)))
+        assert np.all(np.diff(masks, axis=1) >= 0)
 
     def test_invalid_samples(self):
         with pytest.raises(ValidationError):
@@ -427,6 +516,18 @@ class TestAttributeJourney:
         res = attribute_journey(params, journey, VOCAB, method="shapley_exact")
         full = masked_accuracy(params, enc, np.ones(4))
         assert res.raw_weights.sum() == pytest.approx(full - 0.0, abs=1e-9)
+
+    @pytest.mark.parametrize("n", range(EXACT_LIMIT + 1, 21))
+    def test_sampled_matches_reference_path(self, n):
+        # the trie batch against one forward per distinct coalition
+        rng = np.random.default_rng(30 + n)
+        params = init_params(VOCAB.encoding_dim, 8, 2, t_span_hours=12.0, rng=n)
+        journey = random_journey(rng, n)
+        enc = encode_journey(journey, VOCAB)
+        res = attribute_journey(params, journey, VOCAB, method="shapley_sampled", n_samples=6, seed=n)
+        ref = shapley_sampled(lambda mask: masked_accuracy(params, enc, mask), n, n_samples=6, seed=n)
+        np.testing.assert_array_equal(res.raw_weights, ref)
+        assert res.intercept == 0.0
 
     def test_kernel_method(self):
         params = init_params(VOCAB.encoding_dim, 8, 2, rng=4)

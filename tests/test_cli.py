@@ -179,6 +179,16 @@ class TestAttribute:
         ]) == 0
         assert out.read_bytes() == pipeline["attr"].read_bytes()
 
+    @pytest.mark.parametrize("value", ("abc", "1.5", "0"))
+    def test_malformed_thread_env_exits_2(self, pipeline, tmp_path, monkeypatch, capsys, value):
+        monkeypatch.setenv("MTA_THREADS", value)
+        code, _, err = run_cli(capsys, [
+            "attribute", "--model", str(pipeline["ckpt"]), "--data", str(pipeline["data"]),
+            "--out", str(tmp_path / "a.jsonl"),
+        ])
+        assert code == 2
+        assert "MTA_THREADS" in err
+
     def test_vocab_mismatch_exits_2(self, pipeline, tmp_path):
         # a dataset over unknown channel tokens cannot be attributed
         other = tmp_path / "other.jsonl"
@@ -244,6 +254,20 @@ def test_divergence_maps_to_exit_3(pipeline, monkeypatch):
         "--out", str(pipeline["root"] / "diverged.json"),
     ])
     assert code == 3
+
+
+@pytest.mark.parametrize("command", ("eval", "attribute"))
+def test_non_finite_checkpoint_exits_3(pipeline, tmp_path, capsys, command):
+    obj = json.loads(pipeline["ckpt"].read_text())
+    obj["tensors"]["W_out"]["data"][0] = float("nan")
+    ckpt = tmp_path / "nan_model.json"
+    ckpt.write_text(json.dumps(obj))
+    out = tmp_path / "out"
+    extra = ["--roc-out", str(out)] if command == "eval" else ["--out", str(out)]
+    code, kv, err = run_cli(capsys, [command, "--model", str(ckpt), "--data", str(pipeline["data"]), *extra])
+    assert code == 3
+    assert "W_out" in err
+    assert kv == {} and not out.exists()
 
 
 def test_module_entry_point(tmp_path):

@@ -19,11 +19,13 @@ from deepmta.model import (
     dropout,
     forward_batch,
     forward_sequence,
+    infer_step,
     init_params,
     layer_norm,
     load_checkpoint,
     save_checkpoint,
     time_gate,
+    _layer_forward,
 )
 from deepmta.trainer import softmax
 
@@ -268,6 +270,25 @@ class TestForwardSequence:
             single, _ = forward_sequence(enc, params)
             np.testing.assert_allclose(batched[i], single, atol=1e-12)
 
+    @pytest.mark.parametrize("H", (7, 8))
+    def test_infer_step_matches_layer_forward(self, H):
+        # the cache-free inference cell against the batched scan at alpha 0
+        rng = np.random.default_rng(31)
+        params = random_model(rng, 5, H, 2)
+        x = rng.normal(0, 1, (6, 9, 5))
+        times = np.broadcast_to(np.sort(rng.uniform(0, 48, 9)), (6, 9))
+        for idx, lp in enumerate(params.layers):
+            ln_g, ln_b = params.ln_gain[idx], params.ln_bias[idx]
+            expected, _ = _layer_forward(x, times, lp, ln_g, ln_b, 0.0)
+            Wx = np.concatenate([lp.W_xi, lp.W_xf, lp.W_xc, lp.W_xo], axis=1)
+            Wh = np.concatenate([lp.W_hi, lp.W_hf, lp.W_hc, lp.W_ho], axis=1)
+            x_proj = (x.reshape(-1, x.shape[2]) @ Wx).reshape(6, 9, -1)
+            h = c = np.zeros((6, H))
+            for t in range(9):
+                h, c = infer_step(x_proj[:, t] + h @ Wh, h, c, times[0, t], lp, ln_g, ln_b)
+                np.testing.assert_array_equal(h, expected[:, t])
+            x = expected
+
     def test_dimension_mismatch(self):
         rng = np.random.default_rng(11)
         params = random_model(rng, 5, 8, 2)
@@ -449,6 +470,21 @@ class TestInitAndCheckpoint:
         obj["tensors"]["W_out"]["shape"] = [8, 3]
         path.write_text(_json.dumps(obj))
         with pytest.raises(ValidationError, match="W_out"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("name", ("W_out", "b_out", "ln.1.gain", "ln.0.bias"))
+    def test_checkpoint_non_finite_tensor_rejected(self, tmp_path, name):
+        import json as _json
+
+        rng = np.random.default_rng(21)
+        params = random_model(rng, 5, 8, 2)
+        vocab = Vocabulary(channels=("A", "B"), campaigns=("c1", "c2"))
+        path = tmp_path / "model.json"
+        save_checkpoint(path, params, vocab)
+        obj = _json.loads(path.read_text())
+        obj["tensors"][name]["data"][0] = float("nan")
+        path.write_text(_json.dumps(obj))
+        with pytest.raises(NumericError, match=name):
             load_checkpoint(path)
 
     def test_checkpoint_vocab_dim_mismatch(self, tmp_path):
