@@ -9,7 +9,9 @@ GMV allocation reports against a last-click baseline.
 from .attribution import (
     EXACT_LIMIT,
     AttributionResult,
+    GameStats,
     attribute_journey,
+    attribute_journeys,
     clip_normalize,
     mask_powerset,
     masked_accuracy,

@@ -17,15 +17,17 @@ import numpy as np
 
 from .errors import ConfigError, DimensionError, NumericError, ValidationError
 from .journey import DEFAULT_MAX_SEQ_LEN, CustomerJourney, EncodedJourney, Vocabulary, encode_journey
-from .model import ModelParams, forward_batch, infer_step
+from .model import ModelParams, _gate_forward, forward_batch, infer_step
 from .trainer import softmax
 
 EXACT_LIMIT = 12
 OLS_SAMPLE_ROWS = 2048
 RIDGE = 1e-8
 KERNEL_ENDPOINT_WEIGHT = 1e6
-# distinct mask rows per trie scan: the whole powerset at EXACT_LIMIT
-_BLOCK_ROWS = 4096
+# distinct mask rows per trie block. A block's scan holds about ten
+# state-sized arrays per row (5 KB a row at 64 units), so a worker's memory
+# stays near that of one journey's scan
+_BLOCK_ROWS = 1024
 
 METHODS = ("ols", "kernel_ols", "shapley_exact", "shapley_sampled", "auto")
 
@@ -82,13 +84,8 @@ def masked_accuracy_batch(params: ModelParams, enc: EncodedJourney, masks: np.nd
     """Masked accuracy of many 0/1 mask rows of one journey, through a prefix
     trie; equal to `masked_accuracy` row by row.
 
-    The model is causal and a masked event keeps its slot and time, so the
-    state at step t depends only on mask[0..t]. The distinct rows are sorted,
-    so rows sharing a prefix are adjacent, and scanned in blocks of
-    _BLOCK_ROWS: at step t each distinct prefix is stepped once by the
-    cache-free `infer_step` and its hard label scored once. The full
-    powerset of n events costs sum 2^(t+1) node-steps instead of n * 2^n
-    row-steps, and the memory of a scan is bounded by the block.
+    The one-journey case of the block scan that `attribute_journeys` runs
+    over many journeys' games: see `_scan_block`.
     """
     masks = np.asarray(masks)
     if masks.ndim != 2 or masks.shape[1] != len(enc.times):
@@ -98,60 +95,177 @@ def masked_accuracy_batch(params: ModelParams, enc: EncodedJourney, masks: np.nd
         raise ValidationError("mask entries must be 0 or 1")
     if len(bits) == 0:
         return np.empty(0)
-    # one byte string per row; their sort order is the rows' lexicographic order
-    packed = np.packbits(bits, axis=1)
-    width = packed.shape[1]
-    keys, inverse = np.unique(packed.view(f"V{width}").reshape(-1), return_inverse=True)
-    rows = np.unpackbits(keys.view(np.uint8).reshape(-1, width), axis=1, count=bits.shape[1]).astype(bool)
-    model = _TrieModel(params, enc)
-    acc = np.concatenate([model.scan(rows[start:start + _BLOCK_ROWS]) for start in range(0, len(rows), _BLOCK_ROWS)])
-    return acc[inverse.reshape(-1)]
+    return _game_values(params, [_Game.of(enc, bits)])[0]
 
 
-class _TrieModel:
-    """The frozen model's weights arranged for a prefix-trie scan of one
-    journey."""
+@dataclass
+class _Game:
+    """One journey's masked-accuracy game: its distinct mask rows, sorted so
+    that rows sharing a prefix are adjacent, and for each planned row the
+    index of its distinct row."""
 
-    def __init__(self, params: ModelParams, enc: EncodedJourney):
+    enc: EncodedJourney
+    rows: np.ndarray  # (m, n) bool
+    inverse: np.ndarray
+
+    @classmethod
+    def of(cls, enc: EncodedJourney, bits: np.ndarray) -> "_Game":
+        # one byte string per row; their sort order is the rows' lexicographic order
+        packed = np.packbits(bits, axis=1)
+        width = packed.shape[1]
+        keys, inverse = np.unique(packed.view(f"V{width}").reshape(-1), return_inverse=True)
+        rows = np.unpackbits(keys.view(np.uint8).reshape(-1, width), axis=1, count=bits.shape[1]).astype(bool)
+        return cls(enc, rows, inverse.reshape(-1))
+
+
+@dataclass
+class GameStats:
+    """Work counters of game evaluations: trie blocks scanned and distinct
+    prefix node-steps stepped."""
+
+    blocks: int = 0
+    node_steps: int = 0
+
+
+def _pack_blocks(games: list[_Game], workers: int) -> list[list[tuple[int, int, int]]]:
+    """Pieces (game, start, stop) of the games' distinct rows, packed into
+    blocks of at most _BLOCK_ROWS rows.
+
+    The rows of all games, in game order, are cut into runs of equal length,
+    in as few rounds of `workers` blocks as _BLOCK_ROWS allows, so that every
+    worker gets the same share (fewer blocks only when there are fewer rows
+    than workers). A cut may fall inside a game; its pieces then repeat the
+    prefix nodes they share.
+    """
+    total = sum(len(game.rows) for game in games)
+    if not total:
+        return []
+    n_blocks = min(total, workers * -(-total // (workers * _BLOCK_ROWS)))
+    cuts = [-(-total * b // n_blocks) for b in range(n_blocks + 1)]
+    blocks: list[list[tuple[int, int, int]]] = [[] for _ in range(n_blocks)]
+    offset = 0
+    for g, game in enumerate(games):
+        start = 0
+        while start < len(game.rows):
+            b = (offset + start) * n_blocks // total
+            stop = min(len(game.rows), cuts[b + 1] - offset)
+            blocks[b].append((g, start, stop))
+            start = stop
+        offset += len(game.rows)
+    return blocks
+
+
+def _game_values(
+    params: ModelParams,
+    games: list[_Game],
+    workers: int = 1,
+    map_blocks=map,
+    stats: GameStats | None = None,
+) -> list[np.ndarray]:
+    """Masked accuracy of every planned row of every game, one array per
+    game: the games' distinct rows are packed into blocks and each block is
+    one trie scan. `map_blocks` runs the scans (a thread pool's map runs
+    them in parallel)."""
+    weights = _TrieWeights(params)
+
+    def scan(block):
+        # longest journey first, so the rows alive at a step are a prefix
+        block = sorted(block, key=lambda p: -games[p[0]].rows.shape[1])
+        pieces = [(games[g].enc, games[g].rows[start:stop]) for g, start, stop in block]
+        return (block, *_scan_block(weights, pieces))
+
+    values = [np.empty(len(game.rows)) for game in games]
+    for block, accs, node_steps in map_blocks(scan, _pack_blocks(games, workers)):
+        for (g, start, stop), acc in zip(block, accs):
+            values[g][start:stop] = acc
+            if start:
+                # the prefix nodes this piece shares with the one before
+                rows = games[g].rows
+                node_steps -= int(np.argmin(rows[start - 1] == rows[start]))
+        if stats is not None:
+            stats.blocks += 1
+            stats.node_steps += node_steps
+    return [value[game.inverse] for value, game in zip(values, games)]
+
+
+class _TrieWeights:
+    """The frozen model's gate weights, concatenated per layer for the scan."""
+
+    def __init__(self, params: ModelParams):
         self.params = params
-        self.enc = enc
         self.Wx = [np.concatenate([lp.W_xi, lp.W_xf, lp.W_xc, lp.W_xo], axis=1) for lp in params.layers]
         self.Wh = [np.concatenate([lp.W_hi, lp.W_hf, lp.W_hc, lp.W_ho], axis=1) for lp in params.layers]
-        # layer 0 sees only two inputs per step: the event's features or zeros
-        self.x0 = enc.features @ self.Wx[0]
 
-    def scan(self, bits: np.ndarray) -> np.ndarray:
-        """Accuracy of each of the distinct, lexicographically sorted rows."""
-        params, enc = self.params, self.enc
-        m, n = bits.shape
-        states = [(np.zeros((1, lp.hidden_size)), np.zeros((1, lp.hidden_size))) for lp in params.layers]
-        matches = np.zeros(1, dtype=np.int64)
-        new_node = np.zeros(m, dtype=bool)
-        new_node[0] = True
-        node = np.zeros(m, dtype=np.int64)
-        for t in range(n):
-            col = bits[:, t]
-            new_node[1:] |= col[1:] != col[:-1]
-            first = np.flatnonzero(new_node)
-            parent = node[first]
-            kept = col[first]
-            node = np.cumsum(new_node) - 1
-            x = None
-            for idx, lp in enumerate(params.layers):
-                h, c = (state[parent] for state in states[idx])
-                a = h @ self.Wh[idx]
-                if idx == 0:
-                    np.add(a, self.x0[t], out=a, where=kept[:, None])
-                else:
-                    a += x @ self.Wx[idx]
-                x, c = infer_step(a, h, c, enc.times[t], lp, params.ln_gain[idx], params.ln_bias[idx])
-                states[idx] = (x, c)
-            logits = x[kept] @ params.W_out + params.b_out
-            hit = np.zeros(len(first), dtype=np.int64)
-            hit[kept] = (softmax(logits)[:, 1] >= 0.5) == enc.labels[t]
-            matches = matches[parent] + hit
-        counts = bits.sum(axis=1)
-        return np.where(counts > 0, matches / np.maximum(counts, 1), 0.0)
+
+def _scan_block(weights: _TrieWeights, pieces: list[tuple[EncodedJourney, np.ndarray]]) -> tuple[list[np.ndarray], int]:
+    """Masked accuracy of the distinct rows of several journeys' games in one
+    prefix-trie scan; returns one accuracy array per piece and the number of
+    node-steps.
+
+    `pieces` are (journey, rows) with each journey's rows distinct and
+    lexicographically sorted, longest journey first. The model is causal and
+    a masked event keeps its slot and time, so a row's state at step t
+    depends only on its journey and mask[0..t]: one trie node. At step t
+    each node is stepped once by the cache-free `infer_step` and its hard
+    label scored once; a full powerset of n events costs sum 2^(t+1)
+    node-steps instead of n * 2^n row-steps. The rows of journeys longer
+    than t are a prefix of the block. The time gate and layer 0's input
+    projection are computed once per (journey, step) and gathered per node.
+    """
+    params = weights.params
+    lengths = np.array([rows.shape[1] for _, rows in pieces])
+    sizes = np.array([len(rows) for _, rows in pieces])
+    row_start = np.cumsum(sizes) - sizes
+    bits = np.zeros((sizes.sum(), lengths[0]), dtype=bool)
+    for (_, rows), start in zip(pieces, row_start):
+        bits[start:start + len(rows), :rows.shape[1]] = rows
+    row_piece = np.repeat(np.arange(len(pieces)), sizes)
+    alive = [int(sizes[lengths > t].sum()) for t in range(lengths[0] + 1)]
+    # (journey, step) tables, indexed by the journey's first step plus t
+    step0 = np.cumsum(lengths) - lengths
+    times = np.concatenate([enc.times for enc, _ in pieces])
+    labels = np.concatenate([enc.labels for enc, _ in pieces])
+    x0 = np.concatenate([enc.features @ weights.Wx[0] for enc, _ in pieces])
+    gates = [_gate_forward(times[:, None], lp.tau, lp.s, lp.r_on, 0.0)[0] for lp in params.layers]
+
+    states = [(np.zeros((1, lp.hidden_size)), np.zeros((1, lp.hidden_size))) for lp in params.layers]
+    matches = np.zeros(1, dtype=np.int64)
+    new_node = np.zeros(len(bits), dtype=bool)
+    new_node[row_start] = True
+    node = np.zeros(len(bits), dtype=np.int64)
+    final = np.empty(len(bits), dtype=np.int64)
+    node_steps = 0
+    for t in range(lengths[0]):
+        col = bits[:alive[t], t]
+        fresh = new_node[:alive[t]]
+        fresh[1:] |= col[1:] != col[:-1]
+        first = np.flatnonzero(fresh)
+        parent = node[first]
+        kept = col[first]
+        node = np.cumsum(fresh) - 1
+        step = step0[row_piece[first]] + t
+        x = None
+        for idx, lp in enumerate(params.layers):
+            h, c = (state[parent] for state in states[idx])
+            states[idx] = None  # free the previous step's states before this step's temporaries
+            a = h @ weights.Wh[idx]
+            if idx == 0:
+                np.add(a, x0[step], out=a, where=kept[:, None])
+            else:
+                a += x @ weights.Wx[idx]
+            x, c = infer_step(a, h, c, gates[idx][step], lp, params.ln_gain[idx], params.ln_bias[idx])
+            states[idx] = (x, c)
+        logits = x[kept] @ params.W_out + params.b_out
+        hit = np.zeros(len(first), dtype=np.int64)
+        hit[kept] = (softmax(logits)[:, 1] >= 0.5) == labels[step[kept]]
+        matches = matches[parent] + hit
+        # rows whose journey ends at this step
+        ended = slice(alive[t + 1], alive[t])
+        final[ended] = matches[node[ended]]
+        node_steps += len(first)
+    counts = bits.sum(axis=1)
+    acc = np.where(counts > 0, final / np.maximum(counts, 1), 0.0)
+    return np.split(acc, row_start[1:]), node_steps
 
 
 # ---------------------------------------------------------------------------
@@ -286,37 +400,50 @@ def shapley_sampled(
         raise ValidationError("shapley_sampled needs n >= 1")
     if n_samples < 1:
         raise ValidationError("n_samples must be >= 1")
-    rng = np.random.default_rng(seed)
-    perms = np.array([rng.permutation(n) for _ in range(n_samples)])
+    perms, prefix = _permutation_prefixes(n, n_samples, seed)
     if value_batch is not None:
-        samples = np.arange(n_samples)[:, None]
-        ranks = np.empty_like(perms)
-        ranks[samples, perms] = np.arange(n)
-        prefix = ranks[:, None, :] < np.arange(n + 1)[None, :, None]
-        vals = np.asarray(value_batch(prefix.reshape(-1, n).astype(np.float64)), dtype=np.float64)
+        vals = np.asarray(value_batch(prefix.astype(np.float64)), dtype=np.float64)
         if vals.shape != (n_samples * (n + 1),):
             raise DimensionError(f"value_batch must return {n_samples * (n + 1)} values, got shape {vals.shape}")
-        by_player = np.zeros((n_samples + 1, n))
-        by_player[1 + samples, perms] = np.diff(vals.reshape(n_samples, n + 1), axis=1)
-        marginals = np.cumsum(by_player, axis=0)[-1]
-    else:
-        marginals = np.zeros(n)
-        memo: dict[bytes, float] = {}
-        empty = np.zeros(n, dtype=np.int64)
-        v_prev_base = float(value(empty))
-        for perm in perms:
-            mask = empty.copy()
-            v_prev = v_prev_base
-            for player in perm:
-                mask[player] = 1
-                key = mask.tobytes()
-                v_cur = memo.get(key)
-                if v_cur is None:
-                    v_cur = float(value(mask))
-                    memo[key] = v_cur
-                marginals[player] += v_cur - v_prev
-                v_prev = v_cur
+        return _permutation_estimates(perms, vals)
+    marginals = np.zeros(n)
+    memo: dict[bytes, float] = {}
+    empty = np.zeros(n, dtype=np.int64)
+    v_prev_base = float(value(empty))
+    for perm in perms:
+        mask = empty.copy()
+        v_prev = v_prev_base
+        for player in perm:
+            mask[player] = 1
+            key = mask.tobytes()
+            v_cur = memo.get(key)
+            if v_cur is None:
+                v_cur = float(value(mask))
+                memo[key] = v_cur
+            marginals[player] += v_cur - v_prev
+            v_prev = v_cur
     return marginals / n_samples
+
+
+def _permutation_prefixes(n: int, n_samples: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """`shapley_sampled`'s draw: (n_samples, n) permutations and the bool
+    matrix of their prefixes, row k * (n + 1) + j holding the first j
+    players of permutation k."""
+    rng = np.random.default_rng(seed)
+    perms = np.array([rng.permutation(n) for _ in range(n_samples)])
+    ranks = np.empty_like(perms)
+    ranks[np.arange(n_samples)[:, None], perms] = np.arange(n)
+    prefix = ranks[:, None, :] < np.arange(n + 1)[None, :, None]
+    return perms, prefix.reshape(-1, n)
+
+
+def _permutation_estimates(perms: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    """Mean marginal per player from the values of `_permutation_prefixes`
+    rows, accumulated in permutation order."""
+    n_samples, n = perms.shape
+    by_player = np.zeros((n_samples + 1, n))
+    by_player[1 + np.arange(n_samples)[:, None], perms] = np.diff(vals.reshape(n_samples, n + 1), axis=1)
+    return np.cumsum(by_player, axis=0)[-1] / n_samples
 
 
 def clip_normalize(raw: np.ndarray) -> tuple[np.ndarray, bool]:
@@ -348,6 +475,108 @@ def resolve_method(method: str, n_events: int) -> str:
     return method
 
 
+def _plan(
+    journey: CustomerJourney,
+    vocab: Vocabulary,
+    method: str,
+    n_samples: int,
+    seed: int,
+    max_seq_len: int,
+    include_intercept: bool,
+):
+    """A journey's game and the function that turns the values of its
+    planned mask rows into its AttributionResult."""
+    enc = encode_journey(journey, vocab, max_seq_len)
+    n = len(journey.events)
+    resolved = resolve_method(method, n)
+
+    if resolved in ("ols", "kernel_ols"):
+        if n <= EXACT_LIMIT:
+            masks = mask_powerset(n)
+        else:
+            rng = np.random.default_rng(seed)
+            masks = rng.integers(0, 2, size=(OLS_SAMPLE_ROWS, n))
+            masks[0] = 0
+            masks[1] = 1
+        weighting = "uniform" if resolved == "ols" else "shapley_kernel"
+
+        def solve(acc):
+            return solve_weights(masks, acc, weighting, include_intercept)
+
+    elif resolved == "shapley_exact":
+        if n > EXACT_LIMIT:
+            raise ConfigError(f"shapley_exact supports at most {EXACT_LIMIT} events; use shapley_sampled")
+        masks = mask_powerset(n)
+
+        def solve(acc):
+            table = np.empty(2 ** n)
+            table[masks @ (1 << np.arange(n, dtype=np.int64))] = acc
+            return float(table[0]), _shapley_from_table(table, n)
+
+    else:
+        perms, masks = _permutation_prefixes(n, n_samples, seed)
+
+        def solve(acc):
+            # row 0 is the first permutation's empty coalition
+            return float(acc[0]), _permutation_estimates(perms, acc)
+
+    def finish(acc):
+        intercept, raw = solve(acc)
+        weights, unattributed = clip_normalize(raw)
+        return AttributionResult(
+            raw_weights=np.asarray(raw, dtype=np.float64),
+            intercept=intercept,
+            weights=weights,
+            method=resolved,
+            unattributed=unattributed,
+        )
+
+    return _Game.of(enc, masks != 0), finish
+
+
+def attribute_journeys(
+    params: ModelParams,
+    journeys,
+    vocab: Vocabulary,
+    method: str = "auto",
+    n_samples: int = OLS_SAMPLE_ROWS,
+    seed: int = 0,
+    max_seq_len: int = DEFAULT_MAX_SEQ_LEN,
+    include_intercept: bool = True,
+    workers: int = 1,
+    map_blocks=map,
+    stats: GameStats | None = None,
+):
+    """Attribute many journeys against a frozen model; yields one
+    AttributionResult per journey, in input order.
+
+    Journeys are planned in windows of at least workers * 2^EXACT_LIMIT
+    distinct mask rows (or the last journeys). A window's games are scored
+    together in trie blocks of at most _BLOCK_ROWS rows, in rounds of
+    `workers` equal blocks; `map_blocks` runs the block scans (pass a thread
+    pool's map to run them in parallel). Memory is bounded by one window's
+    plans and `workers` block scans, whatever the number of journeys. Each
+    journey's result equals `attribute_journey` on it alone.
+    """
+    window: list = []
+    rows = 0
+    for journey in journeys:
+        window.append(_plan(journey, vocab, method, n_samples, seed, max_seq_len, include_intercept))
+        rows += len(window[-1][0].rows)
+        # at least one full exact game per worker, so that the wait for a
+        # window's last block stays short next to the window's work
+        if rows >= workers * 2 ** EXACT_LIMIT:
+            yield from _finish_window(params, window, workers, map_blocks, stats)
+            window, rows = [], 0
+    yield from _finish_window(params, window, workers, map_blocks, stats)
+
+
+def _finish_window(params, window, workers, map_blocks, stats):
+    values = _game_values(params, [game for game, _ in window], workers, map_blocks, stats)
+    for (_, finish), acc in zip(window, values):
+        yield finish(acc)
+
+
 def attribute_journey(
     params: ModelParams,
     journey: CustomerJourney,
@@ -363,51 +592,10 @@ def attribute_journey(
     auto picks exact Shapley up to 12 events and permutation sampling above;
     ols/kernel_ols regress masked accuracy on the full powerset (or 2048
     uniform subset rows above the exact limit). Every path ends in
-    clip_normalize.
+    clip_normalize. The one-journey case of `attribute_journeys`.
     """
-    enc = encode_journey(journey, vocab, max_seq_len)
-    n = len(journey.events)
-    resolved = resolve_method(method, n)
-
-    if resolved in ("ols", "kernel_ols"):
-        if n <= EXACT_LIMIT:
-            masks = mask_powerset(n)
-        else:
-            rng = np.random.default_rng(seed)
-            masks = rng.integers(0, 2, size=(OLS_SAMPLE_ROWS, n))
-            masks[0] = 0
-            masks[1] = 1
-        acc = masked_accuracy_batch(params, enc, masks)
-        weighting = "uniform" if resolved == "ols" else "shapley_kernel"
-        intercept, raw = solve_weights(masks, acc, weighting, include_intercept)
-    elif resolved == "shapley_exact":
-        if n > EXACT_LIMIT:
-            raise ConfigError(f"shapley_exact supports at most {EXACT_LIMIT} events; use shapley_sampled")
-        masks = mask_powerset(n)
-        acc = masked_accuracy_batch(params, enc, masks)
-        table = np.empty(2 ** n)
-        bit_index = masks @ (1 << np.arange(n, dtype=np.int64))
-        table[bit_index] = acc
-        raw = _shapley_from_table(table, n)
-        intercept = float(table[0])
-    else:
-        game = {}
-
-        def value_batch(masks):
-            game["acc"] = masked_accuracy_batch(params, enc, masks)
-            return game["acc"]
-
-        raw = shapley_sampled(None, n, n_samples, seed, value_batch=value_batch)
-        # row 0 is the first permutation's empty coalition
-        intercept = float(game["acc"][0])
-
-    weights, unattributed = clip_normalize(raw)
-    return AttributionResult(
-        raw_weights=np.asarray(raw, dtype=np.float64),
-        intercept=intercept,
-        weights=weights,
-        method=resolved,
-        unattributed=unattributed,
+    return next(
+        attribute_journeys(params, [journey], vocab, method, n_samples, seed, max_seq_len, include_intercept)
     )
 
 

@@ -1,8 +1,9 @@
 """Pipeline driver: gen, train, eval, attribute, and report subcommands.
 
 stdout carries machine-parseable key=value lines; progress and prose go to
-stderr. Exit codes: 0 ok, 2 usage/config/data error, 3 numeric failure,
-4 evaluation impossible.
+stderr. Exit codes: 0 ok, 2 usage/config/data/shape error (and any other
+package error), 3 numeric failure or trace mismatch, 4 evaluation
+impossible.
 """
 
 from __future__ import annotations
@@ -10,11 +11,29 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
-from .attribution import AttributionResult, attribute_journey, load_attributions, save_attributions
-from .errors import ConfigError, EvaluationError, NumericError, ValidationError
+# attribute_journey is not called here, but perfbench's tracer wraps
+# deepmta.cli.attribute_journey, so the name must stay importable
+from .attribution import (  # noqa: F401
+    AttributionResult,
+    GameStats,
+    attribute_journey,
+    attribute_journeys,
+    load_attributions,
+    save_attributions,
+)
+from .errors import (
+    ConfigError,
+    DeepMtaError,
+    DimensionError,
+    EvaluationError,
+    NumericError,
+    TraceError,
+    ValidationError,
+)
 from .journey import (
     GeneratorConfig,
     generate_synthetic,
@@ -124,33 +143,50 @@ def _attribution_workers() -> int:
     return os.cpu_count() or 1
 
 
+def _caller_map(pool: ThreadPoolExecutor):
+    """A map over the pool's threads and the calling thread, in input order.
+
+    The caller scans the blocks no pool thread has started, last first,
+    instead of waiting. Memory freed by a pool thread stays reserved for
+    that thread after it exits, while the caller's is reused by the rest of
+    the process, so one pool thread fewer lowers the process's peak memory.
+    """
+
+    def map_blocks(fn, items):
+        futures = [pool.submit(fn, item) for item in items]
+        own = {}
+        for idx in reversed(range(len(items))):
+            if futures[idx].cancel():
+                own[idx] = fn(items[idx])
+        return [own[idx] if idx in own else future.result() for idx, future in enumerate(futures)]
+
+    return map_blocks
+
+
 def _cmd_attribute(args) -> int:
+    start = time.perf_counter()
     params, vocab, _ = load_checkpoint(args.model)
     journeys = load_journeys(args.data)
-    method = _METHOD_FLAGS[args.method]
-
-    def run_one(journey):
-        return attribute_journey(
-            params, journey, vocab, method=method, n_samples=args.samples, seed=args.seed
-        )
-
     workers = _attribution_workers()
+    stats = GameStats()
     results = []
-    if workers > 1 and len(journeys) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for idx, result in enumerate(pool.map(run_one, journeys), start=1):
-                results.append(result)
-                if idx % 200 == 0:
-                    _info(f"attributed {idx}/{len(journeys)} journeys")
-    else:
-        for idx, journey in enumerate(journeys, start=1):
-            results.append(run_one(journey))
+    # the calling thread is one of the workers; pool threads start on first use
+    with ThreadPoolExecutor(max_workers=max(1, workers - 1)) as pool:
+        batches = attribute_journeys(
+            params, journeys, vocab, method=_METHOD_FLAGS[args.method], n_samples=args.samples, seed=args.seed,
+            workers=workers, map_blocks=_caller_map(pool) if workers > 1 else map, stats=stats,
+        )
+        for idx, result in enumerate(batches, start=1):
+            results.append(result)
             if idx % 200 == 0:
                 _info(f"attributed {idx}/{len(journeys)} journeys")
     save_attributions(args.out, journeys, results)
     _emit("journeys", len(journeys))
     _emit("unattributed", sum(1 for r in results if r.unattributed))
     _emit("out", args.out)
+    _emit("blocks", stats.blocks)
+    _emit("node_steps", stats.node_steps)
+    _emit("seconds", f"{time.perf_counter() - start:.3f}")
     return 0
 
 
@@ -256,15 +292,18 @@ def main(argv: list[str] | None = None) -> int:
     except FileNotFoundError as exc:
         _info(f"error: {exc}")
         return 2
-    except (ConfigError, ValidationError) as exc:
+    except (ConfigError, ValidationError, DimensionError) as exc:
         _info(f"error: {exc}")
         return 2
-    except NumericError as exc:
+    except (NumericError, TraceError) as exc:
         _info(f"error: {exc}")
         return 3
     except EvaluationError as exc:
         _info(f"error: {exc}")
         return 4
+    except DeepMtaError as exc:
+        _info(f"error: {exc}")
+        return 2
 
 
 if __name__ == "__main__":

@@ -61,6 +61,8 @@ class CustomerJourney:
         for prev, cur in zip(self.events, self.events[1:]):
             if cur.timestamp < prev.timestamp:
                 raise ValidationError("events must be sorted by non-decreasing timestamp")
+        if not math.isfinite(self.gmv):
+            raise ValidationError(f"gmv must be finite, got {self.gmv!r}")
         if self.gmv < 0:
             raise ValidationError("gmv must be non-negative")
         if self.gmv > 0 and not self.converted:

@@ -525,14 +525,15 @@ def _layer_forward(x, times, lp, ln_g, ln_b, alpha):
     return out, cache
 
 
-def infer_step(a, h, c, t, lp, ln_g, ln_b):
+def infer_step(a, h, c, k, lp, ln_g, ln_b):
     """One inference step (alpha 0) for N states, keeping no backward cache.
 
     a: (N, 4H) gate pre-activations x @ Wx + h @ Wh, overwritten in place;
-    h, c: (N, H) previous states; t: this step's time in hours, shared by
-    all N rows. Returns (h_new, c_new). The operations and their order
-    match `_layer_forward` at alpha 0, so each row's state is bit-identical
-    to the batched scan's, with fewer and smaller temporaries.
+    h, c: (N, H) previous states; k: the time gate's openness at alpha 0,
+    (H,) when all N rows share one time or (N, H) per row. Returns (h_new,
+    c_new). The operations and their order match `_layer_forward` at alpha
+    0, so each row's state is bit-identical to the batched scan's, with
+    fewer and smaller temporaries.
     """
     N, H = h.shape
     a4 = a.reshape(N, 4, H)
@@ -549,8 +550,6 @@ def infer_step(a, h, c, t, lp, ln_g, ln_b):
     a4 *= 1.0 / np.sqrt(var)
     a4 *= ln_g
     a4 += ln_b
-    k, _ = _gate_forward(t, lp.tau, lp.s, lp.r_on, 0.0)
-    keep = 1.0 - k
 
     def gate(j, w_peep, bias, out):
         # _sigmoid(a_j + w_peep * c + bias), written into out
@@ -572,10 +571,12 @@ def infer_step(a, h, c, t, lp, ln_g, ln_b):
     ht = gate(3, lp.w_co, lp.b_o, g)
     ht *= np.tanh(ct, out=u)
     ct *= k
+    # keep and h_new reuse the last temporaries, so fewer arrays per row are alive
+    keep = np.subtract(1.0, k, out=u)
     c_new = keep * c
     c_new += ct
     ht *= k
-    h_new = keep * h
+    h_new = np.multiply(keep, h, out=ct)
     h_new += ht
     return h_new, c_new
 
@@ -865,18 +866,36 @@ def save_checkpoint(path: str | Path, params: ModelParams, vocab: Vocabulary, se
         fh.write("\n")
 
 
+def _entry(obj: dict, key: str, kind, where: str, default=None):
+    """obj[key] as a `kind` (never a bool); ValidationError when it is missing
+    or of another type."""
+    value = obj.get(key, default)
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise ValidationError(f"checkpoint {where} {key!r} is missing or has the wrong type")
+    return value
+
+
 def load_checkpoint(path: str | Path) -> tuple[ModelParams, Vocabulary, int]:
-    """Read a checkpoint, validating every tensor shape against hyperparams."""
+    """Read a checkpoint, validating its structure and every tensor shape
+    against hyperparams; a malformed file is a ValidationError."""
     with open(path, "r", encoding="utf-8") as fh:
-        obj = json.load(fh)
-    if obj.get("format_version") != CHECKPOINT_VERSION:
-        raise ValidationError(f"unsupported checkpoint format_version {obj.get('format_version')!r}")
-    hp = obj["hyperparams"]
-    input_dim = int(hp["input_dim"])
-    hidden_size = int(hp["hidden_size"])
-    n_layers = int(hp["n_layers"])
+        try:
+            obj = json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise ValidationError(f"checkpoint {path} is not JSON ({exc})") from None
+    if not isinstance(obj, dict) or obj.get("format_version") != CHECKPOINT_VERSION:
+        version = obj.get("format_version") if isinstance(obj, dict) else None
+        raise ValidationError(f"unsupported checkpoint format_version {version!r}")
+    hp = _entry(obj, "hyperparams", dict, "field")
+    input_dim, hidden_size, n_layers = (
+        _entry(hp, key, int, "hyperparam") for key in ("input_dim", "hidden_size", "n_layers")
+    )
+    if min(input_dim, hidden_size, n_layers) < 1:
+        raise ValidationError("checkpoint input_dim, hidden_size and n_layers must be >= 1")
+    dropout_p = _entry(hp, "dropout_p", (int, float), "hyperparam", 0.5)
+    alpha = _entry(hp, "alpha", (int, float), "hyperparam", ALPHA_TRAIN_DEFAULT)
     expected = _expected_shapes(input_dim, hidden_size, n_layers)
-    tensors = obj["tensors"]
+    tensors = _entry(obj, "tensors", dict, "field")
     missing = sorted(set(expected) - set(tensors))
     if missing:
         raise ValidationError(f"checkpoint is missing tensors: {missing[:4]}")
@@ -885,28 +904,37 @@ def load_checkpoint(path: str | Path) -> tuple[ModelParams, Vocabulary, int]:
         raise ValidationError(f"checkpoint has unexpected tensors: {extra[:4]}")
     arrays: dict[str, np.ndarray] = {}
     for name, shape in expected.items():
-        entry = tensors[name]
-        if tuple(entry["shape"]) != shape:
+        entry = _entry(tensors, name, dict, "tensor")
+        if tuple(_entry(entry, "shape", list, f"tensor {name!r} field")) != shape:
             raise ValidationError(f"tensor {name!r} has shape {tuple(entry['shape'])}, expected {shape}")
-        arr = np.asarray(entry["data"], dtype=np.float64)
+        try:
+            arr = np.asarray(_entry(entry, "data", list, f"tensor {name!r} field"))
+        except ValueError:
+            arr = None
+        if arr is None or arr.ndim != 1 or arr.dtype.kind not in "iuf":
+            raise ValidationError(f"tensor {name!r} data must be a flat list of numbers")
         if arr.size != int(np.prod(shape)):
             raise ValidationError(f"tensor {name!r} data length does not match its shape")
-        arrays[name] = arr.reshape(shape)
+        arrays[name] = arr.astype(np.float64).reshape(shape)
     layers = []
     for idx in range(n_layers):
         fields = {fname: arrays[f"layers.{idx}.{fname}"] for fname in LAYER_TENSOR_FIELDS}
-        layers.append(PhasedLstmLayerParams(**fields, alpha=float(hp.get("alpha", ALPHA_TRAIN_DEFAULT))))
+        layers.append(PhasedLstmLayerParams(**fields, alpha=float(alpha)))
     params = ModelParams(
         layers=layers,
         ln_gain=[arrays[f"ln.{idx}.gain"] for idx in range(n_layers)],
         ln_bias=[arrays[f"ln.{idx}.bias"] for idx in range(n_layers)],
         W_out=arrays["W_out"],
         b_out=arrays["b_out"],
-        dropout_p=float(hp.get("dropout_p", 0.5)),
+        dropout_p=float(dropout_p),
     )
-    vocab = Vocabulary(channels=tuple(obj["vocab"]["channels"]), campaigns=tuple(obj["vocab"]["campaigns"]))
+    tokens = _entry(obj, "vocab", dict, "field")
+    channels, campaigns = (_entry(tokens, key, list, "vocab") for key in ("channels", "campaigns"))
+    if not all(isinstance(token, str) for token in channels + campaigns):
+        raise ValidationError("checkpoint vocab tokens must be strings")
+    vocab = Vocabulary(channels=tuple(channels), campaigns=tuple(campaigns))
     if params.input_dim != vocab.encoding_dim:
         raise ValidationError(
             f"checkpoint input_dim {params.input_dim} does not match vocabulary encoding dim {vocab.encoding_dim}"
         )
-    return params, vocab, int(obj.get("rng_seed", 0))
+    return params, vocab, _entry(obj, "rng_seed", int, "field", 0)

@@ -9,7 +9,13 @@ from deepmta.attribution import (
     _BLOCK_ROWS,
     EXACT_LIMIT,
     AttributionResult,
+    GameStats,
+    _game_values,
+    _Game,
+    _pack_blocks,
+    _plan,
     attribute_journey,
+    attribute_journeys,
     attribution_to_dict,
     clip_normalize,
     load_attributions,
@@ -24,7 +30,7 @@ from deepmta.attribution import (
     _shapley_from_table,
 )
 from deepmta.errors import ConfigError, DimensionError, NumericError, ValidationError
-from deepmta.journey import ClickEvent, CustomerJourney, Vocabulary, encode_journey
+from deepmta.journey import DEFAULT_MAX_SEQ_LEN, ClickEvent, CustomerJourney, Vocabulary, encode_journey
 from deepmta.model import LAYER_TENSOR_FIELDS, ModelParams, PhasedLstmLayerParams, forward_batch, init_params
 from deepmta.trainer import softmax
 
@@ -563,3 +569,130 @@ class TestAttributionJsonl:
         path.write_text(json.dumps(record) + "\n")
         with pytest.raises(ValidationError, match="weights"):
             load_attributions(path)
+
+
+def forward_reference(params, enc, masks):
+    """Masked accuracy of every row through one batched forward."""
+    masks = np.asarray(masks)
+    feats = enc.features[None] * masks[:, :, None]
+    logits, _ = forward_batch(feats, np.broadcast_to(enc.times, masks.shape), params)
+    preds = (softmax(logits)[..., 1] >= 0.5).astype(np.int64)
+    scored = masks > 0
+    counts = scored.sum(axis=1)
+    matches = ((preds == enc.labels) & scored).sum(axis=1)
+    return np.where(counts > 0, matches / np.maximum(counts, 1), 0.0)
+
+
+def distinct_prefix_steps(rows):
+    """Distinct (t, mask[0..t]) nodes of one game's rows."""
+    return sum(len(np.unique(rows[:, :t + 1], axis=0)) for t in range(rows.shape[1]))
+
+
+def mixed_journeys(rng, lengths):
+    """Journeys of the given lengths, every third one not converted."""
+    journeys = []
+    for idx, n in enumerate(lengths):
+        journey = random_journey(rng, int(n))
+        if idx % 3 == 2:
+            journey = CustomerJourney(f"u{idx}", journey.events, False, 0.0)
+        journeys.append(journey)
+    return journeys
+
+
+class TestBlockScan:
+    """Many journeys' games scored together in blocks equal each journey's
+    own scan and the single-mask reference, whatever the packing."""
+
+    @pytest.mark.parametrize("method", ("auto", "ols", "kernel_ols", "shapley_sampled"))
+    def test_mixed_lengths_match_per_journey(self, method):
+        rng = np.random.default_rng(40)
+        params = init_params(VOCAB.encoding_dim, 6, 2, t_span_hours=12.0, rng=4)
+        journeys = mixed_journeys(rng, rng.permutation(np.arange(1, 21)))
+        games = [_plan(j, VOCAB, method, 8, 1, DEFAULT_MAX_SEQ_LEN, True)[0] for j in journeys]
+        stats = GameStats()
+        values = _game_values(params, games, workers=3, stats=stats)
+        assert stats.blocks >= 3
+        for game, acc in zip(games, values):
+            masks = game.rows[game.inverse]
+            np.testing.assert_array_equal(acc, masked_accuracy_batch(params, game.enc, masks))
+            for row in rng.choice(len(masks), 4):
+                assert acc[row] == masked_accuracy(params, game.enc, masks[row])
+        batched = list(attribute_journeys(params, journeys, VOCAB, method=method, n_samples=8, seed=1, workers=3))
+        assert len(batched) == len(journeys)
+        for journey, result in zip(journeys, batched):
+            single = attribute_journey(params, journey, VOCAB, method=method, n_samples=8, seed=1)
+            np.testing.assert_array_equal(result.raw_weights, single.raw_weights)
+            np.testing.assert_array_equal(result.weights, single.weights)
+            assert (result.intercept, result.method, result.unattributed) == (
+                single.intercept, single.method, single.unattributed,
+            )
+
+    def test_game_cut_across_blocks(self):
+        # a game with more distinct rows than a block, between two small ones
+        rng = np.random.default_rng(41)
+        params = init_params(VOCAB.encoding_dim, 8, 2, t_span_hours=12.0, rng=5)
+        encs = [encode_journey(j, VOCAB) for j in mixed_journeys(rng, (3, 14, 5))]
+        masks = [mask_powerset(3), rng.integers(0, 2, size=(6000, 14)), mask_powerset(5)]
+        games = [_Game.of(enc, m != 0) for enc, m in zip(encs, masks)]
+        assert len(games[1].rows) > _BLOCK_ROWS
+        blocks = _pack_blocks(games, workers=2)
+        assert all(sum(stop - start for _, start, stop in block) <= _BLOCK_ROWS for block in blocks)
+        assert sum(any(g == 1 for g, _, _ in block) for block in blocks) >= 2
+        stats = GameStats()
+        values = _game_values(params, games, workers=2, stats=stats)
+        for enc, m, acc in zip(encs, masks, values):
+            np.testing.assert_array_equal(acc, forward_reference(params, enc, m))
+        # node_steps counts each journey's prefixes once, across the cuts
+        assert stats.node_steps == sum(distinct_prefix_steps(game.rows) for game in games)
+
+    @pytest.mark.parametrize("workers", (1, 2, 5))
+    def test_packing_covers_every_row_once(self, workers):
+        rng = np.random.default_rng(42)
+        encs = [encode_journey(j, VOCAB) for j in mixed_journeys(rng, (12, 2, 12, 1, 9, 12, 4))]
+        games = [_Game.of(enc, mask_powerset(len(enc.times)) != 0) for enc in encs]
+        blocks = _pack_blocks(games, workers)
+        sizes = [sum(stop - start for _, start, stop in block) for block in blocks]
+        assert max(sizes) <= _BLOCK_ROWS and max(sizes) - min(sizes) <= 1
+        assert len(blocks) >= workers
+        for g, game in enumerate(games):
+            pieces = sorted((start, stop) for block in blocks for h, start, stop in block if h == g)
+            assert pieces[0][0] == 0 and pieces[-1][1] == len(game.rows)
+            assert all(a[1] == b[0] and a[0] < a[1] for a, b in zip(pieces, pieces[1:]))
+
+    def test_last_journey_fills_the_window(self):
+        # a full exact game per worker closes the window on the last
+        # journey, leaving an empty one
+        rng = np.random.default_rng(44)
+        params = init_params(VOCAB.encoding_dim, 6, 2, t_span_hours=12.0, rng=7)
+        journey = random_journey(rng, EXACT_LIMIT)
+        result = attribute_journey(params, journey, VOCAB)
+        masks = mask_powerset(EXACT_LIMIT)
+        table = np.empty(2 ** EXACT_LIMIT)
+        table[masks @ (1 << np.arange(EXACT_LIMIT))] = forward_reference(params, encode_journey(journey, VOCAB), masks)
+        np.testing.assert_array_equal(result.raw_weights, _shapley_from_table(table, EXACT_LIMIT))
+        assert len(list(attribute_journeys(params, [journey, journey], VOCAB, workers=2))) == 2
+
+    def test_more_journeys_than_one_window(self, monkeypatch):
+        # at one worker, every 12-event journey fills a window
+        import deepmta.attribution as attribution
+
+        rng = np.random.default_rng(43)
+        params = init_params(VOCAB.encoding_dim, 6, 2, t_span_hours=12.0, rng=6)
+        journeys = mixed_journeys(rng, (12, 3, 5, 12, 1, 12, 7))
+        windows = []
+
+        def counted(params, games, *args):
+            windows.append(len(games))
+            return _game_values(params, games, *args)
+
+        monkeypatch.setattr(attribution, "_game_values", counted)
+        stats = GameStats()
+        batched = list(attribute_journeys(params, journeys, VOCAB, workers=1, stats=stats))
+        assert windows == [1, 3, 2, 1]
+        assert stats.node_steps == sum(2 ** (len(j.events) + 1) - 2 for j in journeys)
+        monkeypatch.undo()
+        for journey, result in zip(journeys, batched):
+            single = attribute_journey(params, journey, VOCAB)
+            np.testing.assert_array_equal(result.raw_weights, single.raw_weights)
+            assert result.intercept == single.intercept
+

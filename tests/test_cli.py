@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from deepmta.cli import main
+from deepmta.errors import DeepMtaError, DimensionError, TraceError
 from deepmta.journey import load_journeys
 from deepmta.report import load_report_csv
 
@@ -171,13 +172,31 @@ class TestAttribute:
         assert out.read_bytes() == pipeline["attr"].read_bytes()
 
     def test_thread_env_preserves_output(self, pipeline, tmp_path, monkeypatch):
-        monkeypatch.setenv("MTA_THREADS", "4")
-        out = tmp_path / "attr_mt.jsonl"
-        assert main([
+        # the worker count changes how rows are cut into blocks, never the output
+        for threads in ("1", "2", "4"):
+            monkeypatch.setenv("MTA_THREADS", threads)
+            out = tmp_path / f"attr_mt{threads}.jsonl"
+            assert main([
+                "attribute", "--model", str(pipeline["ckpt"]), "--data", str(pipeline["data"]),
+                "--out", str(out), "--method", "auto", "--seed", "1",
+            ]) == 0
+            assert out.read_bytes() == pipeline["attr"].read_bytes()
+
+    @pytest.mark.parametrize("threads", ("1", "3"))
+    def test_block_counters(self, pipeline, tmp_path, monkeypatch, capsys, threads):
+        # every journey has at most 4 events, so auto scores its whole
+        # powerset: sum 2^(t+1) = 2^(n+1) - 2 distinct prefix node-steps
+        monkeypatch.setenv("MTA_THREADS", threads)
+        code, kv, _ = run_cli(capsys, [
             "attribute", "--model", str(pipeline["ckpt"]), "--data", str(pipeline["data"]),
-            "--out", str(out), "--method", "auto", "--seed", "1",
-        ]) == 0
-        assert out.read_bytes() == pipeline["attr"].read_bytes()
+            "--out", str(tmp_path / "a.jsonl"), "--method", "auto", "--seed", "1",
+        ])
+        assert code == 0
+        journeys = load_journeys(pipeline["data"])
+        assert int(kv["node_steps"]) == sum(2 ** (len(j.events) + 1) - 2 for j in journeys)
+        assert int(kv["blocks"]) >= int(threads)
+        assert float(kv["seconds"]) > 0
+        assert {"journeys", "unattributed", "out"} <= kv.keys()
 
     @pytest.mark.parametrize("value", ("abc", "1.5", "0"))
     def test_malformed_thread_env_exits_2(self, pipeline, tmp_path, monkeypatch, capsys, value):
@@ -239,6 +258,45 @@ class TestReport:
         rows, totals = load_report_csv(out)
         assert rows == []
         assert totals["deepmta_gmv"] == 0.0
+
+
+@pytest.mark.parametrize(
+    ("error", "code"),
+    (
+        (DimensionError("masks must be (m, 3)"), 2),
+        (TraceError("trace does not match"), 3),
+        (DeepMtaError("some other package error"), 2),
+    ),
+)
+def test_package_errors_map_to_exit_codes(pipeline, monkeypatch, capsys, error, code):
+    import deepmta.cli as cli_mod
+
+    def failing(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(cli_mod, "attribute_journeys", failing)
+    exit_code, kv, err = run_cli(capsys, [
+        "attribute", "--model", str(pipeline["ckpt"]), "--data", str(pipeline["data"]),
+        "--out", str(pipeline["root"] / "failed.jsonl"),
+    ])
+    assert exit_code == code
+    assert str(error) in err and "Traceback" not in err
+    assert kv == {}
+
+
+@pytest.mark.parametrize("value", ("NaN", "Infinity"))
+def test_non_finite_gmv_exits_2(pipeline, tmp_path, capsys, value):
+    lines = pipeline["data"].read_text().splitlines()
+    obj = json.loads(lines[1])
+    obj["converted"], obj["gmv"] = True, float(value.replace("Infinity", "inf"))
+    data = tmp_path / "journeys.jsonl"
+    data.write_text("\n".join([lines[0], json.dumps(obj)]) + "\n")
+    code, kv, err = run_cli(capsys, [
+        "report", "--attr", str(pipeline["attr"]), "--data", str(data), "--out", str(tmp_path / "r.csv"),
+    ])
+    assert code == 2
+    assert "line 2" in err and "gmv must be finite" in err
+    assert kv == {}
 
 
 def test_divergence_maps_to_exit_3(pipeline, monkeypatch):

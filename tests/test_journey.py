@@ -256,6 +256,15 @@ class TestJsonlRoundTrip:
         with pytest.raises(ValidationError, match="line 1"):
             load_journeys(path)
 
+    @pytest.mark.parametrize("value", ("NaN", "Infinity"))
+    def test_non_finite_gmv_line_number(self, tmp_path, value):
+        # json.loads accepts NaN and Infinity; a journey must not
+        path = tmp_path / "bad.jsonl"
+        good = {"user_id": "u", "events": [{"channel": "A", "campaign": "c", "ts": 1}], "converted": True, "gmv": 5.0}
+        path.write_text(json.dumps(good) + "\n" + json.dumps(good).replace("5.0", value) + "\n")
+        with pytest.raises(ValidationError, match="line 2: gmv must be finite"):
+            load_journeys(path)
+
     def test_missing_field_named(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text(json.dumps({"user_id": "u", "events": [], "converted": False}) + "\n")

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -285,7 +287,8 @@ class TestForwardSequence:
             x_proj = (x.reshape(-1, x.shape[2]) @ Wx).reshape(6, 9, -1)
             h = c = np.zeros((6, H))
             for t in range(9):
-                h, c = infer_step(x_proj[:, t] + h @ Wh, h, c, times[0, t], lp, ln_g, ln_b)
+                k = time_gate(times[0, t], lp.tau, lp.s, lp.r_on, 0.0)
+                h, c = infer_step(x_proj[:, t] + h @ Wh, h, c, k, lp, ln_g, ln_b)
                 np.testing.assert_array_equal(h, expected[:, t])
             x = expected
 
@@ -495,3 +498,104 @@ class TestInitAndCheckpoint:
         save_checkpoint(path, params, vocab)
         with pytest.raises(ValidationError, match="encoding dim"):
             load_checkpoint(path)
+
+
+def _saved_checkpoint(tmp_path):
+    """A valid checkpoint's path and its JSON object."""
+    params = random_model(np.random.default_rng(22), 5, 8, 2)
+    path = tmp_path / "model.json"
+    save_checkpoint(path, params, Vocabulary(channels=("A", "B"), campaigns=("c1", "c2")))
+    return path, json.loads(path.read_text())
+
+
+class TestCheckpointStructure:
+    """Every malformed checkpoint is a ValidationError (exit 2), never a
+    KeyError, TypeError or JSONDecodeError traceback."""
+
+    def test_not_json(self, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_text("{not json")
+        with pytest.raises(ValidationError, match="not JSON"):
+            load_checkpoint(path)
+
+    def test_not_an_object(self, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_text("[1, 2]")
+        with pytest.raises(ValidationError, match="format_version"):
+            load_checkpoint(path)
+
+    def test_missing_hyperparams(self, tmp_path):
+        path, obj = _saved_checkpoint(tmp_path)
+        del obj["hyperparams"]
+        path.write_text(json.dumps(obj))
+        with pytest.raises(ValidationError, match="hyperparams"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("value", (None, "8", 8.5, True, 0))
+    def test_bad_hidden_size(self, tmp_path, value):
+        path, obj = _saved_checkpoint(tmp_path)
+        obj["hyperparams"]["hidden_size"] = value
+        path.write_text(json.dumps(obj))
+        with pytest.raises(ValidationError, match="hidden_size"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("value", (None, ["A", "B"], {"channels": ["A", "B"]}, {"channels": "AB", "campaigns": []}))
+    def test_bad_vocab(self, tmp_path, value):
+        path, obj = _saved_checkpoint(tmp_path)
+        if value is None:
+            del obj["vocab"]
+        else:
+            obj["vocab"] = value
+        path.write_text(json.dumps(obj))
+        with pytest.raises(ValidationError, match="vocab|channels|campaigns"):
+            load_checkpoint(path)
+
+    def test_non_string_vocab_tokens(self, tmp_path):
+        path, obj = _saved_checkpoint(tmp_path)
+        obj["vocab"]["channels"] = [["A"], "B"]
+        path.write_text(json.dumps(obj))
+        with pytest.raises(ValidationError, match="strings"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("value", (None, [], "tensors"))
+    def test_bad_tensors(self, tmp_path, value):
+        path, obj = _saved_checkpoint(tmp_path)
+        if value is None:
+            del obj["tensors"]
+        else:
+            obj["tensors"] = value
+        path.write_text(json.dumps(obj))
+        with pytest.raises(ValidationError, match="tensors"):
+            load_checkpoint(path)
+
+    def test_tensor_entry_not_an_object(self, tmp_path):
+        path, obj = _saved_checkpoint(tmp_path)
+        obj["tensors"]["W_out"] = [1.0] * 16
+        path.write_text(json.dumps(obj))
+        with pytest.raises(ValidationError, match="W_out"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("value", (None, 16, "8,2"))
+    def test_bad_shape(self, tmp_path, value):
+        path, obj = _saved_checkpoint(tmp_path)
+        if value is None:
+            del obj["tensors"]["W_out"]["shape"]
+        else:
+            obj["tensors"]["W_out"]["shape"] = value
+        path.write_text(json.dumps(obj))
+        with pytest.raises(ValidationError, match="W_out.*shape"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "value", (None, 1.0, "data", [[1.0] * 2] * 8, [1.0] * 15 + ["x"], [1.0] * 15 + [None], [[1.0], 2.0])
+    )
+    def test_bad_data(self, tmp_path, value):
+        path, obj = _saved_checkpoint(tmp_path)
+        if value is None:
+            del obj["tensors"]["W_out"]["data"]
+        else:
+            obj["tensors"]["W_out"]["data"] = value
+        path.write_text(json.dumps(obj))
+        with pytest.raises(ValidationError, match="W_out.*data"):
+            load_checkpoint(path)
+
