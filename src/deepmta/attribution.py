@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, DimensionError, NumericError, ValidationError
-from .journey import DEFAULT_MAX_SEQ_LEN, CustomerJourney, EncodedJourney, Vocabulary, encode_journey
+from .journey import DEFAULT_MAX_SEQ_LEN, CustomerJourney, EncodedJourney, Vocabulary, encode_journey, read_jsonl
 from .model import ModelParams, _gate_forward, forward_batch, infer_step
 from .trainer import softmax
 
@@ -55,11 +55,6 @@ def mask_powerset(n: int) -> np.ndarray:
     return bits.astype(np.int64)
 
 
-def _hard_labels(params: ModelParams, features: np.ndarray, times: np.ndarray) -> np.ndarray:
-    logits, _ = forward_batch(features, times, params, training=False)
-    return (softmax(logits)[..., 1] >= 0.5).astype(np.int64)
-
-
 def masked_accuracy(params: ModelParams, enc: EncodedJourney, mask: np.ndarray) -> float:
     """Agreement rate between hard predictions and labels over unmasked
     positions.
@@ -72,7 +67,8 @@ def masked_accuracy(params: ModelParams, enc: EncodedJourney, mask: np.ndarray) 
     mask = np.asarray(mask, dtype=np.float64)
     if mask.shape != (len(enc.times),):
         raise DimensionError(f"mask length {mask.shape} does not match journey length {len(enc.times)}")
-    preds = _hard_labels(params, (enc.features * mask[:, None])[None], enc.times[None])[0]
+    logits, _ = forward_batch((enc.features * mask[:, None])[None], enc.times[None], params, training=False)
+    preds = (softmax(logits[0])[:, 1] >= 0.5).astype(np.int64)
     scored = mask > 0
     count = scored.sum()
     if count == 0:
@@ -382,30 +378,20 @@ def shapley_sampled(
     n: int,
     n_samples: int,
     seed: int,
-    value_batch=None,
 ) -> np.ndarray:
     """Monte-Carlo Shapley over uniformly random player permutations.
 
     Each sampled permutation contributes one marginal per player; estimates
     are the means, accumulated in permutation order. Deterministic per seed.
     `value` maps a 0/1 membership vector to a game value and is called once
-    per distinct coalition. When `value_batch` is given, `value` is unused
-    and `value_batch` is called once, with the (n_samples * (n + 1), n)
-    float 0/1 matrix of every permutation's prefix masks: row k * (n + 1) + j
-    holds the first j players of permutation k, so row 0 is the empty
-    coalition. It returns one value per row. Both paths give the same
-    estimates.
+    per distinct coalition. This memo loop is the readable reference for
+    `_permutation_estimates`, which the attribution path uses.
     """
     if n < 1:
         raise ValidationError("shapley_sampled needs n >= 1")
     if n_samples < 1:
         raise ValidationError("n_samples must be >= 1")
-    perms, prefix = _permutation_prefixes(n, n_samples, seed)
-    if value_batch is not None:
-        vals = np.asarray(value_batch(prefix.astype(np.float64)), dtype=np.float64)
-        if vals.shape != (n_samples * (n + 1),):
-            raise DimensionError(f"value_batch must return {n_samples * (n + 1)} values, got shape {vals.shape}")
-        return _permutation_estimates(perms, vals)
+    perms, _ = _permutation_prefixes(n, n_samples, seed)
     marginals = np.zeros(n)
     memo: dict[bytes, float] = {}
     empty = np.zeros(n, dtype=np.int64)
@@ -624,20 +610,32 @@ def save_attributions(path: str | Path, journeys: list[CustomerJourney], results
             fh.write(json.dumps(attribution_to_dict(journey, result)) + "\n")
 
 
+def _finite_numbers(value) -> bool:
+    try:
+        return isinstance(value, list) and all(type(x) in (int, float) and math.isfinite(x) for x in value)
+    except OverflowError:  # an integer too large for a float
+        return False
+
+
 def load_attributions(path: str | Path) -> list[dict]:
+    """Read an attribution JSONL file, checking the fields the report reads;
+    errors carry 1-based line numbers."""
     records = []
-    required = ("user_id", "method", "intercept", "raw_weights", "weights", "unattributed", "channels")
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValidationError(f"line {line_no}: malformed JSON ({exc.msg})") from None
-            for key in required:
-                if key not in obj:
-                    raise ValidationError(f"line {line_no}: missing field {key!r}")
-            records.append(obj)
+    for line_no, obj in read_jsonl(path):
+        if not isinstance(obj, dict):
+            raise ValidationError(f"line {line_no}: attribution record must be a JSON object")
+        for key in ("user_id", "method", "intercept", "raw_weights", "weights", "unattributed", "channels"):
+            if key not in obj:
+                raise ValidationError(f"line {line_no}: missing field {key!r}")
+        for key, ok, kind in (
+            ("intercept", _finite_numbers([obj["intercept"]]), "a finite number"),
+            ("raw_weights", _finite_numbers(obj["raw_weights"]), "a list of finite numbers"),
+            ("weights", _finite_numbers(obj["weights"]), "a list of finite numbers"),
+            ("unattributed", isinstance(obj["unattributed"], bool), "true or false"),
+            ("channels", isinstance(obj["channels"], list) and all(isinstance(c, str) for c in obj["channels"]),
+             "a list of strings"),
+        ):
+            if not ok:
+                raise ValidationError(f"line {line_no}: field {key!r} must be {kind}")
+        records.append(obj)
     return records

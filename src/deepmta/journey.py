@@ -352,20 +352,42 @@ def save_journeys(path: str | Path, journeys: list[CustomerJourney]) -> None:
             fh.write(json.dumps(journey_to_dict(j)) + "\n")
 
 
-def load_journeys(path: str | Path) -> list[CustomerJourney]:
-    """Read a JSONL journey file; errors carry 1-based line numbers."""
-    journeys = []
-    with open(path, "r", encoding="utf-8") as fh:
+def read_jsonl(path: str | Path):
+    """Yield (1-based line number, parsed value) for each non-blank line of a
+    JSONL file; a malformed line is a line-numbered ValidationError."""
+    # bytes that are not UTF-8 are escaped to lone surrogates, which the
+    # encode below rejects, so the error names their line
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
             try:
+                line.encode("utf-8")
                 obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValidationError(f"line {line_no}: malformed JSON ({exc.msg})") from None
-            journeys.append(_journey_from_dict(obj, line_no))
-    return journeys
+            except UnicodeEncodeError:
+                raise ValidationError(f"line {line_no}: not UTF-8 text") from None
+            except ValueError as exc:  # also an integer of more than 4300 digits
+                raise ValidationError(f"line {line_no}: malformed JSON ({getattr(exc, 'msg', exc)})") from None
+            yield line_no, obj
+
+
+def load_journeys(path: str | Path) -> list[CustomerJourney]:
+    """Read a JSONL journey file; errors carry 1-based line numbers."""
+    return [_journey_from_dict(obj, line_no) for line_no, obj in read_jsonl(path)]
+
+
+def vocabulary_from_dict(obj, source: str) -> Vocabulary:
+    """The Vocabulary of a {"channels": [...], "campaigns": [...]} object, as
+    a vocabulary file or a checkpoint holds it; a ValidationError naming
+    `source` unless both are lists of distinct strings."""
+    if not isinstance(obj, dict):
+        raise ValidationError(f"{source} must be an object with 'channels' and 'campaigns' lists")
+    for key in ("channels", "campaigns"):
+        tokens = obj.get(key)
+        if not isinstance(tokens, list) or not all(isinstance(token, str) for token in tokens):
+            raise ValidationError(f"{source} {key!r} must be a list of strings")
+    return Vocabulary(channels=tuple(obj["channels"]), campaigns=tuple(obj["campaigns"]))
 
 
 def save_vocabulary(path: str | Path, vocab: Vocabulary) -> None:
@@ -376,7 +398,8 @@ def save_vocabulary(path: str | Path, vocab: Vocabulary) -> None:
 
 def load_vocabulary(path: str | Path) -> Vocabulary:
     with open(path, "r", encoding="utf-8") as fh:
-        obj = json.load(fh)
-    if not isinstance(obj, dict) or "channels" not in obj or "campaigns" not in obj:
-        raise ValidationError("vocabulary file must contain 'channels' and 'campaigns' lists")
-    return Vocabulary(channels=tuple(obj["channels"]), campaigns=tuple(obj["campaigns"]))
+        try:
+            obj = json.load(fh)
+        except ValueError as exc:  # also not UTF-8, or an integer of more than 4300 digits
+            raise ValidationError(f"vocabulary {path} is not JSON ({exc})") from None
+    return vocabulary_from_dict(obj, f"vocabulary {path}")

@@ -25,7 +25,7 @@ from .errors import (
     TraceError,
     ValidationError,
 )
-from .journey import EncodedJourney, Vocabulary
+from .journey import EncodedJourney, Vocabulary, vocabulary_from_dict
 
 LN_EPS = 1e-5
 N_CLASSES = 2
@@ -881,7 +881,7 @@ def load_checkpoint(path: str | Path) -> tuple[ModelParams, Vocabulary, int]:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             obj = json.load(fh)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        except ValueError as exc:  # also not UTF-8, or an integer of more than 4300 digits
             raise ValidationError(f"checkpoint {path} is not JSON ({exc})") from None
     if not isinstance(obj, dict) or obj.get("format_version") != CHECKPOINT_VERSION:
         version = obj.get("format_version") if isinstance(obj, dict) else None
@@ -928,11 +928,7 @@ def load_checkpoint(path: str | Path) -> tuple[ModelParams, Vocabulary, int]:
         b_out=arrays["b_out"],
         dropout_p=float(dropout_p),
     )
-    tokens = _entry(obj, "vocab", dict, "field")
-    channels, campaigns = (_entry(tokens, key, list, "vocab") for key in ("channels", "campaigns"))
-    if not all(isinstance(token, str) for token in channels + campaigns):
-        raise ValidationError("checkpoint vocab tokens must be strings")
-    vocab = Vocabulary(channels=tuple(channels), campaigns=tuple(campaigns))
+    vocab = vocabulary_from_dict(obj.get("vocab"), "checkpoint vocab")
     if params.input_dim != vocab.encoding_dim:
         raise ValidationError(
             f"checkpoint input_dim {params.input_dim} does not match vocabulary encoding dim {vocab.encoding_dim}"

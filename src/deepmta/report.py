@@ -15,6 +15,7 @@ from .errors import DimensionError, ValidationError
 from .journey import CustomerJourney
 
 TOTAL_ROW_LABEL = "TOTAL"
+REPORT_FIELDS = ("channel", "deepmta_gmv", "lastclick_gmv", "avg_attribution", "journey_count")
 
 
 @dataclass
@@ -35,18 +36,24 @@ class ChannelReport:
     unattributed_journeys: int = 0
 
 
-def allocate_gmv(journey: CustomerJourney, weights: np.ndarray) -> dict[str, float]:
-    """Split the journey's GMV across channels by the per-event weights;
-    repeated channels accumulate."""
+def channel_weights(journey: CustomerJourney, weights: np.ndarray) -> dict[str, float]:
+    """The journey's per-event weights summed per channel, in first-seen
+    channel order."""
     weights = np.asarray(weights, dtype=np.float64)
     if weights.shape != (len(journey.events),):
         raise DimensionError(
             f"weights length {weights.shape} does not match journey length {len(journey.events)}"
         )
-    allocation: dict[str, float] = {}
+    sums: dict[str, float] = {}
     for event, w in zip(journey.events, weights):
-        allocation[event.channel_id] = allocation.get(event.channel_id, 0.0) + float(w) * journey.gmv
-    return allocation
+        sums[event.channel_id] = sums.get(event.channel_id, 0.0) + float(w)
+    return sums
+
+
+def allocate_gmv(journey: CustomerJourney, weights: np.ndarray) -> dict[str, float]:
+    """Split the journey's GMV across channels by the per-event weights;
+    repeated channels accumulate, exactly as the channel report adds them."""
+    return {channel: w * journey.gmv for channel, w in channel_weights(journey, weights).items()}
 
 
 def last_click_weights(journey: CustomerJourney) -> np.ndarray:
@@ -65,24 +72,19 @@ def last_click_baseline(journey: CustomerJourney) -> dict[str, float]:
 
 def _aggregate(pairs, weight_fn, method: str) -> ChannelReport:
     report = ChannelReport(method=method)
-    weight_sums: dict[str, float] = {}
     for journey, result in pairs:
         if result.unattributed:
             report.unattributed_journeys += 1
             continue
         report.attributed_journeys += 1
-        weights = weight_fn(journey, result)
-        journey_weight: dict[str, float] = {}
-        for event, w in zip(journey.events, weights):
-            journey_weight[event.channel_id] = journey_weight.get(event.channel_id, 0.0) + float(w)
-        for channel, w in journey_weight.items():
+        for channel, w in channel_weights(journey, weight_fn(journey, result)).items():
             stats = report.channels.setdefault(channel, ChannelStats())
             stats.journey_count += 1
             stats.total_gmv += w * journey.gmv
-            weight_sums[channel] = weight_sums.get(channel, 0.0) + w
+            stats.avg_attribution += w  # a sum until the division below
         report.total_gmv += journey.gmv
-    for channel, stats in report.channels.items():
-        stats.avg_attribution = weight_sums[channel] / stats.journey_count
+    for stats in report.channels.values():
+        stats.avg_attribution /= stats.journey_count
     return report
 
 
@@ -123,17 +125,8 @@ def _comparison_rows(report: ChannelReport, baseline: ChannelReport):
             }
         )
     rows.sort(key=lambda r: (-r["deepmta_gmv"], r["channel"]))
-    totals = {
-        "channel": TOTAL_ROW_LABEL,
-        "deepmta_gmv": sum(r["deepmta_gmv"] for r in rows),
-        "lastclick_gmv": sum(r["lastclick_gmv"] for r in rows),
-        "avg_attribution": sum(r["avg_attribution"] for r in rows),
-        "journey_count": sum(r["journey_count"] for r in rows),
-    }
+    totals = {"channel": TOTAL_ROW_LABEL, **{key: sum(r[key] for r in rows) for key in REPORT_FIELDS[1:]}}
     return rows, totals
-
-
-REPORT_FIELDS = ("channel", "deepmta_gmv", "lastclick_gmv", "avg_attribution", "journey_count")
 
 
 def emit_report(report: ChannelReport, baseline: ChannelReport, path: str | Path, fmt: str = "csv") -> None:

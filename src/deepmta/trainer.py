@@ -15,6 +15,7 @@ from .model import ModelParams, backward_batch, clamp_gate_timing, forward_batch
 
 PROB_CLIP = 1e-12
 MOMENTUM = 0.9
+EVAL_BATCH = 256
 
 
 @dataclass
@@ -86,6 +87,14 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
+def _step_cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-step binary cross-entropy (see `loss`) and the softmax it uses."""
+    probs = softmax(logits)
+    p1 = np.clip(probs[..., 1], PROB_CLIP, 1.0 - PROB_CLIP)
+    y = np.asarray(labels, dtype=np.float64)
+    return -(y * np.log(p1) + (1.0 - y) * np.log(1.0 - p1)), probs
+
+
 def loss(logits: np.ndarray, labels: np.ndarray, step_mask: np.ndarray | None = None) -> float:
     """Mean binary cross-entropy over unmasked steps.
 
@@ -105,8 +114,7 @@ def loss(logits: np.ndarray, labels: np.ndarray, step_mask: np.ndarray | None = 
     n_scored = step_mask.sum()
     if n_scored == 0:
         raise ValidationError("step_mask selects no steps to score")
-    p1 = np.clip(softmax(logits)[..., 1], PROB_CLIP, 1.0 - PROB_CLIP)
-    ce = -(labels * np.log(p1) + (1.0 - labels) * np.log(1.0 - p1))
+    ce, _ = _step_cross_entropy(logits, labels)
     return float((ce * step_mask).sum() / n_scored)
 
 
@@ -114,16 +122,11 @@ def _loss_and_grad_batch(logits: np.ndarray, labels: np.ndarray) -> tuple[float,
     """Batch loss (mean over journeys of per-journey step means) and its
     gradient w.r.t. the logits."""
     B, T, _ = logits.shape
-    probs = softmax(logits)
-    p1 = np.clip(probs[..., 1], PROB_CLIP, 1.0 - PROB_CLIP)
-    y = labels.astype(np.float64)
-    ce = -(y * np.log(p1) + (1.0 - y) * np.log(1.0 - p1))
-    total = float(ce.mean())
+    ce, probs = _step_cross_entropy(logits, labels)
     target = np.zeros_like(probs)
-    target[..., 1] = y
-    target[..., 0] = 1.0 - y
-    grad = (probs - target) / (B * T)
-    return total, grad
+    target[..., 1] = labels
+    target[..., 0] = 1.0 - labels
+    return float(ce.mean()), (probs - target) / (B * T)
 
 
 @dataclass
@@ -135,18 +138,20 @@ class TrainResult:
     seed: int
 
 
-def _length_buckets(encoded: list[EncodedJourney], order: np.ndarray) -> dict[int, list[int]]:
+def _batches(encoded: list[EncodedJourney], order: np.ndarray, size: int):
+    """Journeys of `order` grouped by length, in ascending length and at most
+    `size` per batch, so batches never pad: yields (chunk, features, times,
+    labels) with the chunk's indices and its stacked arrays."""
     buckets: dict[int, list[int]] = {}
     for idx in order:
         buckets.setdefault(len(encoded[idx].times), []).append(int(idx))
-    return buckets
-
-
-def _stack_batch(encoded: list[EncodedJourney], idxs: list[int]):
-    feats = np.stack([encoded[i].features for i in idxs])
-    times = np.stack([encoded[i].times for i in idxs])
-    labels = np.stack([encoded[i].labels for i in idxs])
-    return feats, times, labels
+    for length in sorted(buckets):
+        members = buckets[length]
+        for start in range(0, len(members), size):
+            chunk = members[start:start + size]
+            feats = np.stack([encoded[i].features for i in chunk])
+            times = np.stack([encoded[i].times for i in chunk])
+            yield chunk, feats, times, np.stack([encoded[i].labels for i in chunk])
 
 
 def _dataset_loss(encoded: list[EncodedJourney], idxs: np.ndarray, params: ModelParams) -> float:
@@ -154,18 +159,11 @@ def _dataset_loss(encoded: list[EncodedJourney], idxs: np.ndarray, params: Model
     if len(idxs) == 0:
         return float("nan")
     total = 0.0
-    buckets = _length_buckets(encoded, idxs)
-    for length in sorted(buckets):
-        members = buckets[length]
-        for start in range(0, len(members), 256):
-            chunk = members[start:start + 256]
-            feats, times, labels = _stack_batch(encoded, chunk)
-            logits, _ = forward_batch(feats, times, params, training=False)
-            probs = softmax(logits)
-            p1 = np.clip(probs[..., 1], PROB_CLIP, 1.0 - PROB_CLIP)
-            y = labels.astype(np.float64)
-            ce = -(y * np.log(p1) + (1.0 - y) * np.log(1.0 - p1))
-            total += float(ce.mean(axis=1).sum())
+    for _, feats, times, labels in _batches(encoded, idxs, EVAL_BATCH):
+        # drop the backward cache at once, so no two batches' caches are alive
+        logits = forward_batch(feats, times, params, training=False)[0]
+        ce, _ = _step_cross_entropy(logits, labels)
+        total += float(ce.mean(axis=1).sum())
     return total / len(idxs)
 
 
@@ -231,37 +229,30 @@ def train(journeys: list[CustomerJourney], vocab: Vocabulary, cfg: TrainConfig) 
     val_losses: list[float] = []
     for epoch in range(cfg.epochs):
         order = train_idx[rng.permutation(len(train_idx))]
-        buckets = _length_buckets(encoded, order)
         epoch_loss = 0.0
         n_journeys_seen = 0
-        step = 0
-        for length in sorted(buckets):
-            members = buckets[length]
-            for start in range(0, len(members), cfg.batch_size):
-                chunk = members[start:start + cfg.batch_size]
-                feats, times, labels = _stack_batch(encoded, chunk)
-                logits, trace = forward_batch(feats, times, params, training=True, rng=rng)
-                batch_loss, grad_logits = _loss_and_grad_batch(logits, labels)
-                if not np.isfinite(batch_loss):
-                    raise TrainingDivergedError(epoch, step)
-                grads = backward_batch(trace, grad_logits)
-                for name in frozen_rows:
-                    grads[name][time_idx, :] = 0.0
-                _clip_gradients(grads, cfg.grad_clip_norm)
-                for name, arr in params.named_parameters():
-                    if cfg.freeze_timing and name.endswith(timing_suffixes):
-                        continue
-                    g = grads[name]
-                    if velocity is not None:
-                        v = velocity[name]
-                        v *= MOMENTUM
-                        v += g
-                        g = v
-                    arr -= cfg.learning_rate * g
-                clamp_gate_timing(params)
-                epoch_loss += batch_loss * len(chunk)
-                n_journeys_seen += len(chunk)
-                step += 1
+        for step, (chunk, feats, times, labels) in enumerate(_batches(encoded, order, cfg.batch_size)):
+            logits, trace = forward_batch(feats, times, params, training=True, rng=rng)
+            batch_loss, grad_logits = _loss_and_grad_batch(logits, labels)
+            if not np.isfinite(batch_loss):
+                raise TrainingDivergedError(epoch, step)
+            grads = backward_batch(trace, grad_logits)
+            for name in frozen_rows:
+                grads[name][time_idx, :] = 0.0
+            _clip_gradients(grads, cfg.grad_clip_norm)
+            for name, arr in params.named_parameters():
+                if cfg.freeze_timing and name.endswith(timing_suffixes):
+                    continue
+                g = grads[name]
+                if velocity is not None:
+                    v = velocity[name]
+                    v *= MOMENTUM
+                    v += g
+                    g = v
+                arr -= cfg.learning_rate * g
+            clamp_gate_timing(params)
+            epoch_loss += batch_loss * len(chunk)
+            n_journeys_seen += len(chunk)
         train_losses.append(epoch_loss / n_journeys_seen)
         val_losses.append(_dataset_loss(encoded, val_idx, params))
     return TrainResult(params=params, vocab=vocab, train_losses=train_losses, val_losses=val_losses, seed=cfg.seed)
@@ -272,10 +263,6 @@ def predict(params: ModelParams, journey: CustomerJourney, vocab: Vocabulary,
     """Per-step conversion probability (positive-class softmax) for one
     journey. Pure function of (params, journey); hard labels are prob >= 0.5."""
     enc = encode_journey(journey, vocab, max_seq_len)
-    return predict_encoded(params, enc)
-
-
-def predict_encoded(params: ModelParams, enc: EncodedJourney) -> np.ndarray:
     logits, _ = forward_batch(enc.features[None], enc.times[None], params, training=False)
     return softmax(logits[0])[:, 1]
 
@@ -350,15 +337,10 @@ def evaluate_roc(params: ModelParams, vocab: Vocabulary, journeys: list[Customer
     encoded = [encode_journey(j, vocab, max_seq_len) for j in journeys]
     scores_parts = []
     labels_parts = []
-    buckets = _length_buckets(encoded, np.arange(len(encoded)))
-    for length in sorted(buckets):
-        members = buckets[length]
-        for start in range(0, len(members), 256):
-            chunk = members[start:start + 256]
-            feats, times, labels = _stack_batch(encoded, chunk)
-            logits, _ = forward_batch(feats, times, params, training=False)
-            scores_parts.append(softmax(logits)[..., 1].ravel())
-            labels_parts.append(labels.ravel())
+    for _, feats, times, labels in _batches(encoded, np.arange(len(encoded)), EVAL_BATCH):
+        logits = forward_batch(feats, times, params, training=False)[0]  # cache dropped, as in _dataset_loss
+        scores_parts.append(softmax(logits)[..., 1].ravel())
+        labels_parts.append(labels.ravel())
     scores = np.concatenate(scores_parts)
     labels = np.concatenate(labels_parts)
     auc = auc_score(scores, labels)

@@ -13,6 +13,8 @@ from deepmta.attribution import (
     _game_values,
     _Game,
     _pack_blocks,
+    _permutation_estimates,
+    _permutation_prefixes,
     _plan,
     attribute_journey,
     attribute_journeys,
@@ -383,31 +385,26 @@ class TestShapleySampled:
         np.testing.assert_array_equal(a, b)
 
     def test_batch_hook_matches_generic(self):
+        # the attribution path's estimates from every prefix row's value equal
+        # the memo loop's, exactly
         rng = np.random.default_rng(9)
         game = random_game(rng, 5)
         v = table_to_value_fn(game)
-
-        def v_batch(masks):
-            return np.array([v(m) for m in masks])
-
+        perms, prefix = _permutation_prefixes(5, 50, seed=4)
+        values = np.array([v(m) for m in prefix.astype(np.float64)])
         a = shapley_sampled(v, 5, n_samples=50, seed=4)
-        b = shapley_sampled(v, 5, n_samples=50, seed=4, value_batch=v_batch)
-        np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(a, _permutation_estimates(perms, values))
 
     def test_batch_hook_called_once_with_every_prefix(self):
-        calls = []
-
-        def v_batch(masks):
-            calls.append(masks.copy())
-            return masks.sum(axis=1)
-
-        shapley_sampled(None, 4, n_samples=7, seed=2, value_batch=v_batch)
-        assert len(calls) == 1
-        masks = calls[0].reshape(7, 5, 4)
+        # row k * (n + 1) + j holds the first j players of permutation k
+        perms, prefix = _permutation_prefixes(4, 7, seed=2)
+        masks = prefix.astype(np.float64).reshape(7, 5, 4)
         np.testing.assert_array_equal(masks[:, 0], 0.0)
         np.testing.assert_array_equal(masks[:, -1], 1.0)
         np.testing.assert_array_equal(masks.sum(axis=2), np.tile(np.arange(5.0), (7, 1)))
         assert np.all(np.diff(masks, axis=1) >= 0)
+        added = np.argmax(np.diff(masks, axis=1), axis=2)
+        np.testing.assert_array_equal(added, perms)
 
     def test_invalid_samples(self):
         with pytest.raises(ValidationError):

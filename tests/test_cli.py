@@ -113,6 +113,28 @@ class TestTrain:
         ])
         assert code == 2
 
+    @pytest.mark.parametrize("text", ("{broken", '{"channels": ' + "1" * 5000 + "}"), ids=("broken", "long_integer"))
+    def test_vocab_not_json_exits_2(self, pipeline, tmp_path, capsys, text):
+        vocab = tmp_path / "vocab.json"
+        vocab.write_text(text)
+        code, kv, err = run_cli(capsys, [
+            "train", "--data", str(pipeline["data"]), "--vocab", str(vocab), "--out", str(tmp_path / "ckpt.json"),
+        ])
+        assert code == 2
+        assert "not JSON" in err and "Traceback" not in err
+        assert kv == {}
+
+    def test_vocab_channels_string_exits_2(self, pipeline, tmp_path, capsys):
+        # a string would otherwise split into one-character channel tokens
+        vocab = tmp_path / "vocab.json"
+        vocab.write_text(json.dumps({"channels": "ch00ch01", "campaigns": ["cmp00", "cmp01"]}))
+        code, kv, err = run_cli(capsys, [
+            "train", "--data", str(pipeline["data"]), "--vocab", str(vocab), "--out", str(tmp_path / "ckpt.json"),
+        ])
+        assert code == 2
+        assert "'channels' must be a list of strings" in err
+        assert kv == {}
+
     def test_outputs_exist(self, pipeline):
         assert pipeline["ckpt"].exists()
         history = pipeline["ckpt"].with_suffix(".history.csv")
@@ -258,6 +280,66 @@ class TestReport:
         rows, totals = load_report_csv(out)
         assert rows == []
         assert totals["deepmta_gmv"] == 0.0
+
+
+def _edit_first_record(line: str, case: str) -> str:
+    if case == "not_an_object":
+        return "5"
+    if case == "too_many_digits":
+        return '{"intercept": ' + "1" * 5000 + "}"
+    obj = json.loads(line)
+    field, value = {
+        "weights_number": ("weights", 5),
+        "weights_strings": ("weights", ["x"] * len(obj["weights"])),
+        "weights_nan": ("weights", [float("nan")] * len(obj["weights"])),
+        "weights_huge_int": ("weights", [10 ** 400] * len(obj["weights"])),
+        "raw_weights_nan": ("raw_weights", [float("nan")] * len(obj["raw_weights"])),
+        "intercept_string": ("intercept", "0.5"),
+        "unattributed_string": ("unattributed", "no"),
+        "channels_string": ("channels", "ch00"),
+        "channels_numbers": ("channels", [0] * len(obj["channels"])),
+    }[case]
+    obj[field] = value
+    return json.dumps(obj)
+
+
+@pytest.mark.parametrize(
+    ("case", "message"),
+    (
+        ("not_an_object", "must be a JSON object"),
+        ("too_many_digits", "malformed JSON"),
+        ("weights_number", "'weights' must be a list of finite numbers"),
+        ("weights_strings", "'weights' must be a list of finite numbers"),
+        ("weights_nan", "'weights' must be a list of finite numbers"),
+        ("weights_huge_int", "'weights' must be a list of finite numbers"),
+        ("raw_weights_nan", "'raw_weights' must be a list of finite numbers"),
+        ("intercept_string", "'intercept' must be a finite number"),
+        ("unattributed_string", "'unattributed' must be true or false"),
+        ("channels_string", "'channels' must be a list of strings"),
+        ("channels_numbers", "'channels' must be a list of strings"),
+    ),
+)
+def test_malformed_attribution_record_exits_2(pipeline, tmp_path, capsys, case, message):
+    lines = pipeline["attr"].read_text().splitlines()
+    attr = tmp_path / "attr.jsonl"
+    attr.write_text("\n".join([lines[0], _edit_first_record(lines[1], case), *lines[2:]]) + "\n")
+    out = tmp_path / "r.csv"
+    code, kv, err = run_cli(capsys, ["report", "--attr", str(attr), "--data", str(pipeline["data"]), "--out", str(out)])
+    assert code == 2
+    assert "line 2" in err and message in err and "Traceback" not in err
+    assert kv == {} and not out.exists()
+
+
+def test_attribution_not_utf8_exits_2(pipeline, tmp_path, capsys):
+    lines = pipeline["attr"].read_bytes().splitlines(keepends=True)
+    attr = tmp_path / "attr.jsonl"
+    attr.write_bytes(lines[0] + b"\xff\xfe garbage\n" + b"".join(lines[2:]))
+    code, kv, err = run_cli(capsys, [
+        "report", "--attr", str(attr), "--data", str(pipeline["data"]), "--out", str(tmp_path / "r.csv"),
+    ])
+    assert code == 2
+    assert "line 2: not UTF-8 text" in err
+    assert kv == {}
 
 
 @pytest.mark.parametrize(

@@ -518,6 +518,12 @@ class TestCheckpointStructure:
         with pytest.raises(ValidationError, match="not JSON"):
             load_checkpoint(path)
 
+    def test_integer_too_long_for_json(self, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_text('{"format_version": ' + "1" * 5000 + "}")
+        with pytest.raises(ValidationError, match="not JSON"):
+            load_checkpoint(path)
+
     def test_not_an_object(self, tmp_path):
         path = tmp_path / "model.json"
         path.write_text("[1, 2]")

@@ -45,6 +45,16 @@ class TestAllocateGmv:
         with pytest.raises(DimensionError):
             allocate_gmv(j, np.array([1.0]))
 
+    def test_equals_report_share(self):
+        # summing weights before scaling by GMV, as the report does; scaling
+        # each event first gives 1.7459525247818357 here, one ulp apart
+        w = [0.39546198954297845, 0.5930180594914135, 0.011519950965607977]
+        j = make_journey(["A", "B", "A"], gmv=4.29)
+        report = aggregate_channels([(j, attributed(w))])
+        alloc = allocate_gmv(j, np.array(w))
+        assert alloc == {c: stats.total_gmv for c, stats in report.channels.items()}
+        assert list(alloc) == ["A", "B"]
+
 
 class TestLastClick:
     def test_all_to_final(self):
@@ -75,6 +85,10 @@ class TestAggregate:
         assert report.channels["A"].journey_count == 2
         assert report.channels["A"].total_gmv == pytest.approx(0.4 * 10 + 0.6 * 30)
         assert report.total_gmv == 40.0
+
+    def test_weight_length_mismatch(self):
+        with pytest.raises(DimensionError):
+            aggregate_channels([(make_journey(["A", "B"]), attributed([1.0]))])
 
     def test_absent_channel_not_reported(self):
         pairs = [(make_journey(["A", "A"]), attributed([0.5, 0.5]))]

@@ -1,11 +1,12 @@
 import csv
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from deepmta.errors import ConfigError, EvaluationError, TrainingDivergedError, ValidationError, VocabularyError
-from deepmta.journey import GeneratorConfig, Vocabulary, generate_synthetic
-from deepmta.model import backward_batch, forward_batch, init_params
+from deepmta.journey import GeneratorConfig, Vocabulary, encode_journey, generate_synthetic
+from deepmta.model import backward_batch, forward_batch, forward_sequence, init_params
 from deepmta.trainer import (
     EvalResult,
     TrainConfig,
@@ -293,6 +294,56 @@ class TestAucRoc:
         params = init_params(vocab.encoding_dim, 8, 2, rng=0)
         with pytest.raises(EvaluationError):
             evaluate_roc(params, vocab, nonconv)
+
+
+@pytest.fixture(scope="module")
+def bucketed():
+    """Lengths 1-2, with more than 256 journeys of one length, so the
+    length-bucketed loop cuts a bucket into several batches; and a model
+    trained on them."""
+    cfg = GeneratorConfig(
+        n_journeys=1000, n_channels=3, n_campaigns=2, max_len=2,
+        key_lift=0.5, base_rate=0.2, time_span_hours=48.0, include_nonconverted=True,
+    )
+    vocab, journeys = generate_synthetic(cfg, seed=8)
+    train_cfg = TrainConfig.preset("desk", hidden_size=8, epochs=2, val_fraction=0.6, seed=2)
+    return vocab, journeys, train_cfg, train(journeys, vocab, train_cfg)
+
+
+class TestBatchLoopMatchesPerJourney:
+    """The length-bucketed batch loop against one forward per journey."""
+
+    def test_val_loss_is_mean_per_journey_loss(self, bucketed):
+        vocab, journeys, cfg, result = bucketed
+        _, val_idx = _train_val_split(len(journeys), cfg.val_fraction, np.random.default_rng(cfg.seed))
+        lengths = Counter(len(journeys[i]) for i in val_idx)
+        assert len(lengths) > 1 and max(lengths.values()) > 256
+        per_journey = []
+        for i in val_idx:
+            enc = encode_journey(journeys[i], vocab, cfg.max_seq_len)
+            logits, _ = forward_sequence(enc, result.params)
+            per_journey.append(loss(logits, enc.labels))
+        np.testing.assert_allclose(result.val_losses[-1], np.mean(per_journey), rtol=1e-12)
+
+    def test_empty_validation_split(self, bucketed):
+        vocab, journeys, _, _ = bucketed
+        result = train(journeys[:60], vocab, TrainConfig.preset("desk", hidden_size=8, epochs=2, val_fraction=0.0))
+        assert len(result.train_losses) == 2 and np.all(np.isfinite(result.train_losses))
+        assert len(result.val_losses) == 2 and np.all(np.isnan(result.val_losses))
+
+    def test_evaluate_roc_matches_per_journey_predict(self, bucketed):
+        vocab, journeys, _, result = bucketed
+        assert max(Counter(len(j) for j in journeys).values()) > 256
+        evaluated = evaluate_roc(result.params, vocab, journeys)
+        scores = np.concatenate([predict(result.params, j, vocab) for j in journeys])
+        labels = np.concatenate([j.labels for j in journeys])
+        assert evaluated.auc == auc_score(scores, labels)
+        assert evaluated.per_step_accuracy == float(((scores >= 0.5).astype(int) == labels).mean())
+
+    def test_evaluate_roc_empty_rejected(self, bucketed):
+        vocab, _, _, result = bucketed
+        with pytest.raises(EvaluationError):
+            evaluate_roc(result.params, vocab, [])
 
 
 class TestCsvInterfaces:
