@@ -10,13 +10,14 @@ from __future__ import annotations
 
 import json
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigError, DimensionError, NumericError, ValidationError
-from .journey import DEFAULT_MAX_SEQ_LEN, CustomerJourney, EncodedJourney, Vocabulary, encode_journey, read_jsonl
+from .journey import CustomerJourney, EncodedJourney, Vocabulary, encode_journey, read_jsonl
 from .model import ModelParams, _gate_forward, forward_batch, infer_step
 from .trainer import softmax
 
@@ -160,8 +161,8 @@ def _game_values(
 ) -> list[np.ndarray]:
     """Masked accuracy of every planned row of every game, one array per
     game: the games' distinct rows are packed into blocks and each block is
-    one trie scan. `map_blocks` runs the scans (a thread pool's map runs
-    them in parallel)."""
+    one trie scan. `map_blocks` runs the scans (`_caller_map` runs them in
+    parallel)."""
     weights = _TrieWeights(params)
 
     def scan(block):
@@ -285,7 +286,6 @@ def solve_weights(
     masks: np.ndarray,
     acc: np.ndarray,
     weighting: str = "uniform",
-    include_intercept: bool = True,
 ) -> tuple[float, np.ndarray]:
     """Least squares of accuracy on [1 | mask] rows.
 
@@ -311,7 +311,7 @@ def solve_weights(
     else:
         raise ConfigError(f"unknown weighting {weighting!r}")
 
-    X = np.hstack([np.ones((m, 1)), masks]) if include_intercept else masks
+    X = np.hstack([np.ones((m, 1)), masks])
     Xw = X * w[:, None]
     M = Xw.T @ X
     b = Xw.T @ acc
@@ -324,9 +324,7 @@ def solve_weights(
         raise NumericError(f"degenerate least-squares system after ridge: {exc}") from None
     if not np.all(np.isfinite(beta)):
         raise NumericError("least-squares solve produced non-finite coefficients")
-    if include_intercept:
-        return float(beta[0]), beta[1:]
-    return 0.0, beta
+    return float(beta[0]), beta[1:]
 
 
 # ---------------------------------------------------------------------------
@@ -389,8 +387,6 @@ def shapley_sampled(
     """
     if n < 1:
         raise ValidationError("shapley_sampled needs n >= 1")
-    if n_samples < 1:
-        raise ValidationError("n_samples must be >= 1")
     perms, _ = _permutation_prefixes(n, n_samples, seed)
     marginals = np.zeros(n)
     memo: dict[bytes, float] = {}
@@ -415,6 +411,8 @@ def _permutation_prefixes(n: int, n_samples: int, seed: int) -> tuple[np.ndarray
     """`shapley_sampled`'s draw: (n_samples, n) permutations and the bool
     matrix of their prefixes, row k * (n + 1) + j holding the first j
     players of permutation k."""
+    if n_samples < 1:
+        raise ValidationError(f"the number of sampled permutations must be >= 1, got {n_samples}")
     rng = np.random.default_rng(seed)
     perms = np.array([rng.permutation(n) for _ in range(n_samples)])
     ranks = np.empty_like(perms)
@@ -467,12 +465,10 @@ def _plan(
     method: str,
     n_samples: int,
     seed: int,
-    max_seq_len: int,
-    include_intercept: bool,
 ):
     """A journey's game and the function that turns the values of its
     planned mask rows into its AttributionResult."""
-    enc = encode_journey(journey, vocab, max_seq_len)
+    enc = encode_journey(journey, vocab)
     n = len(journey.events)
     resolved = resolve_method(method, n)
 
@@ -487,7 +483,7 @@ def _plan(
         weighting = "uniform" if resolved == "ols" else "shapley_kernel"
 
         def solve(acc):
-            return solve_weights(masks, acc, weighting, include_intercept)
+            return solve_weights(masks, acc, weighting)
 
     elif resolved == "shapley_exact":
         if n > EXACT_LIMIT:
@@ -520,6 +516,26 @@ def _plan(
     return _Game.of(enc, masks != 0), finish
 
 
+def _caller_map(pool: ThreadPoolExecutor):
+    """A map over the pool's threads and the calling thread, in input order.
+
+    The caller scans the blocks no pool thread has started, last first,
+    instead of waiting. Memory freed by a pool thread stays reserved for
+    that thread after it exits, while the caller's is reused by the rest of
+    the process, so one pool thread fewer lowers the process's peak memory.
+    """
+
+    def run(fn, items):
+        futures = [pool.submit(fn, item) for item in items]
+        own = {}
+        for idx in reversed(range(len(items))):
+            if futures[idx].cancel():
+                own[idx] = fn(items[idx])
+        return [own[idx] if idx in own else future.result() for idx, future in enumerate(futures)]
+
+    return run
+
+
 def attribute_journeys(
     params: ModelParams,
     journeys,
@@ -527,10 +543,7 @@ def attribute_journeys(
     method: str = "auto",
     n_samples: int = OLS_SAMPLE_ROWS,
     seed: int = 0,
-    max_seq_len: int = DEFAULT_MAX_SEQ_LEN,
-    include_intercept: bool = True,
     workers: int = 1,
-    map_blocks=map,
     stats: GameStats | None = None,
 ):
     """Attribute many journeys against a frozen model; yields one
@@ -539,26 +552,31 @@ def attribute_journeys(
     Journeys are planned in windows of at least workers * 2^EXACT_LIMIT
     distinct mask rows (or the last journeys). A window's games are scored
     together in trie blocks of at most _BLOCK_ROWS rows, in rounds of
-    `workers` equal blocks; `map_blocks` runs the block scans (pass a thread
-    pool's map to run them in parallel). Memory is bounded by one window's
-    plans and `workers` block scans, whatever the number of journeys. Each
-    journey's result equals `attribute_journey` on it alone.
+    `workers` equal blocks, which `workers - 1` pool threads and the calling
+    thread scan in parallel. Memory is bounded by one window's plans and
+    `workers` block scans, whatever the number of journeys. Each journey's
+    result equals `attribute_journey` on it alone, at any worker count.
     """
-    window: list = []
-    rows = 0
-    for journey in journeys:
-        window.append(_plan(journey, vocab, method, n_samples, seed, max_seq_len, include_intercept))
-        rows += len(window[-1][0].rows)
-        # at least one full exact game per worker, so that the wait for a
-        # window's last block stays short next to the window's work
-        if rows >= workers * 2 ** EXACT_LIMIT:
-            yield from _finish_window(params, window, workers, map_blocks, stats)
-            window, rows = [], 0
-    yield from _finish_window(params, window, workers, map_blocks, stats)
+    if workers < 1:
+        raise ConfigError(f"workers must be >= 1, got {workers}")
+    # pool threads start on first use
+    with ThreadPoolExecutor(max_workers=max(1, workers - 1)) as pool:
+        run_blocks = _caller_map(pool) if workers > 1 else map
+        window: list = []
+        rows = 0
+        for journey in journeys:
+            window.append(_plan(journey, vocab, method, n_samples, seed))
+            rows += len(window[-1][0].rows)
+            # at least one full exact game per worker, so that the wait for a
+            # window's last block stays short next to the window's work
+            if rows >= workers * 2 ** EXACT_LIMIT:
+                yield from _finish_window(params, window, workers, run_blocks, stats)
+                window, rows = [], 0
+        yield from _finish_window(params, window, workers, run_blocks, stats)
 
 
-def _finish_window(params, window, workers, map_blocks, stats):
-    values = _game_values(params, [game for game, _ in window], workers, map_blocks, stats)
+def _finish_window(params, window, workers, run_blocks, stats):
+    values = _game_values(params, [game for game, _ in window], workers, run_blocks, stats)
     for (_, finish), acc in zip(window, values):
         yield finish(acc)
 
@@ -570,8 +588,6 @@ def attribute_journey(
     method: str = "auto",
     n_samples: int = OLS_SAMPLE_ROWS,
     seed: int = 0,
-    max_seq_len: int = DEFAULT_MAX_SEQ_LEN,
-    include_intercept: bool = True,
 ) -> AttributionResult:
     """Attribute one journey's events against a frozen model.
 
@@ -580,9 +596,7 @@ def attribute_journey(
     uniform subset rows above the exact limit). Every path ends in
     clip_normalize. The one-journey case of `attribute_journeys`.
     """
-    return next(
-        attribute_journeys(params, [journey], vocab, method, n_samples, seed, max_seq_len, include_intercept)
-    )
+    return next(attribute_journeys(params, [journey], vocab, method, n_samples, seed))
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,6 @@ import argparse
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 # attribute_journey is not called here, but perfbench's tracer wraps
@@ -143,43 +142,20 @@ def _attribution_workers() -> int:
     return os.cpu_count() or 1
 
 
-def _caller_map(pool: ThreadPoolExecutor):
-    """A map over the pool's threads and the calling thread, in input order.
-
-    The caller scans the blocks no pool thread has started, last first,
-    instead of waiting. Memory freed by a pool thread stays reserved for
-    that thread after it exits, while the caller's is reused by the rest of
-    the process, so one pool thread fewer lowers the process's peak memory.
-    """
-
-    def map_blocks(fn, items):
-        futures = [pool.submit(fn, item) for item in items]
-        own = {}
-        for idx in reversed(range(len(items))):
-            if futures[idx].cancel():
-                own[idx] = fn(items[idx])
-        return [own[idx] if idx in own else future.result() for idx, future in enumerate(futures)]
-
-    return map_blocks
-
-
 def _cmd_attribute(args) -> int:
     start = time.perf_counter()
     params, vocab, _ = load_checkpoint(args.model)
     journeys = load_journeys(args.data)
-    workers = _attribution_workers()
     stats = GameStats()
     results = []
-    # the calling thread is one of the workers; pool threads start on first use
-    with ThreadPoolExecutor(max_workers=max(1, workers - 1)) as pool:
-        batches = attribute_journeys(
-            params, journeys, vocab, method=_METHOD_FLAGS[args.method], n_samples=args.samples, seed=args.seed,
-            workers=workers, map_blocks=_caller_map(pool) if workers > 1 else map, stats=stats,
-        )
-        for idx, result in enumerate(batches, start=1):
-            results.append(result)
-            if idx % 200 == 0:
-                _info(f"attributed {idx}/{len(journeys)} journeys")
+    batches = attribute_journeys(
+        params, journeys, vocab, method=_METHOD_FLAGS[args.method], n_samples=args.samples, seed=args.seed,
+        workers=_attribution_workers(), stats=stats,
+    )
+    for idx, result in enumerate(batches, start=1):
+        results.append(result)
+        if idx % 200 == 0:
+            _info(f"attributed {idx}/{len(journeys)} journeys")
     save_attributions(args.out, journeys, results)
     _emit("journeys", len(journeys))
     _emit("unattributed", sum(1 for r in results if r.unattributed))

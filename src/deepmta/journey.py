@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import ConfigError, SequenceLengthError, ValidationError, VocabularyError
 
-DEFAULT_MAX_SEQ_LEN = 32
+MAX_SEQ_LEN = 32
 SECONDS_PER_HOUR = 3600.0
 
 
@@ -129,20 +129,16 @@ class EncodedJourney:
     labels: np.ndarray  # (seq_len,) int64
 
 
-def encode_journey(
-    journey: CustomerJourney,
-    vocab: Vocabulary,
-    max_seq_len: int = DEFAULT_MAX_SEQ_LEN,
-) -> EncodedJourney:
+def encode_journey(journey: CustomerJourney, vocab: Vocabulary) -> EncodedJourney:
     """Encode a journey into one-hot channel/campaign rows plus hour offsets.
 
     Raises VocabularyError for unknown tokens and SequenceLengthError for
-    journeys longer than max_seq_len (never truncates silently).
+    journeys longer than MAX_SEQ_LEN (never truncates silently).
     """
     n = len(journey.events)
-    if n > max_seq_len:
+    if n > MAX_SEQ_LEN:
         raise SequenceLengthError(
-            f"journey {journey.user_id!r} has {n} events, exceeding max_seq_len={max_seq_len}; refusing to truncate"
+            f"journey {journey.user_id!r} has {n} events, exceeding the limit of {MAX_SEQ_LEN}; refusing to truncate"
         )
     n_ch = len(vocab.channels)
     n_ck = len(vocab.campaigns)
@@ -341,6 +337,8 @@ def _journey_from_dict(obj: dict, line_no: int) -> CustomerJourney:
             converted=obj["converted"],
             gmv=float(obj["gmv"]),
         )
+    except OverflowError:
+        raise ValidationError(f"line {line_no}: gmv must be finite, got an integer too large for a float") from None
     except ValidationError as exc:
         raise ValidationError(f"line {line_no}: {exc}") from None
 

@@ -586,7 +586,6 @@ class ForwardTrace:
     """Everything the backward pass needs from one forward evaluation."""
 
     params: ModelParams
-    training: bool
     times: np.ndarray
     layer_inputs: list[np.ndarray]
     caches: list[dict]
@@ -653,7 +652,6 @@ def forward_batch(
     logits = top @ params.W_out + params.b_out
     trace = ForwardTrace(
         params=params,
-        training=training,
         times=tt,
         layer_inputs=layer_inputs,
         caches=caches,
@@ -844,7 +842,14 @@ def _expected_shapes(input_dim: int, hidden_size: int, n_layers: int) -> dict[st
 
 
 def save_checkpoint(path: str | Path, params: ModelParams, vocab: Vocabulary, seed: int = 0) -> None:
-    """Write a JSON checkpoint with flat row-major float64 tensors."""
+    """Write a JSON checkpoint with flat row-major float64 tensors.
+
+    The format holds one alpha for the whole model, so layers with different
+    alphas are a ParameterError rather than a file that reloads differently.
+    """
+    alpha = params.layers[0].alpha
+    if any(layer.alpha != alpha for layer in params.layers):
+        raise ParameterError(f"a checkpoint holds one alpha; the layers have {[lp.alpha for lp in params.layers]}")
     obj = {
         "format_version": CHECKPOINT_VERSION,
         "vocab": {"channels": list(vocab.channels), "campaigns": list(vocab.campaigns)},
@@ -853,7 +858,7 @@ def save_checkpoint(path: str | Path, params: ModelParams, vocab: Vocabulary, se
             "hidden_size": params.hidden_size,
             "n_layers": params.n_layers,
             "dropout_p": params.dropout_p,
-            "alpha": params.layers[0].alpha,
+            "alpha": alpha,
         },
         "tensors": {
             name: {"shape": list(arr.shape), "data": arr.ravel().tolist()}

@@ -10,11 +10,12 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, EvaluationError, TrainingDivergedError, ValidationError
-from .journey import DEFAULT_MAX_SEQ_LEN, CustomerJourney, EncodedJourney, Vocabulary, encode_journey
+from .journey import CustomerJourney, EncodedJourney, Vocabulary, encode_journey
 from .model import ModelParams, backward_batch, clamp_gate_timing, forward_batch, init_params
 
 PROB_CLIP = 1e-12
 MOMENTUM = 0.9
+GRAD_CLIP_NORM = 5.0
 EVAL_BATCH = 256
 
 
@@ -28,10 +29,7 @@ class TrainConfig:
     n_layers: int = 2
     seed: int = 0
     optimizer: str = "sgd"
-    grad_clip_norm: float = 5.0
-    max_seq_len: int = DEFAULT_MAX_SEQ_LEN
     val_fraction: float = 0.1
-    freeze_timing: bool = False
     r_on_init: float = 0.5
     use_time_feature: bool = False
 
@@ -44,8 +42,6 @@ class TrainConfig:
             raise ConfigError("dropout_p must lie in [0, 1)")
         if self.optimizer not in ("sgd", "sgd_momentum"):
             raise ConfigError(f"unknown optimizer {self.optimizer!r}")
-        if self.grad_clip_norm <= 0:
-            raise ConfigError("grad_clip_norm must be positive")
         if not 0 <= self.val_fraction < 1:
             raise ConfigError("val_fraction must lie in [0, 1)")
         if not 0 < self.r_on_init < 1:
@@ -95,8 +91,8 @@ def _step_cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[np.ndar
     return -(y * np.log(p1) + (1.0 - y) * np.log(1.0 - p1)), probs
 
 
-def loss(logits: np.ndarray, labels: np.ndarray, step_mask: np.ndarray | None = None) -> float:
-    """Mean binary cross-entropy over unmasked steps.
+def loss(logits: np.ndarray, labels: np.ndarray) -> float:
+    """Mean binary cross-entropy over steps.
 
     The positive-class probability comes from a two-way softmax and is
     clipped to [1e-12, 1 - 1e-12] before the logs.
@@ -105,17 +101,10 @@ def loss(logits: np.ndarray, labels: np.ndarray, step_mask: np.ndarray | None = 
     labels = np.asarray(labels, dtype=np.float64)
     if logits.shape[:-1] != labels.shape:
         raise ValidationError(f"logits {logits.shape} and labels {labels.shape} do not align")
-    if step_mask is None:
-        step_mask = np.ones_like(labels)
-    else:
-        step_mask = np.asarray(step_mask, dtype=np.float64)
-        if step_mask.shape != labels.shape:
-            raise ValidationError("step_mask must match labels shape")
-    n_scored = step_mask.sum()
-    if n_scored == 0:
-        raise ValidationError("step_mask selects no steps to score")
+    if labels.size == 0:
+        raise ValidationError("loss needs at least one step to score")
     ce, _ = _step_cross_entropy(logits, labels)
-    return float((ce * step_mask).sum() / n_scored)
+    return float(ce.mean())
 
 
 def _loss_and_grad_batch(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
@@ -135,7 +124,6 @@ class TrainResult:
     vocab: Vocabulary
     train_losses: list[float]
     val_losses: list[float]
-    seed: int
 
 
 def _batches(encoded: list[EncodedJourney], order: np.ndarray, size: int):
@@ -198,7 +186,7 @@ def train(journeys: list[CustomerJourney], vocab: Vocabulary, cfg: TrainConfig) 
     """
     if not journeys:
         raise ValidationError("train requires a non-empty dataset")
-    encoded = [encode_journey(j, vocab, cfg.max_seq_len) for j in journeys]
+    encoded = [encode_journey(j, vocab) for j in journeys]
     rng = np.random.default_rng(cfg.seed)
 
     train_idx, val_idx = _train_val_split(len(encoded), cfg.val_fraction, rng)
@@ -223,7 +211,6 @@ def train(journeys: list[CustomerJourney], vocab: Vocabulary, cfg: TrainConfig) 
         for name in ("W_xi", "W_xf", "W_xc", "W_xo"):
             getattr(params.layers[0], name)[time_idx, :] = 0.0
     velocity = {name: np.zeros_like(arr) for name, arr in params.named_parameters()} if cfg.optimizer == "sgd_momentum" else None
-    timing_suffixes = (".tau", ".s", ".r_on")
 
     train_losses: list[float] = []
     val_losses: list[float] = []
@@ -239,10 +226,8 @@ def train(journeys: list[CustomerJourney], vocab: Vocabulary, cfg: TrainConfig) 
             grads = backward_batch(trace, grad_logits)
             for name in frozen_rows:
                 grads[name][time_idx, :] = 0.0
-            _clip_gradients(grads, cfg.grad_clip_norm)
+            _clip_gradients(grads, GRAD_CLIP_NORM)
             for name, arr in params.named_parameters():
-                if cfg.freeze_timing and name.endswith(timing_suffixes):
-                    continue
                 g = grads[name]
                 if velocity is not None:
                     v = velocity[name]
@@ -255,14 +240,13 @@ def train(journeys: list[CustomerJourney], vocab: Vocabulary, cfg: TrainConfig) 
             n_journeys_seen += len(chunk)
         train_losses.append(epoch_loss / n_journeys_seen)
         val_losses.append(_dataset_loss(encoded, val_idx, params))
-    return TrainResult(params=params, vocab=vocab, train_losses=train_losses, val_losses=val_losses, seed=cfg.seed)
+    return TrainResult(params=params, vocab=vocab, train_losses=train_losses, val_losses=val_losses)
 
 
-def predict(params: ModelParams, journey: CustomerJourney, vocab: Vocabulary,
-            max_seq_len: int = DEFAULT_MAX_SEQ_LEN) -> np.ndarray:
+def predict(params: ModelParams, journey: CustomerJourney, vocab: Vocabulary) -> np.ndarray:
     """Per-step conversion probability (positive-class softmax) for one
     journey. Pure function of (params, journey); hard labels are prob >= 0.5."""
-    enc = encode_journey(journey, vocab, max_seq_len)
+    enc = encode_journey(journey, vocab)
     logits, _ = forward_batch(enc.features[None], enc.times[None], params, training=False)
     return softmax(logits[0])[:, 1]
 
@@ -325,8 +309,7 @@ def roc_curve(scores: np.ndarray, labels: np.ndarray) -> tuple[list[float], list
     return thresholds, points
 
 
-def evaluate_roc(params: ModelParams, vocab: Vocabulary, journeys: list[CustomerJourney],
-                 max_seq_len: int = DEFAULT_MAX_SEQ_LEN) -> EvalResult:
+def evaluate_roc(params: ModelParams, vocab: Vocabulary, journeys: list[CustomerJourney]) -> EvalResult:
     """Score every step of every journey and evaluate step-level ROC/AUC.
 
     Positives are the conversion steps (label 1); negatives are all other
@@ -334,7 +317,7 @@ def evaluate_roc(params: ModelParams, vocab: Vocabulary, journeys: list[Customer
     """
     if not journeys:
         raise EvaluationError("evaluation requires a non-empty dataset")
-    encoded = [encode_journey(j, vocab, max_seq_len) for j in journeys]
+    encoded = [encode_journey(j, vocab) for j in journeys]
     scores_parts = []
     labels_parts = []
     for _, feats, times, labels in _batches(encoded, np.arange(len(encoded)), EVAL_BATCH):

@@ -16,6 +16,7 @@ from deepmta.attribution import (
     _permutation_estimates,
     _permutation_prefixes,
     _plan,
+    _scan_block,
     attribute_journey,
     attribute_journeys,
     attribution_to_dict,
@@ -32,7 +33,7 @@ from deepmta.attribution import (
     _shapley_from_table,
 )
 from deepmta.errors import ConfigError, DimensionError, NumericError, ValidationError
-from deepmta.journey import DEFAULT_MAX_SEQ_LEN, ClickEvent, CustomerJourney, Vocabulary, encode_journey
+from deepmta.journey import ClickEvent, CustomerJourney, Vocabulary, encode_journey
 from deepmta.model import LAYER_TENSOR_FIELDS, ModelParams, PhasedLstmLayerParams, forward_batch, init_params
 from deepmta.trainer import softmax
 
@@ -272,13 +273,6 @@ class TestSolveWeights:
                 row_w = _shapley_kernel_row_weights(masks)
             residual = acc - X @ np.r_[intercept, w]
             assert np.max(np.abs(X.T @ (row_w * residual))) < 1e-8
-
-    def test_no_intercept_flag(self):
-        masks = mask_powerset(2)
-        acc = np.array([0.0, 0.5, 0.25, 0.75])
-        intercept, w = solve_weights(masks, acc, include_intercept=False)
-        assert intercept == 0.0
-        np.testing.assert_allclose(w, [0.25, 0.5], atol=1e-9)
 
     def test_kernel_weights_respect_endpoints(self):
         # enormous endpoint weights pin the fit at v(empty) and v(full),
@@ -605,7 +599,7 @@ class TestBlockScan:
         rng = np.random.default_rng(40)
         params = init_params(VOCAB.encoding_dim, 6, 2, t_span_hours=12.0, rng=4)
         journeys = mixed_journeys(rng, rng.permutation(np.arange(1, 21)))
-        games = [_plan(j, VOCAB, method, 8, 1, DEFAULT_MAX_SEQ_LEN, True)[0] for j in journeys]
+        games = [_plan(j, VOCAB, method, 8, 1)[0] for j in journeys]
         stats = GameStats()
         values = _game_values(params, games, workers=3, stats=stats)
         assert stats.blocks >= 3
@@ -668,6 +662,34 @@ class TestBlockScan:
         table[masks @ (1 << np.arange(EXACT_LIMIT))] = forward_reference(params, encode_journey(journey, VOCAB), masks)
         np.testing.assert_array_equal(result.raw_weights, _shapley_from_table(table, EXACT_LIMIT))
         assert len(list(attribute_journeys(params, [journey, journey], VOCAB, workers=2))) == 2
+
+    def test_workers_scan_on_their_own_threads(self, monkeypatch):
+        # workers=2 alone runs the blocks on a pool thread and the calling
+        # thread, with the results of one worker
+        import threading
+        import time
+
+        import deepmta.attribution as attribution
+
+        rng = np.random.default_rng(45)
+        params = init_params(VOCAB.encoding_dim, 6, 2, t_span_hours=12.0, rng=8)
+        journeys = mixed_journeys(rng, (12, 5, 12, 9, 3))
+        serial = list(attribute_journeys(params, journeys, VOCAB, workers=1))
+        threads = set()
+
+        def recorded(*args):
+            threads.add(threading.get_ident())
+            time.sleep(0.01)  # let the other thread take a block
+            return _scan_block(*args)
+
+        monkeypatch.setattr(attribution, "_scan_block", recorded)
+        parallel = list(attribute_journeys(params, journeys, VOCAB, workers=2))
+        assert len(threads) > 1
+        assert len(parallel) == len(serial)
+        for a, b in zip(parallel, serial):
+            np.testing.assert_array_equal(a.raw_weights, b.raw_weights)
+            np.testing.assert_array_equal(a.weights, b.weights)
+            assert (a.intercept, a.method, a.unattributed) == (b.intercept, b.method, b.unattributed)
 
     def test_more_journeys_than_one_window(self, monkeypatch):
         # at one worker, every 12-event journey fills a window

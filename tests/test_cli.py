@@ -381,6 +381,36 @@ def test_non_finite_gmv_exits_2(pipeline, tmp_path, capsys, value):
     assert kv == {}
 
 
+def test_gmv_too_large_for_a_float_exits_2(pipeline, tmp_path, capsys):
+    lines = pipeline["data"].read_text().splitlines()
+    obj = json.loads(lines[1])
+    obj["converted"], obj["gmv"] = True, 5.0
+    data = tmp_path / "journeys.jsonl"
+    data.write_text("\n".join([lines[0], json.dumps(obj).replace("5.0", str(10 ** 400))]) + "\n")
+    code, kv, err = run_cli(capsys, [
+        "report", "--attr", str(pipeline["attr"]), "--data", str(data), "--out", str(tmp_path / "r.csv"),
+    ])
+    assert code == 2
+    assert "line 2" in err and "gmv must be finite" in err and "Traceback" not in err
+    assert kv == {}
+
+
+@pytest.mark.parametrize("samples", ("0", "-3"))
+def test_samples_below_one_exits_2(pipeline, tmp_path, capsys, samples):
+    # a 13-event journey is sampled, so it draws --samples permutations
+    events = [{"channel": "ch01", "campaign": "cmp00", "ts": 60 * i} for i in range(13)]
+    data = tmp_path / "long.jsonl"
+    data.write_text(json.dumps({"user_id": "u", "events": events, "converted": True, "gmv": 5.0}) + "\n")
+    out = tmp_path / "a.jsonl"
+    code, kv, err = run_cli(capsys, [
+        "attribute", "--model", str(pipeline["ckpt"]), "--data", str(data), "--out", str(out),
+        "--samples", samples,
+    ])
+    assert code == 2
+    assert ">= 1" in err and "Traceback" not in err
+    assert kv == {} and not out.exists()
+
+
 def test_divergence_maps_to_exit_3(pipeline, monkeypatch):
     import deepmta.cli as cli_mod
     from deepmta.errors import TrainingDivergedError

@@ -122,7 +122,7 @@ class TestEncodeJourney:
     def test_overlong_rejected(self):
         j = CustomerJourney("u1", [ev("A", t) for t in range(40)], False, 0.0)
         with pytest.raises(SequenceLengthError):
-            encode_journey(j, self.vocab, max_seq_len=32)
+            encode_journey(j, self.vocab)
 
     def test_row_sum_invariant(self):
         rng = np.random.default_rng(3)
@@ -256,9 +256,10 @@ class TestJsonlRoundTrip:
         with pytest.raises(ValidationError, match="line 1"):
             load_journeys(path)
 
-    @pytest.mark.parametrize("value", ("NaN", "Infinity"))
+    @pytest.mark.parametrize("value", ("NaN", "Infinity", pytest.param(str(10 ** 400), id="int-too-large")))
     def test_non_finite_gmv_line_number(self, tmp_path, value):
-        # json.loads accepts NaN and Infinity; a journey must not
+        # json.loads accepts NaN, Infinity and 10**400 written out (which
+        # float() cannot convert); a journey must not
         path = tmp_path / "bad.jsonl"
         good = {"user_id": "u", "events": [{"channel": "A", "campaign": "c", "ts": 1}], "converted": True, "gmv": 5.0}
         path.write_text(json.dumps(good) + "\n" + json.dumps(good).replace("5.0", value) + "\n")

@@ -490,6 +490,15 @@ class TestInitAndCheckpoint:
         with pytest.raises(NumericError, match=name):
             load_checkpoint(path)
 
+    def test_checkpoint_rejects_per_layer_alphas(self, tmp_path):
+        # the format holds one alpha; [0.001, 0.0] must not reload as [0.001, 0.001]
+        params = random_model(np.random.default_rng(23), 5, 8, 2)
+        params.layers[1].alpha = 0.0
+        path = tmp_path / "model.json"
+        with pytest.raises(ParameterError, match="alpha"):
+            save_checkpoint(path, params, Vocabulary(channels=("A", "B"), campaigns=("c1", "c2")))
+        assert not path.exists()
+
     def test_checkpoint_vocab_dim_mismatch(self, tmp_path):
         rng = np.random.default_rng(20)
         params = random_model(rng, 4, 8, 2)
