@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ConfigError, DimensionError, NumericError, ValidationError
 from .journey import CustomerJourney, EncodedJourney, Vocabulary, encode_journey, read_jsonl
-from .model import ModelParams, _gate_forward, forward_batch, infer_step
+from .model import ModelParams, _gate_forward, _stacked_weights, cell_step, forward_batch
 from .trainer import softmax
 
 EXACT_LIMIT = 12
@@ -29,6 +29,10 @@ KERNEL_ENDPOINT_WEIGHT = 1e6
 # state-sized arrays per row (5 KB a row at 64 units), so a worker's memory
 # stays near that of one journey's scan
 _BLOCK_ROWS = 1024
+# most permutation-prefix rows, n_samples * (n + 1), one sampled journey may
+# plan: 2048 samples of a 32-event journey take 67584 rows, and at the limit
+# its prefix matrix takes 32 MB
+MAX_PREFIX_ROWS = 2 ** 20
 
 METHODS = ("ols", "kernel_ols", "shapley_exact", "shapley_sampled", "auto")
 
@@ -163,13 +167,12 @@ def _game_values(
     game: the games' distinct rows are packed into blocks and each block is
     one trie scan. `map_blocks` runs the scans (`_caller_map` runs them in
     parallel)."""
-    weights = _TrieWeights(params)
 
     def scan(block):
         # longest journey first, so the rows alive at a step are a prefix
         block = sorted(block, key=lambda p: -games[p[0]].rows.shape[1])
         pieces = [(games[g].enc, games[g].rows[start:stop]) for g, start, stop in block]
-        return (block, *_scan_block(weights, pieces))
+        return (block, *_scan_block(params, pieces))
 
     values = [np.empty(len(game.rows)) for game in games]
     for block, accs, node_steps in map_blocks(scan, _pack_blocks(games, workers)):
@@ -185,16 +188,7 @@ def _game_values(
     return [value[game.inverse] for value, game in zip(values, games)]
 
 
-class _TrieWeights:
-    """The frozen model's gate weights, concatenated per layer for the scan."""
-
-    def __init__(self, params: ModelParams):
-        self.params = params
-        self.Wx = [np.concatenate([lp.W_xi, lp.W_xf, lp.W_xc, lp.W_xo], axis=1) for lp in params.layers]
-        self.Wh = [np.concatenate([lp.W_hi, lp.W_hf, lp.W_hc, lp.W_ho], axis=1) for lp in params.layers]
-
-
-def _scan_block(weights: _TrieWeights, pieces: list[tuple[EncodedJourney, np.ndarray]]) -> tuple[list[np.ndarray], int]:
+def _scan_block(params: ModelParams, pieces: list[tuple[EncodedJourney, np.ndarray]]) -> tuple[list[np.ndarray], int]:
     """Masked accuracy of the distinct rows of several journeys' games in one
     prefix-trie scan; returns one accuracy array per piece and the number of
     node-steps.
@@ -203,13 +197,13 @@ def _scan_block(weights: _TrieWeights, pieces: list[tuple[EncodedJourney, np.nda
     lexicographically sorted, longest journey first. The model is causal and
     a masked event keeps its slot and time, so a row's state at step t
     depends only on its journey and mask[0..t]: one trie node. At step t
-    each node is stepped once by the cache-free `infer_step` and its hard
+    each node is stepped once by `cell_step`, with no cache, and its hard
     label scored once; a full powerset of n events costs sum 2^(t+1)
     node-steps instead of n * 2^n row-steps. The rows of journeys longer
     than t are a prefix of the block. The time gate and layer 0's input
     projection are computed once per (journey, step) and gathered per node.
     """
-    params = weights.params
+    weights = [_stacked_weights(lp) for lp in params.layers]
     lengths = np.array([rows.shape[1] for _, rows in pieces])
     sizes = np.array([len(rows) for _, rows in pieces])
     row_start = np.cumsum(sizes) - sizes
@@ -222,7 +216,7 @@ def _scan_block(weights: _TrieWeights, pieces: list[tuple[EncodedJourney, np.nda
     step0 = np.cumsum(lengths) - lengths
     times = np.concatenate([enc.times for enc, _ in pieces])
     labels = np.concatenate([enc.labels for enc, _ in pieces])
-    x0 = np.concatenate([enc.features @ weights.Wx[0] for enc, _ in pieces])
+    x0 = np.concatenate([enc.features @ weights[0][0] for enc, _ in pieces])
     gates = [_gate_forward(times[:, None], lp.tau, lp.s, lp.r_on, 0.0)[0] for lp in params.layers]
 
     states = [(np.zeros((1, lp.hidden_size)), np.zeros((1, lp.hidden_size))) for lp in params.layers]
@@ -242,15 +236,15 @@ def _scan_block(weights: _TrieWeights, pieces: list[tuple[EncodedJourney, np.nda
         node = np.cumsum(fresh) - 1
         step = step0[row_piece[first]] + t
         x = None
-        for idx, lp in enumerate(params.layers):
+        for idx, (lp, (Wx, Wh)) in enumerate(zip(params.layers, weights)):
             h, c = (state[parent] for state in states[idx])
             states[idx] = None  # free the previous step's states before this step's temporaries
-            a = h @ weights.Wh[idx]
+            a = h @ Wh
             if idx == 0:
                 np.add(a, x0[step], out=a, where=kept[:, None])
             else:
-                a += x @ weights.Wx[idx]
-            x, c = infer_step(a, h, c, gates[idx][step], lp, params.ln_gain[idx], params.ln_bias[idx])
+                a += x @ Wx
+            x, c = cell_step(a, h, c, gates[idx][step], lp, params.ln_gain[idx], params.ln_bias[idx])
             states[idx] = (x, c)
         logits = x[kept] @ params.W_out + params.b_out
         hit = np.zeros(len(first), dtype=np.int64)
@@ -413,6 +407,11 @@ def _permutation_prefixes(n: int, n_samples: int, seed: int) -> tuple[np.ndarray
     players of permutation k."""
     if n_samples < 1:
         raise ValidationError(f"the number of sampled permutations must be >= 1, got {n_samples}")
+    if n_samples * (n + 1) > MAX_PREFIX_ROWS:
+        raise ValidationError(
+            f"{n_samples} permutations of {n} events make {n_samples * (n + 1)} prefix rows,"
+            f" more than the budget of {MAX_PREFIX_ROWS}"
+        )
     rng = np.random.default_rng(seed)
     perms = np.array([rng.permutation(n) for _ in range(n_samples)])
     ranks = np.empty_like(perms)

@@ -228,18 +228,16 @@ class GeneratorConfig:
             raise ConfigError("n_channels must be >= 2")
         if self.n_campaigns < 1:
             raise ConfigError("n_campaigns must be >= 1")
-        if self.max_len < 1:
-            raise ConfigError("max_len must be >= 1")
+        if not 1 <= self.max_len <= MAX_SEQ_LEN:
+            raise ConfigError(f"max_len must lie in [1, {MAX_SEQ_LEN}], got {self.max_len}")
         if not 0 < self.base_rate < 1:
             raise ConfigError(f"base_rate must lie in (0, 1), got {self.base_rate}")
-        if self.base_rate + self.key_lift > 1:
-            raise ConfigError(f"base_rate + key_lift must be <= 1, got {self.base_rate + self.key_lift}")
-        if self.base_rate + self.key_lift < 0:
-            raise ConfigError("base_rate + key_lift must be >= 0")
+        if not (math.isfinite(self.key_lift) and 0 <= self.base_rate + self.key_lift <= 1):
+            raise ConfigError(f"base_rate + key_lift must lie in [0, 1], got {self.base_rate + self.key_lift}")
         if not 0 <= self.key_channel_index < self.n_channels:
             raise ConfigError("key_channel_index out of range")
-        if self.time_span_hours <= 0:
-            raise ConfigError("time_span_hours must be positive")
+        if not (math.isfinite(self.time_span_hours) and self.time_span_hours > 0):
+            raise ConfigError(f"time_span_hours must be a finite value > 0, got {self.time_span_hours}")
 
 
 GMV_MEDIAN = 50.0

@@ -3,10 +3,13 @@
 A stack of recurrent cells with peephole connections whose cell and hidden
 states are written through a periodic, piecewise-linear time gate, plus layer
 normalization on gate pre-activations and inverted dropout between layers.
-Gradients are hand-derived reverse-mode for this one architecture; the
-single-step `cell_forward` is the readable reference, `_layer_forward` is
-the batched fast path and `infer_step` the cache-free inference step (their
-equivalence is covered by tests).
+Gradients are hand-derived reverse-mode for this one architecture. The
+single-step `cell_forward` is the readable reference; `cell_step` is the one
+batched step kernel behind training, eval and attribution. It runs in two
+modes: with cache slots (a training scan writes each step's gates and layer
+norm statistics into the arrays `_layer_backward` reads) and without (eval
+and the attribution trie keep no backward cache). Tests cover the kernel
+against the reference and its two modes against each other.
 """
 
 from __future__ import annotations
@@ -137,14 +140,6 @@ def layer_norm(a: np.ndarray, gain: np.ndarray, bias: np.ndarray, eps: float = L
     mu = a.mean(axis=-1, keepdims=True)
     var = a.var(axis=-1, keepdims=True)
     return gain * (a - mu) / np.sqrt(var + eps) + bias
-
-
-def _ln_forward(a4: np.ndarray, gain: np.ndarray, bias: np.ndarray):
-    mu = a4.mean(axis=-1, keepdims=True)
-    var = a4.var(axis=-1, keepdims=True)
-    inv_std = 1.0 / np.sqrt(var + LN_EPS)
-    a_hat = (a4 - mu) * inv_std
-    return gain * a_hat + bias, a_hat, inv_std
 
 
 def _ln_backward(dn: np.ndarray, a_hat: np.ndarray, inv_std: np.ndarray, gain: np.ndarray):
@@ -461,129 +456,131 @@ def cell_forward(
     return h_t, c_t, cache
 
 
-def _layer_forward(x, times, lp, ln_g, ln_b, alpha):
-    """Batched scan of one layer. x: (B,T,d); times: (B,T) hours."""
-    B, T, d = x.shape
-    H = lp.hidden_size
+def _stacked_weights(lp: PhasedLstmLayerParams) -> tuple[np.ndarray, np.ndarray]:
+    """The layer's input and recurrent weights of the four gates side by
+    side, (d, 4H) and (H, 4H), in the order i, f, c, o."""
     Wx = np.concatenate([lp.W_xi, lp.W_xf, lp.W_xc, lp.W_xo], axis=1)
     Wh = np.concatenate([lp.W_hi, lp.W_hf, lp.W_hc, lp.W_ho], axis=1)
-    x_proj = (x.reshape(B * T, d) @ Wx).reshape(B, T, 4 * H)
-
-    out = np.empty((B, T, H))
-    hp = np.empty((T, B, H))
-    cp = np.empty((T, B, H))
-    a_hat = np.empty((T, B, 4, H))
-    inv_std = np.empty((T, B, 4, 1))
-    gates_i = np.empty((T, B, H))
-    gates_f = np.empty((T, B, H))
-    gates_u = np.empty((T, B, H))
-    gates_o = np.empty((T, B, H))
-    c_tildes = np.empty((T, B, H))
-    tanh_cts = np.empty((T, B, H))
-    h_tildes = np.empty((T, B, H))
-    ks = np.empty((T, B, H))
-    phis = np.empty((T, B, H))
-
-    h = np.zeros((B, H))
-    c = np.zeros((B, H))
-    for t in range(T):
-        a4 = (x_proj[:, t, :] + h @ Wh).reshape(B, 4, H)
-        n4, a_hat_t, inv_std_t = _ln_forward(a4, ln_g, ln_b)
-        i_g = _sigmoid(n4[:, 0] + lp.w_ci * c + lp.b_i)
-        f_g = _sigmoid(n4[:, 1] + lp.w_cf * c + lp.b_f)
-        u_g = np.tanh(n4[:, 2] + lp.b_c)
-        c_tilde = f_g * c + i_g * u_g
-        o_g = _sigmoid(n4[:, 3] + lp.w_co * c + lp.b_o)
-        tanh_ct = np.tanh(c_tilde)
-        h_tilde = o_g * tanh_ct
-        k, phi = _gate_forward(times[:, t:t + 1], lp.tau, lp.s, lp.r_on, alpha)
-        c_new = k * c_tilde + (1.0 - k) * c
-        h_new = k * h_tilde + (1.0 - k) * h
-
-        hp[t] = h
-        cp[t] = c
-        a_hat[t] = a_hat_t
-        inv_std[t] = inv_std_t
-        gates_i[t] = i_g
-        gates_f[t] = f_g
-        gates_u[t] = u_g
-        gates_o[t] = o_g
-        c_tildes[t] = c_tilde
-        tanh_cts[t] = tanh_ct
-        h_tildes[t] = h_tilde
-        ks[t] = k
-        phis[t] = phi
-        out[:, t, :] = h_new
-        h, c = h_new, c_new
-
-    cache = {
-        "h_prev": hp, "c_prev": cp, "a_hat": a_hat, "inv_std": inv_std,
-        "i": gates_i, "f": gates_f, "u": gates_u, "o": gates_o,
-        "c_tilde": c_tildes, "tanh_ct": tanh_cts, "h_tilde": h_tildes,
-        "k": ks, "phi": phis, "alpha": alpha, "Wx": Wx, "Wh": Wh,
-    }
-    return out, cache
+    return Wx, Wh
 
 
-def infer_step(a, h, c, k, lp, ln_g, ln_b):
-    """One inference step (alpha 0) for N states, keeping no backward cache.
+def _sigmoid_gate(a_j, c, w_peep, bias, out):
+    """_sigmoid(a_j + w_peep * c + bias), written into out."""
+    np.multiply(c, w_peep, out=out)
+    out += a_j
+    out += bias
+    out *= 0.5
+    np.tanh(out, out=out)
+    out += 1.0
+    out *= 0.5
+    return out
+
+
+# the (N, H) values of a step that `_layer_backward` reads, besides a_hat,
+# inv_std and the states
+_GATE_SLOTS = ("i", "f", "u", "o", "c_tilde", "tanh_ct", "h_tilde")
+
+
+def cell_step(a, h, c, k, lp, ln_g, ln_b, slots=None):
+    """One batched recurrence step for N states: the kernel of training,
+    eval and the attribution trie.
 
     a: (N, 4H) gate pre-activations x @ Wx + h @ Wh, overwritten in place;
-    h, c: (N, H) previous states; k: the time gate's openness at alpha 0,
-    (H,) when all N rows share one time or (N, H) per row. Returns (h_new,
-    c_new). The operations and their order match `_layer_forward` at alpha
-    0, so each row's state is bit-identical to the batched scan's, with
-    fewer and smaller temporaries.
+    h, c: (N, H) previous states; k: the time gate's openness, (H,) when all
+    N rows share one time or (N, H) per row. Returns (h_new, c_new).
+
+    Without `slots` the step keeps no backward cache: its values share three
+    temporaries. With `slots`, a dict of the step's views into the cache
+    arrays, it writes a_hat, inv_std, the _GATE_SLOTS values (the four
+    gates, c~, tanh(c~), h~) and the new states "h" and "c" into them with
+    `out=`. Both modes run the same operations in the same order, so their
+    states are bit-identical.
     """
     N, H = h.shape
     a4 = a.reshape(N, 4, H)
-    # mean and var as ndarray.mean/var compute them (sum, then divide by
-    # H), the squares one gate at a time
+    g = np.empty((N, H))
+    if slots is None:
+        # f, c~, 1 - k and h_new share one temporary; i, o, h~ and the
+        # products share g; u and tanh(c~) share a third. Each value is
+        # overwritten only after its last read
+        f_ct, u = np.empty((N, H)), np.empty((N, H))
+        slots = {
+            "a_hat": a4, "inv_std": np.empty((N, 4, 1)), "i": g, "f": f_ct, "u": u, "o": g,
+            "c_tilde": f_ct, "tanh_ct": u, "h_tilde": g, "h": f_ct, "c": np.empty((N, H)),
+        }
+    # layer norm; mean and var as ndarray.mean/var compute them (sum, then
+    # divide by H), the squares one gate at a time
     mu = a4.sum(axis=-1, keepdims=True) / H
     np.subtract(a4, mu, out=a4)
-    g = np.empty((N, H))
-    var = np.empty((N, 4, 1))
+    inv_std = slots["inv_std"]
     for j in range(4):
-        var[:, j] = np.square(a4[:, j], out=g).sum(axis=-1, keepdims=True)
-    var /= H
-    var += LN_EPS
-    a4 *= 1.0 / np.sqrt(var)
-    a4 *= ln_g
-    a4 += ln_b
+        inv_std[:, j] = np.square(a4[:, j], out=g).sum(axis=-1, keepdims=True)
+    inv_std /= H
+    inv_std += LN_EPS
+    np.divide(1.0, np.sqrt(inv_std, out=inv_std), out=inv_std)
+    a_hat = np.multiply(a4, inv_std, out=slots["a_hat"])
+    n4 = np.multiply(a_hat, ln_g, out=a4)
+    n4 += ln_b
 
-    def gate(j, w_peep, bias, out):
-        # _sigmoid(a_j + w_peep * c + bias), written into out
-        np.multiply(c, w_peep, out=out)
-        out += a4[:, j]
-        out += bias
-        out *= 0.5
-        np.tanh(out, out=out)
-        out += 1.0
-        out *= 0.5
-        return out
-
-    ct = gate(1, lp.w_cf, lp.b_f, np.empty((N, H)))
-    ct *= c
-    iu = gate(0, lp.w_ci, lp.b_i, g)
-    u = np.add(a4[:, 2], lp.b_c)
-    iu *= np.tanh(u, out=u)
-    ct += iu
-    ht = gate(3, lp.w_co, lp.b_o, g)
-    ht *= np.tanh(ct, out=u)
-    ct *= k
-    # keep and h_new reuse the last temporaries, so fewer arrays per row are alive
-    keep = np.subtract(1.0, k, out=u)
-    c_new = keep * c
-    c_new += ct
-    ht *= k
-    h_new = np.multiply(keep, h, out=ct)
-    h_new += ht
+    f_g = _sigmoid_gate(n4[:, 1], c, lp.w_cf, lp.b_f, slots["f"])
+    c_tilde = np.multiply(f_g, c, out=slots["c_tilde"])
+    i_g = _sigmoid_gate(n4[:, 0], c, lp.w_ci, lp.b_i, slots["i"])
+    u_g = np.add(n4[:, 2], lp.b_c, out=slots["u"])
+    np.tanh(u_g, out=u_g)
+    c_tilde += np.multiply(i_g, u_g, out=g)
+    tanh_ct = np.tanh(c_tilde, out=slots["tanh_ct"])
+    # c_new = k * c~ + (1 - k) * c
+    kc = np.multiply(c_tilde, k, out=g)
+    keep = np.subtract(1.0, k, out=slots["h"])
+    c_new = np.multiply(keep, c, out=slots["c"])
+    c_new += kc
+    o_g = _sigmoid_gate(n4[:, 3], c, lp.w_co, lp.b_o, slots["o"])
+    h_tilde = np.multiply(o_g, tanh_ct, out=slots["h_tilde"])
+    # h_new = k * h~ + (1 - k) * h, written over keep
+    kh = np.multiply(h_tilde, k, out=g)
+    h_new = np.multiply(keep, h, out=keep)
+    h_new += kh
     return h_new, c_new
+
+
+def _layer_forward(x, times, lp, ln_g, ln_b, alpha, training=True):
+    """Batched scan of one layer. x: (B,T,d); times: (B,T) hours.
+
+    Returns (h (B,T,H), cache). The cache for `_layer_backward` holds
+    (T, B, ...) stacks of each step's slots and of the states before and
+    after it; it is None unless training.
+    """
+    B, T, d = x.shape
+    H = lp.hidden_size
+    Wx, Wh = _stacked_weights(lp)
+    x_proj = (x.reshape(B * T, d) @ Wx).reshape(B, T, 4 * H)
+    # the gate depends only on the times: one evaluation for all steps, (T, B, H)
+    k, phi = _gate_forward(times.T[:, :, None], lp.tau, lp.s, lp.r_on, alpha)
+    cache = None
+    if training:
+        hs, cs = np.zeros((T + 1, B, H)), np.zeros((T + 1, B, H))
+        cache = {name: np.empty((T, B, H)) for name in _GATE_SLOTS}
+        cache.update(
+            a_hat=np.empty((T, B, 4, H)), inv_std=np.empty((T, B, 4, 1)),
+            h=hs[1:], c=cs[1:], h_prev=hs[:-1], c_prev=cs[:-1],
+            k=k, phi=phi, alpha=alpha, Wx=Wx, Wh=Wh,
+        )
+
+    h = c = np.zeros((B, H))
+    outs = []
+    for t in range(T):
+        slots = None
+        if cache is not None:
+            slots = {name: cache[name][t] for name in ("a_hat", "inv_std", "h", "c", *_GATE_SLOTS)}
+        h, c = cell_step(x_proj[:, t, :] + h @ Wh, h, c, k[t], lp, ln_g, ln_b, slots)
+        outs.append(h)
+    return np.stack(outs, axis=1), cache
 
 
 @dataclass
 class ForwardTrace:
-    """Everything the backward pass needs from one forward evaluation."""
+    """One forward evaluation; a training forward's trace holds everything
+    the backward pass needs, an inference trace no backward cache."""
 
     params: ModelParams
     times: np.ndarray
@@ -608,6 +605,8 @@ def forward_batch(
     The closed-phase leak is active only while training; inference uses
     alpha = 0. Dropout applies between layers while training; masks may be
     supplied explicitly (already scaled) for reproducible gradient checks.
+    Only a training forward keeps the backward cache that `backward_batch`
+    needs.
     """
     x = np.asarray(features, dtype=np.float64)
     tt = np.asarray(times, dtype=np.float64)
@@ -632,7 +631,7 @@ def forward_batch(
     for idx, lp in enumerate(params.layers):
         layer_inputs.append(layer_in)
         alpha_eff = lp.alpha if training else 0.0
-        h_seq, cache = _layer_forward(layer_in, tt, lp, params.ln_gain[idx], params.ln_bias[idx], alpha_eff)
+        h_seq, cache = _layer_forward(layer_in, tt, lp, params.ln_gain[idx], params.ln_bias[idx], alpha_eff, training)
         caches.append(cache)
         if idx < params.n_layers - 1:
             if training and p > 0:
@@ -687,9 +686,9 @@ def _layer_backward(dH, x, times, cache, lp, ln_g):
     B, T, d = x.shape
     H = lp.hidden_size
     Wx, Wh = cache["Wx"], cache["Wh"]
-    alpha = cache["alpha"]
 
     dA = np.empty((T, B, 4 * H))
+    dK = np.empty((T, B, H))
     d_gain = np.zeros(H)
     d_bias = np.zeros(H)
     acc = {name: np.zeros(H) for name in ("w_ci", "w_cf", "w_co", "b_i", "b_f", "b_c", "b_o", "tau", "s", "r_on")}
@@ -700,31 +699,19 @@ def _layer_backward(dH, x, times, cache, lp, ln_g):
         k = cache["k"][t]
         h_prev = cache["h_prev"][t]
         c_prev = cache["c_prev"][t]
-        i_g = cache["i"][t]
-        f_g = cache["f"][t]
-        u_g = cache["u"][t]
-        o_g = cache["o"][t]
-        c_tilde = cache["c_tilde"][t]
-        tanh_ct = cache["tanh_ct"][t]
-        h_tilde = cache["h_tilde"][t]
+        i_g, f_g, u_g, o_g, c_tilde, tanh_ct, h_tilde = (cache[name][t] for name in _GATE_SLOTS)
 
         dh = dH[:, t, :] + dh_next
         dc = dc_next
 
         dh_tilde = dh * k
-        dk = dh * (h_tilde - h_prev) + dc * (c_tilde - c_prev)
+        np.add(dh * (h_tilde - h_prev), dc * (c_tilde - c_prev), out=dK[t])
         dh_prev = dh * (1.0 - k)
         dc_tilde = dc * k
         dc_prev = dc * (1.0 - k)
 
         do = dh_tilde * tanh_ct
         dc_tilde = dc_tilde + dh_tilde * o_g * (1.0 - tanh_ct * tanh_ct)
-
-        t_minus_s = times[:, t:t + 1] - lp.s
-        g_tau, g_s, g_ron = _gate_backward(dk, cache["phi"][t], t_minus_s, lp.tau, lp.r_on, alpha)
-        acc["tau"] += g_tau.sum(axis=0)
-        acc["s"] += g_s.sum(axis=0)
-        acc["r_on"] += g_ron.sum(axis=0)
 
         dpre_o = do * o_g * (1.0 - o_g)
         acc["b_o"] += dpre_o.sum(axis=0)
@@ -758,6 +745,15 @@ def _layer_backward(dH, x, times, cache, lp, ln_g):
         dh_next = dh_prev
         dc_next = dc_prev
 
+    # the gate's gradients for all steps at once, summed in reverse t order
+    # as the loop above adds its sums
+    t_minus_s = times.T[:, :, None] - lp.s
+    g_tau, g_s, g_ron = _gate_backward(dK, cache["phi"], t_minus_s, lp.tau, lp.r_on, cache["alpha"])
+    for t in range(T - 1, -1, -1):
+        acc["tau"] += g_tau[t].sum(axis=0)
+        acc["s"] += g_s[t].sum(axis=0)
+        acc["r_on"] += g_ron[t].sum(axis=0)
+
     dA_flat = dA.transpose(1, 0, 2).reshape(B * T, 4 * H)
     hp_flat = cache["h_prev"].transpose(1, 0, 2).reshape(B * T, H)
     dWx = x.reshape(B * T, d).T @ dA_flat
@@ -778,6 +774,8 @@ def backward_batch(trace: ForwardTrace, grad_logits: np.ndarray) -> dict[str, np
     grad_logits must match the shape of trace.logits and already include any
     loss normalization.
     """
+    if any(cache is None for cache in trace.caches):
+        raise TraceError("an inference trace keeps no backward cache; backprop needs forward_batch(training=True)")
     gl = np.asarray(grad_logits, dtype=np.float64)
     if gl.shape != trace.logits.shape:
         raise TraceError(f"grad_logits shape {gl.shape} does not match traced logits {trace.logits.shape}")

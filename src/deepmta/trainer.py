@@ -36,8 +36,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.batch_size < 1 or self.epochs < 1 or self.hidden_size < 1 or self.n_layers < 1:
             raise ConfigError("batch_size, epochs, hidden_size, and n_layers must be positive integers")
-        if self.learning_rate <= 0:
-            raise ConfigError("learning_rate must be positive")
+        if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ConfigError(f"learning_rate must be a finite value > 0, got {self.learning_rate}")
         if not 0 <= self.dropout_p < 1:
             raise ConfigError("dropout_p must lie in [0, 1)")
         if self.optimizer not in ("sgd", "sgd_momentum"):
@@ -148,7 +148,6 @@ def _dataset_loss(encoded: list[EncodedJourney], idxs: np.ndarray, params: Model
         return float("nan")
     total = 0.0
     for _, feats, times, labels in _batches(encoded, idxs, EVAL_BATCH):
-        # drop the backward cache at once, so no two batches' caches are alive
         logits = forward_batch(feats, times, params, training=False)[0]
         ce, _ = _step_cross_entropy(logits, labels)
         total += float(ce.mean(axis=1).sum())
@@ -321,7 +320,7 @@ def evaluate_roc(params: ModelParams, vocab: Vocabulary, journeys: list[Customer
     scores_parts = []
     labels_parts = []
     for _, feats, times, labels in _batches(encoded, np.arange(len(encoded)), EVAL_BATCH):
-        logits = forward_batch(feats, times, params, training=False)[0]  # cache dropped, as in _dataset_loss
+        logits = forward_batch(feats, times, params, training=False)[0]
         scores_parts.append(softmax(logits)[..., 1].ravel())
         labels_parts.append(labels.ravel())
     scores = np.concatenate(scores_parts)

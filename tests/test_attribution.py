@@ -8,6 +8,7 @@ import pytest
 from deepmta.attribution import (
     _BLOCK_ROWS,
     EXACT_LIMIT,
+    MAX_PREFIX_ROWS,
     AttributionResult,
     GameStats,
     _game_values,
@@ -403,6 +404,23 @@ class TestShapleySampled:
     def test_invalid_samples(self):
         with pytest.raises(ValidationError):
             shapley_sampled(lambda m: 0.0, 2, n_samples=0, seed=0)
+
+    def test_prefix_row_budget_checked_before_the_draw(self, monkeypatch):
+        # 10^8 permutations of 20 events would ask for 16 GB of permutations
+        # and 42 GB of prefixes; the budget check runs before any draw
+        def no_draw(seed):
+            raise AssertionError("permutations drawn before the budget check")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draw)
+        with pytest.raises(ValidationError, match="budget"):
+            _permutation_prefixes(20, 10 ** 8, seed=0)
+        with pytest.raises(ValidationError, match="budget"):
+            _permutation_prefixes(20, MAX_PREFIX_ROWS // 21 + 1, seed=0)
+
+    def test_prefix_row_budget_admits_its_limit(self):
+        n_samples = MAX_PREFIX_ROWS // 21
+        perms, prefix = _permutation_prefixes(20, n_samples, seed=0)
+        assert perms.shape == (n_samples, 20) and prefix.shape == (n_samples * 21, 20)
 
 
 class TestClipNormalize:

@@ -411,6 +411,37 @@ def test_samples_below_one_exits_2(pipeline, tmp_path, capsys, samples):
     assert kv == {} and not out.exists()
 
 
+@pytest.mark.parametrize(
+    "command, flag, value",
+    (
+        ("train", "--learning-rate", "nan"),
+        ("train", "--learning-rate", "inf"),
+        ("gen", "--key-lift", "nan"),
+        ("gen", "--time-span-hours", "nan"),
+        ("gen", "--time-span-hours", "inf"),
+        ("gen", "--max-len", "33"),
+        ("attribute", "--samples", "100000000"),
+    ),
+)
+def test_bad_numeric_flag_exits_2(pipeline, tmp_path, capsys, command, flag, value):
+    out = tmp_path / "out"
+    if command == "gen":
+        argv = ["gen", "--out", str(out), "--journeys", "20"]
+    elif command == "train":
+        argv = ["train", "--data", str(pipeline["data"]), "--vocab", str(pipeline["vocab"]), "--out", str(out),
+                "--epochs", "1", "--hidden-size", "4"]
+    else:
+        # a 20-event journey is sampled: --samples permutations of 20 events
+        events = [{"channel": "ch01", "campaign": "cmp00", "ts": 60 * i} for i in range(20)]
+        data = tmp_path / "long.jsonl"
+        data.write_text(json.dumps({"user_id": "u", "events": events, "converted": True, "gmv": 5.0}) + "\n")
+        argv = ["attribute", "--model", str(pipeline["ckpt"]), "--data", str(data), "--out", str(out)]
+    code, kv, err = run_cli(capsys, argv + [flag, value])
+    assert code == 2
+    assert "error:" in err and "Traceback" not in err
+    assert kv == {} and not out.exists()
+
+
 def test_divergence_maps_to_exit_3(pipeline, monkeypatch):
     import deepmta.cli as cli_mod
     from deepmta.errors import TrainingDivergedError

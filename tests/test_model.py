@@ -18,10 +18,10 @@ from deepmta.model import (
     backward_batch,
     backward_sequence,
     cell_forward,
+    cell_step,
     dropout,
     forward_batch,
     forward_sequence,
-    infer_step,
     init_params,
     layer_norm,
     load_checkpoint,
@@ -288,9 +288,22 @@ class TestForwardSequence:
             h = c = np.zeros((6, H))
             for t in range(9):
                 k = time_gate(times[0, t], lp.tau, lp.s, lp.r_on, 0.0)
-                h, c = infer_step(x_proj[:, t] + h @ Wh, h, c, k, lp, ln_g, ln_b)
+                h, c = cell_step(x_proj[:, t] + h @ Wh, h, c, k, lp, ln_g, ln_b)
                 np.testing.assert_array_equal(h, expected[:, t])
             x = expected
+
+    @pytest.mark.parametrize("H", (7, 8, 64))
+    def test_training_forward_matches_inference(self, H):
+        # at alpha 0 and dropout 0 the kernel's cache and no-cache modes
+        # give the same logits, bit for bit
+        rng = np.random.default_rng(32)
+        params = random_model(rng, 5, H, 2, alpha=0.0)
+        x = rng.normal(0, 1, (6, 9, 5))
+        times = np.cumsum(rng.uniform(0, 12, (6, 9)), axis=1)
+        trained, trace = forward_batch(x, times, params, training=True)
+        inferred, _ = forward_batch(x, times, params, training=False)
+        np.testing.assert_array_equal(trained, inferred)
+        assert all(cache is not None for cache in trace.caches)
 
     def test_dimension_mismatch(self):
         rng = np.random.default_rng(11)
@@ -373,7 +386,7 @@ class TestBackward:
         rng = np.random.default_rng(13)
         params = random_model(rng, 4, 6, 2)
         enc = make_enc(rng, 3, 4)
-        logits, trace = forward_sequence(enc, params)
+        logits, trace = forward_sequence(enc, params, training=True)
         grads = backward_sequence(trace, np.zeros_like(logits))
         for name, _ in params.named_parameters():
             np.testing.assert_array_equal(grads[name], 0.0)
@@ -426,9 +439,19 @@ class TestBackward:
         rng = np.random.default_rng(17)
         params = random_model(rng, 4, 6, 2)
         enc = make_enc(rng, 3, 4)
-        _, trace = forward_sequence(enc, params)
+        _, trace = forward_sequence(enc, params, training=True)
         with pytest.raises(TraceError):
             backward_sequence(trace, np.zeros((5, 2)))
+
+    def test_inference_trace_rejected(self):
+        # an inference forward keeps no backward cache
+        rng = np.random.default_rng(17)
+        params = random_model(rng, 4, 6, 2)
+        enc = make_enc(rng, 3, 4)
+        logits, trace = forward_sequence(enc, params)
+        assert trace.caches == [None, None]
+        with pytest.raises(TraceError, match="training=True"):
+            backward_sequence(trace, np.zeros_like(logits))
 
 
 class TestInitAndCheckpoint:
