@@ -558,6 +558,8 @@ def attribute_journeys(
     """
     if workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     # pool threads start on first use
     with ThreadPoolExecutor(max_workers=max(1, workers - 1)) as pool:
         run_blocks = _caller_map(pool) if workers > 1 else map

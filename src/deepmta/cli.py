@@ -65,6 +65,7 @@ def _info(message: str) -> None:
 
 
 def _cmd_gen(args) -> int:
+    start = time.perf_counter()
     cfg = GeneratorConfig(
         n_journeys=args.journeys,
         n_channels=args.channels,
@@ -86,10 +87,12 @@ def _cmd_gen(args) -> int:
     _emit("conversion_rate", repr(converted / len(journeys)))
     _emit("out", out)
     _emit("vocab", vocab_path)
+    _emit("seconds", f"{time.perf_counter() - start:.3f}")
     return 0
 
 
 def _cmd_train(args) -> int:
+    start = time.perf_counter()
     journeys = load_journeys(args.data)
     vocab = load_vocabulary(args.vocab)
     overrides = {}
@@ -115,10 +118,12 @@ def _cmd_train(args) -> int:
     _emit("final_val_loss", repr(result.val_losses[-1]))
     _emit("checkpoint", args.out)
     _emit("history", history_path)
+    _emit("seconds", f"{time.perf_counter() - start:.3f}")
     return 0
 
 
 def _cmd_eval(args) -> int:
+    start = time.perf_counter()
     params, vocab, _ = load_checkpoint(args.model)
     journeys = load_journeys(args.data)
     result = evaluate_roc(params, vocab, journeys)
@@ -126,6 +131,7 @@ def _cmd_eval(args) -> int:
     _emit("auc", repr(result.auc))
     _emit("per_step_accuracy", repr(result.per_step_accuracy))
     _emit("roc_out", args.roc_out)
+    _emit("seconds", f"{time.perf_counter() - start:.3f}")
     return 0
 
 
@@ -167,6 +173,7 @@ def _cmd_attribute(args) -> int:
 
 
 def _cmd_report(args) -> int:
+    start = time.perf_counter()
     journeys = load_journeys(args.data)
     records = load_attributions(args.attr)
     if len(records) != len(journeys):
@@ -202,6 +209,7 @@ def _cmd_report(args) -> int:
     _emit("total_deepmta_gmv", repr(report.total_gmv))
     _emit("total_lastclick_gmv", repr(baseline.total_gmv))
     _emit("out", args.out)
+    _emit("seconds", f"{time.perf_counter() - start:.3f}")
     return 0
 
 

@@ -253,6 +253,8 @@ def generate_synthetic(cfg: GeneratorConfig, seed: int) -> tuple[Vocabulary, lis
     generator in a fixed draw order. GMV of converted journeys is log-normal
     with median 50 currency units (a documented synthetic stand-in).
     """
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     vocab = Vocabulary(
         channels=tuple(f"ch{i:02d}" for i in range(cfg.n_channels)),

@@ -10,12 +10,17 @@ modes: with cache slots (a training scan writes each step's gates and layer
 norm statistics into the arrays `_layer_backward` reads) and without (eval
 and the attribution trie keep no backward cache). Tests cover the kernel
 against the reference and its two modes against each other.
+
+Every tensor is a view into one vector, `ModelParams.flat`, and
+`backward_batch` writes the gradients into a fresh vector of the same layout,
+so an optimizer step is a few whole-vector operations. The backward's reverse
+loop carries only the recurrence; a test keeps a per-step loop as its oracle.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -142,14 +147,16 @@ def layer_norm(a: np.ndarray, gain: np.ndarray, bias: np.ndarray, eps: float = L
     return gain * (a - mu) / np.sqrt(var + eps) + bias
 
 
-def _ln_backward(dn: np.ndarray, a_hat: np.ndarray, inv_std: np.ndarray, gain: np.ndarray):
-    d_gain = np.sum(dn * a_hat, axis=tuple(range(dn.ndim - 1)))
-    d_bias = np.sum(dn, axis=tuple(range(dn.ndim - 1)))
-    d_hat = dn * gain
-    m1 = d_hat.mean(axis=-1, keepdims=True)
-    m2 = (d_hat * a_hat).mean(axis=-1, keepdims=True)
-    da = inv_std * (d_hat - m1 - a_hat * m2)
-    return da, d_gain, d_bias
+def _ln_backward(dn: np.ndarray, a_hat: np.ndarray, inv_std: np.ndarray, gain: np.ndarray, out: np.ndarray):
+    """The layer norm's input gradient for its output gradient dn, written
+    into out. The means of d_hat and d_hat * a_hat come from one reduction
+    over both, each row summed, then divided, as ndarray.mean does."""
+    H = dn.shape[-1]
+    terms = np.empty((2, *dn.shape))
+    d_hat = np.multiply(dn, gain, out=terms[0])
+    np.multiply(d_hat, a_hat, out=terms[1])
+    m1, m2 = terms.sum(axis=-1, keepdims=True) / H
+    return np.multiply(inv_std, d_hat - m1 - a_hat * m2, out=out)
 
 
 def dropout(v: np.ndarray, p: float, rng: np.random.Generator, training: bool) -> np.ndarray:
@@ -239,13 +246,30 @@ class ModelParams:
     W_out: np.ndarray
     b_out: np.ndarray
     dropout_p: float = 0.5
+    flat: np.ndarray = field(init=False, repr=False)
+    layout: dict[str, tuple[slice, tuple[int, ...]]] = field(init=False, repr=False)
 
     def __post_init__(self):
+        # the params own their layers: the caller's layer objects stay as they are
+        self.layers = [replace(layer) for layer in self.layers]
         self.ln_gain = [np.asarray(g, dtype=np.float64) for g in self.ln_gain]
         self.ln_bias = [np.asarray(b, dtype=np.float64) for b in self.ln_bias]
         self.W_out = np.asarray(self.W_out, dtype=np.float64)
         self.b_out = np.asarray(self.b_out, dtype=np.float64)
         self.validate()
+        arrays = dict(self.named_parameters())
+        self.flat = np.concatenate([arr.ravel() for arr in arrays.values()])
+        ends = np.cumsum([arr.size for arr in arrays.values()]).tolist()
+        self.layout = {
+            name: (slice(end - arr.size, end), arr.shape) for (name, arr), end in zip(arrays.items(), ends)
+        }
+        views = self.unflatten(self.flat)
+        for idx, layer in enumerate(self.layers):
+            for fname in LAYER_TENSOR_FIELDS:
+                setattr(layer, fname, views[f"layers.{idx}.{fname}"])
+        self.ln_gain = [views[f"ln.{idx}.gain"] for idx in range(len(self.layers))]
+        self.ln_bias = [views[f"ln.{idx}.bias"] for idx in range(len(self.layers))]
+        self.W_out, self.b_out = views["W_out"], views["b_out"]
 
     def validate(self) -> None:
         if not self.layers:
@@ -292,22 +316,13 @@ class ModelParams:
         yield "W_out", self.W_out
         yield "b_out", self.b_out
 
+    def unflatten(self, flat: np.ndarray) -> dict[str, np.ndarray]:
+        """name -> view of each tensor's stretch of a vector laid out as `flat`."""
+        return {name: flat[part].reshape(shape) for name, (part, shape) in self.layout.items()}
+
     def copy(self) -> "ModelParams":
-        layers = [
-            PhasedLstmLayerParams(
-                **{fname: getattr(layer, fname).copy() for fname in LAYER_TENSOR_FIELDS},
-                alpha=layer.alpha,
-            )
-            for layer in self.layers
-        ]
-        return ModelParams(
-            layers=layers,
-            ln_gain=[g.copy() for g in self.ln_gain],
-            ln_bias=[b.copy() for b in self.ln_bias],
-            W_out=self.W_out.copy(),
-            b_out=self.b_out.copy(),
-            dropout_p=self.dropout_p,
-        )
+        # construction packs the tensors into a new buffer
+        return replace(self)
 
 
 def _glorot(rng: np.random.Generator, shape: tuple[int, int]) -> np.ndarray:
@@ -677,102 +692,86 @@ def forward_sequence(
 # ---------------------------------------------------------------------------
 
 
-def _layer_backward(dH, x, times, cache, lp, ln_g):
-    """Reverse scan of one layer.
+def _layer_backward(dH, x, times, cache, lp, ln_g, out, d_gain, d_bias, need_dx=True):
+    """Reverse scan of one layer; dH (B,T,H) is the gradient w.r.t. its outputs.
 
-    dH: (B,T,H) gradient w.r.t. this layer's hidden outputs. Returns
-    (gradients dict, dX (B,T,d) gradient w.r.t. the layer input).
+    Writes the gradients of the layer's tensors into `out` (the layer's
+    stretch of a flat gradient) and of its layer norm into d_gain and d_bias;
+    returns dX (B,T,d), the input gradient, if need_dx. The loop carries only
+    the recurrence. The per-step sums are taken after it and added from
+    t = T-1 down to 0, starting from 0.0, as a per-step accumulation would.
     """
     B, T, d = x.shape
     H = lp.hidden_size
-    Wx, Wh = cache["Wx"], cache["Wh"]
+    k, c_prev = cache["k"], cache["c_prev"]
+    i_g, f_g, u_g, o_g, c_tilde, tanh_ct, h_tilde = (cache[name] for name in _GATE_SLOTS)
+    # the factors that do not depend on the recurrence, for all steps
+    keep, not_o, not_f, not_i = 1.0 - k, 1.0 - o_g, 1.0 - f_g, 1.0 - i_g
+    d_tanh_ct, d_tanh_u = 1.0 - tanh_ct * tanh_ct, 1.0 - u_g * u_g
 
-    dA = np.empty((T, B, 4 * H))
-    dK = np.empty((T, B, H))
-    d_gain = np.zeros(H)
-    d_bias = np.zeros(H)
-    acc = {name: np.zeros(H) for name in ("w_ci", "w_cf", "w_co", "b_i", "b_f", "b_c", "b_o", "tau", "s", "r_on")}
-
+    dn = np.empty((T, B, 4, H))  # pre-activation gradients of gates i, f, c, o
+    dA = np.empty((T, B, 4, H))
+    dhs = np.empty((T, B, H))
+    dcs = np.zeros((T + 1, B, H))  # step t's dc is dcs[t + 1]
     dh_next = np.zeros((B, H))
-    dc_next = np.zeros((B, H))
     for t in range(T - 1, -1, -1):
-        k = cache["k"][t]
-        h_prev = cache["h_prev"][t]
-        c_prev = cache["c_prev"][t]
-        i_g, f_g, u_g, o_g, c_tilde, tanh_ct, h_tilde = (cache[name][t] for name in _GATE_SLOTS)
+        dh = np.add(dH[:, t], dh_next, out=dhs[t])
+        dc = dcs[t + 1]
+        dh_tilde = dh * k[t]
+        dc_tilde = dc * k[t]
+        dc_tilde += dh_tilde * o_g[t] * d_tanh_ct[t]
+        np.multiply(dh_tilde * tanh_ct[t] * o_g[t], not_o[t], out=dn[t, :, 3])
+        np.multiply(dc_tilde * i_g[t], d_tanh_u[t], out=dn[t, :, 2])
+        np.multiply(dc_tilde * c_prev[t] * f_g[t], not_f[t], out=dn[t, :, 1])
+        np.multiply(dc_tilde * u_g[t] * i_g[t], not_i[t], out=dn[t, :, 0])
+        da = _ln_backward(dn[t], cache["a_hat"][t], cache["inv_std"][t], ln_g, dA[t]).reshape(B, 4 * H)
+        if t == 0:  # step 0's dc_prev and dh_prev reach nothing
+            break
+        dc_prev = np.multiply(dc, keep[t], out=dcs[t])
+        dc_prev += dn[t, :, 3] * lp.w_co
+        dc_prev += dc_tilde * f_g[t]
+        dc_prev += dn[t, :, 1] * lp.w_cf
+        dc_prev += dn[t, :, 0] * lp.w_ci
+        dh_next = dh * keep[t] + da @ cache["Wh"].T
 
-        dh = dH[:, t, :] + dh_next
-        dc = dc_next
-
-        dh_tilde = dh * k
-        np.add(dh * (h_tilde - h_prev), dc * (c_tilde - c_prev), out=dK[t])
-        dh_prev = dh * (1.0 - k)
-        dc_tilde = dc * k
-        dc_prev = dc * (1.0 - k)
-
-        do = dh_tilde * tanh_ct
-        dc_tilde = dc_tilde + dh_tilde * o_g * (1.0 - tanh_ct * tanh_ct)
-
-        dpre_o = do * o_g * (1.0 - o_g)
-        acc["b_o"] += dpre_o.sum(axis=0)
-        acc["w_co"] += (dpre_o * c_prev).sum(axis=0)
-        dc_prev = dc_prev + dpre_o * lp.w_co
-
-        df = dc_tilde * c_prev
-        dc_prev = dc_prev + dc_tilde * f_g
-        di = dc_tilde * u_g
-        du = dc_tilde * i_g
-
-        dpre_c = du * (1.0 - u_g * u_g)
-        acc["b_c"] += dpre_c.sum(axis=0)
-        dpre_f = df * f_g * (1.0 - f_g)
-        acc["b_f"] += dpre_f.sum(axis=0)
-        acc["w_cf"] += (dpre_f * c_prev).sum(axis=0)
-        dc_prev = dc_prev + dpre_f * lp.w_cf
-        dpre_i = di * i_g * (1.0 - i_g)
-        acc["b_i"] += dpre_i.sum(axis=0)
-        acc["w_ci"] += (dpre_i * c_prev).sum(axis=0)
-        dc_prev = dc_prev + dpre_i * lp.w_ci
-
-        dn4 = np.stack([dpre_i, dpre_f, dpre_c, dpre_o], axis=1)
-        da4, dg_step, db_step = _ln_backward(dn4, cache["a_hat"][t], cache["inv_std"][t], ln_g)
-        d_gain += dg_step
-        d_bias += db_step
-        da = da4.reshape(B, 4 * H)
-        dA[t] = da
-        dh_prev = dh_prev + da @ Wh.T
-
-        dh_next = dh_prev
-        dc_next = dc_prev
-
-    # the gate's gradients for all steps at once, summed in reverse t order
-    # as the loop above adds its sums
+    dK = dhs * (h_tilde - cache["h_prev"]) + dcs[1:] * (c_tilde - c_prev)
     t_minus_s = times.T[:, :, None] - lp.s
-    g_tau, g_s, g_ron = _gate_backward(dK, cache["phi"], t_minus_s, lp.tau, lp.r_on, cache["alpha"])
+    # each step's row sums: w_ci, w_cf, w_co, b_i .. b_o, tau, s, r_on (the
+    # order of the layer's vectors in `out`), then the layer norm's gain, bias
+    per_step = np.empty((T, 12, H))
+    per_step[:, 0:3] = (dn * c_prev[:, :, None]).sum(axis=1)[:, [0, 1, 3]]
+    np.sum(dn, axis=1, out=per_step[:, 3:7])
+    for j, g in enumerate(_gate_backward(dK, cache["phi"], t_minus_s, lp.tau, lp.r_on, cache["alpha"])):
+        np.sum(g, axis=1, out=per_step[:, 7 + j])
+    np.sum(dn * cache["a_hat"], axis=(1, 2), out=per_step[:, 10])
+    np.sum(dn, axis=(1, 2), out=per_step[:, 11])
+    sums = np.zeros((12, H))
     for t in range(T - 1, -1, -1):
-        acc["tau"] += g_tau[t].sum(axis=0)
-        acc["s"] += g_s[t].sum(axis=0)
-        acc["r_on"] += g_ron[t].sum(axis=0)
+        sums += per_step[t]
+    out[4 * (d + H) * H:] = sums[:10].ravel()
+    d_gain[...], d_bias[...] = sums[10], sums[11]
 
-    dA_flat = dA.transpose(1, 0, 2).reshape(B * T, 4 * H)
+    dA_flat = dA.transpose(1, 0, 2, 3).reshape(B * T, 4 * H)
     hp_flat = cache["h_prev"].transpose(1, 0, 2).reshape(B * T, H)
-    dWx = x.reshape(B * T, d).T @ dA_flat
-    dWh = hp_flat.T @ dA_flat
-    dX = (dA_flat @ Wx.T).reshape(B, T, d)
-
-    grads = {
-        "W_xi": dWx[:, 0:H], "W_xf": dWx[:, H:2 * H], "W_xc": dWx[:, 2 * H:3 * H], "W_xo": dWx[:, 3 * H:],
-        "W_hi": dWh[:, 0:H], "W_hf": dWh[:, H:2 * H], "W_hc": dWh[:, 2 * H:3 * H], "W_ho": dWh[:, 3 * H:],
-    }
-    grads.update(acc)
-    return grads, dX, d_gain, d_bias
+    # W_xi .. W_xo, then W_hi .. W_ho, each (rows, H), one after the other
+    out[:4 * d * H].reshape(4, d, H)[...] = (x.reshape(B * T, d).T @ dA_flat).reshape(d, 4, H).transpose(1, 0, 2)
+    out[4 * d * H:4 * (d + H) * H].reshape(4, H, H)[...] = (hp_flat.T @ dA_flat).reshape(H, 4, H).transpose(1, 0, 2)
+    return (dA_flat @ cache["Wx"].T).reshape(B, T, d) if need_dx else None
 
 
-def backward_batch(trace: ForwardTrace, grad_logits: np.ndarray) -> dict[str, np.ndarray]:
+class Gradients(dict):
+    """name -> gradient, each a view into `flat`, laid out as ModelParams.flat."""
+
+    flat: np.ndarray
+
+
+def backward_batch(trace: ForwardTrace, grad_logits: np.ndarray) -> Gradients:
     """Exact reverse-mode gradients of every trainable tensor.
 
     grad_logits must match the shape of trace.logits and already include any
-    loss normalization.
+    loss normalization. Each call writes into a fresh flat vector, so the
+    gradients of two calls never share memory. The mapping lists W_out and
+    b_out, then each layer's tensors and layer norm from the top layer down.
     """
     if any(cache is None for cache in trace.caches):
         raise TraceError("an inference trace keeps no backward cache; backprop needs forward_batch(training=True)")
@@ -784,20 +783,23 @@ def backward_batch(trace: ForwardTrace, grad_logits: np.ndarray) -> dict[str, np
     params = trace.params
     B, T, H = trace.hidden.shape
 
-    grads: dict[str, np.ndarray] = {}
+    grads = Gradients()
+    grads.flat = np.empty_like(params.flat)
+    views = params.unflatten(grads.flat)
     gl_flat = gl.reshape(B * T, N_CLASSES)
-    grads["W_out"] = trace.hidden.reshape(B * T, H).T @ gl_flat
-    grads["b_out"] = gl_flat.sum(axis=0)
+    grads["W_out"] = np.matmul(trace.hidden.reshape(B * T, H).T, gl_flat, out=views["W_out"])
+    grads["b_out"] = np.sum(gl_flat, axis=0, out=views["b_out"])
 
     dH = (gl_flat @ params.W_out.T).reshape(B, T, H)
     for idx in range(params.n_layers - 1, -1, -1):
-        layer_grads, dX, d_gain, d_bias = _layer_backward(
-            dH, trace.layer_inputs[idx], trace.times, trace.caches[idx], params.layers[idx], params.ln_gain[idx]
+        names = [f"layers.{idx}.{fname}" for fname in LAYER_TENSOR_FIELDS] + [f"ln.{idx}.gain", f"ln.{idx}.bias"]
+        # the layer's tensors sit side by side, W_xi first and r_on last
+        block = grads.flat[params.layout[names[0]][0].start:params.layout[names[-3]][0].stop]
+        dX = _layer_backward(
+            dH, trace.layer_inputs[idx], trace.times, trace.caches[idx], params.layers[idx], params.ln_gain[idx],
+            block, views[names[-2]], views[names[-1]], need_dx=idx > 0,
         )
-        for fname in LAYER_TENSOR_FIELDS:
-            grads[f"layers.{idx}.{fname}"] = layer_grads[fname]
-        grads[f"ln.{idx}.gain"] = d_gain
-        grads[f"ln.{idx}.bias"] = d_bias
+        grads.update((name, views[name]) for name in names)
         if idx > 0:
             mask = trace.dropout_masks[idx - 1]
             dH = dX * mask if mask is not None else dX
@@ -864,9 +866,9 @@ def save_checkpoint(path: str | Path, params: ModelParams, vocab: Vocabulary, se
         },
         "rng_seed": seed,
     }
+    # json.dumps runs the C encoder; json.dump to a file would not, for the same bytes
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh)
-        fh.write("\n")
+        fh.write(json.dumps(obj) + "\n")
 
 
 def _entry(obj: dict, key: str, kind, where: str, default=None):

@@ -4,6 +4,8 @@ evaluation over journey datasets."""
 from __future__ import annotations
 
 import csv
+import sys
+import time
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -11,7 +13,7 @@ import numpy as np
 
 from .errors import ConfigError, EvaluationError, TrainingDivergedError, ValidationError
 from .journey import CustomerJourney, EncodedJourney, Vocabulary, encode_journey
-from .model import ModelParams, backward_batch, clamp_gate_timing, forward_batch, init_params
+from .model import Gradients, ModelParams, backward_batch, clamp_gate_timing, forward_batch, init_params
 
 PROB_CLIP = 1e-12
 MOMENTUM = 0.9
@@ -46,6 +48,8 @@ class TrainConfig:
             raise ConfigError("val_fraction must lie in [0, 1)")
         if not 0 < self.r_on_init < 1:
             raise ConfigError("r_on_init must lie in (0, 1)")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
     @classmethod
     def preset(cls, name: str, **overrides) -> "TrainConfig":
@@ -163,15 +167,18 @@ def _train_val_split(n: int, fraction: float, rng: np.random.Generator) -> tuple
     return perm[n_val:], perm[:n_val]
 
 
-def _clip_gradients(grads: dict[str, np.ndarray], max_norm: float) -> None:
+def _clip_gradients(grads: Gradients, layout: dict[str, tuple[slice, tuple[int, ...]]], max_norm: float) -> float:
+    """Scale the flat gradient in place to norm <= max_norm; returns the norm
+    before clipping. Its square adds np.sum(g * g) of each tensor, in `grads`
+    order: one dot product over the vector would round differently."""
+    squares = np.square(grads.flat)
     sq = 0.0
-    for arr in grads.values():
-        sq += float(np.sum(arr * arr))
-    norm = np.sqrt(sq)
+    for name in grads:
+        sq += float(squares[layout[name][0]].sum())
+    norm = float(np.sqrt(sq))
     if norm > max_norm:
-        scale = max_norm / norm
-        for arr in grads.values():
-            arr *= scale
+        grads.flat *= max_norm / norm
+    return norm
 
 
 def train(journeys: list[CustomerJourney], vocab: Vocabulary, cfg: TrainConfig) -> TrainResult:
@@ -209,14 +216,16 @@ def train(journeys: list[CustomerJourney], vocab: Vocabulary, cfg: TrainConfig) 
         frozen_rows = ("layers.0.W_xi", "layers.0.W_xf", "layers.0.W_xc", "layers.0.W_xo")
         for name in ("W_xi", "W_xf", "W_xc", "W_xo"):
             getattr(params.layers[0], name)[time_idx, :] = 0.0
-    velocity = {name: np.zeros_like(arr) for name, arr in params.named_parameters()} if cfg.optimizer == "sgd_momentum" else None
+    velocity = np.zeros_like(params.flat) if cfg.optimizer == "sgd_momentum" else None
 
     train_losses: list[float] = []
     val_losses: list[float] = []
     for epoch in range(cfg.epochs):
+        start = time.perf_counter()
         order = train_idx[rng.permutation(len(train_idx))]
         epoch_loss = 0.0
         n_journeys_seen = 0
+        norms = []
         for step, (chunk, feats, times, labels) in enumerate(_batches(encoded, order, cfg.batch_size)):
             logits, trace = forward_batch(feats, times, params, training=True, rng=rng)
             batch_loss, grad_logits = _loss_and_grad_batch(logits, labels)
@@ -225,20 +234,20 @@ def train(journeys: list[CustomerJourney], vocab: Vocabulary, cfg: TrainConfig) 
             grads = backward_batch(trace, grad_logits)
             for name in frozen_rows:
                 grads[name][time_idx, :] = 0.0
-            _clip_gradients(grads, GRAD_CLIP_NORM)
-            for name, arr in params.named_parameters():
-                g = grads[name]
-                if velocity is not None:
-                    v = velocity[name]
-                    v *= MOMENTUM
-                    v += g
-                    g = v
-                arr -= cfg.learning_rate * g
+            norms.append(_clip_gradients(grads, params.layout, GRAD_CLIP_NORM))
+            if velocity is not None:
+                velocity *= MOMENTUM
+                velocity += grads.flat
+            params.flat -= cfg.learning_rate * (grads.flat if velocity is None else velocity)
             clamp_gate_timing(params)
             epoch_loss += batch_loss * len(chunk)
             n_journeys_seen += len(chunk)
         train_losses.append(epoch_loss / n_journeys_seen)
         val_losses.append(_dataset_loss(encoded, val_idx, params))
+        clipped = sum(norm > GRAD_CLIP_NORM for norm in norms) / len(norms)
+        print(f"epoch={epoch} train_loss={train_losses[-1]:.6g} val_loss={val_losses[-1]:.6g} "
+              f"seconds={time.perf_counter() - start:.3f} grad_norm_mean={np.mean(norms):.6g} "
+              f"grad_norm_max={max(norms):.6g} clipped_share={clipped:.4g}", file=sys.stderr)
     return TrainResult(params=params, vocab=vocab, train_losses=train_losses, val_losses=val_losses)
 
 

@@ -421,6 +421,9 @@ def test_samples_below_one_exits_2(pipeline, tmp_path, capsys, samples):
         ("gen", "--time-span-hours", "inf"),
         ("gen", "--max-len", "33"),
         ("attribute", "--samples", "100000000"),
+        ("gen", "--seed", "-1"),
+        ("train", "--seed", "-1"),
+        ("attribute", "--seed", "-1"),
     ),
 )
 def test_bad_numeric_flag_exits_2(pipeline, tmp_path, capsys, command, flag, value):
@@ -440,6 +443,29 @@ def test_bad_numeric_flag_exits_2(pipeline, tmp_path, capsys, command, flag, val
     assert code == 2
     assert "error:" in err and "Traceback" not in err
     assert kv == {} and not out.exists()
+
+
+def test_every_stage_ends_with_seconds(tmp_path, capsys):
+    data, vocab = tmp_path / "j.jsonl", tmp_path / "j.vocab.json"
+    ckpt, attr = tmp_path / "m.json", tmp_path / "a.jsonl"
+    stages = {
+        "gen": GEN_ARGS + ["--out", str(data)],
+        "train": ["train", "--data", str(data), "--vocab", str(vocab), "--out", str(ckpt), "--epochs", "2",
+                  "--hidden-size", "4"],
+        "eval": ["eval", "--model", str(ckpt), "--data", str(data), "--roc-out", str(tmp_path / "roc.csv")],
+        "attribute": ["attribute", "--model", str(ckpt), "--data", str(data), "--out", str(attr)],
+        "report": ["report", "--attr", str(attr), "--data", str(data), "--out", str(tmp_path / "r.csv")],
+    }
+    for stage, argv in stages.items():
+        code, kv, err = run_cli(capsys, argv)
+        assert code == 0, err
+        assert list(kv)[-1] == "seconds", stage
+        assert float(kv["seconds"]) >= 0
+        if stage == "train":
+            # one telemetry line per epoch on stderr, after the banner
+            epochs = [line for line in err.splitlines() if line.startswith("epoch=")]
+            assert [line.split()[0] for line in epochs] == ["epoch=0", "epoch=1"]
+            assert all("grad_norm_max=" in line and "clipped_share=" in line for line in epochs)
 
 
 def test_divergence_maps_to_exit_3(pipeline, monkeypatch):

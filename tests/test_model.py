@@ -12,9 +12,11 @@ from deepmta.errors import (
 )
 from deepmta.journey import EncodedJourney, Vocabulary
 from deepmta.model import (
+    _GATE_SLOTS,
     LAYER_TENSOR_FIELDS,
     ModelParams,
     PhasedLstmLayerParams,
+    _gate_backward,
     backward_batch,
     backward_sequence,
     cell_forward,
@@ -454,6 +456,241 @@ class TestBackward:
             backward_sequence(trace, np.zeros_like(logits))
 
 
+def reference_ln_backward(dn: np.ndarray, a_hat: np.ndarray, inv_std: np.ndarray, gain: np.ndarray):
+    d_gain = np.sum(dn * a_hat, axis=tuple(range(dn.ndim - 1)))
+    d_bias = np.sum(dn, axis=tuple(range(dn.ndim - 1)))
+    d_hat = dn * gain
+    m1 = d_hat.mean(axis=-1, keepdims=True)
+    m2 = (d_hat * a_hat).mean(axis=-1, keepdims=True)
+    da = inv_std * (d_hat - m1 - a_hat * m2)
+    return da, d_gain, d_bias
+
+
+def reference_layer_backward(dH, x, times, cache, lp, ln_g):
+    """The per-step reverse scan of one layer, every reduction inside the
+    loop: the readable oracle of the hoisted `_layer_backward`. Returns
+    (gradients dict, dX, d_gain, d_bias)."""
+    B, T, d = x.shape
+    H = lp.hidden_size
+    Wx, Wh = cache["Wx"], cache["Wh"]
+
+    dA = np.empty((T, B, 4 * H))
+    dK = np.empty((T, B, H))
+    d_gain = np.zeros(H)
+    d_bias = np.zeros(H)
+    acc = {name: np.zeros(H) for name in ("w_ci", "w_cf", "w_co", "b_i", "b_f", "b_c", "b_o", "tau", "s", "r_on")}
+
+    dh_next = np.zeros((B, H))
+    dc_next = np.zeros((B, H))
+    for t in range(T - 1, -1, -1):
+        k = cache["k"][t]
+        h_prev = cache["h_prev"][t]
+        c_prev = cache["c_prev"][t]
+        i_g, f_g, u_g, o_g, c_tilde, tanh_ct, h_tilde = (cache[name][t] for name in _GATE_SLOTS)
+
+        dh = dH[:, t, :] + dh_next
+        dc = dc_next
+
+        dh_tilde = dh * k
+        np.add(dh * (h_tilde - h_prev), dc * (c_tilde - c_prev), out=dK[t])
+        dh_prev = dh * (1.0 - k)
+        dc_tilde = dc * k
+        dc_prev = dc * (1.0 - k)
+
+        do = dh_tilde * tanh_ct
+        dc_tilde = dc_tilde + dh_tilde * o_g * (1.0 - tanh_ct * tanh_ct)
+
+        dpre_o = do * o_g * (1.0 - o_g)
+        acc["b_o"] += dpre_o.sum(axis=0)
+        acc["w_co"] += (dpre_o * c_prev).sum(axis=0)
+        dc_prev = dc_prev + dpre_o * lp.w_co
+
+        df = dc_tilde * c_prev
+        dc_prev = dc_prev + dc_tilde * f_g
+        di = dc_tilde * u_g
+        du = dc_tilde * i_g
+
+        dpre_c = du * (1.0 - u_g * u_g)
+        acc["b_c"] += dpre_c.sum(axis=0)
+        dpre_f = df * f_g * (1.0 - f_g)
+        acc["b_f"] += dpre_f.sum(axis=0)
+        acc["w_cf"] += (dpre_f * c_prev).sum(axis=0)
+        dc_prev = dc_prev + dpre_f * lp.w_cf
+        dpre_i = di * i_g * (1.0 - i_g)
+        acc["b_i"] += dpre_i.sum(axis=0)
+        acc["w_ci"] += (dpre_i * c_prev).sum(axis=0)
+        dc_prev = dc_prev + dpre_i * lp.w_ci
+
+        dn4 = np.stack([dpre_i, dpre_f, dpre_c, dpre_o], axis=1)
+        da4, dg_step, db_step = reference_ln_backward(dn4, cache["a_hat"][t], cache["inv_std"][t], ln_g)
+        d_gain += dg_step
+        d_bias += db_step
+        da = da4.reshape(B, 4 * H)
+        dA[t] = da
+        dh_prev = dh_prev + da @ Wh.T
+
+        dh_next = dh_prev
+        dc_next = dc_prev
+
+    # the gate's gradients for all steps at once, summed in reverse t order
+    # as the loop above adds its sums
+    t_minus_s = times.T[:, :, None] - lp.s
+    g_tau, g_s, g_ron = _gate_backward(dK, cache["phi"], t_minus_s, lp.tau, lp.r_on, cache["alpha"])
+    for t in range(T - 1, -1, -1):
+        acc["tau"] += g_tau[t].sum(axis=0)
+        acc["s"] += g_s[t].sum(axis=0)
+        acc["r_on"] += g_ron[t].sum(axis=0)
+
+    dA_flat = dA.transpose(1, 0, 2).reshape(B * T, 4 * H)
+    hp_flat = cache["h_prev"].transpose(1, 0, 2).reshape(B * T, H)
+    dWx = x.reshape(B * T, d).T @ dA_flat
+    dWh = hp_flat.T @ dA_flat
+    dX = (dA_flat @ Wx.T).reshape(B, T, d)
+
+    grads = {
+        "W_xi": dWx[:, 0:H], "W_xf": dWx[:, H:2 * H], "W_xc": dWx[:, 2 * H:3 * H], "W_xo": dWx[:, 3 * H:],
+        "W_hi": dWh[:, 0:H], "W_hf": dWh[:, H:2 * H], "W_hc": dWh[:, 2 * H:3 * H], "W_ho": dWh[:, 3 * H:],
+    }
+    grads.update(acc)
+    return grads, dX, d_gain, d_bias
+
+
+def reference_backward_batch(trace, grad_logits):
+    """backward_batch over reference_layer_backward, in its dict order."""
+    params = trace.params
+    B, T, H = trace.hidden.shape
+    gl_flat = grad_logits.reshape(B * T, 2)
+    grads = {"W_out": trace.hidden.reshape(B * T, H).T @ gl_flat, "b_out": gl_flat.sum(axis=0)}
+    dH = (gl_flat @ params.W_out.T).reshape(B, T, H)
+    for idx in range(params.n_layers - 1, -1, -1):
+        layer_grads, dX, d_gain, d_bias = reference_layer_backward(
+            dH, trace.layer_inputs[idx], trace.times, trace.caches[idx], params.layers[idx], params.ln_gain[idx]
+        )
+        for fname in LAYER_TENSOR_FIELDS:
+            grads[f"layers.{idx}.{fname}"] = layer_grads[fname]
+        grads[f"ln.{idx}.gain"] = d_gain
+        grads[f"ln.{idx}.bias"] = d_bias
+        mask = trace.dropout_masks[idx - 1] if idx > 0 else None
+        dH = dX * mask if mask is not None else dX
+    return grads
+
+
+class TestBackwardMatchesReference:
+    """The hoisted reverse scan and flat gradient against the per-step
+    reference, bit for bit."""
+
+    @pytest.mark.parametrize("H", (7, 64))
+    @pytest.mark.parametrize("B", (1, 7, 32))
+    @pytest.mark.parametrize("with_dropout", (False, True))
+    def test_every_gradient_identical(self, H, B, with_dropout):
+        rng = np.random.default_rng(40 + H + B)
+        d = 5
+        params = random_model(rng, d, H, 2, dropout_p=0.5 if with_dropout else 0.0)
+        for T in range(1, 21):
+            x = rng.normal(0, 1, (B, T, d))
+            times = np.cumsum(rng.uniform(0, 12, (B, T)), axis=1)
+            masks = [(rng.random((B, T, H)) >= 0.5) / 0.5] if with_dropout else None
+            logits, trace = forward_batch(x, times, params, training=True, dropout_masks=masks)
+            grad_logits = rng.normal(0, 0.1, logits.shape)
+            expected = reference_backward_batch(trace, grad_logits)
+            grads = backward_batch(trace, grad_logits)
+            assert list(grads) == list(expected)
+            for name, value in expected.items():
+                assert np.array_equal(grads[name], value), f"T={T} {name}"
+                assert grads[name].tobytes() == np.ascontiguousarray(value).tobytes(), f"T={T} {name} (signed zeros)"
+
+    def test_gradients_of_two_calls_are_independent(self):
+        rng = np.random.default_rng(41)
+        params = random_model(rng, 4, 6, 2)
+        x = rng.normal(0, 1, (3, 4, 4))
+        times = np.cumsum(rng.uniform(0, 12, (3, 4)), axis=1)
+        logits, trace = forward_batch(x, times, params, training=True)
+        first = backward_batch(trace, np.full(logits.shape, 0.1))
+        kept = {name: value.copy() for name, value in first.items()}
+        second = backward_batch(trace, np.full(logits.shape, -0.3))
+        assert not np.shares_memory(first.flat, second.flat)
+        second.flat[:] = 7.0
+        for name, value in kept.items():
+            np.testing.assert_array_equal(first[name], value)
+            assert first[name].base is first.flat
+
+    def test_gradient_views_follow_the_parameter_layout(self):
+        rng = np.random.default_rng(42)
+        params = random_model(rng, 4, 6, 2)
+        x = rng.normal(0, 1, (2, 3, 4))
+        logits, trace = forward_batch(x, np.cumsum(rng.uniform(0, 9, (2, 3)), axis=1), params, training=True)
+        grads = backward_batch(trace, rng.normal(0, 0.1, logits.shape))
+        assert grads.flat.shape == params.flat.shape
+        for name, view in params.unflatten(grads.flat).items():
+            assert np.shares_memory(view, grads[name]) and view.shape == grads[name].shape
+            np.testing.assert_array_equal(view, grads[name])
+
+
+def assert_views_into_flat(params):
+    """Every tensor is a view into params.flat, in named_parameters order."""
+    offset = 0
+    for name, arr in params.named_parameters():
+        assert arr.base is params.flat, name
+        assert arr.flags.c_contiguous, name
+        start = (arr.__array_interface__["data"][0] - params.flat.__array_interface__["data"][0]) // 8
+        assert start == offset, name
+        offset += arr.size
+    assert offset == params.flat.size
+    layer_views = [getattr(lp, f) for lp in params.layers for f in LAYER_TENSOR_FIELDS]
+    assert all(v.base is params.flat for v in layer_views + params.ln_gain + params.ln_bias)
+
+
+class TestFlatParameters:
+    def test_init_params_packs_every_tensor(self):
+        assert_views_into_flat(init_params(5, 8, 2, rng=3))
+
+    def test_direct_construction_packs_every_tensor(self):
+        assert_views_into_flat(random_model(np.random.default_rng(43), 5, 7, 3))
+
+    def test_copy_owns_a_new_buffer(self):
+        params = random_model(np.random.default_rng(44), 5, 7, 2)
+        clone = params.copy()
+        assert_views_into_flat(clone)
+        assert not np.shares_memory(clone.flat, params.flat)
+        np.testing.assert_array_equal(clone.flat, params.flat)
+        clone.layers[0].tau[:] += 1.0
+        clone.flat[-1] = 99.0
+        assert params.b_out[-1] != 99.0
+        assert not np.array_equal(clone.layers[0].tau, params.layers[0].tau)
+
+    def test_in_place_edits_reach_the_buffer(self):
+        params = random_model(np.random.default_rng(45), 5, 7, 2)
+        for name, arr in params.named_parameters():
+            arr[(0,) * arr.ndim] = 123.0
+        view = params.unflatten(params.flat)
+        for name, arr in view.items():
+            assert arr[(0,) * arr.ndim] == 123.0, name
+
+    def test_layers_passed_in_stay_the_callers(self):
+        rng = np.random.default_rng(47)
+        layer = random_layer(rng, 5, 7)
+        tau = layer.tau
+        params = ModelParams(
+            layers=[layer], ln_gain=[np.ones(7)], ln_bias=[np.zeros(7)], W_out=np.zeros((7, 2)), b_out=np.zeros(2),
+        )
+        other = ModelParams(
+            layers=[layer], ln_gain=[np.ones(7)], ln_bias=[np.zeros(7)], W_out=np.zeros((7, 2)), b_out=np.zeros(2),
+        )
+        assert layer.tau is tau and not np.shares_memory(layer.tau, params.flat)
+        params.layers[0].tau[:] = 3.0
+        assert not np.any(other.layers[0].tau == 3.0) and not np.any(layer.tau == 3.0)
+        assert_views_into_flat(params)
+        assert_views_into_flat(other)
+
+    def test_load_checkpoint_packs_every_tensor(self, tmp_path):
+        params = random_model(np.random.default_rng(46), 5, 8, 2)
+        path = tmp_path / "model.json"
+        save_checkpoint(path, params, Vocabulary(channels=("A", "B"), campaigns=("c1", "c2")))
+        loaded, _, _ = load_checkpoint(path)
+        assert_views_into_flat(loaded)
+        np.testing.assert_array_equal(loaded.flat, params.flat)
+
+
 class TestInitAndCheckpoint:
     def test_init_respects_conventions(self):
         params = init_params(7, 12, 2, t_span_hours=100.0, rng=0)
@@ -483,6 +720,19 @@ class TestInitAndCheckpoint:
         for (na, a), (nb, b) in zip(params.named_parameters(), loaded.named_parameters()):
             assert na == nb
             np.testing.assert_array_equal(a, b)
+
+    def test_checkpoint_bytes_equal_json_dump(self, tmp_path):
+        # the C encoder behind json.dumps writes what json.dump would
+        import io
+
+        params = random_model(np.random.default_rng(24), 5, 8, 2)
+        path = tmp_path / "model.json"
+        save_checkpoint(path, params, Vocabulary(channels=("A", "B"), campaigns=("c1", "c2")), seed=4)
+        written = path.read_text(encoding="utf-8")
+        expected = io.StringIO()
+        json.dump(json.loads(written), expected)
+        expected.write("\n")
+        assert written == expected.getvalue()
 
     def test_checkpoint_shape_tamper_rejected(self, tmp_path):
         import json as _json

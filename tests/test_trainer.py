@@ -6,10 +6,13 @@ import pytest
 
 from deepmta.errors import ConfigError, EvaluationError, TrainingDivergedError, ValidationError, VocabularyError
 from deepmta.journey import GeneratorConfig, Vocabulary, encode_journey, generate_synthetic
-from deepmta.model import backward_batch, forward_batch, forward_sequence, init_params
+import deepmta.trainer as trainer_mod
+from deepmta.model import backward_batch, clamp_gate_timing, forward_batch, forward_sequence, init_params
 from deepmta.trainer import (
+    MOMENTUM,
     EvalResult,
     TrainConfig,
+    _batches,
     _loss_and_grad_batch,
     _train_val_split,
     auc_score,
@@ -91,6 +94,10 @@ class TestPresets:
 
     def test_default_optimizer_is_plain_sgd(self):
         assert TrainConfig().optimizer == "sgd"
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ConfigError, match="seed"):
+            TrainConfig(seed=-1)
 
     def test_bad_config_values(self):
         with pytest.raises(ConfigError):
@@ -176,6 +183,89 @@ class TestTrain:
         vocab = Vocabulary(channels=("A", "B"), campaigns=("c",))
         with pytest.raises(ValidationError):
             train([], vocab, TrainConfig())
+
+
+def reference_clip_gradients(grads, max_norm):
+    sq = 0.0
+    for arr in grads.values():
+        sq += float(np.sum(arr * arr))
+    norm = np.sqrt(sq)
+    if norm > max_norm:
+        scale = max_norm / norm
+        for arr in grads.values():
+            arr *= scale
+
+
+def reference_train(journeys, vocab, cfg, clip_norm):
+    """`train` with the per-tensor clip, momentum, SGD and clamp loop: the
+    readable oracle of the flat update. Returns the trained parameters."""
+    encoded = [encode_journey(j, vocab) for j in journeys]
+    rng = np.random.default_rng(cfg.seed)
+    train_idx, _ = _train_val_split(len(encoded), cfg.val_fraction, rng)
+    time_idx = vocab.encoding_dim - 1
+    params = init_params(
+        input_dim=vocab.encoding_dim, hidden_size=cfg.hidden_size, n_layers=cfg.n_layers, dropout_p=cfg.dropout_p,
+        t_span_hours=max(1.0, max(float(e.times.max()) for e in encoded)), rng=rng, r_on_init=cfg.r_on_init,
+    )
+    frozen_rows = ("layers.0.W_xi", "layers.0.W_xf", "layers.0.W_xc", "layers.0.W_xo")
+    for name in ("W_xi", "W_xf", "W_xc", "W_xo"):
+        getattr(params.layers[0], name)[time_idx, :] = 0.0
+    velocity = {name: np.zeros_like(arr) for name, arr in params.named_parameters()} if cfg.optimizer == "sgd_momentum" else None
+    for _ in range(cfg.epochs):
+        order = train_idx[rng.permutation(len(train_idx))]
+        for _, feats, times, labels in _batches(encoded, order, cfg.batch_size):
+            logits, trace = forward_batch(feats, times, params, training=True, rng=rng)
+            _, grad_logits = _loss_and_grad_batch(logits, labels)
+            grads = dict(backward_batch(trace, grad_logits))
+            for name in frozen_rows:
+                grads[name][time_idx, :] = 0.0
+            reference_clip_gradients(grads, clip_norm)
+            for name, arr in params.named_parameters():
+                g = grads[name]
+                if velocity is not None:
+                    v = velocity[name]
+                    v *= MOMENTUM
+                    v += g
+                    g = v
+                arr -= cfg.learning_rate * g
+            clamp_gate_timing(params)
+    return params
+
+
+class TestFlatUpdateMatchesReference:
+    @pytest.mark.parametrize("optimizer", ("sgd", "sgd_momentum"))
+    @pytest.mark.parametrize("clip_norm, clipped", ((1e-3, "1"), (1e9, "0"), (trainer_mod.GRAD_CLIP_NORM, None)))
+    def test_parameters_identical(self, small_planted, monkeypatch, capsys, optimizer, clip_norm, clipped):
+        vocab, journeys = small_planted
+        cfg = TrainConfig(hidden_size=8, epochs=2, batch_size=16, seed=7, optimizer=optimizer, learning_rate=0.05)
+        monkeypatch.setattr(trainer_mod, "GRAD_CLIP_NORM", clip_norm)
+        result = train(journeys[:160], vocab, cfg)
+        expected = reference_train(journeys[:160], vocab, cfg, clip_norm)
+        assert result.params.flat.tobytes() == expected.flat.tobytes()
+        for (name, a), (_, b) in zip(result.params.named_parameters(), expected.named_parameters()):
+            assert a.tobytes() == b.tobytes(), name
+        shares = [line.split("clipped_share=")[1] for line in capsys.readouterr().err.splitlines()]
+        assert len(shares) == cfg.epochs
+        if clipped is not None:
+            assert shares == [clipped] * cfg.epochs
+
+
+class TestEpochTelemetry:
+    def test_one_stderr_line_per_epoch(self, small_planted, capsys):
+        vocab, journeys = small_planted
+        result = train(journeys[:120], vocab, TrainConfig(hidden_size=8, epochs=3, batch_size=16, seed=2))
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 3
+        keys = ["epoch", "train_loss", "val_loss", "seconds", "grad_norm_mean", "grad_norm_max", "clipped_share"]
+        for epoch, line in enumerate(lines):
+            fields = dict(item.split("=") for item in line.split())
+            assert list(fields) == keys
+            assert int(fields["epoch"]) == epoch
+            assert float(fields["train_loss"]) == pytest.approx(result.train_losses[epoch], rel=1e-5)
+            assert float(fields["val_loss"]) == pytest.approx(result.val_losses[epoch], rel=1e-5)
+            assert float(fields["seconds"]) >= 0
+            assert 0 < float(fields["grad_norm_mean"]) <= float(fields["grad_norm_max"])
+            assert 0 <= float(fields["clipped_share"]) <= 1
 
 
 class TestPredict:
