@@ -51,10 +51,8 @@ from .model import (
     ForwardTrace,
     ModelParams,
     PhasedLstmLayerParams,
-    backward_sequence,
     cell_forward,
     dropout,
-    forward_sequence,
     init_params,
     layer_norm,
     load_checkpoint,

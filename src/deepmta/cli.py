@@ -273,7 +273,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except FileNotFoundError as exc:
+    except OSError as exc:  # a path that is missing, a directory, or not writable
         _info(f"error: {exc}")
         return 2
     except (ConfigError, ValidationError, DimensionError) as exc:

@@ -11,16 +11,21 @@ norm statistics into the arrays `_layer_backward` reads) and without (eval
 and the attribution trie keep no backward cache). Tests cover the kernel
 against the reference and its two modes against each other.
 
-Every tensor is a view into one vector, `ModelParams.flat`, and
-`backward_batch` writes the gradients into a fresh vector of the same layout,
-so an optimizer step is a few whole-vector operations. The backward's reverse
-loop carries only the recurrence; a test keeps a per-step loop as its oracle.
+`param_shapes` is the one table of the tensors' names, shapes and order.
+`ModelParams` checks every tensor against it once, as it copies it into one
+vector, `ModelParams.flat`, of which each tensor is then a view; the
+checkpoint loader reads against the same table. `backward_batch` writes the
+gradients into a fresh vector of the same layout, so an optimizer step is a
+few whole-vector operations. The backward's reverse loop carries only the
+recurrence; a test keeps a per-step loop as its oracle. The time gates'
+closed-phase leak rate is one hyperparameter of the model, `ModelParams.alpha`.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +38,7 @@ from .errors import (
     TraceError,
     ValidationError,
 )
-from .journey import EncodedJourney, Vocabulary, vocabulary_from_dict
+from .journey import Vocabulary, vocabulary_from_dict
 
 LN_EPS = 1e-5
 N_CLASSES = 2
@@ -41,14 +46,6 @@ ALPHA_TRAIN_DEFAULT = 1e-3
 RON_INIT = 0.05
 TAU_MIN = 1e-2
 RON_CLAMP = 1e-3
-
-LAYER_TENSOR_FIELDS = (
-    "W_xi", "W_xf", "W_xc", "W_xo",
-    "W_hi", "W_hf", "W_hc", "W_ho",
-    "w_ci", "w_cf", "w_co",
-    "b_i", "b_f", "b_c", "b_o",
-    "tau", "s", "r_on",
-)
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -77,19 +74,16 @@ def _gate_forward(t, tau, s, r_on, alpha):
     return k, phi
 
 
-def _validate_gate_params(tau, s, r_on, alpha):
-    tau = np.asarray(tau, dtype=np.float64)
-    s = np.asarray(s, dtype=np.float64)
-    r_on = np.asarray(r_on, dtype=np.float64)
-    if not (np.all(np.isfinite(tau)) and np.all(np.isfinite(s)) and np.all(np.isfinite(r_on))):
-        raise ParameterError("time gate parameters must be finite")
+def _check_gate_ranges(tau, r_on):
     if np.any(tau <= 0):
         raise ParameterError("tau must be positive")
     if np.any(r_on <= 0) or np.any(r_on >= 1):
         raise ParameterError("r_on must lie in (0, 1)")
+
+
+def _check_alpha(alpha):
     if not np.isfinite(alpha) or alpha < 0:
         raise ParameterError("alpha must be a finite value >= 0")
-    return tau, s, r_on, float(alpha)
 
 
 def time_gate(t, tau, s, r_on, alpha):
@@ -99,11 +93,14 @@ def time_gate(t, tau, s, r_on, alpha):
     per-unit periods, phase shifts, and open ratios. alpha is the closed-phase
     leak rate.
     """
-    tau, s, r_on, alpha = _validate_gate_params(tau, s, r_on, alpha)
-    t = np.asarray(t, dtype=np.float64)
+    tau, s, r_on, t = (np.asarray(v, dtype=np.float64) for v in (tau, s, r_on, t))
+    if not (np.all(np.isfinite(tau)) and np.all(np.isfinite(s)) and np.all(np.isfinite(r_on))):
+        raise ParameterError("time gate parameters must be finite")
+    _check_gate_ranges(tau, r_on)
+    _check_alpha(alpha)
     if not np.all(np.isfinite(t)):
         raise ParameterError("t must be finite")
-    k, _ = _gate_forward(t, tau, s, r_on, alpha)
+    k, _ = _gate_forward(t, tau, s, r_on, float(alpha))
     return float(k) if np.ndim(k) == 0 else k
 
 
@@ -176,13 +173,24 @@ def dropout(v: np.ndarray, p: float, rng: np.random.Generator, training: bool) -
 # ---------------------------------------------------------------------------
 
 
+def _checked(name: str, value, shape: tuple[int, ...]) -> np.ndarray:
+    """value as a float64 array: DimensionError unless it has `shape`,
+    NumericError unless every entry is finite."""
+    arr = np.asarray(value, dtype=np.float64)
+    if arr.shape != shape:
+        raise DimensionError(f"{name} must have shape {shape}, got {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise NumericError(f"{name} contains non-finite values")
+    return arr
+
+
 @dataclass
 class PhasedLstmLayerParams:
     """All tensors of one recurrent layer.
 
     Input/recurrent/peephole weights and biases for the four gate blocks,
     plus per-unit gate timing (tau hours > 0, phase shift s, open ratio
-    r_on in (0,1)) and the scalar leak rate alpha.
+    r_on in (0,1)). The leak rate alpha is the model's, not the layer's.
     """
 
     W_xi: np.ndarray
@@ -203,12 +211,12 @@ class PhasedLstmLayerParams:
     tau: np.ndarray
     s: np.ndarray
     r_on: np.ndarray
-    alpha: float = ALPHA_TRAIN_DEFAULT
 
     def __post_init__(self):
-        for name in LAYER_TENSOR_FIELDS:
-            setattr(self, name, np.asarray(getattr(self, name), dtype=np.float64))
-        self.validate()
+        d, H = np.shape(self.W_xi)
+        for name, shape in _layer_shapes(d, H).items():
+            setattr(self, name, _checked(name, getattr(self, name), shape))
+        _check_gate_ranges(self.tau, self.r_on)
 
     @property
     def input_size(self) -> int:
@@ -218,27 +226,48 @@ class PhasedLstmLayerParams:
     def hidden_size(self) -> int:
         return self.W_xi.shape[1]
 
-    def validate(self) -> None:
-        d, H = self.W_xi.shape
-        for name in ("W_xf", "W_xc", "W_xo"):
-            if getattr(self, name).shape != (d, H):
-                raise DimensionError(f"{name} must have shape {(d, H)}")
-        for name in ("W_hi", "W_hf", "W_hc", "W_ho"):
-            if getattr(self, name).shape != (H, H):
-                raise DimensionError(f"{name} must have shape {(H, H)}")
-        for name in ("w_ci", "w_cf", "w_co", "b_i", "b_f", "b_c", "b_o", "tau", "s", "r_on"):
-            if getattr(self, name).shape != (H,):
-                raise DimensionError(f"{name} must have shape {(H,)}")
-        for name in LAYER_TENSOR_FIELDS:
-            if not np.all(np.isfinite(getattr(self, name))):
-                raise NumericError(f"{name} contains non-finite values")
-        _validate_gate_params(self.tau, self.s, self.r_on, self.alpha)
+
+LAYER_TENSOR_FIELDS = tuple(f.name for f in fields(PhasedLstmLayerParams))
+
+
+def _layer_shapes(d: int, H: int) -> dict[str, tuple[int, ...]]:
+    """The shape of each tensor of a layer of H units over d inputs."""
+    return {
+        name: (d, H) if name.startswith("W_x") else (H, H) if name.startswith("W_h") else (H,)
+        for name in LAYER_TENSOR_FIELDS
+    }
+
+
+def _bare_layer(tensors: dict[str, np.ndarray]) -> PhasedLstmLayerParams:
+    """A layer that holds `tensors` as they are, without the constructor's
+    checks: for tensors that ModelParams checks against its table."""
+    layer = object.__new__(PhasedLstmLayerParams)
+    vars(layer).update(tensors)
+    return layer
+
+
+def param_shapes(input_dim: int, hidden_size: int, n_layers: int) -> dict[str, tuple[int, ...]]:
+    """name -> shape of every tensor of a model, in the order of
+    `ModelParams.flat`: each layer's tensors, each layer norm's gain and
+    bias, then the output projection. The one source of the tensors'
+    names, shapes and order."""
+    shapes: dict[str, tuple[int, ...]] = {}
+    for idx in range(n_layers):
+        d = input_dim if idx == 0 else hidden_size
+        shapes.update((f"layers.{idx}.{name}", shape) for name, shape in _layer_shapes(d, hidden_size).items())
+    for idx in range(n_layers):
+        shapes[f"ln.{idx}.gain"] = (hidden_size,)
+        shapes[f"ln.{idx}.bias"] = (hidden_size,)
+    shapes["W_out"] = (hidden_size, N_CLASSES)
+    shapes["b_out"] = (N_CLASSES,)
+    return shapes
 
 
 @dataclass
 class ModelParams:
     """Full parameter set: stacked layers, per-layer layer-norm gain/bias,
-    and the per-step output projection to two classes."""
+    the per-step output projection to two classes, and the time gates'
+    closed-phase leak rate alpha, one for all layers."""
 
     layers: list[PhasedLstmLayerParams]
     ln_gain: list[np.ndarray]
@@ -246,52 +275,38 @@ class ModelParams:
     W_out: np.ndarray
     b_out: np.ndarray
     dropout_p: float = 0.5
+    alpha: float = ALPHA_TRAIN_DEFAULT
     flat: np.ndarray = field(init=False, repr=False)
     layout: dict[str, tuple[slice, tuple[int, ...]]] = field(init=False, repr=False)
 
     def __post_init__(self):
-        # the params own their layers: the caller's layer objects stay as they are
-        self.layers = [replace(layer) for layer in self.layers]
-        self.ln_gain = [np.asarray(g, dtype=np.float64) for g in self.ln_gain]
-        self.ln_bias = [np.asarray(b, dtype=np.float64) for b in self.ln_bias]
-        self.W_out = np.asarray(self.W_out, dtype=np.float64)
-        self.b_out = np.asarray(self.b_out, dtype=np.float64)
-        self.validate()
-        arrays = dict(self.named_parameters())
-        self.flat = np.concatenate([arr.ravel() for arr in arrays.values()])
-        ends = np.cumsum([arr.size for arr in arrays.values()]).tolist()
-        self.layout = {
-            name: (slice(end - arr.size, end), arr.shape) for (name, arr), end in zip(arrays.items(), ends)
-        }
-        views = self.unflatten(self.flat)
-        for idx, layer in enumerate(self.layers):
-            for fname in LAYER_TENSOR_FIELDS:
-                setattr(layer, fname, views[f"layers.{idx}.{fname}"])
-        self.ln_gain = [views[f"ln.{idx}.gain"] for idx in range(len(self.layers))]
-        self.ln_bias = [views[f"ln.{idx}.bias"] for idx in range(len(self.layers))]
-        self.W_out, self.b_out = views["W_out"], views["b_out"]
-
-    def validate(self) -> None:
-        if not self.layers:
+        n_layers = len(self.layers)
+        if n_layers < 1:
             raise DimensionError("at least one layer is required")
-        if len(self.ln_gain) != len(self.layers) or len(self.ln_bias) != len(self.layers):
+        if len(self.ln_gain) != n_layers or len(self.ln_bias) != n_layers:
             raise DimensionError("one layer-norm gain/bias pair per layer is required")
-        for idx, layer in enumerate(self.layers):
-            layer.validate()
-            if idx > 0 and layer.input_size != self.layers[idx - 1].hidden_size:
-                raise DimensionError(f"layer {idx} input size does not chain from layer {idx - 1}")
-            if self.ln_gain[idx].shape != (layer.hidden_size,) or self.ln_bias[idx].shape != (layer.hidden_size,):
-                raise DimensionError(f"layer {idx} layer-norm vectors must have shape ({layer.hidden_size},)")
-        H = self.layers[-1].hidden_size
-        if self.W_out.shape != (H, N_CLASSES):
-            raise DimensionError(f"W_out must have shape {(H, N_CLASSES)}")
-        if self.b_out.shape != (N_CLASSES,):
-            raise DimensionError(f"b_out must have shape {(N_CLASSES,)}")
         if not 0 <= self.dropout_p < 1:
             raise ParameterError(f"dropout_p must lie in [0, 1), got {self.dropout_p}")
-        for name, arr in self.named_parameters():
-            if not np.all(np.isfinite(arr)):
-                raise NumericError(f"{name} contains non-finite values")
+        _check_alpha(self.alpha)
+        self.layout, end = {}, 0
+        for name, shape in param_shapes(self.layers[0].input_size, self.layers[0].hidden_size, n_layers).items():
+            self.layout[name] = (slice(end, end + math.prod(shape)), shape)
+            end += math.prod(shape)
+        # the params own their tensors: each given one is checked once, as it
+        # is copied in, and the caller's objects stay as they are
+        self.flat = np.empty(end)
+        views = self.unflatten(self.flat)
+        for name, value in self.named_parameters():
+            views[name][...] = _checked(name, value, views[name].shape)
+        self.layers = [
+            _bare_layer({fname: views[f"layers.{idx}.{fname}"] for fname in LAYER_TENSOR_FIELDS})
+            for idx in range(n_layers)
+        ]
+        for layer in self.layers:
+            _check_gate_ranges(layer.tau, layer.r_on)
+        self.ln_gain = [views[f"ln.{idx}.gain"] for idx in range(n_layers)]
+        self.ln_bias = [views[f"ln.{idx}.bias"] for idx in range(n_layers)]
+        self.W_out, self.b_out = views["W_out"], views["b_out"]
 
     @property
     def input_dim(self) -> int:
@@ -306,7 +321,7 @@ class ModelParams:
         return len(self.layers)
 
     def named_parameters(self):
-        """Yield (name, array) for every trainable tensor, in a fixed order."""
+        """Yield (name, array) for every trainable tensor, in `flat` order."""
         for idx, layer in enumerate(self.layers):
             for fname in LAYER_TENSOR_FIELDS:
                 yield f"layers.{idx}.{fname}", getattr(layer, fname)
@@ -337,7 +352,6 @@ def init_params(
     dropout_p: float = 0.5,
     t_span_hours: float = 240.0,
     rng: np.random.Generator | int | None = None,
-    alpha: float = ALPHA_TRAIN_DEFAULT,
     r_on_init: float = RON_INIT,
     time_feature_index: int | None = None,
 ) -> ModelParams:
@@ -384,7 +398,6 @@ def init_params(
                 tau=tau,
                 s=tau * rng.random(H),
                 r_on=np.full(H, r_on_init),
-                alpha=alpha,
             )
         )
         ln_gain.append(np.ones(H))
@@ -424,7 +437,7 @@ def cell_forward(
     params: PhasedLstmLayerParams,
     ln_gain: np.ndarray | None = None,
     ln_bias: np.ndarray | None = None,
-    alpha: float | None = None,
+    alpha: float = ALPHA_TRAIN_DEFAULT,
 ):
     """One recurrence step on a single example (reference implementation).
 
@@ -461,7 +474,7 @@ def cell_forward(
     c_tilde = f_g * c0 + i_g * u_g
     o_g = _sigmoid(a_o + lp.w_co * c0 + lp.b_o)
     h_tilde = o_g * np.tanh(c_tilde)
-    k, phi = _gate_forward(t, lp.tau, lp.s, lp.r_on, lp.alpha if alpha is None else alpha)
+    k, phi = _gate_forward(t, lp.tau, lp.s, lp.r_on, alpha)
     c_t = k * c_tilde + (1.0 - k) * c0
     h_t = k * h_tilde + (1.0 - k) * h0
     cache = {
@@ -617,9 +630,10 @@ def forward_batch(
     """Run the full stack over a batch of equal-length sequences.
 
     features: (B, T, d); times: (B, T) hours. Returns (logits (B,T,2), trace).
-    The closed-phase leak is active only while training; inference uses
-    alpha = 0. Dropout applies between layers while training; masks may be
-    supplied explicitly (already scaled) for reproducible gradient checks.
+    The closed-phase leak `params.alpha` is active only while training;
+    inference uses alpha = 0. Dropout applies between layers while training;
+    masks may be supplied explicitly (already scaled) for reproducible
+    gradient checks.
     Only a training forward keeps the backward cache that `backward_batch`
     needs.
     """
@@ -645,8 +659,8 @@ def forward_batch(
     top = None
     for idx, lp in enumerate(params.layers):
         layer_inputs.append(layer_in)
-        alpha_eff = lp.alpha if training else 0.0
-        h_seq, cache = _layer_forward(layer_in, tt, lp, params.ln_gain[idx], params.ln_bias[idx], alpha_eff, training)
+        alpha = params.alpha if training else 0.0
+        h_seq, cache = _layer_forward(layer_in, tt, lp, params.ln_gain[idx], params.ln_bias[idx], alpha, training)
         caches.append(cache)
         if idx < params.n_layers - 1:
             if training and p > 0:
@@ -674,17 +688,6 @@ def forward_batch(
         logits=logits,
     )
     return logits, trace
-
-
-def forward_sequence(
-    enc: EncodedJourney,
-    params: ModelParams,
-    training: bool = False,
-    rng: np.random.Generator | None = None,
-):
-    """Forward one encoded journey; returns (logits (T,2), trace)."""
-    logits, trace = forward_batch(enc.features[None, :, :], enc.times[None, :], params, training=training, rng=rng)
-    return logits[0], trace
 
 
 # ---------------------------------------------------------------------------
@@ -806,14 +809,6 @@ def backward_batch(trace: ForwardTrace, grad_logits: np.ndarray) -> Gradients:
     return grads
 
 
-def backward_sequence(trace: ForwardTrace, grad_logits: np.ndarray) -> dict[str, np.ndarray]:
-    """Gradients for a single-sequence trace; accepts (T,2) or (1,T,2)."""
-    gl = np.asarray(grad_logits, dtype=np.float64)
-    if gl.ndim == 2:
-        gl = gl[None, :, :]
-    return backward_batch(trace, gl)
-
-
 # ---------------------------------------------------------------------------
 # checkpoint I/O
 # ---------------------------------------------------------------------------
@@ -821,35 +816,8 @@ def backward_sequence(trace: ForwardTrace, grad_logits: np.ndarray) -> dict[str,
 CHECKPOINT_VERSION = 1
 
 
-def _expected_shapes(input_dim: int, hidden_size: int, n_layers: int) -> dict[str, tuple[int, ...]]:
-    shapes: dict[str, tuple[int, ...]] = {}
-    for idx in range(n_layers):
-        d = input_dim if idx == 0 else hidden_size
-        H = hidden_size
-        for fname in LAYER_TENSOR_FIELDS:
-            if fname.startswith("W_x"):
-                shapes[f"layers.{idx}.{fname}"] = (d, H)
-            elif fname.startswith("W_h"):
-                shapes[f"layers.{idx}.{fname}"] = (H, H)
-            else:
-                shapes[f"layers.{idx}.{fname}"] = (H,)
-    for idx in range(n_layers):
-        shapes[f"ln.{idx}.gain"] = (hidden_size,)
-        shapes[f"ln.{idx}.bias"] = (hidden_size,)
-    shapes["W_out"] = (hidden_size, N_CLASSES)
-    shapes["b_out"] = (N_CLASSES,)
-    return shapes
-
-
 def save_checkpoint(path: str | Path, params: ModelParams, vocab: Vocabulary, seed: int = 0) -> None:
-    """Write a JSON checkpoint with flat row-major float64 tensors.
-
-    The format holds one alpha for the whole model, so layers with different
-    alphas are a ParameterError rather than a file that reloads differently.
-    """
-    alpha = params.layers[0].alpha
-    if any(layer.alpha != alpha for layer in params.layers):
-        raise ParameterError(f"a checkpoint holds one alpha; the layers have {[lp.alpha for lp in params.layers]}")
+    """Write a JSON checkpoint with flat row-major float64 tensors."""
     obj = {
         "format_version": CHECKPOINT_VERSION,
         "vocab": {"channels": list(vocab.channels), "campaigns": list(vocab.campaigns)},
@@ -858,7 +826,7 @@ def save_checkpoint(path: str | Path, params: ModelParams, vocab: Vocabulary, se
             "hidden_size": params.hidden_size,
             "n_layers": params.n_layers,
             "dropout_p": params.dropout_p,
-            "alpha": alpha,
+            "alpha": params.alpha,
         },
         "tensors": {
             name: {"shape": list(arr.shape), "data": arr.ravel().tolist()}
@@ -882,7 +850,8 @@ def _entry(obj: dict, key: str, kind, where: str, default=None):
 
 def load_checkpoint(path: str | Path) -> tuple[ModelParams, Vocabulary, int]:
     """Read a checkpoint, validating its structure and every tensor shape
-    against hyperparams; a malformed file is a ValidationError."""
+    against the `param_shapes` table of its hyperparams; a malformed file is
+    a ValidationError."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             obj = json.load(fh)
@@ -899,11 +868,12 @@ def load_checkpoint(path: str | Path) -> tuple[ModelParams, Vocabulary, int]:
         raise ValidationError("checkpoint input_dim, hidden_size and n_layers must be >= 1")
     dropout_p = _entry(hp, "dropout_p", (int, float), "hyperparam", 0.5)
     alpha = _entry(hp, "alpha", (int, float), "hyperparam", ALPHA_TRAIN_DEFAULT)
-    expected = _expected_shapes(input_dim, hidden_size, n_layers)
     tensors = _entry(obj, "tensors", dict, "field")
-    missing = sorted(set(expected) - set(tensors))
-    if missing:
-        raise ValidationError(f"checkpoint is missing tensors: {missing[:4]}")
+    # the table's size, known before it is built: a huge n_layers fails here
+    n_tensors = (len(LAYER_TENSOR_FIELDS) + 2) * n_layers + 2
+    if len(tensors) != n_tensors:
+        raise ValidationError(f"checkpoint has {len(tensors)} tensors, but n_layers {n_layers} needs {n_tensors}")
+    expected = param_shapes(input_dim, hidden_size, n_layers)
     extra = sorted(set(tensors) - set(expected))
     if extra:
         raise ValidationError(f"checkpoint has unexpected tensors: {extra[:4]}")
@@ -918,20 +888,21 @@ def load_checkpoint(path: str | Path) -> tuple[ModelParams, Vocabulary, int]:
             arr = None
         if arr is None or arr.ndim != 1 or arr.dtype.kind not in "iuf":
             raise ValidationError(f"tensor {name!r} data must be a flat list of numbers")
-        if arr.size != int(np.prod(shape)):
+        if arr.size != math.prod(shape):
             raise ValidationError(f"tensor {name!r} data length does not match its shape")
-        arrays[name] = arr.astype(np.float64).reshape(shape)
-    layers = []
-    for idx in range(n_layers):
-        fields = {fname: arrays[f"layers.{idx}.{fname}"] for fname in LAYER_TENSOR_FIELDS}
-        layers.append(PhasedLstmLayerParams(**fields, alpha=float(alpha)))
+        arrays[name] = arr.reshape(shape)
+    # ModelParams checks each tensor's finiteness as it packs it
     params = ModelParams(
-        layers=layers,
+        layers=[
+            _bare_layer({fname: arrays[f"layers.{idx}.{fname}"] for fname in LAYER_TENSOR_FIELDS})
+            for idx in range(n_layers)
+        ],
         ln_gain=[arrays[f"ln.{idx}.gain"] for idx in range(n_layers)],
         ln_bias=[arrays[f"ln.{idx}.bias"] for idx in range(n_layers)],
         W_out=arrays["W_out"],
         b_out=arrays["b_out"],
         dropout_p=float(dropout_p),
+        alpha=float(alpha),
     )
     vocab = vocabulary_from_dict(obj.get("vocab"), "checkpoint vocab")
     if params.input_dim != vocab.encoding_dim:

@@ -138,27 +138,24 @@ def emit_report(report: ChannelReport, baseline: ChannelReport, path: str | Path
     if fmt not in ("csv", "json"):
         raise ValidationError(f"unknown report format {fmt!r}")
     rows, totals = _comparison_rows(report, baseline)
-    try:
-        if fmt == "csv":
-            with open(path, "w", newline="", encoding="utf-8") as fh:
-                writer = csv.DictWriter(fh, fieldnames=REPORT_FIELDS)
-                writer.writeheader()
-                for row in rows + [totals]:
-                    writer.writerow({k: (repr(v) if isinstance(v, float) else v) for k, v in row.items()})
-        else:
-            obj = {
-                "method": report.method,
-                "baseline_method": baseline.method,
-                "channels": rows,
-                "totals": totals,
-                "attributed_journeys": report.attributed_journeys,
-                "unattributed_journeys": report.unattributed_journeys,
-            }
-            with open(path, "w", encoding="utf-8") as fh:
-                json.dump(obj, fh, indent=2)
-                fh.write("\n")
-    except OSError as exc:
-        raise ValidationError(f"cannot write report to {path}: {exc}") from None
+    if fmt == "csv":
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.DictWriter(fh, fieldnames=REPORT_FIELDS)
+            writer.writeheader()
+            for row in rows + [totals]:
+                writer.writerow({k: (repr(v) if isinstance(v, float) else v) for k, v in row.items()})
+    else:
+        obj = {
+            "method": report.method,
+            "baseline_method": baseline.method,
+            "channels": rows,
+            "totals": totals,
+            "attributed_journeys": report.attributed_journeys,
+            "unattributed_journeys": report.unattributed_journeys,
+        }
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(obj, fh, indent=2)
+            fh.write("\n")
 
 
 def load_report_csv(path: str | Path) -> tuple[list[dict], dict]:

@@ -116,7 +116,6 @@ def constant_class0_model(input_dim, H=6):
            np.full(H, 0.5) if f == "r_on" else
            np.zeros(H)
            for f in LAYER_TENSOR_FIELDS},
-        alpha=0.0,
     )
     return ModelParams(
         layers=[zeros_layer(input_dim), zeros_layer(H)],
@@ -125,6 +124,7 @@ def constant_class0_model(input_dim, H=6):
         W_out=np.zeros((H, 2)),
         b_out=np.array([4.0, -4.0]),
         dropout_p=0.0,
+        alpha=0.0,
     )
 
 

@@ -445,6 +445,25 @@ def test_bad_numeric_flag_exits_2(pipeline, tmp_path, capsys, command, flag, val
     assert kv == {} and not out.exists()
 
 
+@pytest.mark.parametrize("command", ("gen", "train", "eval", "attribute", "report", "report --attr"))
+def test_directory_as_path_exits_2(pipeline, tmp_path, capsys, command):
+    # each subcommand's output path, and report's --attr input, naming a directory
+    d = str(tmp_path)
+    data, ckpt = str(pipeline["data"]), str(pipeline["ckpt"])
+    argv = {
+        "gen": ["gen", "--out", d, "--journeys", "20"],
+        "train": ["train", "--data", data, "--vocab", str(pipeline["vocab"]), "--out", d, "--epochs", "1",
+                  "--hidden-size", "4"],
+        "eval": ["eval", "--model", ckpt, "--data", data, "--roc-out", d],
+        "attribute": ["attribute", "--model", ckpt, "--data", data, "--out", d],
+        "report": ["report", "--attr", str(pipeline["attr"]), "--data", data, "--out", d],
+        "report --attr": ["report", "--attr", d, "--data", data, "--out", str(tmp_path / "report.csv")],
+    }[command]
+    code, _, err = run_cli(capsys, argv)
+    assert code == 2
+    assert "error:" in err and "Traceback" not in err
+
+
 def test_every_stage_ends_with_seconds(tmp_path, capsys):
     data, vocab = tmp_path / "j.jsonl", tmp_path / "j.vocab.json"
     ckpt, attr = tmp_path / "m.json", tmp_path / "a.jsonl"

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,15 +19,14 @@ from deepmta.model import (
     PhasedLstmLayerParams,
     _gate_backward,
     backward_batch,
-    backward_sequence,
     cell_forward,
     cell_step,
     dropout,
     forward_batch,
-    forward_sequence,
     init_params,
     layer_norm,
     load_checkpoint,
+    param_shapes,
     save_checkpoint,
     time_gate,
     _layer_forward,
@@ -34,7 +34,7 @@ from deepmta.model import (
 from deepmta.trainer import softmax
 
 
-def random_layer(rng, d, H, alpha=1e-3, scale=0.4):
+def random_layer(rng, d, H, scale=0.4):
     return PhasedLstmLayerParams(
         W_xi=rng.normal(0, scale, (d, H)), W_xf=rng.normal(0, scale, (d, H)),
         W_xc=rng.normal(0, scale, (d, H)), W_xo=rng.normal(0, scale, (d, H)),
@@ -46,12 +46,11 @@ def random_layer(rng, d, H, alpha=1e-3, scale=0.4):
         tau=np.exp(rng.uniform(np.log(2.0), np.log(40.0), H)),
         s=rng.uniform(0, 30, H),
         r_on=rng.uniform(0.2, 0.8, H),
-        alpha=alpha,
     )
 
 
 def random_model(rng, d, H, n_layers, dropout_p=0.0, alpha=1e-3):
-    layers = [random_layer(rng, d if i == 0 else H, H, alpha) for i in range(n_layers)]
+    layers = [random_layer(rng, d if i == 0 else H, H) for i in range(n_layers)]
     return ModelParams(
         layers=layers,
         ln_gain=[rng.uniform(0.5, 1.5, H) for _ in range(n_layers)],
@@ -59,6 +58,7 @@ def random_model(rng, d, H, n_layers, dropout_p=0.0, alpha=1e-3):
         W_out=rng.normal(0, 0.4, (H, 2)),
         b_out=rng.normal(0, 0.2, 2),
         dropout_p=dropout_p,
+        alpha=alpha,
     )
 
 
@@ -109,14 +109,14 @@ class TestTimeGate:
 class TestCellForward:
     def test_closed_gate_preserves_state(self):
         rng = np.random.default_rng(1)
-        lp = random_layer(rng, 4, 6, alpha=0.0)
+        lp = random_layer(rng, 4, 6)
         lp.s[:] = 0.0
         lp.tau[:] = 10.0
         lp.r_on[:] = 0.1
         h0 = rng.normal(0, 1, 6)
         c0 = rng.normal(0, 1, 6)
         # t chosen so phi = 0.5 lands in the leak branch for every unit
-        h1, c1, cache = cell_forward(rng.normal(0, 1, 4), h0, c0, 5.0, lp)
+        h1, c1, cache = cell_forward(rng.normal(0, 1, 4), h0, c0, 5.0, lp, alpha=0.0)
         np.testing.assert_array_equal(cache["k"], 0.0)
         np.testing.assert_array_equal(h1, h0)
         np.testing.assert_array_equal(c1, c0)
@@ -144,9 +144,8 @@ class TestCellForward:
                np.full(H, 0.5) if f == "r_on" else
                np.zeros(H)
                for f in LAYER_TENSOR_FIELDS},
-            alpha=0.0,
         )
-        h1, c1, cache = cell_forward(np.zeros(d), np.zeros(H), np.zeros(H), 0.5, zeros_layer)
+        h1, c1, cache = cell_forward(np.zeros(d), np.zeros(H), np.zeros(H), 0.5, zeros_layer, alpha=0.0)
         np.testing.assert_array_equal(cache["i"], 0.5)
         np.testing.assert_array_equal(cache["f"], 0.5)
         np.testing.assert_array_equal(cache["o"], 0.5)
@@ -218,8 +217,8 @@ class TestForwardSequence:
         rng = np.random.default_rng(6)
         params = random_model(rng, 5, 8, 2)
         enc = make_enc(rng, 1, 5)
-        logits, trace = forward_sequence(enc, params)
-        assert logits.shape == (1, 2)
+        logits, trace = forward_batch(enc.features[None], enc.times[None], params)
+        assert logits[0].shape == (1, 2)
         assert np.all(np.isfinite(logits))
 
     def test_zero_feature_row_ok(self):
@@ -227,15 +226,15 @@ class TestForwardSequence:
         params = random_model(rng, 5, 8, 2)
         enc = make_enc(rng, 4, 5)
         enc.features[2, :] = 0.0
-        logits, _ = forward_sequence(enc, params)
+        logits, _ = forward_batch(enc.features[None], enc.times[None], params)
         assert np.all(np.isfinite(logits))
 
     def test_inference_deterministic(self):
         rng = np.random.default_rng(8)
         params = random_model(rng, 5, 8, 2, dropout_p=0.4)
         enc = make_enc(rng, 6, 5)
-        l1, _ = forward_sequence(enc, params)
-        l2, _ = forward_sequence(enc, params)
+        l1, _ = forward_batch(enc.features[None], enc.times[None], params)
+        l2, _ = forward_batch(enc.features[None], enc.times[None], params)
         np.testing.assert_array_equal(l1, l2)
 
     def test_matches_cell_forward_loop(self):
@@ -243,7 +242,7 @@ class TestForwardSequence:
         rng = np.random.default_rng(9)
         params = random_model(rng, 5, 8, 2)
         enc = make_enc(rng, 7, 5)
-        logits, _ = forward_sequence(enc, params)
+        logits = forward_batch(enc.features[None], enc.times[None], params)[0][0]
 
         x = enc.features
         manual = np.zeros_like(logits)
@@ -271,8 +270,8 @@ class TestForwardSequence:
         times = np.stack([e.times for e in encs])
         batched, _ = forward_batch(feats, times, params)
         for i, enc in enumerate(encs):
-            single, _ = forward_sequence(enc, params)
-            np.testing.assert_allclose(batched[i], single, atol=1e-12)
+            single, _ = forward_batch(enc.features[None], enc.times[None], params)
+            np.testing.assert_allclose(batched[i], single[0], atol=1e-12)
 
     @pytest.mark.parametrize("H", (7, 8))
     def test_infer_step_matches_layer_forward(self, H):
@@ -312,7 +311,7 @@ class TestForwardSequence:
         params = random_model(rng, 5, 8, 2)
         enc = make_enc(rng, 4, 6)
         with pytest.raises(DimensionError):
-            forward_sequence(enc, params)
+            forward_batch(enc.features[None], enc.times[None], params)
 
     def test_training_dropout_requires_rng(self):
         from deepmta.errors import ConfigError
@@ -321,7 +320,7 @@ class TestForwardSequence:
         params = random_model(rng, 5, 8, 2, dropout_p=0.5)
         enc = make_enc(rng, 4, 5)
         with pytest.raises(ConfigError):
-            forward_sequence(enc, params, training=True)
+            forward_batch(enc.features[None], enc.times[None], params, training=True)
 
     def test_no_nan_over_many_random_steps(self):
         rng = np.random.default_rng(12)
@@ -388,8 +387,8 @@ class TestBackward:
         rng = np.random.default_rng(13)
         params = random_model(rng, 4, 6, 2)
         enc = make_enc(rng, 3, 4)
-        logits, trace = forward_sequence(enc, params, training=True)
-        grads = backward_sequence(trace, np.zeros_like(logits))
+        logits, trace = forward_batch(enc.features[None], enc.times[None], params, training=True)
+        grads = backward_batch(trace, np.zeros_like(logits))
         for name, _ in params.named_parameters():
             np.testing.assert_array_equal(grads[name], 0.0)
 
@@ -441,19 +440,19 @@ class TestBackward:
         rng = np.random.default_rng(17)
         params = random_model(rng, 4, 6, 2)
         enc = make_enc(rng, 3, 4)
-        _, trace = forward_sequence(enc, params, training=True)
+        _, trace = forward_batch(enc.features[None], enc.times[None], params, training=True)
         with pytest.raises(TraceError):
-            backward_sequence(trace, np.zeros((5, 2)))
+            backward_batch(trace, np.zeros((5, 2))[None])
 
     def test_inference_trace_rejected(self):
         # an inference forward keeps no backward cache
         rng = np.random.default_rng(17)
         params = random_model(rng, 4, 6, 2)
         enc = make_enc(rng, 3, 4)
-        logits, trace = forward_sequence(enc, params)
+        logits, trace = forward_batch(enc.features[None], enc.times[None], params)
         assert trace.caches == [None, None]
         with pytest.raises(TraceError, match="training=True"):
-            backward_sequence(trace, np.zeros_like(logits))
+            backward_batch(trace, np.zeros_like(logits))
 
 
 def reference_ln_backward(dn: np.ndarray, a_hat: np.ndarray, inv_std: np.ndarray, gain: np.ndarray):
@@ -763,15 +762,6 @@ class TestInitAndCheckpoint:
         with pytest.raises(NumericError, match=name):
             load_checkpoint(path)
 
-    def test_checkpoint_rejects_per_layer_alphas(self, tmp_path):
-        # the format holds one alpha; [0.001, 0.0] must not reload as [0.001, 0.001]
-        params = random_model(np.random.default_rng(23), 5, 8, 2)
-        params.layers[1].alpha = 0.0
-        path = tmp_path / "model.json"
-        with pytest.raises(ParameterError, match="alpha"):
-            save_checkpoint(path, params, Vocabulary(channels=("A", "B"), campaigns=("c1", "c2")))
-        assert not path.exists()
-
     def test_checkpoint_vocab_dim_mismatch(self, tmp_path):
         rng = np.random.default_rng(20)
         params = random_model(rng, 4, 8, 2)
@@ -780,6 +770,69 @@ class TestInitAndCheckpoint:
         save_checkpoint(path, params, vocab)
         with pytest.raises(ValidationError, match="encoding dim"):
             load_checkpoint(path)
+
+    def test_golden_checkpoint_round_trips_to_its_bytes(self, tmp_path):
+        # a checkpoint of format version 1 (d=5, H=4, two layers, alpha
+        # 0.002), written before the parameter table and the model-wide
+        # alpha: loading and saving it again gives back the same bytes
+        golden = Path(__file__).parent / "data" / "checkpoint_v1.json"
+        loaded, vocab, seed = load_checkpoint(golden)
+        assert loaded.alpha == 0.002
+        path = tmp_path / "model.json"
+        save_checkpoint(path, loaded, vocab, seed=seed)
+        assert path.read_bytes() == golden.read_bytes()
+
+
+class TestParameterTable:
+    """`param_shapes` decides every tensor's name, shape and place in `flat`;
+    construction checks each tensor against it once."""
+
+    def test_layout_and_named_parameters_follow_the_table(self):
+        params = random_model(np.random.default_rng(48), 5, 7, 3)
+        shapes = param_shapes(5, 7, 3)
+        assert len(shapes) == 20 * 3 + 2
+        assert [(name, arr.shape) for name, arr in params.named_parameters()] == list(shapes.items())
+        assert [(name, shape) for name, (_, shape) in params.layout.items()] == list(shapes.items())
+
+    def test_each_tensor_is_checked_once(self, monkeypatch, tmp_path):
+        import deepmta.model as model_mod
+
+        params = random_model(np.random.default_rng(49), 5, 7, 2)
+        path = tmp_path / "model.json"
+        save_checkpoint(path, params, Vocabulary(channels=("A", "B"), campaigns=("c1", "c2")))
+        checked, real = [], model_mod._checked
+        monkeypatch.setattr(model_mod, "_checked", lambda name, *rest: checked.append(name) or real(name, *rest))
+        params.copy()
+        assert checked == list(params.layout)
+        checked.clear()
+        load_checkpoint(path)
+        assert checked == list(params.layout)
+
+    @pytest.mark.parametrize("alpha", (-0.1, float("nan"), float("inf")))
+    def test_alpha_must_be_finite_and_non_negative(self, alpha):
+        with pytest.raises(ParameterError, match="alpha"):
+            random_model(np.random.default_rng(50), 5, 7, 2, alpha=alpha)
+
+    def test_layers_share_one_hidden_size(self):
+        rng = np.random.default_rng(51)
+        with pytest.raises(DimensionError, match="layers.1.W_xi"):
+            ModelParams(
+                layers=[random_layer(rng, 5, 7), random_layer(rng, 7, 6)], ln_gain=[np.ones(7)] * 2,
+                ln_bias=[np.zeros(7)] * 2, W_out=np.zeros((7, 2)), b_out=np.zeros(2),
+            )
+
+    @pytest.mark.parametrize(
+        ("fname", "value", "error"), (("tau", np.nan, NumericError), ("tau", 0.0, ParameterError), ("r_on", 1.0, ParameterError))
+    )
+    def test_layer_edited_after_its_construction(self, fname, value, error):
+        rng = np.random.default_rng(52)
+        layers = [random_layer(rng, 5, 7), random_layer(rng, 7, 7)]
+        getattr(layers[1], fname)[3] = value
+        with pytest.raises(error, match=fname):
+            ModelParams(
+                layers=layers, ln_gain=[np.ones(7)] * 2, ln_bias=[np.zeros(7)] * 2, W_out=np.zeros((7, 2)),
+                b_out=np.zeros(2),
+            )
 
 
 def _saved_checkpoint(tmp_path):
@@ -817,6 +870,26 @@ class TestCheckpointStructure:
         del obj["hyperparams"]
         path.write_text(json.dumps(obj))
         with pytest.raises(ValidationError, match="hyperparams"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("n_layers", (3, 10**9))
+    def test_n_layers_beyond_the_tensors(self, tmp_path, monkeypatch, n_layers):
+        # the tensor count is checked before the shape table is built, so a
+        # huge n_layers fails at once instead of building a table that size
+        import deepmta.model as model_mod
+
+        path, obj = _saved_checkpoint(tmp_path)
+        obj["hyperparams"]["n_layers"] = n_layers
+        path.write_text(json.dumps(obj))
+        monkeypatch.setattr(model_mod, "param_shapes", lambda *args: pytest.fail("built the table"))
+        with pytest.raises(ValidationError, match="n_layers"):
+            load_checkpoint(path)
+
+    def test_renamed_tensor(self, tmp_path):
+        path, obj = _saved_checkpoint(tmp_path)
+        obj["tensors"]["W_final"] = obj["tensors"].pop("W_out")
+        path.write_text(json.dumps(obj))
+        with pytest.raises(ValidationError, match="W_final"):
             load_checkpoint(path)
 
     @pytest.mark.parametrize("value", (None, "8", 8.5, True, 0))

@@ -7,7 +7,7 @@ import pytest
 from deepmta.errors import ConfigError, EvaluationError, TrainingDivergedError, ValidationError, VocabularyError
 from deepmta.journey import GeneratorConfig, Vocabulary, encode_journey, generate_synthetic
 import deepmta.trainer as trainer_mod
-from deepmta.model import backward_batch, clamp_gate_timing, forward_batch, forward_sequence, init_params
+from deepmta.model import backward_batch, clamp_gate_timing, forward_batch, init_params
 from deepmta.trainer import (
     MOMENTUM,
     EvalResult,
@@ -393,8 +393,8 @@ class TestBatchLoopMatchesPerJourney:
         per_journey = []
         for i in val_idx:
             enc = encode_journey(journeys[i], vocab)
-            logits, _ = forward_sequence(enc, result.params)
-            per_journey.append(loss(logits, enc.labels))
+            logits, _ = forward_batch(enc.features[None], enc.times[None], result.params)
+            per_journey.append(loss(logits[0], enc.labels))
         np.testing.assert_allclose(result.val_losses[-1], np.mean(per_journey), rtol=1e-12)
 
     def test_empty_validation_split(self, bucketed):
