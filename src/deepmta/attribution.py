@@ -169,8 +169,6 @@ def _game_values(
     parallel)."""
 
     def scan(block):
-        # longest journey first, so the rows alive at a step are a prefix
-        block = sorted(block, key=lambda p: -games[p[0]].rows.shape[1])
         pieces = [(games[g].enc, games[g].rows[start:stop]) for g, start, stop in block]
         return (block, *_scan_block(params, pieces))
 
@@ -179,13 +177,21 @@ def _game_values(
         for (g, start, stop), acc in zip(block, accs):
             values[g][start:stop] = acc
             if start:
-                # the prefix nodes this piece shares with the one before
+                # the prefix nodes this piece shares with the one before; the
+                # block before stepped only those up to that row's last kept
+                # event
                 rows = games[g].rows
-                node_steps -= int(np.argmin(rows[start - 1] == rows[start]))
+                shared = int(np.argmin(rows[start - 1] == rows[start]))
+                node_steps -= min(shared, int(_last_kept(rows[start - 1:start])[0]) + 1)
         if stats is not None:
             stats.blocks += 1
             stats.node_steps += node_steps
     return [value[game.inverse] for value, game in zip(values, games)]
+
+
+def _last_kept(bits: np.ndarray) -> np.ndarray:
+    """Index of each row's last set bit, -1 for the all-zero row."""
+    return np.where(bits.any(axis=1), bits.shape[1] - 1 - np.argmax(bits[:, ::-1], axis=1), -1)
 
 
 def _scan_block(params: ModelParams, pieces: list[tuple[EncodedJourney, np.ndarray]]) -> tuple[list[np.ndarray], int]:
@@ -194,47 +200,57 @@ def _scan_block(params: ModelParams, pieces: list[tuple[EncodedJourney, np.ndarr
     node-steps.
 
     `pieces` are (journey, rows) with each journey's rows distinct and
-    lexicographically sorted, longest journey first. The model is causal and
-    a masked event keeps its slot and time, so a row's state at step t
-    depends only on its journey and mask[0..t]: one trie node. At step t
-    each node is stepped once by `cell_step`, with no cache, and its hard
-    label scored once; a full powerset of n events costs sum 2^(t+1)
-    node-steps instead of n * 2^n row-steps. The rows of journeys longer
-    than t are a prefix of the block. The time gate and layer 0's input
-    projection are computed once per (journey, step) and gathered per node.
+    lexicographically sorted. The model is causal and a masked event keeps
+    its slot and time, so a row's state at step t depends only on its
+    journey and mask[0..t]: one trie node. A row's value counts only its
+    kept steps, so a row is stepped up to its last kept event and no
+    further (the all-zero row not at all). At step t each node of the rows
+    still live is stepped once by `cell_step`, with no cache, and its hard
+    label scored once; a full powerset of n events costs 3 * 2^(n-1) - 2
+    node-steps instead of n * 2^n row-steps. Live rows keep their block
+    order, so the live rows of one node stay adjacent: a row starts a new
+    node where its bit or its previous node differs from the live row
+    before it. Each piece starts from a root node of its own, so no node
+    spans two pieces even where a piece's first rows have already left.
+    The time gate and layer 0's input projection are computed once per
+    (journey, step) and gathered per node.
     """
     weights = [_stacked_weights(lp) for lp in params.layers]
     lengths = np.array([rows.shape[1] for _, rows in pieces])
     sizes = np.array([len(rows) for _, rows in pieces])
     row_start = np.cumsum(sizes) - sizes
-    bits = np.zeros((sizes.sum(), lengths[0]), dtype=bool)
+    bits = np.zeros((sizes.sum(), lengths.max()), dtype=bool)
     for (_, rows), start in zip(pieces, row_start):
         bits[start:start + len(rows), :rows.shape[1]] = rows
-    row_piece = np.repeat(np.arange(len(pieces)), sizes)
-    alive = [int(sizes[lengths > t].sum()) for t in range(lengths[0] + 1)]
+    last = _last_kept(bits)
     # (journey, step) tables, indexed by the journey's first step plus t
     step0 = np.cumsum(lengths) - lengths
+    row_step0 = np.repeat(step0, sizes)
     times = np.concatenate([enc.times for enc, _ in pieces])
     labels = np.concatenate([enc.labels for enc, _ in pieces])
     x0 = np.concatenate([enc.features @ weights[0][0] for enc, _ in pieces])
     gates = [_gate_forward(times[:, None], lp.tau, lp.s, lp.r_on, 0.0)[0] for lp in params.layers]
 
-    states = [(np.zeros((1, lp.hidden_size)), np.zeros((1, lp.hidden_size))) for lp in params.layers]
-    matches = np.zeros(1, dtype=np.int64)
-    new_node = np.zeros(len(bits), dtype=bool)
-    new_node[row_start] = True
-    node = np.zeros(len(bits), dtype=np.int64)
-    final = np.empty(len(bits), dtype=np.int64)
+    # the live rows, as indices into the block, and each one's node at the
+    # previous step (its piece's root before step 0)
+    live = np.flatnonzero(last >= 0)
+    node = np.repeat(np.arange(len(pieces)), sizes)[live]
+    live_last = last[live]
+    states = [(np.zeros((len(pieces), lp.hidden_size)),) * 2 for lp in params.layers]
+    matches = np.zeros(len(pieces), dtype=np.int64)
+    final = np.zeros(len(bits), dtype=np.int64)
     node_steps = 0
-    for t in range(lengths[0]):
-        col = bits[:alive[t], t]
-        fresh = new_node[:alive[t]]
+    for t in range(last.max() + 1):
+        col = bits[live, t]
+        fresh = np.empty(len(live), dtype=bool)
+        fresh[0] = True
+        np.not_equal(node[1:], node[:-1], out=fresh[1:])
         fresh[1:] |= col[1:] != col[:-1]
         first = np.flatnonzero(fresh)
         parent = node[first]
         kept = col[first]
         node = np.cumsum(fresh) - 1
-        step = step0[row_piece[first]] + t
+        step = row_step0[live[first]] + t
         x = None
         for idx, (lp, (Wx, Wh)) in enumerate(zip(params.layers, weights)):
             h, c = (state[parent] for state in states[idx])
@@ -250,10 +266,12 @@ def _scan_block(params: ModelParams, pieces: list[tuple[EncodedJourney, np.ndarr
         hit = np.zeros(len(first), dtype=np.int64)
         hit[kept] = (softmax(logits)[:, 1] >= 0.5) == labels[step[kept]]
         matches = matches[parent] + hit
-        # rows whose journey ends at this step
-        ended = slice(alive[t + 1], alive[t])
-        final[ended] = matches[node[ended]]
         node_steps += len(first)
+        # rows whose last kept event is at this step leave with their count
+        done = live_last == t
+        final[live[done]] = matches[node[done]]
+        stay = ~done
+        live, node, live_last = live[stay], node[stay], live_last[stay]
     counts = bits.sum(axis=1)
     acc = np.where(counts > 0, final / np.maximum(counts, 1), 0.0)
     return np.split(acc, row_start[1:]), node_steps

@@ -64,6 +64,19 @@ def _info(message: str) -> None:
     print(message, file=sys.stderr)
 
 
+def _check_outputs(*paths) -> None:
+    """Fail before any work when an output path cannot be written: it names
+    a directory, its directory is missing, or it is not writable. Creates
+    and truncates nothing; None (an output not asked for) is skipped."""
+    for path in map(Path, filter(None, paths)):
+        if path.is_dir():
+            raise ConfigError(f"output path {path} is a directory")
+        if not path.parent.is_dir():
+            raise ConfigError(f"output path {path}: directory {path.parent} does not exist")
+        if not os.access(path if path.exists() else path.parent, os.W_OK):
+            raise ConfigError(f"output path {path} is not writable")
+
+
 def _cmd_gen(args) -> int:
     start = time.perf_counter()
     cfg = GeneratorConfig(
@@ -77,9 +90,10 @@ def _cmd_gen(args) -> int:
         time_span_hours=args.time_span_hours,
         include_nonconverted=args.include_nonconverted,
     )
-    vocab, journeys = generate_synthetic(cfg, seed=args.seed)
     out = Path(args.out)
     vocab_path = out.with_suffix(".vocab.json")
+    _check_outputs(out, vocab_path)
+    vocab, journeys = generate_synthetic(cfg, seed=args.seed)
     save_journeys(out, journeys)
     save_vocabulary(vocab_path, vocab)
     converted = sum(1 for j in journeys if j.converted)
@@ -93,6 +107,8 @@ def _cmd_gen(args) -> int:
 
 def _cmd_train(args) -> int:
     start = time.perf_counter()
+    history_path = args.history or str(Path(args.out).with_suffix(".history.csv"))
+    _check_outputs(args.out, history_path)
     journeys = load_journeys(args.data)
     vocab = load_vocabulary(args.vocab)
     overrides = {}
@@ -112,7 +128,6 @@ def _cmd_train(args) -> int:
     _info(f"training on {len(journeys)} journeys (preset {args.preset}, H={cfg.hidden_size}, {cfg.epochs} epochs)")
     result = train(journeys, vocab, cfg)
     save_checkpoint(args.out, result.params, result.vocab, seed=cfg.seed)
-    history_path = args.history or str(Path(args.out).with_suffix(".history.csv"))
     save_loss_history(history_path, result.train_losses, result.val_losses)
     _emit("final_train_loss", repr(result.train_losses[-1]))
     _emit("final_val_loss", repr(result.val_losses[-1]))
@@ -124,6 +139,7 @@ def _cmd_train(args) -> int:
 
 def _cmd_eval(args) -> int:
     start = time.perf_counter()
+    _check_outputs(args.roc_out)
     params, vocab, _ = load_checkpoint(args.model)
     journeys = load_journeys(args.data)
     result = evaluate_roc(params, vocab, journeys)
@@ -135,7 +151,16 @@ def _cmd_eval(args) -> int:
     return 0
 
 
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _attribution_workers() -> int:
+    """MTA_THREADS, capped at the CPUs this process may run on (their count
+    by default). Each worker is a thread that scans blocks; more workers
+    than CPUs add no speed, only smaller blocks and more threads."""
     env = os.environ.get("MTA_THREADS", "").strip()
     if env:
         try:
@@ -144,12 +169,13 @@ def _attribution_workers() -> int:
             raise ConfigError(f"MTA_THREADS must be an integer, got {env!r}") from None
         if workers < 1:
             raise ConfigError("MTA_THREADS must be >= 1")
-        return workers
-    return os.cpu_count() or 1
+        return min(workers, _usable_cpus())
+    return _usable_cpus()
 
 
 def _cmd_attribute(args) -> int:
     start = time.perf_counter()
+    _check_outputs(args.out)
     params, vocab, _ = load_checkpoint(args.model)
     journeys = load_journeys(args.data)
     stats = GameStats()
@@ -174,6 +200,7 @@ def _cmd_attribute(args) -> int:
 
 def _cmd_report(args) -> int:
     start = time.perf_counter()
+    _check_outputs(args.out, args.json)
     journeys = load_journeys(args.data)
     records = load_attributions(args.attr)
     if len(records) != len(journeys):

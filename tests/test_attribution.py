@@ -592,9 +592,15 @@ def forward_reference(params, enc, masks):
     return np.where(counts > 0, matches / np.maximum(counts, 1), 0.0)
 
 
-def distinct_prefix_steps(rows):
-    """Distinct (t, mask[0..t]) nodes of one game's rows."""
-    return sum(len(np.unique(rows[:, :t + 1], axis=0)) for t in range(rows.shape[1]))
+def live_prefix_steps(rows):
+    """Distinct (t, mask[0..t]) nodes of one game's rows that some row with a
+    kept event at t or later passes through, counted row by row."""
+    nodes = set()
+    for row in np.asarray(rows, dtype=bool):
+        kept = np.flatnonzero(row)
+        if len(kept):
+            nodes.update((t, row[:t + 1].tobytes()) for t in range(kept[-1] + 1))
+    return len(nodes)
 
 
 def mixed_journeys(rng, lengths):
@@ -651,8 +657,55 @@ class TestBlockScan:
         values = _game_values(params, games, workers=2, stats=stats)
         for enc, m, acc in zip(encs, masks, values):
             np.testing.assert_array_equal(acc, forward_reference(params, enc, m))
-        # node_steps counts each journey's prefixes once, across the cuts
-        assert stats.node_steps == sum(distinct_prefix_steps(game.rows) for game in games)
+        # node_steps counts each journey's live prefixes once, across the cuts
+        assert stats.node_steps == sum(live_prefix_steps(game.rows) for game in games)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_live_rows_match_reference(self, seed):
+        # rows with many trailing zeros and the all-zero row, with several
+        # 1-event journeys in one block: each of those has one live row,
+        # [1], alike across them
+        rng = np.random.default_rng(50 + seed)
+        params = init_params(VOCAB.encoding_dim, 6, 1 + seed % 2, t_span_hours=12.0, rng=seed)
+        games = []
+        for journey in mixed_journeys(rng, (1, 1, 7, 1, 12, 3, 1)):
+            n = len(journey.events)
+            masks = rng.integers(0, 2, size=(40, n))
+            masks[np.arange(n) >= rng.integers(0, n + 1, size=(40, 1))] = 0
+            masks[0] = 0
+            games.append(_Game.of(encode_journey(journey, VOCAB), masks != 0))
+        accs, node_steps = _scan_block(params, [(game.enc, game.rows) for game in games])
+        assert node_steps == sum(live_prefix_steps(game.rows) for game in games)
+        for game, acc in zip(games, accs):
+            np.testing.assert_array_equal(acc, forward_reference(params, game.enc, game.rows))
+            for row, value in zip(game.rows, acc):
+                assert value == masked_accuracy(params, game.enc, row)
+
+    def test_cut_after_a_row_with_trailing_zeros(self, monkeypatch):
+        # blocks of 3 rows cut powersets everywhere, also after a row whose
+        # last kept event comes before the prefix it shares with the next
+        # row: the block before stepped only part of that prefix
+        import deepmta.attribution as attribution
+
+        monkeypatch.setattr(attribution, "_BLOCK_ROWS", 3)
+        rng = np.random.default_rng(46)
+        params = init_params(VOCAB.encoding_dim, 6, 2, t_span_hours=12.0, rng=9)
+        encs = [encode_journey(j, VOCAB) for j in mixed_journeys(rng, (1, 5, 1, 6, 2))]
+        games = [_Game.of(enc, mask_powerset(len(enc.times)) != 0) for enc in encs]
+        blocks = _pack_blocks(games, workers=1)
+        cuts = [games[g].rows[start - 1:start + 1] for block in blocks for g, start, _ in block if start]
+        kept_before = [np.flatnonzero(before) for before, _ in cuts]
+        assert any(
+            (kept[-1] + 1 if len(kept) else 0) < np.argmin(before == after)
+            for kept, (before, after) in zip(kept_before, cuts)
+        )
+        stats = GameStats()
+        values = _game_values(params, games, stats=stats)
+        assert stats.blocks == len(blocks)
+        for game, acc in zip(games, values):
+            np.testing.assert_array_equal(acc, forward_reference(params, game.enc, mask_powerset(len(game.enc.times))))
+        steps = [3 * 2 ** (len(enc.times) - 1) - 2 for enc in encs]
+        assert stats.node_steps == sum(steps) == sum(live_prefix_steps(game.rows) for game in games)
 
     @pytest.mark.parametrize("workers", (1, 2, 5))
     def test_packing_covers_every_row_once(self, workers):
@@ -726,7 +779,7 @@ class TestBlockScan:
         stats = GameStats()
         batched = list(attribute_journeys(params, journeys, VOCAB, workers=1, stats=stats))
         assert windows == [1, 3, 2, 1]
-        assert stats.node_steps == sum(2 ** (len(j.events) + 1) - 2 for j in journeys)
+        assert stats.node_steps == sum(3 * 2 ** (len(j.events) - 1) - 2 for j in journeys)
         monkeypatch.undo()
         for journey, result in zip(journeys, batched):
             single = attribute_journey(params, journey, VOCAB)

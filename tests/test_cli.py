@@ -1,10 +1,14 @@
 import json
+import os
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
+import deepmta.attribution as attribution
+import deepmta.cli as cli
 from deepmta.cli import main
 from deepmta.errors import DeepMtaError, DimensionError, TraceError
 from deepmta.journey import load_journeys
@@ -195,6 +199,7 @@ class TestAttribute:
 
     def test_thread_env_preserves_output(self, pipeline, tmp_path, monkeypatch):
         # the worker count changes how rows are cut into blocks, never the output
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 4)
         for threads in ("1", "2", "4"):
             monkeypatch.setenv("MTA_THREADS", threads)
             out = tmp_path / f"attr_mt{threads}.jsonl"
@@ -207,7 +212,9 @@ class TestAttribute:
     @pytest.mark.parametrize("threads", ("1", "3"))
     def test_block_counters(self, pipeline, tmp_path, monkeypatch, capsys, threads):
         # every journey has at most 4 events, so auto scores its whole
-        # powerset: sum 2^(t+1) = 2^(n+1) - 2 distinct prefix node-steps
+        # powerset: 2^(t+1) live nodes at steps t < n-1 and 2^(n-1) at the
+        # last, 3 * 2^(n-1) - 2 node-steps in all
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 4)
         monkeypatch.setenv("MTA_THREADS", threads)
         code, kv, _ = run_cli(capsys, [
             "attribute", "--model", str(pipeline["ckpt"]), "--data", str(pipeline["data"]),
@@ -215,10 +222,40 @@ class TestAttribute:
         ])
         assert code == 0
         journeys = load_journeys(pipeline["data"])
-        assert int(kv["node_steps"]) == sum(2 ** (len(j.events) + 1) - 2 for j in journeys)
+        assert int(kv["node_steps"]) == sum(3 * 2 ** (len(j.events) - 1) - 2 for j in journeys)
         assert int(kv["blocks"]) >= int(threads)
         assert float(kv["seconds"]) > 0
         assert {"journeys", "unattributed", "out"} <= kv.keys()
+
+    def test_thread_env_capped_at_usable_cpus(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        for value, workers in (("100000", 3), ("2", 2), ("", 3)):
+            monkeypatch.setenv("MTA_THREADS", value)
+            assert cli._attribution_workers() == workers
+        # without affinity masks, the CPU count
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: 5)
+        monkeypatch.setenv("MTA_THREADS", "100000")
+        assert cli._attribution_workers() == 5
+
+    def test_huge_thread_env_starts_a_small_pool(self, pipeline, tmp_path, monkeypatch):
+        # the pool is recorded, and run on one thread whatever it asks for
+        sizes = []
+
+        def recorded(max_workers):
+            sizes.append(max_workers)
+            return ThreadPoolExecutor(max_workers=1)
+
+        monkeypatch.setattr(attribution, "ThreadPoolExecutor", recorded)
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 3)
+        monkeypatch.setenv("MTA_THREADS", "100000")
+        out = tmp_path / "a.jsonl"
+        assert main([
+            "attribute", "--model", str(pipeline["ckpt"]), "--data", str(pipeline["data"]),
+            "--out", str(out), "--method", "auto", "--seed", "1",
+        ]) == 0
+        assert sizes == [2]
+        assert out.read_bytes() == pipeline["attr"].read_bytes()
 
     @pytest.mark.parametrize("value", ("abc", "1.5", "0"))
     def test_malformed_thread_env_exits_2(self, pipeline, tmp_path, monkeypatch, capsys, value):
@@ -445,7 +482,7 @@ def test_bad_numeric_flag_exits_2(pipeline, tmp_path, capsys, command, flag, val
     assert kv == {} and not out.exists()
 
 
-@pytest.mark.parametrize("command", ("gen", "train", "eval", "attribute", "report", "report --attr"))
+@pytest.mark.parametrize("command", ("gen", "train", "eval", "attribute", "report", "report --json", "report --attr"))
 def test_directory_as_path_exits_2(pipeline, tmp_path, capsys, command):
     # each subcommand's output path, and report's --attr input, naming a directory
     d = str(tmp_path)
@@ -457,11 +494,32 @@ def test_directory_as_path_exits_2(pipeline, tmp_path, capsys, command):
         "eval": ["eval", "--model", ckpt, "--data", data, "--roc-out", d],
         "attribute": ["attribute", "--model", ckpt, "--data", data, "--out", d],
         "report": ["report", "--attr", str(pipeline["attr"]), "--data", data, "--out", d],
+        "report --json": ["report", "--attr", str(pipeline["attr"]), "--data", data,
+                          "--out", str(tmp_path / "report.csv"), "--json", d],
         "report --attr": ["report", "--attr", d, "--data", data, "--out", str(tmp_path / "report.csv")],
     }[command]
-    code, _, err = run_cli(capsys, argv)
+    code, kv, err = run_cli(capsys, argv)
     assert code == 2
     assert "error:" in err and "Traceback" not in err
+    # output paths are checked before any work: no training epoch runs and
+    # no other output is written
+    assert kv == {} and "epoch=" not in err
+    assert not (tmp_path / "report.csv").exists()
+
+
+def test_bad_output_path_leaves_existing_files_alone(pipeline, tmp_path, capsys):
+    # a checkpoint path that exists and a history path in a missing directory:
+    # the run stops before training and the checkpoint keeps its bytes
+    ckpt = tmp_path / "ckpt.json"
+    ckpt.write_text("old")
+    code, kv, err = run_cli(capsys, [
+        "train", "--data", str(pipeline["data"]), "--vocab", str(pipeline["vocab"]), "--out", str(ckpt),
+        "--history", str(tmp_path / "missing" / "h.csv"), "--epochs", "1", "--hidden-size", "4",
+    ])
+    assert code == 2
+    assert "does not exist" in err and "epoch=" not in err
+    assert kv == {} and ckpt.read_text() == "old"
+    assert not (tmp_path / "missing").exists()
 
 
 def test_every_stage_ends_with_seconds(tmp_path, capsys):
