@@ -1,9 +1,10 @@
 """Pipeline driver: gen, train, eval, attribute, and report subcommands.
 
-stdout carries machine-parseable key=value lines; progress and prose go to
-stderr. Exit codes: 0 ok, 2 usage/config/data/shape error (and any other
-package error), 3 numeric failure or trace mismatch, 4 evaluation
-impossible.
+stdout carries machine-parseable key=value lines, ending with the
+subcommand's `seconds=`; progress and prose go to stderr. Exit codes: 0 ok,
+else the `exit_code` of the package error that ended the run (2
+usage/config/data/shape, 3 numeric failure or trace mismatch, 4 evaluation
+impossible), and 2 for an unusable path.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import argparse
 import os
 import sys
 import time
+from dataclasses import fields
 from pathlib import Path
 
 # attribute_journey is not called here, but perfbench's tracer wraps
@@ -24,15 +26,7 @@ from .attribution import (  # noqa: F401
     load_attributions,
     save_attributions,
 )
-from .errors import (
-    ConfigError,
-    DeepMtaError,
-    DimensionError,
-    EvaluationError,
-    NumericError,
-    TraceError,
-    ValidationError,
-)
+from .errors import ConfigError, DeepMtaError, ValidationError
 from .journey import (
     GeneratorConfig,
     generate_synthetic,
@@ -64,21 +58,28 @@ def _info(message: str) -> None:
     print(message, file=sys.stderr)
 
 
-def _check_outputs(*paths) -> None:
-    """Fail before any work when an output path cannot be written: it names
-    a directory, its directory is missing, or it is not writable. Creates
-    and truncates nothing; None (an output not asked for) is skipped."""
-    for path in map(Path, filter(None, paths)):
+def _check_outputs(*paths, inputs=()) -> None:
+    """Fail before any work when an output path cannot be written (it names
+    a directory, its directory is missing, or it is not writable) or when
+    two of the command's paths, outputs or `inputs`, name the same file.
+    Creates and truncates nothing; None (an output not asked for) is
+    skipped."""
+    outputs = [Path(p) for p in paths if p]
+    for path in outputs:
         if path.is_dir():
             raise ConfigError(f"output path {path} is a directory")
         if not path.parent.is_dir():
             raise ConfigError(f"output path {path}: directory {path.parent} does not exist")
         if not os.access(path if path.exists() else path.parent, os.W_OK):
             raise ConfigError(f"output path {path} is not writable")
+    seen = {}
+    for path in [*outputs, *map(Path, inputs)]:
+        other = seen.setdefault(path.resolve(), path)
+        if other is not path:
+            raise ConfigError(f"paths {other} and {path} name the same file")
 
 
-def _cmd_gen(args) -> int:
-    start = time.perf_counter()
+def _cmd_gen(args) -> None:
     cfg = GeneratorConfig(
         n_journeys=args.journeys,
         n_channels=args.channels,
@@ -101,29 +102,16 @@ def _cmd_gen(args) -> int:
     _emit("conversion_rate", repr(converted / len(journeys)))
     _emit("out", out)
     _emit("vocab", vocab_path)
-    _emit("seconds", f"{time.perf_counter() - start:.3f}")
-    return 0
 
 
-def _cmd_train(args) -> int:
-    start = time.perf_counter()
+def _cmd_train(args) -> None:
     history_path = args.history or str(Path(args.out).with_suffix(".history.csv"))
-    _check_outputs(args.out, history_path)
+    _check_outputs(args.out, history_path, inputs=(args.data, args.vocab))
     journeys = load_journeys(args.data)
     vocab = load_vocabulary(args.vocab)
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.epochs is not None:
-        overrides["epochs"] = args.epochs
-    if args.batch_size is not None:
-        overrides["batch_size"] = args.batch_size
-    if args.learning_rate is not None:
-        overrides["learning_rate"] = args.learning_rate
-    if args.hidden_size is not None:
-        overrides["hidden_size"] = args.hidden_size
-    if args.dropout is not None:
-        overrides["dropout_p"] = args.dropout
+    # each TrainConfig flag's dest is the field it sets; a flag not given keeps the preset's value
+    names = {f.name for f in fields(TrainConfig)}
+    overrides = {key: value for key, value in vars(args).items() if key in names and value is not None}
     cfg = TrainConfig.preset(args.preset, **overrides)
     _info(f"training on {len(journeys)} journeys (preset {args.preset}, H={cfg.hidden_size}, {cfg.epochs} epochs)")
     result = train(journeys, vocab, cfg)
@@ -133,13 +121,10 @@ def _cmd_train(args) -> int:
     _emit("final_val_loss", repr(result.val_losses[-1]))
     _emit("checkpoint", args.out)
     _emit("history", history_path)
-    _emit("seconds", f"{time.perf_counter() - start:.3f}")
-    return 0
 
 
-def _cmd_eval(args) -> int:
-    start = time.perf_counter()
-    _check_outputs(args.roc_out)
+def _cmd_eval(args) -> None:
+    _check_outputs(args.roc_out, inputs=(args.model, args.data))
     params, vocab, _ = load_checkpoint(args.model)
     journeys = load_journeys(args.data)
     result = evaluate_roc(params, vocab, journeys)
@@ -147,8 +132,6 @@ def _cmd_eval(args) -> int:
     _emit("auc", repr(result.auc))
     _emit("per_step_accuracy", repr(result.per_step_accuracy))
     _emit("roc_out", args.roc_out)
-    _emit("seconds", f"{time.perf_counter() - start:.3f}")
-    return 0
 
 
 def _usable_cpus() -> int:
@@ -173,9 +156,8 @@ def _attribution_workers() -> int:
     return _usable_cpus()
 
 
-def _cmd_attribute(args) -> int:
-    start = time.perf_counter()
-    _check_outputs(args.out)
+def _cmd_attribute(args) -> None:
+    _check_outputs(args.out, inputs=(args.model, args.data))
     params, vocab, _ = load_checkpoint(args.model)
     journeys = load_journeys(args.data)
     stats = GameStats()
@@ -194,13 +176,10 @@ def _cmd_attribute(args) -> int:
     _emit("out", args.out)
     _emit("blocks", stats.blocks)
     _emit("node_steps", stats.node_steps)
-    _emit("seconds", f"{time.perf_counter() - start:.3f}")
-    return 0
 
 
-def _cmd_report(args) -> int:
-    start = time.perf_counter()
-    _check_outputs(args.out, args.json)
+def _cmd_report(args) -> None:
+    _check_outputs(args.out, args.json, inputs=(args.attr, args.data))
     journeys = load_journeys(args.data)
     records = load_attributions(args.attr)
     if len(records) != len(journeys):
@@ -236,8 +215,6 @@ def _cmd_report(args) -> int:
     _emit("total_deepmta_gmv", repr(report.total_gmv))
     _emit("total_lastclick_gmv", repr(baseline.total_gmv))
     _emit("out", args.out)
-    _emit("seconds", f"{time.perf_counter() - start:.3f}")
-    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -268,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
     tr.add_argument("--batch-size", type=int)
     tr.add_argument("--learning-rate", type=float)
     tr.add_argument("--hidden-size", type=int)
-    tr.add_argument("--dropout", type=float)
+    tr.add_argument("--dropout", type=float, dest="dropout_p", metavar="DROPOUT")
     tr.add_argument("--history", help="loss-history CSV path (default: alongside the checkpoint)")
     tr.set_defaults(func=_cmd_train)
 
@@ -298,23 +275,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    start = time.perf_counter()
     try:
-        return args.func(args)
-    except OSError as exc:  # a path that is missing, a directory, or not writable
+        args.func(args)
+    except (OSError, DeepMtaError) as exc:  # OSError: a path that is missing, a directory, or not writable
         _info(f"error: {exc}")
-        return 2
-    except (ConfigError, ValidationError, DimensionError) as exc:
-        _info(f"error: {exc}")
-        return 2
-    except (NumericError, TraceError) as exc:
-        _info(f"error: {exc}")
-        return 3
-    except EvaluationError as exc:
-        _info(f"error: {exc}")
-        return 4
-    except DeepMtaError as exc:
-        _info(f"error: {exc}")
-        return 2
+        return getattr(exc, "exit_code", 2)
+    _emit("seconds", f"{time.perf_counter() - start:.3f}")
+    return 0
 
 
 if __name__ == "__main__":

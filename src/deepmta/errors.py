@@ -1,8 +1,16 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+Each class's `exit_code` is the CLI's exit status when that error ends a
+subcommand: 2 for bad data, configuration or shapes, 3 for a numeric
+failure or trace mismatch, 4 when evaluation is impossible. Subclasses
+inherit their parent's code.
+"""
 
 
 class DeepMtaError(Exception):
     """Base class for all package errors."""
+
+    exit_code = 2
 
 
 class ValidationError(DeepMtaError):
@@ -32,6 +40,8 @@ class DimensionError(DeepMtaError):
 class NumericError(DeepMtaError):
     """A computation produced or received non-finite values."""
 
+    exit_code = 3
+
 
 class TrainingDivergedError(NumericError):
     """Training loss became non-finite."""
@@ -46,6 +56,10 @@ class TrainingDivergedError(NumericError):
 class EvaluationError(DeepMtaError):
     """Evaluation is impossible on the given data (e.g. one class only)."""
 
+    exit_code = 4
+
 
 class TraceError(DeepMtaError):
     """A forward trace does not match the backward call using it."""
+
+    exit_code = 3

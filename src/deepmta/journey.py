@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -14,6 +15,7 @@ from .errors import ConfigError, SequenceLengthError, ValidationError, Vocabular
 
 MAX_SEQ_LEN = 32
 SECONDS_PER_HOUR = 3600.0
+_FLOAT_MAX = sys.float_info.max
 
 
 @dataclass(frozen=True)
@@ -25,12 +27,14 @@ class ClickEvent:
     timestamp: int
 
     def __post_init__(self):
-        if not self.channel_id or not isinstance(self.channel_id, str):
-            raise ValidationError("channel_id must be a non-empty token")
-        if not self.campaign_id or not isinstance(self.campaign_id, str):
-            raise ValidationError("campaign_id must be a non-empty token")
-        if not isinstance(self.timestamp, int) or self.timestamp < 0:
-            raise ValidationError("timestamp must be an integer >= 0")
+        if not (isinstance(self.channel_id, str) and self.channel_id):
+            raise ValidationError("channel_id must be a non-empty string")
+        if not (isinstance(self.campaign_id, str) and self.campaign_id):
+            raise ValidationError("campaign_id must be a non-empty string")
+        ts = self.timestamp
+        # encode_journey divides timestamps as floats
+        if isinstance(ts, bool) or not isinstance(ts, int) or not 0 <= ts <= _FLOAT_MAX:
+            raise ValidationError("timestamp must be an integer >= 0 that fits a float")
 
 
 def _expected_labels(n_events: int, converted: bool) -> list[int]:
@@ -54,15 +58,21 @@ class CustomerJourney:
     labels: list[int] = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self):
-        if not self.user_id:
-            raise ValidationError("user_id must be a non-empty token")
+        if not (isinstance(self.user_id, str) and self.user_id):
+            raise ValidationError("user_id must be a non-empty string")
         if len(self.events) < 1:
             raise ValidationError("a journey must contain at least one event")
         for prev, cur in zip(self.events, self.events[1:]):
             if cur.timestamp < prev.timestamp:
                 raise ValidationError("events must be sorted by non-decreasing timestamp")
-        if not math.isfinite(self.gmv):
-            raise ValidationError(f"gmv must be finite, got {self.gmv!r}")
+        if not isinstance(self.converted, bool):
+            raise ValidationError("converted must be true or false")
+        if isinstance(self.gmv, bool) or not isinstance(self.gmv, (int, float)):
+            raise ValidationError("gmv must be a number")
+        # NaN fails both comparisons; an int too large for a float fails one
+        if not -_FLOAT_MAX <= self.gmv <= _FLOAT_MAX:
+            raise ValidationError("gmv must be finite")
+        self.gmv = float(self.gmv)
         if self.gmv < 0:
             raise ValidationError("gmv must be non-negative")
         if self.gmv > 0 and not self.converted:
@@ -314,31 +324,27 @@ def journey_to_dict(journey: CustomerJourney) -> dict:
     }
 
 
-def _journey_from_dict(obj: dict, line_no: int) -> CustomerJourney:
+def _require_object(obj, keys: tuple[str, ...], what: str) -> None:
     if not isinstance(obj, dict):
-        raise ValidationError(f"line {line_no}: journey record must be a JSON object")
-    for key, kinds in (("user_id", str), ("events", list), ("converted", bool), ("gmv", (int, float))):
+        raise ValidationError(f"{what} must be a JSON object")
+    for key in keys:
         if key not in obj:
-            raise ValidationError(f"line {line_no}: missing field {key!r}")
-        if not isinstance(obj[key], kinds):
-            raise ValidationError(f"line {line_no}: field {key!r} has the wrong type")
-    events = []
-    for j, ev in enumerate(obj["events"]):
-        if not isinstance(ev, dict):
-            raise ValidationError(f"line {line_no}: event {j} must be a JSON object")
-        for key, kinds in (("channel", str), ("campaign", str), ("ts", int)):
-            if key not in ev or isinstance(ev.get(key), bool) or not isinstance(ev.get(key), kinds):
-                raise ValidationError(f"line {line_no}: event {j} field {key!r} missing or wrong type")
-        events.append(ClickEvent(channel_id=ev["channel"], campaign_id=ev["campaign"], timestamp=ev["ts"]))
+            raise ValidationError(f"{what} is missing field {key!r}")
+
+
+def _journey_from_dict(obj, line_no: int) -> CustomerJourney:
+    """The journey of one JSONL record. Only the record's shape is checked
+    here; ClickEvent and CustomerJourney check its values. Every
+    ValidationError names the line."""
     try:
-        return CustomerJourney(
-            user_id=obj["user_id"],
-            events=events,
-            converted=obj["converted"],
-            gmv=float(obj["gmv"]),
-        )
-    except OverflowError:
-        raise ValidationError(f"line {line_no}: gmv must be finite, got an integer too large for a float") from None
+        _require_object(obj, ("user_id", "events", "converted", "gmv"), "journey record")
+        if not isinstance(obj["events"], list):
+            raise ValidationError("field 'events' must be a list")
+        events = []
+        for j, ev in enumerate(obj["events"]):
+            _require_object(ev, ("channel", "campaign", "ts"), f"event {j}")
+            events.append(ClickEvent(channel_id=ev["channel"], campaign_id=ev["campaign"], timestamp=ev["ts"]))
+        return CustomerJourney(user_id=obj["user_id"], events=events, converted=obj["converted"], gmv=obj["gmv"])
     except ValidationError as exc:
         raise ValidationError(f"line {line_no}: {exc}") from None
 
@@ -394,10 +400,15 @@ def save_vocabulary(path: str | Path, vocab: Vocabulary) -> None:
         fh.write("\n")
 
 
-def load_vocabulary(path: str | Path) -> Vocabulary:
+def read_json(path: str | Path, what: str):
+    """The parsed value of a whole-file JSON document; a file that is not
+    JSON is a ValidationError naming `what` and the path."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            obj = json.load(fh)
+            return json.load(fh)
         except ValueError as exc:  # also not UTF-8, or an integer of more than 4300 digits
-            raise ValidationError(f"vocabulary {path} is not JSON ({exc})") from None
-    return vocabulary_from_dict(obj, f"vocabulary {path}")
+            raise ValidationError(f"{what} {path} is not JSON ({exc})") from None
+
+
+def load_vocabulary(path: str | Path) -> Vocabulary:
+    return vocabulary_from_dict(read_json(path, "vocabulary"), f"vocabulary {path}")

@@ -38,7 +38,7 @@ from .errors import (
     TraceError,
     ValidationError,
 )
-from .journey import Vocabulary, vocabulary_from_dict
+from .journey import Vocabulary, read_json, vocabulary_from_dict
 
 LN_EPS = 1e-5
 N_CLASSES = 2
@@ -852,11 +852,7 @@ def load_checkpoint(path: str | Path) -> tuple[ModelParams, Vocabulary, int]:
     """Read a checkpoint, validating its structure and every tensor shape
     against the `param_shapes` table of its hyperparams; a malformed file is
     a ValidationError."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            obj = json.load(fh)
-        except ValueError as exc:  # also not UTF-8, or an integer of more than 4300 digits
-            raise ValidationError(f"checkpoint {path} is not JSON ({exc})") from None
+    obj = read_json(path, "checkpoint")
     if not isinstance(obj, dict) or obj.get("format_version") != CHECKPOINT_VERSION:
         version = obj.get("format_version") if isinstance(obj, dict) else None
         raise ValidationError(f"unsupported checkpoint format_version {version!r}")

@@ -10,7 +10,19 @@ import pytest
 import deepmta.attribution as attribution
 import deepmta.cli as cli
 from deepmta.cli import main
-from deepmta.errors import DeepMtaError, DimensionError, TraceError
+from deepmta.errors import (
+    ConfigError,
+    DeepMtaError,
+    DimensionError,
+    EvaluationError,
+    NumericError,
+    ParameterError,
+    SequenceLengthError,
+    TraceError,
+    TrainingDivergedError,
+    ValidationError,
+    VocabularyError,
+)
 from deepmta.journey import load_journeys
 from deepmta.report import load_report_csv
 
@@ -109,6 +121,25 @@ class TestTrain:
         ])
         assert code == 0
         assert float(kv["final_train_loss"]) > 0
+
+    def test_every_train_flag_reaches_the_config(self, pipeline, tmp_path, capsys, monkeypatch):
+        seen = {}
+
+        def capture(journeys, vocab, cfg):
+            seen["cfg"] = cfg
+            raise DeepMtaError("stop before training")
+
+        monkeypatch.setattr(cli, "train", capture)
+        code, _, _ = run_cli(capsys, [
+            "train", "--data", str(pipeline["data"]), "--vocab", str(pipeline["vocab"]),
+            "--out", str(tmp_path / "ckpt.json"), "--seed", "4", "--epochs", "3", "--batch-size", "8",
+            "--learning-rate", "0.05", "--hidden-size", "6", "--dropout", "0.25",
+        ])
+        assert code == 2
+        cfg = seen["cfg"]
+        assert (cfg.seed, cfg.epochs, cfg.batch_size, cfg.learning_rate, cfg.hidden_size, cfg.dropout_p) == (
+            4, 3, 8, 0.05, 6, 0.25
+        )
 
     def test_missing_data_exits_2(self, tmp_path, capsys):
         code = main([
@@ -385,6 +416,15 @@ def test_attribution_not_utf8_exits_2(pipeline, tmp_path, capsys):
         (DimensionError("masks must be (m, 3)"), 2),
         (TraceError("trace does not match"), 3),
         (DeepMtaError("some other package error"), 2),
+        (ValidationError("bad record"), 2),
+        (VocabularyError("unknown channel token 'Z'"), 2),
+        (SequenceLengthError("journey too long"), 2),
+        (ConfigError("bad setting"), 2),
+        (ParameterError("bad tau"), 2),
+        (OSError("disk gone"), 2),
+        (NumericError("non-finite weights"), 3),
+        (TrainingDivergedError(epoch=1, step=2), 3),
+        (EvaluationError("one class only"), 4),
     ),
 )
 def test_package_errors_map_to_exit_codes(pipeline, monkeypatch, capsys, error, code):
@@ -522,6 +562,49 @@ def test_bad_output_path_leaves_existing_files_alone(pipeline, tmp_path, capsys)
     assert not (tmp_path / "missing").exists()
 
 
+@pytest.mark.parametrize("command", ("train", "report", "eval", "attribute"))
+def test_colliding_paths_exit_2(pipeline, tmp_path, capsys, command):
+    # two outputs, or an output and an input, naming one file: the run stops
+    # before any work and the file keeps its bytes
+    data, vocab, attr = str(pipeline["data"]), str(pipeline["vocab"]), str(pipeline["attr"])
+    victim = tmp_path / "victim"
+    source = {"eval": pipeline["ckpt"], "attribute": pipeline["data"]}.get(command)
+    victim.write_bytes(source.read_bytes() if source else b"old")
+    (tmp_path / "sub").mkdir()
+    before = victim.read_bytes()
+    argv = {
+        "train": ["train", "--data", data, "--vocab", vocab, "--out", str(victim), "--history", str(victim),
+                  "--epochs", "1", "--hidden-size", "4"],
+        "report": ["report", "--attr", attr, "--data", data, "--out", str(victim), "--json", str(victim)],
+        "eval": ["eval", "--model", str(victim), "--data", data, "--roc-out", str(tmp_path / "sub" / ".." / "victim")],
+        "attribute": ["attribute", "--model", str(pipeline["ckpt"]), "--data", str(victim), "--out", str(victim)],
+    }[command]
+    code, kv, err = run_cli(capsys, argv)
+    assert code == 2
+    assert "name the same file" in err and "epoch=" not in err and "Traceback" not in err
+    assert kv == {} and victim.read_bytes() == before
+
+
+@pytest.mark.parametrize("command", ("eval", "train", "attribute"))
+def test_ts_too_large_for_a_float_exits_2(pipeline, tmp_path, capsys, command):
+    lines = pipeline["data"].read_text().splitlines()
+    obj = json.loads(lines[1])
+    obj["events"][0]["ts"] = 10 ** 400
+    data = tmp_path / "journeys.jsonl"
+    data.write_text("\n".join([lines[0], json.dumps(obj)]) + "\n")
+    out = tmp_path / "out"
+    argv = {
+        "eval": ["eval", "--model", str(pipeline["ckpt"]), "--data", str(data), "--roc-out", str(out)],
+        "train": ["train", "--data", str(data), "--vocab", str(pipeline["vocab"]), "--out", str(out),
+                  "--epochs", "1", "--hidden-size", "4"],
+        "attribute": ["attribute", "--model", str(pipeline["ckpt"]), "--data", str(data), "--out", str(out)],
+    }[command]
+    code, kv, err = run_cli(capsys, argv)
+    assert code == 2
+    assert "line 2" in err and "fits a float" in err and "Traceback" not in err
+    assert kv == {} and not out.exists()
+
+
 def test_every_stage_ends_with_seconds(tmp_path, capsys):
     data, vocab = tmp_path / "j.jsonl", tmp_path / "j.vocab.json"
     ckpt, attr = tmp_path / "m.json", tmp_path / "a.jsonl"
@@ -574,7 +657,7 @@ def test_non_finite_checkpoint_exits_3(pipeline, tmp_path, capsys, command):
     assert kv == {} and not out.exists()
 
 
-def test_module_entry_point(tmp_path):
+def test_module_entry_point(pipeline, tmp_path):
     out = tmp_path / "data.jsonl"
     proc = subprocess.run(
         [sys.executable, "-m", "deepmta", "gen", "--out", str(out), "--journeys", "20", "--seed", "1"],
@@ -583,3 +666,14 @@ def test_module_entry_point(tmp_path):
     assert proc.returncode == 0
     assert "journeys=20" in proc.stdout
     assert out.exists()
+    # a failing run's exit code is the process's exit status
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text(out.read_text().splitlines()[0] + "\n{broken\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "deepmta", "eval", "--model", str(pipeline["ckpt"]), "--data", str(bad),
+         "--roc-out", str(tmp_path / "roc.csv")],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 2
+    assert "line 2" in proc.stderr and "Traceback" not in proc.stderr
+    assert proc.stdout == ""

@@ -44,6 +44,20 @@ class TestJourneyInvariants:
         with pytest.raises(ValidationError):
             CustomerJourney("u1", [ev("A", 1), ev("B", 2)], True, 1.0, labels=[1, 0])
 
+    @pytest.mark.parametrize("ts", (True, -1, pytest.param(10 ** 400, id="int-too-large"), 1.0))
+    def test_bad_timestamp_rejected(self, ts):
+        with pytest.raises(ValidationError, match="timestamp"):
+            ClickEvent("a", "b", ts)
+
+    @pytest.mark.parametrize("converted", (1, "yes", None))
+    def test_non_bool_converted_rejected(self, converted):
+        with pytest.raises(ValidationError, match="converted"):
+            CustomerJourney("u1", [ev("A", 1)], converted, 0.0)
+
+    def test_integer_gmv_stored_as_float(self):
+        j = CustomerJourney("u1", [ev("A", 1)], True, 5)
+        assert type(j.gmv) is float and j.gmv == 5.0
+
 
 class TestSplitStream:
     def test_single_conversion(self):
@@ -264,6 +278,37 @@ class TestJsonlRoundTrip:
         good = {"user_id": "u", "events": [{"channel": "A", "campaign": "c", "ts": 1}], "converted": True, "gmv": 5.0}
         path.write_text(json.dumps(good) + "\n" + json.dumps(good).replace("5.0", value) + "\n")
         with pytest.raises(ValidationError, match="line 2: gmv must be finite"):
+            load_journeys(path)
+
+    @pytest.mark.parametrize(
+        ("field", "value", "message"),
+        (
+            ("channel", "", "channel_id"),
+            ("campaign", "", "campaign_id"),
+            ("ts", -1, "timestamp"),
+            ("ts", True, "timestamp"),
+            pytest.param("ts", 10 ** 400, "fits a float", id="ts-int-too-large"),
+            ("event", 7, "event 0 must be a JSON object"),
+            ("event", {"channel": "A", "campaign": "c"}, "event 0 is missing field 'ts'"),
+            ("user_id", 7, "user_id"),
+            ("converted", "yes", "converted"),
+            ("gmv", "5", "gmv must be a number"),
+            ("gmv", True, "gmv must be a number"),
+        ),
+    )
+    def test_bad_value_names_its_line(self, tmp_path, field, value, message):
+        # the types check every value; the reader adds the line to their errors
+        good = {"user_id": "u", "events": [{"channel": "A", "campaign": "c", "ts": 1}], "converted": True, "gmv": 5.0}
+        bad = json.loads(json.dumps(good))
+        if field in ("channel", "campaign", "ts"):
+            bad["events"][0][field] = value
+        elif field == "event":
+            bad["events"][0] = value
+        else:
+            bad[field] = value
+        path = tmp_path / "bad.jsonl"
+        path.write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n")
+        with pytest.raises(ValidationError, match=f"line 2: .*{message}"):
             load_journeys(path)
 
     def test_missing_field_named(self, tmp_path):
