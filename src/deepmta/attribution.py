@@ -13,12 +13,13 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ConfigError, DimensionError, NumericError, ValidationError
 from .journey import CustomerJourney, EncodedJourney, Vocabulary, encode_journey, read_jsonl
-from .model import ModelParams, _gate_forward, _stacked_weights, cell_step, forward_batch
+from .model import ModelParams, _bare_layer, _gate_forward, _stacked_weights, cell_step, forward_batch
 from .trainer import softmax
 
 EXACT_LIMIT = 12
@@ -26,9 +27,14 @@ OLS_SAMPLE_ROWS = 2048
 RIDGE = 1e-8
 KERNEL_ENDPOINT_WEIGHT = 1e6
 # distinct mask rows per trie block. A block's scan holds about ten
-# state-sized arrays per row (5 KB a row at 64 units), so a worker's memory
-# stays near that of one journey's scan
+# state-sized float32 arrays per row (about 2.5 KB a row at 64 units), so a
+# worker's memory stays near that of one journey's scan
 _BLOCK_ROWS = 1024
+# the trie scores in float32; a scored node whose float32 logit margin is
+# smaller than this gets its hard label from a float64 scan. The largest
+# float32 margin error measured is about 1.2e-5, so outside the band both
+# precisions give the same label
+RECHECK_MARGIN = 1e-3
 # most permutation-prefix rows, n_samples * (n + 1), one sampled journey may
 # plan: 2048 samples of a 32-event journey take 67584 rows, and at the limit
 # its prefix matrix takes 32 MB
@@ -121,11 +127,13 @@ class _Game:
 
 @dataclass
 class GameStats:
-    """Work counters of game evaluations: trie blocks scanned and distinct
-    prefix node-steps stepped."""
+    """Work counters of game evaluations: trie blocks scanned, distinct
+    prefix node-steps stepped, and scored nodes whose hard label was
+    rechecked in float64."""
 
     blocks: int = 0
     node_steps: int = 0
+    rechecked: int = 0
 
 
 def _pack_blocks(games: list[_Game], workers: int) -> list[list[tuple[int, int, int]]]:
@@ -170,23 +178,28 @@ def _game_values(
 
     def scan(block):
         pieces = [(games[g].enc, games[g].rows[start:stop]) for g, start, stop in block]
-        return (block, *_scan_block(params, pieces))
+        shared = [_shared_steps(games[g].rows, start) for g, start, _ in block]
+        return (block, *_scan_block(params, pieces, shared))
 
     values = [np.empty(len(game.rows)) for game in games]
-    for block, accs, node_steps in map_blocks(scan, _pack_blocks(games, workers)):
+    for block, accs, node_steps, rechecked in map_blocks(scan, _pack_blocks(games, workers)):
         for (g, start, stop), acc in zip(block, accs):
             values[g][start:stop] = acc
-            if start:
-                # the prefix nodes this piece shares with the one before; the
-                # block before stepped only those up to that row's last kept
-                # event
-                rows = games[g].rows
-                shared = int(np.argmin(rows[start - 1] == rows[start]))
-                node_steps -= min(shared, int(_last_kept(rows[start - 1:start])[0]) + 1)
         if stats is not None:
             stats.blocks += 1
             stats.node_steps += node_steps
+            stats.rechecked += rechecked
     return [value[game.inverse] for value, game in zip(values, games)]
+
+
+def _shared_steps(rows: np.ndarray, start: int) -> int:
+    """How many prefix nodes of row `start` the scan of the rows before it
+    has stepped: those it shares with row start - 1, up to that row's last
+    kept event (0 at a game's first row)."""
+    if not start:
+        return 0
+    shared = int(np.argmin(rows[start - 1] == rows[start]))
+    return min(shared, int(_last_kept(rows[start - 1:start])[0]) + 1)
 
 
 def _last_kept(bits: np.ndarray) -> np.ndarray:
@@ -194,52 +207,161 @@ def _last_kept(bits: np.ndarray) -> np.ndarray:
     return np.where(bits.any(axis=1), bits.shape[1] - 1 - np.argmax(bits[:, ::-1], axis=1), -1)
 
 
-def _scan_block(params: ModelParams, pieces: list[tuple[EncodedJourney, np.ndarray]]) -> tuple[list[np.ndarray], int]:
+def _scan_block(
+    params: ModelParams,
+    pieces: list[tuple[EncodedJourney, np.ndarray]],
+    shared: list[int] | None = None,
+    dtype=np.float32,
+) -> tuple[list[np.ndarray], int, int]:
     """Masked accuracy of the distinct rows of several journeys' games in one
-    prefix-trie scan; returns one accuracy array per piece and the number of
-    node-steps.
+    prefix-trie scan (`_trie_steps`) at `dtype`; returns one accuracy array
+    per piece, the number of node-steps and the number of rechecked nodes.
 
     `pieces` are (journey, rows) with each journey's rows distinct and
-    lexicographically sorted. The model is causal and a masked event keeps
-    its slot and time, so a row's state at step t depends only on its
-    journey and mask[0..t]: one trie node. A row's value counts only its
-    kept steps, so a row is stepped up to its last kept event and no
-    further (the all-zero row not at all). At step t each node of the rows
-    still live is stepped once by `cell_step`, with no cache, and its hard
-    label scored once; a full powerset of n events costs 3 * 2^(n-1) - 2
-    node-steps instead of n * 2^n row-steps. Live rows keep their block
-    order, so the live rows of one node stay adjacent: a row starts a new
-    node where its bit or its previous node differs from the live row
-    before it. Each piece starts from a root node of its own, so no node
-    spans two pieces even where a piece's first rows have already left.
-    The time gate and layer 0's input projection are computed once per
-    (journey, step) and gathered per node.
+    lexicographically sorted. `shared` gives, per piece, how many prefix
+    nodes of its first row an earlier scan has stepped; they are stepped
+    again but not counted. Each kept node is scored once, by its logit
+    margin (class 1 minus class 0). Its hard label is margin >= 0, except
+    that a node with |margin| < RECHECK_MARGIN, a rechecked node, takes the
+    label of the float64 scan of its prefix row, by the softmax test of
+    `masked_accuracy`. One float64 scan after the block's rechecks all
+    its nodes; where it changes a label, the rows through the node, which
+    are adjacent, change their count.
     """
-    weights = [_stacked_weights(lp) for lp in params.layers]
-    lengths = np.array([rows.shape[1] for _, rows in pieces])
+    encs = [enc for enc, _ in pieces]
     sizes = np.array([len(rows) for _, rows in pieces])
     row_start = np.cumsum(sizes) - sizes
-    bits = np.zeros((sizes.sum(), lengths.max()), dtype=bool)
+    bits = np.zeros((sizes.sum(), max(rows.shape[1] for _, rows in pieces)), dtype=bool)
     for (_, rows), start in zip(pieces, row_start):
         bits[start:start + len(rows), :rows.shape[1]] = rows
-    last = _last_kept(bits)
-    # (journey, step) tables, indexed by the journey's first step plus t
-    step0 = np.cumsum(lengths) - lengths
-    row_step0 = np.repeat(step0, sizes)
-    times = np.concatenate([enc.times for enc, _ in pieces])
-    labels = np.concatenate([enc.labels for enc, _ in pieces])
-    x0 = np.concatenate([enc.features @ weights[0][0] for enc, _ in pieces])
-    gates = [_gate_forward(times[:, None], lp.tau, lp.s, lp.r_on, 0.0)[0] for lp in params.layers]
+    row_piece = np.repeat(np.arange(len(pieces)), sizes)
+    # per row, the steps of its prefix nodes that this scan does not count:
+    # only a piece's first row can head a node another scan has stepped
+    uncounted = np.zeros(len(bits), dtype=np.int64)
+    if shared is not None:
+        uncounted[row_start] = shared
+    labels = np.concatenate([enc.labels for enc in encs])
+    w_margin = (params.W_out[:, 1] - params.W_out[:, 0]).astype(dtype)
+    b_margin = (params.b_out[1] - params.b_out[0]).astype(dtype)
 
-    # the live rows, as indices into the block, and each one's node at the
-    # previous step (its piece's root before step 0)
-    live = np.flatnonzero(last >= 0)
-    node = np.repeat(np.arange(len(pieces)), sizes)[live]
-    live_last = last[live]
-    states = [(np.zeros((len(pieces), lp.hidden_size)),) * 2 for lp in params.layers]
     matches = np.zeros(len(pieces), dtype=np.int64)
     final = np.zeros(len(bits), dtype=np.int64)
     node_steps = 0
+    ties = []  # per step, of the nodes to recheck: step, head, float32 label, true label, counted
+    for t, step in enumerate(_trie_steps(params, encs, bits, row_piece, dtype)):
+        counted = uncounted[step.head] <= t
+        scored = np.flatnonzero(step.kept)
+        margin = step.x[scored] @ w_margin + b_margin
+        pred = margin >= 0
+        near = np.abs(margin) < RECHECK_MARGIN
+        if near.any():
+            nodes = scored[near]
+            ties.append((np.full(len(nodes), t), step.head[nodes], pred[near], labels[step.index[nodes]], counted[nodes]))
+        hit = np.zeros(len(step.head), dtype=np.int64)
+        hit[scored] = pred == labels[step.index[scored]]
+        matches = matches[step.parent] + hit
+        node_steps += int(np.count_nonzero(counted))
+        # rows whose last kept event is at this step leave with their count
+        final[step.rows[step.done]] = matches[step.node[step.done]]
+    rechecked = 0
+    if ties:
+        steps, heads, pred, truth, counted = (np.concatenate(part) for part in zip(*ties))
+        rechecked = int(np.count_nonzero(counted))
+        flip = _float64_labels(params, encs, bits, row_piece, heads, steps) != pred
+        # a flipped label turns a match into a miss or a miss into a match
+        gains = np.where(pred[flip] == truth[flip], -1, 1)
+        ends = (row_start + sizes)[row_piece[heads[flip]]]
+        for t, head, end, gain in zip(steps[flip], heads[flip], ends, gains):
+            # the rows through the node: its head and the rows after it in
+            # its piece that share its first t + 1 bits
+            same = (bits[head:end, :t + 1] == bits[head, :t + 1]).all(axis=1)
+            final[head:head + np.argmin(np.append(same, False))] += gain
+    counts = bits.sum(axis=1)
+    acc = np.where(counts > 0, final / np.maximum(counts, 1), 0.0)
+    return np.split(acc, row_start[1:]), node_steps, rechecked
+
+
+def _float64_labels(
+    params: ModelParams,
+    encs: list[EncodedJourney],
+    bits: np.ndarray,
+    row_piece: np.ndarray,
+    heads: np.ndarray,
+    steps: np.ndarray,
+) -> np.ndarray:
+    """The float64 scan's hard labels, by the softmax test of
+    `masked_accuracy`, of distinct kept nodes: node i is the one of row
+    heads[i] at step steps[i]. One scan of the rows cut after their node's
+    step: each leaves the scan there, as its own node."""
+    cut = bits[heads] & (np.arange(bits.shape[1]) <= steps[:, None])
+    # sorted by piece, then by bits, the rows share their common prefix nodes
+    order = np.lexsort([*cut.T[::-1], row_piece[heads]])
+    labels = np.empty(len(heads), dtype=bool)
+    for step in _trie_steps(params, encs, cut[order], row_piece[heads][order], np.float64):
+        logits = step.x[step.node[step.done]] @ params.W_out + params.b_out
+        labels[order[step.rows[step.done]]] = softmax(logits)[:, 1] >= 0.5
+    return labels
+
+
+class _TrieStep(NamedTuple):
+    """One step t of a trie scan. Live rows are the rows with a kept event
+    at t or later, as indices into the block's rows; nodes are in the order
+    of their live rows."""
+
+    rows: np.ndarray  # the live rows
+    node: np.ndarray  # each live row's node
+    done: np.ndarray  # whether a live row's last kept event is t; it leaves after this step
+    head: np.ndarray  # each node's first live row
+    parent: np.ndarray  # each node's node at step t - 1 (its piece's root at step 0)
+    kept: np.ndarray  # whether the node keeps event t
+    index: np.ndarray  # the node's (journey, step) index into the journeys' concatenated steps
+    x: np.ndarray  # each node's new top-layer hidden state
+
+
+# the layer vectors that cell_step reads
+_CELL_VECTORS = ("w_ci", "w_cf", "w_co", "b_i", "b_f", "b_c", "b_o")
+
+
+def _trie_steps(params: ModelParams, encs: list[EncodedJourney], bits: np.ndarray, row_piece: np.ndarray, dtype):
+    """The prefix-trie scan of mask rows `bits` at `dtype`: yields one
+    `_TrieStep` per step. Row i masks journey encs[row_piece[i]]; the rows
+    of one piece are adjacent, distinct and lexicographically sorted.
+
+    The model is causal and a masked event keeps its slot and time, so a
+    row's state at step t depends only on its journey and mask[0..t]: one
+    trie node. A row's value counts only its kept steps, so a row is
+    stepped up to its last kept event and no further (the all-zero row not
+    at all). At step t each node of the rows still live is stepped once by
+    `cell_step`, with no cache; a full powerset of n events costs
+    3 * 2^(n-1) - 2 node-steps instead of n * 2^n row-steps. Live rows keep
+    their block order, so the live rows of one node stay adjacent: a row
+    starts a new node where its bit or its previous node differs from the
+    live row before it. Each piece starts from a root node of its own, so
+    no node spans two pieces even where a piece's first rows have already
+    left. The time gate and layer 0's input projection are computed once
+    per (journey, step) and gathered per node. Every operand is cast to
+    `dtype` once, before the first step.
+    """
+    weights = [_stacked_weights(lp) for lp in params.layers]
+    lengths = np.array([len(enc.times) for enc in encs])
+    times = np.concatenate([enc.times for enc in encs])
+    x0 = np.concatenate([enc.features @ weights[0][0] for enc in encs]).astype(dtype, copy=False)
+    weights = [(Wx.astype(dtype, copy=False), Wh.astype(dtype, copy=False)) for Wx, Wh in weights]
+    gates = [_gate_forward(times[:, None], lp.tau, lp.s, lp.r_on, 0.0)[0].astype(dtype, copy=False)
+             for lp in params.layers]
+    norms = [(g.astype(dtype, copy=False), b.astype(dtype, copy=False)) for g, b in zip(params.ln_gain, params.ln_bias)]
+    cells = [_bare_layer({name: getattr(lp, name).astype(dtype, copy=False) for name in _CELL_VECTORS})
+             for lp in params.layers]
+    # a row's (journey, step) index is its journey's first step plus t
+    row_step0 = (np.cumsum(lengths) - lengths)[row_piece]
+
+    # the live rows and each one's node at the previous step (its piece's
+    # root before step 0)
+    last = _last_kept(bits)
+    live = np.flatnonzero(last >= 0)
+    node = row_piece[live]
+    live_last = last[live]
+    states = [(np.zeros((len(encs), lp.hidden_size), dtype=dtype),) * 2 for lp in params.layers]
     for t in range(last.max() + 1):
         col = bits[live, t]
         fresh = np.empty(len(live), dtype=bool)
@@ -250,31 +372,23 @@ def _scan_block(params: ModelParams, pieces: list[tuple[EncodedJourney, np.ndarr
         parent = node[first]
         kept = col[first]
         node = np.cumsum(fresh) - 1
-        step = row_step0[live[first]] + t
+        head = live[first]
+        index = row_step0[head] + t
         x = None
-        for idx, (lp, (Wx, Wh)) in enumerate(zip(params.layers, weights)):
+        for idx, (cell, (Wx, Wh), (ln_g, ln_b)) in enumerate(zip(cells, weights, norms)):
             h, c = (state[parent] for state in states[idx])
             states[idx] = None  # free the previous step's states before this step's temporaries
             a = h @ Wh
             if idx == 0:
-                np.add(a, x0[step], out=a, where=kept[:, None])
+                np.add(a, x0[index], out=a, where=kept[:, None])
             else:
                 a += x @ Wx
-            x, c = cell_step(a, h, c, gates[idx][step], lp, params.ln_gain[idx], params.ln_bias[idx])
+            x, c = cell_step(a, h, c, gates[idx][index], cell, ln_g, ln_b)
             states[idx] = (x, c)
-        logits = x[kept] @ params.W_out + params.b_out
-        hit = np.zeros(len(first), dtype=np.int64)
-        hit[kept] = (softmax(logits)[:, 1] >= 0.5) == labels[step[kept]]
-        matches = matches[parent] + hit
-        node_steps += len(first)
-        # rows whose last kept event is at this step leave with their count
         done = live_last == t
-        final[live[done]] = matches[node[done]]
+        yield _TrieStep(live, node, done, head, parent, kept, index, x)
         stay = ~done
         live, node, live_last = live[stay], node[stay], live_last[stay]
-    counts = bits.sum(axis=1)
-    acc = np.where(counts > 0, final / np.maximum(counts, 1), 0.0)
-    return np.split(acc, row_start[1:]), node_steps
 
 
 # ---------------------------------------------------------------------------

@@ -176,6 +176,7 @@ def _cmd_attribute(args) -> None:
     _emit("out", args.out)
     _emit("blocks", stats.blocks)
     _emit("node_steps", stats.node_steps)
+    _emit("rechecked", stats.rechecked)
 
 
 def _cmd_report(args) -> None:

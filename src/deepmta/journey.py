@@ -142,8 +142,9 @@ class EncodedJourney:
 def encode_journey(journey: CustomerJourney, vocab: Vocabulary) -> EncodedJourney:
     """Encode a journey into one-hot channel/campaign rows plus hour offsets.
 
-    Raises VocabularyError for unknown tokens and SequenceLengthError for
-    journeys longer than MAX_SEQ_LEN (never truncates silently).
+    Raises VocabularyError for unknown tokens, naming the journey's user_id
+    and the event's index, and SequenceLengthError for journeys longer than
+    MAX_SEQ_LEN (never truncates silently).
     """
     n = len(journey.events)
     if n > MAX_SEQ_LEN:
@@ -156,8 +157,12 @@ def encode_journey(journey: CustomerJourney, vocab: Vocabulary) -> EncodedJourne
     times = np.zeros(n, dtype=np.float64)
     t0 = journey.events[0].timestamp
     for i, ev in enumerate(journey.events):
-        features[i, vocab.channel_index(ev.channel_id)] = 1.0
-        features[i, n_ch + vocab.campaign_index(ev.campaign_id)] = 1.0
+        try:
+            channel, campaign = vocab.channel_index(ev.channel_id), vocab.campaign_index(ev.campaign_id)
+        except VocabularyError as exc:
+            raise VocabularyError(f"journey {journey.user_id!r}, event {i}: {exc}") from None
+        features[i, channel] = 1.0
+        features[i, n_ch + campaign] = 1.0
         dt = (ev.timestamp - t0) / SECONDS_PER_HOUR
         features[i, n_ch + n_ck] = dt
         times[i] = dt

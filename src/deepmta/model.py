@@ -8,8 +8,10 @@ single-step `cell_forward` is the readable reference; `cell_step` is the one
 batched step kernel behind training, eval and attribution. It runs in two
 modes: with cache slots (a training scan writes each step's gates and layer
 norm statistics into the arrays `_layer_backward` reads) and without (eval
-and the attribution trie keep no backward cache). Tests cover the kernel
-against the reference and its two modes against each other.
+and the attribution trie keep no backward cache). Its dtype follows its
+input: the attribution trie runs it in float32, everything else in
+float64. Tests cover the kernel against the reference and its two modes
+against each other.
 
 `param_shapes` is the one table of the tensors' names, shapes and order.
 `ModelParams` checks every tensor against it once, as it copies it into one
@@ -515,7 +517,10 @@ def cell_step(a, h, c, k, lp, ln_g, ln_b, slots=None):
 
     a: (N, 4H) gate pre-activations x @ Wx + h @ Wh, overwritten in place;
     h, c: (N, H) previous states; k: the time gate's openness, (H,) when all
-    N rows share one time or (N, H) per row. Returns (h_new, c_new).
+    N rows share one time or (N, H) per row. Returns (h_new, c_new). The
+    temporaries take the dtype of `a`, so float32 inputs give float32 states;
+    every operand must then be float32 as well (k, the layer norm, and the
+    peephole and bias vectors of `lp`), or a ufunc computes in float64.
 
     Without `slots` the step keeps no backward cache: its values share three
     temporaries. With `slots`, a dict of the step's views into the cache
@@ -526,15 +531,15 @@ def cell_step(a, h, c, k, lp, ln_g, ln_b, slots=None):
     """
     N, H = h.shape
     a4 = a.reshape(N, 4, H)
-    g = np.empty((N, H))
+    g = np.empty((N, H), dtype=a.dtype)
     if slots is None:
         # f, c~, 1 - k and h_new share one temporary; i, o, h~ and the
         # products share g; u and tanh(c~) share a third. Each value is
         # overwritten only after its last read
-        f_ct, u = np.empty((N, H)), np.empty((N, H))
+        f_ct, u = np.empty((N, H), dtype=a.dtype), np.empty((N, H), dtype=a.dtype)
         slots = {
-            "a_hat": a4, "inv_std": np.empty((N, 4, 1)), "i": g, "f": f_ct, "u": u, "o": g,
-            "c_tilde": f_ct, "tanh_ct": u, "h_tilde": g, "h": f_ct, "c": np.empty((N, H)),
+            "a_hat": a4, "inv_std": np.empty((N, 4, 1), dtype=a.dtype), "i": g, "f": f_ct, "u": u, "o": g,
+            "c_tilde": f_ct, "tanh_ct": u, "h_tilde": g, "h": f_ct, "c": np.empty((N, H), dtype=a.dtype),
         }
     # layer norm; mean and var as ndarray.mean/var compute them (sum, then
     # divide by H), the squares one gate at a time

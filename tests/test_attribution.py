@@ -9,6 +9,7 @@ from deepmta.attribution import (
     _BLOCK_ROWS,
     EXACT_LIMIT,
     MAX_PREFIX_ROWS,
+    RECHECK_MARGIN,
     AttributionResult,
     GameStats,
     _game_values,
@@ -18,6 +19,7 @@ from deepmta.attribution import (
     _permutation_prefixes,
     _plan,
     _scan_block,
+    _trie_steps,
     attribute_journey,
     attribute_journeys,
     attribution_to_dict,
@@ -37,6 +39,7 @@ from deepmta.errors import ConfigError, DimensionError, NumericError, Validation
 from deepmta.journey import ClickEvent, CustomerJourney, Vocabulary, encode_journey
 from deepmta.model import LAYER_TENSOR_FIELDS, ModelParams, PhasedLstmLayerParams, forward_batch, init_params
 from deepmta.trainer import softmax
+from test_model import random_model
 
 
 def shapley_permutation_oracle(values_by_subset, n):
@@ -674,7 +677,7 @@ class TestBlockScan:
             masks[np.arange(n) >= rng.integers(0, n + 1, size=(40, 1))] = 0
             masks[0] = 0
             games.append(_Game.of(encode_journey(journey, VOCAB), masks != 0))
-        accs, node_steps = _scan_block(params, [(game.enc, game.rows) for game in games])
+        accs, node_steps, _ = _scan_block(params, [(game.enc, game.rows) for game in games])
         assert node_steps == sum(live_prefix_steps(game.rows) for game in games)
         for game, acc in zip(games, accs):
             np.testing.assert_array_equal(acc, forward_reference(params, game.enc, game.rows))
@@ -786,3 +789,97 @@ class TestBlockScan:
             np.testing.assert_array_equal(result.raw_weights, single.raw_weights)
             assert result.intercept == single.intercept
 
+
+def trie_margins(params, enc, rows, dtype):
+    """The logit margins (class 1 minus class 0) of the kept nodes of one
+    journey's trie scan at `dtype`, step after step, computed as
+    `_scan_block` scores them. The trie does not depend on the dtype, so
+    two scans' margins align node by node."""
+    w = (params.W_out[:, 1] - params.W_out[:, 0]).astype(dtype)
+    b = (params.b_out[1] - params.b_out[0]).astype(dtype)
+    steps = _trie_steps(params, [enc], rows, np.zeros(len(rows), dtype=np.int64), dtype)
+    return np.concatenate([step.x[step.kept] @ w + b for step in steps])
+
+
+def game_rows(rng, enc, n_samples=16):
+    """The distinct rows of an exact powerset up to 8 events, else of
+    permutation prefixes."""
+    n = len(enc.times)
+    masks = mask_powerset(n) if n <= 8 else _permutation_prefixes(n, n_samples, int(rng.integers(1000)))[1]
+    return _Game.of(enc, masks != 0).rows
+
+
+class TestFloat32Scan:
+    """The trie scores in float32 and rechecks near-ties in float64; its
+    accuracies equal those of the float64 scan exactly."""
+
+    @pytest.mark.parametrize(("n_layers", "H"), ((1, 8), (2, 8), (1, 64), (2, 64)))
+    def test_equals_float64_scan(self, n_layers, H):
+        rng = np.random.default_rng(60 + H + n_layers)
+        params = random_model(rng, VOCAB.encoding_dim, H, n_layers)
+        encs = [encode_journey(j, VOCAB) for j in mixed_journeys(rng, rng.permutation(np.arange(1, 21)))]
+        pieces = [(enc, game_rows(rng, enc)) for enc in encs]
+        accs, node_steps, _ = _scan_block(params, pieces)
+        reference, reference_steps, _ = _scan_block(params, pieces, dtype=np.float64)
+        assert node_steps == reference_steps
+        for (enc, rows), acc, ref in zip(pieces, accs, reference):
+            np.testing.assert_array_equal(acc, ref)
+            if len(enc.times) <= 8:
+                np.testing.assert_array_equal(acc, forward_reference(params, enc, rows))
+
+    def test_recheck_fires_where_margins_straddle_zero(self):
+        # b_out moves one node's float64 margin to -1e-9: far from a float64
+        # tie, but below what float32 resolves at this scale, so only the
+        # float64 recheck gives its label. Over 16 such nodes the float32
+        # margins alone get some label wrong
+        rng = np.random.default_rng(70)
+        params = random_model(rng, VOCAB.encoding_dim, 8, 2)
+        encs = [encode_journey(j, VOCAB) for j in mixed_journeys(rng, (3, 8, 5, 1, 7))]
+        pieces = [(enc, mask_powerset(len(enc.times)) != 0) for enc in encs]
+        bias = params.b_out[1]
+        margins = np.sort(trie_margins(params, *pieces[1], np.float64))
+        flips = 0
+        for target in margins[len(margins) // 2 - 8:len(margins) // 2 + 8]:
+            params.b_out[1] = bias - target - 1e-9
+            margins64 = np.concatenate([trie_margins(params, enc, rows, np.float64) for enc, rows in pieces])
+            margins32 = np.concatenate([trie_margins(params, enc, rows, np.float32) for enc, rows in pieces])
+            assert np.abs(margins64).min() < 1e-8
+            flips += np.count_nonzero((margins32 >= 0) != (margins64 >= 0))
+            accs, _, rechecked = _scan_block(params, pieces)
+            assert rechecked == np.count_nonzero(np.abs(margins32) < RECHECK_MARGIN) > 0
+            reference, _, _ = _scan_block(params, pieces, dtype=np.float64)
+            for (enc, rows), acc, ref in zip(pieces, accs, reference):
+                np.testing.assert_array_equal(acc, ref)
+                np.testing.assert_array_equal(acc, forward_reference(params, enc, rows))
+        assert flips > 0
+
+    def test_rechecks_counted_once_across_cuts(self, monkeypatch):
+        # a small output layer puts most margins inside the band; blocks of
+        # 3 rows cut every game, and the nodes two blocks share count once
+        import deepmta.attribution as attribution
+
+        rng = np.random.default_rng(71)
+        params = random_model(rng, VOCAB.encoding_dim, 8, 2)
+        params.W_out[...] *= 1e-3
+        params.b_out[...] = 0.0
+        encs = [encode_journey(j, VOCAB) for j in mixed_journeys(rng, (1, 5, 2, 6))]
+        games = [_Game.of(enc, mask_powerset(len(enc.times)) != 0) for enc in encs]
+        whole = [_scan_block(params, [(game.enc, game.rows)]) for game in games]
+        monkeypatch.setattr(attribution, "_BLOCK_ROWS", 3)
+        stats = GameStats()
+        values = _game_values(params, games, stats=stats)
+        assert stats.blocks > len(games)
+        assert stats.rechecked == sum(rechecked for _, _, rechecked in whole) > 0
+        assert stats.node_steps == sum(node_steps for _, node_steps, _ in whole)
+        for game, acc in zip(games, values):
+            np.testing.assert_array_equal(acc, forward_reference(params, game.enc, game.rows[game.inverse]))
+
+    @pytest.mark.parametrize("H", (64, 256))
+    def test_margin_error_far_inside_the_band(self, H):
+        # the band is safe only while float32 errs by far less than it
+        rng = np.random.default_rng(80 + H)
+        params = random_model(rng, VOCAB.encoding_dim, H, 2)
+        enc = encode_journey(random_journey(rng, 20), VOCAB)
+        rows = _Game.of(enc, _permutation_prefixes(20, 8, 3)[1]).rows
+        error = np.abs(trie_margins(params, enc, rows, np.float32) - trie_margins(params, enc, rows, np.float64))
+        assert error.max() < RECHECK_MARGIN / 10

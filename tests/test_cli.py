@@ -257,6 +257,9 @@ class TestAttribute:
         assert int(kv["blocks"]) >= int(threads)
         assert float(kv["seconds"]) > 0
         assert {"journeys", "unattributed", "out"} <= kv.keys()
+        # rechecked, the nodes scored again in float64, follows node_steps
+        keys = list(kv)
+        assert keys[keys.index("node_steps") + 1] == "rechecked" and int(kv["rechecked"]) >= 0
 
     def test_thread_env_capped_at_usable_cpus(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
@@ -602,6 +605,29 @@ def test_ts_too_large_for_a_float_exits_2(pipeline, tmp_path, capsys, command):
     code, kv, err = run_cli(capsys, argv)
     assert code == 2
     assert "line 2" in err and "fits a float" in err and "Traceback" not in err
+    assert kv == {} and not out.exists()
+
+
+@pytest.mark.parametrize("command", ("eval", "train", "attribute"))
+def test_unknown_channel_names_the_journey(pipeline, tmp_path, capsys, command):
+    lines = pipeline["data"].read_text().splitlines()[:8]
+    obj = json.loads(lines[5])
+    obj["events"][-1]["channel"] = "zz"
+    lines[5] = json.dumps(obj)
+    data = tmp_path / "journeys.jsonl"
+    data.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "out"
+    argv = {
+        "eval": ["eval", "--model", str(pipeline["ckpt"]), "--data", str(data), "--roc-out", str(out)],
+        "train": ["train", "--data", str(data), "--vocab", str(pipeline["vocab"]), "--out", str(out),
+                  "--epochs", "1", "--hidden-size", "4"],
+        "attribute": ["attribute", "--model", str(pipeline["ckpt"]), "--data", str(data), "--out", str(out)],
+    }[command]
+    code, kv, err = run_cli(capsys, argv)
+    assert code == 2
+    event = len(obj["events"]) - 1
+    assert f"journey {obj['user_id']!r}, event {event}: unknown channel token 'zz'" in err
+    assert "Traceback" not in err
     assert kv == {} and not out.exists()
 
 

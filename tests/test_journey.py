@@ -133,6 +133,11 @@ class TestEncodeJourney:
         with pytest.raises(VocabularyError, match="'Z'"):
             encode_journey(j, self.vocab)
 
+    def test_unknown_token_names_journey_and_event(self):
+        j = CustomerJourney("u7", [ev("A", 1), ev("B", 2), ev("A", 3, campaign="zz")], False, 0.0)
+        with pytest.raises(VocabularyError, match="journey 'u7', event 2: unknown campaign token 'zz'"):
+            encode_journey(j, self.vocab)
+
     def test_overlong_rejected(self):
         j = CustomerJourney("u1", [ev("A", t) for t in range(40)], False, 0.0)
         with pytest.raises(SequenceLengthError):

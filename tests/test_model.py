@@ -293,6 +293,28 @@ class TestForwardSequence:
                 np.testing.assert_array_equal(h, expected[:, t])
             x = expected
 
+    def test_float32_inputs_give_float32_states(self):
+        # the kernel's temporaries follow a's dtype, so no float64 operand
+        # upcasts a float32 step
+        from types import SimpleNamespace
+
+        rng = np.random.default_rng(33)
+        params = random_model(rng, 5, 8, 1)
+        lp, ln_g, ln_b = params.layers[0], params.ln_gain[0], params.ln_bias[0]
+        Wx = np.concatenate([lp.W_xi, lp.W_xf, lp.W_xc, lp.W_xo], axis=1)
+        Wh = np.concatenate([lp.W_hi, lp.W_hf, lp.W_hc, lp.W_ho], axis=1)
+        h, c = rng.normal(0, 0.5, (2, 6, 8))
+        a = rng.normal(0, 1, (6, 5)) @ Wx + h @ Wh
+        k = time_gate(3.5, lp.tau, lp.s, lp.r_on, 0.0)
+        h64, c64 = cell_step(a.copy(), h, c, k, lp, ln_g, ln_b)
+        f32 = lambda v: v.astype(np.float32)
+        lp32 = SimpleNamespace(**{name: f32(getattr(lp, name)) for name in ("w_ci", "w_cf", "w_co", "b_i", "b_f", "b_c", "b_o")})
+        h32, c32 = cell_step(f32(a), f32(h), f32(c), f32(k), lp32, f32(ln_g), f32(ln_b))
+        assert h32.dtype == c32.dtype == np.float32
+        assert h64.dtype == c64.dtype == np.float64
+        np.testing.assert_allclose(h32, h64, atol=1e-5)
+        np.testing.assert_allclose(c32, c64, atol=1e-5)
+
     @pytest.mark.parametrize("H", (7, 8, 64))
     def test_training_forward_matches_inference(self, H):
         # at alpha 0 and dropout 0 the kernel's cache and no-cache modes
