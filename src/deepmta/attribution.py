@@ -18,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigError, DimensionError, NumericError, ValidationError
-from .journey import CustomerJourney, EncodedJourney, Vocabulary, encode_journey, read_jsonl
+from .journey import CustomerJourney, EncodedJourney, Vocabulary, encode_journey, finite_number, read_jsonl
 from .model import ModelParams, _bare_layer, _gate_forward, _stacked_weights, cell_step, forward_batch
 from .trainer import softmax
 
@@ -758,10 +758,7 @@ def save_attributions(path: str | Path, journeys: list[CustomerJourney], results
 
 
 def _finite_numbers(value) -> bool:
-    try:
-        return isinstance(value, list) and all(type(x) in (int, float) and math.isfinite(x) for x in value)
-    except OverflowError:  # an integer too large for a float
-        return False
+    return isinstance(value, list) and all(map(finite_number, value))
 
 
 def load_attributions(path: str | Path) -> list[dict]:
@@ -775,7 +772,7 @@ def load_attributions(path: str | Path) -> list[dict]:
             if key not in obj:
                 raise ValidationError(f"line {line_no}: missing field {key!r}")
         for key, ok, kind in (
-            ("intercept", _finite_numbers([obj["intercept"]]), "a finite number"),
+            ("intercept", finite_number(obj["intercept"]), "a finite number"),
             ("raw_weights", _finite_numbers(obj["raw_weights"]), "a list of finite numbers"),
             ("weights", _finite_numbers(obj["weights"]), "a list of finite numbers"),
             ("unattributed", isinstance(obj["unattributed"], bool), "true or false"),

@@ -79,18 +79,15 @@ def _check_outputs(*paths, inputs=()) -> None:
             raise ConfigError(f"paths {other} and {path} name the same file")
 
 
+def _given_fields(args, config) -> dict:
+    """field -> value of each flag whose dest names a field of the dataclass
+    `config`. A flag not given is None and left out: its field keeps its default."""
+    names = {f.name for f in fields(config)}
+    return {key: value for key, value in vars(args).items() if key in names and value is not None}
+
+
 def _cmd_gen(args) -> None:
-    cfg = GeneratorConfig(
-        n_journeys=args.journeys,
-        n_channels=args.channels,
-        n_campaigns=args.campaigns,
-        max_len=args.max_len,
-        key_channel_index=args.key_channel,
-        key_lift=args.key_lift,
-        base_rate=args.base_rate,
-        time_span_hours=args.time_span_hours,
-        include_nonconverted=args.include_nonconverted,
-    )
+    cfg = GeneratorConfig(**_given_fields(args, GeneratorConfig))
     out = Path(args.out)
     vocab_path = out.with_suffix(".vocab.json")
     _check_outputs(out, vocab_path)
@@ -109,10 +106,7 @@ def _cmd_train(args) -> None:
     _check_outputs(args.out, history_path, inputs=(args.data, args.vocab))
     journeys = load_journeys(args.data)
     vocab = load_vocabulary(args.vocab)
-    # each TrainConfig flag's dest is the field it sets; a flag not given keeps the preset's value
-    names = {f.name for f in fields(TrainConfig)}
-    overrides = {key: value for key, value in vars(args).items() if key in names and value is not None}
-    cfg = TrainConfig.preset(args.preset, **overrides)
+    cfg = TrainConfig.preset(args.preset, **_given_fields(args, TrainConfig))
     _info(f"training on {len(journeys)} journeys (preset {args.preset}, H={cfg.hidden_size}, {cfg.epochs} epochs)")
     result = train(journeys, vocab, cfg)
     save_checkpoint(args.out, result.params, result.vocab, seed=cfg.seed)
@@ -224,22 +218,24 @@ def build_parser() -> argparse.ArgumentParser:
 
     gen = sub.add_parser("gen", help="generate a seeded synthetic journey dataset")
     gen.add_argument("--out", required=True, help="output JSONL path (vocab written alongside)")
-    gen.add_argument("--journeys", type=int, default=1000)
-    gen.add_argument("--channels", type=int, default=5)
-    gen.add_argument("--campaigns", type=int, default=3)
-    gen.add_argument("--max-len", type=int, default=8)
-    gen.add_argument("--key-channel", type=int, default=0)
-    gen.add_argument("--key-lift", type=float, default=0.3)
-    gen.add_argument("--base-rate", type=float, default=0.2)
-    gen.add_argument("--time-span-hours", type=float, default=240.0)
+    # each GeneratorConfig flag's dest is the field it sets; a flag not given keeps the field's default
+    gen.add_argument("--journeys", type=int, dest="n_journeys", metavar="JOURNEYS")
+    gen.add_argument("--channels", type=int, dest="n_channels", metavar="CHANNELS")
+    gen.add_argument("--campaigns", type=int, dest="n_campaigns", metavar="CAMPAIGNS")
+    gen.add_argument("--max-len", type=int)
+    gen.add_argument("--key-channel", type=int, dest="key_channel_index", metavar="KEY_CHANNEL")
+    gen.add_argument("--key-lift", type=float)
+    gen.add_argument("--base-rate", type=float)
+    gen.add_argument("--time-span-hours", type=float)
     gen.add_argument("--seed", type=int, default=7)
-    gen.add_argument("--include-nonconverted", action="store_true")
+    gen.add_argument("--include-nonconverted", action="store_true", default=None)
     gen.set_defaults(func=_cmd_gen)
 
     tr = sub.add_parser("train", help="train a conversion model")
     tr.add_argument("--data", required=True)
     tr.add_argument("--vocab", required=True)
     tr.add_argument("--out", required=True, help="checkpoint JSON path")
+    # each TrainConfig flag's dest is the field it sets; a flag not given keeps the preset's value
     tr.add_argument("--preset", choices=("desk", "paper"), default="desk")
     tr.add_argument("--seed", type=int)
     tr.add_argument("--epochs", type=int)

@@ -18,6 +18,12 @@ SECONDS_PER_HOUR = 3600.0
 _FLOAT_MAX = sys.float_info.max
 
 
+def finite_number(value) -> bool:
+    """Whether a JSON value is a finite float: an int or float, not a bool, with
+    -max <= value <= max, which NaN and an int too large for a float both fail."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and -_FLOAT_MAX <= value <= _FLOAT_MAX
+
+
 @dataclass(frozen=True)
 class ClickEvent:
     """One marketing touch: channel token, campaign token, epoch timestamp."""
@@ -33,14 +39,8 @@ class ClickEvent:
             raise ValidationError("campaign_id must be a non-empty string")
         ts = self.timestamp
         # encode_journey divides timestamps as floats
-        if isinstance(ts, bool) or not isinstance(ts, int) or not 0 <= ts <= _FLOAT_MAX:
+        if not (isinstance(ts, int) and finite_number(ts) and ts >= 0):
             raise ValidationError("timestamp must be an integer >= 0 that fits a float")
-
-
-def _expected_labels(n_events: int, converted: bool) -> list[int]:
-    if converted:
-        return [0] * (n_events - 1) + [1]
-    return [0] * n_events
 
 
 @dataclass
@@ -69,15 +69,14 @@ class CustomerJourney:
             raise ValidationError("converted must be true or false")
         if isinstance(self.gmv, bool) or not isinstance(self.gmv, (int, float)):
             raise ValidationError("gmv must be a number")
-        # NaN fails both comparisons; an int too large for a float fails one
-        if not -_FLOAT_MAX <= self.gmv <= _FLOAT_MAX:
+        if not finite_number(self.gmv):
             raise ValidationError("gmv must be finite")
         self.gmv = float(self.gmv)
         if self.gmv < 0:
             raise ValidationError("gmv must be non-negative")
         if self.gmv > 0 and not self.converted:
             raise ValidationError("gmv > 0 requires converted = true")
-        expected = _expected_labels(len(self.events), self.converted)
+        expected = [0] * (len(self.events) - 1) + [int(self.converted)]
         if self.labels is None:
             self.labels = expected
         elif list(self.labels) != expected:

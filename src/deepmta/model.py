@@ -15,10 +15,11 @@ against each other.
 
 `param_shapes` is the one table of the tensors' names, shapes and order.
 `ModelParams` checks every tensor against it once, as it copies it into one
-vector, `ModelParams.flat`, of which each tensor is then a view; the
-checkpoint loader reads against the same table. `backward_batch` writes the
-gradients into a fresh vector of the same layout, so an optimizer step is a
-few whole-vector operations. The backward's reverse loop carries only the
+vector, `ModelParams.flat`, of which each tensor is then a view. Its views,
+`init_params` and the checkpoint loader build the model's fields through one
+assembly from a mapping keyed as the table keys it. `backward_batch` writes
+the gradients into a fresh vector of the same layout, so an optimizer step is
+a few whole-vector operations. The backward's reverse loop carries only the
 recurrence; a test keeps a per-step loop as its oracle. The time gates'
 closed-phase leak rate is one hyperparameter of the model, `ModelParams.alpha`.
 """
@@ -40,7 +41,7 @@ from .errors import (
     TraceError,
     ValidationError,
 )
-from .journey import Vocabulary, read_json, vocabulary_from_dict
+from .journey import Vocabulary, finite_number, read_json, vocabulary_from_dict
 
 LN_EPS = 1e-5
 N_CLASSES = 2
@@ -265,6 +266,19 @@ def param_shapes(input_dim: int, hidden_size: int, n_layers: int) -> dict[str, t
     return shapes
 
 
+def _tensor_fields(tensors: dict[str, np.ndarray], n_layers: int) -> dict:
+    """ModelParams' tensor fields from a name -> array mapping keyed as
+    `param_shapes` keys it. The arrays are held as they are; ModelParams
+    checks them."""
+    return dict(
+        layers=[_bare_layer({f: tensors[f"layers.{i}.{f}"] for f in LAYER_TENSOR_FIELDS}) for i in range(n_layers)],
+        ln_gain=[tensors[f"ln.{i}.gain"] for i in range(n_layers)],
+        ln_bias=[tensors[f"ln.{i}.bias"] for i in range(n_layers)],
+        W_out=tensors["W_out"],
+        b_out=tensors["b_out"],
+    )
+
+
 @dataclass
 class ModelParams:
     """Full parameter set: stacked layers, per-layer layer-norm gain/bias,
@@ -300,15 +314,9 @@ class ModelParams:
         views = self.unflatten(self.flat)
         for name, value in self.named_parameters():
             views[name][...] = _checked(name, value, views[name].shape)
-        self.layers = [
-            _bare_layer({fname: views[f"layers.{idx}.{fname}"] for fname in LAYER_TENSOR_FIELDS})
-            for idx in range(n_layers)
-        ]
+        vars(self).update(_tensor_fields(views, n_layers))
         for layer in self.layers:
             _check_gate_ranges(layer.tau, layer.r_on)
-        self.ln_gain = [views[f"ln.{idx}.gain"] for idx in range(n_layers)]
-        self.ln_bias = [views[f"ln.{idx}.bias"] for idx in range(n_layers)]
-        self.W_out, self.b_out = views["W_out"], views["b_out"]
 
     @property
     def input_dim(self) -> int:
@@ -372,51 +380,26 @@ def init_params(
         raise ParameterError("r_on_init must lie in (0, 1)")
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(rng)
+    if time_feature_index is not None and not 0 <= time_feature_index < input_dim:
+        raise ConfigError("time_feature_index out of range")
     t_span = max(2.0, float(t_span_hours))
-    layers = []
-    ln_gain = []
-    ln_bias = []
-    for idx in range(n_layers):
-        d = input_dim if idx == 0 else hidden_size
-        H = hidden_size
-        tau = np.exp(rng.uniform(np.log(1.0), np.log(t_span), size=H))
-        layers.append(
-            PhasedLstmLayerParams(
-                W_xi=_glorot(rng, (d, H)),
-                W_xf=_glorot(rng, (d, H)),
-                W_xc=_glorot(rng, (d, H)),
-                W_xo=_glorot(rng, (d, H)),
-                W_hi=_glorot(rng, (H, H)),
-                W_hf=_glorot(rng, (H, H)),
-                W_hc=_glorot(rng, (H, H)),
-                W_ho=_glorot(rng, (H, H)),
-                w_ci=np.zeros(H),
-                w_cf=np.zeros(H),
-                w_co=np.zeros(H),
-                b_i=np.zeros(H),
-                b_f=np.ones(H),
-                b_c=np.zeros(H),
-                b_o=np.zeros(H),
-                tau=tau,
-                s=tau * rng.random(H),
-                r_on=np.full(H, r_on_init),
-            )
-        )
-        ln_gain.append(np.ones(H))
-        ln_bias.append(np.zeros(H))
-    if time_feature_index is not None:
-        if not 0 <= time_feature_index < input_dim:
-            raise ConfigError("time_feature_index out of range")
-        for name in ("W_xi", "W_xf", "W_xc", "W_xo"):
-            getattr(layers[0], name)[time_feature_index, :] /= t_span
-    return ModelParams(
-        layers=layers,
-        ln_gain=ln_gain,
-        ln_bias=ln_bias,
-        W_out=_glorot(rng, (hidden_size, N_CLASSES)),
-        b_out=np.zeros(N_CLASSES),
-        dropout_p=dropout_p,
-    )
+    fills = {"b_f": 1.0, "r_on": r_on_init, "gain": 1.0}  # every other vector starts at 0
+    tensors = {}
+    for name, shape in param_shapes(input_dim, hidden_size, n_layers).items():
+        scope, _, kind = name.rpartition(".")
+        if kind == LAYER_TENSOR_FIELDS[0]:  # a layer draws its periods before its weights
+            tau = np.exp(rng.uniform(np.log(1.0), np.log(t_span), size=hidden_size))
+        if kind.startswith("W_"):
+            tensors[name] = _glorot(rng, shape)
+            if kind.startswith("W_x") and scope == "layers.0" and time_feature_index is not None:
+                tensors[name][time_feature_index] /= t_span
+        elif kind == "tau":
+            tensors[name] = tau
+        elif kind == "s":
+            tensors[name] = tau * rng.random(shape)
+        else:
+            tensors[name] = np.full(shape, fills.get(kind, 0.0))
+    return ModelParams(**_tensor_fields(tensors, n_layers), dropout_p=dropout_p)
 
 
 def clamp_gate_timing(params: ModelParams) -> None:
@@ -867,8 +850,10 @@ def load_checkpoint(path: str | Path) -> tuple[ModelParams, Vocabulary, int]:
     )
     if min(input_dim, hidden_size, n_layers) < 1:
         raise ValidationError("checkpoint input_dim, hidden_size and n_layers must be >= 1")
-    dropout_p = _entry(hp, "dropout_p", (int, float), "hyperparam", 0.5)
-    alpha = _entry(hp, "alpha", (int, float), "hyperparam", ALPHA_TRAIN_DEFAULT)
+    numbers = {key: hp.get(key, default) for key, default in (("dropout_p", 0.5), ("alpha", ALPHA_TRAIN_DEFAULT))}
+    for key, value in numbers.items():
+        if not finite_number(value):
+            raise ValidationError(f"checkpoint hyperparam {key!r} must be a finite number")
     tensors = _entry(obj, "tensors", dict, "field")
     # the table's size, known before it is built: a huge n_layers fails here
     n_tensors = (len(LAYER_TENSOR_FIELDS) + 2) * n_layers + 2
@@ -893,18 +878,7 @@ def load_checkpoint(path: str | Path) -> tuple[ModelParams, Vocabulary, int]:
             raise ValidationError(f"tensor {name!r} data length does not match its shape")
         arrays[name] = arr.reshape(shape)
     # ModelParams checks each tensor's finiteness as it packs it
-    params = ModelParams(
-        layers=[
-            _bare_layer({fname: arrays[f"layers.{idx}.{fname}"] for fname in LAYER_TENSOR_FIELDS})
-            for idx in range(n_layers)
-        ],
-        ln_gain=[arrays[f"ln.{idx}.gain"] for idx in range(n_layers)],
-        ln_bias=[arrays[f"ln.{idx}.bias"] for idx in range(n_layers)],
-        W_out=arrays["W_out"],
-        b_out=arrays["b_out"],
-        dropout_p=float(dropout_p),
-        alpha=float(alpha),
-    )
+    params = ModelParams(**_tensor_fields(arrays, n_layers), **{key: float(value) for key, value in numbers.items()})
     vocab = vocabulary_from_dict(obj.get("vocab"), "checkpoint vocab")
     if params.input_dim != vocab.encoding_dim:
         raise ValidationError(

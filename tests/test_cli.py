@@ -683,6 +683,21 @@ def test_non_finite_checkpoint_exits_3(pipeline, tmp_path, capsys, command):
     assert kv == {} and not out.exists()
 
 
+@pytest.mark.parametrize("field", ("dropout_p", "alpha"))
+@pytest.mark.parametrize("command", ("eval", "attribute"))
+def test_hyperparam_too_large_for_a_float_exits_2(pipeline, tmp_path, capsys, command, field):
+    obj = json.loads(pipeline["ckpt"].read_text())
+    obj["hyperparams"][field] = 10 ** 400
+    ckpt = tmp_path / "huge_model.json"
+    ckpt.write_text(json.dumps(obj))
+    out = tmp_path / "out"
+    extra = ["--roc-out", str(out)] if command == "eval" else ["--out", str(out)]
+    code, kv, err = run_cli(capsys, [command, "--model", str(ckpt), "--data", str(pipeline["data"]), *extra])
+    assert code == 2
+    assert f"hyperparam {field!r} must be a finite number" in err and "Traceback" not in err
+    assert kv == {} and not out.exists()
+
+
 def test_module_entry_point(pipeline, tmp_path):
     out = tmp_path / "data.jsonl"
     proc = subprocess.run(

@@ -829,6 +829,9 @@ class TestParameterTable:
         checked.clear()
         load_checkpoint(path)
         assert checked == list(params.layout)
+        checked.clear()
+        init_params(5, 7, 2, rng=3, time_feature_index=4)
+        assert checked == list(params.layout)
 
     @pytest.mark.parametrize("alpha", (-0.1, float("nan"), float("inf")))
     def test_alpha_must_be_finite_and_non_negative(self, alpha):
@@ -967,6 +970,20 @@ class TestCheckpointStructure:
             obj["tensors"]["W_out"]["shape"] = value
         path.write_text(json.dumps(obj))
         with pytest.raises(ValidationError, match="W_out.*shape"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "value",
+        (10**400, -(10**400), float("nan"), "0.5", True, None, [0.5]),
+        ids=("huge", "-huge", "nan", "str", "bool", "null", "list"),
+    )
+    @pytest.mark.parametrize("field", ("dropout_p", "alpha"))
+    def test_hyperparam_not_a_finite_number(self, tmp_path, field, value):
+        # json.dumps writes NaN as the NaN token, which json.load reads back
+        path, obj = _saved_checkpoint(tmp_path)
+        obj["hyperparams"][field] = value
+        path.write_text(json.dumps(obj))
+        with pytest.raises(ValidationError, match=f"hyperparam '{field}' must be a finite number"):
             load_checkpoint(path)
 
     @pytest.mark.parametrize(
