@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
@@ -136,20 +135,18 @@ class GameStats:
     rechecked: int = 0
 
 
-def _pack_blocks(games: list[_Game], workers: int) -> list[list[tuple[int, int, int]]]:
+def _pack_blocks(games: list[_Game]) -> list[list[tuple[int, int, int]]]:
     """Pieces (game, start, stop) of the games' distinct rows, packed into
     blocks of at most _BLOCK_ROWS rows.
 
-    The rows of all games, in game order, are cut into runs of equal length,
-    in as few rounds of `workers` blocks as _BLOCK_ROWS allows, so that every
-    worker gets the same share (fewer blocks only when there are fewer rows
-    than workers). A cut may fall inside a game; its pieces then repeat the
-    prefix nodes they share.
+    The rows of all games, in game order, are cut into as few runs of equal
+    length as _BLOCK_ROWS allows. A cut may fall inside a game; its pieces
+    then repeat the prefix nodes they share.
     """
     total = sum(len(game.rows) for game in games)
     if not total:
         return []
-    n_blocks = min(total, workers * -(-total // (workers * _BLOCK_ROWS)))
+    n_blocks = -(-total // _BLOCK_ROWS)
     cuts = [-(-total * b // n_blocks) for b in range(n_blocks + 1)]
     blocks: list[list[tuple[int, int, int]]] = [[] for _ in range(n_blocks)]
     offset = 0
@@ -164,25 +161,15 @@ def _pack_blocks(games: list[_Game], workers: int) -> list[list[tuple[int, int, 
     return blocks
 
 
-def _game_values(
-    params: ModelParams,
-    games: list[_Game],
-    workers: int = 1,
-    map_blocks=map,
-    stats: GameStats | None = None,
-) -> list[np.ndarray]:
+def _game_values(params: ModelParams, games: list[_Game], stats: GameStats | None = None) -> list[np.ndarray]:
     """Masked accuracy of every planned row of every game, one array per
     game: the games' distinct rows are packed into blocks and each block is
-    one trie scan. `map_blocks` runs the scans (`_caller_map` runs them in
-    parallel)."""
-
-    def scan(block):
+    one trie scan."""
+    values = [np.empty(len(game.rows)) for game in games]
+    for block in _pack_blocks(games):
         pieces = [(games[g].enc, games[g].rows[start:stop]) for g, start, stop in block]
         shared = [_shared_steps(games[g].rows, start) for g, start, _ in block]
-        return (block, *_scan_block(params, pieces, shared))
-
-    values = [np.empty(len(game.rows)) for game in games]
-    for block, accs, node_steps, rechecked in map_blocks(scan, _pack_blocks(games, workers)):
+        accs, node_steps, rechecked = _scan_block(params, pieces, shared)
         for (g, start, stop), acc in zip(block, accs):
             values[g][start:stop] = acc
         if stats is not None:
@@ -345,7 +332,11 @@ def _trie_steps(params: ModelParams, encs: list[EncodedJourney], bits: np.ndarra
     weights = [_stacked_weights(lp) for lp in params.layers]
     lengths = np.array([len(enc.times) for enc in encs])
     times = np.concatenate([enc.times for enc in encs])
-    x0 = np.concatenate([enc.features @ weights[0][0] for enc in encs]).astype(dtype, copy=False)
+    # layer 0's input projection per (journey, step), and a last row of
+    # zeros that nodes masking their event gather instead
+    Wx0 = weights[0][0]
+    x0 = np.concatenate([*(enc.features @ Wx0 for enc in encs), np.zeros((1, Wx0.shape[1]))])
+    x0 = x0.astype(dtype, copy=False)
     weights = [(Wx.astype(dtype, copy=False), Wh.astype(dtype, copy=False)) for Wx, Wh in weights]
     gates = [_gate_forward(times[:, None], lp.tau, lp.s, lp.r_on, 0.0)[0].astype(dtype, copy=False)
              for lp in params.layers]
@@ -374,13 +365,14 @@ def _trie_steps(params: ModelParams, encs: list[EncodedJourney], bits: np.ndarra
         node = np.cumsum(fresh) - 1
         head = live[first]
         index = row_step0[head] + t
+        x0_index = np.where(kept, index, len(x0) - 1)
         x = None
         for idx, (cell, (Wx, Wh), (ln_g, ln_b)) in enumerate(zip(cells, weights, norms)):
             h, c = (state[parent] for state in states[idx])
             states[idx] = None  # free the previous step's states before this step's temporaries
             a = h @ Wh
             if idx == 0:
-                np.add(a, x0[index], out=a, where=kept[:, None])
+                a += x0[x0_index]
             else:
                 a += x @ Wx
             x, c = cell_step(a, h, c, gates[idx][index], cell, ln_g, ln_b)
@@ -647,24 +639,67 @@ def _plan(
     return _Game.of(enc, masks != 0), finish
 
 
-def _caller_map(pool: ThreadPoolExecutor):
-    """A map over the pool's threads and the calling thread, in input order.
+def _planned_rows(journey: CustomerJourney, method: str, n_samples: int) -> int:
+    """How many mask rows `_plan` gives a journey, known before planning."""
+    n = len(journey.events)
+    if resolve_method(method, n) == "shapley_sampled":
+        return n_samples * (n + 1)
+    return 2 ** n if n <= EXACT_LIMIT else OLS_SAMPLE_ROWS
 
-    The caller scans the blocks no pool thread has started, last first,
-    instead of waiting. Memory freed by a pool thread stays reserved for
-    that thread after it exits, while the caller's is reused by the rest of
-    the process, so one pool thread fewer lowers the process's peak memory.
-    """
 
-    def run(fn, items):
-        futures = [pool.submit(fn, item) for item in items]
-        own = {}
-        for idx in reversed(range(len(items))):
-            if futures[idx].cancel():
-                own[idx] = fn(items[idx])
-        return [own[idx] if idx in own else future.result() for idx, future in enumerate(futures)]
+def _windows(items, rows, limit: int, count: int = 1):
+    """Runs of at least `count` consecutive items whose `rows` reach
+    `limit`, and the rest."""
+    window, total = [], 0
+    for item in items:
+        window.append(item)
+        total += rows(item)
+        if total >= limit and len(window) >= count:
+            yield window
+            window, total = [], 0
+    if window:
+        yield window
 
-    return run
+
+def _attribute_serial(params, journeys, vocab, method, n_samples, seed, stats):
+    """One process's path: journeys are planned in windows of at least
+    2^EXACT_LIMIT distinct mask rows, whose games are scored together in
+    trie blocks and then finished, in input order."""
+    plans = (_plan(journey, vocab, method, n_samples, seed) for journey in journeys)
+    for window in _windows(plans, lambda plan: len(plan[0].rows), 2 ** EXACT_LIMIT):
+        values = _game_values(params, [game for game, _ in window], stats)
+        for (_, finish), acc in zip(window, values):
+            yield finish(acc)
+
+
+def _shards(rows: list[int], n_shards: int) -> list[list[int]]:
+    """Item indices of each of `n_shards` shards, each in input order: the
+    largest item first, onto the shard with the fewest rows so far."""
+    shards: list[list[int]] = [[] for _ in range(n_shards)]
+    loads = [0] * n_shards
+    for idx in sorted(range(len(rows)), key=lambda idx: -rows[idx]):
+        lightest = loads.index(min(loads))
+        shards[lightest].append(idx)
+        loads[lightest] += rows[idx]
+    return [sorted(shard) for shard in shards]
+
+
+# (params, vocab, method, n_samples, seed) of a worker process, set once by
+# the pool's initializer
+_worker_settings: tuple | None = None
+
+
+def _set_worker_settings(*settings) -> None:
+    global _worker_settings
+    _worker_settings = settings
+
+
+def _attribute_shard(journeys: list[CustomerJourney], settings: tuple | None = None):
+    """The serial path over one shard of journeys, with the given settings
+    or else the worker's; returns its results and counters."""
+    params, vocab, method, n_samples, seed = settings or _worker_settings
+    stats = GameStats()
+    return list(_attribute_serial(params, journeys, vocab, method, n_samples, seed, stats)), stats
 
 
 def attribute_journeys(
@@ -680,38 +715,58 @@ def attribute_journeys(
     """Attribute many journeys against a frozen model; yields one
     AttributionResult per journey, in input order.
 
-    Journeys are planned in windows of at least workers * 2^EXACT_LIMIT
-    distinct mask rows (or the last journeys). A window's games are scored
-    together in trie blocks of at most _BLOCK_ROWS rows, in rounds of
-    `workers` equal blocks, which `workers - 1` pool threads and the calling
-    thread scan in parallel. Memory is bounded by one window's plans and
-    `workers` block scans, whatever the number of journeys. Each journey's
-    result equals `attribute_journey` on it alone, at any worker count.
+    At one worker, journeys are planned in windows of at least
+    2^EXACT_LIMIT distinct mask rows, and a window's games are scored
+    together in trie blocks of at most _BLOCK_ROWS rows, so memory is
+    bounded by one window's plans and one block scan. At N workers,
+    journeys are read in windows of at least N journeys and
+    N * 2^EXACT_LIMIT planned rows (`_planned_rows`), and each window is
+    split into N shards of whole journeys, largest first onto the lightest
+    shard. N - 1 forked worker processes and the calling process each run
+    the one-worker path on one shard; the shards' counters are summed into
+    `stats`. The pool lives for one call and is joined at the end, on an
+    error, and when the caller closes the generator. Each journey's result
+    equals `attribute_journey` on it alone, at any worker count.
     """
     if workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
     if seed < 0:
         raise ConfigError(f"seed must be >= 0, got {seed}")
-    # pool threads start on first use
-    with ThreadPoolExecutor(max_workers=max(1, workers - 1)) as pool:
-        run_blocks = _caller_map(pool) if workers > 1 else map
-        window: list = []
-        rows = 0
-        for journey in journeys:
-            window.append(_plan(journey, vocab, method, n_samples, seed))
-            rows += len(window[-1][0].rows)
-            # at least one full exact game per worker, so that the wait for a
-            # window's last block stays short next to the window's work
-            if rows >= workers * 2 ** EXACT_LIMIT:
-                yield from _finish_window(params, window, workers, run_blocks, stats)
-                window, rows = [], 0
-        yield from _finish_window(params, window, workers, run_blocks, stats)
+    if workers == 1:
+        yield from _attribute_serial(params, journeys, vocab, method, n_samples, seed, stats)
+        return
+    # imported here: they add about 15 ms to a cold `import deepmta.cli`
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
 
-
-def _finish_window(params, window, workers, run_blocks, stats):
-    values = _game_values(params, [game for game, _ in window], workers, run_blocks, stats)
-    for (_, finish), acc in zip(window, values):
-        yield finish(acc)
+    settings = (params, vocab, method, n_samples, seed)
+    # forked workers inherit the initializer's arguments; they are not pickled
+    with ProcessPoolExecutor(
+        max_workers=workers - 1,
+        mp_context=multiprocessing.get_context("fork"),
+        initializer=_set_worker_settings,
+        initargs=settings,
+    ) as pool:
+        sized = ((journey, _planned_rows(journey, method, n_samples)) for journey in journeys)
+        # a window gives each worker a journey, also where one journey
+        # alone plans more rows than the limit
+        for window in _windows(sized, lambda item: item[1], workers * 2 ** EXACT_LIMIT, workers):
+            shards = _shards([rows for _, rows in window], workers)
+            # the caller takes the first shard, which holds the largest
+            # journey, and the pool the others that are not empty
+            jobs = [(shard, pool.submit(_attribute_shard, [window[idx][0] for idx in shard]))
+                    for shard in shards[1:] if shard]
+            done = [(shards[0], _attribute_shard([window[idx][0] for idx in shards[0]], settings))]
+            done += [(shard, job.result()) for shard, job in jobs]
+            results = [None] * len(window)
+            for shard, (shard_results, shard_stats) in done:
+                for idx, result in zip(shard, shard_results):
+                    results[idx] = result
+                if stats is not None:
+                    stats.blocks += shard_stats.blocks
+                    stats.node_steps += shard_stats.node_steps
+                    stats.rechecked += shard_stats.rechecked
+            yield from results
 
 
 def attribute_journey(

@@ -136,18 +136,20 @@ def _usable_cpus() -> int:
 
 def _attribution_workers() -> int:
     """MTA_THREADS, capped at the CPUs this process may run on (their count
-    by default). Each worker is a thread that scans blocks; more workers
-    than CPUs add no speed, only smaller blocks and more threads."""
+    by default); 1 where the platform cannot fork. Each worker is a process,
+    the calling one among them, that attributes whole journeys; more
+    workers than CPUs add no speed, only processes."""
     env = os.environ.get("MTA_THREADS", "").strip()
+    workers = _usable_cpus()
     if env:
         try:
-            workers = int(env)
+            asked = int(env)
         except ValueError:
             raise ConfigError(f"MTA_THREADS must be an integer, got {env!r}") from None
-        if workers < 1:
+        if asked < 1:
             raise ConfigError("MTA_THREADS must be >= 1")
-        return min(workers, _usable_cpus())
-    return _usable_cpus()
+        workers = min(asked, workers)
+    return workers if hasattr(os, "fork") else 1
 
 
 def _cmd_attribute(args) -> None:

@@ -868,10 +868,15 @@ def load_checkpoint(path: str | Path) -> tuple[ModelParams, Vocabulary, int]:
         entry = _entry(tensors, name, dict, "tensor")
         if tuple(_entry(entry, "shape", list, f"tensor {name!r} field")) != shape:
             raise ValidationError(f"tensor {name!r} has shape {tuple(entry['shape'])}, expected {shape}")
+        data = _entry(entry, "data", list, f"tensor {name!r} field")
         try:
-            arr = np.asarray(_entry(entry, "data", list, f"tensor {name!r} field"))
+            arr = np.asarray(data)
         except ValueError:
             arr = None
+        # an int too large for int64 makes the list an object array; it is
+        # read as a float if every entry is a finite number
+        if arr is not None and arr.dtype == object and all(map(finite_number, data)):
+            arr = np.asarray(data, dtype=np.float64)
         if arr is None or arr.ndim != 1 or arr.dtype.kind not in "iuf":
             raise ValidationError(f"tensor {name!r} data must be a flat list of numbers")
         if arr.size != math.prod(shape):

@@ -18,7 +18,9 @@ from deepmta.attribution import (
     _permutation_estimates,
     _permutation_prefixes,
     _plan,
+    _planned_rows,
     _scan_block,
+    _shards,
     _trie_steps,
     attribute_journey,
     attribute_journeys,
@@ -628,8 +630,8 @@ class TestBlockScan:
         journeys = mixed_journeys(rng, rng.permutation(np.arange(1, 21)))
         games = [_plan(j, VOCAB, method, 8, 1)[0] for j in journeys]
         stats = GameStats()
-        values = _game_values(params, games, workers=3, stats=stats)
-        assert stats.blocks >= 3
+        values = _game_values(params, games, stats=stats)
+        assert stats.blocks == len(_pack_blocks(games)) >= 2
         for game, acc in zip(games, values):
             masks = game.rows[game.inverse]
             np.testing.assert_array_equal(acc, masked_accuracy_batch(params, game.enc, masks))
@@ -653,11 +655,11 @@ class TestBlockScan:
         masks = [mask_powerset(3), rng.integers(0, 2, size=(6000, 14)), mask_powerset(5)]
         games = [_Game.of(enc, m != 0) for enc, m in zip(encs, masks)]
         assert len(games[1].rows) > _BLOCK_ROWS
-        blocks = _pack_blocks(games, workers=2)
+        blocks = _pack_blocks(games)
         assert all(sum(stop - start for _, start, stop in block) <= _BLOCK_ROWS for block in blocks)
         assert sum(any(g == 1 for g, _, _ in block) for block in blocks) >= 2
         stats = GameStats()
-        values = _game_values(params, games, workers=2, stats=stats)
+        values = _game_values(params, games, stats=stats)
         for enc, m, acc in zip(encs, masks, values):
             np.testing.assert_array_equal(acc, forward_reference(params, enc, m))
         # node_steps counts each journey's live prefixes once, across the cuts
@@ -695,7 +697,7 @@ class TestBlockScan:
         params = init_params(VOCAB.encoding_dim, 6, 2, t_span_hours=12.0, rng=9)
         encs = [encode_journey(j, VOCAB) for j in mixed_journeys(rng, (1, 5, 1, 6, 2))]
         games = [_Game.of(enc, mask_powerset(len(enc.times)) != 0) for enc in encs]
-        blocks = _pack_blocks(games, workers=1)
+        blocks = _pack_blocks(games)
         cuts = [games[g].rows[start - 1:start + 1] for block in blocks for g, start, _ in block if start]
         kept_before = [np.flatnonzero(before) for before, _ in cuts]
         assert any(
@@ -710,15 +712,14 @@ class TestBlockScan:
         steps = [3 * 2 ** (len(enc.times) - 1) - 2 for enc in encs]
         assert stats.node_steps == sum(steps) == sum(live_prefix_steps(game.rows) for game in games)
 
-    @pytest.mark.parametrize("workers", (1, 2, 5))
-    def test_packing_covers_every_row_once(self, workers):
+    def test_packing_covers_every_row_once(self):
         rng = np.random.default_rng(42)
         encs = [encode_journey(j, VOCAB) for j in mixed_journeys(rng, (12, 2, 12, 1, 9, 12, 4))]
         games = [_Game.of(enc, mask_powerset(len(enc.times)) != 0) for enc in encs]
-        blocks = _pack_blocks(games, workers)
+        blocks = _pack_blocks(games)
         sizes = [sum(stop - start for _, start, stop in block) for block in blocks]
         assert max(sizes) <= _BLOCK_ROWS and max(sizes) - min(sizes) <= 1
-        assert len(blocks) >= workers
+        assert len(blocks) == -(-sum(sizes) // _BLOCK_ROWS)
         for g, game in enumerate(games):
             pieces = sorted((start, stop) for block in blocks for h, start, stop in block if h == g)
             assert pieces[0][0] == 0 and pieces[-1][1] == len(game.rows)
@@ -737,33 +738,98 @@ class TestBlockScan:
         np.testing.assert_array_equal(result.raw_weights, _shapley_from_table(table, EXACT_LIMIT))
         assert len(list(attribute_journeys(params, [journey, journey], VOCAB, workers=2))) == 2
 
-    def test_workers_scan_on_their_own_threads(self, monkeypatch):
-        # workers=2 alone runs the blocks on a pool thread and the calling
-        # thread, with the results of one worker
-        import threading
-        import time
+    def test_workers_scan_in_their_own_processes(self, monkeypatch, tmp_path):
+        # workers=2 alone runs the blocks in a forked worker and the calling
+        # process, with the results and counters of one worker. A small
+        # output layer puts many margins inside the recheck band, so the
+        # rechecked counts compared are not 0
+        import multiprocessing
+        import os
 
         import deepmta.attribution as attribution
 
         rng = np.random.default_rng(45)
-        params = init_params(VOCAB.encoding_dim, 6, 2, t_span_hours=12.0, rng=8)
-        journeys = mixed_journeys(rng, (12, 5, 12, 9, 3))
-        serial = list(attribute_journeys(params, journeys, VOCAB, workers=1))
-        threads = set()
+        params = random_model(rng, VOCAB.encoding_dim, 8, 2)
+        params.W_out[...] *= 1e-3
+        params.b_out[...] = 0.0
+        journeys = mixed_journeys(rng, (12, 5, 14, 12, 9, 3, 16, 1))
+        serial_stats, parallel_stats = GameStats(), GameStats()
+        serial = list(attribute_journeys(params, journeys, VOCAB, n_samples=64, workers=1, stats=serial_stats))
 
         def recorded(*args):
-            threads.add(threading.get_ident())
-            time.sleep(0.01)  # let the other thread take a block
+            # a worker's memory is its own, so each scan leaves its pid in a file
+            (tmp_path / str(os.getpid())).touch()
             return _scan_block(*args)
 
         monkeypatch.setattr(attribution, "_scan_block", recorded)
-        parallel = list(attribute_journeys(params, journeys, VOCAB, workers=2))
-        assert len(threads) > 1
-        assert len(parallel) == len(serial)
-        for a, b in zip(parallel, serial):
+        parallel = list(attribute_journeys(params, journeys, VOCAB, n_samples=64, workers=2, stats=parallel_stats))
+        pids = {path.name for path in tmp_path.iterdir()}
+        assert len(pids) > 1 and str(os.getpid()) in pids
+        for a, b in zip(parallel, serial, strict=True):
             np.testing.assert_array_equal(a.raw_weights, b.raw_weights)
             np.testing.assert_array_equal(a.weights, b.weights)
             assert (a.intercept, a.method, a.unattributed) == (b.intercept, b.method, b.unattributed)
+        assert serial_stats.rechecked > 0
+        assert parallel_stats.node_steps == serial_stats.node_steps
+        assert parallel_stats.rechecked == serial_stats.rechecked
+        assert multiprocessing.active_children() == []
+
+    def test_each_worker_gets_a_journey_of_a_long_window(self, monkeypatch, tmp_path):
+        # each sampled journey plans more rows than a two-worker window
+        # needs, yet a window holds a journey per worker
+        import os
+
+        import deepmta.attribution as attribution
+
+        rng = np.random.default_rng(51)
+        params = init_params(VOCAB.encoding_dim, 6, 1, t_span_hours=12.0, rng=10)
+        journeys = mixed_journeys(rng, (13, 14))
+        assert min(_planned_rows(j, "auto", 600) for j in journeys) > 2 * 2 ** EXACT_LIMIT
+
+        def recorded(*args):
+            (tmp_path / str(os.getpid())).touch()
+            return _scan_block(*args)
+
+        monkeypatch.setattr(attribution, "_scan_block", recorded)
+        parallel = list(attribute_journeys(params, journeys, VOCAB, n_samples=600, workers=2))
+        assert len(list(tmp_path.iterdir())) == 2
+        monkeypatch.undo()
+        for journey, result in zip(journeys, parallel, strict=True):
+            single = attribute_journey(params, journey, VOCAB, n_samples=600)
+            np.testing.assert_array_equal(result.raw_weights, single.raw_weights)
+
+    @pytest.mark.parametrize("method", ("auto", "ols", "kernel_ols", "shapley_exact", "shapley_sampled"))
+    def test_planned_rows_known_before_planning(self, method):
+        rng = np.random.default_rng(48)
+        for journey in mixed_journeys(rng, (1, 5, 12, 13, 20) if method != "shapley_exact" else (1, 5, 12)):
+            game, _ = _plan(journey, VOCAB, method, 24, 3)
+            assert _planned_rows(journey, method, 24) == len(game.inverse)
+
+    @pytest.mark.parametrize("n_shards", (1, 2, 3, 8))
+    def test_shards_cover_each_journey_once(self, n_shards):
+        rows = [16, 4096, 2, 4096, 2048, 8, 2, 624, 4096, 32]
+        shards = _shards(rows, n_shards)
+        assert len(shards) == n_shards
+        assert sorted(idx for shard in shards for idx in shard) == list(range(len(rows)))
+        assert all(shard == sorted(shard) for shard in shards)
+        loads = sorted(sum(rows[idx] for idx in shard) for shard in shards)
+        # largest first onto the lightest: no shard exceeds another by more than its smallest journey
+        for shard in shards:
+            if shard:
+                assert sum(rows[idx] for idx in shard) - loads[0] <= min(rows[idx] for idx in shard)
+
+    def test_pool_is_joined_when_the_caller_closes_early(self):
+        # the caller stops after the first window's first result; the
+        # processes are gone (an error in a worker: see test_cli)
+        import multiprocessing
+
+        rng = np.random.default_rng(49)
+        params = init_params(VOCAB.encoding_dim, 6, 1, t_span_hours=12.0, rng=9)
+        journeys = mixed_journeys(rng, (12, 12, 12, 3, 12, 12, 5))
+        batches = attribute_journeys(params, journeys, VOCAB, workers=2)
+        next(batches)
+        batches.close()
+        assert multiprocessing.active_children() == []
 
     def test_more_journeys_than_one_window(self, monkeypatch):
         # at one worker, every 12-event journey fills a window
@@ -774,9 +840,9 @@ class TestBlockScan:
         journeys = mixed_journeys(rng, (12, 3, 5, 12, 1, 12, 7))
         windows = []
 
-        def counted(params, games, *args):
+        def counted(params, games, *args, **kwargs):
             windows.append(len(games))
-            return _game_values(params, games, *args)
+            return _game_values(params, games, *args, **kwargs)
 
         monkeypatch.setattr(attribution, "_game_values", counted)
         stats = GameStats()

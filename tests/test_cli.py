@@ -2,7 +2,6 @@ import json
 import os
 import subprocess
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -273,14 +272,19 @@ class TestAttribute:
         assert cli._attribution_workers() == 5
 
     def test_huge_thread_env_starts_a_small_pool(self, pipeline, tmp_path, monkeypatch):
-        # the pool is recorded, and run on one thread whatever it asks for
+        # the pool's size is recorded, and the pool run on one process
+        # whatever it asks for
+        import concurrent.futures
+        import multiprocessing
+
         sizes = []
+        real = concurrent.futures.ProcessPoolExecutor
 
-        def recorded(max_workers):
+        def recorded(max_workers, **kwargs):
             sizes.append(max_workers)
-            return ThreadPoolExecutor(max_workers=1)
+            return real(max_workers=1, **kwargs)
 
-        monkeypatch.setattr(attribution, "ThreadPoolExecutor", recorded)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", recorded)
         monkeypatch.setattr(cli, "_usable_cpus", lambda: 3)
         monkeypatch.setenv("MTA_THREADS", "100000")
         out = tmp_path / "a.jsonl"
@@ -290,6 +294,52 @@ class TestAttribute:
         ]) == 0
         assert sizes == [2]
         assert out.read_bytes() == pipeline["attr"].read_bytes()
+        assert multiprocessing.active_children() == []
+
+    def test_no_fork_means_one_worker(self, monkeypatch):
+        # where the platform cannot fork, every MTA_THREADS value runs the
+        # serial path; a malformed one still fails
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 4)
+        monkeypatch.delattr(os, "fork", raising=False)
+        for value in ("", "3", "100000"):
+            monkeypatch.setenv("MTA_THREADS", value)
+            assert cli._attribution_workers() == 1
+        monkeypatch.setenv("MTA_THREADS", "0")
+        with pytest.raises(ConfigError, match="MTA_THREADS"):
+            cli._attribution_workers()
+
+    def test_worker_numeric_error_exits_3(self, pipeline, tmp_path, monkeypatch, capsys):
+        # an error raised in a worker process ends the run like one raised
+        # in the caller: its exit code, no output file, no process left
+        import multiprocessing
+
+        caller = os.getpid()
+        scan = attribution._scan_block
+
+        def failing(*args):
+            if os.getpid() != caller:
+                raise NumericError("non-finite logits in a worker")
+            return scan(*args)
+
+        monkeypatch.setattr(attribution, "_scan_block", failing)
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+        monkeypatch.setenv("MTA_THREADS", "2")
+        out = tmp_path / "a.jsonl"
+        code, _, err = run_cli(capsys, [
+            "attribute", "--model", str(pipeline["ckpt"]), "--data", str(pipeline["data"]), "--out", str(out),
+        ])
+        assert code == 3
+        assert "non-finite logits in a worker" in err
+        assert not out.exists()
+        assert multiprocessing.active_children() == []
+
+    def test_import_loads_no_process_pool(self):
+        # the pool's modules cost a cold import ~15 ms; attribute loads them
+        # only when it runs more than one worker
+        code = "import sys, deepmta.cli; print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))"
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))}
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+        assert proc.stdout.strip() == "[]"
 
     @pytest.mark.parametrize("value", ("abc", "1.5", "0"))
     def test_malformed_thread_env_exits_2(self, pipeline, tmp_path, monkeypatch, capsys, value):

@@ -999,3 +999,25 @@ class TestCheckpointStructure:
         with pytest.raises(ValidationError, match="W_out.*data"):
             load_checkpoint(path)
 
+
+    def test_int_beyond_int64_is_a_number(self, tmp_path):
+        # an int too large for int64 but not for a float makes the list an
+        # object array; it is read as that float
+        path, obj = _saved_checkpoint(tmp_path)
+        data = obj["tensors"]["W_out"]["data"]
+        data[1] = 10**30
+        path.write_text(json.dumps(obj))
+        params, _, _ = load_checkpoint(path)
+        expected = np.asarray([float(x) for x in data]).reshape(params.W_out.shape)
+        np.testing.assert_array_equal(params.W_out, expected)
+
+    @pytest.mark.parametrize(
+        "entry", (True, 10**400, -(10**400), None, "1.0"), ids=("bool", "huge", "-huge", "null", "str")
+    )
+    def test_int_beyond_int64_beside_a_bad_entry(self, tmp_path, entry):
+        path, obj = _saved_checkpoint(tmp_path)
+        obj["tensors"]["W_out"]["data"][1] = 10**30
+        obj["tensors"]["W_out"]["data"][5] = entry
+        path.write_text(json.dumps(obj))
+        with pytest.raises(ValidationError, match="tensor 'W_out' data"):
+            load_checkpoint(path)
