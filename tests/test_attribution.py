@@ -712,18 +712,27 @@ class TestBlockScan:
         steps = [3 * 2 ** (len(enc.times) - 1) - 2 for enc in encs]
         assert stats.node_steps == sum(steps) == sum(live_prefix_steps(game.rows) for game in games)
 
-    def test_packing_covers_every_row_once(self):
+    @pytest.mark.parametrize("workers", (1, 2, 5))
+    def test_packing_covers_every_row_once(self, workers):
+        # each worker packs the games of its own shard of journeys
         rng = np.random.default_rng(42)
         encs = [encode_journey(j, VOCAB) for j in mixed_journeys(rng, (12, 2, 12, 1, 9, 12, 4))]
-        games = [_Game.of(enc, mask_powerset(len(enc.times)) != 0) for enc in encs]
-        blocks = _pack_blocks(games)
-        sizes = [sum(stop - start for _, start, stop in block) for block in blocks]
-        assert max(sizes) <= _BLOCK_ROWS and max(sizes) - min(sizes) <= 1
-        assert len(blocks) == -(-sum(sizes) // _BLOCK_ROWS)
-        for g, game in enumerate(games):
-            pieces = sorted((start, stop) for block in blocks for h, start, stop in block if h == g)
-            assert pieces[0][0] == 0 and pieces[-1][1] == len(game.rows)
-            assert all(a[1] == b[0] and a[0] < a[1] for a, b in zip(pieces, pieces[1:]))
+        all_games = [_Game.of(enc, mask_powerset(len(enc.times)) != 0) for enc in encs]
+        shards = _shards([len(game.rows) for game in all_games], workers)
+        assert sorted(idx for shard in shards for idx in shard) == list(range(len(all_games)))
+        for shard in shards:
+            games = [all_games[idx] for idx in shard]
+            blocks = _pack_blocks(games)
+            if not games:
+                assert blocks == []
+                continue
+            sizes = [sum(stop - start for _, start, stop in block) for block in blocks]
+            assert max(sizes) <= _BLOCK_ROWS and max(sizes) - min(sizes) <= 1
+            assert len(blocks) == -(-sum(sizes) // _BLOCK_ROWS)
+            for g, game in enumerate(games):
+                pieces = sorted((start, stop) for block in blocks for h, start, stop in block if h == g)
+                assert pieces[0][0] == 0 and pieces[-1][1] == len(game.rows)
+                assert all(a[1] == b[0] and a[0] < a[1] for a, b in zip(pieces, pieces[1:]))
 
     def test_last_journey_fills_the_window(self):
         # a full exact game per worker closes the window on the last
