@@ -12,11 +12,11 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError, NumericError, ValidationError
+from .errors import ConfigError, DimensionError, EvaluationError, NumericError, ValidationError
 from .journey import CustomerJourney, EncodedJourney, Vocabulary, encode_journey, finite_number, read_jsonl
 from .model import ModelParams, _bare_layer, _gate_forward, _stacked_weights, cell_step, forward_batch
 from .trainer import softmax
@@ -38,6 +38,12 @@ RECHECK_MARGIN = 1e-3
 # plan: 2048 samples of a 32-event journey take 67584 rows, and at the limit
 # its prefix matrix takes 32 MB
 MAX_PREFIX_ROWS = 2 ** 20
+# most planned-row values stacked into one solve. A sampled game of a short
+# journey has far more planned rows than distinct ones, so a window can hold
+# hundreds of such journeys. A sampled solve's temporaries take about three
+# times this many float64s, an exact one's about 1.5 n times (2^16 of them,
+# 16 games of 12 events, take about 9 MB)
+_SOLVE_VALUES = 2 ** 16
 
 METHODS = ("ols", "kernel_ols", "shapley_exact", "shapley_sampled", "auto")
 
@@ -101,7 +107,19 @@ def masked_accuracy_batch(params: ModelParams, enc: EncodedJourney, masks: np.nd
         raise ValidationError("mask entries must be 0 or 1")
     if len(bits) == 0:
         return np.empty(0)
-    return _game_values(params, [_Game.of(enc, bits)])[0]
+    game = _Game.of(enc, bits)
+    return _game_values(params, [game])[0][game.inverse]
+
+
+def _distinct(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of a bool matrix, sorted so that rows sharing a
+    prefix are adjacent, and for each row the index of its distinct row."""
+    # one byte string per row; their sort order is the rows' lexicographic order
+    packed = np.packbits(bits, axis=1)
+    width = packed.shape[1]
+    keys, inverse = np.unique(packed.view(f"V{width}").reshape(-1), return_inverse=True)
+    rows = np.unpackbits(keys.view(np.uint8).reshape(-1, width), axis=1, count=bits.shape[1]).astype(bool)
+    return rows, inverse.reshape(-1)
 
 
 @dataclass
@@ -116,12 +134,30 @@ class _Game:
 
     @classmethod
     def of(cls, enc: EncodedJourney, bits: np.ndarray) -> "_Game":
-        # one byte string per row; their sort order is the rows' lexicographic order
-        packed = np.packbits(bits, axis=1)
-        width = packed.shape[1]
-        keys, inverse = np.unique(packed.view(f"V{width}").reshape(-1), return_inverse=True)
-        rows = np.unpackbits(keys.view(np.uint8).reshape(-1, width), axis=1, count=bits.shape[1]).astype(bool)
-        return cls(enc, rows, inverse.reshape(-1))
+        return cls(enc, *_distinct(bits))
+
+
+@dataclass
+class _Plan:
+    """The game that every journey of one length plays under one method: its
+    distinct mask rows and each planned row's index among them (as in
+    `_Game`), and `solve`, which maps the values of the planned rows of many
+    journeys, stacked (J, planned rows), to their intercepts (J,) and raw
+    weights (J, n)."""
+
+    method: str
+    rows: np.ndarray
+    inverse: np.ndarray
+    solve: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
+
+    def finish(self, values: np.ndarray) -> list[AttributionResult]:
+        """The results of the journeys whose stacked values are given."""
+        intercepts, raw = self.solve(values)
+        weights, unattributed = _clip_normalize_rows(raw)
+        return [
+            AttributionResult(raw_weights=r, intercept=float(i), weights=w, method=self.method, unattributed=bool(u))
+            for r, i, w, u in zip(raw, intercepts, weights, unattributed)
+        ]
 
 
 @dataclass
@@ -133,6 +169,11 @@ class GameStats:
     blocks: int = 0
     node_steps: int = 0
     rechecked: int = 0
+
+    def add(self, other: "GameStats") -> None:
+        self.blocks += other.blocks
+        self.node_steps += other.node_steps
+        self.rechecked += other.rechecked
 
 
 def _pack_blocks(games: list[_Game]) -> list[list[tuple[int, int, int]]]:
@@ -162,9 +203,9 @@ def _pack_blocks(games: list[_Game]) -> list[list[tuple[int, int, int]]]:
 
 
 def _game_values(params: ModelParams, games: list[_Game], stats: GameStats | None = None) -> list[np.ndarray]:
-    """Masked accuracy of every planned row of every game, one array per
-    game: the games' distinct rows are packed into blocks and each block is
-    one trie scan."""
+    """Masked accuracy of the distinct rows of every game, one array per
+    game (`game.inverse` maps them onto its planned rows): the games'
+    distinct rows are packed into blocks and each block is one trie scan."""
     values = [np.empty(len(game.rows)) for game in games]
     for block in _pack_blocks(games):
         pieces = [(games[g].enc, games[g].rows[start:stop]) for g, start, stop in block]
@@ -173,10 +214,8 @@ def _game_values(params: ModelParams, games: list[_Game], stats: GameStats | Non
         for (g, start, stop), acc in zip(block, accs):
             values[g][start:stop] = acc
         if stats is not None:
-            stats.blocks += 1
-            stats.node_steps += node_steps
-            stats.rechecked += rechecked
-    return [value[game.inverse] for value, game in zip(values, games)]
+            stats.add(GameStats(1, node_steps, rechecked))
+    return values
 
 
 def _shared_steps(rows: np.ndarray, start: int) -> int:
@@ -422,16 +461,27 @@ def solve_weights(
         raise DimensionError(f"acc must have shape ({m},), got {acc.shape}")
     if m < n + 1:
         raise ValidationError(f"need at least n+1={n + 1} mask rows, got {m}")
+    beta = _least_squares(*_normal_matrix(masks, weighting), acc)
+    return float(beta[0]), beta[1:]
+
+
+def _normal_matrix(masks: np.ndarray, weighting: str) -> tuple[np.ndarray, np.ndarray]:
+    """The weighted design Xw and the normal matrix Xw.T @ X of float64 mask
+    rows, shared by every game played on those rows."""
+    m = len(masks)
     if weighting == "uniform":
         w = np.ones(m)
     elif weighting == "shapley_kernel":
         w = _shapley_kernel_row_weights(masks)
     else:
         raise ConfigError(f"unknown weighting {weighting!r}")
-
     X = np.hstack([np.ones((m, 1)), masks])
     Xw = X * w[:, None]
-    M = Xw.T @ X
+    return Xw, Xw.T @ X
+
+
+def _least_squares(Xw: np.ndarray, M: np.ndarray, acc: np.ndarray) -> np.ndarray:
+    """[intercept, weights] of one game's values on a `_normal_matrix`."""
     b = Xw.T @ acc
     A = M + RIDGE * np.eye(M.shape[0])
     try:
@@ -442,7 +492,7 @@ def solve_weights(
         raise NumericError(f"degenerate least-squares system after ridge: {exc}") from None
     if not np.all(np.isfinite(beta)):
         raise NumericError("least-squares solve produced non-finite coefficients")
-    return float(beta[0]), beta[1:]
+    return beta
 
 
 # ---------------------------------------------------------------------------
@@ -450,16 +500,15 @@ def solve_weights(
 # ---------------------------------------------------------------------------
 
 
-def _subset_vector(bitmask: int, n: int) -> np.ndarray:
-    return np.array([(bitmask >> j) & 1 for j in range(n)], dtype=np.int64)
-
-
-def _shapley_from_table(values: np.ndarray, n: int) -> np.ndarray:
-    """Exact values from a full table indexed by bitmask (bit j = player j).
+def _exact_solver(n: int):
+    """Exact Shapley values of many n-player games at once: the returned
+    function maps their values, stacked (J, 2^n) with the coalitions in
+    `mask_powerset` order, to (J, n).
 
     Player i's value sums coeff[|S|] * (v(S + i) - v(S)) over the subsets S
-    without i in ascending bitmask order, left to right (one cumsum per
-    player, as one row of the term matrix).
+    without i in ascending bitmask order (bit j = player j), left to right:
+    one cumsum per game and player over a row of the term matrix. The
+    coefficients and the powerset rows of S + i and S are built once.
     """
     fact = [math.factorial(i) for i in range(n + 1)]
     coeff = np.array([fact[size] * fact[n - size - 1] / fact[n] for size in range(n)])
@@ -469,13 +518,22 @@ def _shapley_from_table(values: np.ndarray, n: int) -> np.ndarray:
     k = np.arange(2 ** (n - 1))
     player = np.arange(n)[:, None]
     without = ((k >> player) << (player + 1)) | (k & ((1 << player) - 1))
-    terms = np.zeros((n, 2 ** (n - 1) + 1))
-    terms[:, 1:] = coeff[sizes[without]] * (values[without | (1 << player)] - values[without])
-    return np.cumsum(terms, axis=1)[:, -1]
+    # the powerset row of each bitmask: player 0 is the row's most
+    # significant bit, so the map reverses the bits and is its own inverse
+    row = mask_powerset(n) @ (1 << np.arange(n, dtype=np.int64))
+    coeffs = coeff[sizes[without]]
+    with_rows, without_rows = row[without | (1 << player)], row[without]
+
+    def solve(values: np.ndarray) -> np.ndarray:
+        terms = np.zeros((len(values), n, 2 ** (n - 1) + 1))
+        terms[:, :, 1:] = coeffs * (values[:, with_rows] - values[:, without_rows])
+        return np.cumsum(terms, axis=2)[:, :, -1]
+
+    return solve
 
 
 def shapley_exact(value, n: int) -> np.ndarray:
-    """Exact Shapley values by subset enumeration with memoized evaluations.
+    """Exact Shapley values by subset enumeration, one evaluation per subset.
 
     `value` maps a 0/1 membership vector of length n to a real game value.
     """
@@ -483,10 +541,8 @@ def shapley_exact(value, n: int) -> np.ndarray:
         raise ValidationError("shapley_exact needs n >= 1")
     if n > EXACT_LIMIT:
         raise ValidationError(f"n={n} exceeds exact_limit={EXACT_LIMIT}; use shapley_sampled")
-    table = np.empty(2 ** n)
-    for bitmask in range(2 ** n):
-        table[bitmask] = float(value(_subset_vector(bitmask, n)))
-    return _shapley_from_table(table, n)
+    values = np.array([float(value(mask)) for mask in mask_powerset(n)])
+    return _exact_solver(n)(values[None])[0]
 
 
 def shapley_sampled(
@@ -546,11 +602,13 @@ def _permutation_prefixes(n: int, n_samples: int, seed: int) -> tuple[np.ndarray
 
 def _permutation_estimates(perms: np.ndarray, vals: np.ndarray) -> np.ndarray:
     """Mean marginal per player from the values of `_permutation_prefixes`
-    rows, accumulated in permutation order."""
+    rows, accumulated in permutation order. `vals` may stack the values of
+    many games, (J, rows); the estimates are then (J, n)."""
     n_samples, n = perms.shape
-    by_player = np.zeros((n_samples + 1, n))
-    by_player[1 + np.arange(n_samples)[:, None], perms] = np.diff(vals.reshape(n_samples, n + 1), axis=1)
-    return np.cumsum(by_player, axis=0)[-1] / n_samples
+    by_player = np.zeros((*vals.shape[:-1], n_samples + 1, n))
+    diffs = np.diff(vals.reshape(*vals.shape[:-1], n_samples, n + 1), axis=-1)
+    by_player[..., 1 + np.arange(n_samples)[:, None], perms] = diffs
+    return np.cumsum(by_player, axis=-2)[..., -1, :] / n_samples
 
 
 def clip_normalize(raw: np.ndarray) -> tuple[np.ndarray, bool]:
@@ -559,14 +617,21 @@ def clip_normalize(raw: np.ndarray) -> tuple[np.ndarray, bool]:
     Returns (weights, unattributed); an all-non-positive vector yields zeros
     with unattributed=True.
     """
-    raw = np.asarray(raw, dtype=np.float64)
+    weights, unattributed = _clip_normalize_rows(np.asarray(raw, dtype=np.float64)[None])
+    return weights[0], bool(unattributed[0])
+
+
+def _clip_normalize_rows(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`clip_normalize` of each row of a (J, n) matrix; each row's positive
+    mass is summed on its own, as a 1-D sum of that row."""
     if not np.all(np.isfinite(raw)):
         raise NumericError("clip_normalize requires a finite vector")
     clipped = np.clip(raw, 0.0, None)
-    total = clipped.sum()
-    if total > 0:
-        return clipped / total, False
-    return np.zeros_like(clipped), True
+    total = clipped.sum(axis=1)
+    attributed = total > 0
+    weights = np.zeros_like(clipped)
+    weights[attributed] = clipped[attributed] / total[attributed, None]
+    return weights, ~attributed
 
 
 # ---------------------------------------------------------------------------
@@ -582,94 +647,57 @@ def resolve_method(method: str, n_events: int) -> str:
     return method
 
 
-def _plan(
-    journey: CustomerJourney,
-    vocab: Vocabulary,
-    method: str,
-    n_samples: int,
-    seed: int,
-):
-    """A journey's game and the function that turns the values of its
-    planned mask rows into its AttributionResult."""
-    enc = encode_journey(journey, vocab)
-    n = len(journey.events)
+def _build_plan(method: str, n: int, n_samples: int, seed: int) -> _Plan:
+    """The plan of every n-event journey under `method`: its mask rows
+    (the powerset up to EXACT_LIMIT events; OLS above draws 2048 rows and
+    sampled Shapley its permutations from `seed`, the same for every
+    journey) and its solver."""
     resolved = resolve_method(method, n)
-
-    if resolved in ("ols", "kernel_ols"):
-        if n <= EXACT_LIMIT:
-            masks = mask_powerset(n)
-        else:
-            rng = np.random.default_rng(seed)
-            masks = rng.integers(0, 2, size=(OLS_SAMPLE_ROWS, n))
-            masks[0] = 0
-            masks[1] = 1
-        weighting = "uniform" if resolved == "ols" else "shapley_kernel"
-
-        def solve(acc):
-            return solve_weights(masks, acc, weighting)
-
-    elif resolved == "shapley_exact":
-        if n > EXACT_LIMIT:
-            raise ConfigError(f"shapley_exact supports at most {EXACT_LIMIT} events; use shapley_sampled")
-        masks = mask_powerset(n)
-
-        def solve(acc):
-            table = np.empty(2 ** n)
-            table[masks @ (1 << np.arange(n, dtype=np.int64))] = acc
-            return float(table[0]), _shapley_from_table(table, n)
-
-    else:
+    if resolved == "shapley_sampled":
         perms, masks = _permutation_prefixes(n, n_samples, seed)
+        # row 0 is the first permutation's empty coalition
+        return _Plan(resolved, *_distinct(masks), lambda values: (values[:, 0], _permutation_estimates(perms, values)))
+    if resolved == "shapley_exact" and n > EXACT_LIMIT:
+        raise ConfigError(f"shapley_exact supports at most {EXACT_LIMIT} events; use shapley_sampled")
+    if n <= EXACT_LIMIT:
+        # the powerset rows are distinct and already in sorted order
+        masks = mask_powerset(n)
+        rows, inverse = masks != 0, np.arange(len(masks))
+    else:
+        rng = np.random.default_rng(seed)
+        masks = rng.integers(0, 2, size=(OLS_SAMPLE_ROWS, n))
+        masks[0] = 0
+        masks[1] = 1
+        rows, inverse = _distinct(masks != 0)
+    if resolved == "shapley_exact":
+        exact = _exact_solver(n)
+        # row 0 of the powerset is the empty coalition
+        return _Plan(resolved, rows, inverse, lambda values: (values[:, 0], exact(values)))
+    normal = _normal_matrix(masks.astype(np.float64), "uniform" if resolved == "ols" else "shapley_kernel")
 
-        def solve(acc):
-            # row 0 is the first permutation's empty coalition
-            return float(acc[0]), _permutation_estimates(perms, acc)
+    def solve(values):
+        betas = np.array([_least_squares(*normal, acc) for acc in values])
+        return betas[:, 0], betas[:, 1:]
 
-    def finish(acc):
-        intercept, raw = solve(acc)
-        weights, unattributed = clip_normalize(raw)
-        return AttributionResult(
-            raw_weights=np.asarray(raw, dtype=np.float64),
-            intercept=intercept,
-            weights=weights,
-            method=resolved,
-            unattributed=unattributed,
-        )
-
-    return _Game.of(enc, masks != 0), finish
+    return _Plan(resolved, rows, inverse, solve)
 
 
-def _planned_rows(journey: CustomerJourney, method: str, n_samples: int) -> int:
-    """How many mask rows `_plan` gives a journey, known before planning."""
-    n = len(journey.events)
-    if resolve_method(method, n) == "shapley_sampled":
-        return n_samples * (n + 1)
-    return 2 ** n if n <= EXACT_LIMIT else OLS_SAMPLE_ROWS
-
-
-def _windows(items, rows, limit: int, count: int = 1):
-    """Runs of at least `count` consecutive items whose `rows` reach
-    `limit`, and the rest."""
-    window, total = [], 0
-    for item in items:
-        window.append(item)
-        total += rows(item)
+def _plan_windows(journeys, method: str, n_samples: int, seed: int, limit: int, count: int):
+    """Runs of at least `count` consecutive journeys whose games' distinct
+    mask rows reach `limit`, and the rest; each with its plans by length,
+    built once per window when its first journey of that length comes."""
+    window, plans, total = [], {}, 0
+    for journey in journeys:
+        n = len(journey.events)
+        if n not in plans:
+            plans[n] = _build_plan(method, n, n_samples, seed)
+        window.append(journey)
+        total += len(plans[n].rows)
         if total >= limit and len(window) >= count:
-            yield window
-            window, total = [], 0
+            yield window, plans
+            window, plans, total = [], {}, 0
     if window:
-        yield window
-
-
-def _attribute_serial(params, journeys, vocab, method, n_samples, seed, stats):
-    """One process's path: journeys are planned in windows of at least
-    2^EXACT_LIMIT distinct mask rows, whose games are scored together in
-    trie blocks and then finished, in input order."""
-    plans = (_plan(journey, vocab, method, n_samples, seed) for journey in journeys)
-    for window in _windows(plans, lambda plan: len(plan[0].rows), 2 ** EXACT_LIMIT):
-        values = _game_values(params, [game for game, _ in window], stats)
-        for (_, finish), acc in zip(window, values):
-            yield finish(acc)
+        yield window, plans
 
 
 def _shards(rows: list[int], n_shards: int) -> list[list[int]]:
@@ -684,22 +712,87 @@ def _shards(rows: list[int], n_shards: int) -> list[list[int]]:
     return [sorted(shard) for shard in shards]
 
 
-# (params, vocab, method, n_samples, seed) of a worker process, set once by
-# the pool's initializer
-_worker_settings: tuple | None = None
+def _attribute_shard(params, journeys, vocab, plans, stats=None) -> list[AttributionResult]:
+    """One process's path over a shard of journeys, in input order: their
+    games are scored together in trie blocks, and then the journeys of each
+    length are finished by one solve over their stacked values."""
+    games = []
+    by_length: dict[int, list[int]] = {}
+    for idx, journey in enumerate(journeys):
+        n = len(journey.events)
+        games.append(_Game(encode_journey(journey, vocab), plans[n].rows, plans[n].inverse))
+        by_length.setdefault(n, []).append(idx)
+    values = _game_values(params, games, stats)
+    results = [None] * len(journeys)
+    for n, indices in by_length.items():
+        plan = plans[n]
+        step = max(1, _SOLVE_VALUES // len(plan.inverse))
+        for start in range(0, len(indices), step):
+            chunk = indices[start:start + step]
+            stacked = np.stack([values[idx] for idx in chunk])[:, plan.inverse]
+            for idx, result in zip(chunk, plan.finish(stacked)):
+                results[idx] = result
+    return results
 
 
-def _set_worker_settings(*settings) -> None:
-    global _worker_settings
-    _worker_settings = settings
+def _shard_child(sender, params, journeys, vocab, plans) -> None:
+    """A forked child's work: its shard's results and counters, or the
+    error that stopped it, sent once to the parent."""
+    try:
+        stats = GameStats()
+        reply = (_attribute_shard(params, journeys, vocab, plans, stats), stats)
+    except Exception as exc:  # reported to the parent, which raises it
+        reply = exc
+    sender.send(reply)
 
 
-def _attribute_shard(journeys: list[CustomerJourney], settings: tuple | None = None):
-    """The serial path over one shard of journeys, with the given settings
-    or else the worker's; returns its results and counters."""
-    params, vocab, method, n_samples, seed = settings or _worker_settings
-    stats = GameStats()
-    return list(_attribute_serial(params, journeys, vocab, method, n_samples, seed, stats)), stats
+def _attribute_shards(params, shards, vocab, plans, stats=None) -> list[list[AttributionResult]]:
+    """The results of each shard of a window. The calling process takes the
+    first shard; each other shard that is not empty goes to a child process
+    forked for it, which so starts with its shard, the plans and the model
+    in its memory, and sends back its results and counters, or its error,
+    over a one-way pipe. Every child is joined before this returns or
+    raises: one still working when an error ends the window is killed."""
+    parts: list[list[AttributionResult]] = [[] for _ in shards]
+    pending = []  # (shard index, child, receiver) not yet heard from
+    try:
+        if any(shards[1:]):
+            # imported here: it adds about 15 ms to a cold `import deepmta.cli`
+            import multiprocessing
+
+            context = multiprocessing.get_context("fork")
+            for k, journeys in enumerate(shards[1:], start=1):
+                if journeys:
+                    receiver, sender = context.Pipe(duplex=False)
+                    child = context.Process(target=_shard_child, args=(sender, params, journeys, vocab, plans))
+                    child.start()
+                    # the child holds the only sending end, so its death ends the pipe
+                    sender.close()
+                    pending.append((k, child, receiver))
+        parts[0] = _attribute_shard(params, shards[0], vocab, plans, stats)
+        while pending:
+            k, child, receiver = pending[0]
+            try:
+                reply = receiver.recv()
+            except EOFError:
+                child.join()
+                raise EvaluationError(
+                    f"an attribution worker process ended with exit status {child.exitcode} before sending its results"
+                ) from None
+            if isinstance(reply, BaseException):
+                raise reply
+            parts[k], child_stats = reply
+            if stats is not None:
+                stats.add(child_stats)
+            pending.pop(0)
+            child.join()
+            receiver.close()
+    finally:
+        for _, child, receiver in pending:
+            child.kill()
+            child.join()
+            receiver.close()
+    return parts
 
 
 def attribute_journeys(
@@ -715,58 +808,36 @@ def attribute_journeys(
     """Attribute many journeys against a frozen model; yields one
     AttributionResult per journey, in input order.
 
-    At one worker, journeys are planned in windows of at least
-    2^EXACT_LIMIT distinct mask rows, and a window's games are scored
-    together in trie blocks of at most _BLOCK_ROWS rows, so memory is
-    bounded by one window's plans and one block scan. At N workers,
-    journeys are read in windows of at least N journeys and
-    N * 2^EXACT_LIMIT planned rows (`_planned_rows`), and each window is
+    Journeys are read in windows of at least N = `workers` journeys and
+    N * 2^EXACT_LIMIT distinct mask rows. A journey's game depends only on
+    its length and the method, so each window builds one plan per length
+    (`_plan_windows`) and its journeys of that length share it. The window is
     split into N shards of whole journeys, largest first onto the lightest
-    shard. N - 1 forked worker processes and the calling process each run
-    the one-worker path on one shard; the shards' counters are summed into
-    `stats`. The pool lives for one call and is joined at the end, on an
-    error, and when the caller closes the generator. Each journey's result
+    shard. The calling process attributes the first shard, and N - 1
+    children, forked for the window after its plans are built, the others;
+    the shards' counters are summed into `stats`. In each shard the games
+    are scored together in trie blocks of at most _BLOCK_ROWS rows, and the
+    journeys of one length are finished together. So memory is bounded by
+    one window's plans and one block scan. Every child is joined before the
+    window's results are yielded, and on an error; a child that dies
+    without sending its results is an EvaluationError. Each journey's result
     equals `attribute_journey` on it alone, at any worker count.
     """
     if workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
     if seed < 0:
         raise ConfigError(f"seed must be >= 0, got {seed}")
-    if workers == 1:
-        yield from _attribute_serial(params, journeys, vocab, method, n_samples, seed, stats)
-        return
-    # imported here: they add about 15 ms to a cold `import deepmta.cli`
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    settings = (params, vocab, method, n_samples, seed)
-    # forked workers inherit the initializer's arguments; they are not pickled
-    with ProcessPoolExecutor(
-        max_workers=workers - 1,
-        mp_context=multiprocessing.get_context("fork"),
-        initializer=_set_worker_settings,
-        initargs=settings,
-    ) as pool:
-        sized = ((journey, _planned_rows(journey, method, n_samples)) for journey in journeys)
-        # a window gives each worker a journey, also where one journey
-        # alone plans more rows than the limit
-        for window in _windows(sized, lambda item: item[1], workers * 2 ** EXACT_LIMIT, workers):
-            shards = _shards([rows for _, rows in window], workers)
-            # the caller takes the first shard, which holds the largest
-            # journey, and the pool the others that are not empty
-            jobs = [(shard, pool.submit(_attribute_shard, [window[idx][0] for idx in shard]))
-                    for shard in shards[1:] if shard]
-            done = [(shards[0], _attribute_shard([window[idx][0] for idx in shards[0]], settings))]
-            done += [(shard, job.result()) for shard, job in jobs]
-            results = [None] * len(window)
-            for shard, (shard_results, shard_stats) in done:
-                for idx, result in zip(shard, shard_results):
-                    results[idx] = result
-                if stats is not None:
-                    stats.blocks += shard_stats.blocks
-                    stats.node_steps += shard_stats.node_steps
-                    stats.rechecked += shard_stats.rechecked
-            yield from results
+    # a window gives each worker a journey, also where one journey alone
+    # has more rows than the limit
+    for window, plans in _plan_windows(journeys, method, n_samples, seed, workers * 2 ** EXACT_LIMIT, workers):
+        # the caller's first shard holds the largest journey
+        shards = _shards([len(plans[len(journey.events)].rows) for journey in window], workers)
+        parts = _attribute_shards(params, [[window[idx] for idx in shard] for shard in shards], vocab, plans, stats)
+        results = [None] * len(window)
+        for shard, part in zip(shards, parts):
+            for idx, result in zip(shard, part):
+                results[idx] = result
+        yield from results
 
 
 def attribute_journey(
@@ -797,8 +868,8 @@ def attribution_to_dict(journey: CustomerJourney, result: AttributionResult) -> 
         "user_id": journey.user_id,
         "method": result.method,
         "intercept": result.intercept,
-        "raw_weights": [float(x) for x in result.raw_weights],
-        "weights": [float(x) for x in result.weights],
+        "raw_weights": result.raw_weights.tolist(),
+        "weights": result.weights.tolist(),
         "unattributed": result.unattributed,
         "channels": journey.channels,
     }

@@ -877,7 +877,9 @@ def load_checkpoint(path: str | Path) -> tuple[ModelParams, Vocabulary, int]:
         # read as a float if every entry is a finite number
         if arr is not None and arr.dtype == object and all(map(finite_number, data)):
             arr = np.asarray(data, dtype=np.float64)
-        if arr is None or arr.ndim != 1 or arr.dtype.kind not in "iuf":
+        # numpy reads a JSON true or false among numbers as 1 or 0; only a
+        # list of bools alone keeps the bool dtype
+        if arr is None or arr.ndim != 1 or arr.dtype.kind not in "iuf" or bool in set(map(type, data)):
             raise ValidationError(f"tensor {name!r} data must be a flat list of numbers")
         if arr.size != math.prod(shape):
             raise ValidationError(f"tensor {name!r} data length does not match its shape")

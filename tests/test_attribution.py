@@ -7,18 +7,20 @@ import pytest
 
 from deepmta.attribution import (
     _BLOCK_ROWS,
+    _SOLVE_VALUES,
     EXACT_LIMIT,
     MAX_PREFIX_ROWS,
     RECHECK_MARGIN,
     AttributionResult,
     GameStats,
+    _build_plan,
+    _clip_normalize_rows,
+    _exact_solver,
     _game_values,
     _Game,
     _pack_blocks,
     _permutation_estimates,
     _permutation_prefixes,
-    _plan,
-    _planned_rows,
     _scan_block,
     _shards,
     _trie_steps,
@@ -35,7 +37,6 @@ from deepmta.attribution import (
     shapley_exact,
     shapley_sampled,
     solve_weights,
-    _shapley_from_table,
 )
 from deepmta.errors import ConfigError, DimensionError, NumericError, ValidationError
 from deepmta.journey import ClickEvent, CustomerJourney, Vocabulary, encode_journey
@@ -59,8 +60,9 @@ def shapley_permutation_oracle(values_by_subset, n):
 
 
 def shapley_table_double_loop(values, n):
-    """The subset-by-player double loop that `_shapley_from_table` replaced,
-    kept as its oracle: same terms, same order."""
+    """The subset-by-player double loop over a table indexed by bitmask (bit
+    j = player j) that `_exact_solver` replaced, kept as its oracle: same
+    terms, same order."""
     fact = [math.factorial(i) for i in range(n + 1)]
     coeff = np.array([fact[size] * fact[n - size - 1] / fact[n] for size in range(n)])
     sizes = np.array([bin(s).count("1") for s in range(2 ** n)])
@@ -71,6 +73,14 @@ def shapley_table_double_loop(values, n):
             if not (s >> i) & 1:
                 phi[i] += coeff[size] * (values[s | (1 << i)] - values[s])
     return phi
+
+
+def assert_no_child_left():
+    """No child process of this one is left, running or unreaped."""
+    import os
+
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def table_to_value_fn(values_by_subset):
@@ -357,10 +367,21 @@ class TestShapleyExact:
 
     @pytest.mark.parametrize("n", range(1, EXACT_LIMIT + 1))
     def test_table_sum_matches_double_loop(self, n):
+        # one solve over several games' stacked values equals the double
+        # loop on each game's table, bit for bit
         rng = np.random.default_rng(20 + n)
-        values = rng.random(2 ** n)
-        values[rng.integers(0, 2 ** n, size=2 ** n // 3)] = 0.5  # ties give zero terms
-        np.testing.assert_array_equal(_shapley_from_table(values, n), shapley_table_double_loop(values, n))
+        tables = rng.random((4, 2 ** n))
+        for table in tables:
+            table[rng.integers(0, 2 ** n, size=2 ** n // 3)] = 0.5  # ties give zero terms
+        # the value of powerset row r is the table's entry at r's bitmask
+        bitmask = mask_powerset(n) @ (1 << np.arange(n))
+        solved = _exact_solver(n)(tables[:, bitmask])
+        assert solved.shape == (4, n)
+        for table, phi in zip(tables, solved):
+            np.testing.assert_array_equal(phi, shapley_table_double_loop(table, n))
+        np.testing.assert_array_equal(
+            shapley_exact(lambda mask: tables[0][mask @ (1 << np.arange(n))], n), solved[0]
+        )
 
 
 class TestShapleySampled:
@@ -628,12 +649,13 @@ class TestBlockScan:
         rng = np.random.default_rng(40)
         params = init_params(VOCAB.encoding_dim, 6, 2, t_span_hours=12.0, rng=4)
         journeys = mixed_journeys(rng, rng.permutation(np.arange(1, 21)))
-        games = [_plan(j, VOCAB, method, 8, 1)[0] for j in journeys]
+        plans = [_build_plan(method, len(j.events), 8, 1) for j in journeys]
+        games = [_Game(encode_journey(j, VOCAB), plan.rows, plan.inverse) for j, plan in zip(journeys, plans)]
         stats = GameStats()
         values = _game_values(params, games, stats=stats)
         assert stats.blocks == len(_pack_blocks(games)) >= 2
-        for game, acc in zip(games, values):
-            masks = game.rows[game.inverse]
+        for game, distinct in zip(games, values):
+            masks, acc = game.rows[game.inverse], distinct[game.inverse]
             np.testing.assert_array_equal(acc, masked_accuracy_batch(params, game.enc, masks))
             for row in rng.choice(len(masks), 4):
                 assert acc[row] == masked_accuracy(params, game.enc, masks[row])
@@ -660,8 +682,8 @@ class TestBlockScan:
         assert sum(any(g == 1 for g, _, _ in block) for block in blocks) >= 2
         stats = GameStats()
         values = _game_values(params, games, stats=stats)
-        for enc, m, acc in zip(encs, masks, values):
-            np.testing.assert_array_equal(acc, forward_reference(params, enc, m))
+        for enc, m, game, acc in zip(encs, masks, games, values):
+            np.testing.assert_array_equal(acc[game.inverse], forward_reference(params, enc, m))
         # node_steps counts each journey's live prefixes once, across the cuts
         assert stats.node_steps == sum(live_prefix_steps(game.rows) for game in games)
 
@@ -744,7 +766,7 @@ class TestBlockScan:
         masks = mask_powerset(EXACT_LIMIT)
         table = np.empty(2 ** EXACT_LIMIT)
         table[masks @ (1 << np.arange(EXACT_LIMIT))] = forward_reference(params, encode_journey(journey, VOCAB), masks)
-        np.testing.assert_array_equal(result.raw_weights, _shapley_from_table(table, EXACT_LIMIT))
+        np.testing.assert_array_equal(result.raw_weights, shapley_table_double_loop(table, EXACT_LIMIT))
         assert len(list(attribute_journeys(params, [journey, journey], VOCAB, workers=2))) == 2
 
     def test_workers_scan_in_their_own_processes(self, monkeypatch, tmp_path):
@@ -782,37 +804,53 @@ class TestBlockScan:
         assert parallel_stats.node_steps == serial_stats.node_steps
         assert parallel_stats.rechecked == serial_stats.rechecked
         assert multiprocessing.active_children() == []
+        assert_no_child_left()
 
     def test_each_worker_gets_a_journey_of_a_long_window(self, monkeypatch, tmp_path):
-        # each sampled journey plans more rows than a two-worker window
-        # needs, yet a window holds a journey per worker
+        # each sampled journey has more distinct rows than a two-worker
+        # window needs, yet a window holds a journey per worker
         import os
 
         import deepmta.attribution as attribution
 
         rng = np.random.default_rng(51)
         params = init_params(VOCAB.encoding_dim, 6, 1, t_span_hours=12.0, rng=10)
-        journeys = mixed_journeys(rng, (13, 14))
-        assert min(_planned_rows(j, "auto", 600) for j in journeys) > 2 * 2 ** EXACT_LIMIT
+        journeys = mixed_journeys(rng, (16, 17))
+        assert min(len(_build_plan("auto", len(j.events), 1000, 0).rows) for j in journeys) > 2 * 2 ** EXACT_LIMIT
 
         def recorded(*args):
             (tmp_path / str(os.getpid())).touch()
             return _scan_block(*args)
 
         monkeypatch.setattr(attribution, "_scan_block", recorded)
-        parallel = list(attribute_journeys(params, journeys, VOCAB, n_samples=600, workers=2))
+        parallel = list(attribute_journeys(params, journeys, VOCAB, n_samples=1000, workers=2))
         assert len(list(tmp_path.iterdir())) == 2
         monkeypatch.undo()
         for journey, result in zip(journeys, parallel, strict=True):
-            single = attribute_journey(params, journey, VOCAB, n_samples=600)
+            single = attribute_journey(params, journey, VOCAB, n_samples=1000)
             np.testing.assert_array_equal(result.raw_weights, single.raw_weights)
 
     @pytest.mark.parametrize("method", ("auto", "ols", "kernel_ols", "shapley_exact", "shapley_sampled"))
     def test_planned_rows_known_before_planning(self, method):
-        rng = np.random.default_rng(48)
-        for journey in mixed_journeys(rng, (1, 5, 12, 13, 20) if method != "shapley_exact" else (1, 5, 12)):
-            game, _ = _plan(journey, VOCAB, method, 24, 3)
-            assert _planned_rows(journey, method, 24) == len(game.inverse)
+        # a plan depends only on the method and the length: its planned rows
+        # are the powerset up to EXACT_LIMIT events, else OLS's 2048 rows or
+        # the permutation prefixes drawn from the seed, and its distinct
+        # rows and inverse are those of the journey's own game
+        for n in (1, 5, 12, 13, 20) if method != "shapley_exact" else (1, 5, 12):
+            plan = _build_plan(method, n, 24, 3)
+            if resolve_method(method, n) == "shapley_sampled":
+                masks = _permutation_prefixes(n, 24, 3)[1]
+                assert len(masks) == 24 * (n + 1)
+            elif n <= EXACT_LIMIT:
+                masks = mask_powerset(n)
+            else:
+                masks = np.random.default_rng(3).integers(0, 2, size=(2048, n))
+                masks[0], masks[1] = 0, 1
+            assert len(plan.inverse) == len(masks)
+            game = _Game.of(None, masks != 0)
+            np.testing.assert_array_equal(plan.rows, game.rows)
+            np.testing.assert_array_equal(plan.inverse, game.inverse)
+            np.testing.assert_array_equal(plan.rows[plan.inverse], masks != 0)
 
     @pytest.mark.parametrize("n_shards", (1, 2, 3, 8))
     def test_shards_cover_each_journey_once(self, n_shards):
@@ -839,6 +877,7 @@ class TestBlockScan:
         next(batches)
         batches.close()
         assert multiprocessing.active_children() == []
+        assert_no_child_left()
 
     def test_more_journeys_than_one_window(self, monkeypatch):
         # at one worker, every 12-event journey fills a window
@@ -863,6 +902,150 @@ class TestBlockScan:
             single = attribute_journey(params, journey, VOCAB)
             np.testing.assert_array_equal(result.raw_weights, single.raw_weights)
             assert result.intercept == single.intercept
+
+
+def permutation_estimates_reference(perms, vals):
+    """`_permutation_estimates` of one game, as it was before it took many:
+    kept as the oracle of the stacked solve."""
+    n_samples, n = perms.shape
+    by_player = np.zeros((n_samples + 1, n))
+    by_player[1 + np.arange(n_samples)[:, None], perms] = np.diff(vals.reshape(n_samples, n + 1), axis=1)
+    return np.cumsum(by_player, axis=0)[-1] / n_samples
+
+
+def clip_normalize_reference(raw):
+    """`clip_normalize` of one vector, as it was before it took many rows."""
+    clipped = np.clip(raw, 0.0, None)
+    total = clipped.sum()
+    if total > 0:
+        return clipped / total, False
+    return np.zeros_like(clipped), True
+
+
+def accuracy_values(rng, shape, n):
+    """Game values as masked accuracies take them: counts over 1..n kept
+    events, with ties."""
+    return rng.integers(0, n + 1, size=shape) / rng.integers(1, n + 1, size=shape)
+
+
+class TestBatchedSolves:
+    """Each plan solves all its journeys at once, with the bits of the
+    per-journey solves it replaced."""
+
+    @pytest.mark.parametrize("n", range(13, 21))
+    @pytest.mark.parametrize("n_samples", (1, 7, 32))
+    def test_permutation_estimates_match_each_game(self, n, n_samples):
+        rng = np.random.default_rng(90 + n + n_samples)
+        perms, _ = _permutation_prefixes(n, n_samples, n)
+        values = accuracy_values(rng, (5, n_samples * (n + 1)), n)
+        stacked = _permutation_estimates(perms, values)
+        assert stacked.shape == (5, n)
+        for vals, phi in zip(values, stacked):
+            np.testing.assert_array_equal(phi, permutation_estimates_reference(perms, vals))
+            np.testing.assert_array_equal(phi, _permutation_estimates(perms, vals))
+
+    @pytest.mark.parametrize("n", (1, 2, 5, 7, 8, 9, 16, 17, 32))
+    def test_clip_normalize_rows_match_each_row(self, n):
+        # above 8 entries numpy's pairwise summation unrolls; each row is
+        # still summed as that row alone. Rows 0-2 are all non-positive
+        rng = np.random.default_rng(100 + n)
+        raw = rng.normal(0.0, rng.uniform(0.01, 10.0, size=(40, 1)), size=(40, n))
+        raw[0] = 0.0
+        raw[1] = -np.abs(raw[1])
+        raw[2] = -0.0
+        weights, unattributed = _clip_normalize_rows(raw)
+        assert unattributed[:3].all()
+        for row, w, flag in zip(raw, weights, unattributed):
+            ref, ref_flag = clip_normalize_reference(row)
+            np.testing.assert_array_equal(w, ref)
+            assert np.signbit(w).tolist() == np.signbit(ref).tolist()
+            one, one_flag = clip_normalize(row)
+            np.testing.assert_array_equal(one, ref)
+            assert bool(flag) is ref_flag is one_flag
+
+    @pytest.mark.parametrize(
+        ("method", "n"),
+        [(method, n) for method in ("ols", "kernel_ols", "shapley_exact", "shapley_sampled")
+         for n in (1, 3, 9, 12, 13, 17) if method != "shapley_exact" or n <= EXACT_LIMIT],
+    )
+    def test_plan_finish_matches_per_journey_solves(self, method, n):
+        # every method's stacked solve and clip-normalize equal the
+        # per-journey path they replaced
+        rng = np.random.default_rng(110 + n)
+        plan = _build_plan(method, n, 16, 4)
+        values = accuracy_values(rng, (6, len(plan.rows)), n)[:, plan.inverse]
+        values[0] = 0.0  # an all-zero game leaves its journey unattributed
+        masks = plan.rows[plan.inverse].astype(np.int64)
+        for vals, result in zip(values, plan.finish(values), strict=True):
+            if method == "shapley_exact":
+                table = np.empty(2 ** n)
+                table[masks @ (1 << np.arange(n))] = vals
+                intercept, raw = table[0], shapley_table_double_loop(table, n)
+            elif method == "shapley_sampled":
+                perms, _ = _permutation_prefixes(n, 16, 4)
+                intercept, raw = vals[0], permutation_estimates_reference(perms, vals)
+            else:
+                intercept, raw = solve_weights(masks, vals, "uniform" if method == "ols" else "shapley_kernel")
+            weights, unattributed = clip_normalize_reference(raw)
+            np.testing.assert_array_equal(result.raw_weights, raw)
+            np.testing.assert_array_equal(result.weights, weights)
+            assert (result.intercept, result.method, result.unattributed) == (float(intercept), method, unattributed)
+            assert type(result.intercept) is float and type(result.unattributed) is bool
+
+    @pytest.mark.parametrize("workers", (1, 2))
+    def test_one_plan_per_length_and_window(self, monkeypatch, workers):
+        # plans are built as a window fills, once for each length in it,
+        # and before any child is forked
+        import deepmta.attribution as attribution
+
+        rng = np.random.default_rng(120)
+        params = init_params(VOCAB.encoding_dim, 6, 1, t_span_hours=12.0, rng=11)
+        journeys = mixed_journeys(rng, (3, 1, 3, 12, 2, 3, 12, 1, 14, 2, 12, 3, 3))
+        events = []
+
+        def build(method, n, *args):
+            events.append(("plan", method, n))
+            return _build_plan(method, n, *args)
+
+        def shards(params, shards, *args):
+            events.append(("window", sorted({len(j.events) for shard in shards for j in shard})))
+            return real_shards(params, shards, *args)
+
+        real_shards = attribution._attribute_shards
+        monkeypatch.setattr(attribution, "_build_plan", build)
+        monkeypatch.setattr(attribution, "_attribute_shards", shards)
+        results = list(attribute_journeys(params, journeys, VOCAB, n_samples=8, seed=2, workers=workers))
+        windows = [event for event in events if event[0] == "window"]
+        assert len(windows) >= 2
+        built = []
+        for event in events:
+            if event[0] == "plan":
+                built.append(event[2])
+            else:
+                assert sorted(built) == event[1], "one plan per length in the window"
+                built = []
+        assert all(method == "auto" for kind, method, *_ in events if kind == "plan")
+        monkeypatch.undo()
+        for journey, result in zip(journeys, results, strict=True):
+            single = attribute_journey(params, journey, VOCAB, n_samples=8, seed=2)
+            np.testing.assert_array_equal(result.raw_weights, single.raw_weights)
+
+    def test_solves_cut_into_chunks_keep_the_bits(self, monkeypatch):
+        # a length with more journeys than one solve takes is finished in
+        # several solves, with the same results
+        import deepmta.attribution as attribution
+
+        rng = np.random.default_rng(121)
+        params = init_params(VOCAB.encoding_dim, 6, 1, t_span_hours=12.0, rng=12)
+        journeys = mixed_journeys(rng, rng.integers(1, 6, size=40))
+        whole = list(attribute_journeys(params, journeys, VOCAB, n_samples=8))
+        monkeypatch.setattr(attribution, "_SOLVE_VALUES", 20)
+        assert attribution._SOLVE_VALUES < _SOLVE_VALUES
+        chunked = list(attribute_journeys(params, journeys, VOCAB, n_samples=8))
+        for a, b in zip(whole, chunked, strict=True):
+            np.testing.assert_array_equal(a.raw_weights, b.raw_weights)
+            np.testing.assert_array_equal(a.weights, b.weights)
+            assert (a.intercept, a.unattributed) == (b.intercept, b.unattributed)
 
 
 def trie_margins(params, enc, rows, dtype):
@@ -947,7 +1130,7 @@ class TestFloat32Scan:
         assert stats.rechecked == sum(rechecked for _, _, rechecked in whole) > 0
         assert stats.node_steps == sum(node_steps for _, node_steps, _ in whole)
         for game, acc in zip(games, values):
-            np.testing.assert_array_equal(acc, forward_reference(params, game.enc, game.rows[game.inverse]))
+            np.testing.assert_array_equal(acc, forward_reference(params, game.enc, game.rows))
 
     @pytest.mark.parametrize("H", (64, 256))
     def test_margin_error_far_inside_the_band(self, H):

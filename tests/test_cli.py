@@ -24,6 +24,7 @@ from deepmta.errors import (
 )
 from deepmta.journey import load_journeys
 from deepmta.report import load_report_csv
+from test_attribution import assert_no_child_left
 
 
 def parse_kv(stdout: str) -> dict:
@@ -272,19 +273,24 @@ class TestAttribute:
         assert cli._attribution_workers() == 5
 
     def test_huge_thread_env_starts_a_small_pool(self, pipeline, tmp_path, monkeypatch):
-        # the pool's size is recorded, and the pool run on one process
-        # whatever it asks for
-        import concurrent.futures
+        # the processes started per window are counted: the calling process
+        # and two children, whatever MTA_THREADS asks for
         import multiprocessing
+        from multiprocessing.context import ForkProcess
 
-        sizes = []
-        real = concurrent.futures.ProcessPoolExecutor
+        started = []
+        real_start, real_shards = ForkProcess.start, attribution._attribute_shards
 
-        def recorded(max_workers, **kwargs):
-            sizes.append(max_workers)
-            return real(max_workers=1, **kwargs)
+        def start(self):
+            started[-1] += 1
+            real_start(self)
 
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", recorded)
+        def shards(*args, **kwargs):
+            started.append(0)
+            return real_shards(*args, **kwargs)
+
+        monkeypatch.setattr(ForkProcess, "start", start)
+        monkeypatch.setattr(attribution, "_attribute_shards", shards)
         monkeypatch.setattr(cli, "_usable_cpus", lambda: 3)
         monkeypatch.setenv("MTA_THREADS", "100000")
         out = tmp_path / "a.jsonl"
@@ -292,9 +298,10 @@ class TestAttribute:
             "attribute", "--model", str(pipeline["ckpt"]), "--data", str(pipeline["data"]),
             "--out", str(out), "--method", "auto", "--seed", "1",
         ]) == 0
-        assert sizes == [2]
+        assert started == [2]
         assert out.read_bytes() == pipeline["attr"].read_bytes()
         assert multiprocessing.active_children() == []
+        assert_no_child_left()
 
     def test_no_fork_means_one_worker(self, monkeypatch):
         # where the platform cannot fork, every MTA_THREADS value runs the
@@ -332,6 +339,66 @@ class TestAttribute:
         assert "non-finite logits in a worker" in err
         assert not out.exists()
         assert multiprocessing.active_children() == []
+        assert_no_child_left()
+
+    def test_caller_shard_error_ends_the_workers(self, pipeline, tmp_path, monkeypatch, capsys):
+        # an error in the caller's own shard, while its children still
+        # work, ends the run with its exit code; the children are killed
+        # and reaped, and no output file is written
+        import multiprocessing
+        import time
+
+        caller = os.getpid()
+        scan = attribution._scan_block
+
+        def failing(*args):
+            if os.getpid() == caller:
+                raise NumericError("non-finite logits in the caller")
+            time.sleep(30)  # a child still at work when the caller fails
+            return scan(*args)
+
+        monkeypatch.setattr(attribution, "_scan_block", failing)
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 3)
+        monkeypatch.setenv("MTA_THREADS", "3")
+        out = tmp_path / "a.jsonl"
+        start = time.perf_counter()
+        code, _, err = run_cli(capsys, [
+            "attribute", "--model", str(pipeline["ckpt"]), "--data", str(pipeline["data"]), "--out", str(out),
+        ])
+        assert code == 3
+        assert time.perf_counter() - start < 20
+        assert "non-finite logits in the caller" in err
+        assert not out.exists()
+        assert multiprocessing.active_children() == []
+        assert_no_child_left()
+
+    def test_dead_worker_exits_4(self, pipeline, tmp_path, monkeypatch, capsys):
+        # a worker killed before it sends its results (SIGKILL, as the OOM
+        # killer sends) is an evaluation error naming its exit status
+        import multiprocessing
+        import signal
+
+        caller = os.getpid()
+        scan = attribution._scan_block
+
+        def dying(*args):
+            if os.getpid() != caller:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return scan(*args)
+
+        monkeypatch.setattr(attribution, "_scan_block", dying)
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+        monkeypatch.setenv("MTA_THREADS", "2")
+        out = tmp_path / "a.jsonl"
+        code, _, err = run_cli(capsys, [
+            "attribute", "--model", str(pipeline["ckpt"]), "--data", str(pipeline["data"]), "--out", str(out),
+        ])
+        assert code == 4
+        assert f"exit status {-signal.SIGKILL}" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+        assert multiprocessing.active_children() == []
+        assert_no_child_left()
 
     def test_import_loads_no_process_pool(self):
         # the pool's modules cost a cold import ~15 ms; attribute loads them

@@ -1011,6 +1011,16 @@ class TestCheckpointStructure:
         expected = np.asarray([float(x) for x in data]).reshape(params.W_out.shape)
         np.testing.assert_array_equal(params.W_out, expected)
 
+    @pytest.mark.parametrize("entry", (True, False))
+    @pytest.mark.parametrize("at", (0, 5))
+    def test_bool_among_numbers(self, tmp_path, entry, at):
+        # numpy would read the bool as 1.0 or 0.0 beside float entries
+        path, obj = _saved_checkpoint(tmp_path)
+        obj["tensors"]["W_out"]["data"][at] = entry
+        path.write_text(json.dumps(obj))
+        with pytest.raises(ValidationError, match="tensor 'W_out' data must be a flat list of numbers"):
+            load_checkpoint(path)
+
     @pytest.mark.parametrize(
         "entry", (True, 10**400, -(10**400), None, "1.0"), ids=("bool", "huge", "-huge", "null", "str")
     )
