@@ -22,10 +22,18 @@ the gradients into a fresh vector of the same layout, so an optimizer step is
 a few whole-vector operations. The backward's reverse loop carries only the
 recurrence; a test keeps a per-step loop as its oracle. The time gates'
 closed-phase leak rate is one hyperparameter of the model, `ModelParams.alpha`.
+
+A checkpoint is JSON. `save_checkpoint` writes format version 2, in which
+each tensor's data is one base64 string of its row-major, little-endian
+float64 bytes: loading decodes bytes instead of parsing a decimal number per
+weight. `load_checkpoint` also reads format version 1, whose tensor data are
+flat lists of numbers. The two versions differ only in that decoder; every
+other check, and the finiteness check in `ModelParams`, is shared.
 """
 
 from __future__ import annotations
 
+import base64
 import json
 import math
 from dataclasses import dataclass, field, fields, replace
@@ -801,11 +809,12 @@ def backward_batch(trace: ForwardTrace, grad_logits: np.ndarray) -> Gradients:
 # checkpoint I/O
 # ---------------------------------------------------------------------------
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 def save_checkpoint(path: str | Path, params: ModelParams, vocab: Vocabulary, seed: int = 0) -> None:
-    """Write a JSON checkpoint with flat row-major float64 tensors."""
+    """Write a JSON checkpoint of format version 2: each tensor's data is
+    the base64 of its row-major, little-endian float64 bytes."""
     obj = {
         "format_version": CHECKPOINT_VERSION,
         "vocab": {"channels": list(vocab.channels), "campaigns": list(vocab.campaigns)},
@@ -817,7 +826,7 @@ def save_checkpoint(path: str | Path, params: ModelParams, vocab: Vocabulary, se
             "alpha": params.alpha,
         },
         "tensors": {
-            name: {"shape": list(arr.shape), "data": arr.ravel().tolist()}
+            name: {"shape": list(arr.shape), "data": base64.b64encode(arr.astype("<f8").tobytes()).decode("ascii")}
             for name, arr in params.named_parameters()
         },
         "rng_seed": seed,
@@ -836,14 +845,53 @@ def _entry(obj: dict, key: str, kind, where: str, default=None):
     return value
 
 
+def _list_tensor(name: str, entry: dict, size: int) -> np.ndarray:
+    """Format 1: the tensor's data is a flat list of JSON numbers."""
+    data = _entry(entry, "data", list, f"tensor {name!r} field")
+    try:
+        arr = np.asarray(data)
+    except ValueError:
+        arr = None
+    # an int too large for int64 makes the list an object array; it is
+    # read as a float if every entry is a finite number
+    if arr is not None and arr.dtype == object and all(map(finite_number, data)):
+        arr = np.asarray(data, dtype=np.float64)
+    # numpy reads a JSON true or false among numbers as 1 or 0; only a
+    # list of bools alone keeps the bool dtype
+    if arr is None or arr.ndim != 1 or arr.dtype.kind not in "iuf" or bool in set(map(type, data)):
+        raise ValidationError(f"tensor {name!r} data must be a flat list of numbers")
+    if arr.size != size:
+        raise ValidationError(f"tensor {name!r} data length does not match its shape")
+    return arr
+
+
+def _base64_tensor(name: str, entry: dict, size: int) -> np.ndarray:
+    """Format 2: the tensor's data is one base64 string of its row-major,
+    little-endian float64 bytes."""
+    data = _entry(entry, "data", str, f"tensor {name!r} field")
+    try:
+        raw = base64.b64decode(data, validate=True)
+    except ValueError:  # binascii.Error, or a character outside ASCII
+        raise ValidationError(f"tensor {name!r} data is not base64") from None
+    if len(raw) != 8 * size:
+        raise ValidationError(f"tensor {name!r} data holds {len(raw)} bytes, but its shape needs {8 * size}")
+    return np.frombuffer(raw, "<f8")
+
+
+# format_version -> the decoder of a tensor entry's data; the rest of the file
+# is the same in every version
+_TENSOR_DECODERS = {1: _list_tensor, 2: _base64_tensor}
+
+
 def load_checkpoint(path: str | Path) -> tuple[ModelParams, Vocabulary, int]:
-    """Read a checkpoint, validating its structure and every tensor shape
-    against the `param_shapes` table of its hyperparams; a malformed file is
-    a ValidationError."""
+    """Read a checkpoint of format version 1 or 2, validating its structure
+    and every tensor shape against the `param_shapes` table of its
+    hyperparams; a malformed file is a ValidationError."""
     obj = read_json(path, "checkpoint")
-    if not isinstance(obj, dict) or obj.get("format_version") != CHECKPOINT_VERSION:
-        version = obj.get("format_version") if isinstance(obj, dict) else None
+    version = obj.get("format_version") if isinstance(obj, dict) else None
+    if not isinstance(version, int) or isinstance(version, bool) or version not in _TENSOR_DECODERS:
         raise ValidationError(f"unsupported checkpoint format_version {version!r}")
+    decode = _TENSOR_DECODERS[version]
     hp = _entry(obj, "hyperparams", dict, "field")
     input_dim, hidden_size, n_layers = (
         _entry(hp, key, int, "hyperparam") for key in ("input_dim", "hidden_size", "n_layers")
@@ -868,22 +916,7 @@ def load_checkpoint(path: str | Path) -> tuple[ModelParams, Vocabulary, int]:
         entry = _entry(tensors, name, dict, "tensor")
         if tuple(_entry(entry, "shape", list, f"tensor {name!r} field")) != shape:
             raise ValidationError(f"tensor {name!r} has shape {tuple(entry['shape'])}, expected {shape}")
-        data = _entry(entry, "data", list, f"tensor {name!r} field")
-        try:
-            arr = np.asarray(data)
-        except ValueError:
-            arr = None
-        # an int too large for int64 makes the list an object array; it is
-        # read as a float if every entry is a finite number
-        if arr is not None and arr.dtype == object and all(map(finite_number, data)):
-            arr = np.asarray(data, dtype=np.float64)
-        # numpy reads a JSON true or false among numbers as 1 or 0; only a
-        # list of bools alone keeps the bool dtype
-        if arr is None or arr.ndim != 1 or arr.dtype.kind not in "iuf" or bool in set(map(type, data)):
-            raise ValidationError(f"tensor {name!r} data must be a flat list of numbers")
-        if arr.size != math.prod(shape):
-            raise ValidationError(f"tensor {name!r} data length does not match its shape")
-        arrays[name] = arr.reshape(shape)
+        arrays[name] = decode(name, entry, math.prod(shape)).reshape(shape)
     # ModelParams checks each tensor's finiteness as it packs it
     params = ModelParams(**_tensor_fields(arrays, n_layers), **{key: float(value) for key, value in numbers.items()})
     vocab = vocabulary_from_dict(obj.get("vocab"), "checkpoint vocab")

@@ -25,6 +25,7 @@ from deepmta.errors import (
 from deepmta.journey import load_journeys
 from deepmta.report import load_report_csv
 from test_attribution import assert_no_child_left
+from test_model import as_v1, set_tensor_entry
 
 
 def parse_kv(stdout: str) -> dict:
@@ -786,10 +787,16 @@ def test_divergence_maps_to_exit_3(pipeline, monkeypatch):
     assert code == 3
 
 
-@pytest.mark.parametrize("command", ("eval", "attribute"))
-def test_non_finite_checkpoint_exits_3(pipeline, tmp_path, capsys, command):
+@pytest.mark.parametrize(
+    ("command", "version"),
+    [pytest.param(command, version, id=command if version == 1 else f"{command}-v2")
+     for command in ("eval", "attribute") for version in (1, 2)],
+)
+def test_non_finite_checkpoint_exits_3(pipeline, tmp_path, capsys, command, version):
     obj = json.loads(pipeline["ckpt"].read_text())
-    obj["tensors"]["W_out"]["data"][0] = float("nan")
+    if version == 1:
+        as_v1(obj)
+    set_tensor_entry(obj, "W_out", 0, float("nan"))
     ckpt = tmp_path / "nan_model.json"
     ckpt.write_text(json.dumps(obj))
     out = tmp_path / "out"

@@ -1,3 +1,4 @@
+import base64
 import json
 from pathlib import Path
 
@@ -712,6 +713,37 @@ class TestFlatParameters:
         np.testing.assert_array_equal(loaded.flat, params.flat)
 
 
+def encode_tensor(values) -> str:
+    """A format-2 tensor payload: base64 of little-endian float64 bytes."""
+    return base64.b64encode(np.asarray(values, dtype="<f8").tobytes()).decode("ascii")
+
+
+def decode_tensor(data: str) -> np.ndarray:
+    """The flat float64 entries of a format-2 tensor payload."""
+    return np.frombuffer(base64.b64decode(data), "<f8").copy()
+
+
+def as_v1(obj: dict) -> dict:
+    """A checkpoint object of format version 2 rewritten, in place, as
+    format version 1: each tensor's data a flat list of numbers."""
+    obj["format_version"] = 1
+    for entry in obj["tensors"].values():
+        entry["data"] = decode_tensor(entry["data"]).tolist()
+    return obj
+
+
+def set_tensor_entry(obj: dict, name: str, at: int, value) -> None:
+    """Set entry `at` of tensor `name`'s data in a checkpoint object of
+    either format version."""
+    entry = obj["tensors"][name]
+    if obj["format_version"] == 1:
+        entry["data"][at] = value
+    else:
+        data = decode_tensor(entry["data"])
+        data[at] = value
+        entry["data"] = encode_tensor(data)
+
+
 class TestInitAndCheckpoint:
     def test_init_respects_conventions(self):
         params = init_params(7, 12, 2, t_span_hours=100.0, rng=0)
@@ -769,8 +801,14 @@ class TestInitAndCheckpoint:
         with pytest.raises(ValidationError, match="W_out"):
             load_checkpoint(path)
 
-    @pytest.mark.parametrize("name", ("W_out", "b_out", "ln.1.gain", "ln.0.bias"))
-    def test_checkpoint_non_finite_tensor_rejected(self, tmp_path, name):
+    @pytest.mark.parametrize(
+        ("name", "version"),
+        [
+            pytest.param(name, version, id=name if version == 1 else f"{name}-v2")
+            for name in ("W_out", "b_out", "ln.1.gain", "ln.0.bias") for version in (1, 2)
+        ],
+    )
+    def test_checkpoint_non_finite_tensor_rejected(self, tmp_path, name, version):
         import json as _json
 
         rng = np.random.default_rng(21)
@@ -779,7 +817,9 @@ class TestInitAndCheckpoint:
         path = tmp_path / "model.json"
         save_checkpoint(path, params, vocab)
         obj = _json.loads(path.read_text())
-        obj["tensors"][name]["data"][0] = float("nan")
+        if version == 1:
+            as_v1(obj)
+        set_tensor_entry(obj, name, 0, float("nan"))
         path.write_text(_json.dumps(obj))
         with pytest.raises(NumericError, match=name):
             load_checkpoint(path)
@@ -794,15 +834,19 @@ class TestInitAndCheckpoint:
             load_checkpoint(path)
 
     def test_golden_checkpoint_round_trips_to_its_bytes(self, tmp_path):
-        # a checkpoint of format version 1 (d=5, H=4, two layers, alpha
-        # 0.002), written before the parameter table and the model-wide
-        # alpha: loading and saving it again gives back the same bytes
-        golden = Path(__file__).parent / "data" / "checkpoint_v1.json"
-        loaded, vocab, seed = load_checkpoint(golden)
-        assert loaded.alpha == 0.002
+        # checkpoint_v2.json was written from checkpoint_v1.json (d=5, H=4,
+        # two layers, alpha 0.002, saved before the parameter table and the
+        # model-wide alpha). The v2 file loads and saves back to its bytes;
+        # the v1 file, read but no longer written, loads to the same model
+        data = Path(__file__).parent / "data"
+        loaded, vocab, seed = load_checkpoint(data / "checkpoint_v2.json")
         path = tmp_path / "model.json"
         save_checkpoint(path, loaded, vocab, seed=seed)
-        assert path.read_bytes() == golden.read_bytes()
+        assert path.read_bytes() == (data / "checkpoint_v2.json").read_bytes()
+        old, old_vocab, old_seed = load_checkpoint(data / "checkpoint_v1.json")
+        assert old.alpha == loaded.alpha == 0.002
+        assert old.flat.tobytes() == loaded.flat.tobytes()
+        assert (old_vocab, old_seed) == (vocab, seed)
 
 
 class TestParameterTable:
@@ -826,9 +870,12 @@ class TestParameterTable:
         monkeypatch.setattr(model_mod, "_checked", lambda name, *rest: checked.append(name) or real(name, *rest))
         params.copy()
         assert checked == list(params.layout)
-        checked.clear()
-        load_checkpoint(path)
-        assert checked == list(params.layout)
+        for version in (2, 1):
+            if version == 1:
+                path.write_text(json.dumps(as_v1(json.loads(path.read_text()))))
+            checked.clear()
+            load_checkpoint(path)
+            assert checked == list(params.layout)
         checked.clear()
         init_params(5, 7, 2, rng=3, time_feature_index=4)
         assert checked == list(params.layout)
@@ -860,12 +907,13 @@ class TestParameterTable:
             )
 
 
-def _saved_checkpoint(tmp_path):
-    """A valid checkpoint's path and its JSON object."""
+def _saved_checkpoint(tmp_path, version=2):
+    """A valid checkpoint's path and its JSON object, of format `version`."""
     params = random_model(np.random.default_rng(22), 5, 8, 2)
     path = tmp_path / "model.json"
     save_checkpoint(path, params, Vocabulary(channels=("A", "B"), campaigns=("c1", "c2")))
-    return path, json.loads(path.read_text())
+    obj = json.loads(path.read_text())
+    return path, as_v1(obj) if version == 1 else obj
 
 
 class TestCheckpointStructure:
@@ -887,6 +935,15 @@ class TestCheckpointStructure:
     def test_not_an_object(self, tmp_path):
         path = tmp_path / "model.json"
         path.write_text("[1, 2]")
+        with pytest.raises(ValidationError, match="format_version"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("value", (True, 1.0, 3, 0, "2", None))
+    def test_bad_format_version(self, tmp_path, value):
+        # a bool or a float equal to 1 or 2 is not a version
+        path, obj = _saved_checkpoint(tmp_path, version=1)
+        obj["format_version"] = value
+        path.write_text(json.dumps(obj))
         with pytest.raises(ValidationError, match="format_version"):
             load_checkpoint(path)
 
@@ -987,10 +1044,12 @@ class TestCheckpointStructure:
             load_checkpoint(path)
 
     @pytest.mark.parametrize(
-        "value", (None, 1.0, "data", [[1.0] * 2] * 8, [1.0] * 15 + ["x"], [1.0] * 15 + [None], [[1.0], 2.0])
+        "value",
+        (None, 1.0, "data", [[1.0] * 2] * 8, [1.0] * 15 + ["x"], [1.0] * 15 + [None], [[1.0], 2.0],
+         pytest.param(encode_tensor([0.5] * 16), id="base64")),
     )
     def test_bad_data(self, tmp_path, value):
-        path, obj = _saved_checkpoint(tmp_path)
+        path, obj = _saved_checkpoint(tmp_path, version=1)
         if value is None:
             del obj["tensors"]["W_out"]["data"]
         else:
@@ -999,11 +1058,34 @@ class TestCheckpointStructure:
         with pytest.raises(ValidationError, match="W_out.*data"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize(
+        "value",
+        (
+            None, 1.0, [1.0] * 16, {"b64": ""},  # not a string
+            "not base64!", encode_tensor([0.5] * 16)[:-1] + "*", encode_tensor([0.5] * 16) + "\n", "\u00e9" * 4,
+            "", encode_tensor([0.5] * 15), encode_tensor([0.5] * 17), base64.b64encode(bytes(127)).decode(),
+        ),
+        ids=(
+            "missing", "float", "number-list", "object", "text", "bad-char", "newline", "non-ascii",
+            "empty", "15-floats", "17-floats", "127-bytes",
+        ),
+    )
+    def test_bad_base64_data(self, tmp_path, value):
+        path, obj = _saved_checkpoint(tmp_path)
+        if value is None:
+            del obj["tensors"]["W_out"]["data"]
+        else:
+            obj["tensors"]["W_out"]["data"] = value
+        path.write_text(json.dumps(obj))
+        with pytest.raises(ValidationError, match="W_out.*data") as err:
+            load_checkpoint(path)
+        assert err.value.exit_code == 2
+
 
     def test_int_beyond_int64_is_a_number(self, tmp_path):
         # an int too large for int64 but not for a float makes the list an
         # object array; it is read as that float
-        path, obj = _saved_checkpoint(tmp_path)
+        path, obj = _saved_checkpoint(tmp_path, version=1)
         data = obj["tensors"]["W_out"]["data"]
         data[1] = 10**30
         path.write_text(json.dumps(obj))
@@ -1015,7 +1097,7 @@ class TestCheckpointStructure:
     @pytest.mark.parametrize("at", (0, 5))
     def test_bool_among_numbers(self, tmp_path, entry, at):
         # numpy would read the bool as 1.0 or 0.0 beside float entries
-        path, obj = _saved_checkpoint(tmp_path)
+        path, obj = _saved_checkpoint(tmp_path, version=1)
         obj["tensors"]["W_out"]["data"][at] = entry
         path.write_text(json.dumps(obj))
         with pytest.raises(ValidationError, match="tensor 'W_out' data must be a flat list of numbers"):
@@ -1025,7 +1107,7 @@ class TestCheckpointStructure:
         "entry", (True, 10**400, -(10**400), None, "1.0"), ids=("bool", "huge", "-huge", "null", "str")
     )
     def test_int_beyond_int64_beside_a_bad_entry(self, tmp_path, entry):
-        path, obj = _saved_checkpoint(tmp_path)
+        path, obj = _saved_checkpoint(tmp_path, version=1)
         obj["tensors"]["W_out"]["data"][1] = 10**30
         obj["tensors"]["W_out"]["data"][5] = entry
         path.write_text(json.dumps(obj))
