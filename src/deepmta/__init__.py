@@ -12,13 +12,8 @@ from .attribution import (
     GameStats,
     attribute_journey,
     attribute_journeys,
-    clip_normalize,
     mask_powerset,
-    masked_accuracy,
     masked_accuracy_batch,
-    shapley_exact,
-    shapley_sampled,
-    solve_weights,
 )
 from .errors import (
     ConfigError,
@@ -45,29 +40,21 @@ from .journey import (
     load_vocabulary,
     save_journeys,
     save_vocabulary,
-    split_stream,
 )
 from .model import (
     ForwardTrace,
     ModelParams,
     PhasedLstmLayerParams,
-    cell_forward,
-    dropout,
     init_params,
-    layer_norm,
     load_checkpoint,
     save_checkpoint,
-    time_gate,
 )
 from .report import (
     ChannelReport,
     ChannelStats,
     aggregate_channels,
-    allocate_gmv,
     emit_report,
-    last_click_baseline,
     last_click_report,
-    load_report_csv,
 )
 from .trainer import (
     EvalResult,
@@ -75,7 +62,6 @@ from .trainer import (
     TrainResult,
     auc_score,
     evaluate_roc,
-    loss,
     predict,
     roc_curve,
     train,

@@ -18,11 +18,15 @@ import numpy as np
 
 from .errors import ConfigError, DimensionError, EvaluationError, NumericError, ValidationError
 from .journey import CustomerJourney, EncodedJourney, Vocabulary, encode_journey, finite_number, read_jsonl
-from .model import ModelParams, _bare_layer, _gate_forward, _stacked_weights, cell_step, forward_batch
+# forward_batch is not called here, but perfbench's tracer wraps
+# deepmta.attribution.forward_batch, so the name must stay importable
+from .model import ModelParams, _bare_layer, _gate_forward, _stacked_weights, cell_step, forward_batch  # noqa: F401
 from .trainer import softmax
 
 EXACT_LIMIT = 12
 OLS_SAMPLE_ROWS = 2048
+# sampled Shapley's default number of permutations per journey
+PERMUTATION_SAMPLES = 2048
 RIDGE = 1e-8
 KERNEL_ENDPOINT_WEIGHT = 1e6
 # distinct mask rows per trie block. A block's scan holds about ten
@@ -71,30 +75,11 @@ def mask_powerset(n: int) -> np.ndarray:
     return bits.astype(np.int64)
 
 
-def masked_accuracy(params: ModelParams, enc: EncodedJourney, mask: np.ndarray) -> float:
-    """Agreement rate between hard predictions and labels over unmasked
-    positions.
-
-    Feature rows with mask 0 are zeroed but keep their slot (the time gate
-    still sees the original offsets); scoring only counts positions with
-    mask 1. The all-zero mask is defined as accuracy 0. This is the readable
-    reference that `masked_accuracy_batch` is checked against.
-    """
-    mask = np.asarray(mask, dtype=np.float64)
-    if mask.shape != (len(enc.times),):
-        raise DimensionError(f"mask length {mask.shape} does not match journey length {len(enc.times)}")
-    logits, _ = forward_batch((enc.features * mask[:, None])[None], enc.times[None], params, training=False)
-    preds = (softmax(logits[0])[:, 1] >= 0.5).astype(np.int64)
-    scored = mask > 0
-    count = scored.sum()
-    if count == 0:
-        return 0.0
-    return float(((preds == enc.labels) & scored).sum() / count)
-
-
 def masked_accuracy_batch(params: ModelParams, enc: EncodedJourney, masks: np.ndarray) -> np.ndarray:
     """Masked accuracy of many 0/1 mask rows of one journey, through a prefix
-    trie; equal to `masked_accuracy` row by row.
+    trie: the agreement rate of hard predictions and labels over each row's
+    unmasked positions, 0 for the all-zero row. A masked event's feature row
+    is zeroed but keeps its slot and time.
 
     The one-journey case of the block scan that `attribute_journeys` runs
     over many journeys' games: see `_scan_block`.
@@ -107,8 +92,8 @@ def masked_accuracy_batch(params: ModelParams, enc: EncodedJourney, masks: np.nd
         raise ValidationError("mask entries must be 0 or 1")
     if len(bits) == 0:
         return np.empty(0)
-    game = _Game.of(enc, bits)
-    return _game_values(params, [game])[0][game.inverse]
+    rows, inverse = _distinct(bits)
+    return _game_values(params, [(enc, rows)])[0][inverse]
 
 
 def _distinct(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -123,27 +108,12 @@ def _distinct(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 @dataclass
-class _Game:
-    """One journey's masked-accuracy game: its distinct mask rows, sorted so
-    that rows sharing a prefix are adjacent, and for each planned row the
-    index of its distinct row."""
-
-    enc: EncodedJourney
-    rows: np.ndarray  # (m, n) bool
-    inverse: np.ndarray
-
-    @classmethod
-    def of(cls, enc: EncodedJourney, bits: np.ndarray) -> "_Game":
-        return cls(enc, *_distinct(bits))
-
-
-@dataclass
 class _Plan:
     """The game that every journey of one length plays under one method: its
-    distinct mask rows and each planned row's index among them (as in
-    `_Game`), and `solve`, which maps the values of the planned rows of many
-    journeys, stacked (J, planned rows), to their intercepts (J,) and raw
-    weights (J, n)."""
+    distinct mask rows and each planned row's index among them (as
+    `_distinct` gives them), and `solve`, which maps the values of the
+    planned rows of many journeys, stacked (J, planned rows), to their
+    intercepts (J,) and raw weights (J, n)."""
 
     method: str
     rows: np.ndarray
@@ -176,7 +146,7 @@ class GameStats:
         self.rechecked += other.rechecked
 
 
-def _pack_blocks(games: list[_Game]) -> list[list[tuple[int, int, int]]]:
+def _pack_blocks(games: list[tuple[EncodedJourney, np.ndarray]]) -> list[list[tuple[int, int, int]]]:
     """Pieces (game, start, stop) of the games' distinct rows, packed into
     blocks of at most _BLOCK_ROWS rows.
 
@@ -184,32 +154,36 @@ def _pack_blocks(games: list[_Game]) -> list[list[tuple[int, int, int]]]:
     length as _BLOCK_ROWS allows. A cut may fall inside a game; its pieces
     then repeat the prefix nodes they share.
     """
-    total = sum(len(game.rows) for game in games)
+    sizes = [len(rows) for _, rows in games]
+    total = sum(sizes)
     if not total:
         return []
     n_blocks = -(-total // _BLOCK_ROWS)
     cuts = [-(-total * b // n_blocks) for b in range(n_blocks + 1)]
     blocks: list[list[tuple[int, int, int]]] = [[] for _ in range(n_blocks)]
     offset = 0
-    for g, game in enumerate(games):
+    for g, size in enumerate(sizes):
         start = 0
-        while start < len(game.rows):
+        while start < size:
             b = (offset + start) * n_blocks // total
-            stop = min(len(game.rows), cuts[b + 1] - offset)
+            stop = min(size, cuts[b + 1] - offset)
             blocks[b].append((g, start, stop))
             start = stop
-        offset += len(game.rows)
+        offset += size
     return blocks
 
 
-def _game_values(params: ModelParams, games: list[_Game], stats: GameStats | None = None) -> list[np.ndarray]:
-    """Masked accuracy of the distinct rows of every game, one array per
-    game (`game.inverse` maps them onto its planned rows): the games'
-    distinct rows are packed into blocks and each block is one trie scan."""
-    values = [np.empty(len(game.rows)) for game in games]
+def _game_values(
+    params: ModelParams, games: list[tuple[EncodedJourney, np.ndarray]], stats: GameStats | None = None
+) -> list[np.ndarray]:
+    """Masked accuracy of the rows of every game, a (journey, rows) pair with
+    the rows distinct and sorted as `_distinct` gives them; one array per
+    game. The games' rows are packed into blocks and each block is one trie
+    scan."""
+    values = [np.empty(len(rows)) for _, rows in games]
     for block in _pack_blocks(games):
-        pieces = [(games[g].enc, games[g].rows[start:stop]) for g, start, stop in block]
-        shared = [_shared_steps(games[g].rows, start) for g, start, _ in block]
+        pieces = [(games[g][0], games[g][1][start:stop]) for g, start, stop in block]
+        shared = [_shared_steps(games[g][1], start) for g, start, _ in block]
         accs, node_steps, rechecked = _scan_block(params, pieces, shared)
         for (g, start, stop), acc in zip(block, accs):
             values[g][start:stop] = acc
@@ -249,10 +223,10 @@ def _scan_block(
     again but not counted. Each kept node is scored once, by its logit
     margin (class 1 minus class 0). Its hard label is margin >= 0, except
     that a node with |margin| < RECHECK_MARGIN, a rechecked node, takes the
-    label of the float64 scan of its prefix row, by the softmax test of
-    `masked_accuracy`. One float64 scan after the block's rechecks all
-    its nodes; where it changes a label, the rows through the node, which
-    are adjacent, change their count.
+    label of the float64 scan of its prefix row, by the softmax test
+    (class 1 probability >= 0.5). One float64 scan after the block rechecks
+    all its nodes; where it changes a label, the rows through the node,
+    which are adjacent, change their count.
     """
     encs = [enc for enc, _ in pieces]
     sizes = np.array([len(rows) for _, rows in pieces])
@@ -315,8 +289,8 @@ def _float64_labels(
     heads: np.ndarray,
     steps: np.ndarray,
 ) -> np.ndarray:
-    """The float64 scan's hard labels, by the softmax test of
-    `masked_accuracy`, of distinct kept nodes: node i is the one of row
+    """The float64 scan's hard labels, by the softmax test (class 1
+    probability >= 0.5), of distinct kept nodes: node i is the one of row
     heads[i] at step steps[i]. One scan of the rows cut after their node's
     step: each leaves the scan there, as its own node."""
     cut = bits[heads] & (np.arange(bits.shape[1]) <= steps[:, None])
@@ -439,49 +413,24 @@ def _shapley_kernel_row_weights(masks: np.ndarray) -> np.ndarray:
     return w
 
 
-def solve_weights(
-    masks: np.ndarray,
-    acc: np.ndarray,
-    weighting: str = "uniform",
-) -> tuple[float, np.ndarray]:
-    """Least squares of accuracy on [1 | mask] rows.
-
-    Solved via the normal equations with ridge 1e-8 for rank safety; two
-    iterated-refinement steps remove the ridge bias so residuals stay
-    orthogonal to the design columns to machine precision on full-rank
-    systems. "shapley_kernel" weights each row by the Shapley kernel of its
-    subset size (all-zero/all-one rows get weight 1e6).
-    """
-    masks = np.asarray(masks, dtype=np.float64)
-    acc = np.asarray(acc, dtype=np.float64)
-    if masks.ndim != 2:
-        raise DimensionError("masks must be a 2-D matrix")
-    m, n = masks.shape
-    if acc.shape != (m,):
-        raise DimensionError(f"acc must have shape ({m},), got {acc.shape}")
-    if m < n + 1:
-        raise ValidationError(f"need at least n+1={n + 1} mask rows, got {m}")
-    beta = _least_squares(*_normal_matrix(masks, weighting), acc)
-    return float(beta[0]), beta[1:]
-
-
-def _normal_matrix(masks: np.ndarray, weighting: str) -> tuple[np.ndarray, np.ndarray]:
+def _normal_matrix(masks: np.ndarray, kernel: bool) -> tuple[np.ndarray, np.ndarray]:
     """The weighted design Xw and the normal matrix Xw.T @ X of float64 mask
-    rows, shared by every game played on those rows."""
+    rows, shared by every game played on those rows. With `kernel`, each row
+    is weighted by the Shapley kernel of its subset size (all-zero and
+    all-one rows get weight 1e6); else every row weighs 1."""
     m = len(masks)
-    if weighting == "uniform":
-        w = np.ones(m)
-    elif weighting == "shapley_kernel":
-        w = _shapley_kernel_row_weights(masks)
-    else:
-        raise ConfigError(f"unknown weighting {weighting!r}")
+    w = _shapley_kernel_row_weights(masks) if kernel else np.ones(m)
     X = np.hstack([np.ones((m, 1)), masks])
     Xw = X * w[:, None]
     return Xw, Xw.T @ X
 
 
 def _least_squares(Xw: np.ndarray, M: np.ndarray, acc: np.ndarray) -> np.ndarray:
-    """[intercept, weights] of one game's values on a `_normal_matrix`."""
+    """[intercept, weights]: least squares of one game's values on the
+    [1 | mask] rows of a `_normal_matrix`, via the normal equations with
+    ridge 1e-8 for rank safety; two iterated-refinement steps remove the
+    ridge bias, so residuals stay orthogonal to the design columns to
+    machine precision on full-rank systems."""
     b = Xw.T @ acc
     A = M + RIDGE * np.eye(M.shape[0])
     try:
@@ -532,57 +481,8 @@ def _exact_solver(n: int):
     return solve
 
 
-def shapley_exact(value, n: int) -> np.ndarray:
-    """Exact Shapley values by subset enumeration, one evaluation per subset.
-
-    `value` maps a 0/1 membership vector of length n to a real game value.
-    """
-    if n < 1:
-        raise ValidationError("shapley_exact needs n >= 1")
-    if n > EXACT_LIMIT:
-        raise ValidationError(f"n={n} exceeds exact_limit={EXACT_LIMIT}; use shapley_sampled")
-    values = np.array([float(value(mask)) for mask in mask_powerset(n)])
-    return _exact_solver(n)(values[None])[0]
-
-
-def shapley_sampled(
-    value,
-    n: int,
-    n_samples: int,
-    seed: int,
-) -> np.ndarray:
-    """Monte-Carlo Shapley over uniformly random player permutations.
-
-    Each sampled permutation contributes one marginal per player; estimates
-    are the means, accumulated in permutation order. Deterministic per seed.
-    `value` maps a 0/1 membership vector to a game value and is called once
-    per distinct coalition. This memo loop is the readable reference for
-    `_permutation_estimates`, which the attribution path uses.
-    """
-    if n < 1:
-        raise ValidationError("shapley_sampled needs n >= 1")
-    perms, _ = _permutation_prefixes(n, n_samples, seed)
-    marginals = np.zeros(n)
-    memo: dict[bytes, float] = {}
-    empty = np.zeros(n, dtype=np.int64)
-    v_prev_base = float(value(empty))
-    for perm in perms:
-        mask = empty.copy()
-        v_prev = v_prev_base
-        for player in perm:
-            mask[player] = 1
-            key = mask.tobytes()
-            v_cur = memo.get(key)
-            if v_cur is None:
-                v_cur = float(value(mask))
-                memo[key] = v_cur
-            marginals[player] += v_cur - v_prev
-            v_prev = v_cur
-    return marginals / n_samples
-
-
 def _permutation_prefixes(n: int, n_samples: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """`shapley_sampled`'s draw: (n_samples, n) permutations and the bool
+    """Sampled Shapley's draw: (n_samples, n) permutations and the bool
     matrix of their prefixes, row k * (n + 1) + j holding the first j
     players of permutation k."""
     if n_samples < 1:
@@ -611,21 +511,13 @@ def _permutation_estimates(perms: np.ndarray, vals: np.ndarray) -> np.ndarray:
     return np.cumsum(by_player, axis=-2)[..., -1, :] / n_samples
 
 
-def clip_normalize(raw: np.ndarray) -> tuple[np.ndarray, bool]:
-    """Zero out negative weights and normalize the positive mass to 1.
-
-    Returns (weights, unattributed); an all-non-positive vector yields zeros
-    with unattributed=True.
-    """
-    weights, unattributed = _clip_normalize_rows(np.asarray(raw, dtype=np.float64)[None])
-    return weights[0], bool(unattributed[0])
-
-
 def _clip_normalize_rows(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """`clip_normalize` of each row of a (J, n) matrix; each row's positive
-    mass is summed on its own, as a 1-D sum of that row."""
+    """Zero out the negative weights of each row of a (J, n) matrix and
+    normalize its positive mass to 1, summed on its own as a 1-D sum of that
+    row. Returns (weights, unattributed); an all-non-positive row yields
+    zeros with unattributed True."""
     if not np.all(np.isfinite(raw)):
-        raise NumericError("clip_normalize requires a finite vector")
+        raise NumericError("clip-and-normalize requires finite weights")
     clipped = np.clip(raw, 0.0, None)
     total = clipped.sum(axis=1)
     attributed = total > 0
@@ -673,7 +565,7 @@ def _build_plan(method: str, n: int, n_samples: int, seed: int) -> _Plan:
         exact = _exact_solver(n)
         # row 0 of the powerset is the empty coalition
         return _Plan(resolved, rows, inverse, lambda values: (values[:, 0], exact(values)))
-    normal = _normal_matrix(masks.astype(np.float64), "uniform" if resolved == "ols" else "shapley_kernel")
+    normal = _normal_matrix(masks.astype(np.float64), kernel=resolved == "kernel_ols")
 
     def solve(values):
         betas = np.array([_least_squares(*normal, acc) for acc in values])
@@ -720,7 +612,7 @@ def _attribute_shard(params, journeys, vocab, plans, stats=None) -> list[Attribu
     by_length: dict[int, list[int]] = {}
     for idx, journey in enumerate(journeys):
         n = len(journey.events)
-        games.append(_Game(encode_journey(journey, vocab), plans[n].rows, plans[n].inverse))
+        games.append((encode_journey(journey, vocab), plans[n].rows))
         by_length.setdefault(n, []).append(idx)
     values = _game_values(params, games, stats)
     results = [None] * len(journeys)
@@ -800,7 +692,7 @@ def attribute_journeys(
     journeys,
     vocab: Vocabulary,
     method: str = "auto",
-    n_samples: int = OLS_SAMPLE_ROWS,
+    n_samples: int = PERMUTATION_SAMPLES,
     seed: int = 0,
     workers: int = 1,
     stats: GameStats | None = None,
@@ -825,6 +717,8 @@ def attribute_journeys(
     """
     if workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
+    if n_samples < 1:
+        raise ConfigError(f"the number of sampled permutations must be >= 1, got {n_samples}")
     if seed < 0:
         raise ConfigError(f"seed must be >= 0, got {seed}")
     # a window gives each worker a journey, also where one journey alone
@@ -845,7 +739,7 @@ def attribute_journey(
     journey: CustomerJourney,
     vocab: Vocabulary,
     method: str = "auto",
-    n_samples: int = OLS_SAMPLE_ROWS,
+    n_samples: int = PERMUTATION_SAMPLES,
     seed: int = 0,
 ) -> AttributionResult:
     """Attribute one journey's events against a frozen model.
@@ -853,7 +747,7 @@ def attribute_journey(
     auto picks exact Shapley up to 12 events and permutation sampling above;
     ols/kernel_ols regress masked accuracy on the full powerset (or 2048
     uniform subset rows above the exact limit). Every path ends in
-    clip_normalize. The one-journey case of `attribute_journeys`.
+    clip-and-normalize. The one-journey case of `attribute_journeys`.
     """
     return next(attribute_journeys(params, [journey], vocab, method, n_samples, seed))
 

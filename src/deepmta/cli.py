@@ -4,7 +4,8 @@ stdout carries machine-parseable key=value lines, ending with the
 subcommand's `seconds=`; progress and prose go to stderr. Exit codes: 0 ok,
 else the `exit_code` of the package error that ended the run (2
 usage/config/data/shape, 3 numeric failure or trace mismatch, 4 evaluation
-impossible), and 2 for an unusable path.
+impossible), 2 for an unusable path, and 141 when the reader of stdout
+closed it before every key was written.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from pathlib import Path
 # attribute_journey is not called here, but perfbench's tracer wraps
 # deepmta.cli.attribute_journey, so the name must stay importable
 from .attribution import (  # noqa: F401
+    PERMUTATION_SAMPLES,
     AttributionResult,
     GameStats,
     attribute_journey,
@@ -48,6 +50,8 @@ _METHOD_FLAGS = {
     "shapley-sampled": "shapley_sampled",
     "auto": "auto",
 }
+# 128 + SIGPIPE: the status a shell reports for a command that a closed pipe stopped
+CLOSED_STDOUT_EXIT = 141
 
 
 def _emit(key: str, value) -> None:
@@ -259,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     at.add_argument("--data", required=True)
     at.add_argument("--out", required=True, help="attribution JSONL path")
     at.add_argument("--method", choices=sorted(_METHOD_FLAGS), default="auto")
-    at.add_argument("--samples", type=int, default=2048)
+    at.add_argument("--samples", type=int, default=PERMUTATION_SAMPLES)
     at.add_argument("--seed", type=int, default=0)
     at.set_defaults(func=_cmd_attribute)
 
@@ -277,10 +281,18 @@ def main(argv: list[str] | None = None) -> int:
     start = time.perf_counter()
     try:
         args.func(args)
+        _emit("seconds", f"{time.perf_counter() - start:.3f}")
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout; what is still buffered goes to devnull,
+        # so that the interpreter's flush at exit cannot raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return CLOSED_STDOUT_EXIT
     except (OSError, DeepMtaError) as exc:  # OSError: a path that is missing, a directory, or not writable
         _info(f"error: {exc}")
         return getattr(exc, "exit_code", 2)
-    _emit("seconds", f"{time.perf_counter() - start:.3f}")
     return 0
 
 

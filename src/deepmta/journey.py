@@ -1,4 +1,4 @@
-"""Customer journey data model, stream splitting, one-hot encoding, synthetic
+"""Customer journey data model, one-hot encoding, synthetic
 generation with a planted conversion signal, and JSONL persistence."""
 
 from __future__ import annotations
@@ -167,53 +167,6 @@ def encode_journey(journey: CustomerJourney, vocab: Vocabulary) -> EncodedJourne
         times[i] = dt
     labels = np.asarray(journey.labels, dtype=np.int64)
     return EncodedJourney(features=features, times=times, labels=labels)
-
-
-def split_stream(
-    events: list[ClickEvent],
-    conversions: list[tuple[int, float]],
-    user_id: str = "user",
-) -> list[CustomerJourney]:
-    """Split one user's time-sorted click stream into journeys.
-
-    Each conversion (timestamp, gmv) closes a journey holding every event
-    since the previous conversion up to and including the last event at or
-    before the conversion timestamp. Trailing events after the final
-    conversion form one non-converted journey. A conversion that closes zero
-    events is skipped.
-    """
-    for prev, cur in zip(events, events[1:]):
-        if cur.timestamp < prev.timestamp:
-            raise ValidationError("split_stream requires events sorted by timestamp")
-    journeys: list[CustomerJourney] = []
-    start = 0
-    for ts, gmv in sorted(conversions, key=lambda c: c[0]):
-        if gmv < 0:
-            raise ValidationError("conversion gmv must be non-negative")
-        end = start
-        while end < len(events) and events[end].timestamp <= ts:
-            end += 1
-        if end == start:
-            continue
-        journeys.append(
-            CustomerJourney(
-                user_id=user_id,
-                events=list(events[start:end]),
-                converted=True,
-                gmv=float(gmv),
-            )
-        )
-        start = end
-    if start < len(events):
-        journeys.append(
-            CustomerJourney(
-                user_id=user_id,
-                events=list(events[start:]),
-                converted=False,
-                gmv=0.0,
-            )
-        )
-    return journeys
 
 
 @dataclass

@@ -3,15 +3,15 @@
 A stack of recurrent cells with peephole connections whose cell and hidden
 states are written through a periodic, piecewise-linear time gate, plus layer
 normalization on gate pre-activations and inverted dropout between layers.
-Gradients are hand-derived reverse-mode for this one architecture. The
-single-step `cell_forward` is the readable reference; `cell_step` is the one
-batched step kernel behind training, eval and attribution. It runs in two
-modes: with cache slots (a training scan writes each step's gates and layer
-norm statistics into the arrays `_layer_backward` reads) and without (eval
-and the attribution trie keep no backward cache). Its dtype follows its
+Gradients are hand-derived reverse-mode for this one architecture.
+`cell_step` is the one batched step kernel behind training, eval and
+attribution. It runs in two modes: with cache slots (a training scan writes
+each step's gates and layer norm statistics into the arrays
+`_layer_backward` reads) and without (eval and the attribution trie keep no
+backward cache). Its dtype follows its
 input: the attribution trie runs it in float32, everything else in
-float64. Tests cover the kernel against the reference and its two modes
-against each other.
+float64. Tests cover the kernel against a readable single-step reference
+(tests/reference.py) and its two modes against each other.
 
 `param_shapes` is the one table of the tensors' names, shapes and order.
 `ModelParams` checks every tensor against it once, as it copies it into one
@@ -59,11 +59,6 @@ TAU_MIN = 1e-2
 RON_CLAMP = 1e-3
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    # tanh form avoids exp overflow for large negative inputs
-    return 0.5 * (1.0 + np.tanh(0.5 * x))
-
-
 # ---------------------------------------------------------------------------
 # time gate
 # ---------------------------------------------------------------------------
@@ -97,24 +92,6 @@ def _check_alpha(alpha):
         raise ParameterError("alpha must be a finite value >= 0")
 
 
-def time_gate(t, tau, s, r_on, alpha):
-    """Openness of the periodic time gate, elementwise over units.
-
-    `t` is the event time in hours; tau, s, r_on may be scalars or vectors of
-    per-unit periods, phase shifts, and open ratios. alpha is the closed-phase
-    leak rate.
-    """
-    tau, s, r_on, t = (np.asarray(v, dtype=np.float64) for v in (tau, s, r_on, t))
-    if not (np.all(np.isfinite(tau)) and np.all(np.isfinite(s)) and np.all(np.isfinite(r_on))):
-        raise ParameterError("time gate parameters must be finite")
-    _check_gate_ranges(tau, r_on)
-    _check_alpha(alpha)
-    if not np.all(np.isfinite(t)):
-        raise ParameterError("t must be finite")
-    k, _ = _gate_forward(t, tau, s, r_on, float(alpha))
-    return float(k) if np.ndim(k) == 0 else k
-
-
 def _gate_backward(dk, phi, t_minus_s, tau, r_on, alpha):
     """Per-element gradients of k w.r.t. tau, s, r_on.
 
@@ -141,18 +118,8 @@ def _gate_backward(dk, phi, t_minus_s, tau, r_on, alpha):
 
 
 # ---------------------------------------------------------------------------
-# layer normalization and dropout
+# layer normalization
 # ---------------------------------------------------------------------------
-
-
-def layer_norm(a: np.ndarray, gain: np.ndarray, bias: np.ndarray, eps: float = LN_EPS) -> np.ndarray:
-    """gain * (a - mean) / sqrt(var + eps) + bias over the last axis."""
-    a = np.asarray(a, dtype=np.float64)
-    if a.shape[-1] < 1:
-        raise DimensionError("layer_norm needs at least one unit")
-    mu = a.mean(axis=-1, keepdims=True)
-    var = a.var(axis=-1, keepdims=True)
-    return gain * (a - mu) / np.sqrt(var + eps) + bias
 
 
 def _ln_backward(dn: np.ndarray, a_hat: np.ndarray, inv_std: np.ndarray, gain: np.ndarray, out: np.ndarray):
@@ -165,18 +132,6 @@ def _ln_backward(dn: np.ndarray, a_hat: np.ndarray, inv_std: np.ndarray, gain: n
     np.multiply(d_hat, a_hat, out=terms[1])
     m1, m2 = terms.sum(axis=-1, keepdims=True) / H
     return np.multiply(inv_std, d_hat - m1 - a_hat * m2, out=out)
-
-
-def dropout(v: np.ndarray, p: float, rng: np.random.Generator, training: bool) -> np.ndarray:
-    """Inverted dropout: zero units with probability p and scale survivors by
-    1/(1-p) during training; identity at inference."""
-    if not 0 <= p < 1:
-        raise ParameterError(f"dropout probability must lie in [0, 1), got {p}")
-    v = np.asarray(v, dtype=np.float64)
-    if not training or p == 0:
-        return v.copy()
-    mask = rng.random(v.shape) >= p
-    return v * mask / (1.0 - p)
 
 
 # ---------------------------------------------------------------------------
@@ -422,61 +377,6 @@ def clamp_gate_timing(params: ModelParams) -> None:
 # ---------------------------------------------------------------------------
 
 
-def cell_forward(
-    x_t: np.ndarray,
-    h_prev: np.ndarray,
-    c_prev: np.ndarray,
-    t: float,
-    params: PhasedLstmLayerParams,
-    ln_gain: np.ndarray | None = None,
-    ln_bias: np.ndarray | None = None,
-    alpha: float = ALPHA_TRAIN_DEFAULT,
-):
-    """One recurrence step on a single example (reference implementation).
-
-    Gates read peepholes on the previous cell state; the candidate state
-    c~ = f*c_prev + i*tanh(.) and candidate hidden h~ = o*tanh(c~) are
-    written through the time gate: c = k*c~ + (1-k)*c_prev and likewise for
-    h. With ln_gain/ln_bias given, each gate's x/h pre-activation is layer
-    normalized before peephole and bias are added.
-    """
-    lp = params
-    x = np.asarray(x_t, dtype=np.float64)
-    h0 = np.asarray(h_prev, dtype=np.float64)
-    c0 = np.asarray(c_prev, dtype=np.float64)
-    H = lp.hidden_size
-    if x.shape != (lp.input_size,):
-        raise DimensionError(f"x_t must have shape ({lp.input_size},), got {x.shape}")
-    if h0.shape != (H,) or c0.shape != (H,):
-        raise DimensionError(f"h_prev and c_prev must have shape ({H},)")
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(h0)) and np.all(np.isfinite(c0)) and np.isfinite(t)):
-        raise NumericError("cell_forward received non-finite inputs")
-
-    a_i = x @ lp.W_xi + h0 @ lp.W_hi
-    a_f = x @ lp.W_xf + h0 @ lp.W_hf
-    a_c = x @ lp.W_xc + h0 @ lp.W_hc
-    a_o = x @ lp.W_xo + h0 @ lp.W_ho
-    if ln_gain is not None:
-        a_i = layer_norm(a_i, ln_gain, ln_bias)
-        a_f = layer_norm(a_f, ln_gain, ln_bias)
-        a_c = layer_norm(a_c, ln_gain, ln_bias)
-        a_o = layer_norm(a_o, ln_gain, ln_bias)
-    i_g = _sigmoid(a_i + lp.w_ci * c0 + lp.b_i)
-    f_g = _sigmoid(a_f + lp.w_cf * c0 + lp.b_f)
-    u_g = np.tanh(a_c + lp.b_c)
-    c_tilde = f_g * c0 + i_g * u_g
-    o_g = _sigmoid(a_o + lp.w_co * c0 + lp.b_o)
-    h_tilde = o_g * np.tanh(c_tilde)
-    k, phi = _gate_forward(t, lp.tau, lp.s, lp.r_on, alpha)
-    c_t = k * c_tilde + (1.0 - k) * c0
-    h_t = k * h_tilde + (1.0 - k) * h0
-    cache = {
-        "i": i_g, "f": f_g, "u": u_g, "o": o_g,
-        "c_tilde": c_tilde, "h_tilde": h_tilde, "k": k, "phi": phi,
-    }
-    return h_t, c_t, cache
-
-
 def _stacked_weights(lp: PhasedLstmLayerParams) -> tuple[np.ndarray, np.ndarray]:
     """The layer's input and recurrent weights of the four gates side by
     side, (d, 4H) and (H, 4H), in the order i, f, c, o."""
@@ -486,7 +386,8 @@ def _stacked_weights(lp: PhasedLstmLayerParams) -> tuple[np.ndarray, np.ndarray]
 
 
 def _sigmoid_gate(a_j, c, w_peep, bias, out):
-    """_sigmoid(a_j + w_peep * c + bias), written into out."""
+    """sigmoid(a_j + w_peep * c + bias), in its tanh form (no exp overflow
+    for large negative inputs), written into out."""
     np.multiply(c, w_peep, out=out)
     out += a_j
     out += bias

@@ -1,5 +1,5 @@
-"""GMV allocation per journey and channel, the last-click baseline, and
-side-by-side CSV/JSON report emission."""
+"""Channel aggregation of attributed GMV and of the last-click baseline,
+and side-by-side CSV/JSON report emission."""
 
 from __future__ import annotations
 
@@ -50,24 +50,10 @@ def channel_weights(journey: CustomerJourney, weights: np.ndarray) -> dict[str, 
     return sums
 
 
-def allocate_gmv(journey: CustomerJourney, weights: np.ndarray) -> dict[str, float]:
-    """Split the journey's GMV across channels by the per-event weights;
-    repeated channels accumulate, exactly as the channel report adds them."""
-    return {channel: w * journey.gmv for channel, w in channel_weights(journey, weights).items()}
-
-
 def last_click_weights(journey: CustomerJourney) -> np.ndarray:
     w = np.zeros(len(journey.events))
     w[-1] = 1.0
     return w
-
-
-def last_click_baseline(journey: CustomerJourney) -> dict[str, float]:
-    """All GMV to the final event's channel; non-converted journeys are
-    skipped (empty map)."""
-    if not journey.converted:
-        return {}
-    return {journey.events[-1].channel_id: journey.gmv}
 
 
 def _aggregate(pairs, weight_fn, method: str) -> ChannelReport:
@@ -156,25 +142,3 @@ def emit_report(report: ChannelReport, baseline: ChannelReport, path: str | Path
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(obj, fh, indent=2)
             fh.write("\n")
-
-
-def load_report_csv(path: str | Path) -> tuple[list[dict], dict]:
-    """Re-parse an emitted CSV back into (channel rows, totals row)."""
-    rows = []
-    totals = None
-    with open(path, "r", newline="", encoding="utf-8") as fh:
-        for record in csv.DictReader(fh):
-            parsed = {
-                "channel": record["channel"],
-                "deepmta_gmv": float(record["deepmta_gmv"]),
-                "lastclick_gmv": float(record["lastclick_gmv"]),
-                "avg_attribution": float(record["avg_attribution"]),
-                "journey_count": int(record["journey_count"]),
-            }
-            if parsed["channel"] == TOTAL_ROW_LABEL:
-                totals = parsed
-            else:
-                rows.append(parsed)
-    if totals is None:
-        raise ValidationError(f"report CSV {path} has no TOTAL row")
-    return rows, totals

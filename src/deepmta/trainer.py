@@ -88,27 +88,13 @@ def softmax(logits: np.ndarray) -> np.ndarray:
 
 
 def _step_cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-step binary cross-entropy (see `loss`) and the softmax it uses."""
+    """Per-step binary cross-entropy and the softmax it uses. The
+    positive-class probability comes from a two-way softmax and is clipped
+    to [1e-12, 1 - 1e-12] before the logs."""
     probs = softmax(logits)
     p1 = np.clip(probs[..., 1], PROB_CLIP, 1.0 - PROB_CLIP)
     y = np.asarray(labels, dtype=np.float64)
     return -(y * np.log(p1) + (1.0 - y) * np.log(1.0 - p1)), probs
-
-
-def loss(logits: np.ndarray, labels: np.ndarray) -> float:
-    """Mean binary cross-entropy over steps.
-
-    The positive-class probability comes from a two-way softmax and is
-    clipped to [1e-12, 1 - 1e-12] before the logs.
-    """
-    logits = np.asarray(logits, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.float64)
-    if logits.shape[:-1] != labels.shape:
-        raise ValidationError(f"logits {logits.shape} and labels {labels.shape} do not align")
-    if labels.size == 0:
-        raise ValidationError("loss needs at least one step to score")
-    ce, _ = _step_cross_entropy(logits, labels)
-    return float(ce.mean())
 
 
 def _loss_and_grad_batch(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:

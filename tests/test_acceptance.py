@@ -14,12 +14,12 @@ import numpy as np
 import pytest
 
 from deepmta.attribution import (
+    _clip_normalize_rows,
+    _least_squares,
+    _normal_matrix,
+    _shapley_kernel_row_weights,
     attribute_journey,
-    clip_normalize,
     mask_powerset,
-    shapley_exact,
-    shapley_sampled,
-    solve_weights,
 )
 from deepmta.journey import (
     ClickEvent,
@@ -31,6 +31,8 @@ from deepmta.journey import (
 from deepmta.model import backward_batch, forward_batch, init_params, load_checkpoint
 from deepmta.trainer import TrainConfig, evaluate_roc, train
 
+from reference import load_report_csv, shapley_exact, shapley_sampled, time_gate
+from test_attribution import random_game, shapley_permutation_oracle, table_to_value_fn
 from test_model import ce_loss_and_grad, finite_difference_check, gate_phase_margin, random_model
 
 
@@ -64,41 +66,20 @@ def test_criterion_1_gradient_correctness():
 # ---------------------------------------------------------------------------
 
 
-def _random_table_game(rng, n):
-    return {frozenset(s): float(rng.normal()) for r in range(n + 1) for s in itertools.combinations(range(n), r)}
-
-
-def _value_fn(table):
-    return lambda mask: table[frozenset(np.nonzero(mask)[0].tolist())]
-
-
-def _permutation_oracle(table, n):
-    phi = np.zeros(n)
-    count = 0
-    for perm in itertools.permutations(range(n)):
-        current = frozenset()
-        for player in perm:
-            nxt = current | {player}
-            phi[player] += table[nxt] - table[current]
-            current = nxt
-        count += 1
-    return phi / count
-
-
 def test_criterion_2_shapley_oracle_equivalence():
     started = time.time()
     rng = np.random.default_rng(2002)
     for n in range(1, 9):
-        table = _random_table_game(rng, n)
-        phi = shapley_exact(_value_fn(table), n)
-        oracle = _permutation_oracle(table, n)
+        table = random_game(rng, n)
+        phi = shapley_exact(table_to_value_fn(table), n)
+        oracle = shapley_permutation_oracle(table, n)
         assert np.max(np.abs(phi - oracle)) < 1e-9, f"n={n}"
 
     # 1000 random games split across the three axioms
     for _ in range(400):  # efficiency
         n = int(rng.integers(2, 9))
-        table = _random_table_game(rng, n)
-        phi = shapley_exact(_value_fn(table), n)
+        table = random_game(rng, n)
+        phi = shapley_exact(table_to_value_fn(table), n)
         assert abs(phi.sum() - (table[frozenset(range(n))] - table[frozenset()])) < 1e-9
     for _ in range(300):  # symmetry: two interchangeable players get equal credit
         n = int(rng.integers(2, 8))
@@ -116,7 +97,7 @@ def test_criterion_2_shapley_oracle_equivalence():
         assert abs(phi[0] - phi[1]) < 1e-9
     for _ in range(300):  # dummy: a player that never changes the value gets zero
         n = int(rng.integers(2, 9))
-        table = _random_table_game(rng, n - 1)
+        table = random_game(rng, n - 1)
 
         def dummy_value(mask):
             return table[frozenset(int(i) for i in np.nonzero(mask[: n - 1])[0])]
@@ -135,20 +116,20 @@ def test_criterion_2_shapley_oracle_equivalence():
 
 def test_criterion_3_sampled_shapley_convergence():
     two_player = {frozenset(): 0.0, frozenset({0}): 0.6, frozenset({1}): 0.2, frozenset({0, 1}): 1.0}
-    phi2 = shapley_sampled(_value_fn(two_player), 2, n_samples=2000, seed=33)
+    phi2 = shapley_sampled(table_to_value_fn(two_player), 2, n_samples=2000, seed=33)
     np.testing.assert_allclose(phi2, [0.7, 0.3], atol=0.05)
 
     rng = np.random.default_rng(3003)
-    five_player = _random_table_game(rng, 5)
-    exact5 = shapley_exact(_value_fn(five_player), 5)
-    phi5 = shapley_sampled(_value_fn(five_player), 5, n_samples=2000, seed=34)
+    five_player = random_game(rng, 5)
+    exact5 = shapley_exact(table_to_value_fn(five_player), 5)
+    phi5 = shapley_sampled(table_to_value_fn(five_player), 5, n_samples=2000, seed=34)
     np.testing.assert_allclose(phi5, exact5, atol=0.05)
 
     # Monte-Carlo rate: quadrupling samples should roughly halve the error
     errors = {m: [] for m in (250, 1000)}
     for seed in range(20):
         for m in (250, 1000):
-            est = shapley_sampled(_value_fn(five_player), 5, n_samples=m, seed=100 + seed)
+            est = shapley_sampled(table_to_value_fn(five_player), 5, n_samples=m, seed=100 + seed)
             errors[m].append(np.abs(est - exact5).mean())
     ratio = np.mean(errors[1000]) / np.mean(errors[250])
     assert 0.2 <= ratio <= 0.8, f"error ratio {ratio:.3f}"
@@ -161,23 +142,21 @@ def test_criterion_3_sampled_shapley_convergence():
 
 
 def test_criterion_4_ols_solver():
-    intercept, w = solve_weights(mask_powerset(2), np.array([0.5, 0.6, 0.7, 0.9]))
+    intercept, *w = _least_squares(*_normal_matrix(mask_powerset(2), kernel=False), np.array([0.5, 0.6, 0.7, 0.9]))
     assert abs(intercept - 0.475) < 1e-9
     np.testing.assert_allclose(w, [0.25, 0.15], atol=1e-9)
 
     rng = np.random.default_rng(4004)
-    from deepmta.attribution import _shapley_kernel_row_weights
-
     for _ in range(1000):
         n = int(rng.integers(2, 7))
         m = int(rng.integers(n + 1, 2 ** n + 1))
         masks = rng.integers(0, 2, (m, n))
         acc = rng.random(m)
-        weighting = "uniform" if rng.random() < 0.5 else "shapley_kernel"
-        intercept, w = solve_weights(masks, acc, weighting)
+        kernel = rng.random() >= 0.5
+        beta = _least_squares(*_normal_matrix(masks, kernel), acc)
         X = np.hstack([np.ones((m, 1)), masks])
-        row_w = np.ones(m) if weighting == "uniform" else _shapley_kernel_row_weights(masks)
-        residual = acc - X @ np.r_[intercept, w]
+        row_w = _shapley_kernel_row_weights(masks) if kernel else np.ones(m)
+        residual = acc - X @ beta
         assert np.max(np.abs(X.T @ (row_w * residual))) < 1e-8
     passed(4, "ols worked example + residual orthogonality on 1000 systems")
 
@@ -267,7 +246,7 @@ def test_criterion_7_clip_normalize_properties():
         raw = rng.normal(0, rng.uniform(0.1, 5.0), n)
         if i % 7 == 0:
             raw = -np.abs(raw)  # force the all-negative branch
-        weights, unattributed = clip_normalize(raw)
+        (weights,), (unattributed,) = _clip_normalize_rows(raw[None])
         assert np.all(weights >= 0)
         if unattributed:
             assert np.all(weights == 0)
@@ -318,8 +297,6 @@ def test_criterion_8_pipeline_round_trip(tmp_path):
     run_pipeline_command(["report", "--attr", str(attr), "--data", str(data), "--out", str(report)])
 
     # GMV conservation for both methods at 1e-6 relative tolerance
-    from deepmta.report import load_report_csv
-
     journeys = load_journeys(data)
     records = [json.loads(line) for line in attr.read_text().splitlines()]
     attributed_gmv = sum(j.gmv for j, r in zip(journeys, records) if not r["unattributed"])
@@ -353,8 +330,6 @@ def test_criterion_8_pipeline_round_trip(tmp_path):
 
 
 def test_criterion_9_time_gate_suite():
-    from deepmta.model import time_gate
-
     rng = np.random.default_rng(9009)
     groups, per_group = 20, 500  # 10k draws total; alpha is a scalar per group
     for _ in range(groups):

@@ -15,33 +15,32 @@ from deepmta.attribution import (
     GameStats,
     _build_plan,
     _clip_normalize_rows,
+    _distinct,
     _exact_solver,
     _game_values,
-    _Game,
+    _least_squares,
+    _normal_matrix,
     _pack_blocks,
     _permutation_estimates,
     _permutation_prefixes,
     _scan_block,
+    _shapley_kernel_row_weights,
     _shards,
     _trie_steps,
     attribute_journey,
     attribute_journeys,
     attribution_to_dict,
-    clip_normalize,
     load_attributions,
     mask_powerset,
-    masked_accuracy,
     masked_accuracy_batch,
     resolve_method,
     save_attributions,
-    shapley_exact,
-    shapley_sampled,
-    solve_weights,
 )
 from deepmta.errors import ConfigError, DimensionError, NumericError, ValidationError
 from deepmta.journey import ClickEvent, CustomerJourney, Vocabulary, encode_journey
 from deepmta.model import LAYER_TENSOR_FIELDS, ModelParams, PhasedLstmLayerParams, forward_batch, init_params
 from deepmta.trainer import softmax
+from reference import masked_accuracy, shapley_exact, shapley_sampled
 from test_model import random_model
 
 
@@ -221,14 +220,7 @@ class TestMaskedAccuracy:
         masks = rng.integers(0, 2, size=(6000, n))
         masks[:50] = 0
         assert len(np.unique(masks, axis=0)) > _BLOCK_ROWS
-        feats = enc.features[None] * masks[:, :, None]
-        logits, _ = forward_batch(feats, np.broadcast_to(enc.times, masks.shape), params)
-        preds = (softmax(logits)[..., 1] >= 0.5).astype(np.int64)
-        scored = masks > 0
-        counts = scored.sum(axis=1)
-        matches = ((preds == enc.labels) & scored).sum(axis=1)
-        expected = np.where(counts > 0, matches / np.maximum(counts, 1), 0.0)
-        np.testing.assert_array_equal(masked_accuracy_batch(params, enc, masks), expected)
+        np.testing.assert_array_equal(masked_accuracy_batch(params, enc, masks), forward_reference(params, enc, masks))
 
     def test_non_binary_mask_rejected(self):
         enc = encode_journey(make_journey(["A", "B"], converted=False), VOCAB)
@@ -240,20 +232,21 @@ class TestSolveWeights:
     def test_worked_example(self):
         masks = mask_powerset(2)
         acc = np.array([0.5, 0.6, 0.7, 0.9])
-        intercept, w = solve_weights(masks, acc)
+        intercept, *w = _least_squares(*_normal_matrix(masks, kernel=False), acc)
         assert intercept == pytest.approx(0.475, abs=1e-9)
         np.testing.assert_allclose(w, [0.25, 0.15], atol=1e-9)
 
     def test_constant_acc_no_signal(self):
         masks = mask_powerset(3)
-        intercept, w = solve_weights(masks, np.full(8, 0.4))
+        intercept, *w = _least_squares(*_normal_matrix(masks, kernel=False), np.full(8, 0.4))
         assert intercept == pytest.approx(0.4, abs=1e-9)
         np.testing.assert_allclose(w, 0.0, atol=1e-9)
 
     def test_exact_linear_recovery(self):
         masks = mask_powerset(3).astype(float)
         target = 0.2 + masks @ np.array([0.1, -0.05, 0.3])
-        intercept, w = solve_weights(masks, target)
+        beta = _least_squares(*_normal_matrix(masks, kernel=False), target)
+        intercept, w = beta[0], beta[1:]
         assert intercept == pytest.approx(0.2, abs=1e-9)
         np.testing.assert_allclose(w, [0.1, -0.05, 0.3], atol=1e-9)
         residual = target - (intercept + masks @ w)
@@ -265,7 +258,7 @@ class TestSolveWeights:
             n = int(rng.integers(2, 7))
             masks = mask_powerset(n)
             acc = rng.random(2 ** n)
-            intercept, w = solve_weights(masks, acc)
+            intercept, *w = _least_squares(*_normal_matrix(masks, kernel=False), acc)
             X = np.hstack([np.ones((2 ** n, 1)), masks])
             beta = np.linalg.pinv(X) @ acc
             assert intercept == pytest.approx(beta[0], abs=1e-9)
@@ -278,16 +271,11 @@ class TestSolveWeights:
             m = int(rng.integers(n + 1, 2 ** n + 1))
             masks = rng.integers(0, 2, (m, n))
             acc = rng.random(m)
-            weighting = "uniform" if rng.random() < 0.5 else "shapley_kernel"
-            intercept, w = solve_weights(masks, acc, weighting)
+            kernel = rng.random() >= 0.5
+            beta = _least_squares(*_normal_matrix(masks, kernel), acc)
             X = np.hstack([np.ones((m, 1)), masks])
-            if weighting == "uniform":
-                row_w = np.ones(m)
-            else:
-                from deepmta.attribution import _shapley_kernel_row_weights
-
-                row_w = _shapley_kernel_row_weights(masks)
-            residual = acc - X @ np.r_[intercept, w]
+            row_w = _shapley_kernel_row_weights(masks) if kernel else np.ones(m)
+            residual = acc - X @ beta
             assert np.max(np.abs(X.T @ (row_w * residual))) < 1e-8
 
     def test_kernel_weights_respect_endpoints(self):
@@ -297,17 +285,9 @@ class TestSolveWeights:
         n = 4
         masks = mask_powerset(n)
         acc = rng.random(2 ** n)
-        intercept, w = solve_weights(masks, acc, weighting="shapley_kernel")
+        intercept, *w = _least_squares(*_normal_matrix(masks, kernel=True), acc)
         assert intercept == pytest.approx(acc[0], abs=1e-3)
-        assert intercept + w.sum() == pytest.approx(acc[-1], abs=1e-3)
-
-    def test_too_few_rows(self):
-        with pytest.raises(ValidationError):
-            solve_weights(np.array([[1, 0], [0, 1]]), np.array([0.5, 0.5]))
-
-    def test_unknown_weighting(self):
-        with pytest.raises(ConfigError):
-            solve_weights(mask_powerset(2), np.zeros(4), weighting="fancy")
+        assert intercept + sum(w) == pytest.approx(acc[-1], abs=1e-3)
 
 
 class TestShapleyExact:
@@ -451,30 +431,30 @@ class TestShapleySampled:
 
 class TestClipNormalize:
     def test_mixed_signs(self):
-        w, flag = clip_normalize(np.array([0.5, -0.2, 0.3]))
+        (w,), (flag,) = _clip_normalize_rows(np.array([[0.5, -0.2, 0.3]]))
         np.testing.assert_allclose(w, [0.625, 0.0, 0.375], atol=1e-12)
         assert not flag
 
     def test_all_negative_flagged(self):
-        w, flag = clip_normalize(np.array([-0.1, -0.2]))
+        (w,), (flag,) = _clip_normalize_rows(np.array([[-0.1, -0.2]]))
         np.testing.assert_array_equal(w, 0.0)
         assert flag
 
     def test_single_positive(self):
-        w, flag = clip_normalize(np.array([1.0]))
+        (w,), (flag,) = _clip_normalize_rows(np.array([[1.0]]))
         np.testing.assert_array_equal(w, [1.0])
         assert not flag
 
     def test_non_finite_rejected(self):
         with pytest.raises(NumericError):
-            clip_normalize(np.array([np.inf, 0.0]))
+            _clip_normalize_rows(np.array([[np.inf, 0.0]]))
 
     def test_random_property(self):
         rng = np.random.default_rng(10)
         for _ in range(2000):
             n = int(rng.integers(1, 20))
             raw = rng.normal(0, rng.uniform(0.1, 10), n)
-            w, flag = clip_normalize(raw)
+            (w,), (flag,) = _clip_normalize_rows(raw[None])
             assert np.all(w >= 0)
             if flag:
                 np.testing.assert_array_equal(w, 0.0)
@@ -488,8 +468,7 @@ class TestClipNormalize:
         scaled = {s: 3.5 * v for s, v in game.items()}
         phi_scaled = shapley_exact(table_to_value_fn(scaled), 4)
         np.testing.assert_allclose(phi_scaled, 3.5 * phi, atol=1e-9)
-        w1, f1 = clip_normalize(phi)
-        w2, f2 = clip_normalize(phi_scaled)
+        (w1, w2), (f1, f2) = _clip_normalize_rows(np.stack([phi, phi_scaled]))
         assert f1 == f2
         if not f1:
             np.testing.assert_allclose(w1, w2, atol=1e-9)
@@ -650,15 +629,15 @@ class TestBlockScan:
         params = init_params(VOCAB.encoding_dim, 6, 2, t_span_hours=12.0, rng=4)
         journeys = mixed_journeys(rng, rng.permutation(np.arange(1, 21)))
         plans = [_build_plan(method, len(j.events), 8, 1) for j in journeys]
-        games = [_Game(encode_journey(j, VOCAB), plan.rows, plan.inverse) for j, plan in zip(journeys, plans)]
+        games = [(encode_journey(j, VOCAB), plan.rows) for j, plan in zip(journeys, plans)]
         stats = GameStats()
         values = _game_values(params, games, stats=stats)
         assert stats.blocks == len(_pack_blocks(games)) >= 2
-        for game, distinct in zip(games, values):
-            masks, acc = game.rows[game.inverse], distinct[game.inverse]
-            np.testing.assert_array_equal(acc, masked_accuracy_batch(params, game.enc, masks))
+        for (enc, _), plan, distinct in zip(games, plans, values):
+            masks, acc = plan.rows[plan.inverse], distinct[plan.inverse]
+            np.testing.assert_array_equal(acc, masked_accuracy_batch(params, enc, masks))
             for row in rng.choice(len(masks), 4):
-                assert acc[row] == masked_accuracy(params, game.enc, masks[row])
+                assert acc[row] == masked_accuracy(params, enc, masks[row])
         batched = list(attribute_journeys(params, journeys, VOCAB, method=method, n_samples=8, seed=1, workers=3))
         assert len(batched) == len(journeys)
         for journey, result in zip(journeys, batched):
@@ -675,17 +654,18 @@ class TestBlockScan:
         params = init_params(VOCAB.encoding_dim, 8, 2, t_span_hours=12.0, rng=5)
         encs = [encode_journey(j, VOCAB) for j in mixed_journeys(rng, (3, 14, 5))]
         masks = [mask_powerset(3), rng.integers(0, 2, size=(6000, 14)), mask_powerset(5)]
-        games = [_Game.of(enc, m != 0) for enc, m in zip(encs, masks)]
-        assert len(games[1].rows) > _BLOCK_ROWS
+        distinct = [_distinct(m != 0) for m in masks]
+        games = [(enc, rows) for enc, (rows, _) in zip(encs, distinct)]
+        assert len(games[1][1]) > _BLOCK_ROWS
         blocks = _pack_blocks(games)
         assert all(sum(stop - start for _, start, stop in block) <= _BLOCK_ROWS for block in blocks)
         assert sum(any(g == 1 for g, _, _ in block) for block in blocks) >= 2
         stats = GameStats()
         values = _game_values(params, games, stats=stats)
-        for enc, m, game, acc in zip(encs, masks, games, values):
-            np.testing.assert_array_equal(acc[game.inverse], forward_reference(params, enc, m))
+        for enc, m, (_, inverse), acc in zip(encs, masks, distinct, values):
+            np.testing.assert_array_equal(acc[inverse], forward_reference(params, enc, m))
         # node_steps counts each journey's live prefixes once, across the cuts
-        assert stats.node_steps == sum(live_prefix_steps(game.rows) for game in games)
+        assert stats.node_steps == sum(live_prefix_steps(rows) for _, rows in games)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_live_rows_match_reference(self, seed):
@@ -700,13 +680,13 @@ class TestBlockScan:
             masks = rng.integers(0, 2, size=(40, n))
             masks[np.arange(n) >= rng.integers(0, n + 1, size=(40, 1))] = 0
             masks[0] = 0
-            games.append(_Game.of(encode_journey(journey, VOCAB), masks != 0))
-        accs, node_steps, _ = _scan_block(params, [(game.enc, game.rows) for game in games])
-        assert node_steps == sum(live_prefix_steps(game.rows) for game in games)
-        for game, acc in zip(games, accs):
-            np.testing.assert_array_equal(acc, forward_reference(params, game.enc, game.rows))
-            for row, value in zip(game.rows, acc):
-                assert value == masked_accuracy(params, game.enc, row)
+            games.append((encode_journey(journey, VOCAB), _distinct(masks != 0)[0]))
+        accs, node_steps, _ = _scan_block(params, games)
+        assert node_steps == sum(live_prefix_steps(rows) for _, rows in games)
+        for (enc, rows), acc in zip(games, accs):
+            np.testing.assert_array_equal(acc, forward_reference(params, enc, rows))
+            for row, value in zip(rows, acc):
+                assert value == masked_accuracy(params, enc, row)
 
     def test_cut_after_a_row_with_trailing_zeros(self, monkeypatch):
         # blocks of 3 rows cut powersets everywhere, also after a row whose
@@ -718,9 +698,9 @@ class TestBlockScan:
         rng = np.random.default_rng(46)
         params = init_params(VOCAB.encoding_dim, 6, 2, t_span_hours=12.0, rng=9)
         encs = [encode_journey(j, VOCAB) for j in mixed_journeys(rng, (1, 5, 1, 6, 2))]
-        games = [_Game.of(enc, mask_powerset(len(enc.times)) != 0) for enc in encs]
+        games = [(enc, mask_powerset(len(enc.times)) != 0) for enc in encs]
         blocks = _pack_blocks(games)
-        cuts = [games[g].rows[start - 1:start + 1] for block in blocks for g, start, _ in block if start]
+        cuts = [games[g][1][start - 1:start + 1] for block in blocks for g, start, _ in block if start]
         kept_before = [np.flatnonzero(before) for before, _ in cuts]
         assert any(
             (kept[-1] + 1 if len(kept) else 0) < np.argmin(before == after)
@@ -729,18 +709,18 @@ class TestBlockScan:
         stats = GameStats()
         values = _game_values(params, games, stats=stats)
         assert stats.blocks == len(blocks)
-        for game, acc in zip(games, values):
-            np.testing.assert_array_equal(acc, forward_reference(params, game.enc, mask_powerset(len(game.enc.times))))
+        for enc, acc in zip(encs, values):
+            np.testing.assert_array_equal(acc, forward_reference(params, enc, mask_powerset(len(enc.times))))
         steps = [3 * 2 ** (len(enc.times) - 1) - 2 for enc in encs]
-        assert stats.node_steps == sum(steps) == sum(live_prefix_steps(game.rows) for game in games)
+        assert stats.node_steps == sum(steps) == sum(live_prefix_steps(rows) for _, rows in games)
 
     @pytest.mark.parametrize("workers", (1, 2, 5))
     def test_packing_covers_every_row_once(self, workers):
         # each worker packs the games of its own shard of journeys
         rng = np.random.default_rng(42)
         encs = [encode_journey(j, VOCAB) for j in mixed_journeys(rng, (12, 2, 12, 1, 9, 12, 4))]
-        all_games = [_Game.of(enc, mask_powerset(len(enc.times)) != 0) for enc in encs]
-        shards = _shards([len(game.rows) for game in all_games], workers)
+        all_games = [(enc, mask_powerset(len(enc.times)) != 0) for enc in encs]
+        shards = _shards([len(rows) for _, rows in all_games], workers)
         assert sorted(idx for shard in shards for idx in shard) == list(range(len(all_games)))
         for shard in shards:
             games = [all_games[idx] for idx in shard]
@@ -751,9 +731,9 @@ class TestBlockScan:
             sizes = [sum(stop - start for _, start, stop in block) for block in blocks]
             assert max(sizes) <= _BLOCK_ROWS and max(sizes) - min(sizes) <= 1
             assert len(blocks) == -(-sum(sizes) // _BLOCK_ROWS)
-            for g, game in enumerate(games):
+            for g, (_, rows) in enumerate(games):
                 pieces = sorted((start, stop) for block in blocks for h, start, stop in block if h == g)
-                assert pieces[0][0] == 0 and pieces[-1][1] == len(game.rows)
+                assert pieces[0][0] == 0 and pieces[-1][1] == len(rows)
                 assert all(a[1] == b[0] and a[0] < a[1] for a, b in zip(pieces, pieces[1:]))
 
     def test_last_journey_fills_the_window(self):
@@ -847,9 +827,9 @@ class TestBlockScan:
                 masks = np.random.default_rng(3).integers(0, 2, size=(2048, n))
                 masks[0], masks[1] = 0, 1
             assert len(plan.inverse) == len(masks)
-            game = _Game.of(None, masks != 0)
-            np.testing.assert_array_equal(plan.rows, game.rows)
-            np.testing.assert_array_equal(plan.inverse, game.inverse)
+            rows, inverse = _distinct(masks != 0)
+            np.testing.assert_array_equal(plan.rows, rows)
+            np.testing.assert_array_equal(plan.inverse, inverse)
             np.testing.assert_array_equal(plan.rows[plan.inverse], masks != 0)
 
     @pytest.mark.parametrize("n_shards", (1, 2, 3, 8))
@@ -914,7 +894,7 @@ def permutation_estimates_reference(perms, vals):
 
 
 def clip_normalize_reference(raw):
-    """`clip_normalize` of one vector, as it was before it took many rows."""
+    """Clip-and-normalize of one vector, as it was before it took many rows."""
     clipped = np.clip(raw, 0.0, None)
     total = clipped.sum()
     if total > 0:
@@ -959,9 +939,7 @@ class TestBatchedSolves:
             ref, ref_flag = clip_normalize_reference(row)
             np.testing.assert_array_equal(w, ref)
             assert np.signbit(w).tolist() == np.signbit(ref).tolist()
-            one, one_flag = clip_normalize(row)
-            np.testing.assert_array_equal(one, ref)
-            assert bool(flag) is ref_flag is one_flag
+            assert bool(flag) is ref_flag
 
     @pytest.mark.parametrize(
         ("method", "n"),
@@ -985,7 +963,8 @@ class TestBatchedSolves:
                 perms, _ = _permutation_prefixes(n, 16, 4)
                 intercept, raw = vals[0], permutation_estimates_reference(perms, vals)
             else:
-                intercept, raw = solve_weights(masks, vals, "uniform" if method == "ols" else "shapley_kernel")
+                beta = _least_squares(*_normal_matrix(masks, method == "kernel_ols"), vals)
+                intercept, raw = beta[0], beta[1:]
             weights, unattributed = clip_normalize_reference(raw)
             np.testing.assert_array_equal(result.raw_weights, raw)
             np.testing.assert_array_equal(result.weights, weights)
@@ -1064,7 +1043,7 @@ def game_rows(rng, enc, n_samples=16):
     permutation prefixes."""
     n = len(enc.times)
     masks = mask_powerset(n) if n <= 8 else _permutation_prefixes(n, n_samples, int(rng.integers(1000)))[1]
-    return _Game.of(enc, masks != 0).rows
+    return _distinct(masks != 0)[0]
 
 
 class TestFloat32Scan:
@@ -1121,16 +1100,16 @@ class TestFloat32Scan:
         params.W_out[...] *= 1e-3
         params.b_out[...] = 0.0
         encs = [encode_journey(j, VOCAB) for j in mixed_journeys(rng, (1, 5, 2, 6))]
-        games = [_Game.of(enc, mask_powerset(len(enc.times)) != 0) for enc in encs]
-        whole = [_scan_block(params, [(game.enc, game.rows)]) for game in games]
+        games = [(enc, mask_powerset(len(enc.times)) != 0) for enc in encs]
+        whole = [_scan_block(params, [game]) for game in games]
         monkeypatch.setattr(attribution, "_BLOCK_ROWS", 3)
         stats = GameStats()
         values = _game_values(params, games, stats=stats)
         assert stats.blocks > len(games)
         assert stats.rechecked == sum(rechecked for _, _, rechecked in whole) > 0
         assert stats.node_steps == sum(node_steps for _, node_steps, _ in whole)
-        for game, acc in zip(games, values):
-            np.testing.assert_array_equal(acc, forward_reference(params, game.enc, game.rows))
+        for (enc, rows), acc in zip(games, values):
+            np.testing.assert_array_equal(acc, forward_reference(params, enc, rows))
 
     @pytest.mark.parametrize("H", (64, 256))
     def test_margin_error_far_inside_the_band(self, H):
@@ -1138,6 +1117,6 @@ class TestFloat32Scan:
         rng = np.random.default_rng(80 + H)
         params = random_model(rng, VOCAB.encoding_dim, H, 2)
         enc = encode_journey(random_journey(rng, 20), VOCAB)
-        rows = _Game.of(enc, _permutation_prefixes(20, 8, 3)[1]).rows
+        rows = _distinct(_permutation_prefixes(20, 8, 3)[1])[0]
         error = np.abs(trie_margins(params, enc, rows, np.float32) - trie_margins(params, enc, rows, np.float64))
         assert error.max() < RECHECK_MARGIN / 10

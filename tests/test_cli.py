@@ -23,7 +23,7 @@ from deepmta.errors import (
     VocabularyError,
 )
 from deepmta.journey import load_journeys
-from deepmta.report import load_report_csv
+from reference import load_report_csv
 from test_attribution import assert_no_child_left
 from test_model import as_v1, set_tensor_entry
 
@@ -594,19 +594,46 @@ def test_gmv_too_large_for_a_float_exits_2(pipeline, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("samples", ("0", "-3"))
-def test_samples_below_one_exits_2(pipeline, tmp_path, capsys, samples):
-    # a 13-event journey is sampled, so it draws --samples permutations
+def test_samples_below_one_exits_2(pipeline, tmp_path, capsys, monkeypatch, samples):
+    # a 13-event journey is sampled, so it draws --samples permutations.
+    # Short journeys are exact and draw none, yet the flag is checked before
+    # any journey is attributed, also where 1200 short ones fill the first
+    # windows (at one worker) ahead of a long one
     events = [{"channel": "ch01", "campaign": "cmp00", "ts": 60 * i} for i in range(13)]
-    data = tmp_path / "long.jsonl"
-    data.write_text(json.dumps({"user_id": "u", "events": events, "converted": True, "gmv": 5.0}) + "\n")
-    out = tmp_path / "a.jsonl"
-    code, kv, err = run_cli(capsys, [
-        "attribute", "--model", str(pipeline["ckpt"]), "--data", str(data), "--out", str(out),
-        "--samples", samples,
-    ])
-    assert code == 2
-    assert ">= 1" in err and "Traceback" not in err
-    assert kv == {} and not out.exists()
+    long = json.dumps({"user_id": "u", "events": events, "converted": True, "gmv": 5.0}) + "\n"
+    short = pipeline["data"].read_text() * 4
+    monkeypatch.setenv("MTA_THREADS", "1")
+    data, out = tmp_path / "journeys.jsonl", tmp_path / "a.jsonl"
+    for journeys in (long, short, short + long):
+        data.write_text(journeys)
+        code, kv, err = run_cli(capsys, [
+            "attribute", "--model", str(pipeline["ckpt"]), "--data", str(data), "--out", str(out),
+            "--samples", samples,
+        ])
+        assert code == 2
+        assert ">= 1" in err and "Traceback" not in err and "attributed" not in err
+        assert kv == {} and not out.exists()
+
+
+@pytest.mark.parametrize("unbuffered", ("1", ""))
+def test_closed_stdout_exits_141_without_a_traceback(pipeline, tmp_path, unbuffered):
+    # the reader is gone before the first key is written, so every write
+    # fails: at the first print when stdout is unbuffered, else at the flush.
+    # (Reading a line first would race the child's remaining writes.)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = dict(os.environ, PYTHONUNBUFFERED=unbuffered)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "deepmta", "eval", "--model", str(pipeline["ckpt"]),
+             "--data", str(pipeline["data"]), "--roc-out", str(tmp_path / "roc.csv")],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, env=env, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == cli.CLOSED_STDOUT_EXIT == 141
+    assert proc.stderr == ""
+    assert (tmp_path / "roc.csv").exists()
 
 
 @pytest.mark.parametrize(

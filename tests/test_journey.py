@@ -15,8 +15,8 @@ from deepmta.journey import (
     load_vocabulary,
     save_journeys,
     save_vocabulary,
-    split_stream,
 )
+from reference import split_stream
 
 
 def ev(channel, ts, campaign="c1"):

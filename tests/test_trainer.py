@@ -14,10 +14,10 @@ from deepmta.trainer import (
     TrainConfig,
     _batches,
     _loss_and_grad_batch,
+    _step_cross_entropy,
     _train_val_split,
     auc_score,
     evaluate_roc,
-    loss,
     predict,
     roc_curve,
     save_loss_history,
@@ -41,26 +41,22 @@ def small_planted():
 class TestLoss:
     def test_perfect_prediction_near_zero(self):
         logits = np.array([[0.0, 60.0]])
-        assert loss(logits, np.array([1])) < 1e-10
+        assert _step_cross_entropy(logits, np.array([1]))[0].mean() < 1e-10
 
     def test_ln_half(self):
         logits = np.zeros((1, 2))
-        assert loss(logits, np.array([1])) == pytest.approx(LN_HALF, abs=1e-12)
+        assert _step_cross_entropy(logits, np.array([1]))[0].mean() == pytest.approx(LN_HALF, abs=1e-12)
 
     def test_mean_over_steps(self):
         logits = np.zeros((2, 2))
-        assert loss(logits, np.array([0, 1])) == pytest.approx(LN_HALF, abs=1e-12)
-
-    def test_no_steps_rejected(self):
-        with pytest.raises(ValidationError):
-            loss(np.zeros((0, 2)), np.zeros(0))
+        assert _step_cross_entropy(logits, np.array([0, 1]))[0].mean() == pytest.approx(LN_HALF, abs=1e-12)
 
     def test_non_negative(self):
         rng = np.random.default_rng(0)
         for _ in range(50):
             logits = rng.normal(0, 3, (6, 2))
             labels = rng.integers(0, 2, 6)
-            assert loss(logits, labels) >= 0.0
+            assert _step_cross_entropy(logits, labels)[0].mean() >= 0.0
 
     def test_softmax_normalizes(self):
         rng = np.random.default_rng(1)
@@ -394,7 +390,7 @@ class TestBatchLoopMatchesPerJourney:
         for i in val_idx:
             enc = encode_journey(journeys[i], vocab)
             logits, _ = forward_batch(enc.features[None], enc.times[None], result.params)
-            per_journey.append(loss(logits[0], enc.labels))
+            per_journey.append(float(_step_cross_entropy(logits[0], enc.labels)[0].mean()))
         np.testing.assert_allclose(result.val_losses[-1], np.mean(per_journey), rtol=1e-12)
 
     def test_empty_validation_split(self, bucketed):
