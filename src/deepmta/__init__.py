@@ -33,9 +33,11 @@ from .journey import (
     CustomerJourney,
     EncodedJourney,
     GeneratorConfig,
+    JourneyTable,
     Vocabulary,
     encode_journey,
     generate_synthetic,
+    iter_journeys,
     load_journeys,
     load_vocabulary,
     save_journeys,
@@ -62,6 +64,7 @@ from .trainer import (
     TrainResult,
     auc_score,
     evaluate_roc,
+    journey_table,
     predict,
     roc_curve,
     train,

@@ -697,8 +697,8 @@ def attribute_journeys(
     workers: int = 1,
     stats: GameStats | None = None,
 ):
-    """Attribute many journeys against a frozen model; yields one
-    AttributionResult per journey, in input order.
+    """Attribute many journeys against a frozen model; returns a generator
+    of one AttributionResult per journey, in input order.
 
     Journeys are read in windows of at least N = `workers` journeys and
     N * 2^EXACT_LIMIT distinct mask rows. A journey's game depends only on
@@ -713,7 +713,8 @@ def attribute_journeys(
     one window's plans and one block scan. Every child is joined before the
     window's results are yielded, and on an error; a child that dies
     without sending its results is an EvaluationError. Each journey's result
-    equals `attribute_journey` on it alone, at any worker count.
+    equals `attribute_journey` on it alone, at any worker count. The
+    arguments are checked at the call, before any journey is read.
     """
     if workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
@@ -721,6 +722,11 @@ def attribute_journeys(
         raise ConfigError(f"the number of sampled permutations must be >= 1, got {n_samples}")
     if seed < 0:
         raise ConfigError(f"seed must be >= 0, got {seed}")
+    return _attribute_windows(params, journeys, vocab, method, n_samples, seed, workers, stats)
+
+
+def _attribute_windows(params, journeys, vocab, method, n_samples, seed, workers, stats):
+    """The generator of `attribute_journeys`, on checked arguments."""
     # a window gives each worker a journey, also where one journey alone
     # has more rows than the limit
     for window, plans in _plan_windows(journeys, method, n_samples, seed, workers * 2 ** EXACT_LIMIT, workers):

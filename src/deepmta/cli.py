@@ -32,6 +32,7 @@ from .errors import ConfigError, DeepMtaError, ValidationError
 from .journey import (
     GeneratorConfig,
     generate_synthetic,
+    iter_journeys,
     load_journeys,
     load_vocabulary,
     save_journeys,
@@ -39,7 +40,7 @@ from .journey import (
 )
 from .model import load_checkpoint, save_checkpoint
 from .report import ChannelReport, aggregate_channels, emit_report, last_click_report
-from .trainer import TrainConfig, evaluate_roc, save_loss_history, save_roc_csv, train
+from .trainer import TrainConfig, evaluate_roc, journey_table, save_loss_history, save_roc_csv, train
 
 import numpy as np
 
@@ -108,11 +109,13 @@ def _cmd_gen(args) -> None:
 def _cmd_train(args) -> None:
     history_path = args.history or str(Path(args.out).with_suffix(".history.csv"))
     _check_outputs(args.out, history_path, inputs=(args.data, args.vocab))
-    journeys = load_journeys(args.data)
     vocab = load_vocabulary(args.vocab)
     cfg = TrainConfig.preset(args.preset, **_given_fields(args, TrainConfig))
-    _info(f"training on {len(journeys)} journeys (preset {args.preset}, H={cfg.hidden_size}, {cfg.epochs} epochs)")
-    result = train(journeys, vocab, cfg)
+    # the file is read line by line into the table; no journey outlives its line
+    table = journey_table(iter_journeys(args.data), vocab)
+    _info(f"training on {len(table)} journeys ({len(table.times)} events, {table.nbytes / 2**20:.1f} MB table; "
+          f"preset {args.preset}, H={cfg.hidden_size}, {cfg.epochs} epochs)")
+    result = train(table, vocab, cfg)
     save_checkpoint(args.out, result.params, result.vocab, seed=cfg.seed)
     save_loss_history(history_path, result.train_losses, result.val_losses)
     _emit("final_train_loss", repr(result.train_losses[-1]))
@@ -124,8 +127,7 @@ def _cmd_train(args) -> None:
 def _cmd_eval(args) -> None:
     _check_outputs(args.roc_out, inputs=(args.model, args.data))
     params, vocab, _ = load_checkpoint(args.model)
-    journeys = load_journeys(args.data)
-    result = evaluate_roc(params, vocab, journeys)
+    result = evaluate_roc(params, vocab, iter_journeys(args.data))
     save_roc_csv(args.roc_out, result)
     _emit("auc", repr(result.auc))
     _emit("per_step_accuracy", repr(result.per_step_accuracy))

@@ -6,6 +6,8 @@ from __future__ import annotations
 import json
 import math
 import sys
+from array import array
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -167,6 +169,48 @@ def encode_journey(journey: CustomerJourney, vocab: Vocabulary) -> EncodedJourne
         times[i] = dt
     labels = np.asarray(journey.labels, dtype=np.int64)
     return EncodedJourney(features=features, times=times, labels=labels)
+
+
+@dataclass
+class JourneyTable:
+    """Many encoded journeys in flat columns: every event's feature row,
+    time and label, in journey order, and each journey's first row and
+    length. Journey i's rows are starts[i] .. starts[i] + lengths[i] - 1,
+    equal to its EncodedJourney's arrays."""
+
+    features: np.ndarray  # (n_events, d) float64
+    times: np.ndarray  # (n_events,) hours, float64
+    labels: np.ndarray  # (n_events,) int64
+    starts: np.ndarray  # (n_journeys,) int64
+    lengths: np.ndarray  # (n_journeys,) int64
+
+    @classmethod
+    def from_encoded(cls, encoded: Iterable[EncodedJourney], dim: int) -> JourneyTable:
+        """Fill the table in one pass over `encoded` (d = `dim` features per
+        row), holding no journey's arrays after its rows are copied. Each
+        column grows as an array.array and is viewed as a numpy array at the
+        end, without a copy."""
+        features, times, labels, lengths = array("d"), array("d"), array("q"), array("q")
+        for enc in encoded:
+            features.frombytes(enc.features.tobytes())
+            times.frombytes(enc.times.tobytes())
+            labels.frombytes(enc.labels.tobytes())
+            lengths.append(len(enc.times))
+        lengths = np.frombuffer(lengths, dtype=np.int64)
+        return cls(
+            features=np.frombuffer(features, dtype=np.float64).reshape(-1, dim),
+            times=np.frombuffer(times, dtype=np.float64),
+            labels=np.frombuffer(labels, dtype=np.int64),
+            starts=np.cumsum(lengths) - lengths,
+            lengths=lengths,
+        )
+
+    def __len__(self) -> int:
+        return len(self.lengths)
+
+    @property
+    def nbytes(self) -> int:
+        return sum(a.nbytes for a in (self.features, self.times, self.labels, self.starts, self.lengths))
 
 
 @dataclass
@@ -333,9 +377,16 @@ def read_jsonl(path: str | Path):
             yield line_no, obj
 
 
+def iter_journeys(path: str | Path) -> Iterator[CustomerJourney]:
+    """Yield the journeys of a JSONL journey file one line at a time;
+    errors carry 1-based line numbers."""
+    for line_no, obj in read_jsonl(path):
+        yield _journey_from_dict(obj, line_no)
+
+
 def load_journeys(path: str | Path) -> list[CustomerJourney]:
-    """Read a JSONL journey file; errors carry 1-based line numbers."""
-    return [_journey_from_dict(obj, line_no) for line_no, obj in read_jsonl(path)]
+    """Read a whole JSONL journey file; errors carry 1-based line numbers."""
+    return list(iter_journeys(path))
 
 
 def vocabulary_from_dict(obj, source: str) -> Vocabulary:

@@ -6,13 +6,21 @@ from __future__ import annotations
 import csv
 import sys
 import time
+from collections.abc import Iterable
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, EvaluationError, TrainingDivergedError, ValidationError
-from .journey import CustomerJourney, EncodedJourney, Vocabulary, encode_journey
+from .errors import (
+    ConfigError,
+    EvaluationError,
+    SequenceLengthError,
+    TrainingDivergedError,
+    ValidationError,
+    VocabularyError,
+)
+from .journey import CustomerJourney, JourneyTable, Vocabulary, encode_journey
 from .model import Gradients, ModelParams, backward_batch, clamp_gate_timing, forward_batch, init_params
 
 PROB_CLIP = 1e-12
@@ -116,28 +124,54 @@ class TrainResult:
     val_losses: list[float]
 
 
-def _batches(encoded: list[EncodedJourney], order: np.ndarray, size: int):
-    """Journeys of `order` grouped by length, in ascending length and at most
-    `size` per batch, so batches never pad: yields (chunk, features, times,
-    labels) with the chunk's indices and its stacked arrays."""
-    buckets: dict[int, list[int]] = {}
-    for idx in order:
-        buckets.setdefault(len(encoded[idx].times), []).append(int(idx))
-    for length in sorted(buckets):
-        members = buckets[length]
-        for start in range(0, len(members), size):
-            chunk = members[start:start + size]
-            feats = np.stack([encoded[i].features for i in chunk])
-            times = np.stack([encoded[i].times for i in chunk])
-            yield chunk, feats, times, np.stack([encoded[i].labels for i in chunk])
+def _encoded(journeys: Iterable[CustomerJourney], vocab: Vocabulary):
+    """encode_journey of each journey. An encoding error (an unknown token,
+    too many events) is raised after the last journey is read, so that a
+    fault in a later record of a file, found as it is read, is reported
+    first, as when the whole file is read before any journey is encoded."""
+    failed = None
+    for journey in journeys:
+        if failed is None:
+            try:
+                encoded = encode_journey(journey, vocab)
+            except (VocabularyError, SequenceLengthError) as exc:
+                failed = exc
+                continue
+            yield encoded
+    if failed is not None:
+        raise failed
 
 
-def _dataset_loss(encoded: list[EncodedJourney], idxs: np.ndarray, params: ModelParams) -> float:
+def journey_table(journeys: Iterable[CustomerJourney] | JourneyTable, vocab: Vocabulary) -> JourneyTable:
+    """The journeys as one JourneyTable, filled in one pass over any iterable
+    (a list, a generator, a file read line by line): each journey is encoded
+    by encode_journey, copied into the table and dropped. A table is
+    returned as it is."""
+    if isinstance(journeys, JourneyTable):
+        return journeys
+    return JourneyTable.from_encoded(_encoded(journeys, vocab), vocab.encoding_dim)
+
+
+def _batches(table: JourneyTable, order: np.ndarray, size: int):
+    """Journeys of `order` grouped by length, in ascending length, in `order`
+    within a length and at most `size` per batch, so batches never pad:
+    yields (chunk, features, times, labels) with the chunk's indices and its
+    rows gathered from the table, shaped (batch, length, ...)."""
+    order = np.asarray(order, dtype=np.int64)
+    order = order[np.argsort(table.lengths[order], kind="stable")]
+    for bucket in np.split(order, np.flatnonzero(np.diff(table.lengths[order])) + 1):
+        for start in range(0, len(bucket), size):
+            chunk = bucket[start:start + size]
+            rows = table.starts[chunk, None] + np.arange(table.lengths[chunk[0]])
+            yield chunk, table.features[rows], table.times[rows], table.labels[rows]
+
+
+def _dataset_loss(table: JourneyTable, idxs: np.ndarray, params: ModelParams) -> float:
     """Mean per-journey loss at inference over the given indices."""
     if len(idxs) == 0:
         return float("nan")
     total = 0.0
-    for _, feats, times, labels in _batches(encoded, idxs, EVAL_BATCH):
+    for _, feats, times, labels in _batches(table, idxs, EVAL_BATCH):
         logits = forward_batch(feats, times, params, training=False)[0]
         ce, _ = _step_cross_entropy(logits, labels)
         total += float(ce.mean(axis=1).sum())
@@ -167,8 +201,9 @@ def _clip_gradients(grads: Gradients, layout: dict[str, tuple[slice, tuple[int, 
     return norm
 
 
-def train(journeys: list[CustomerJourney], vocab: Vocabulary, cfg: TrainConfig) -> TrainResult:
-    """Train from scratch on the given journeys.
+def train(journeys: Iterable[CustomerJourney] | JourneyTable, vocab: Vocabulary, cfg: TrainConfig) -> TrainResult:
+    """Train from scratch on the given journeys: any iterable of them, read
+    once into a JourneyTable (`journey_table`), or such a table.
 
     Deterministic for a fixed (data, cfg.seed): init, the train/validation
     split, shuffling, and dropout all draw from one seeded generator.
@@ -176,16 +211,16 @@ def train(journeys: list[CustomerJourney], vocab: Vocabulary, cfg: TrainConfig) 
     TrainingDivergedError with epoch/step context if the loss goes
     non-finite.
     """
-    if not journeys:
+    table = journey_table(journeys, vocab)
+    if not len(table):
         raise ValidationError("train requires a non-empty dataset")
-    encoded = [encode_journey(j, vocab) for j in journeys]
     rng = np.random.default_rng(cfg.seed)
 
-    train_idx, val_idx = _train_val_split(len(encoded), cfg.val_fraction, rng)
+    train_idx, val_idx = _train_val_split(len(table), cfg.val_fraction, rng)
     if len(train_idx) == 0:
         raise ValidationError("dataset too small for the requested validation fraction")
 
-    t_span = max(1.0, max(float(e.times.max()) for e in encoded))
+    t_span = max(1.0, float(table.times.max()))
     time_idx = vocab.encoding_dim - 1
     params = init_params(
         input_dim=vocab.encoding_dim,
@@ -212,7 +247,7 @@ def train(journeys: list[CustomerJourney], vocab: Vocabulary, cfg: TrainConfig) 
         epoch_loss = 0.0
         n_journeys_seen = 0
         norms = []
-        for step, (chunk, feats, times, labels) in enumerate(_batches(encoded, order, cfg.batch_size)):
+        for step, (chunk, feats, times, labels) in enumerate(_batches(table, order, cfg.batch_size)):
             logits, trace = forward_batch(feats, times, params, training=True, rng=rng)
             batch_loss, grad_logits = _loss_and_grad_batch(logits, labels)
             if not np.isfinite(batch_loss):
@@ -229,7 +264,7 @@ def train(journeys: list[CustomerJourney], vocab: Vocabulary, cfg: TrainConfig) 
             epoch_loss += batch_loss * len(chunk)
             n_journeys_seen += len(chunk)
         train_losses.append(epoch_loss / n_journeys_seen)
-        val_losses.append(_dataset_loss(encoded, val_idx, params))
+        val_losses.append(_dataset_loss(table, val_idx, params))
         clipped = sum(norm > GRAD_CLIP_NORM for norm in norms) / len(norms)
         print(f"epoch={epoch} train_loss={train_losses[-1]:.6g} val_loss={val_losses[-1]:.6g} "
               f"seconds={time.perf_counter() - start:.3f} grad_norm_mean={np.mean(norms):.6g} "
@@ -303,18 +338,21 @@ def roc_curve(scores: np.ndarray, labels: np.ndarray) -> tuple[list[float], list
     return thresholds, points
 
 
-def evaluate_roc(params: ModelParams, vocab: Vocabulary, journeys: list[CustomerJourney]) -> EvalResult:
-    """Score every step of every journey and evaluate step-level ROC/AUC.
+def evaluate_roc(
+    params: ModelParams, vocab: Vocabulary, journeys: Iterable[CustomerJourney] | JourneyTable
+) -> EvalResult:
+    """Score every step of every journey (any iterable of them, read once
+    into a JourneyTable, or such a table) and evaluate step-level ROC/AUC.
 
     Positives are the conversion steps (label 1); negatives are all other
     steps, including every step of non-converted journeys.
     """
-    if not journeys:
+    table = journey_table(journeys, vocab)
+    if not len(table):
         raise EvaluationError("evaluation requires a non-empty dataset")
-    encoded = [encode_journey(j, vocab) for j in journeys]
     scores_parts = []
     labels_parts = []
-    for _, feats, times, labels in _batches(encoded, np.arange(len(encoded)), EVAL_BATCH):
+    for _, feats, times, labels in _batches(table, np.arange(len(table)), EVAL_BATCH):
         logits = forward_batch(feats, times, params, training=False)[0]
         scores_parts.append(softmax(logits)[..., 1].ravel())
         labels_parts.append(labels.ravel())

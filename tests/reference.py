@@ -1,7 +1,7 @@
 """Readable references that the package's fast paths are tested against
-(the single-step cell, the time gate, single-mask accuracy, Shapley values
-by enumeration and by a memo loop), and the tests' helpers. No pipeline
-stage calls them."""
+(the single-step cell, the time gate, per-journey stacked batches,
+single-mask accuracy, Shapley values by enumeration and by a memo loop),
+and the tests' helpers. No pipeline stage calls them."""
 
 from __future__ import annotations
 
@@ -130,6 +130,28 @@ def cell_forward(
         "c_tilde": c_tilde, "h_tilde": h_tilde, "k": k, "phi": phi,
     }
     return h_t, c_t, cache
+
+
+# ---------------------------------------------------------------------------
+# trainer
+# ---------------------------------------------------------------------------
+
+
+def stacked_batches(encoded: list[EncodedJourney], order, size: int):
+    """The length-bucketed batches of `trainer._batches`, stacked from one
+    EncodedJourney per journey: (chunk, features, times, labels), lengths
+    ascending, `order` kept within a length, at most `size` per batch."""
+    buckets: dict[int, list[int]] = {}
+    for idx in order:
+        buckets.setdefault(len(encoded[idx].times), []).append(int(idx))
+    for length in sorted(buckets):
+        members = buckets[length]
+        for start in range(0, len(members), size):
+            chunk = members[start:start + size]
+            feats = np.stack([encoded[i].features for i in chunk])
+            times = np.stack([encoded[i].times for i in chunk])
+            yield chunk, feats, times, np.stack([encoded[i].labels for i in chunk])
+
 
 # ---------------------------------------------------------------------------
 # attribution

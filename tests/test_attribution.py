@@ -505,6 +505,19 @@ class TestAttributeJourney:
         with pytest.raises(ConfigError):
             attribute_journey(params, long_j, VOCAB, method="shapley_exact")
 
+    @pytest.mark.parametrize("bad", ({"n_samples": 0}, {"workers": 0}, {"seed": -1}))
+    def test_many_journey_arguments_checked_at_the_call(self, bad):
+        params = init_params(VOCAB.encoding_dim, 8, 2, rng=1)
+
+        def journeys():
+            raise AssertionError("a journey was read before the arguments were checked")
+            yield
+
+        with pytest.raises(ConfigError):
+            attribute_journeys(params, [], VOCAB, **bad)
+        with pytest.raises(ConfigError):
+            attribute_journeys(params, journeys(), VOCAB, **bad)
+
     def test_ols_matches_bruteforce_pinv(self):
         rng = np.random.default_rng(12)
         params = init_params(VOCAB.encoding_dim, 8, 2, t_span_hours=10.0, rng=7)

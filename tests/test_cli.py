@@ -171,6 +171,51 @@ class TestTrain:
         assert "'channels' must be a list of strings" in err
         assert kv == {}
 
+    def test_stderr_names_the_table(self, pipeline, tmp_path, capsys):
+        code, _, err = run_cli(capsys, [
+            "train", "--data", str(pipeline["data"]), "--vocab", str(pipeline["vocab"]),
+            "--out", str(tmp_path / "ckpt.json"), "--epochs", "1", "--hidden-size", "4",
+        ])
+        assert code == 0
+        journeys = load_journeys(pipeline["data"])
+        events = sum(len(j) for j in journeys)
+        line = err.splitlines()[0]
+        assert line.startswith(f"training on {len(journeys)} journeys ({events} events, ")
+        assert " MB table; preset desk, H=4, 1 epochs)" in line
+
+    @pytest.mark.parametrize("unknown_first", (False, True))
+    @pytest.mark.parametrize("command", ("train", "eval"))
+    def test_malformed_last_line_exits_2_and_writes_nothing(self, pipeline, tmp_path, capsys, command, unknown_first):
+        # the file is read as a stream, but a record's fault still comes
+        # before an earlier journey's unknown token, as when it was read whole
+        lines = pipeline["data"].read_text().splitlines()
+        if unknown_first:
+            obj = json.loads(lines[0])
+            obj["events"][0]["channel"] = "zz"
+            lines[0] = json.dumps(obj)
+        data = tmp_path / "journeys.jsonl"
+        data.write_text("\n".join(lines + ["{broken"]) + "\n")
+        out = tmp_path / "out.json"
+        argv = {
+            "train": ["train", "--data", str(data), "--vocab", str(pipeline["vocab"]), "--out", str(out),
+                      "--epochs", "1", "--hidden-size", "4"],
+            "eval": ["eval", "--model", str(pipeline["ckpt"]), "--data", str(data), "--roc-out", str(out)],
+        }[command]
+        code, kv, err = run_cli(capsys, argv)
+        assert code == 2
+        assert f"line {len(lines) + 1}: malformed JSON" in err and "Traceback" not in err
+        assert kv == {} and not out.exists() and not out.with_suffix(".history.csv").exists()
+
+    def test_vocabulary_is_read_before_the_data(self, tmp_path, capsys):
+        data, vocab = tmp_path / "journeys.jsonl", tmp_path / "vocab.json"
+        data.write_text("{broken\n")
+        vocab.write_text("{broken")
+        code, kv, err = run_cli(capsys, ["train", "--data", str(data), "--vocab", str(vocab),
+                                         "--out", str(tmp_path / "ckpt.json")])
+        assert code == 2
+        assert f"vocabulary {vocab} is not JSON" in err and "malformed JSON" not in err
+        assert kv == {}
+
     def test_outputs_exist(self, pipeline):
         assert pipeline["ckpt"].exists()
         history = pipeline["ckpt"].with_suffix(".history.csv")
@@ -869,3 +914,31 @@ def test_module_entry_point(pipeline, tmp_path):
     assert proc.returncode == 2
     assert "line 2" in proc.stderr and "Traceback" not in proc.stderr
     assert proc.stdout == ""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KB on Linux only")
+def test_train_peak_memory_grows_less_than_1kb_per_journey(tmp_path):
+    # train reads its file into a columnar table: its peak grows by the
+    # table's bytes per event, not by a journey's objects
+    data = tmp_path / "journeys.jsonl"
+    assert main(["gen", "--out", str(data), "--journeys", "20000", "--max-len", "4", "--include-nonconverted",
+                 "--seed", "9"]) == 0
+    small = tmp_path / "small.jsonl"
+    small.write_text("".join(data.read_text().splitlines(keepends=True)[:2000]))
+    child = (
+        "import resource, sys\n"
+        "from deepmta.cli import main\n"
+        "code = main(sys.argv[1:])\n"
+        "print(f'peak_kb={resource.getrusage(resource.RUSAGE_SELF).ru_maxrss}')\n"
+        "sys.exit(code)\n"
+    )
+    peaks = {}
+    for n, path in ((2000, small), (20000, data)):
+        proc = subprocess.run(
+            [sys.executable, "-c", child, "train", "--data", str(path), "--vocab", str(data.with_suffix(".vocab.json")),
+             "--out", str(tmp_path / f"model-{n}.json"), "--preset", "desk", "--hidden-size", "8", "--epochs", "1"],
+            capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr[-500:]
+        peaks[n] = int(parse_kv(proc.stdout)["peak_kb"])
+    assert peaks[20000] - peaks[2000] < 18000, peaks

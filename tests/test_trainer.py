@@ -13,11 +13,13 @@ from deepmta.trainer import (
     EvalResult,
     TrainConfig,
     _batches,
+    _dataset_loss,
     _loss_and_grad_batch,
     _step_cross_entropy,
     _train_val_split,
     auc_score,
     evaluate_roc,
+    journey_table,
     predict,
     roc_curve,
     save_loss_history,
@@ -25,6 +27,7 @@ from deepmta.trainer import (
     softmax,
     train,
 )
+from reference import stacked_batches
 
 LN_HALF = 0.6931471805599453
 
@@ -209,7 +212,7 @@ def reference_train(journeys, vocab, cfg, clip_norm):
     velocity = {name: np.zeros_like(arr) for name, arr in params.named_parameters()} if cfg.optimizer == "sgd_momentum" else None
     for _ in range(cfg.epochs):
         order = train_idx[rng.permutation(len(train_idx))]
-        for _, feats, times, labels in _batches(encoded, order, cfg.batch_size):
+        for _, feats, times, labels in stacked_batches(encoded, order, cfg.batch_size):
             logits, trace = forward_batch(feats, times, params, training=True, rng=rng)
             _, grad_logits = _loss_and_grad_batch(logits, labels)
             grads = dict(backward_batch(trace, grad_logits))
@@ -412,6 +415,70 @@ class TestBatchLoopMatchesPerJourney:
         vocab, _, _, result = bucketed
         with pytest.raises(EvaluationError):
             evaluate_roc(result.params, vocab, [])
+        with pytest.raises(EvaluationError):
+            evaluate_roc(result.params, vocab, iter([]))
+
+
+class TestJourneyTable:
+    """The columnar table and the batches gathered from it, against one
+    EncodedJourney per journey and per-journey stacking."""
+
+    def test_rows_are_each_journeys_encoding(self, small_planted):
+        vocab, journeys = small_planted
+        table = journey_table(iter(journeys), vocab)
+        assert len(table) == len(journeys) and len(table.times) == sum(len(j) for j in journeys)
+        assert table.features.shape == (len(table.times), vocab.encoding_dim)
+        for i, journey in enumerate(journeys):
+            enc = encode_journey(journey, vocab)
+            rows = slice(table.starts[i], table.starts[i] + table.lengths[i])
+            assert table.features[rows].tobytes() == enc.features.tobytes()
+            assert table.times[rows].tobytes() == enc.times.tobytes()
+            assert table.labels[rows].tobytes() == enc.labels.tobytes()
+        assert journey_table(table, vocab) is table
+
+    def test_empty(self, small_planted):
+        vocab, _ = small_planted
+        table = journey_table([], vocab)
+        assert len(table) == 0 and table.features.shape == (0, vocab.encoding_dim)
+        assert list(_batches(table, np.arange(0), 32)) == []
+
+    @pytest.mark.parametrize("size", (32, 256))
+    def test_batches_equal_per_journey_stacking(self, bucketed, size):
+        vocab, journeys, _, _ = bucketed
+        assert max(Counter(len(j) for j in journeys).values()) > 256
+        order = np.random.default_rng(5).permutation(len(journeys))
+        encoded = [encode_journey(j, vocab) for j in journeys]
+        got = list(_batches(journey_table(journeys, vocab), order, size))
+        expected = list(stacked_batches(encoded, order, size))
+        assert len(got) == len(expected) and any(len(chunk) == size for chunk, *_ in got)
+        for (chunk, feats, times, labels), (ref_chunk, ref_feats, ref_times, ref_labels) in zip(got, expected):
+            assert chunk.tolist() == ref_chunk
+            for a, b in ((feats, ref_feats), (times, ref_times), (labels, ref_labels)):
+                assert a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+    def test_dataset_loss_over_a_subset(self, bucketed):
+        vocab, journeys, _, result = bucketed
+        idxs = np.random.default_rng(6).permutation(len(journeys))[:300]
+        total = 0.0
+        for _, feats, times, labels in stacked_batches([encode_journey(j, vocab) for j in journeys], idxs, 256):
+            logits = forward_batch(feats, times, result.params, training=False)[0]
+            total += float(_step_cross_entropy(logits, labels)[0].mean(axis=1).sum())
+        assert _dataset_loss(journey_table(journeys, vocab), idxs, result.params) == total / len(idxs)
+
+    def test_train_on_a_generator_equals_the_list(self, bucketed):
+        vocab, journeys, cfg, result = bucketed
+        streamed = train((j for j in journeys), vocab, cfg)
+        assert streamed.params.flat.tobytes() == result.params.flat.tobytes()
+        assert streamed.train_losses == result.train_losses
+        np.testing.assert_array_equal(streamed.val_losses, result.val_losses)
+        tabled = train(journey_table(journeys, vocab), vocab, cfg)
+        assert tabled.params.flat.tobytes() == result.params.flat.tobytes()
+
+    def test_evaluate_roc_on_a_generator_equals_the_list(self, bucketed):
+        vocab, journeys, _, result = bucketed
+        listed = evaluate_roc(result.params, vocab, journeys)
+        streamed = evaluate_roc(result.params, vocab, iter(journeys))
+        assert streamed == listed
 
 
 class TestCsvInterfaces:
