@@ -31,7 +31,6 @@ from .errors import (
 from .journey import (
     ClickEvent,
     CustomerJourney,
-    EncodedJourney,
     GeneratorConfig,
     JourneyTable,
     Vocabulary,

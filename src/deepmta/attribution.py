@@ -17,7 +17,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import ConfigError, DimensionError, EvaluationError, NumericError, ValidationError
-from .journey import CustomerJourney, EncodedJourney, Vocabulary, encode_journey, finite_number, read_jsonl
+from .journey import CustomerJourney, JourneyTable, Vocabulary, encode_journey, finite_number, read_jsonl
 # forward_batch is not called here, but perfbench's tracer wraps
 # deepmta.attribution.forward_batch, so the name must stay importable
 from .model import ModelParams, _bare_layer, _gate_forward, _stacked_weights, cell_step, forward_batch  # noqa: F401
@@ -75,25 +75,27 @@ def mask_powerset(n: int) -> np.ndarray:
     return bits.astype(np.int64)
 
 
-def masked_accuracy_batch(params: ModelParams, enc: EncodedJourney, masks: np.ndarray) -> np.ndarray:
-    """Masked accuracy of many 0/1 mask rows of one journey, through a prefix
-    trie: the agreement rate of hard predictions and labels over each row's
-    unmasked positions, 0 for the all-zero row. A masked event's feature row
-    is zeroed but keeps its slot and time.
+def masked_accuracy_batch(params: ModelParams, enc: JourneyTable, masks: np.ndarray) -> np.ndarray:
+    """Masked accuracy of many 0/1 mask rows of the one journey of table
+    `enc` (as `encode_journey` gives it), through a prefix trie: the
+    agreement rate of hard predictions and labels over each row's unmasked
+    positions, 0 for the all-zero row. A masked event's feature row is
+    zeroed but keeps its slot and time.
 
     The one-journey case of the block scan that `attribute_journeys` runs
-    over many journeys' games: see `_scan_block`.
+    over a table of many journeys' games: see `_scan_block`.
     """
     masks = np.asarray(masks)
-    if masks.ndim != 2 or masks.shape[1] != len(enc.times):
-        raise DimensionError(f"masks must be (m, {len(enc.times)}), got {masks.shape}")
+    if len(enc) != 1 or masks.ndim != 2 or masks.shape[1] != len(enc.times):
+        raise DimensionError(
+            f"masks must be (m, {len(enc.times)}) of one journey, got {masks.shape} of {len(enc)} journeys")
     bits = masks != 0
     if not np.all(masks[bits] == 1):
         raise ValidationError("mask entries must be 0 or 1")
     if len(bits) == 0:
         return np.empty(0)
     rows, inverse = _distinct(bits)
-    return _game_values(params, [(enc, rows)])[0][inverse]
+    return _game_values(params, enc, [(0, rows)])[0][inverse]
 
 
 def _distinct(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -146,7 +148,7 @@ class GameStats:
         self.rechecked += other.rechecked
 
 
-def _pack_blocks(games: list[tuple[EncodedJourney, np.ndarray]]) -> list[list[tuple[int, int, int]]]:
+def _pack_blocks(games: list[tuple[int, np.ndarray]]) -> list[list[tuple[int, int, int]]]:
     """Pieces (game, start, stop) of the games' distinct rows, packed into
     blocks of at most _BLOCK_ROWS rows.
 
@@ -174,17 +176,19 @@ def _pack_blocks(games: list[tuple[EncodedJourney, np.ndarray]]) -> list[list[tu
 
 
 def _game_values(
-    params: ModelParams, games: list[tuple[EncodedJourney, np.ndarray]], stats: GameStats | None = None
+    params: ModelParams, table: JourneyTable, games: list[tuple[int, np.ndarray]], stats: GameStats | None = None
 ) -> list[np.ndarray]:
-    """Masked accuracy of the rows of every game, a (journey, rows) pair with
-    the rows distinct and sorted as `_distinct` gives them; one array per
-    game. The games' rows are packed into blocks and each block is one trie
-    scan."""
+    """Masked accuracy of the rows of every game, a (journey index in
+    `table`, rows) pair with the rows distinct and sorted as `_distinct`
+    gives them; one array per game. The table's scan inputs are computed
+    once (`_scan_inputs`); the games' rows are packed into blocks and each
+    block is one trie scan."""
     values = [np.empty(len(rows)) for _, rows in games]
+    inputs = _scan_inputs(params, table)
     for block in _pack_blocks(games):
         pieces = [(games[g][0], games[g][1][start:stop]) for g, start, stop in block]
         shared = [_shared_steps(games[g][1], start) for g, start, _ in block]
-        accs, node_steps, rechecked = _scan_block(params, pieces, shared)
+        accs, node_steps, rechecked = _scan_block(params, table, inputs, pieces, shared)
         for (g, start, stop), acc in zip(block, accs):
             values[g][start:stop] = acc
         if stats is not None:
@@ -208,27 +212,26 @@ def _last_kept(bits: np.ndarray) -> np.ndarray:
 
 
 def _scan_block(
-    params: ModelParams,
-    pieces: list[tuple[EncodedJourney, np.ndarray]],
-    shared: list[int] | None = None,
-    dtype=np.float32,
+    params: ModelParams, table: JourneyTable, inputs: dict, pieces: list[tuple[int, np.ndarray]],
+    shared: list[int] | None = None, dtype=np.float32,
 ) -> tuple[list[np.ndarray], int, int]:
     """Masked accuracy of the distinct rows of several journeys' games in one
     prefix-trie scan (`_trie_steps`) at `dtype`; returns one accuracy array
     per piece, the number of node-steps and the number of rechecked nodes.
 
-    `pieces` are (journey, rows) with each journey's rows distinct and
-    lexicographically sorted. `shared` gives, per piece, how many prefix
-    nodes of its first row an earlier scan has stepped; they are stepped
-    again but not counted. Each kept node is scored once, by its logit
-    margin (class 1 minus class 0). Its hard label is margin >= 0, except
-    that a node with |margin| < RECHECK_MARGIN, a rechecked node, takes the
-    label of the float64 scan of its prefix row, by the softmax test
-    (class 1 probability >= 0.5). One float64 scan after the block rechecks
-    all its nodes; where it changes a label, the rows through the node,
-    which are adjacent, change their count.
+    `pieces` are (journey index in `table`, rows) with each journey's rows
+    distinct and lexicographically sorted; `inputs` are the table's
+    `_scan_inputs`. `shared` gives, per piece, how many prefix nodes of its
+    first row an earlier scan has stepped; they are stepped again but not
+    counted. Each kept node is scored once, by its logit margin (class 1
+    minus class 0). Its hard label is margin >= 0, except that a node with
+    |margin| < RECHECK_MARGIN, a rechecked node, takes the label of the
+    float64 scan of its prefix row, by the softmax test (class 1
+    probability >= 0.5). One float64 scan after the block rechecks all its
+    nodes; where it changes a label, the rows through the node, which are
+    adjacent, change their count.
     """
-    encs = [enc for enc, _ in pieces]
+    starts = table.starts[[journey for journey, _ in pieces]]
     sizes = np.array([len(rows) for _, rows in pieces])
     row_start = np.cumsum(sizes) - sizes
     bits = np.zeros((sizes.sum(), max(rows.shape[1] for _, rows in pieces)), dtype=bool)
@@ -240,7 +243,6 @@ def _scan_block(
     uncounted = np.zeros(len(bits), dtype=np.int64)
     if shared is not None:
         uncounted[row_start] = shared
-    labels = np.concatenate([enc.labels for enc in encs])
     w_margin = (params.W_out[:, 1] - params.W_out[:, 0]).astype(dtype)
     b_margin = (params.b_out[1] - params.b_out[0]).astype(dtype)
 
@@ -248,17 +250,18 @@ def _scan_block(
     final = np.zeros(len(bits), dtype=np.int64)
     node_steps = 0
     ties = []  # per step, of the nodes to recheck: step, head, float32 label, true label, counted
-    for t, step in enumerate(_trie_steps(params, encs, bits, row_piece, dtype)):
+    for t, step in enumerate(_trie_steps(params, inputs, starts, bits, row_piece, dtype)):
         counted = uncounted[step.head] <= t
         scored = np.flatnonzero(step.kept)
         margin = step.x[scored] @ w_margin + b_margin
         pred = margin >= 0
+        truth = table.labels[step.index[scored]]
         near = np.abs(margin) < RECHECK_MARGIN
         if near.any():
             nodes = scored[near]
-            ties.append((np.full(len(nodes), t), step.head[nodes], pred[near], labels[step.index[nodes]], counted[nodes]))
+            ties.append((np.full(len(nodes), t), step.head[nodes], pred[near], truth[near], counted[nodes]))
         hit = np.zeros(len(step.head), dtype=np.int64)
-        hit[scored] = pred == labels[step.index[scored]]
+        hit[scored] = pred == truth
         matches = matches[step.parent] + hit
         node_steps += int(np.count_nonzero(counted))
         # rows whose last kept event is at this step leave with their count
@@ -267,7 +270,16 @@ def _scan_block(
     if ties:
         steps, heads, pred, truth, counted = (np.concatenate(part) for part in zip(*ties))
         rechecked = int(np.count_nonzero(counted))
-        flip = _float64_labels(params, encs, bits, row_piece, heads, steps) != pred
+        # one float64 scan labels them all: each node's row is cut after its
+        # step, so it leaves the scan there as its own node, and the rows,
+        # sorted by piece and then by bits, share their common prefix nodes
+        cut = bits[heads] & (np.arange(bits.shape[1]) <= steps[:, None])
+        order = np.lexsort([*cut.T[::-1], row_piece[heads]])
+        labels = np.empty(len(heads), dtype=bool)
+        for step in _trie_steps(params, inputs, starts, cut[order], row_piece[heads][order], np.float64):
+            logits = step.x[step.node[step.done]] @ params.W_out + params.b_out
+            labels[order[step.rows[step.done]]] = softmax(logits)[:, 1] >= 0.5
+        flip = labels != pred
         # a flipped label turns a match into a miss or a miss into a match
         gains = np.where(pred[flip] == truth[flip], -1, 1)
         ends = (row_start + sizes)[row_piece[heads[flip]]]
@@ -281,28 +293,6 @@ def _scan_block(
     return np.split(acc, row_start[1:]), node_steps, rechecked
 
 
-def _float64_labels(
-    params: ModelParams,
-    encs: list[EncodedJourney],
-    bits: np.ndarray,
-    row_piece: np.ndarray,
-    heads: np.ndarray,
-    steps: np.ndarray,
-) -> np.ndarray:
-    """The float64 scan's hard labels, by the softmax test (class 1
-    probability >= 0.5), of distinct kept nodes: node i is the one of row
-    heads[i] at step steps[i]. One scan of the rows cut after their node's
-    step: each leaves the scan there, as its own node."""
-    cut = bits[heads] & (np.arange(bits.shape[1]) <= steps[:, None])
-    # sorted by piece, then by bits, the rows share their common prefix nodes
-    order = np.lexsort([*cut.T[::-1], row_piece[heads]])
-    labels = np.empty(len(heads), dtype=bool)
-    for step in _trie_steps(params, encs, cut[order], row_piece[heads][order], np.float64):
-        logits = step.x[step.node[step.done]] @ params.W_out + params.b_out
-        labels[order[step.rows[step.done]]] = softmax(logits)[:, 1] >= 0.5
-    return labels
-
-
 class _TrieStep(NamedTuple):
     """One step t of a trie scan. Live rows are the rows with a kept event
     at t or later, as indices into the block's rows; nodes are in the order
@@ -314,18 +304,33 @@ class _TrieStep(NamedTuple):
     head: np.ndarray  # each node's first live row
     parent: np.ndarray  # each node's node at step t - 1 (its piece's root at step 0)
     kept: np.ndarray  # whether the node keeps event t
-    index: np.ndarray  # the node's (journey, step) index into the journeys' concatenated steps
+    index: np.ndarray  # the node's event row in the table: its journey's first row plus t
     x: np.ndarray  # each node's new top-layer hidden state
+
+
+def _scan_inputs(params: ModelParams, table: JourneyTable) -> dict:
+    """The operands that a trie scan gathers by event row, computed once in
+    float64 for all the blocks scanned over `table` and cast once to
+    float32, as dtype -> (x0, gates): layer 0's input projection of every
+    event, with a last row of zeros that nodes masking their event gather
+    instead, and each layer's time-gate openness at every event."""
+    Wx0 = _stacked_weights(params.layers[0])[0]
+    x0 = np.zeros((len(table.times) + 1, Wx0.shape[1]))
+    np.matmul(table.features, Wx0, out=x0[:-1])
+    gates = [_gate_forward(table.times[:, None], lp.tau, lp.s, lp.r_on, 0.0)[0] for lp in params.layers]
+    return {dtype: (x0.astype(dtype, copy=False), [gate.astype(dtype, copy=False) for gate in gates])
+            for dtype in (np.float64, np.float32)}
 
 
 # the layer vectors that cell_step reads
 _CELL_VECTORS = ("w_ci", "w_cf", "w_co", "b_i", "b_f", "b_c", "b_o")
 
 
-def _trie_steps(params: ModelParams, encs: list[EncodedJourney], bits: np.ndarray, row_piece: np.ndarray, dtype):
+def _trie_steps(params: ModelParams, inputs: dict, starts: np.ndarray, bits: np.ndarray, row_piece: np.ndarray, dtype):
     """The prefix-trie scan of mask rows `bits` at `dtype`: yields one
-    `_TrieStep` per step. Row i masks journey encs[row_piece[i]]; the rows
-    of one piece are adjacent, distinct and lexicographically sorted.
+    `_TrieStep` per step. Row i masks piece row_piece[i], whose journey's
+    first event row in the table is starts[row_piece[i]]; the rows of one
+    piece are adjacent, distinct and lexicographically sorted.
 
     The model is causal and a masked event keeps its slot and time, so a
     row's state at step t depends only on its journey and mask[0..t]: one
@@ -338,26 +343,15 @@ def _trie_steps(params: ModelParams, encs: list[EncodedJourney], bits: np.ndarra
     starts a new node where its bit or its previous node differs from the
     live row before it. Each piece starts from a root node of its own, so
     no node spans two pieces even where a piece's first rows have already
-    left. The time gate and layer 0's input projection are computed once
-    per (journey, step) and gathered per node. Every operand is cast to
+    left. The time gate and layer 0's input projection, `inputs[dtype]`,
+    are gathered per node by event row. Every other operand is cast to
     `dtype` once, before the first step.
     """
-    weights = [_stacked_weights(lp) for lp in params.layers]
-    lengths = np.array([len(enc.times) for enc in encs])
-    times = np.concatenate([enc.times for enc in encs])
-    # layer 0's input projection per (journey, step), and a last row of
-    # zeros that nodes masking their event gather instead
-    Wx0 = weights[0][0]
-    x0 = np.concatenate([*(enc.features @ Wx0 for enc in encs), np.zeros((1, Wx0.shape[1]))])
-    x0 = x0.astype(dtype, copy=False)
-    weights = [(Wx.astype(dtype, copy=False), Wh.astype(dtype, copy=False)) for Wx, Wh in weights]
-    gates = [_gate_forward(times[:, None], lp.tau, lp.s, lp.r_on, 0.0)[0].astype(dtype, copy=False)
-             for lp in params.layers]
+    weights = [tuple(w.astype(dtype, copy=False) for w in _stacked_weights(lp)) for lp in params.layers]
+    x0, gates = inputs[dtype]
     norms = [(g.astype(dtype, copy=False), b.astype(dtype, copy=False)) for g, b in zip(params.ln_gain, params.ln_bias)]
     cells = [_bare_layer({name: getattr(lp, name).astype(dtype, copy=False) for name in _CELL_VECTORS})
              for lp in params.layers]
-    # a row's (journey, step) index is its journey's first step plus t
-    row_step0 = (np.cumsum(lengths) - lengths)[row_piece]
 
     # the live rows and each one's node at the previous step (its piece's
     # root before step 0)
@@ -365,7 +359,7 @@ def _trie_steps(params: ModelParams, encs: list[EncodedJourney], bits: np.ndarra
     live = np.flatnonzero(last >= 0)
     node = row_piece[live]
     live_last = last[live]
-    states = [(np.zeros((len(encs), lp.hidden_size), dtype=dtype),) * 2 for lp in params.layers]
+    states = [(np.zeros((len(starts), lp.hidden_size), dtype=dtype),) * 2 for lp in params.layers]
     for t in range(last.max() + 1):
         col = bits[live, t]
         fresh = np.empty(len(live), dtype=bool)
@@ -377,7 +371,7 @@ def _trie_steps(params: ModelParams, encs: list[EncodedJourney], bits: np.ndarra
         kept = col[first]
         node = np.cumsum(fresh) - 1
         head = live[first]
-        index = row_step0[head] + t
+        index = starts[row_piece[head]] + t
         x0_index = np.where(kept, index, len(x0) - 1)
         x = None
         for idx, (cell, (Wx, Wh), (ln_g, ln_b)) in enumerate(zip(cells, weights, norms)):
@@ -605,19 +599,17 @@ def _shards(rows: list[int], n_shards: int) -> list[list[int]]:
 
 
 def _attribute_shard(params, journeys, vocab, plans, stats=None) -> list[AttributionResult]:
-    """One process's path over a shard of journeys, in input order: their
-    games are scored together in trie blocks, and then the journeys of each
-    length are finished by one solve over their stacked values."""
-    games = []
-    by_length: dict[int, list[int]] = {}
-    for idx, journey in enumerate(journeys):
-        n = len(journey.events)
-        games.append((encode_journey(journey, vocab), plans[n].rows))
-        by_length.setdefault(n, []).append(idx)
-    values = _game_values(params, games, stats)
+    """One process's path over a shard of journeys, in input order: they are
+    encoded into one JourneyTable, their games are scored together in trie
+    blocks, and the journeys of each length are finished by one solve over
+    their stacked values."""
+    table = JourneyTable.from_encoded((encode_journey(journey, vocab) for journey in journeys), vocab.encoding_dim)
+    lengths = table.lengths.tolist()
+    values = _game_values(params, table, [(idx, plans[n].rows) for idx, n in enumerate(lengths)], stats)
     results = [None] * len(journeys)
-    for n, indices in by_length.items():
+    for n in dict.fromkeys(lengths):
         plan = plans[n]
+        indices = np.flatnonzero(table.lengths == n)
         step = max(1, _SOLVE_VALUES // len(plan.inverse))
         for start in range(0, len(indices), step):
             chunk = indices[start:start + step]

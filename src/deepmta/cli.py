@@ -195,6 +195,8 @@ def _cmd_report(args) -> None:
             raise ValidationError(f"line {idx}: attribution user_id {record['user_id']!r} does not match data")
         if len(record["weights"]) != len(journey.events):
             raise ValidationError(f"line {idx}: weight vector length does not match the journey")
+        if record["channels"] != journey.channels:
+            raise ValidationError(f"line {idx}: attribution channels {record['channels']!r} do not match data")
         result = AttributionResult(
             raw_weights=np.asarray(record["raw_weights"], dtype=np.float64),
             intercept=float(record["intercept"]),

@@ -9,11 +9,12 @@ import sys
 from array import array
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, SequenceLengthError, ValidationError, VocabularyError
+from .errors import ConfigError, DimensionError, SequenceLengthError, ValidationError, VocabularyError
 
 MAX_SEQ_LEN = 32
 SECONDS_PER_HOUR = 3600.0
@@ -127,21 +128,68 @@ class Vocabulary:
 
 
 @dataclass
-class EncodedJourney:
-    """Feature matrix view of one journey.
+class JourneyTable:
+    """Encoded journeys in flat columns: every event's feature row, time
+    and label, in journey order, and each journey's length. A journey's
+    row i is [one-hot channel, one-hot campaign, dt_i], dt_i hours since its
+    first event; `times` holds the same dt values for the time gate.
+    Journey i's rows are starts[i] .. starts[i] + lengths[i] - 1.
 
-    Row i is [one-hot channel, one-hot campaign, dt_i] where dt_i is hours
-    since the journey's first event. `times` carries the same dt values for
-    the recurrent time gate.
+    Raises DimensionError unless `features` is 2-D, every length is at
+    least 1 and every column has one row per event, lengths.sum() rows.
     """
 
-    features: np.ndarray  # (seq_len, d) float64
-    times: np.ndarray  # (seq_len,) hours, float64
-    labels: np.ndarray  # (seq_len,) int64
+    features: np.ndarray  # (n_events, d) float64
+    times: np.ndarray  # (n_events,) hours, float64
+    labels: np.ndarray  # (n_events,) int64
+    lengths: np.ndarray  # (n_journeys,) int64
+
+    def __post_init__(self):
+        if self.features.ndim != 2:
+            raise DimensionError(f"features must be 2-D, got shape {self.features.shape}")
+        # checked as Python ints, which costs a one-journey table well under a microsecond
+        lengths = self.lengths.tolist()
+        if min(lengths, default=1) < 1:
+            raise DimensionError("every journey length must be >= 1")
+        n_events = sum(lengths)
+        for name, column in (("features", self.features), ("times", self.times), ("labels", self.labels)):
+            if len(column) != n_events:
+                raise DimensionError(f"{name} has {len(column)} rows, but the lengths sum to {n_events}")
+
+    @cached_property
+    def starts(self) -> np.ndarray:
+        """Each journey's first row, derived from the lengths."""
+        return np.cumsum(self.lengths) - self.lengths
+
+    @classmethod
+    def from_encoded(cls, encoded: Iterable[JourneyTable], dim: int) -> JourneyTable:
+        """The tables of `encoded` (`dim` features per row) concatenated in
+        one pass, holding none after its rows are copied: each column grows
+        as an array.array, viewed as a numpy array at the end without a copy."""
+        features, times, labels, lengths = array("d"), array("d"), array("q"), array("q")
+        for enc in encoded:
+            features.frombytes(enc.features.tobytes())
+            times.frombytes(enc.times.tobytes())
+            labels.frombytes(enc.labels.tobytes())
+            lengths.frombytes(enc.lengths.tobytes())
+        return cls(
+            features=np.frombuffer(features, dtype=np.float64).reshape(-1, dim),
+            times=np.frombuffer(times, dtype=np.float64),
+            labels=np.frombuffer(labels, dtype=np.int64),
+            lengths=np.frombuffer(lengths, dtype=np.int64),
+        )
+
+    def __len__(self) -> int:
+        return len(self.lengths)
+
+    @property
+    def nbytes(self) -> int:
+        return sum(a.nbytes for a in (self.features, self.times, self.labels, self.starts, self.lengths))
 
 
-def encode_journey(journey: CustomerJourney, vocab: Vocabulary) -> EncodedJourney:
-    """Encode a journey into one-hot channel/campaign rows plus hour offsets.
+def encode_journey(journey: CustomerJourney, vocab: Vocabulary) -> JourneyTable:
+    """Encode a journey as a one-journey JourneyTable: one-hot
+    channel/campaign rows plus hour offsets.
 
     Raises VocabularyError for unknown tokens, naming the journey's user_id
     and the event's index, and SequenceLengthError for journeys longer than
@@ -153,7 +201,6 @@ def encode_journey(journey: CustomerJourney, vocab: Vocabulary) -> EncodedJourne
             f"journey {journey.user_id!r} has {n} events, exceeding the limit of {MAX_SEQ_LEN}; refusing to truncate"
         )
     n_ch = len(vocab.channels)
-    n_ck = len(vocab.campaigns)
     features = np.zeros((n, vocab.encoding_dim), dtype=np.float64)
     times = np.zeros(n, dtype=np.float64)
     t0 = journey.events[0].timestamp
@@ -165,52 +212,10 @@ def encode_journey(journey: CustomerJourney, vocab: Vocabulary) -> EncodedJourne
         features[i, channel] = 1.0
         features[i, n_ch + campaign] = 1.0
         dt = (ev.timestamp - t0) / SECONDS_PER_HOUR
-        features[i, n_ch + n_ck] = dt
+        features[i, -1] = dt
         times[i] = dt
     labels = np.asarray(journey.labels, dtype=np.int64)
-    return EncodedJourney(features=features, times=times, labels=labels)
-
-
-@dataclass
-class JourneyTable:
-    """Many encoded journeys in flat columns: every event's feature row,
-    time and label, in journey order, and each journey's first row and
-    length. Journey i's rows are starts[i] .. starts[i] + lengths[i] - 1,
-    equal to its EncodedJourney's arrays."""
-
-    features: np.ndarray  # (n_events, d) float64
-    times: np.ndarray  # (n_events,) hours, float64
-    labels: np.ndarray  # (n_events,) int64
-    starts: np.ndarray  # (n_journeys,) int64
-    lengths: np.ndarray  # (n_journeys,) int64
-
-    @classmethod
-    def from_encoded(cls, encoded: Iterable[EncodedJourney], dim: int) -> JourneyTable:
-        """Fill the table in one pass over `encoded` (d = `dim` features per
-        row), holding no journey's arrays after its rows are copied. Each
-        column grows as an array.array and is viewed as a numpy array at the
-        end, without a copy."""
-        features, times, labels, lengths = array("d"), array("d"), array("q"), array("q")
-        for enc in encoded:
-            features.frombytes(enc.features.tobytes())
-            times.frombytes(enc.times.tobytes())
-            labels.frombytes(enc.labels.tobytes())
-            lengths.append(len(enc.times))
-        lengths = np.frombuffer(lengths, dtype=np.int64)
-        return cls(
-            features=np.frombuffer(features, dtype=np.float64).reshape(-1, dim),
-            times=np.frombuffer(times, dtype=np.float64),
-            labels=np.frombuffer(labels, dtype=np.int64),
-            starts=np.cumsum(lengths) - lengths,
-            lengths=lengths,
-        )
-
-    def __len__(self) -> int:
-        return len(self.lengths)
-
-    @property
-    def nbytes(self) -> int:
-        return sum(a.nbytes for a in (self.features, self.times, self.labels, self.starts, self.lengths))
+    return JourneyTable(features=features, times=times, labels=labels, lengths=np.array([n], dtype=np.int64))
 
 
 @dataclass

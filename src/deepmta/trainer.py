@@ -145,8 +145,8 @@ def _encoded(journeys: Iterable[CustomerJourney], vocab: Vocabulary):
 def journey_table(journeys: Iterable[CustomerJourney] | JourneyTable, vocab: Vocabulary) -> JourneyTable:
     """The journeys as one JourneyTable, filled in one pass over any iterable
     (a list, a generator, a file read line by line): each journey is encoded
-    by encode_journey, copied into the table and dropped. A table is
-    returned as it is."""
+    by encode_journey as a one-journey table, copied into the table and
+    dropped. A table is returned as it is."""
     if isinstance(journeys, JourneyTable):
         return journeys
     return JourneyTable.from_encoded(_encoded(journeys, vocab), vocab.encoding_dim)

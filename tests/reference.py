@@ -12,7 +12,7 @@ import numpy as np
 
 from deepmta.attribution import EXACT_LIMIT, _exact_solver, _permutation_prefixes, mask_powerset
 from deepmta.errors import DimensionError, NumericError, ParameterError, ValidationError
-from deepmta.journey import ClickEvent, CustomerJourney, EncodedJourney
+from deepmta.journey import ClickEvent, CustomerJourney, JourneyTable
 from deepmta.model import (
     ALPHA_TRAIN_DEFAULT,
     LN_EPS,
@@ -137,10 +137,11 @@ def cell_forward(
 # ---------------------------------------------------------------------------
 
 
-def stacked_batches(encoded: list[EncodedJourney], order, size: int):
+def stacked_batches(encoded: list[JourneyTable], order, size: int):
     """The length-bucketed batches of `trainer._batches`, stacked from one
-    EncodedJourney per journey: (chunk, features, times, labels), lengths
-    ascending, `order` kept within a length, at most `size` per batch."""
+    one-journey table (`encode_journey`) per journey: (chunk, features,
+    times, labels), lengths ascending, `order` kept within a length, at most
+    `size` per batch."""
     buckets: dict[int, list[int]] = {}
     for idx in order:
         buckets.setdefault(len(encoded[idx].times), []).append(int(idx))
@@ -158,7 +159,7 @@ def stacked_batches(encoded: list[EncodedJourney], order, size: int):
 # ---------------------------------------------------------------------------
 
 
-def masked_accuracy(params: ModelParams, enc: EncodedJourney, mask: np.ndarray) -> float:
+def masked_accuracy(params: ModelParams, enc: JourneyTable, mask: np.ndarray) -> float:
     """Agreement rate between hard predictions and labels over unmasked
     positions.
 

@@ -24,6 +24,7 @@ from deepmta.attribution import (
     _permutation_estimates,
     _permutation_prefixes,
     _scan_block,
+    _scan_inputs,
     _shapley_kernel_row_weights,
     _shards,
     _trie_steps,
@@ -37,7 +38,7 @@ from deepmta.attribution import (
     save_attributions,
 )
 from deepmta.errors import ConfigError, DimensionError, NumericError, ValidationError
-from deepmta.journey import ClickEvent, CustomerJourney, Vocabulary, encode_journey
+from deepmta.journey import ClickEvent, CustomerJourney, JourneyTable, Vocabulary, encode_journey
 from deepmta.model import LAYER_TENSOR_FIELDS, ModelParams, PhasedLstmLayerParams, forward_batch, init_params
 from deepmta.trainer import softmax
 from reference import masked_accuracy, shapley_exact, shapley_sampled
@@ -185,6 +186,10 @@ class TestMaskedAccuracy:
         enc = encode_journey(make_journey(["A", "B"], converted=False), VOCAB)
         with pytest.raises(DimensionError):
             masked_accuracy(self.params, enc, np.ones(3))
+        # a table of two journeys is not one journey's game
+        two = JourneyTable.from_encoded([enc, enc], VOCAB.encoding_dim)
+        with pytest.raises(DimensionError, match="of one journey, got .* of 2 journeys"):
+            masked_accuracy_batch(self.params, two, np.ones((1, len(two.times))))
 
     def test_batch_matches_loop(self):
         rng = np.random.default_rng(1)
@@ -621,6 +626,17 @@ def live_prefix_steps(rows):
     return len(nodes)
 
 
+def encoded_table(journeys):
+    """Each journey's one-journey table and the table of them all."""
+    encs = [encode_journey(j, VOCAB) for j in journeys]
+    return encs, JourneyTable.from_encoded(encs, VOCAB.encoding_dim)
+
+
+def scan_block(params, table, pieces, dtype=np.float32):
+    """`_scan_block` over pieces (journey index in `table`, rows)."""
+    return _scan_block(params, table, _scan_inputs(params, table), pieces, dtype=dtype)
+
+
 def mixed_journeys(rng, lengths):
     """Journeys of the given lengths, every third one not converted."""
     journeys = []
@@ -642,11 +658,12 @@ class TestBlockScan:
         params = init_params(VOCAB.encoding_dim, 6, 2, t_span_hours=12.0, rng=4)
         journeys = mixed_journeys(rng, rng.permutation(np.arange(1, 21)))
         plans = [_build_plan(method, len(j.events), 8, 1) for j in journeys]
-        games = [(encode_journey(j, VOCAB), plan.rows) for j, plan in zip(journeys, plans)]
+        encs, table = encoded_table(journeys)
+        games = [(idx, plan.rows) for idx, plan in enumerate(plans)]
         stats = GameStats()
-        values = _game_values(params, games, stats=stats)
+        values = _game_values(params, table, games, stats=stats)
         assert stats.blocks == len(_pack_blocks(games)) >= 2
-        for (enc, _), plan, distinct in zip(games, plans, values):
+        for enc, plan, distinct in zip(encs, plans, values):
             masks, acc = plan.rows[plan.inverse], distinct[plan.inverse]
             np.testing.assert_array_equal(acc, masked_accuracy_batch(params, enc, masks))
             for row in rng.choice(len(masks), 4):
@@ -665,16 +682,16 @@ class TestBlockScan:
         # a game with more distinct rows than a block, between two small ones
         rng = np.random.default_rng(41)
         params = init_params(VOCAB.encoding_dim, 8, 2, t_span_hours=12.0, rng=5)
-        encs = [encode_journey(j, VOCAB) for j in mixed_journeys(rng, (3, 14, 5))]
+        encs, table = encoded_table(mixed_journeys(rng, (3, 14, 5)))
         masks = [mask_powerset(3), rng.integers(0, 2, size=(6000, 14)), mask_powerset(5)]
         distinct = [_distinct(m != 0) for m in masks]
-        games = [(enc, rows) for enc, (rows, _) in zip(encs, distinct)]
+        games = [(idx, rows) for idx, (rows, _) in enumerate(distinct)]
         assert len(games[1][1]) > _BLOCK_ROWS
         blocks = _pack_blocks(games)
         assert all(sum(stop - start for _, start, stop in block) <= _BLOCK_ROWS for block in blocks)
         assert sum(any(g == 1 for g, _, _ in block) for block in blocks) >= 2
         stats = GameStats()
-        values = _game_values(params, games, stats=stats)
+        values = _game_values(params, table, games, stats=stats)
         for enc, m, (_, inverse), acc in zip(encs, masks, distinct, values):
             np.testing.assert_array_equal(acc[inverse], forward_reference(params, enc, m))
         # node_steps counts each journey's live prefixes once, across the cuts
@@ -687,16 +704,16 @@ class TestBlockScan:
         # [1], alike across them
         rng = np.random.default_rng(50 + seed)
         params = init_params(VOCAB.encoding_dim, 6, 1 + seed % 2, t_span_hours=12.0, rng=seed)
+        encs, table = encoded_table(mixed_journeys(rng, (1, 1, 7, 1, 12, 3, 1)))
         games = []
-        for journey in mixed_journeys(rng, (1, 1, 7, 1, 12, 3, 1)):
-            n = len(journey.events)
+        for idx, n in enumerate(table.lengths):
             masks = rng.integers(0, 2, size=(40, n))
             masks[np.arange(n) >= rng.integers(0, n + 1, size=(40, 1))] = 0
             masks[0] = 0
-            games.append((encode_journey(journey, VOCAB), _distinct(masks != 0)[0]))
-        accs, node_steps, _ = _scan_block(params, games)
+            games.append((idx, _distinct(masks != 0)[0]))
+        accs, node_steps, _ = scan_block(params, table, games)
         assert node_steps == sum(live_prefix_steps(rows) for _, rows in games)
-        for (enc, rows), acc in zip(games, accs):
+        for enc, (_, rows), acc in zip(encs, games, accs):
             np.testing.assert_array_equal(acc, forward_reference(params, enc, rows))
             for row, value in zip(rows, acc):
                 assert value == masked_accuracy(params, enc, row)
@@ -710,8 +727,8 @@ class TestBlockScan:
         monkeypatch.setattr(attribution, "_BLOCK_ROWS", 3)
         rng = np.random.default_rng(46)
         params = init_params(VOCAB.encoding_dim, 6, 2, t_span_hours=12.0, rng=9)
-        encs = [encode_journey(j, VOCAB) for j in mixed_journeys(rng, (1, 5, 1, 6, 2))]
-        games = [(enc, mask_powerset(len(enc.times)) != 0) for enc in encs]
+        encs, table = encoded_table(mixed_journeys(rng, (1, 5, 1, 6, 2)))
+        games = [(idx, mask_powerset(len(enc.times)) != 0) for idx, enc in enumerate(encs)]
         blocks = _pack_blocks(games)
         cuts = [games[g][1][start - 1:start + 1] for block in blocks for g, start, _ in block if start]
         kept_before = [np.flatnonzero(before) for before, _ in cuts]
@@ -720,7 +737,7 @@ class TestBlockScan:
             for kept, (before, after) in zip(kept_before, cuts)
         )
         stats = GameStats()
-        values = _game_values(params, games, stats=stats)
+        values = _game_values(params, table, games, stats=stats)
         assert stats.blocks == len(blocks)
         for enc, acc in zip(encs, values):
             np.testing.assert_array_equal(acc, forward_reference(params, enc, mask_powerset(len(enc.times))))
@@ -732,7 +749,7 @@ class TestBlockScan:
         # each worker packs the games of its own shard of journeys
         rng = np.random.default_rng(42)
         encs = [encode_journey(j, VOCAB) for j in mixed_journeys(rng, (12, 2, 12, 1, 9, 12, 4))]
-        all_games = [(enc, mask_powerset(len(enc.times)) != 0) for enc in encs]
+        all_games = [(idx, mask_powerset(len(enc.times)) != 0) for idx, enc in enumerate(encs)]
         shards = _shards([len(rows) for _, rows in all_games], workers)
         assert sorted(idx for shard in shards for idx in shard) == list(range(len(all_games)))
         for shard in shards:
@@ -881,9 +898,9 @@ class TestBlockScan:
         journeys = mixed_journeys(rng, (12, 3, 5, 12, 1, 12, 7))
         windows = []
 
-        def counted(params, games, *args, **kwargs):
+        def counted(params, table, games, *args, **kwargs):
             windows.append(len(games))
-            return _game_values(params, games, *args, **kwargs)
+            return _game_values(params, table, games, *args, **kwargs)
 
         monkeypatch.setattr(attribution, "_game_values", counted)
         stats = GameStats()
@@ -1047,7 +1064,7 @@ def trie_margins(params, enc, rows, dtype):
     two scans' margins align node by node."""
     w = (params.W_out[:, 1] - params.W_out[:, 0]).astype(dtype)
     b = (params.b_out[1] - params.b_out[0]).astype(dtype)
-    steps = _trie_steps(params, [enc], rows, np.zeros(len(rows), dtype=np.int64), dtype)
+    steps = _trie_steps(params, _scan_inputs(params, enc), enc.starts, rows, np.zeros(len(rows), dtype=np.int64), dtype)
     return np.concatenate([step.x[step.kept] @ w + b for step in steps])
 
 
@@ -1067,12 +1084,12 @@ class TestFloat32Scan:
     def test_equals_float64_scan(self, n_layers, H):
         rng = np.random.default_rng(60 + H + n_layers)
         params = random_model(rng, VOCAB.encoding_dim, H, n_layers)
-        encs = [encode_journey(j, VOCAB) for j in mixed_journeys(rng, rng.permutation(np.arange(1, 21)))]
-        pieces = [(enc, game_rows(rng, enc)) for enc in encs]
-        accs, node_steps, _ = _scan_block(params, pieces)
-        reference, reference_steps, _ = _scan_block(params, pieces, dtype=np.float64)
+        encs, table = encoded_table(mixed_journeys(rng, rng.permutation(np.arange(1, 21))))
+        pieces = [(idx, game_rows(rng, enc)) for idx, enc in enumerate(encs)]
+        accs, node_steps, _ = scan_block(params, table, pieces)
+        reference, reference_steps, _ = scan_block(params, table, pieces, dtype=np.float64)
         assert node_steps == reference_steps
-        for (enc, rows), acc, ref in zip(pieces, accs, reference):
+        for enc, (_, rows), acc, ref in zip(encs, pieces, accs, reference):
             np.testing.assert_array_equal(acc, ref)
             if len(enc.times) <= 8:
                 np.testing.assert_array_equal(acc, forward_reference(params, enc, rows))
@@ -1084,21 +1101,22 @@ class TestFloat32Scan:
         # margins alone get some label wrong
         rng = np.random.default_rng(70)
         params = random_model(rng, VOCAB.encoding_dim, 8, 2)
-        encs = [encode_journey(j, VOCAB) for j in mixed_journeys(rng, (3, 8, 5, 1, 7))]
-        pieces = [(enc, mask_powerset(len(enc.times)) != 0) for enc in encs]
+        encs, table = encoded_table(mixed_journeys(rng, (3, 8, 5, 1, 7)))
+        games = [mask_powerset(len(enc.times)) != 0 for enc in encs]
+        pieces = list(enumerate(games))
         bias = params.b_out[1]
-        margins = np.sort(trie_margins(params, *pieces[1], np.float64))
+        margins = np.sort(trie_margins(params, encs[1], games[1], np.float64))
         flips = 0
         for target in margins[len(margins) // 2 - 8:len(margins) // 2 + 8]:
             params.b_out[1] = bias - target - 1e-9
-            margins64 = np.concatenate([trie_margins(params, enc, rows, np.float64) for enc, rows in pieces])
-            margins32 = np.concatenate([trie_margins(params, enc, rows, np.float32) for enc, rows in pieces])
+            margins64 = np.concatenate([trie_margins(params, enc, rows, np.float64) for enc, rows in zip(encs, games)])
+            margins32 = np.concatenate([trie_margins(params, enc, rows, np.float32) for enc, rows in zip(encs, games)])
             assert np.abs(margins64).min() < 1e-8
             flips += np.count_nonzero((margins32 >= 0) != (margins64 >= 0))
-            accs, _, rechecked = _scan_block(params, pieces)
+            accs, _, rechecked = scan_block(params, table, pieces)
             assert rechecked == np.count_nonzero(np.abs(margins32) < RECHECK_MARGIN) > 0
-            reference, _, _ = _scan_block(params, pieces, dtype=np.float64)
-            for (enc, rows), acc, ref in zip(pieces, accs, reference):
+            reference, _, _ = scan_block(params, table, pieces, dtype=np.float64)
+            for enc, rows, acc, ref in zip(encs, games, accs, reference):
                 np.testing.assert_array_equal(acc, ref)
                 np.testing.assert_array_equal(acc, forward_reference(params, enc, rows))
         assert flips > 0
@@ -1112,16 +1130,16 @@ class TestFloat32Scan:
         params = random_model(rng, VOCAB.encoding_dim, 8, 2)
         params.W_out[...] *= 1e-3
         params.b_out[...] = 0.0
-        encs = [encode_journey(j, VOCAB) for j in mixed_journeys(rng, (1, 5, 2, 6))]
-        games = [(enc, mask_powerset(len(enc.times)) != 0) for enc in encs]
-        whole = [_scan_block(params, [game]) for game in games]
+        encs, table = encoded_table(mixed_journeys(rng, (1, 5, 2, 6)))
+        games = [(idx, mask_powerset(len(enc.times)) != 0) for idx, enc in enumerate(encs)]
+        whole = [scan_block(params, table, [game]) for game in games]
         monkeypatch.setattr(attribution, "_BLOCK_ROWS", 3)
         stats = GameStats()
-        values = _game_values(params, games, stats=stats)
+        values = _game_values(params, table, games, stats=stats)
         assert stats.blocks > len(games)
         assert stats.rechecked == sum(rechecked for _, _, rechecked in whole) > 0
         assert stats.node_steps == sum(node_steps for _, node_steps, _ in whole)
-        for (enc, rows), acc in zip(games, values):
+        for enc, (_, rows), acc in zip(encs, games, values):
             np.testing.assert_array_equal(acc, forward_reference(params, enc, rows))
 
     @pytest.mark.parametrize("H", (64, 256))

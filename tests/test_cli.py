@@ -532,6 +532,9 @@ def _edit_first_record(line: str, case: str) -> str:
         "unattributed_string": ("unattributed", "no"),
         "channels_string": ("channels", "ch00"),
         "channels_numbers": ("channels", [0] * len(obj["channels"])),
+        "channels_rewritten": ("channels", ["zz"] * len(obj["channels"])),
+        "user_id_other": ("user_id", obj["user_id"] + "x"),
+        "weights_short": ("weights", obj["weights"][:-1]),
     }[case]
     obj[field] = value
     return json.dumps(obj)
@@ -551,6 +554,9 @@ def _edit_first_record(line: str, case: str) -> str:
         ("unattributed_string", "'unattributed' must be true or false"),
         ("channels_string", "'channels' must be a list of strings"),
         ("channels_numbers", "'channels' must be a list of strings"),
+        ("channels_rewritten", "attribution channels ['zz'"),
+        ("user_id_other", "attribution user_id"),
+        ("weights_short", "weight vector length does not match the journey"),
     ),
 )
 def test_malformed_attribution_record_exits_2(pipeline, tmp_path, capsys, case, message):

@@ -8,6 +8,7 @@ from deepmta.journey import (
     ClickEvent,
     CustomerJourney,
     GeneratorConfig,
+    JourneyTable,
     Vocabulary,
     encode_journey,
     generate_synthetic,
@@ -127,6 +128,11 @@ class TestEncodeJourney:
         np.testing.assert_array_equal(enc.features[:, 0], expected_a)
         np.testing.assert_array_equal(enc.features[:, 1], 1.0 - expected_a)
         np.testing.assert_array_equal(enc.labels, [0, 0, 0, 0, 1])
+        # a one-journey table
+        assert isinstance(enc, JourneyTable) and len(enc) == 1
+        assert (enc.features.shape, enc.times.shape, enc.labels.shape) == ((5, 4), (5,), (5,))
+        assert (enc.features.dtype, enc.times.dtype, enc.labels.dtype) == (np.float64, np.float64, np.int64)
+        assert (enc.starts.tolist(), enc.lengths.tolist()) == ([0], [5])
 
     def test_unknown_token_named(self):
         j = CustomerJourney("u1", [ev("Z", 1)], False, 0.0)

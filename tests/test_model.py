@@ -12,7 +12,7 @@ from deepmta.errors import (
     TraceError,
     ValidationError,
 )
-from deepmta.journey import EncodedJourney, Vocabulary
+from deepmta.journey import JourneyTable, Vocabulary
 from deepmta.model import (
     _GATE_SLOTS,
     LAYER_TENSOR_FIELDS,
@@ -207,7 +207,7 @@ def make_enc(rng, n, d):
     times = np.sort(rng.uniform(0, 48, n))
     times[0] = 0.0
     labels = rng.integers(0, 2, n)
-    return EncodedJourney(features=feats, times=times, labels=labels)
+    return JourneyTable(features=feats, times=times, labels=labels, lengths=np.array([n]))
 
 
 class TestForwardSequence:

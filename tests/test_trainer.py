@@ -4,8 +4,15 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from deepmta.errors import ConfigError, EvaluationError, TrainingDivergedError, ValidationError, VocabularyError
-from deepmta.journey import GeneratorConfig, Vocabulary, encode_journey, generate_synthetic
+from deepmta.errors import (
+    ConfigError,
+    DimensionError,
+    EvaluationError,
+    TrainingDivergedError,
+    ValidationError,
+    VocabularyError,
+)
+from deepmta.journey import GeneratorConfig, JourneyTable, Vocabulary, encode_journey, generate_synthetic
 import deepmta.trainer as trainer_mod
 from deepmta.model import backward_batch, clamp_gate_timing, forward_batch, init_params
 from deepmta.trainer import (
@@ -419,9 +426,19 @@ class TestBatchLoopMatchesPerJourney:
             evaluate_roc(result.params, vocab, iter([]))
 
 
+COLUMNS = ("features", "times", "labels", "starts", "lengths")
+
+
+def assert_same_columns(a, b):
+    for name in COLUMNS:
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes(), name
+
+
 class TestJourneyTable:
-    """The columnar table and the batches gathered from it, against one
-    EncodedJourney per journey and per-journey stacking."""
+    """The columnar table and the batches gathered from it, against each
+    journey's one-journey table (`encode_journey`) and per-journey
+    stacking."""
 
     def test_rows_are_each_journeys_encoding(self, small_planted):
         vocab, journeys = small_planted
@@ -430,11 +447,34 @@ class TestJourneyTable:
         assert table.features.shape == (len(table.times), vocab.encoding_dim)
         for i, journey in enumerate(journeys):
             enc = encode_journey(journey, vocab)
+            assert_same_columns(enc, journey_table([journey], vocab))
             rows = slice(table.starts[i], table.starts[i] + table.lengths[i])
             assert table.features[rows].tobytes() == enc.features.tobytes()
             assert table.times[rows].tobytes() == enc.times.tobytes()
             assert table.labels[rows].tobytes() == enc.labels.tobytes()
         assert journey_table(table, vocab) is table
+        # tables of many journeys concatenate as their one-journey tables do
+        parts = [journey_table(journeys[a:b], vocab) for a, b in ((0, 1), (1, 40), (40, len(journeys)))]
+        assert_same_columns(JourneyTable.from_encoded(parts, vocab.encoding_dim), table)
+
+    @pytest.mark.parametrize("case", ("lengths_plus_one", "lengths_all_one", "zero_length", "flat_features"))
+    def test_columns_checked(self, small_planted, case):
+        # lengths that disagree with the columns would gather rows past
+        # their end (lengths + 1) or score the wrong rows (every length 1)
+        vocab, journeys = small_planted
+        table = journey_table(journeys[:50], vocab)
+        assert_same_columns(JourneyTable(table.features, table.times, table.labels, table.lengths), table)
+        features, lengths = table.features, table.lengths.copy()
+        if case == "lengths_plus_one":
+            lengths += 1
+        elif case == "lengths_all_one":
+            lengths[:] = 1
+        elif case == "zero_length":
+            lengths[0], lengths[1] = lengths[0] + lengths[1], 0
+        else:
+            features = features.ravel()
+        with pytest.raises(DimensionError):
+            JourneyTable(features, table.times, table.labels, lengths)
 
     def test_empty(self, small_planted):
         vocab, _ = small_planted
