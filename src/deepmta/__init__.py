@@ -27,6 +27,7 @@ from .errors import (
     TrainingDivergedError,
     ValidationError,
     VocabularyError,
+    WorkerError,
 )
 from .journey import (
     ClickEvent,

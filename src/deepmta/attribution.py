@@ -16,7 +16,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError, EvaluationError, NumericError, ValidationError
+from .errors import ConfigError, DimensionError, NumericError, ValidationError, WorkerError
 from .journey import CustomerJourney, JourneyTable, Vocabulary, encode_journey, finite_number, read_jsonl
 # forward_batch is not called here, but perfbench's tracer wraps
 # deepmta.attribution.forward_batch, so the name must stay importable
@@ -660,7 +660,7 @@ def _attribute_shards(params, shards, vocab, plans, stats=None) -> list[list[Att
                 reply = receiver.recv()
             except EOFError:
                 child.join()
-                raise EvaluationError(
+                raise WorkerError(
                     f"an attribution worker process ended with exit status {child.exitcode} before sending its results"
                 ) from None
             if isinstance(reply, BaseException):
@@ -704,7 +704,7 @@ def attribute_journeys(
     journeys of one length are finished together. So memory is bounded by
     one window's plans and one block scan. Every child is joined before the
     window's results are yielded, and on an error; a child that dies
-    without sending its results is an EvaluationError. Each journey's result
+    without sending its results is a WorkerError. Each journey's result
     equals `attribute_journey` on it alone, at any worker count. The
     arguments are checked at the call, before any journey is read.
     """

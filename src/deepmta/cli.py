@@ -29,7 +29,8 @@ from .attribution import (  # noqa: F401
     save_attributions,
 )
 from .errors import ConfigError, DeepMtaError, ValidationError
-from .journey import (
+# generate_synthetic is not called here either; the tracer wraps it by this name
+from .journey import (  # noqa: F401
     GeneratorConfig,
     generate_synthetic,
     iter_journeys,
@@ -37,10 +38,19 @@ from .journey import (
     load_vocabulary,
     save_journeys,
     save_vocabulary,
+    stream_synthetic,
 )
 from .model import load_checkpoint, save_checkpoint
 from .report import ChannelReport, aggregate_channels, emit_report, last_click_report
-from .trainer import TrainConfig, evaluate_roc, journey_table, save_loss_history, save_roc_csv, train
+from .trainer import (
+    TrainConfig,
+    evaluate_roc,
+    journey_table,
+    save_loss_history,
+    save_roc_csv,
+    train,
+    train_processes,
+)
 
 import numpy as np
 
@@ -96,12 +106,20 @@ def _cmd_gen(args) -> None:
     out = Path(args.out)
     vocab_path = out.with_suffix(".vocab.json")
     _check_outputs(out, vocab_path)
-    vocab, journeys = generate_synthetic(cfg, seed=args.seed)
-    save_journeys(out, journeys)
+    vocab, journeys = stream_synthetic(cfg, seed=args.seed)
+    counts = {"journeys": 0, "converted": 0}
+
+    def counted():
+        # each journey is drawn, counted and written in turn; none is kept
+        for journey in journeys:
+            counts["journeys"] += 1
+            counts["converted"] += journey.converted
+            yield journey
+
+    save_journeys(out, counted())
     save_vocabulary(vocab_path, vocab)
-    converted = sum(1 for j in journeys if j.converted)
-    _emit("journeys", len(journeys))
-    _emit("conversion_rate", repr(converted / len(journeys)))
+    _emit("journeys", counts["journeys"])
+    _emit("conversion_rate", repr(counts["converted"] / counts["journeys"]))
     _emit("out", out)
     _emit("vocab", vocab_path)
 
@@ -111,11 +129,14 @@ def _cmd_train(args) -> None:
     _check_outputs(args.out, history_path, inputs=(args.data, args.vocab))
     vocab = load_vocabulary(args.vocab)
     cfg = TrainConfig.preset(args.preset, **_given_fields(args, TrainConfig))
+    workers = _workers()
+    processes = train_processes(cfg.n_layers, workers)
     # the file is read line by line into the table; no journey outlives its line
     table = journey_table(iter_journeys(args.data), vocab)
     _info(f"training on {len(table)} journeys ({len(table.times)} events, {table.nbytes / 2**20:.1f} MB table; "
-          f"preset {args.preset}, H={cfg.hidden_size}, {cfg.epochs} epochs)")
-    result = train(table, vocab, cfg)
+          f"preset {args.preset}, H={cfg.hidden_size}, {cfg.epochs} epochs) "
+          f"on {processes} process{'es' if processes > 1 else ''}")
+    result = train(table, vocab, cfg, workers=workers)
     save_checkpoint(args.out, result.params, result.vocab, seed=cfg.seed)
     save_loss_history(history_path, result.train_losses, result.val_losses)
     _emit("final_train_loss", repr(result.train_losses[-1]))
@@ -140,11 +161,12 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _attribution_workers() -> int:
+def _workers() -> int:
     """MTA_THREADS, capped at the CPUs this process may run on (their count
     by default); 1 where the platform cannot fork. Each worker is a process,
-    the calling one among them, that attributes whole journeys; more
-    workers than CPUs add no speed, only processes."""
+    the calling one among them: `attribute` gives each whole journeys, and
+    `train` runs on at most two (`trainer.train_processes`). More workers
+    than CPUs add no speed, only processes."""
     env = os.environ.get("MTA_THREADS", "").strip()
     workers = _usable_cpus()
     if env:
@@ -166,7 +188,7 @@ def _cmd_attribute(args) -> None:
     results = []
     batches = attribute_journeys(
         params, journeys, vocab, method=_METHOD_FLAGS[args.method], n_samples=args.samples, seed=args.seed,
-        workers=_attribution_workers(), stats=stats,
+        workers=_workers(), stats=stats,
     )
     for idx, result in enumerate(batches, start=1):
         results.append(result)

@@ -2,8 +2,8 @@
 
 Each class's `exit_code` is the CLI's exit status when that error ends a
 subcommand: 2 for bad data, configuration or shapes, 3 for a numeric
-failure or trace mismatch, 4 when evaluation is impossible. Subclasses
-inherit their parent's code.
+failure or trace mismatch, 4 when evaluation is impossible or a worker
+process died. Subclasses inherit their parent's code.
 """
 
 
@@ -55,6 +55,12 @@ class TrainingDivergedError(NumericError):
 
 class EvaluationError(DeepMtaError):
     """Evaluation is impossible on the given data (e.g. one class only)."""
+
+    exit_code = 4
+
+
+class WorkerError(DeepMtaError):
+    """A worker process ended before it finished its part of the work."""
 
     exit_code = 4
 

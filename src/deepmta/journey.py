@@ -254,36 +254,58 @@ class GeneratorConfig:
             raise ConfigError("key_channel_index out of range")
         if not (math.isfinite(self.time_span_hours) and self.time_span_hours > 0):
             raise ConfigError(f"time_span_hours must be a finite value > 0, got {self.time_span_hours}")
+        if self.time_span_hours > MAX_SPAN_HOURS:
+            raise ConfigError(
+                f"time_span_hours must be at most {MAX_SPAN_HOURS:.6g}, so that every timestamp fits a 64-bit "
+                f"integer, got {self.time_span_hours}"
+            )
 
 
 GMV_MEDIAN = 50.0
 GMV_SIGMA = 0.8
 GAP_JITTER_LOW = 0.9
 GAP_JITTER_HIGH = 1.1
+START_TS_LIMIT = 10_000_000
+# a journey's last timestamp is a start below START_TS_LIMIT seconds plus gaps
+# that sum to at most span * GAP_JITTER_HIGH seconds. Spans up to this many
+# hours keep it below 2**63, with a relative margin of 1e-9 for the rounding
+# of each gap's product
+MAX_SPAN_HOURS = (2.0**63 * (1 - 1e-9) - START_TS_LIMIT) / (SECONDS_PER_HOUR * GAP_JITTER_HIGH)
 
 
 def generate_synthetic(cfg: GeneratorConfig, seed: int) -> tuple[Vocabulary, list[CustomerJourney]]:
-    """Generate a seeded synthetic dataset with the planted key-channel lift.
+    """Generate a seeded synthetic dataset with the planted key-channel lift:
+    the journeys of `stream_synthetic`, in a list."""
+    vocab, journeys = stream_synthetic(cfg, seed)
+    return vocab, list(journeys)
+
+
+def stream_synthetic(cfg: GeneratorConfig, seed: int) -> tuple[Vocabulary, Iterator[CustomerJourney]]:
+    """The vocabulary of a seeded synthetic dataset and a generator of its
+    journeys, each drawn as it is read, so that only one is held at a time.
 
     Deterministic for a fixed (cfg, seed): all randomness flows from one
     generator in a fixed draw order. GMV of converted journeys is log-normal
-    with median 50 currency units (a documented synthetic stand-in).
+    with median 50 currency units (a documented synthetic stand-in). The
+    seed is checked at the call.
     """
     if seed < 0:
         raise ConfigError(f"seed must be >= 0, got {seed}")
-    rng = np.random.default_rng(seed)
     vocab = Vocabulary(
         channels=tuple(f"ch{i:02d}" for i in range(cfg.n_channels)),
         campaigns=tuple(f"cmp{i:02d}" for i in range(cfg.n_campaigns)),
     )
-    span_seconds = cfg.time_span_hours * SECONDS_PER_HOUR
+    return vocab, _synthetic_journeys(cfg, vocab, np.random.default_rng(seed))
 
-    journeys: list[CustomerJourney] = []
-    while len(journeys) < cfg.n_journeys:
+
+def _synthetic_journeys(cfg: GeneratorConfig, vocab: Vocabulary, rng: np.random.Generator) -> Iterator[CustomerJourney]:
+    span_seconds = cfg.time_span_hours * SECONDS_PER_HOUR
+    n_kept = 0
+    while n_kept < cfg.n_journeys:
         n_events = int(rng.integers(1, cfg.max_len + 1))
         channel_ids = rng.integers(0, cfg.n_channels, size=n_events)
         campaign_ids = rng.integers(0, cfg.n_campaigns, size=n_events)
-        start_ts = int(rng.integers(0, 10_000_000))
+        start_ts = int(rng.integers(0, START_TS_LIMIT))
         if n_events > 1:
             # journeys stretch over roughly the traced window: gap sizes scale
             # with span/(n-1) plus jitter, so event timing carries structure
@@ -301,22 +323,20 @@ def generate_synthetic(cfg: GeneratorConfig, seed: int) -> tuple[Vocabulary, lis
 
         if not converted and not cfg.include_nonconverted:
             continue
-        journeys.append(
-            CustomerJourney(
-                user_id=f"u{len(journeys):06d}",
-                events=[
-                    ClickEvent(
-                        channel_id=vocab.channels[channel_ids[i]],
-                        campaign_id=vocab.campaigns[campaign_ids[i]],
-                        timestamp=int(timestamps[i]),
-                    )
-                    for i in range(n_events)
-                ],
-                converted=converted,
-                gmv=gmv,
-            )
+        yield CustomerJourney(
+            user_id=f"u{n_kept:06d}",
+            events=[
+                ClickEvent(
+                    channel_id=vocab.channels[channel_ids[i]],
+                    campaign_id=vocab.campaigns[campaign_ids[i]],
+                    timestamp=int(timestamps[i]),
+                )
+                for i in range(n_events)
+            ],
+            converted=converted,
+            gmv=gmv,
         )
-    return vocab, journeys
+        n_kept += 1
 
 
 def journey_to_dict(journey: CustomerJourney) -> dict:
@@ -355,8 +375,9 @@ def _journey_from_dict(obj, line_no: int) -> CustomerJourney:
         raise ValidationError(f"line {line_no}: {exc}") from None
 
 
-def save_journeys(path: str | Path, journeys: list[CustomerJourney]) -> None:
-    """Write journeys as JSONL, one object per line."""
+def save_journeys(path: str | Path, journeys: Iterable[CustomerJourney]) -> None:
+    """Write journeys as JSONL, one object per line, each as it is read
+    from `journeys` (a list or a generator)."""
     with open(path, "w", encoding="utf-8") as fh:
         for j in journeys:
             fh.write(json.dumps(journey_to_dict(j)) + "\n")

@@ -11,7 +11,10 @@ each step's gates and layer norm statistics into the arrays
 backward cache). Its dtype follows its
 input: the attribution trie runs it in float32, everything else in
 float64. Tests cover the kernel against a readable single-step reference
-(tests/reference.py) and its two modes against each other.
+(tests/reference.py) and its two modes against each other. The layer scan
+(`_layer_scan`) and the backward's reverse scan (`_layer_backward`) are
+generators that take each step's input and hand on each step's output, so
+the trainer can run two layers one time step apart.
 
 `param_shapes` is the one table of the tensors' names, shapes and order.
 `ModelParams` checks every tensor against it once, as it copies it into one
@@ -308,6 +311,14 @@ class ModelParams:
         """name -> view of each tensor's stretch of a vector laid out as `flat`."""
         return {name: flat[part].reshape(shape) for name, (part, shape) in self.layout.items()}
 
+    def move_to(self, flat: np.ndarray) -> None:
+        """Copy the tensors into `flat`, a vector of this layout (in memory
+        shared with another process, say), and make every tensor a view of
+        it from now on."""
+        flat[...] = self.flat
+        self.flat = flat
+        vars(self).update(_tensor_fields(self.unflatten(flat), self.n_layers))
+
     def copy(self) -> "ModelParams":
         # construction packs the tensors into a new buffer
         return replace(self)
@@ -468,18 +479,16 @@ def cell_step(a, h, c, k, lp, ln_g, ln_b, slots=None):
     return h_new, c_new
 
 
-def _layer_forward(x, times, lp, ln_g, ln_b, alpha, training=True):
-    """Batched scan of one layer. x: (B,T,d); times: (B,T) hours.
-
-    Returns (h (B,T,H), cache). The cache for `_layer_backward` holds
+def _layer_setup(times, lp, alpha, training):
+    """What a scan of one layer over a batch at `times` (B, T) hours needs
+    besides its input: the stacked weights Wx and Wh, the time gate's
+    openness k (T, B, H), evaluated for all steps at once since the gate
+    depends only on the times, and the cache for `_layer_backward`, whose
     (T, B, ...) stacks of each step's slots and of the states before and
-    after it; it is None unless training.
-    """
-    B, T, d = x.shape
+    after it the scan fills in; the cache is None unless training."""
+    B, T = times.shape
     H = lp.hidden_size
     Wx, Wh = _stacked_weights(lp)
-    x_proj = (x.reshape(B * T, d) @ Wx).reshape(B, T, 4 * H)
-    # the gate depends only on the times: one evaluation for all steps, (T, B, H)
     k, phi = _gate_forward(times.T[:, :, None], lp.tau, lp.s, lp.r_on, alpha)
     cache = None
     if training:
@@ -490,16 +499,59 @@ def _layer_forward(x, times, lp, ln_g, ln_b, alpha, training=True):
             h=hs[1:], c=cs[1:], h_prev=hs[:-1], c_prev=cs[:-1],
             k=k, phi=phi, alpha=alpha, Wx=Wx, Wh=Wh,
         )
+    return Wx, Wh, k, cache
 
+
+def _layer_scan(x_proj, Wh, k, lp, ln_g, ln_b, cache=None):
+    """The scan of one layer, a generator: it takes each step's input
+    projection x_t @ Wx, (B, 4H), from the iterable `x_proj` in step order,
+    and yields the step's h (B, H) as soon as it is computed. So a step's
+    input may be made from another layer's output at an earlier step, and
+    the scan may wait for it. k and cache come from `_layer_setup`; with a
+    cache, each step's slots are written into it."""
+    T, B, H = k.shape
     h = c = np.zeros((B, H))
-    outs = []
-    for t in range(T):
+    for t, x_t in enumerate(x_proj):
         slots = None
         if cache is not None:
             slots = {name: cache[name][t] for name in ("a_hat", "inv_std", "h", "c", *_GATE_SLOTS)}
-        h, c = cell_step(x_proj[:, t, :] + h @ Wh, h, c, k[t], lp, ln_g, ln_b, slots)
-        outs.append(h)
-    return np.stack(outs, axis=1), cache
+        h, c = cell_step(x_t + h @ Wh, h, c, k[t], lp, ln_g, ln_b, slots)
+        yield h
+
+
+def _layer_forward(x, times, lp, ln_g, ln_b, alpha, training=True):
+    """One layer over a batch x (B, T, d) at `times` (B, T) hours: the input
+    projections of all steps in one product, and `_layer_scan` over them.
+    Returns (scan, cache): the scan, a generator of each step's h, not yet
+    started, and the cache it fills in (None unless training)."""
+    B, T, d = x.shape
+    Wx, Wh, k, cache = _layer_setup(times, lp, alpha, training)
+    x_proj = (x.reshape(B * T, d) @ Wx).reshape(B, T, -1)
+    return _layer_scan(x_proj.swapaxes(0, 1), Wh, k, lp, ln_g, ln_b, cache), cache
+
+
+def _stack_scan(x, times, params, masks, alpha, training, n):
+    """Layers 0 .. n-1 of the stack over a batch x (B, T, d): each but the
+    last is scanned over every step, and its output, times its dropout mask
+    masks[idx] unless that is None, is the next layer's input. Returns the
+    layers' inputs, their caches (None unless training) and the last
+    layer's scan, not yet started."""
+    inputs, caches = [], []
+    for idx in range(n):
+        if idx:
+            h_seq = np.stack(list(scan), axis=1)
+            x = h_seq * masks[idx - 1] if masks[idx - 1] is not None else h_seq
+        lp, ln_g, ln_b = params.layers[idx], params.ln_gain[idx], params.ln_bias[idx]
+        scan, cache = _layer_forward(x, times, lp, ln_g, ln_b, alpha, training)
+        inputs.append(x)
+        caches.append(cache)
+    return inputs, caches, scan
+
+
+def _dropout_draws(rng: np.random.Generator, shape: tuple[int, ...], p: float, n: int) -> list[np.ndarray]:
+    """n inverted-dropout masks of `shape`, drawn from rng one after the
+    other: 1 / (1 - p) where a uniform draw is >= p, else 0."""
+    return [(rng.random(shape) >= p) / (1.0 - p) for _ in range(n)]
 
 
 @dataclass
@@ -549,38 +601,24 @@ def forward_batch(
     if training and p > 0 and dropout_masks is None and rng is None:
         raise ConfigError("training with dropout requires an rng or explicit dropout masks")
 
-    layer_inputs = []
-    caches = []
-    masks_used: list[np.ndarray | None] = []
-    layer_in = x
-    top = None
-    for idx, lp in enumerate(params.layers):
-        layer_inputs.append(layer_in)
-        alpha = params.alpha if training else 0.0
-        h_seq, cache = _layer_forward(layer_in, tt, lp, params.ln_gain[idx], params.ln_bias[idx], alpha, training)
-        caches.append(cache)
-        if idx < params.n_layers - 1:
-            if training and p > 0:
-                if dropout_masks is not None:
-                    mask = np.asarray(dropout_masks[idx], dtype=np.float64)
-                    if mask.shape != h_seq.shape:
-                        raise DimensionError("dropout mask shape mismatch")
-                else:
-                    mask = (rng.random(h_seq.shape) >= p) / (1.0 - p)
-                masks_used.append(mask)
-                layer_in = h_seq * mask
-            else:
-                masks_used.append(None)
-                layer_in = h_seq
+    alpha = params.alpha if training else 0.0
+    masks: list[np.ndarray | None] = [None] * (params.n_layers - 1)
+    if training and p > 0:
+        if dropout_masks is None:
+            masks = _dropout_draws(rng, (B, T, params.hidden_size), p, params.n_layers - 1)
         else:
-            top = h_seq
+            masks = [np.asarray(mask, dtype=np.float64) for mask in dropout_masks[:params.n_layers - 1]]
+            if len(masks) != params.n_layers - 1 or any(mask.shape != (B, T, params.hidden_size) for mask in masks):
+                raise DimensionError("dropout mask shape mismatch")
+    layer_inputs, caches, scan = _stack_scan(x, tt, params, masks, alpha, training, params.n_layers)
+    top = np.stack(list(scan), axis=1)
     logits = top @ params.W_out + params.b_out
     trace = ForwardTrace(
         params=params,
         times=tt,
         layer_inputs=layer_inputs,
         caches=caches,
-        dropout_masks=masks_used,
+        dropout_masks=masks,
         hidden=top,
         logits=logits,
     )
@@ -592,17 +630,27 @@ def forward_batch(
 # ---------------------------------------------------------------------------
 
 
-def _layer_backward(dH, x, times, cache, lp, ln_g, out, d_gain, d_bias, need_dx=True):
-    """Reverse scan of one layer; dH (B,T,H) is the gradient w.r.t. its outputs.
+def _layer_backward(dH, x, times, cache, params, idx, flat, dA, dX=None):
+    """Reverse scan of layer idx, a generator. It takes the gradient w.r.t.
+    each step's output h, (B, H), from the iterable dH, from step T-1 down
+    to 0; it writes the step's pre-activation gradient into dA[t] (B, 4, H)
+    and yields it, (B, 4H), as soon as it is computed. So a step's output
+    gradient may be made from another layer's dA at a later step, and the
+    scan may wait for it.
 
-    Writes the gradients of the layer's tensors into `out` (the layer's
-    stretch of a flat gradient) and of its layer norm into d_gain and d_bias;
-    returns dX (B,T,d), the input gradient, if need_dx. The loop carries only
-    the recurrence. The per-step sums are taken after it and added from
-    t = T-1 down to 0, starting from 0.0, as a per-step accumulation would.
+    After the last step it writes the gradients of the layer's tensors and
+    of its layer norm into their stretches of `flat`, laid out as
+    params.flat, and, if dX is given, the input gradient (B, T, d) into dX.
+    The loop carries only the recurrence. The per-step sums are taken after
+    it and added from t = T-1 down to 0, starting from 0.0, as a per-step
+    accumulation would.
     """
     B, T, d = x.shape
+    lp, ln_g = params.layers[idx], params.ln_gain[idx]
     H = lp.hidden_size
+    layout = params.layout
+    # the layer's tensors sit side by side, W_xi first and r_on last
+    out = flat[layout[f"layers.{idx}.W_xi"][0].start:layout[f"layers.{idx}.r_on"][0].stop]
     k, c_prev = cache["k"], cache["c_prev"]
     i_g, f_g, u_g, o_g, c_tilde, tanh_ct, h_tilde = (cache[name] for name in _GATE_SLOTS)
     # the factors that do not depend on the recurrence, for all steps
@@ -610,12 +658,11 @@ def _layer_backward(dH, x, times, cache, lp, ln_g, out, d_gain, d_bias, need_dx=
     d_tanh_ct, d_tanh_u = 1.0 - tanh_ct * tanh_ct, 1.0 - u_g * u_g
 
     dn = np.empty((T, B, 4, H))  # pre-activation gradients of gates i, f, c, o
-    dA = np.empty((T, B, 4, H))
     dhs = np.empty((T, B, H))
     dcs = np.zeros((T + 1, B, H))  # step t's dc is dcs[t + 1]
     dh_next = np.zeros((B, H))
-    for t in range(T - 1, -1, -1):
-        dh = np.add(dH[:, t], dh_next, out=dhs[t])
+    for t, dH_t in zip(range(T - 1, -1, -1), dH):
+        dh = np.add(dH_t, dh_next, out=dhs[t])
         dc = dcs[t + 1]
         dh_tilde = dh * k[t]
         dc_tilde = dc * k[t]
@@ -625,6 +672,7 @@ def _layer_backward(dH, x, times, cache, lp, ln_g, out, d_gain, d_bias, need_dx=
         np.multiply(dc_tilde * c_prev[t] * f_g[t], not_f[t], out=dn[t, :, 1])
         np.multiply(dc_tilde * u_g[t] * i_g[t], not_i[t], out=dn[t, :, 0])
         da = _ln_backward(dn[t], cache["a_hat"][t], cache["inv_std"][t], ln_g, dA[t]).reshape(B, 4 * H)
+        yield da
         if t == 0:  # step 0's dc_prev and dh_prev reach nothing
             break
         dc_prev = np.multiply(dc, keep[t], out=dcs[t])
@@ -649,20 +697,64 @@ def _layer_backward(dH, x, times, cache, lp, ln_g, out, d_gain, d_bias, need_dx=
     for t in range(T - 1, -1, -1):
         sums += per_step[t]
     out[4 * (d + H) * H:] = sums[:10].ravel()
-    d_gain[...], d_bias[...] = sums[10], sums[11]
+    flat[layout[f"ln.{idx}.gain"][0]] = sums[10]
+    flat[layout[f"ln.{idx}.bias"][0]] = sums[11]
 
     dA_flat = dA.transpose(1, 0, 2, 3).reshape(B * T, 4 * H)
     hp_flat = cache["h_prev"].transpose(1, 0, 2).reshape(B * T, H)
     # W_xi .. W_xo, then W_hi .. W_ho, each (rows, H), one after the other
     out[:4 * d * H].reshape(4, d, H)[...] = (x.reshape(B * T, d).T @ dA_flat).reshape(d, 4, H).transpose(1, 0, 2)
     out[4 * d * H:4 * (d + H) * H].reshape(4, H, H)[...] = (hp_flat.T @ dA_flat).reshape(H, 4, H).transpose(1, 0, 2)
-    return (dA_flat @ cache["Wx"].T).reshape(B, T, d) if need_dx else None
+    if dX is not None:
+        dX[...] = (dA_flat @ cache["Wx"].T).reshape(B, T, d)
+
+
+def _stack_backward(dH, inputs, times, caches, params, masks, flat, n):
+    """The reverse scans of layers n-1 down to 0, each layer's gradients
+    written into `flat`, laid out as params.flat. dH is layer n-1's output
+    gradient, in the steps `_layer_backward` takes; each lower layer's is
+    the input gradient of the layer above it, times its dropout mask
+    masks[idx] unless that is None."""
+    for idx in range(n - 1, -1, -1):
+        x = inputs[idx]
+        B, T, _ = x.shape
+        dX = np.empty(x.shape) if idx else None
+        dA = np.empty((T, B, 4, params.hidden_size))
+        for _ in _layer_backward(dH, x, times, caches[idx], params, idx, flat, dA, dX):
+            pass
+        if idx:
+            mask = masks[idx - 1]
+            dH = (dX * mask if mask is not None else dX).swapaxes(0, 1)[::-1]
 
 
 class Gradients(dict):
     """name -> gradient, each a view into `flat`, laid out as ModelParams.flat."""
 
     flat: np.ndarray
+
+
+def _gradients_over(params: ModelParams, flat: np.ndarray) -> Gradients:
+    """The Gradients whose views are stretches of `flat`, a vector laid out
+    as params.flat. It lists W_out and b_out, then each layer's tensors and
+    layer norm from the top layer down: the order of the clip norm's sum."""
+    views = params.unflatten(flat)
+    grads = Gradients()
+    grads.flat = flat
+    names = ["W_out", "b_out"]
+    for idx in range(params.n_layers - 1, -1, -1):
+        names += [f"layers.{idx}.{fname}" for fname in LAYER_TENSOR_FIELDS] + [f"ln.{idx}.gain", f"ln.{idx}.bias"]
+    grads.update((name, views[name]) for name in names)
+    return grads
+
+
+def _output_backward(hidden, grad_logits, W_out, grads: Gradients) -> np.ndarray:
+    """Write the output projection's gradients into grads' W_out and b_out;
+    returns the gradient w.r.t. the top layer's output, (B, T, H)."""
+    B, T, H = hidden.shape
+    gl_flat = grad_logits.reshape(B * T, N_CLASSES)
+    np.matmul(hidden.reshape(B * T, H).T, gl_flat, out=grads["W_out"])
+    np.sum(gl_flat, axis=0, out=grads["b_out"])
+    return (gl_flat @ W_out.T).reshape(B, T, H)
 
 
 def backward_batch(trace: ForwardTrace, grad_logits: np.ndarray) -> Gradients:
@@ -681,28 +773,12 @@ def backward_batch(trace: ForwardTrace, grad_logits: np.ndarray) -> Gradients:
     if not np.all(np.isfinite(gl)):
         raise NumericError("grad_logits contains non-finite values")
     params = trace.params
-    B, T, H = trace.hidden.shape
-
-    grads = Gradients()
-    grads.flat = np.empty_like(params.flat)
-    views = params.unflatten(grads.flat)
-    gl_flat = gl.reshape(B * T, N_CLASSES)
-    grads["W_out"] = np.matmul(trace.hidden.reshape(B * T, H).T, gl_flat, out=views["W_out"])
-    grads["b_out"] = np.sum(gl_flat, axis=0, out=views["b_out"])
-
-    dH = (gl_flat @ params.W_out.T).reshape(B, T, H)
-    for idx in range(params.n_layers - 1, -1, -1):
-        names = [f"layers.{idx}.{fname}" for fname in LAYER_TENSOR_FIELDS] + [f"ln.{idx}.gain", f"ln.{idx}.bias"]
-        # the layer's tensors sit side by side, W_xi first and r_on last
-        block = grads.flat[params.layout[names[0]][0].start:params.layout[names[-3]][0].stop]
-        dX = _layer_backward(
-            dH, trace.layer_inputs[idx], trace.times, trace.caches[idx], params.layers[idx], params.ln_gain[idx],
-            block, views[names[-2]], views[names[-1]], need_dx=idx > 0,
-        )
-        grads.update((name, views[name]) for name in names)
-        if idx > 0:
-            mask = trace.dropout_masks[idx - 1]
-            dH = dX * mask if mask is not None else dX
+    grads = _gradients_over(params, np.empty_like(params.flat))
+    dH = _output_backward(trace.hidden, gl, params.W_out, grads)
+    _stack_backward(
+        dH.swapaxes(0, 1)[::-1], trace.layer_inputs, trace.times, trace.caches, params, trace.dropout_masks,
+        grads.flat, params.n_layers,
+    )
     return grads
 
 

@@ -1,13 +1,37 @@
 """Mini-batch training loop, per-step conversion prediction, and ROC/AUC
-evaluation over journey datasets."""
+evaluation over journey datasets.
+
+An SGD step runs as a two-stage wavefront over the time steps. The first
+stage is every layer below the top one, the second the top layer, the
+output projection and the loss. In the forward the second stage runs one
+time step behind the first; in the backward the first runs one step behind
+the second. The first stage also makes the two products that link them,
+one per step: the top layer's input projection and its input gradient. On
+two processes (`train(workers=2)`) the first stage runs in the calling
+process and the second in a helper forked at the start of `train`; each
+writes its layers' gradients into one flat gradient in shared memory. On
+one process the same stages run one after the other. Either way every
+operation keeps the operands and order of `forward_batch` and
+`backward_batch`, so the parameters come out bit for bit the same. That
+holds only where the per-step products equal the rows of the one product
+over all B * T rows that those two make, which a BLAS may break by picking
+its kernel by the row count; `_per_step_products_match` checks each batch
+shape once, and a batch of a shape that fails runs through `forward_batch`
+and `backward_batch` in the calling process.
+"""
 
 from __future__ import annotations
 
 import csv
+import math
+import mmap
+import os
+import signal
 import sys
 import time
 from collections.abc import Iterable
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -19,9 +43,26 @@ from .errors import (
     TrainingDivergedError,
     ValidationError,
     VocabularyError,
+    WorkerError,
 )
 from .journey import CustomerJourney, JourneyTable, Vocabulary, encode_journey
-from .model import Gradients, ModelParams, backward_batch, clamp_gate_timing, forward_batch, init_params
+from .model import (
+    Gradients,
+    ModelParams,
+    _dropout_draws,
+    _gradients_over,
+    _layer_backward,
+    _layer_scan,
+    _layer_setup,
+    _output_backward,
+    _stack_backward,
+    _stack_scan,
+    _stacked_weights,
+    backward_batch,
+    clamp_gate_timing,
+    forward_batch,
+    init_params,
+)
 
 PROB_CLIP = 1e-12
 MOMENTUM = 0.9
@@ -201,16 +242,268 @@ def _clip_gradients(grads: Gradients, layout: dict[str, tuple[slice, tuple[int, 
     return norm
 
 
-def train(journeys: Iterable[CustomerJourney] | JourneyTable, vocab: Vocabulary, cfg: TrainConfig) -> TrainResult:
+# ---------------------------------------------------------------------------
+# the two-stage wavefront of an SGD step
+# ---------------------------------------------------------------------------
+
+
+def train_processes(n_layers: int, workers: int) -> int:
+    """The processes `train` runs on: two, the calling one and a helper,
+    where `workers` allows two, the model has two or more layers and the
+    platform can fork; else one."""
+    return 2 if workers >= 2 and n_layers >= 2 and hasattr(os, "fork") else 1
+
+
+@lru_cache(maxsize=None)
+def _per_step_products_match(B: int, T: int, H: int) -> bool:
+    """Whether this process's BLAS gives the two products the wavefront
+    makes one step at a time the bits of the rows of the one product over
+    all B * T rows that forward_batch and backward_batch make: the top
+    layer's input projection x_t @ Wx, (B, H) @ (H, 4H), and its input
+    gradient dA_t @ Wx.T, (B, 4H) @ (4H, H). Both may pick their kernel by
+    the row count: numpy makes a one-row product with gemv, and OpenBLAS
+    has small-matrix kernels. Checked on seeded random operands laid out as
+    the two stages lay theirs out."""
+    rng = np.random.default_rng(0)
+    Wx = rng.standard_normal((H, 4 * H))
+    x = rng.standard_normal((B, T, H))
+    dA = rng.standard_normal((T, B, 4 * H))
+    proj = (x.reshape(B * T, H) @ Wx).reshape(B, T, 4 * H)
+    dX = (dA.transpose(1, 0, 2).reshape(B * T, 4 * H) @ Wx.T).reshape(B, T, H)
+    return all(
+        np.array_equal(x[:, t] @ Wx, proj[:, t]) and np.array_equal(dA[t] @ Wx.T, dX[:, t]) for t in range(T)
+    )
+
+
+def _shared_arrays(sizes: dict[str, int]) -> dict[str, np.ndarray]:
+    """name -> float64 vector of the given size, each in one anonymous
+    shared mapping: a process forked after they are made reads and writes
+    the same memory as its parent. Each starts on a 64-byte boundary."""
+    starts, end = {}, 0
+    for name, size in sizes.items():
+        starts[name] = end
+        end += -(-size // 8) * 8
+    flat = np.frombuffer(mmap.mmap(-1, 8 * end), dtype=np.float64)
+    return {name: flat[start:start + sizes[name]] for name, start in starts.items()}
+
+
+def _view(vector: np.ndarray, *shape: int) -> np.ndarray:
+    return vector[:math.prod(shape)].reshape(shape)
+
+
+def _lower_forward(params, feats, times, masks, shared, handoff):
+    """The first stage's forward: the layers below the top one over the
+    batch (`_stack_scan`), the last of them one step at a time. After its
+    step t it writes the top layer's input row top_in[:, t], the step's
+    output times its dropout mask, and that row's projection proj[t], then
+    calls handoff(). Returns the layers' inputs and caches and the top
+    layer's stacked input weights."""
+    B, T, _ = feats.shape
+    H = params.hidden_size
+    inputs, caches, scan = _stack_scan(feats, times, params, masks, params.alpha, True, params.n_layers - 1)
+    top_in, proj = _view(shared["top_in"], B, T, H), _view(shared["proj"], T, B, 4 * H)
+    Wx = _stacked_weights(params.layers[-1])[0]
+    mask = masks[-1]
+    for t, h in enumerate(scan):
+        if mask is None:
+            top_in[:, t] = h
+        else:
+            np.multiply(h, mask[:, t], out=top_in[:, t])
+        proj[t] = top_in[:, t] @ Wx
+        handoff()
+    return inputs, caches, Wx
+
+
+def _top_step(params, shared, grads, wait, handoff) -> None:
+    """The second stage's part of an SGD step: the top layer, whose step t
+    input projection proj[t] is read after wait(), the logits, and the loss,
+    written into meta[2] before a handoff(). If the loss is finite, then
+    the output projection's gradients and the top layer's reverse scan,
+    which writes dA[t] and calls handoff() after each step t, and one more
+    handoff() once every gradient of the stage is written into grads."""
+    B, T = int(shared["meta"][0]), int(shared["meta"][1])
+    H = params.hidden_size
+    times, labels = _view(shared["times"], B, T), _view(shared["labels"], B, T)
+    proj = _view(shared["proj"], T, B, 4 * H)
+    top = params.n_layers - 1
+    lp = params.layers[top]
+    _, Wh, k, cache = _layer_setup(times, lp, params.alpha, True)
+
+    def steps():
+        for t in range(T):
+            wait()
+            yield proj[t]
+
+    hidden = np.stack(list(_layer_scan(steps(), Wh, k, lp, params.ln_gain[top], params.ln_bias[top], cache)), axis=1)
+    logits = hidden @ params.W_out + params.b_out
+    shared["meta"][2], grad_logits = _loss_and_grad_batch(logits, labels)
+    handoff()
+    if not np.isfinite(shared["meta"][2]):
+        return
+    dH = _output_backward(hidden, grad_logits, params.W_out, grads)
+    top_in, dA = _view(shared["top_in"], B, T, H), _view(shared["dA"], T, B, 4, H)
+    for _ in _layer_backward(dH.swapaxes(0, 1)[::-1], top_in, times, cache, params, top, grads.flat, dA):
+        handoff()
+    handoff()
+
+
+def _lower_backward(params, inputs, times, caches, masks, Wx, shared, flat, wait) -> None:
+    """The first stage's backward: the reverse scans of the layers below the
+    top one (`_stack_backward`). The output gradient of the last of them at
+    step t is dA[t] @ Wx.T, the top layer's input gradient, times its
+    dropout mask, made after wait(), from t = T-1 down to 0."""
+    B, T = times.shape
+    dA = _view(shared["dA"], T, B, 4 * params.hidden_size)
+    mask = masks[-1]
+
+    def steps():
+        for t in range(T - 1, -1, -1):
+            wait()
+            dX = dA[t] @ Wx.T
+            yield dX * mask[:, t] if mask is not None else dX
+
+    _stack_backward(steps(), inputs, times, caches, params, masks, flat, params.n_layers - 1)
+
+
+class _Wavefront:
+    """The SGD steps of one `train` run, and, on two processes, their
+    helper. When it is made, the parameters move into shared memory, next
+    to the flat gradient and the stages' exchange arrays, sized for batches
+    of up to `rows` journeys of up to `steps` events. On entry the helper
+    is forked, so it holds them all from the start. The two processes hand
+    each other one byte over a pipe per event of the schedule: the caller
+    at the start of a step and after each forward step of its stage, the
+    helper after the loss, after each backward step of its stage and at its
+    end. The helper is joined on every exit, killed first on an error."""
+
+    def __init__(self, params: ModelParams, rows: int, steps: int, processes: int):
+        H, n = params.hidden_size, rows * steps
+        self.params = params
+        self.shared = _shared_arrays({
+            "params": params.flat.size, "grads": params.flat.size, "top_in": n * H, "proj": n * 4 * H,
+            "dA": n * 4 * H, "times": n, "labels": n, "meta": 3,
+        })
+        params.move_to(self.shared["params"])
+        self.grads = _gradients_over(params, self.shared["grads"])
+        self.processes = processes
+        self.pid = None
+
+    def __enter__(self) -> "_Wavefront":
+        if self.processes > 1:
+            helper_reads, self.send_fd = os.pipe()
+            self.recv_fd, helper_writes = os.pipe()
+            try:
+                self.pid = os.fork()
+            except OSError:
+                for fd in (helper_reads, self.send_fd, self.recv_fd, helper_writes):
+                    os.close(fd)
+                raise
+            if self.pid == 0:
+                status = 1
+                try:
+                    os.close(self.send_fd)
+                    os.close(self.recv_fd)
+                    status = self._helper(helper_reads, helper_writes)
+                finally:  # never return into the caller's code
+                    os._exit(status)
+            os.close(helper_reads)
+            os.close(helper_writes)
+        return self
+
+    def _helper(self, recv_fd: int, send_fd: int) -> int:
+        """The helper process's loop: the second stage of each step the
+        caller starts, until the caller closes its pipe. Returns the exit
+        status: 0, or 1 after an error, which it names on stderr (an
+        interrupt exits 1 as well)."""
+        def wait():
+            if not os.read(recv_fd, 1):
+                raise EOFError
+
+        def handoff():
+            os.write(send_fd, b"\0")
+
+        try:
+            while True:
+                wait()
+                _top_step(self.params, self.shared, self.grads, wait, handoff)
+        except (EOFError, BrokenPipeError):  # the caller is done, or gone
+            return 0
+        except Exception as exc:  # named here; the caller sees the pipe close and exits 4
+            print(f"error: the training helper process failed: {exc!r}", file=sys.stderr)
+            return 1
+
+    def _died(self) -> WorkerError:
+        _, status = os.waitpid(self.pid, 0)
+        self.pid = None
+        return WorkerError(
+            f"the training helper process ended with exit status {os.waitstatus_to_exitcode(status)} mid-step"
+        )
+
+    def _send(self) -> None:
+        if self.pid is not None:
+            try:
+                os.write(self.send_fd, b"\0")
+            except BrokenPipeError:
+                raise self._died() from None
+
+    def _wait(self) -> None:
+        if self.pid is not None and not os.read(self.recv_fd, 1):
+            raise self._died()
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        if self.processes > 1:
+            os.close(self.send_fd)
+            os.close(self.recv_fd)
+            if self.pid is not None:
+                if exc_type is not None:
+                    os.kill(self.pid, signal.SIGKILL)
+                os.waitpid(self.pid, 0)
+                self.pid = None
+
+    def step(self, feats, times, labels, masks) -> tuple[float, Gradients | None]:
+        """One SGD step's loss and gradients, or the loss and None where it
+        is not finite (the run then ends: the helper's stage stops at the
+        loss). masks are the dropout masks of the layers below the top one,
+        None where there is no dropout."""
+        params, shared = self.params, self.shared
+        B, T = times.shape
+        if not _per_step_products_match(B, T, params.hidden_size):
+            logits, trace = forward_batch(feats, times, params, training=True, dropout_masks=masks)
+            loss, grad_logits = _loss_and_grad_batch(logits, labels)
+            return loss, backward_batch(trace, grad_logits) if np.isfinite(loss) else None
+        _view(shared["times"], B, T)[...] = times
+        _view(shared["labels"], B, T)[...] = labels
+        shared["meta"][:2] = B, T
+        self._send()
+        inputs, caches, Wx = _lower_forward(params, feats, times, masks, shared, self._send)
+        if self.pid is None:  # one process: the second stage runs here, and _wait and _send do nothing
+            _top_step(params, shared, self.grads, self._wait, self._send)
+        self._wait()
+        loss = float(shared["meta"][2])
+        if not np.isfinite(loss):
+            return loss, None
+        _lower_backward(params, inputs, times, caches, masks, Wx, shared, self.grads.flat, self._wait)
+        self._wait()
+        return loss, self.grads
+
+
+def train(
+    journeys: Iterable[CustomerJourney] | JourneyTable, vocab: Vocabulary, cfg: TrainConfig, workers: int = 1
+) -> TrainResult:
     """Train from scratch on the given journeys: any iterable of them, read
     once into a JourneyTable (`journey_table`), or such a table.
 
     Deterministic for a fixed (data, cfg.seed): init, the train/validation
     split, shuffling, and dropout all draw from one seeded generator.
-    Journeys are bucketed by length so batches never pad. Raises
-    TrainingDivergedError with epoch/step context if the loss goes
-    non-finite.
+    Journeys are bucketed by length so batches never pad. Each SGD step is
+    the two-stage wavefront of this module's docstring, on
+    `train_processes(cfg.n_layers, workers)` processes; the result is the
+    same at any worker count. Raises TrainingDivergedError with epoch/step
+    context if the loss goes non-finite, and WorkerError if the helper
+    process dies.
     """
+    if workers < 1:
+        raise ConfigError(f"workers must be >= 1, got {workers}")
     table = journey_table(journeys, vocab)
     if not len(table):
         raise ValidationError("train requires a non-empty dataset")
@@ -238,38 +531,43 @@ def train(journeys: Iterable[CustomerJourney] | JourneyTable, vocab: Vocabulary,
         for name in ("W_xi", "W_xf", "W_xc", "W_xo"):
             getattr(params.layers[0], name)[time_idx, :] = 0.0
     velocity = np.zeros_like(params.flat) if cfg.optimizer == "sgd_momentum" else None
+    n_lower = cfg.n_layers - 1
 
     train_losses: list[float] = []
     val_losses: list[float] = []
-    for epoch in range(cfg.epochs):
-        start = time.perf_counter()
-        order = train_idx[rng.permutation(len(train_idx))]
-        epoch_loss = 0.0
-        n_journeys_seen = 0
-        norms = []
-        for step, (chunk, feats, times, labels) in enumerate(_batches(table, order, cfg.batch_size)):
-            logits, trace = forward_batch(feats, times, params, training=True, rng=rng)
-            batch_loss, grad_logits = _loss_and_grad_batch(logits, labels)
-            if not np.isfinite(batch_loss):
-                raise TrainingDivergedError(epoch, step)
-            grads = backward_batch(trace, grad_logits)
-            for name in frozen_rows:
-                grads[name][time_idx, :] = 0.0
-            norms.append(_clip_gradients(grads, params.layout, GRAD_CLIP_NORM))
-            if velocity is not None:
-                velocity *= MOMENTUM
-                velocity += grads.flat
-            params.flat -= cfg.learning_rate * (grads.flat if velocity is None else velocity)
-            clamp_gate_timing(params)
-            epoch_loss += batch_loss * len(chunk)
-            n_journeys_seen += len(chunk)
-        train_losses.append(epoch_loss / n_journeys_seen)
-        val_losses.append(_dataset_loss(table, val_idx, params))
-        clipped = sum(norm > GRAD_CLIP_NORM for norm in norms) / len(norms)
-        print(f"epoch={epoch} train_loss={train_losses[-1]:.6g} val_loss={val_losses[-1]:.6g} "
-              f"seconds={time.perf_counter() - start:.3f} grad_norm_mean={np.mean(norms):.6g} "
-              f"grad_norm_max={max(norms):.6g} clipped_share={clipped:.4g}", file=sys.stderr)
-    return TrainResult(params=params, vocab=vocab, train_losses=train_losses, val_losses=val_losses)
+    wavefront = _Wavefront(params, cfg.batch_size, int(table.lengths.max()), train_processes(cfg.n_layers, workers))
+    with wavefront:
+        for epoch in range(cfg.epochs):
+            start = time.perf_counter()
+            order = train_idx[rng.permutation(len(train_idx))]
+            epoch_loss = 0.0
+            n_journeys_seen = 0
+            norms = []
+            for step, (chunk, feats, times, labels) in enumerate(_batches(table, order, cfg.batch_size)):
+                # the masks forward_batch would draw, in its order
+                shape = (*times.shape, cfg.hidden_size)
+                masks = _dropout_draws(rng, shape, cfg.dropout_p, n_lower) if cfg.dropout_p > 0 else [None] * n_lower
+                batch_loss, grads = wavefront.step(feats, times, labels, masks)
+                if grads is None:
+                    raise TrainingDivergedError(epoch, step)
+                for name in frozen_rows:
+                    grads[name][time_idx, :] = 0.0
+                norms.append(_clip_gradients(grads, params.layout, GRAD_CLIP_NORM))
+                if velocity is not None:
+                    velocity *= MOMENTUM
+                    velocity += grads.flat
+                params.flat -= cfg.learning_rate * (grads.flat if velocity is None else velocity)
+                clamp_gate_timing(params)
+                epoch_loss += batch_loss * len(chunk)
+                n_journeys_seen += len(chunk)
+            train_losses.append(epoch_loss / n_journeys_seen)
+            val_losses.append(_dataset_loss(table, val_idx, params))
+            clipped = sum(norm > GRAD_CLIP_NORM for norm in norms) / len(norms)
+            print(f"epoch={epoch} train_loss={train_losses[-1]:.6g} val_loss={val_losses[-1]:.6g} "
+                  f"seconds={time.perf_counter() - start:.3f} grad_norm_mean={np.mean(norms):.6g} "
+                  f"grad_norm_max={max(norms):.6g} clipped_share={clipped:.4g}", file=sys.stderr)
+    # a copy, so that the result holds no shared memory
+    return TrainResult(params=params.copy(), vocab=vocab, train_losses=train_losses, val_losses=val_losses)
 
 
 def predict(params: ModelParams, journey: CustomerJourney, vocab: Vocabulary) -> np.ndarray:

@@ -92,6 +92,34 @@ class TestGen:
         assert 0.0 < float(kv["conversion_rate"]) < 1.0
         assert len(out.read_text().strip().splitlines()) == 300
 
+    def test_streamed_file_is_the_listed_journeys(self, tmp_path, capsys):
+        # gen writes each journey as it is drawn: the bytes of the journeys
+        # drawn into a list and then saved
+        from deepmta.journey import GeneratorConfig, generate_synthetic, save_journeys
+
+        out, listed = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+        code, kv, _ = run_cli(capsys, GEN_ARGS + ["--out", str(out)])
+        assert code == 0
+        cfg = GeneratorConfig(
+            n_journeys=300, n_channels=4, n_campaigns=2, max_len=4, key_channel_index=0, key_lift=0.5,
+            base_rate=0.2, time_span_hours=48.0, include_nonconverted=True,
+        )
+        _, journeys = generate_synthetic(cfg, seed=5)
+        save_journeys(listed, journeys)
+        assert out.read_bytes() == listed.read_bytes()
+        assert kv["conversion_rate"] == repr(sum(j.converted for j in journeys) / len(journeys))
+
+    @pytest.mark.parametrize("hours", ("3e15", "1e16", "1e17"))
+    def test_span_past_int64_exits_2(self, tmp_path, capsys, hours):
+        out = tmp_path / "x.jsonl"
+        code, kv, err = run_cli(capsys, [
+            "gen", "--out", str(out), "--journeys", "200", "--max-len", "32", "--include-nonconverted", "--seed", "3",
+            "--time-span-hours", hours,
+        ])
+        assert code == 2
+        assert "time_span_hours must be at most" in err and "Traceback" not in err
+        assert kv == {} and not out.exists()
+
     def test_deterministic_files(self, tmp_path, capsys):
         a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
         assert main(GEN_ARGS + ["--out", str(a)]) == 0
@@ -126,7 +154,7 @@ class TestTrain:
     def test_every_train_flag_reaches_the_config(self, pipeline, tmp_path, capsys, monkeypatch):
         seen = {}
 
-        def capture(journeys, vocab, cfg):
+        def capture(journeys, vocab, cfg, workers=1):
             seen["cfg"] = cfg
             raise DeepMtaError("stop before training")
 
@@ -182,6 +210,69 @@ class TestTrain:
         line = err.splitlines()[0]
         assert line.startswith(f"training on {len(journeys)} journeys ({events} events, ")
         assert " MB table; preset desk, H=4, 1 epochs)" in line
+
+    def test_one_and_two_workers_write_the_same_bytes(self, pipeline, tmp_path, capsys, monkeypatch):
+        # the wavefront on two processes gives the one-process checkpoint and
+        # history; the stderr line names the process count
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+        outputs = []
+        for threads, processes in (("1", "1 process"), ("2", "2 processes")):
+            monkeypatch.setenv("MTA_THREADS", threads)
+            out = tmp_path / f"model-{threads}.json"
+            code, _, err = run_cli(capsys, [
+                "train", "--data", str(pipeline["data"]), "--vocab", str(pipeline["vocab"]), "--out", str(out),
+                "--epochs", "2", "--hidden-size", "16", "--batch-size", "16", "--seed", "3",
+            ])
+            assert code == 0
+            assert err.splitlines()[0].endswith(f"2 epochs) on {processes}")
+            outputs.append((out.read_bytes(), out.with_suffix(".history.csv").read_bytes()))
+        assert outputs[0] == outputs[1]
+        assert_no_child_left()
+
+    def test_malformed_thread_env_exits_2(self, pipeline, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("MTA_THREADS", "two")
+        out = tmp_path / "ckpt.json"
+        code, kv, err = run_cli(capsys, [
+            "train", "--data", str(pipeline["data"]), "--vocab", str(pipeline["vocab"]), "--out", str(out),
+        ])
+        assert code == 2
+        assert "MTA_THREADS" in err and "training on" not in err
+        assert kv == {} and not out.exists()
+
+    @pytest.mark.parametrize("death", ("killed", "raised"))
+    def test_dead_helper_exits_4(self, pipeline, tmp_path, capsys, monkeypatch, death):
+        # the helper killed mid-epoch (SIGKILL, as the OOM killer sends), or
+        # ended by an error it raised, ends train with exit 4 naming its exit
+        # status, writes nothing, and leaves no process behind
+        import signal
+
+        import deepmta.trainer as trainer
+
+        caller = os.getpid()
+        top_step = trainer._top_step
+        calls = []
+
+        def dying(*args):
+            calls.append(1)
+            if os.getpid() != caller and len(calls) == 3:
+                if death == "killed":
+                    os.kill(os.getpid(), signal.SIGKILL)
+                raise MemoryError("no room for the top layer's cache")
+            return top_step(*args)
+
+        monkeypatch.setattr(trainer, "_top_step", dying)
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+        monkeypatch.setenv("MTA_THREADS", "2")
+        out = tmp_path / "ckpt.json"
+        code, kv, err = run_cli(capsys, [
+            "train", "--data", str(pipeline["data"]), "--vocab", str(pipeline["vocab"]), "--out", str(out),
+            "--epochs", "1", "--hidden-size", "8",
+        ])
+        assert code == 4
+        assert f"exit status {-signal.SIGKILL if death == 'killed' else 1}" in err
+        assert "Traceback" not in err
+        assert kv == {} and not out.exists()
+        assert_no_child_left()
 
     @pytest.mark.parametrize("unknown_first", (False, True))
     @pytest.mark.parametrize("command", ("train", "eval"))
@@ -311,12 +402,12 @@ class TestAttribute:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
         for value, workers in (("100000", 3), ("2", 2), ("", 3)):
             monkeypatch.setenv("MTA_THREADS", value)
-            assert cli._attribution_workers() == workers
+            assert cli._workers() == workers
         # without affinity masks, the CPU count
         monkeypatch.delattr(os, "sched_getaffinity")
         monkeypatch.setattr(os, "cpu_count", lambda: 5)
         monkeypatch.setenv("MTA_THREADS", "100000")
-        assert cli._attribution_workers() == 5
+        assert cli._workers() == 5
 
     def test_huge_thread_env_starts_a_small_pool(self, pipeline, tmp_path, monkeypatch):
         # the processes started per window are counted: the calling process
@@ -356,10 +447,10 @@ class TestAttribute:
         monkeypatch.delattr(os, "fork", raising=False)
         for value in ("", "3", "100000"):
             monkeypatch.setenv("MTA_THREADS", value)
-            assert cli._attribution_workers() == 1
+            assert cli._workers() == 1
         monkeypatch.setenv("MTA_THREADS", "0")
         with pytest.raises(ConfigError, match="MTA_THREADS"):
-            cli._attribution_workers()
+            cli._workers()
 
     def test_worker_numeric_error_exits_3(self, pipeline, tmp_path, monkeypatch, capsys):
         # an error raised in a worker process ends the run like one raised

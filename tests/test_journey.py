@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from deepmta.errors import ConfigError, SequenceLengthError, ValidationError, VocabularyError
+import deepmta.journey as journey_mod
 from deepmta.journey import (
     ClickEvent,
     CustomerJourney,
@@ -16,6 +17,7 @@ from deepmta.journey import (
     load_vocabulary,
     save_journeys,
     save_vocabulary,
+    stream_synthetic,
 )
 from reference import split_stream
 
@@ -238,6 +240,34 @@ class TestGenerator:
             GeneratorConfig(n_channels=1)
         with pytest.raises(ConfigError):
             GeneratorConfig(key_channel_index=9, n_channels=5)
+
+
+class TestGeneratorLimits:
+    """The time span's largest value: a journey's last timestamp, a start
+    below START_TS_LIMIT seconds plus gaps summing to at most span *
+    GAP_JITTER_HIGH seconds, must fit a 64-bit integer."""
+
+    def test_span_above_the_limit_rejected(self):
+        for hours in (journey_mod.MAX_SPAN_HOURS * 1.000001, 3e15, 1e16, 1e17):
+            with pytest.raises(ConfigError, match="time_span_hours"):
+                GeneratorConfig(time_span_hours=hours)
+
+    def test_span_below_the_limit_fits_int64(self):
+        # 32-event journeys spread the span over the most gaps; the limit
+        # itself is the bound of the jitter at its top
+        hours = journey_mod.MAX_SPAN_HOURS * 0.999999
+        cfg = GeneratorConfig(n_journeys=200, max_len=32, time_span_hours=hours, include_nonconverted=True)
+        _, journeys = generate_synthetic(cfg, seed=3)
+        last = [j.events[-1].timestamp for j in journeys]
+        assert max(last) < 2**63
+        # the gaps are the span's, not a 1-second floor from a wrapped cast
+        assert min(j.events[-1].timestamp - j.events[0].timestamp for j in journeys if len(j) > 1) > hours * 3600 * 0.8
+
+    def test_stream_draws_the_list(self):
+        cfg = GeneratorConfig(n_journeys=300, max_len=6, include_nonconverted=False)
+        vocab, journeys = generate_synthetic(cfg, seed=4)
+        streamed_vocab, streamed = stream_synthetic(cfg, seed=4)
+        assert streamed_vocab == vocab and list(streamed) == journeys
 
 
 class TestJsonlRoundTrip:

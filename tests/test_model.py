@@ -280,7 +280,8 @@ class TestForwardSequence:
         times = np.broadcast_to(np.sort(rng.uniform(0, 48, 9)), (6, 9))
         for idx, lp in enumerate(params.layers):
             ln_g, ln_b = params.ln_gain[idx], params.ln_bias[idx]
-            expected, _ = _layer_forward(x, times, lp, ln_g, ln_b, 0.0)
+            scan, _ = _layer_forward(x, times, lp, ln_g, ln_b, 0.0)
+            expected = np.stack(list(scan), axis=1)
             Wx = np.concatenate([lp.W_xi, lp.W_xf, lp.W_xc, lp.W_xo], axis=1)
             Wh = np.concatenate([lp.W_hi, lp.W_hf, lp.W_hc, lp.W_ho], axis=1)
             x_proj = (x.reshape(-1, x.shape[2]) @ Wx).reshape(6, 9, -1)

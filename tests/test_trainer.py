@@ -1,4 +1,5 @@
 import csv
+import mmap
 from collections import Counter
 
 import numpy as np
@@ -35,6 +36,7 @@ from deepmta.trainer import (
     train,
 )
 from reference import stacked_batches
+from test_attribution import assert_no_child_left
 
 LN_HALF = 0.6931471805599453
 
@@ -165,30 +167,43 @@ class TestTrain:
 
     def test_divergence_aborts_with_context(self, small_planted, monkeypatch):
         vocab, journeys = small_planted
-        import deepmta.trainer as trainer_mod
-
-        calls = {"n": 0}
-        real = trainer_mod.forward_batch
-
-        def poisoned(*args, **kwargs):
-            logits, trace = real(*args, **kwargs)
-            calls["n"] += 1
-            if calls["n"] == 3:
-                logits = logits.copy()
-                logits[0, 0, 0] = np.nan
-            return logits, trace
-
-        monkeypatch.setattr(trainer_mod, "forward_batch", poisoned)
+        poison_third_loss(monkeypatch)
         cfg = TrainConfig(hidden_size=8, epochs=1, batch_size=8, seed=2)
         with pytest.raises(TrainingDivergedError) as err:
             train(journeys[:100], vocab, cfg)
         assert err.value.epoch == 0
         assert err.value.step == 2
 
+    def test_divergence_at_two_workers(self, small_planted, monkeypatch):
+        # the helper process computes the loss; the caller raises with the
+        # same context, and the helper is joined
+        vocab, journeys = small_planted
+        poison_third_loss(monkeypatch)
+        cfg = TrainConfig(hidden_size=8, epochs=1, batch_size=8, seed=2)
+        with pytest.raises(TrainingDivergedError) as err:
+            train(journeys[:100], vocab, cfg, workers=2)
+        assert (err.value.epoch, err.value.step) == (0, 2)
+        assert_no_child_left()
+
     def test_empty_dataset_rejected(self):
         vocab = Vocabulary(channels=("A", "B"), campaigns=("c",))
         with pytest.raises(ValidationError):
             train([], vocab, TrainConfig())
+
+
+def poison_third_loss(monkeypatch):
+    """Make the third training loss NaN, counted across processes: the count
+    lives in shared memory, so a forked helper that computes a loss adds to
+    it too."""
+    calls = np.frombuffer(mmap.mmap(-1, 8), dtype=np.int64)
+    real = trainer_mod._loss_and_grad_batch
+
+    def poisoned(logits, labels):
+        loss, grad_logits = real(logits, labels)
+        calls[0] += 1
+        return (float("nan") if calls[0] == 3 else loss), grad_logits
+
+    monkeypatch.setattr(trainer_mod, "_loss_and_grad_batch", poisoned)
 
 
 def reference_clip_gradients(grads, max_norm):
@@ -238,14 +253,25 @@ def reference_train(journeys, vocab, cfg, clip_norm):
     return params
 
 
+CLIP_CASES = ((1e-3, "1"), (1e9, "0"), (trainer_mod.GRAD_CLIP_NORM, None))
+
+
 class TestFlatUpdateMatchesReference:
     @pytest.mark.parametrize("optimizer", ("sgd", "sgd_momentum"))
-    @pytest.mark.parametrize("clip_norm, clipped", ((1e-3, "1"), (1e9, "0"), (trainer_mod.GRAD_CLIP_NORM, None)))
-    def test_parameters_identical(self, small_planted, monkeypatch, capsys, optimizer, clip_norm, clipped):
+    @pytest.mark.parametrize(
+        "clip_norm, clipped, workers",
+        # the one-worker cases keep the ids they had before workers was a parameter
+        [
+            pytest.param(norm, share, workers, id=f"{norm}-{share}" + (f"-workers{workers}" if workers > 1 else ""))
+            for workers in (1, 2)
+            for norm, share in CLIP_CASES
+        ],
+    )
+    def test_parameters_identical(self, small_planted, monkeypatch, capsys, optimizer, clip_norm, clipped, workers):
         vocab, journeys = small_planted
         cfg = TrainConfig(hidden_size=8, epochs=2, batch_size=16, seed=7, optimizer=optimizer, learning_rate=0.05)
         monkeypatch.setattr(trainer_mod, "GRAD_CLIP_NORM", clip_norm)
-        result = train(journeys[:160], vocab, cfg)
+        result = train(journeys[:160], vocab, cfg, workers=workers)
         expected = reference_train(journeys[:160], vocab, cfg, clip_norm)
         assert result.params.flat.tobytes() == expected.flat.tobytes()
         for (name, a), (_, b) in zip(result.params.named_parameters(), expected.named_parameters()):
@@ -254,6 +280,97 @@ class TestFlatUpdateMatchesReference:
         assert len(shares) == cfg.epochs
         if clipped is not None:
             assert shares == [clipped] * cfg.epochs
+
+    @pytest.mark.parametrize("workers", (1, 2))
+    def test_one_journey_batches_and_long_journeys(self, workers):
+        # journeys of 1-32 events, and every length's bucket leaves a
+        # one-journey batch. Such a batch, and any batch shape whose
+        # per-step products are not the batched product's rows, runs
+        # through forward_batch and backward_batch; the others through the
+        # wavefront. Both give the reference's bits
+        gen = GeneratorConfig(
+            n_journeys=500, n_channels=3, n_campaigns=2, max_len=32, time_span_hours=48.0, include_nonconverted=True,
+        )
+        vocab, pool = generate_synthetic(gen, seed=12)
+        by_length = {}
+        for journey in pool:
+            by_length.setdefault(len(journey.events), []).append(journey)
+        # 4k + 1 journeys of each length
+        journeys = [j for group in by_length.values() for j in group[:len(group) - (len(group) - 1) % 4]]
+        cfg = TrainConfig(hidden_size=8, epochs=1, batch_size=4, seed=3, val_fraction=0.0, learning_rate=0.05)
+        table = journey_table(journeys, vocab)
+        shapes = {feats.shape[:2] for _, feats, _, _ in _batches(table, np.arange(len(table)), cfg.batch_size)}
+        assert {(1, T) for T in by_length} <= shapes and max(T for _, T in shapes) == 32
+        result = train(journeys, vocab, cfg, workers=workers)
+        expected = reference_train(journeys, vocab, cfg, trainer_mod.GRAD_CLIP_NORM)
+        assert result.params.flat.tobytes() == expected.flat.tobytes()
+        assert_no_child_left()
+
+
+def per_step_rows_equal(rng, B, T, H):
+    """The comparison of trainer._per_step_products_match on other operands:
+    dropout-masked activations, gradients of a loss's size, and weights of
+    an init's."""
+    Wx = rng.uniform(-0.1, 0.1, (H, 4 * H))
+    x = np.tanh(rng.normal(0, 1, (B, T, H))) * (rng.random((B, T, H)) >= 0.5) / 0.5
+    dA = rng.normal(0, 1e-3, (T, B, 4 * H))
+    proj = (x.reshape(B * T, H) @ Wx).reshape(B, T, 4 * H)
+    dX = (dA.transpose(1, 0, 2).reshape(B * T, 4 * H) @ Wx.T).reshape(B, T, H)
+    return all(
+        np.array_equal(x[:, t] @ Wx, proj[:, t]) and np.array_equal(dA[t] @ Wx.T, dX[:, t]) for t in range(T)
+    )
+
+
+class TestWavefront:
+    """The per-step products that link the two stages, and one SGD step of
+    the wavefront against forward_batch and backward_batch."""
+
+    def test_probe_verdict_is_the_shapes_at_desk_size(self):
+        # every batch shape the desk preset can make (B <= 32, T <= 32 at
+        # H = 64): where the probe finds the per-step products equal to the
+        # batched rows they are equal on other operands too, and where it
+        # finds them different they differ there too. So the verdict is a
+        # property of the shape, and a batch that fails it runs unpipelined
+        rng = np.random.default_rng(0)
+        verdicts = {}
+        for B in range(1, 33):
+            for T in range(1, 33):
+                verdicts[B, T] = trainer_mod._per_step_products_match(B, T, 64)
+                assert per_step_rows_equal(rng, B, T, 64) == verdicts[B, T], (B, T)
+        # a one-row step product is a gemv, the batched one a gemm
+        assert not any(verdicts[1, T] for T in range(2, 33))
+
+    @pytest.mark.parametrize("B, T", [(B, T) for B in (1, 2, 127, 128) for T in (1, 2, 4)])
+    def test_probe_verdict_is_the_shapes_at_paper_size(self, B, T):
+        # the paper preset's H = 1024 at batch 128 and its tails
+        rng = np.random.default_rng(B * 10 + T)
+        assert per_step_rows_equal(rng, B, T, 1024) == trainer_mod._per_step_products_match(B, T, 1024)
+
+    def test_workers_below_one_rejected(self, small_planted):
+        vocab, journeys = small_planted
+        with pytest.raises(ConfigError, match="workers"):
+            train(journeys[:20], vocab, TrainConfig(hidden_size=4, epochs=1), workers=0)
+
+    @pytest.mark.parametrize("processes", (1, 2))
+    def test_step_equals_forward_and_backward_batch(self, processes):
+        # the desk shape, and tails of a length bucket, with dropout
+        rng = np.random.default_rng(5)
+        params = init_params(7, 64, 2, dropout_p=0.5, rng=rng)
+        reference = params.copy()
+        with trainer_mod._Wavefront(params, 32, 5, processes) as wavefront:
+            for B, T in ((32, 1), (32, 2), (32, 4), (9, 3), (1, 5), (2, 5)):
+                feats = rng.normal(0, 1, (B, T, 7))
+                times = np.cumsum(rng.uniform(0, 12, (B, T)), axis=1)
+                labels = rng.integers(0, 2, (B, T))
+                masks = [(rng.random((B, T, 64)) >= 0.5) / 0.5]
+                logits, trace = forward_batch(feats, times, reference, training=True, dropout_masks=masks)
+                loss, grad_logits = _loss_and_grad_batch(logits, labels)
+                expected = backward_batch(trace, grad_logits)
+                got_loss, grads = wavefront.step(feats, times, labels, masks)
+                assert got_loss == loss
+                assert list(grads) == list(expected)
+                assert grads.flat.tobytes() == expected.flat.tobytes(), (B, T)
+        assert_no_child_left()
 
 
 class TestEpochTelemetry:
