@@ -49,7 +49,6 @@ from .trainer import (
     save_loss_history,
     save_roc_csv,
     train,
-    train_processes,
 )
 
 import numpy as np
@@ -130,13 +129,15 @@ def _cmd_train(args) -> None:
     vocab = load_vocabulary(args.vocab)
     cfg = TrainConfig.preset(args.preset, **_given_fields(args, TrainConfig))
     workers = _workers()
-    processes = train_processes(cfg.n_layers, workers)
     # the file is read line by line into the table; no journey outlives its line
     table = journey_table(iter_journeys(args.data), vocab)
-    _info(f"training on {len(table)} journeys ({len(table.times)} events, {table.nbytes / 2**20:.1f} MB table; "
-          f"preset {args.preset}, H={cfg.hidden_size}, {cfg.epochs} epochs) "
-          f"on {processes} process{'es' if processes > 1 else ''}")
-    result = train(table, vocab, cfg, workers=workers)
+
+    def announce(processes: int) -> None:
+        _info(f"training on {len(table)} journeys ({len(table.times)} events, {table.nbytes / 2**20:.1f} MB table; "
+              f"preset {args.preset}, H={cfg.hidden_size}, {cfg.epochs} epochs) "
+              f"on {processes} process{'es' if processes > 1 else ''}")
+
+    result = train(table, vocab, cfg, workers=workers, on_start=announce)
     save_checkpoint(args.out, result.params, result.vocab, seed=cfg.seed)
     save_loss_history(history_path, result.train_losses, result.val_losses)
     _emit("final_train_loss", repr(result.train_losses[-1]))
@@ -165,7 +166,7 @@ def _workers() -> int:
     """MTA_THREADS, capped at the CPUs this process may run on (their count
     by default); 1 where the platform cannot fork. Each worker is a process,
     the calling one among them: `attribute` gives each whole journeys, and
-    `train` runs on at most two (`trainer.train_processes`). More workers
+    `train` runs on at most two, and on one for a one-layer model. More workers
     than CPUs add no speed, only processes."""
     env = os.environ.get("MTA_THREADS", "").strip()
     workers = _usable_cpus()

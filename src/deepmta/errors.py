@@ -59,10 +59,8 @@ class EvaluationError(DeepMtaError):
     exit_code = 4
 
 
-class WorkerError(DeepMtaError):
+class WorkerError(EvaluationError):
     """A worker process ended before it finished its part of the work."""
-
-    exit_code = 4
 
 
 class TraceError(DeepMtaError):

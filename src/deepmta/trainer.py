@@ -17,7 +17,8 @@ holds only where the per-step products equal the rows of the one product
 over all B * T rows that those two make, which a BLAS may break by picking
 its kernel by the row count; `_per_step_products_match` checks each batch
 shape once, and a batch of a shape that fails runs through `forward_batch`
-and `backward_batch` in the calling process.
+and `backward_batch` in the calling process, as does every batch of a
+one-layer model, which has no first stage.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import os
 import signal
 import sys
 import time
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from pathlib import Path
@@ -247,13 +248,6 @@ def _clip_gradients(grads: Gradients, layout: dict[str, tuple[slice, tuple[int, 
 # ---------------------------------------------------------------------------
 
 
-def train_processes(n_layers: int, workers: int) -> int:
-    """The processes `train` runs on: two, the calling one and a helper,
-    where `workers` allows two, the model has two or more layers and the
-    platform can fork; else one."""
-    return 2 if workers >= 2 and n_layers >= 2 and hasattr(os, "fork") else 1
-
-
 @lru_cache(maxsize=None)
 def _per_step_products_match(B: int, T: int, H: int) -> bool:
     """Whether this process's BLAS gives the two products the wavefront
@@ -263,16 +257,21 @@ def _per_step_products_match(B: int, T: int, H: int) -> bool:
     gradient dA_t @ Wx.T, (B, 4H) @ (4H, H). Both may pick their kernel by
     the row count: numpy makes a one-row product with gemv, and OpenBLAS
     has small-matrix kernels. Checked on seeded random operands laid out as
-    the two stages lay theirs out."""
+    the stages and the batched code lay theirs out: a strided row block of
+    x, a contiguous one of dA. The two products are checked one after the
+    other, so that at most one product's operands are held at a time."""
     rng = np.random.default_rng(0)
     Wx = rng.standard_normal((H, 4 * H))
-    x = rng.standard_normal((B, T, H))
-    dA = rng.standard_normal((T, B, 4 * H))
-    proj = (x.reshape(B * T, H) @ Wx).reshape(B, T, 4 * H)
-    dX = (dA.transpose(1, 0, 2).reshape(B * T, 4 * H) @ Wx.T).reshape(B, T, H)
-    return all(
-        np.array_equal(x[:, t] @ Wx, proj[:, t]) and np.array_equal(dA[t] @ Wx.T, dX[:, t]) for t in range(T)
-    )
+    x = rng.standard_normal((B * T, H))
+    rows = (x @ Wx).reshape(B, T, 4 * H)
+    x = x.reshape(B, T, H)
+    if not all(np.array_equal(x[:, t] @ Wx, rows[:, t]) for t in range(T)):
+        return False
+    del x, rows
+    dA = rng.standard_normal((B * T, 4 * H))
+    rows = (dA @ Wx.T).reshape(B, T, H)
+    dA = dA.reshape(B, T, 4 * H)
+    return all(np.array_equal(np.ascontiguousarray(dA[:, t]) @ Wx.T, rows[:, t]) for t in range(T))
 
 
 def _shared_arrays(sizes: dict[str, int]) -> dict[str, np.ndarray]:
@@ -467,7 +466,7 @@ class _Wavefront:
         None where there is no dropout."""
         params, shared = self.params, self.shared
         B, T = times.shape
-        if not _per_step_products_match(B, T, params.hidden_size):
+        if params.n_layers < 2 or not _per_step_products_match(B, T, params.hidden_size):
             logits, trace = forward_batch(feats, times, params, training=True, dropout_masks=masks)
             loss, grad_logits = _loss_and_grad_batch(logits, labels)
             return loss, backward_batch(trace, grad_logits) if np.isfinite(loss) else None
@@ -488,7 +487,11 @@ class _Wavefront:
 
 
 def train(
-    journeys: Iterable[CustomerJourney] | JourneyTable, vocab: Vocabulary, cfg: TrainConfig, workers: int = 1
+    journeys: Iterable[CustomerJourney] | JourneyTable,
+    vocab: Vocabulary,
+    cfg: TrainConfig,
+    workers: int = 1,
+    on_start: Callable[[int], None] | None = None,
 ) -> TrainResult:
     """Train from scratch on the given journeys: any iterable of them, read
     once into a JourneyTable (`journey_table`), or such a table.
@@ -496,11 +499,12 @@ def train(
     Deterministic for a fixed (data, cfg.seed): init, the train/validation
     split, shuffling, and dropout all draw from one seeded generator.
     Journeys are bucketed by length so batches never pad. Each SGD step is
-    the two-stage wavefront of this module's docstring, on
-    `train_processes(cfg.n_layers, workers)` processes; the result is the
-    same at any worker count. Raises TrainingDivergedError with epoch/step
-    context if the loss goes non-finite, and WorkerError if the helper
-    process dies.
+    the two-stage wavefront of this module's docstring, on two processes
+    where `workers` allows two, the model has two or more layers and the
+    platform can fork, else on one; the result is the same either way.
+    on_start, if given, is called with that process count before the first
+    epoch. Raises TrainingDivergedError with epoch/step context if the loss
+    goes non-finite, and WorkerError if the helper process dies.
     """
     if workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
@@ -535,8 +539,10 @@ def train(
 
     train_losses: list[float] = []
     val_losses: list[float] = []
-    wavefront = _Wavefront(params, cfg.batch_size, int(table.lengths.max()), train_processes(cfg.n_layers, workers))
-    with wavefront:
+    processes = 2 if workers >= 2 and cfg.n_layers >= 2 and hasattr(os, "fork") else 1
+    with _Wavefront(params, cfg.batch_size, int(table.lengths.max()), processes) as wavefront:
+        if on_start is not None:
+            on_start(processes)
         for epoch in range(cfg.epochs):
             start = time.perf_counter()
             order = train_idx[rng.permutation(len(train_idx))]

@@ -154,7 +154,7 @@ class TestTrain:
     def test_every_train_flag_reaches_the_config(self, pipeline, tmp_path, capsys, monkeypatch):
         seen = {}
 
-        def capture(journeys, vocab, cfg, workers=1):
+        def capture(journeys, vocab, cfg, workers=1, on_start=None):
             seen["cfg"] = cfg
             raise DeepMtaError("stop before training")
 

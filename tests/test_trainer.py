@@ -12,6 +12,7 @@ from deepmta.errors import (
     TrainingDivergedError,
     ValidationError,
     VocabularyError,
+    WorkerError,
 )
 from deepmta.journey import GeneratorConfig, JourneyTable, Vocabulary, encode_journey, generate_synthetic
 import deepmta.trainer as trainer_mod
@@ -185,6 +186,31 @@ class TestTrain:
         assert (err.value.epoch, err.value.step) == (0, 2)
         assert_no_child_left()
 
+    def test_dead_helper_is_a_worker_error(self, small_planted, monkeypatch):
+        # a helper killed mid-epoch ends train with WorkerError, an
+        # EvaluationError as attribution's dead worker is, and is reaped
+        import os
+        import signal
+
+        vocab, journeys = small_planted
+        caller = os.getpid()
+        top_step = trainer_mod._top_step
+        calls = []
+
+        def dying(*args):
+            calls.append(1)
+            if os.getpid() != caller and len(calls) == 3:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return top_step(*args)
+
+        monkeypatch.setattr(trainer_mod, "_top_step", dying)
+        processes = []
+        with pytest.raises(WorkerError, match=f"exit status {-signal.SIGKILL}") as err:
+            train(journeys[:100], vocab, TrainConfig(hidden_size=8, epochs=1), workers=2, on_start=processes.append)
+        assert isinstance(err.value, EvaluationError) and err.value.exit_code == 4
+        assert processes == [2]
+        assert_no_child_left()
+
     def test_empty_dataset_rejected(self):
         vocab = Vocabulary(channels=("A", "B"), campaigns=("c",))
         with pytest.raises(ValidationError):
@@ -280,6 +306,19 @@ class TestFlatUpdateMatchesReference:
         assert len(shares) == cfg.epochs
         if clipped is not None:
             assert shares == [clipped] * cfg.epochs
+
+    @pytest.mark.parametrize("workers", (1, 2))
+    def test_one_layer(self, small_planted, workers):
+        # a one-layer model has no first stage: its steps run through
+        # forward_batch and backward_batch in the calling process
+        vocab, journeys = small_planted
+        cfg = TrainConfig(hidden_size=8, n_layers=1, epochs=2, batch_size=16, seed=7, learning_rate=0.05)
+        processes = []
+        result = train(journeys[:160], vocab, cfg, workers=workers, on_start=processes.append)
+        expected = reference_train(journeys[:160], vocab, cfg, trainer_mod.GRAD_CLIP_NORM)
+        assert result.params.flat.tobytes() == expected.flat.tobytes()
+        assert processes == [1]
+        assert_no_child_left()
 
     @pytest.mark.parametrize("workers", (1, 2))
     def test_one_journey_batches_and_long_journeys(self, workers):
