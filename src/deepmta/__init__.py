@@ -38,6 +38,7 @@ from .journey import (
     encode_journey,
     generate_synthetic,
     iter_journeys,
+    journey_table,
     load_journeys,
     load_vocabulary,
     save_journeys,
@@ -64,7 +65,6 @@ from .trainer import (
     TrainResult,
     auc_score,
     evaluate_roc,
-    journey_table,
     predict,
     roc_curve,
     train,

@@ -17,9 +17,11 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import ConfigError, DimensionError, NumericError, ValidationError, WorkerError
-from .journey import CustomerJourney, JourneyTable, Vocabulary, encode_journey, finite_number, read_jsonl
-# forward_batch is not called here, but perfbench's tracer wraps
-# deepmta.attribution.forward_batch, so the name must stay importable
+# encode_journey and forward_batch are not called here, but perfbench's
+# tracer wraps deepmta.attribution.encode_journey and .forward_batch, so the
+# names must stay importable
+from .journey import CustomerJourney, JourneyTable, Vocabulary, finite_number, journey_table, read_jsonl
+from .journey import encode_journey  # noqa: F401
 from .model import ModelParams, _bare_layer, _gate_forward, _stacked_weights, cell_step, forward_batch  # noqa: F401
 from .trainer import softmax
 
@@ -603,7 +605,7 @@ def _attribute_shard(params, journeys, vocab, plans, stats=None) -> list[Attribu
     encoded into one JourneyTable, their games are scored together in trie
     blocks, and the journeys of each length are finished by one solve over
     their stacked values."""
-    table = JourneyTable.from_encoded((encode_journey(journey, vocab) for journey in journeys), vocab.encoding_dim)
+    table = journey_table(journeys, vocab)
     lengths = table.lengths.tolist()
     values = _game_values(params, table, [(idx, plans[n].rows) for idx, n in enumerate(lengths)], stats)
     results = [None] * len(journeys)

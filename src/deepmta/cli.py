@@ -34,6 +34,7 @@ from .journey import (  # noqa: F401
     GeneratorConfig,
     generate_synthetic,
     iter_journeys,
+    journey_table,
     load_journeys,
     load_vocabulary,
     save_journeys,
@@ -45,7 +46,6 @@ from .report import ChannelReport, aggregate_channels, emit_report, last_click_r
 from .trainer import (
     TrainConfig,
     evaluate_roc,
-    journey_table,
     save_loss_history,
     save_roc_csv,
     train,

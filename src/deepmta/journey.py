@@ -161,24 +161,6 @@ class JourneyTable:
         """Each journey's first row, derived from the lengths."""
         return np.cumsum(self.lengths) - self.lengths
 
-    @classmethod
-    def from_encoded(cls, encoded: Iterable[JourneyTable], dim: int) -> JourneyTable:
-        """The tables of `encoded` (`dim` features per row) concatenated in
-        one pass, holding none after its rows are copied: each column grows
-        as an array.array, viewed as a numpy array at the end without a copy."""
-        features, times, labels, lengths = array("d"), array("d"), array("q"), array("q")
-        for enc in encoded:
-            features.frombytes(enc.features.tobytes())
-            times.frombytes(enc.times.tobytes())
-            labels.frombytes(enc.labels.tobytes())
-            lengths.frombytes(enc.lengths.tobytes())
-        return cls(
-            features=np.frombuffer(features, dtype=np.float64).reshape(-1, dim),
-            times=np.frombuffer(times, dtype=np.float64),
-            labels=np.frombuffer(labels, dtype=np.int64),
-            lengths=np.frombuffer(lengths, dtype=np.int64),
-        )
-
     def __len__(self) -> int:
         return len(self.lengths)
 
@@ -188,34 +170,66 @@ class JourneyTable:
 
 
 def encode_journey(journey: CustomerJourney, vocab: Vocabulary) -> JourneyTable:
-    """Encode a journey as a one-journey JourneyTable: one-hot
-    channel/campaign rows plus hour offsets.
+    """Encode a journey as a one-journey JourneyTable (`journey_table` of
+    it alone): one-hot channel/campaign rows plus hour offsets.
 
     Raises VocabularyError for unknown tokens, naming the journey's user_id
     and the event's index, and SequenceLengthError for journeys longer than
     MAX_SEQ_LEN (never truncates silently).
     """
-    n = len(journey.events)
-    if n > MAX_SEQ_LEN:
-        raise SequenceLengthError(
-            f"journey {journey.user_id!r} has {n} events, exceeding the limit of {MAX_SEQ_LEN}; refusing to truncate"
-        )
-    n_ch = len(vocab.channels)
-    features = np.zeros((n, vocab.encoding_dim), dtype=np.float64)
-    times = np.zeros(n, dtype=np.float64)
-    t0 = journey.events[0].timestamp
-    for i, ev in enumerate(journey.events):
+    return journey_table([journey], vocab)
+
+
+def journey_table(journeys: Iterable[CustomerJourney] | JourneyTable, vocab: Vocabulary) -> JourneyTable:
+    """The journeys as one JourneyTable, filled in one pass over any iterable
+    (a list, a generator, a file read line by line), holding no journey
+    after it is read: each event's channel index, campaign index, hour
+    offset and label are appended to array columns, and the one-hot rows are
+    set with one scatter at the end. A table is returned as it is.
+
+    An encoding error (an unknown token, too many events; as
+    `encode_journey` names them) is raised after the last journey is read,
+    so that a fault in a later record of a file, found as it is read, is
+    reported first, as when the whole file is read before any journey is
+    encoded.
+    """
+    if isinstance(journeys, JourneyTable):
+        return journeys
+    channels, campaigns, hours, labels, lengths = array("q"), array("q"), array("d"), array("q"), array("q")
+    failed = None
+    for journey in journeys:
+        if failed is not None:
+            continue
+        events = journey.events
+        if len(events) > MAX_SEQ_LEN:
+            failed = SequenceLengthError(
+                f"journey {journey.user_id!r} has {len(events)} events, exceeding the limit of {MAX_SEQ_LEN}; "
+                "refusing to truncate"
+            )
+            continue
+        t0 = events[0].timestamp
         try:
-            channel, campaign = vocab.channel_index(ev.channel_id), vocab.campaign_index(ev.campaign_id)
+            for i, ev in enumerate(events):
+                channels.append(vocab.channel_index(ev.channel_id))
+                campaigns.append(vocab.campaign_index(ev.campaign_id))
+                hours.append((ev.timestamp - t0) / SECONDS_PER_HOUR)
         except VocabularyError as exc:
-            raise VocabularyError(f"journey {journey.user_id!r}, event {i}: {exc}") from None
-        features[i, channel] = 1.0
-        features[i, n_ch + campaign] = 1.0
-        dt = (ev.timestamp - t0) / SECONDS_PER_HOUR
-        features[i, -1] = dt
-        times[i] = dt
-    labels = np.asarray(journey.labels, dtype=np.int64)
-    return JourneyTable(features=features, times=times, labels=labels, lengths=np.array([n], dtype=np.int64))
+            failed = VocabularyError(f"journey {journey.user_id!r}, event {i}: {exc}")
+            continue
+        labels.extend(journey.labels)
+        lengths.append(len(events))
+    if failed is not None:
+        raise failed
+    times = np.frombuffer(hours, dtype=np.float64)
+    features = np.zeros((len(times), vocab.encoding_dim))
+    rows = np.arange(len(times))
+    features[rows, np.frombuffer(channels, dtype=np.int64)] = 1.0
+    features[rows, len(vocab.channels) + np.frombuffer(campaigns, dtype=np.int64)] = 1.0
+    features[:, -1] = times
+    return JourneyTable(
+        features=features, times=times, labels=np.frombuffer(labels, dtype=np.int64),
+        lengths=np.frombuffer(lengths, dtype=np.int64),
+    )
 
 
 @dataclass

@@ -14,7 +14,12 @@ float64. Tests cover the kernel against a readable single-step reference
 (tests/reference.py) and its two modes against each other. The layer scan
 (`_layer_scan`) and the backward's reverse scan (`_layer_backward`) are
 generators that take each step's input and hand on each step's output, so
-the trainer can run two layers one time step apart.
+the trainer can run two layers one time step apart. The part of a layer's
+backward that depends only on its forward, the recurrence's factors
+(`_step_factors`, per step or for all steps) and the time gate's
+(`_gate_cache`, the dk-free half of `_gate_backward`), is made apart from
+the reverse scan, so the trainer can make it before the output gradient is
+known.
 
 `param_shapes` is the one table of the tensors' names, shapes and order.
 `ModelParams` checks every tensor against it once, as it copies it into one
@@ -39,6 +44,7 @@ from __future__ import annotations
 import base64
 import json
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
@@ -95,8 +101,9 @@ def _check_alpha(alpha):
         raise ParameterError("alpha must be a finite value >= 0")
 
 
-def _gate_backward(dk, phi, t_minus_s, tau, r_on, alpha):
-    """Per-element gradients of k w.r.t. tau, s, r_on.
+def _gate_factors(phi, t_minus_s, tau, r_on, alpha):
+    """The part of the time gate's backward that does not depend on dk:
+    dk/dphi and dk/dr_on per element, and dphi/dtau and dphi/ds.
 
     The branch break points (phi exactly 0, r_on/2, or r_on) take
     subgradient 0. phi is treated as locally linear in tau and s, which holds
@@ -113,11 +120,16 @@ def _gate_backward(dk, phi, t_minus_s, tau, r_on, alpha):
     breakpoint_mask = (phi == 0.0) | (phi == 0.5 * r_on) | (phi == r_on)
     dk_dphi = np.where(breakpoint_mask, 0.0, dk_dphi)
     dk_dron = np.where(breakpoint_mask, 0.0, dk_dron)
+    return dk_dphi, dk_dron, -t_minus_s / (tau * tau), -1.0 / tau
+
+
+def _gate_backward(dk, factors):
+    """Per-element gradients of k w.r.t. tau, s, r_on, from dk and the
+    `_gate_factors` (dk_dphi, dk_dron, dphi_dtau, dphi_ds) of the same
+    elements."""
+    dk_dphi, dk_dron, dphi_dtau, dphi_ds = factors
     g = dk * dk_dphi
-    d_tau = g * (-t_minus_s / (tau * tau))
-    d_s = g * (-1.0 / tau)
-    d_ron = dk * dk_dron
-    return d_tau, d_s, d_ron
+    return g * dphi_dtau, g * dphi_ds, dk * dk_dron
 
 
 # ---------------------------------------------------------------------------
@@ -376,9 +388,10 @@ def init_params(
     return ModelParams(**_tensor_fields(tensors, n_layers), dropout_p=dropout_p)
 
 
-def clamp_gate_timing(params: ModelParams) -> None:
-    """Clamp trainable gate timing into its legal ranges after an update."""
-    for layer in params.layers:
+def clamp_gate_timing(params: ModelParams, layers: Iterable[int] | None = None) -> None:
+    """Clamp trainable gate timing into its legal ranges after an update:
+    of the layers of the given indices, by default every layer."""
+    for layer in params.layers if layers is None else (params.layers[idx] for idx in layers):
         np.clip(layer.tau, TAU_MIN, None, out=layer.tau)
         np.clip(layer.r_on, RON_CLAMP, 1.0 - RON_CLAMP, out=layer.r_on)
 
@@ -412,6 +425,9 @@ def _sigmoid_gate(a_j, c, w_peep, bias, out):
 # the (N, H) values of a step that `_layer_backward` reads, besides a_hat,
 # inv_std and the states
 _GATE_SLOTS = ("i", "f", "u", "o", "c_tilde", "tanh_ct", "h_tilde")
+# the (T, B, H) values of `_layer_backward`'s recurrence that depend on the
+# forward alone, which `_step_factors` writes into a cache
+_FACTORS = ("keep", "not_o", "not_f", "not_i", "d_tanh_ct", "d_tanh_u", "dh_dk", "dc_dk")
 
 
 def cell_step(a, h, c, k, lp, ln_g, ln_b, slots=None):
@@ -485,7 +501,8 @@ def _layer_setup(times, lp, alpha, training):
     openness k (T, B, H), evaluated for all steps at once since the gate
     depends only on the times, and the cache for `_layer_backward`, whose
     (T, B, ...) stacks of each step's slots and of the states before and
-    after it the scan fills in; the cache is None unless training."""
+    after it the scan fills in, and whose backward factors `_step_factors`
+    and `_gate_cache` fill in; the cache is None unless training."""
     B, T = times.shape
     H = lp.hidden_size
     Wx, Wh = _stacked_weights(lp)
@@ -493,13 +510,36 @@ def _layer_setup(times, lp, alpha, training):
     cache = None
     if training:
         hs, cs = np.zeros((T + 1, B, H)), np.zeros((T + 1, B, H))
-        cache = {name: np.empty((T, B, H)) for name in _GATE_SLOTS}
+        cache = {name: np.empty((T, B, H)) for name in (*_GATE_SLOTS, *_FACTORS)}
         cache.update(
             a_hat=np.empty((T, B, 4, H)), inv_std=np.empty((T, B, 4, 1)),
             h=hs[1:], c=cs[1:], h_prev=hs[:-1], c_prev=cs[:-1],
             k=k, phi=phi, alpha=alpha, Wx=Wx, Wh=Wh,
         )
     return Wx, Wh, k, cache
+
+
+def _gate_cache(cache, lp, times) -> None:
+    """Write the time gate's `_gate_factors` at every step of a layer's scan
+    over a batch at `times` into its cache, as cache["gate"]."""
+    t_minus_s = times.T[:, :, None] - lp.s
+    cache["gate"] = _gate_factors(cache["phi"], t_minus_s, lp.tau, lp.r_on, cache["alpha"])
+
+
+def _step_factors(cache, t=slice(None)) -> None:
+    """Write the recurrence's _FACTORS of step t of a layer's scan, or of
+    every step (the default), into its cache: the part of the reverse scan
+    that does not depend on the output gradient, so it may be made before
+    that is known, once the scan has written step t's slots. Each is
+    elementwise, so step by step and all at once give the same bits."""
+    np.subtract(1.0, cache["k"][t], out=cache["keep"][t])
+    for gate in "ofi":
+        np.subtract(1.0, cache[gate][t], out=cache[f"not_{gate}"][t])
+    for name, value in (("d_tanh_ct", cache["tanh_ct"][t]), ("d_tanh_u", cache["u"][t])):
+        square = np.multiply(value, value, out=cache[name][t])
+        np.subtract(1.0, square, out=square)
+    np.subtract(cache["h_tilde"][t], cache["h_prev"][t], out=cache["dh_dk"][t])
+    np.subtract(cache["c_tilde"][t], cache["c_prev"][t], out=cache["dc_dk"][t])
 
 
 def _layer_scan(x_proj, Wh, k, lp, ln_g, ln_b, cache=None):
@@ -630,13 +670,15 @@ def forward_batch(
 # ---------------------------------------------------------------------------
 
 
-def _layer_backward(dH, x, times, cache, params, idx, flat, dA, dX=None):
+def _layer_backward(dH, x, cache, params, idx, flat, dA, dX=None):
     """Reverse scan of layer idx, a generator. It takes the gradient w.r.t.
     each step's output h, (B, H), from the iterable dH, from step T-1 down
     to 0; it writes the step's pre-activation gradient into dA[t] (B, 4, H)
     and yields it, (B, 4H), as soon as it is computed. So a step's output
     gradient may be made from another layer's dA at a later step, and the
-    scan may wait for it.
+    scan may wait for it. It reads step t's _FACTORS from the cache, so
+    `_step_factors` must have written them by the time it reaches step t,
+    and the gate's factors (`_gate_cache`) by the end of the loop.
 
     After the last step it writes the gradients of the layer's tensors and
     of its layer norm into their stretches of `flat`, laid out as
@@ -652,10 +694,8 @@ def _layer_backward(dH, x, times, cache, params, idx, flat, dA, dX=None):
     # the layer's tensors sit side by side, W_xi first and r_on last
     out = flat[layout[f"layers.{idx}.W_xi"][0].start:layout[f"layers.{idx}.r_on"][0].stop]
     k, c_prev = cache["k"], cache["c_prev"]
-    i_g, f_g, u_g, o_g, c_tilde, tanh_ct, h_tilde = (cache[name] for name in _GATE_SLOTS)
-    # the factors that do not depend on the recurrence, for all steps
-    keep, not_o, not_f, not_i = 1.0 - k, 1.0 - o_g, 1.0 - f_g, 1.0 - i_g
-    d_tanh_ct, d_tanh_u = 1.0 - tanh_ct * tanh_ct, 1.0 - u_g * u_g
+    i_g, f_g, u_g, o_g, _, tanh_ct, _ = (cache[name] for name in _GATE_SLOTS)
+    keep, not_o, not_f, not_i, d_tanh_ct, d_tanh_u = (cache[name] for name in _FACTORS[:6])
 
     dn = np.empty((T, B, 4, H))  # pre-activation gradients of gates i, f, c, o
     dhs = np.empty((T, B, H))
@@ -682,14 +722,13 @@ def _layer_backward(dH, x, times, cache, params, idx, flat, dA, dX=None):
         dc_prev += dn[t, :, 0] * lp.w_ci
         dh_next = dh * keep[t] + da @ cache["Wh"].T
 
-    dK = dhs * (h_tilde - cache["h_prev"]) + dcs[1:] * (c_tilde - c_prev)
-    t_minus_s = times.T[:, :, None] - lp.s
+    dK = dhs * cache["dh_dk"] + dcs[1:] * cache["dc_dk"]
     # each step's row sums: w_ci, w_cf, w_co, b_i .. b_o, tau, s, r_on (the
     # order of the layer's vectors in `out`), then the layer norm's gain, bias
     per_step = np.empty((T, 12, H))
     per_step[:, 0:3] = (dn * c_prev[:, :, None]).sum(axis=1)[:, [0, 1, 3]]
     np.sum(dn, axis=1, out=per_step[:, 3:7])
-    for j, g in enumerate(_gate_backward(dK, cache["phi"], t_minus_s, lp.tau, lp.r_on, cache["alpha"])):
+    for j, g in enumerate(_gate_backward(dK, cache["gate"])):
         np.sum(g, axis=1, out=per_step[:, 7 + j])
     np.sum(dn * cache["a_hat"], axis=(1, 2), out=per_step[:, 10])
     np.sum(dn, axis=(1, 2), out=per_step[:, 11])
@@ -709,18 +748,19 @@ def _layer_backward(dH, x, times, cache, params, idx, flat, dA, dX=None):
         dX[...] = (dA_flat @ cache["Wx"].T).reshape(B, T, d)
 
 
-def _stack_backward(dH, inputs, times, caches, params, masks, flat, n):
+def _stack_backward(dH, inputs, caches, params, masks, flat, n):
     """The reverse scans of layers n-1 down to 0, each layer's gradients
-    written into `flat`, laid out as params.flat. dH is layer n-1's output
-    gradient, in the steps `_layer_backward` takes; each lower layer's is
-    the input gradient of the layer above it, times its dropout mask
-    masks[idx] unless that is None."""
+    written into `flat`, laid out as params.flat; each cache must hold its
+    backward factors (`_step_factors`, `_gate_cache`). dH is layer n-1's output gradient, in the steps
+    `_layer_backward` takes; each lower layer's is the input gradient of
+    the layer above it, times its dropout mask masks[idx] unless that is
+    None."""
     for idx in range(n - 1, -1, -1):
         x = inputs[idx]
         B, T, _ = x.shape
         dX = np.empty(x.shape) if idx else None
         dA = np.empty((T, B, 4, params.hidden_size))
-        for _ in _layer_backward(dH, x, times, caches[idx], params, idx, flat, dA, dX):
+        for _ in _layer_backward(dH, x, caches[idx], params, idx, flat, dA, dX):
             pass
         if idx:
             mask = masks[idx - 1]
@@ -775,8 +815,11 @@ def backward_batch(trace: ForwardTrace, grad_logits: np.ndarray) -> Gradients:
     params = trace.params
     grads = _gradients_over(params, np.empty_like(params.flat))
     dH = _output_backward(trace.hidden, gl, params.W_out, grads)
+    for cache, lp in zip(trace.caches, params.layers):
+        _step_factors(cache)
+        _gate_cache(cache, lp, trace.times)
     _stack_backward(
-        dH.swapaxes(0, 1)[::-1], trace.layer_inputs, trace.times, trace.caches, params, trace.dropout_masks,
+        dH.swapaxes(0, 1)[::-1], trace.layer_inputs, trace.caches, params, trace.dropout_masks,
         grads.flat, params.n_layers,
     )
     return grads

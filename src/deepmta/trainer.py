@@ -9,21 +9,40 @@ the second. The first stage also makes the two products that link them,
 one per step: the top layer's input projection and its input gradient. On
 two processes (`train(workers=2)`) the first stage runs in the calling
 process and the second in a helper forked at the start of `train`; each
-writes its layers' gradients into one flat gradient in shared memory. On
-one process the same stages run one after the other. Either way every
-operation keeps the operands and order of `forward_batch` and
-`backward_batch`, so the parameters come out bit for bit the same. That
-holds only where the per-step products equal the rows of the one product
-over all B * T rows that those two make, which a BLAS may break by picking
-its kernel by the row count; `_per_step_products_match` checks each batch
-shape once, and a batch of a shape that fails runs through `forward_batch`
-and `backward_batch` in the calling process, as does every batch of a
-one-layer model, which has no first stage.
+writes its layers' gradients into one flat gradient in shared memory.
+
+Each process also does the rest of the step for the tensors it owns. It
+sums the squares of its gradients, tensor by tensor; the caller adds those
+sums in `grads` order, the helper's first, for the clip norm. Then each
+process clips, applies momentum, steps and clamps its own tensors: the
+helper the top layer's recurrent weights, vectors and gate timing, its
+layer norm and the output projection, the caller the rest, the top layer's
+input weights among them, since its next step's first projection reads
+them. The backward's factors that depend only on the forward are made in
+the waits: the caller makes the lower layers' while it waits for the loss,
+then reads the next batch and draws its dropout masks, and makes their time
+gates' factors while it waits for the top layer's first input gradient; the
+helper makes the top layer's gate factors before its first input arrives
+and each step's recurrence factors just before that step's backward.
+After each epoch the two processes score the validation batches between
+them (`_eval_owners`).
+
+On one process the same functions run one after the other. Either way
+every operation keeps the operands and order of `forward_batch`,
+`backward_batch` and one clip and update of the whole flat vector, so the
+parameters and the loss history come out bit for bit the same. That holds
+only where the per-step products equal the rows of the one product over all
+B * T rows that forward_batch and backward_batch make, which a BLAS may
+break by picking its kernel by the row count; `_per_step_products_match`
+checks each batch shape once, and a batch of a shape that fails runs
+through `forward_batch` and `backward_batch` in the calling process, as
+does every batch of a one-layer model, which has no first stage.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 import mmap
 import os
@@ -40,16 +59,16 @@ import numpy as np
 from .errors import (
     ConfigError,
     EvaluationError,
-    SequenceLengthError,
     TrainingDivergedError,
     ValidationError,
-    VocabularyError,
     WorkerError,
 )
-from .journey import CustomerJourney, JourneyTable, Vocabulary, encode_journey
+from .journey import CustomerJourney, JourneyTable, Vocabulary, encode_journey, journey_table
 from .model import (
+    LAYER_TENSOR_FIELDS,
     Gradients,
     ModelParams,
+    _gate_cache,
     _dropout_draws,
     _gradients_over,
     _layer_backward,
@@ -59,6 +78,7 @@ from .model import (
     _stack_backward,
     _stack_scan,
     _stacked_weights,
+    _step_factors,
     backward_batch,
     clamp_gate_timing,
     forward_batch,
@@ -166,32 +186,20 @@ class TrainResult:
     val_losses: list[float]
 
 
-def _encoded(journeys: Iterable[CustomerJourney], vocab: Vocabulary):
-    """encode_journey of each journey. An encoding error (an unknown token,
-    too many events) is raised after the last journey is read, so that a
-    fault in a later record of a file, found as it is read, is reported
-    first, as when the whole file is read before any journey is encoded."""
-    failed = None
-    for journey in journeys:
-        if failed is None:
-            try:
-                encoded = encode_journey(journey, vocab)
-            except (VocabularyError, SequenceLengthError) as exc:
-                failed = exc
-                continue
-            yield encoded
-    if failed is not None:
-        raise failed
+def _chunks(table: JourneyTable, order: np.ndarray, size: int):
+    """The indices of each batch of `_batches`, in its order."""
+    order = np.asarray(order, dtype=np.int64)
+    order = order[np.argsort(table.lengths[order], kind="stable")]
+    for bucket in np.split(order, np.flatnonzero(np.diff(table.lengths[order])) + 1):
+        for start in range(0, len(bucket), size):
+            yield bucket[start:start + size]
 
 
-def journey_table(journeys: Iterable[CustomerJourney] | JourneyTable, vocab: Vocabulary) -> JourneyTable:
-    """The journeys as one JourneyTable, filled in one pass over any iterable
-    (a list, a generator, a file read line by line): each journey is encoded
-    by encode_journey as a one-journey table, copied into the table and
-    dropped. A table is returned as it is."""
-    if isinstance(journeys, JourneyTable):
-        return journeys
-    return JourneyTable.from_encoded(_encoded(journeys, vocab), vocab.encoding_dim)
+def _gather(table: JourneyTable, chunk: np.ndarray):
+    """The rows of the journeys of `chunk`, all of one length: (features,
+    times, labels), shaped (batch, length, ...)."""
+    rows = table.starts[chunk, None] + np.arange(table.lengths[chunk[0]])
+    return table.features[rows], table.times[rows], table.labels[rows]
 
 
 def _batches(table: JourneyTable, order: np.ndarray, size: int):
@@ -199,25 +207,40 @@ def _batches(table: JourneyTable, order: np.ndarray, size: int):
     within a length and at most `size` per batch, so batches never pad:
     yields (chunk, features, times, labels) with the chunk's indices and its
     rows gathered from the table, shaped (batch, length, ...)."""
-    order = np.asarray(order, dtype=np.int64)
-    order = order[np.argsort(table.lengths[order], kind="stable")]
-    for bucket in np.split(order, np.flatnonzero(np.diff(table.lengths[order])) + 1):
-        for start in range(0, len(bucket), size):
-            chunk = bucket[start:start + size]
-            rows = table.starts[chunk, None] + np.arange(table.lengths[chunk[0]])
-            yield chunk, table.features[rows], table.times[rows], table.labels[rows]
+    for chunk in _chunks(table, order, size):
+        yield chunk, *_gather(table, chunk)
+
+
+def _batch_losses(table: JourneyTable, chunks: list[np.ndarray], params: ModelParams, totals, which) -> None:
+    """totals[i] = the summed per-journey loss at inference of the journeys
+    of chunks[i], for each i in `which`."""
+    for i in which:
+        feats, times, labels = _gather(table, chunks[i])
+        logits = forward_batch(feats, times, params, training=False)[0]
+        ce, _ = _step_cross_entropy(logits, labels)
+        totals[i] = ce.mean(axis=1).sum()
+
+
+def _ordered_sum(values) -> float:
+    """The values added one at a time, left to right, from 0.0, as a loop
+    over them adds them: the order that fixes the bits of a validation loss
+    and of the clip norm, however their terms were made. (From Python 3.12
+    the built-in sum compensates float rounding.)"""
+    total = 0.0
+    for value in values:
+        total += float(value)
+    return total
 
 
 def _dataset_loss(table: JourneyTable, idxs: np.ndarray, params: ModelParams) -> float:
-    """Mean per-journey loss at inference over the given indices."""
+    """Mean per-journey loss at inference over the given indices, in
+    batches of EVAL_BATCH journeys."""
     if len(idxs) == 0:
         return float("nan")
-    total = 0.0
-    for _, feats, times, labels in _batches(table, idxs, EVAL_BATCH):
-        logits = forward_batch(feats, times, params, training=False)[0]
-        ce, _ = _step_cross_entropy(logits, labels)
-        total += float(ce.mean(axis=1).sum())
-    return total / len(idxs)
+    chunks = list(_chunks(table, idxs, EVAL_BATCH))
+    totals = np.empty(len(chunks))
+    _batch_losses(table, chunks, params, totals, range(len(chunks)))
+    return _ordered_sum(totals) / len(idxs)
 
 
 def _train_val_split(n: int, fraction: float, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
@@ -227,20 +250,6 @@ def _train_val_split(n: int, fraction: float, rng: np.random.Generator) -> tuple
     if fraction > 0 and n_val == 0 and n >= 2:
         n_val = 1
     return perm[n_val:], perm[:n_val]
-
-
-def _clip_gradients(grads: Gradients, layout: dict[str, tuple[slice, tuple[int, ...]]], max_norm: float) -> float:
-    """Scale the flat gradient in place to norm <= max_norm; returns the norm
-    before clipping. Its square adds np.sum(g * g) of each tensor, in `grads`
-    order: one dot product over the vector would round differently."""
-    squares = np.square(grads.flat)
-    sq = 0.0
-    for name in grads:
-        sq += float(squares[layout[name][0]].sum())
-    norm = float(np.sqrt(sq))
-    if norm > max_norm:
-        grads.flat *= max_norm / norm
-    return norm
 
 
 # ---------------------------------------------------------------------------
@@ -290,6 +299,40 @@ def _view(vector: np.ndarray, *shape: int) -> np.ndarray:
     return vector[:math.prod(shape)].reshape(shape)
 
 
+def _span(layout: dict, first: str, last: str) -> slice:
+    """The stretch of the flat vector from tensor `first` to tensor `last`."""
+    return slice(layout[first][0].start, layout[last][0].stop)
+
+
+# W_out, b_out, the top layer's tensors and its layer norm lead `grads`
+_TOP_TENSORS = 4 + len(LAYER_TENSOR_FIELDS)
+
+
+def _square_sums(grads: Gradients, which: Iterable[int], sums: np.ndarray) -> None:
+    """sums[i] = the sum of squares of the i-th gradient in `grads` order,
+    for each i in `which`: the terms of the clip norm's square."""
+    views = list(grads.values())
+    for i in which:
+        sums[i] = np.square(views[i].ravel()).sum()
+
+
+def _sgd_update(params: ModelParams, grads: Gradients, velocity, parts, norm: float, learning_rate: float) -> None:
+    """The clip to GRAD_CLIP_NORM, the momentum (unless velocity is None)
+    and the SGD step, over the stretches `parts` of the flat gradient,
+    velocity and parameters. Each is elementwise, so any split of the
+    vector gives the bits of one pass over it."""
+    for part in parts:
+        g = grads.flat[part]
+        if norm > GRAD_CLIP_NORM:
+            g *= GRAD_CLIP_NORM / norm
+        if velocity is not None:
+            v = velocity[part]
+            v *= MOMENTUM
+            v += g
+            g = v
+        params.flat[part] -= learning_rate * g
+
+
 def _lower_forward(params, feats, times, masks, shared, handoff):
     """The first stage's forward: the layers below the top one over the
     batch (`_stack_scan`), the last of them one step at a time. After its
@@ -316,10 +359,14 @@ def _lower_forward(params, feats, times, masks, shared, handoff):
 def _top_step(params, shared, grads, wait, handoff) -> None:
     """The second stage's part of an SGD step: the top layer, whose step t
     input projection proj[t] is read after wait(), the logits, and the loss,
-    written into meta[2] before a handoff(). If the loss is finite, then
-    the output projection's gradients and the top layer's reverse scan,
-    which writes dA[t] and calls handoff() after each step t, and one more
-    handoff() once every gradient of the stage is written into grads."""
+    written into meta[2] before a handoff(). The layer's gate factors are
+    made before the first wait. If the loss is finite, then the output
+    projection's gradients and the top layer's reverse scan, which makes
+    step t's recurrence factors, writes dA[t] and calls handoff() for each
+    step t, and one more handoff() once every gradient of the stage is
+    written into grads and its square sums into sums. (In the forward the
+    stage keeps pace with the first and hardly waits, so the recurrence
+    factors made there would delay the loss.)"""
     B, T = int(shared["meta"][0]), int(shared["meta"][1])
     H = params.hidden_size
     times, labels = _view(shared["times"], B, T), _view(shared["labels"], B, T)
@@ -327,6 +374,7 @@ def _top_step(params, shared, grads, wait, handoff) -> None:
     top = params.n_layers - 1
     lp = params.layers[top]
     _, Wh, k, cache = _layer_setup(times, lp, params.alpha, True)
+    _gate_cache(cache, lp, times)
 
     def steps():
         for t in range(T):
@@ -340,9 +388,16 @@ def _top_step(params, shared, grads, wait, handoff) -> None:
     if not np.isfinite(shared["meta"][2]):
         return
     dH = _output_backward(hidden, grad_logits, params.W_out, grads)
+
+    def upstream():
+        for t in range(T - 1, -1, -1):
+            _step_factors(cache, t)
+            yield dH[:, t]
+
     top_in, dA = _view(shared["top_in"], B, T, H), _view(shared["dA"], T, B, 4, H)
-    for _ in _layer_backward(dH.swapaxes(0, 1)[::-1], top_in, times, cache, params, top, grads.flat, dA):
+    for _ in _layer_backward(upstream(), top_in, cache, params, top, grads.flat, dA):
         handoff()
+    _square_sums(grads, range(_TOP_TENSORS), shared["sums"])
     handoff()
 
 
@@ -361,30 +416,91 @@ def _lower_backward(params, inputs, times, caches, masks, Wx, shared, flat, wait
             dX = dA[t] @ Wx.T
             yield dX * mask[:, t] if mask is not None else dX
 
-    _stack_backward(steps(), inputs, times, caches, params, masks, flat, params.n_layers - 1)
+    _stack_backward(steps(), inputs, caches, params, masks, flat, params.n_layers - 1)
+
+
+# the commands that start the helper's part of an SGD step or of a
+# validation pass; every other byte on the pipes is a plain handoff
+_STEP, _VALIDATE = b"s", b"v"
+
+
+class _Lookahead:
+    """An iterator whose next item may be read early, by fetch()."""
+
+    def __init__(self, items: Iterable):
+        self.items, self.ahead = iter(items), []
+
+    def fetch(self) -> None:
+        if not self.ahead:
+            self.ahead.extend(itertools.islice(self.items, 1))
+
+    def __iter__(self) -> "_Lookahead":
+        return self
+
+    def __next__(self):
+        self.fetch()
+        if not self.ahead:
+            raise StopIteration
+        return self.ahead.pop()
+
+
+def _eval_owners(table: JourneyTable, chunks: list[np.ndarray]) -> list[int]:
+    """Which of two processes, 0 or 1, scores each eval batch: the largest
+    in rows times steps first, each onto the one with the fewer row-steps
+    so far (0 on a tie)."""
+    owners, loads = [0] * len(chunks), [0, 0]
+    costs = [len(chunk) * int(table.lengths[chunk[0]]) for chunk in chunks]
+    for i in sorted(range(len(chunks)), key=lambda i: -costs[i]):
+        owners[i] = loads.index(min(loads))
+        loads[owners[i]] += costs[i]
+    return owners
 
 
 class _Wavefront:
-    """The SGD steps of one `train` run, and, on two processes, their
-    helper. When it is made, the parameters move into shared memory, next
-    to the flat gradient and the stages' exchange arrays, sized for batches
-    of up to `rows` journeys of up to `steps` events. On entry the helper
-    is forked, so it holds them all from the start. The two processes hand
-    each other one byte over a pipe per event of the schedule: the caller
-    at the start of a step and after each forward step of its stage, the
-    helper after the loss, after each backward step of its stage and at its
-    end. The helper is joined on every exit, killed first on an error."""
+    """The SGD steps and validation passes of one `train` run, and, on two
+    processes, their helper. When it is made, the parameters and the
+    momentum velocity move into shared memory, next to the flat gradient,
+    the stages' exchange arrays (sized for batches of up to
+    cfg.batch_size journeys of up to the table's longest length), the clip
+    norm's per-tensor square sums and the validation batches' losses. On
+    entry the helper is forked, so it holds them all, the table and the
+    validation indices from the start.
 
-    def __init__(self, params: ModelParams, rows: int, steps: int, processes: int):
-        H, n = params.hidden_size, rows * steps
-        self.params = params
+    The two processes hand each other one byte over a pipe per event of
+    the schedule. The caller sends a command (_STEP, _VALIDATE) to start
+    each of the helper's parts, a byte after each forward step of its stage
+    and one once the clip norm is in meta[3]; the helper sends one after
+    the loss, after each backward step of its stage, at the end of its
+    backward, at the end of its update and at the end of its validation
+    share. A step returns after both updates, so the caller reads the
+    helper's tensors only after their update. The helper is joined on every
+    exit, killed first on an error."""
+
+    def __init__(self, params: ModelParams, cfg: TrainConfig, table: JourneyTable, val_idx: np.ndarray, processes: int):
+        H, n = params.hidden_size, cfg.batch_size * int(table.lengths.max())
+        momentum = cfg.optimizer == "sgd_momentum"
+        self.params, self.table, self.processes = params, table, processes
+        self.learning_rate = cfg.learning_rate
+        self.frozen_row = None if cfg.use_time_feature else params.input_dim - 1
+        self.val_idx = val_idx
+        self.val_chunks = list(_chunks(table, val_idx, EVAL_BATCH))
+        self.val_owners = _eval_owners(table, self.val_chunks)
         self.shared = _shared_arrays({
-            "params": params.flat.size, "grads": params.flat.size, "top_in": n * H, "proj": n * 4 * H,
-            "dA": n * 4 * H, "times": n, "labels": n, "meta": 3,
+            "params": params.flat.size, "grads": params.flat.size, "velocity": params.flat.size if momentum else 0,
+            "top_in": n * H, "proj": n * 4 * H, "dA": n * 4 * H, "times": n, "labels": n, "meta": 4,
+            "sums": len(params.layout), "val": len(self.val_chunks),
         })
         params.move_to(self.shared["params"])
+        self.velocity = self.shared["velocity"] if momentum else None
         self.grads = _gradients_over(params, self.shared["grads"])
-        self.processes = processes
+        top, layout = params.n_layers - 1, params.layout
+        # the stretches of the flat vectors each process updates: the caller's, the helper's
+        self.parts = [slice(None)], []
+        if top:
+            self.parts = (
+                [_span(layout, "layers.0.W_xi", f"layers.{top}.W_xo"), _span(layout, "ln.0.gain", f"ln.{top - 1}.bias")],
+                [_span(layout, f"layers.{top}.W_hi", f"layers.{top}.r_on"), _span(layout, f"ln.{top}.gain", "b_out")],
+            )
         self.pid = None
 
     def __enter__(self) -> "_Wavefront":
@@ -410,21 +526,30 @@ class _Wavefront:
         return self
 
     def _helper(self, recv_fd: int, send_fd: int) -> int:
-        """The helper process's loop: the second stage of each step the
-        caller starts, until the caller closes its pipe. Returns the exit
-        status: 0, or 1 after an error, which it names on stderr (an
-        interrupt exits 1 as well)."""
-        def wait():
-            if not os.read(recv_fd, 1):
+        """The helper process's loop: its part of each step or validation
+        pass the caller starts, until the caller closes its pipe. Returns
+        the exit status: 0, or 1 after an error, which it names on stderr
+        (an interrupt exits 1 as well)."""
+        def wait() -> bytes:
+            command = os.read(recv_fd, 1)
+            if not command:
                 raise EOFError
+            return command
 
         def handoff():
             os.write(send_fd, b"\0")
 
         try:
             while True:
-                wait()
+                if wait() == _VALIDATE:
+                    self._score_validation(1)
+                    handoff()
+                    continue
                 _top_step(self.params, self.shared, self.grads, wait, handoff)
+                if np.isfinite(self.shared["meta"][2]):
+                    wait()  # the norm
+                    self._update(1)
+                    handoff()
         except (EOFError, BrokenPipeError):  # the caller is done, or gone
             return 0
         except Exception as exc:  # named here; the caller sees the pipe close and exits 4
@@ -438,10 +563,10 @@ class _Wavefront:
             f"the training helper process ended with exit status {os.waitstatus_to_exitcode(status)} mid-step"
         )
 
-    def _send(self) -> None:
+    def _send(self, command: bytes = b"\0") -> None:
         if self.pid is not None:
             try:
-                os.write(self.send_fd, b"\0")
+                os.write(self.send_fd, command)
             except BrokenPipeError:
                 raise self._died() from None
 
@@ -459,31 +584,120 @@ class _Wavefront:
                 os.waitpid(self.pid, 0)
                 self.pid = None
 
-    def step(self, feats, times, labels, masks) -> tuple[float, Gradients | None]:
-        """One SGD step's loss and gradients, or the loss and None where it
-        is not finite (the run then ends: the helper's stage stops at the
-        loss). masks are the dropout masks of the layers below the top one,
-        None where there is no dropout."""
-        params, shared = self.params, self.shared
+    def _update(self, owner: int) -> None:
+        """The clip, momentum and SGD step and the gate clamp of the tensors
+        of one process (0 the caller, 1 the helper), by the norm in meta[3]."""
+        params = self.params
+        norm = float(self.shared["meta"][3])
+        _sgd_update(params, self.grads, self.velocity, self.parts[owner], norm, self.learning_rate)
+        top = params.n_layers - 1
+        clamp_gate_timing(params, [top] if owner else range(top))
+
+    def _score_validation(self, owner: int) -> None:
+        which = [i for i, o in enumerate(self.val_owners) if o == owner]
+        _batch_losses(self.table, self.val_chunks, self.params, self.shared["val"], which)
+
+    def validation_loss(self) -> float:
+        """`_dataset_loss` of the validation indices; on two processes each
+        scores its share of the batches (`_eval_owners`), and the batches'
+        losses are added in batch order."""
+        if self.pid is None or not len(self.val_idx):
+            return _dataset_loss(self.table, self.val_idx, self.params)
+        self._send(_VALIDATE)
+        self._score_validation(0)
+        self._wait()
+        return _ordered_sum(self.shared["val"]) / len(self.val_idx)
+
+    def _freeze(self) -> None:
+        """Zero the gradient of layer 0's input weights on the hour-offset
+        column where that input is ablated."""
+        if self.frozen_row is not None:
+            for gate in "ifco":
+                self.grads[f"layers.0.W_x{gate}"][self.frozen_row] = 0.0
+
+    def step(self, feats, times, labels, masks, while_waiting: Callable[[], None] | None = None):
+        """One SGD step: the loss and the gradients, the clip, the momentum
+        and SGD update and the gate clamp. Returns the loss and the
+        gradient's norm before clipping, or the loss and None where the loss
+        is not finite (the run then ends: nothing is updated, and the
+        helper's stage stops at the loss). masks are the dropout masks of
+        the layers below the top one, None where there is no dropout.
+        while_waiting, if given, is called once while the caller waits for
+        the loss: the next batch is read there. A batch of a shape that
+        fails `_per_step_products_match`, and every batch of a one-layer
+        model, runs through forward_batch and backward_batch and is updated
+        in the calling process."""
+        params, shared, grads = self.params, self.shared, self.grads
+        sums = shared["sums"]
         B, T = times.shape
-        if params.n_layers < 2 or not _per_step_products_match(B, T, params.hidden_size):
+        pipelined = params.n_layers > 1 and _per_step_products_match(B, T, params.hidden_size)
+        if pipelined:
+            loss = self._wavefront(feats, times, labels, masks, while_waiting)
+        else:
             logits, trace = forward_batch(feats, times, params, training=True, dropout_masks=masks)
             loss, grad_logits = _loss_and_grad_batch(logits, labels)
-            return loss, backward_batch(trace, grad_logits) if np.isfinite(loss) else None
+            if while_waiting is not None:
+                while_waiting()
+            if np.isfinite(loss):
+                grads.flat[...] = backward_batch(trace, grad_logits).flat
+                self._freeze()
+                _square_sums(grads, range(len(grads)), sums)
+        if not np.isfinite(loss):
+            return loss, None
+        # the clip norm: the square sums added in `grads` order, one tensor
+        # at a time (one dot product over the vector would round differently)
+        shared["meta"][3] = norm = float(np.sqrt(_ordered_sum(sums)))
+        helper = pipelined and self.pid is not None
+        if helper:
+            self._send()
+        else:
+            self._update(1)
+        self._update(0)
+        if helper:
+            self._wait()
+        return loss, norm
+
+    def _wavefront(self, feats, times, labels, masks, while_waiting) -> float:
+        """The loss and the gradients of a step, its second stage on the
+        helper (or after the first stage's forward on one process), and the
+        square sums of the caller's gradients, once the helper's are in."""
+        params, shared, grads = self.params, self.shared, self.grads
+        B, T = times.shape
         _view(shared["times"], B, T)[...] = times
         _view(shared["labels"], B, T)[...] = labels
         shared["meta"][:2] = B, T
-        self._send()
+        self._send(_STEP)
         inputs, caches, Wx = _lower_forward(params, feats, times, masks, shared, self._send)
         if self.pid is None:  # one process: the second stage runs here, and _wait and _send do nothing
-            _top_step(params, shared, self.grads, self._wait, self._send)
+            _top_step(params, shared, grads, self._wait, self._send)
+        # the lower layers' backward factors and the next batch while the
+        # helper ends its forward, their gates' while it starts its backward
+        for cache in caches:
+            _step_factors(cache)
+        if while_waiting is not None:
+            while_waiting()
         self._wait()
         loss = float(shared["meta"][2])
         if not np.isfinite(loss):
-            return loss, None
-        _lower_backward(params, inputs, times, caches, masks, Wx, shared, self.grads.flat, self._wait)
+            return loss
+        for cache, lp in zip(caches, params.layers):
+            _gate_cache(cache, lp, times)
+        _lower_backward(params, inputs, times, caches, masks, Wx, shared, grads.flat, self._wait)
+        self._freeze()
+        _square_sums(grads, range(_TOP_TENSORS, len(grads)), shared["sums"])
         self._wait()
-        return loss, self.grads
+        return loss
+
+
+def _drawn_batches(table: JourneyTable, order: np.ndarray, cfg: TrainConfig, rng: np.random.Generator):
+    """The `_batches` of `order`, each with the dropout masks of the layers
+    below the top one, drawn from rng as the batch is read: the masks
+    forward_batch would draw, in its order (None without dropout)."""
+    n_lower = cfg.n_layers - 1
+    for chunk, feats, times, labels in _batches(table, order, cfg.batch_size):
+        shape = (*times.shape, cfg.hidden_size)
+        masks = _dropout_draws(rng, shape, cfg.dropout_p, n_lower) if cfg.dropout_p > 0 else [None] * n_lower
+        yield chunk, feats, times, labels, masks
 
 
 def train(
@@ -529,45 +743,32 @@ def train(
         r_on_init=cfg.r_on_init,
         time_feature_index=time_idx if cfg.use_time_feature else None,
     )
-    frozen_rows = ()
     if not cfg.use_time_feature:
-        frozen_rows = ("layers.0.W_xi", "layers.0.W_xf", "layers.0.W_xc", "layers.0.W_xo")
         for name in ("W_xi", "W_xf", "W_xc", "W_xo"):
             getattr(params.layers[0], name)[time_idx, :] = 0.0
-    velocity = np.zeros_like(params.flat) if cfg.optimizer == "sgd_momentum" else None
-    n_lower = cfg.n_layers - 1
 
     train_losses: list[float] = []
     val_losses: list[float] = []
     processes = 2 if workers >= 2 and cfg.n_layers >= 2 and hasattr(os, "fork") else 1
-    with _Wavefront(params, cfg.batch_size, int(table.lengths.max()), processes) as wavefront:
+    with _Wavefront(params, cfg, table, val_idx, processes) as wavefront:
         if on_start is not None:
             on_start(processes)
         for epoch in range(cfg.epochs):
             start = time.perf_counter()
             order = train_idx[rng.permutation(len(train_idx))]
+            batches = _Lookahead(_drawn_batches(table, order, cfg, rng))
             epoch_loss = 0.0
             n_journeys_seen = 0
             norms = []
-            for step, (chunk, feats, times, labels) in enumerate(_batches(table, order, cfg.batch_size)):
-                # the masks forward_batch would draw, in its order
-                shape = (*times.shape, cfg.hidden_size)
-                masks = _dropout_draws(rng, shape, cfg.dropout_p, n_lower) if cfg.dropout_p > 0 else [None] * n_lower
-                batch_loss, grads = wavefront.step(feats, times, labels, masks)
-                if grads is None:
+            for step, (chunk, feats, times, labels, masks) in enumerate(batches):
+                batch_loss, norm = wavefront.step(feats, times, labels, masks, batches.fetch)
+                if norm is None:
                     raise TrainingDivergedError(epoch, step)
-                for name in frozen_rows:
-                    grads[name][time_idx, :] = 0.0
-                norms.append(_clip_gradients(grads, params.layout, GRAD_CLIP_NORM))
-                if velocity is not None:
-                    velocity *= MOMENTUM
-                    velocity += grads.flat
-                params.flat -= cfg.learning_rate * (grads.flat if velocity is None else velocity)
-                clamp_gate_timing(params)
+                norms.append(norm)
                 epoch_loss += batch_loss * len(chunk)
                 n_journeys_seen += len(chunk)
             train_losses.append(epoch_loss / n_journeys_seen)
-            val_losses.append(_dataset_loss(table, val_idx, params))
+            val_losses.append(wavefront.validation_loss())
             clipped = sum(norm > GRAD_CLIP_NORM for norm in norms) / len(norms)
             print(f"epoch={epoch} train_loss={train_losses[-1]:.6g} val_loss={val_losses[-1]:.6g} "
                   f"seconds={time.perf_counter() - start:.3f} grad_norm_mean={np.mean(norms):.6g} "

@@ -55,6 +55,32 @@ def time_gate(t, tau, s, r_on, alpha):
     return float(k) if np.ndim(k) == 0 else k
 
 
+def gate_backward(dk, phi, t_minus_s, tau, r_on, alpha):
+    """Per-element gradients of k w.r.t. tau, s, r_on in one part: the
+    readable oracle of the package's `_gate_factors` and `_gate_backward`.
+
+    The branch break points (phi exactly 0, r_on/2, or r_on) take
+    subgradient 0. phi is treated as locally linear in tau and s, which holds
+    away from the wrap point of the modulo.
+    """
+    rise = phi < 0.5 * r_on
+    fall = (~rise) & (phi < r_on)
+    dk_dphi = np.where(rise, 2.0 / r_on, np.where(fall, -2.0 / r_on, alpha))
+    dk_dron = np.where(
+        rise,
+        -2.0 * phi / (r_on * r_on),
+        np.where(fall, 2.0 * phi / (r_on * r_on), 0.0),
+    )
+    breakpoint_mask = (phi == 0.0) | (phi == 0.5 * r_on) | (phi == r_on)
+    dk_dphi = np.where(breakpoint_mask, 0.0, dk_dphi)
+    dk_dron = np.where(breakpoint_mask, 0.0, dk_dron)
+    g = dk * dk_dphi
+    d_tau = g * (-t_minus_s / (tau * tau))
+    d_s = g * (-1.0 / tau)
+    d_ron = dk * dk_dron
+    return d_tau, d_s, d_ron
+
+
 def layer_norm(a: np.ndarray, gain: np.ndarray, bias: np.ndarray, eps: float = LN_EPS) -> np.ndarray:
     """gain * (a - mean) / sqrt(var + eps) + bias over the last axis."""
     a = np.asarray(a, dtype=np.float64)
@@ -135,6 +161,14 @@ def cell_forward(
 # ---------------------------------------------------------------------------
 # trainer
 # ---------------------------------------------------------------------------
+
+
+def concatenated_tables(tables: list[JourneyTable]) -> JourneyTable:
+    """The journeys of `tables` in one table, column by column."""
+    return JourneyTable(
+        features=np.concatenate([t.features for t in tables]), times=np.concatenate([t.times for t in tables]),
+        labels=np.concatenate([t.labels for t in tables]), lengths=np.concatenate([t.lengths for t in tables]),
+    )
 
 
 def stacked_batches(encoded: list[JourneyTable], order, size: int):

@@ -38,7 +38,7 @@ from deepmta.attribution import (
     save_attributions,
 )
 from deepmta.errors import ConfigError, DimensionError, NumericError, ValidationError
-from deepmta.journey import ClickEvent, CustomerJourney, JourneyTable, Vocabulary, encode_journey
+from deepmta.journey import ClickEvent, CustomerJourney, Vocabulary, encode_journey, journey_table
 from deepmta.model import LAYER_TENSOR_FIELDS, ModelParams, PhasedLstmLayerParams, forward_batch, init_params
 from deepmta.trainer import softmax
 from reference import masked_accuracy, shapley_exact, shapley_sampled
@@ -187,7 +187,7 @@ class TestMaskedAccuracy:
         with pytest.raises(DimensionError):
             masked_accuracy(self.params, enc, np.ones(3))
         # a table of two journeys is not one journey's game
-        two = JourneyTable.from_encoded([enc, enc], VOCAB.encoding_dim)
+        two = journey_table([make_journey(["A", "B"], converted=False)] * 2, VOCAB)
         with pytest.raises(DimensionError, match="of one journey, got .* of 2 journeys"):
             masked_accuracy_batch(self.params, two, np.ones((1, len(two.times))))
 
@@ -628,8 +628,7 @@ def live_prefix_steps(rows):
 
 def encoded_table(journeys):
     """Each journey's one-journey table and the table of them all."""
-    encs = [encode_journey(j, VOCAB) for j in journeys]
-    return encs, JourneyTable.from_encoded(encs, VOCAB.encoding_dim)
+    return [encode_journey(j, VOCAB) for j in journeys], journey_table(journeys, VOCAB)
 
 
 def scan_block(params, table, pieces, dtype=np.float32):

@@ -15,10 +15,14 @@ from deepmta.errors import (
 from deepmta.journey import JourneyTable, Vocabulary
 from deepmta.model import (
     _GATE_SLOTS,
+    _FACTORS,
     LAYER_TENSOR_FIELDS,
     ModelParams,
     PhasedLstmLayerParams,
     _gate_backward,
+    _gate_factors,
+    _gate_forward,
+    _step_factors,
     backward_batch,
     cell_step,
     forward_batch,
@@ -29,7 +33,7 @@ from deepmta.model import (
     _layer_forward,
 )
 from deepmta.trainer import softmax
-from reference import cell_forward, dropout, layer_norm, time_gate
+from reference import cell_forward, dropout, gate_backward, layer_norm, time_gate
 
 
 def random_layer(rng, d, H, scale=0.4):
@@ -102,6 +106,54 @@ class TestTimeGate:
             time_gate(1.0, 1.0, 0.0, 1.5, 0.0)
         with pytest.raises(ParameterError):
             time_gate(1.0, 1.0, 0.0, 0.5, -0.1)
+
+
+class TestGateBackwardInTwoParts:
+    """`_gate_factors` and `_gate_backward` against the one-part formulas of
+    tests/reference.py, bit for bit."""
+
+    @pytest.mark.parametrize("alpha", (0.0, 1e-3))
+    def test_equals_the_one_part_formulas(self, alpha):
+        rng = np.random.default_rng(20)
+        T, B, H = 4, 9, 16
+        tau = np.exp(rng.uniform(0, np.log(50), H))
+        s = tau * rng.random(H)
+        r_on = rng.uniform(0.01, 0.99, H)
+        times = np.cumsum(rng.uniform(0, 12, (B, T)), axis=1)
+        _, phi = _gate_forward(times.T[:, :, None], tau, s, r_on, alpha)
+        # the branch break points, where the subgradient is 0
+        phi[0, 0] = 0.0
+        phi[1, 0] = 0.5 * r_on
+        phi[2, 0] = r_on
+        t_minus_s = times.T[:, :, None] - s
+        dk = rng.normal(0, 1, (T, B, H))
+        expected = gate_backward(dk, phi, t_minus_s, tau, r_on, alpha)
+        factors = _gate_factors(phi, t_minus_s, tau, r_on, alpha)
+        for got, want in zip(_gate_backward(dk, factors), expected):
+            assert got.tobytes() == want.tobytes()
+        # one step at a time, as a process may make them
+        for t in range(T):
+            step = _gate_factors(phi[t], t_minus_s[t], tau, r_on, alpha)
+            for got, want in zip(_gate_backward(dk[t], step), expected):
+                assert got.tobytes() == want[t].tobytes()
+        assert np.count_nonzero(expected[2][:3, 0]) == 0
+
+    def test_step_factors_one_step_at_a_time(self):
+        # _step_factors of each step equals those of every step at once
+        rng = np.random.default_rng(21)
+        params = random_model(rng, 5, 8, 1)
+        x = rng.normal(0, 1, (6, 4, 5))
+        times = np.cumsum(rng.uniform(0, 12, (6, 4)), axis=1)
+        _, trace = forward_batch(x, times, params, training=True)
+        cache = trace.caches[0]
+        _step_factors(cache)
+        whole = {name: cache[name].copy() for name in _FACTORS}
+        for name in _FACTORS:
+            cache[name][...] = np.nan
+        for t in range(4):
+            _step_factors(cache, t)
+        for name in _FACTORS:
+            assert cache[name].tobytes() == whole[name].tobytes(), name
 
 
 class TestCellForward:
@@ -555,7 +607,7 @@ def reference_layer_backward(dH, x, times, cache, lp, ln_g):
     # the gate's gradients for all steps at once, summed in reverse t order
     # as the loop above adds its sums
     t_minus_s = times.T[:, :, None] - lp.s
-    g_tau, g_s, g_ron = _gate_backward(dK, cache["phi"], t_minus_s, lp.tau, lp.r_on, cache["alpha"])
+    g_tau, g_s, g_ron = gate_backward(dK, cache["phi"], t_minus_s, lp.tau, lp.r_on, cache["alpha"])
     for t in range(T - 1, -1, -1):
         acc["tau"] += g_tau[t].sum(axis=0)
         acc["s"] += g_s[t].sum(axis=0)

@@ -36,7 +36,7 @@ from deepmta.trainer import (
     softmax,
     train,
 )
-from reference import stacked_batches
+from reference import concatenated_tables, stacked_batches
 from test_attribution import assert_no_child_left
 
 LN_HALF = 0.6931471805599453
@@ -391,25 +391,110 @@ class TestWavefront:
             train(journeys[:20], vocab, TrainConfig(hidden_size=4, epochs=1), workers=0)
 
     @pytest.mark.parametrize("processes", (1, 2))
-    def test_step_equals_forward_and_backward_batch(self, processes):
-        # the desk shape, and tails of a length bucket, with dropout
+    def test_step_equals_forward_and_backward_batch(self, processes, monkeypatch):
+        # the desk shape at every T in 1..4, and tails of a length bucket,
+        # with dropout: the loss, the gradients, the norm and the momentum
+        # update's parameters of forward_batch, backward_batch and the
+        # reference clip and update. The clip limit sits between the steps'
+        # norms, so some steps clip and some do not
+        monkeypatch.setattr(trainer_mod, "GRAD_CLIP_NORM", 0.5)
         rng = np.random.default_rng(5)
+        cfg = TrainConfig(hidden_size=64, optimizer="sgd_momentum", learning_rate=0.1, use_time_feature=True)
         params = init_params(7, 64, 2, dropout_p=0.5, rng=rng)
         reference = params.copy()
-        with trainer_mod._Wavefront(params, 32, 5, processes) as wavefront:
-            for B, T in ((32, 1), (32, 2), (32, 4), (9, 3), (1, 5), (2, 5)):
+        velocity = {name: np.zeros_like(arr) for name, arr in reference.named_parameters()}
+        norms = []
+        with trainer_mod._Wavefront(params, cfg, one_journey_table(5, 7), np.arange(0), processes) as wavefront:
+            for B, T in ((32, 1), (32, 2), (32, 3), (32, 4), (9, 3), (1, 5), (2, 5), (32, 4)):
                 feats = rng.normal(0, 1, (B, T, 7))
                 times = np.cumsum(rng.uniform(0, 12, (B, T)), axis=1)
                 labels = rng.integers(0, 2, (B, T))
                 masks = [(rng.random((B, T, 64)) >= 0.5) / 0.5]
                 logits, trace = forward_batch(feats, times, reference, training=True, dropout_masks=masks)
                 loss, grad_logits = _loss_and_grad_batch(logits, labels)
-                expected = backward_batch(trace, grad_logits)
-                got_loss, grads = wavefront.step(feats, times, labels, masks)
-                assert got_loss == loss
-                assert list(grads) == list(expected)
-                assert grads.flat.tobytes() == expected.flat.tobytes(), (B, T)
+                expected = dict(backward_batch(trace, grad_logits))
+                sq = 0.0  # added in order: from Python 3.12 sum() compensates rounding
+                for g in expected.values():
+                    sq += float(np.sum(g * g))
+                got_loss, norm = wavefront.step(feats, times, labels, masks)
+                assert got_loss == loss and norm == np.sqrt(sq), (B, T)
+                norms.append(norm)
+                reference_clip_gradients(expected, trainer_mod.GRAD_CLIP_NORM)
+                for name, arr in reference.named_parameters():
+                    velocity[name] *= MOMENTUM
+                    velocity[name] += expected[name]
+                    arr -= cfg.learning_rate * velocity[name]
+                clamp_gate_timing(reference)
+                assert list(wavefront.grads) == list(expected)
+                for name, value in expected.items():
+                    assert wavefront.grads[name].tobytes() == value.tobytes(), (B, T, name)
+                assert params.flat.tobytes() == reference.flat.tobytes(), (B, T)
+        assert min(norms) < trainer_mod.GRAD_CLIP_NORM < max(norms)
         assert_no_child_left()
+
+
+def one_journey_table(T, d):
+    """A table of one journey of T events and d features: it sizes a
+    _Wavefront's exchange arrays for batches of up to T steps."""
+    return JourneyTable(
+        features=np.zeros((T, d)), times=np.zeros(T), labels=np.zeros(T, dtype=np.int64), lengths=np.array([T]),
+    )
+
+
+class TestWaitsFilled:
+    """The work moved into the schedule's waits keeps today's values:
+    validation split between the processes, and the next batch read while
+    the caller waits for the loss."""
+
+    def test_validation_on_two_processes_writes_one_process_bytes(self, small_planted, tmp_path, monkeypatch):
+        vocab, journeys = small_planted
+        cfg = TrainConfig(hidden_size=8, epochs=2, batch_size=16, seed=4, val_fraction=0.4)
+        owners = []
+        eval_owners = trainer_mod._eval_owners
+        monkeypatch.setattr(trainer_mod, "_eval_owners", lambda *args: owners.append(eval_owners(*args)) or owners[-1])
+        histories = []
+        for workers in (1, 2):
+            result = train(journeys[:200], vocab, cfg, workers=workers)
+            save_loss_history(tmp_path / "history.csv", result.train_losses, result.val_losses)
+            histories.append((tmp_path / "history.csv").read_bytes())
+        # both processes scored some of the eval batches
+        assert set(owners[-1]) == {0, 1}
+        assert histories[0] == histories[1]
+        table = journey_table(journeys[:200], vocab)
+        _, val_idx = _train_val_split(len(table), cfg.val_fraction, np.random.default_rng(cfg.seed))
+        assert result.val_losses[-1] == _dataset_loss(table, val_idx, result.params)
+
+    @pytest.mark.parametrize("workers", (1, 2))
+    def test_prefetched_masks_are_the_draws_in_order(self, small_planted, monkeypatch, workers):
+        # the masks each step gets, the last step of each epoch's among
+        # them, are the draws of one batch after the other, each epoch's
+        # after its permutation
+        vocab, journeys = small_planted
+        cfg = TrainConfig(hidden_size=8, epochs=2, batch_size=16, seed=7)
+        seen = []
+        step = trainer_mod._Wavefront.step
+
+        def recorded(self, feats, times, labels, masks, while_waiting=None):
+            seen.append([mask.copy() for mask in masks])
+            return step(self, feats, times, labels, masks, while_waiting)
+
+        monkeypatch.setattr(trainer_mod._Wavefront, "step", recorded)
+        train(journeys[:100], vocab, cfg, workers=workers)
+        table = journey_table(journeys[:100], vocab)
+        rng = np.random.default_rng(cfg.seed)
+        train_idx, _ = _train_val_split(len(table), cfg.val_fraction, rng)
+        init_params(
+            vocab.encoding_dim, cfg.hidden_size, cfg.n_layers, cfg.dropout_p, max(1.0, float(table.times.max())), rng,
+            cfg.r_on_init,
+        )
+        expected = []
+        for _ in range(cfg.epochs):
+            order = train_idx[rng.permutation(len(train_idx))]
+            for _, _, times, _ in _batches(table, order, cfg.batch_size):
+                expected.append(rng.random((*times.shape, cfg.hidden_size)) >= cfg.dropout_p)
+        assert len(seen) == len(expected)
+        for got, want in zip(seen, expected):
+            assert got[0].tobytes() == (want / (1.0 - cfg.dropout_p)).tobytes()
 
 
 class TestEpochTelemetry:
@@ -611,7 +696,7 @@ class TestJourneyTable:
         assert journey_table(table, vocab) is table
         # tables of many journeys concatenate as their one-journey tables do
         parts = [journey_table(journeys[a:b], vocab) for a, b in ((0, 1), (1, 40), (40, len(journeys)))]
-        assert_same_columns(JourneyTable.from_encoded(parts, vocab.encoding_dim), table)
+        assert_same_columns(concatenated_tables(parts), table)
 
     @pytest.mark.parametrize("case", ("lengths_plus_one", "lengths_all_one", "zero_length", "flat_features"))
     def test_columns_checked(self, small_planted, case):
