@@ -15,10 +15,21 @@ median and quartiles of:
 
 The configurations run interleaved, a block of steps each in turn, so that
 a slow spell of the host spreads over all of them. Writes
-BENCH_<label>.json (default BENCH_train_step.json) with the environment.
+BENCH_train_step.json with the environment.
 
     python bench/layers.py                      # desk shape, T = 1..4
     python bench/layers.py --batch 4 --hidden 8 --lengths 1 2 --repeats 3 --out /tmp/b.json
+
+BENCH_train_step_parent.json holds the numbers of the code before the
+owner-split update (commit 3836c98), where the clip, momentum, step and
+clamp ran in `train`'s loop after `_Wavefront.step` and the next batch was
+read after them. layers_parent.diff adapts this script to that code, so
+that each timed span covers the same work:
+
+    git archive 3836c98 | tar -x -C <dir>
+    cp bench/layers.py bench/layers_parent.diff <dir>/bench/
+    cd <dir> && patch -p1 < bench/layers_parent.diff
+    python bench/layers.py --out BENCH_train_step_parent.json
 """
 
 from __future__ import annotations
@@ -46,6 +57,7 @@ from deepmta.journey import JourneyTable  # noqa: E402
 from deepmta.model import _dropout_draws, init_params  # noqa: E402
 
 INPUT_DIM = 12  # the desk dataset's 8 channels, 3 campaigns and hour offset
+SEED = 0
 
 
 def quartiles(values: list[float]) -> dict[str, float | None]:
@@ -144,10 +156,10 @@ class Timed:
         }
 
 
-def bench(lengths, B: int, H: int, repeats: int, block: int, seed: int) -> list[dict]:
+def bench(lengths, B: int, H: int, repeats: int, block: int) -> list[dict]:
     with contextlib.ExitStack() as stack:
         configs = [
-            stack.enter_context(Timed(processes, T, B, H, seed + T))
+            stack.enter_context(Timed(processes, T, B, H, SEED + T))
             for T in lengths for processes in (1, 2)
         ]
         for config in configs:  # warm-up: the probe's cache, the first allocations
@@ -175,23 +187,20 @@ def main(argv=None) -> dict:
     parser.add_argument("--hidden", type=int, default=64, help="units per layer H")
     parser.add_argument("--repeats", type=int, default=300, help="timed steps per configuration")
     parser.add_argument("--block", type=int, default=25, help="steps per configuration per turn")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--label", default="train_step")
-    parser.add_argument("--out", type=Path, help="output path (default BENCH_<label>.json at the repo root)")
+    parser.add_argument("--out", type=Path, default=ROOT / "BENCH_train_step.json", help="output path")
     args = parser.parse_args(argv)
     desk = trainer.TrainConfig.preset("desk")
     report = {
-        "bench": args.label,
+        "bench": "train_step",
         "environment": environment(),
         "shape": {
             "B": args.batch, "H": args.hidden, "input_dim": INPUT_DIM, "n_layers": desk.n_layers,
             "dropout_p": desk.dropout_p,
         },
         "repeats": args.repeats,
-        "results": bench(args.lengths, args.batch, args.hidden, args.repeats, args.block, args.seed),
+        "results": bench(args.lengths, args.batch, args.hidden, args.repeats, args.block),
     }
-    out = args.out or ROOT / f"BENCH_{args.label}.json"
-    out.write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")
+    args.out.write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")
     for row in report["results"]:
         step = row["step_ms"]
         print(f"processes={row['processes']} T={row['T']} step_ms={step['median']} [{step['q1']}-{step['q3']}] "

@@ -426,7 +426,9 @@ def _sigmoid_gate(a_j, c, w_peep, bias, out):
 # inv_std and the states
 _GATE_SLOTS = ("i", "f", "u", "o", "c_tilde", "tanh_ct", "h_tilde")
 # the (T, B, H) values of `_layer_backward`'s recurrence that depend on the
-# forward alone, which `_step_factors` writes into a cache
+# forward alone, which `_step_factors` writes into a cache. They and the
+# gate's factors are made for the backward only, and `_layer_backward` drops
+# each as it last reads it, so that a training forward holds none of them
 _FACTORS = ("keep", "not_o", "not_f", "not_i", "d_tanh_ct", "d_tanh_u", "dh_dk", "dc_dk")
 
 
@@ -501,8 +503,9 @@ def _layer_setup(times, lp, alpha, training):
     openness k (T, B, H), evaluated for all steps at once since the gate
     depends only on the times, and the cache for `_layer_backward`, whose
     (T, B, ...) stacks of each step's slots and of the states before and
-    after it the scan fills in, and whose backward factors `_step_factors`
-    and `_gate_cache` fill in; the cache is None unless training."""
+    after it the scan fills in, and to which `_step_factors` and
+    `_gate_cache` add the backward's factors; the cache is None unless
+    training."""
     B, T = times.shape
     H = lp.hidden_size
     Wx, Wh = _stacked_weights(lp)
@@ -510,19 +513,19 @@ def _layer_setup(times, lp, alpha, training):
     cache = None
     if training:
         hs, cs = np.zeros((T + 1, B, H)), np.zeros((T + 1, B, H))
-        cache = {name: np.empty((T, B, H)) for name in (*_GATE_SLOTS, *_FACTORS)}
+        cache = {name: np.empty((T, B, H)) for name in _GATE_SLOTS}
         cache.update(
             a_hat=np.empty((T, B, 4, H)), inv_std=np.empty((T, B, 4, 1)),
             h=hs[1:], c=cs[1:], h_prev=hs[:-1], c_prev=cs[:-1],
-            k=k, phi=phi, alpha=alpha, Wx=Wx, Wh=Wh,
+            k=k, phi=phi, alpha=alpha, times=times, Wx=Wx, Wh=Wh,
         )
     return Wx, Wh, k, cache
 
 
-def _gate_cache(cache, lp, times) -> None:
+def _gate_cache(cache, lp) -> None:
     """Write the time gate's `_gate_factors` at every step of a layer's scan
-    over a batch at `times` into its cache, as cache["gate"]."""
-    t_minus_s = times.T[:, :, None] - lp.s
+    into its cache, as cache["gate"]."""
+    t_minus_s = cache["times"].T[:, :, None] - lp.s
     cache["gate"] = _gate_factors(cache["phi"], t_minus_s, lp.tau, lp.r_on, cache["alpha"])
 
 
@@ -530,8 +533,11 @@ def _step_factors(cache, t=slice(None)) -> None:
     """Write the recurrence's _FACTORS of step t of a layer's scan, or of
     every step (the default), into its cache: the part of the reverse scan
     that does not depend on the output gradient, so it may be made before
-    that is known, once the scan has written step t's slots. Each is
-    elementwise, so step by step and all at once give the same bits."""
+    that is known, once the scan has written step t's slots. The first
+    call makes their arrays. Each is elementwise, so step by step and all
+    at once give the same bits."""
+    if "keep" not in cache:
+        cache.update({name: np.empty_like(cache["k"]) for name in _FACTORS})
     np.subtract(1.0, cache["k"][t], out=cache["keep"][t])
     for gate in "ofi":
         np.subtract(1.0, cache[gate][t], out=cache[f"not_{gate}"][t])
@@ -677,8 +683,10 @@ def _layer_backward(dH, x, cache, params, idx, flat, dA, dX=None):
     and yields it, (B, 4H), as soon as it is computed. So a step's output
     gradient may be made from another layer's dA at a later step, and the
     scan may wait for it. It reads step t's _FACTORS from the cache, so
-    `_step_factors` must have written them by the time it reaches step t,
-    and the gate's factors (`_gate_cache`) by the end of the loop.
+    their arrays must be in the cache when it starts and `_step_factors`
+    must have written step t's by the time it reaches step t, and the
+    gate's factors (`_gate_cache`) by the end of the loop. It removes each
+    factor from the cache once it has read it for the last time.
 
     After the last step it writes the gradients of the layer's tensors and
     of its layer norm into their stretches of `flat`, laid out as
@@ -722,13 +730,16 @@ def _layer_backward(dH, x, cache, params, idx, flat, dA, dX=None):
         dc_prev += dn[t, :, 0] * lp.w_ci
         dh_next = dh * keep[t] + da @ cache["Wh"].T
 
-    dK = dhs * cache["dh_dk"] + dcs[1:] * cache["dc_dk"]
+    for name in _FACTORS[:6]:
+        del cache[name]
+    del keep, not_o, not_f, not_i, d_tanh_ct, d_tanh_u
+    dK = dhs * cache.pop("dh_dk") + dcs[1:] * cache.pop("dc_dk")
     # each step's row sums: w_ci, w_cf, w_co, b_i .. b_o, tau, s, r_on (the
     # order of the layer's vectors in `out`), then the layer norm's gain, bias
     per_step = np.empty((T, 12, H))
     per_step[:, 0:3] = (dn * c_prev[:, :, None]).sum(axis=1)[:, [0, 1, 3]]
     np.sum(dn, axis=1, out=per_step[:, 3:7])
-    for j, g in enumerate(_gate_backward(dK, cache["gate"])):
+    for j, g in enumerate(_gate_backward(dK, cache.pop("gate"))):
         np.sum(g, axis=1, out=per_step[:, 7 + j])
     np.sum(dn * cache["a_hat"], axis=(1, 2), out=per_step[:, 10])
     np.sum(dn, axis=(1, 2), out=per_step[:, 11])
@@ -750,17 +761,22 @@ def _layer_backward(dH, x, cache, params, idx, flat, dA, dX=None):
 
 def _stack_backward(dH, inputs, caches, params, masks, flat, n):
     """The reverse scans of layers n-1 down to 0, each layer's gradients
-    written into `flat`, laid out as params.flat; each cache must hold its
-    backward factors (`_step_factors`, `_gate_cache`). dH is layer n-1's output gradient, in the steps
+    written into `flat`, laid out as params.flat. A layer's backward factors
+    (`_step_factors`, `_gate_cache`) are made just before its scan unless
+    its cache holds them; the scan drops them, so one layer's at most are
+    held at a time. dH is layer n-1's output gradient, in the steps
     `_layer_backward` takes; each lower layer's is the input gradient of
     the layer above it, times its dropout mask masks[idx] unless that is
     None."""
     for idx in range(n - 1, -1, -1):
-        x = inputs[idx]
+        x, cache = inputs[idx], caches[idx]
         B, T, _ = x.shape
+        if "gate" not in cache:
+            _step_factors(cache)
+            _gate_cache(cache, params.layers[idx])
         dX = np.empty(x.shape) if idx else None
         dA = np.empty((T, B, 4, params.hidden_size))
-        for _ in _layer_backward(dH, x, caches[idx], params, idx, flat, dA, dX):
+        for _ in _layer_backward(dH, x, cache, params, idx, flat, dA, dX):
             pass
         if idx:
             mask = masks[idx - 1]
@@ -815,9 +831,6 @@ def backward_batch(trace: ForwardTrace, grad_logits: np.ndarray) -> Gradients:
     params = trace.params
     grads = _gradients_over(params, np.empty_like(params.flat))
     dH = _output_backward(trace.hidden, gl, params.W_out, grads)
-    for cache, lp in zip(trace.caches, params.layers):
-        _step_factors(cache)
-        _gate_cache(cache, lp, trace.times)
     _stack_backward(
         dH.swapaxes(0, 1)[::-1], trace.layer_inputs, trace.caches, params, trace.dropout_masks,
         grads.flat, params.n_layers,

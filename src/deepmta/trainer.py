@@ -374,7 +374,7 @@ def _top_step(params, shared, grads, wait, handoff) -> None:
     top = params.n_layers - 1
     lp = params.layers[top]
     _, Wh, k, cache = _layer_setup(times, lp, params.alpha, True)
-    _gate_cache(cache, lp, times)
+    _gate_cache(cache, lp)
 
     def steps():
         for t in range(T):
@@ -391,8 +391,11 @@ def _top_step(params, shared, grads, wait, handoff) -> None:
 
     def upstream():
         for t in range(T - 1, -1, -1):
-            _step_factors(cache, t)
             yield dH[:, t]
+            if t:
+                _step_factors(cache, t - 1)
+
+    _step_factors(cache, T - 1)  # it also makes the arrays, which the reverse scan reads from its start
 
     top_in, dA = _view(shared["top_in"], B, T, H), _view(shared["dA"], T, B, 4, H)
     for _ in _layer_backward(upstream(), top_in, cache, params, top, grads.flat, dA):
@@ -494,13 +497,15 @@ class _Wavefront:
         self.velocity = self.shared["velocity"] if momentum else None
         self.grads = _gradients_over(params, self.shared["grads"])
         top, layout = params.n_layers - 1, params.layout
-        # the stretches of the flat vectors each process updates: the caller's, the helper's
-        self.parts = [slice(None)], []
+        # the stretches of the flat vectors each process updates and the
+        # layers whose gate timing it clamps: the caller's, the helper's
+        self.parts, self.clamped = ([slice(None)], []), ([0], [])
         if top:
             self.parts = (
                 [_span(layout, "layers.0.W_xi", f"layers.{top}.W_xo"), _span(layout, "ln.0.gain", f"ln.{top - 1}.bias")],
                 [_span(layout, f"layers.{top}.W_hi", f"layers.{top}.r_on"), _span(layout, f"ln.{top}.gain", "b_out")],
             )
+            self.clamped = range(top), [top]
         self.pid = None
 
     def __enter__(self) -> "_Wavefront":
@@ -590,8 +595,7 @@ class _Wavefront:
         params = self.params
         norm = float(self.shared["meta"][3])
         _sgd_update(params, self.grads, self.velocity, self.parts[owner], norm, self.learning_rate)
-        top = params.n_layers - 1
-        clamp_gate_timing(params, [top] if owner else range(top))
+        clamp_gate_timing(params, self.clamped[owner])
 
     def _score_validation(self, owner: int) -> None:
         which = [i for i, o in enumerate(self.val_owners) if o == owner]
@@ -650,11 +654,11 @@ class _Wavefront:
         helper = pipelined and self.pid is not None
         if helper:
             self._send()
-        else:
-            self._update(1)
         self._update(0)
         if helper:
             self._wait()
+        else:
+            self._update(1)
         return loss, norm
 
     def _wavefront(self, feats, times, labels, masks, while_waiting) -> float:
@@ -681,7 +685,7 @@ class _Wavefront:
         if not np.isfinite(loss):
             return loss
         for cache, lp in zip(caches, params.layers):
-            _gate_cache(cache, lp, times)
+            _gate_cache(cache, lp)
         _lower_backward(params, inputs, times, caches, masks, Wx, shared, grads.flat, self._wait)
         self._freeze()
         _square_sums(grads, range(_TOP_TENSORS, len(grads)), shared["sums"])

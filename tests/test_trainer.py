@@ -16,7 +16,7 @@ from deepmta.errors import (
 )
 from deepmta.journey import GeneratorConfig, JourneyTable, Vocabulary, encode_journey, generate_synthetic
 import deepmta.trainer as trainer_mod
-from deepmta.model import backward_batch, clamp_gate_timing, forward_batch, init_params
+from deepmta.model import RON_CLAMP, TAU_MIN, backward_batch, clamp_gate_timing, forward_batch, init_params
 from deepmta.trainer import (
     MOMENTUM,
     EvalResult,
@@ -430,6 +430,36 @@ class TestWavefront:
                     assert wavefront.grads[name].tobytes() == value.tobytes(), (B, T, name)
                 assert params.flat.tobytes() == reference.flat.tobytes(), (B, T)
         assert min(norms) < trainer_mod.GRAD_CLIP_NORM < max(norms)
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("n_layers, processes", [(1, 1), (1, 2), (2, 1), (2, 2)])
+    def test_gate_clamp_binds_after_the_update(self, n_layers, processes):
+        # a rate that pushes every layer's gate timing past its limits: the
+        # parameters after each step are those of the reference update and
+        # clamp, every layer's tau and r_on within their ranges
+        rng = np.random.default_rng(8)
+        cfg = TrainConfig(hidden_size=8, n_layers=n_layers, learning_rate=1e4, use_time_feature=True)
+        params = init_params(5, 8, n_layers, dropout_p=0.0, rng=rng)
+        reference = params.copy()
+        bound = 0
+        with trainer_mod._Wavefront(params, cfg, one_journey_table(3, 5), np.arange(0), processes) as wavefront:
+            for _ in range(3):
+                feats = rng.normal(0, 1, (4, 3, 5))
+                times = np.cumsum(rng.uniform(0, 12, (4, 3)), axis=1)
+                labels = rng.integers(0, 2, (4, 3))
+                logits, trace = forward_batch(feats, times, reference, training=True)
+                expected = dict(backward_batch(trace, _loss_and_grad_batch(logits, labels)[1]))
+                wavefront.step(feats, times, labels, [None] * (n_layers - 1))
+                reference_clip_gradients(expected, trainer_mod.GRAD_CLIP_NORM)
+                for name, arr in reference.named_parameters():
+                    arr -= cfg.learning_rate * expected[name]
+                unclamped = reference.flat.copy()
+                clamp_gate_timing(reference)
+                bound += not np.array_equal(unclamped, reference.flat)
+                assert params.flat.tobytes() == reference.flat.tobytes()
+                for layer in params.layers:
+                    assert layer.tau.min() >= TAU_MIN and RON_CLAMP <= layer.r_on.min() <= layer.r_on.max() <= 1 - RON_CLAMP
+        assert bound == 3
         assert_no_child_left()
 
 
