@@ -31,10 +31,19 @@ OLS_SAMPLE_ROWS = 2048
 PERMUTATION_SAMPLES = 2048
 RIDGE = 1e-8
 KERNEL_ENDPOINT_WEIGHT = 1e6
-# distinct mask rows per trie block. A block's scan holds about ten
-# state-sized float32 arrays per row (about 2.5 KB a row at 64 units), so a
-# worker's memory stays near that of one journey's scan
-_BLOCK_ROWS = 1024
+# the distinct mask rows per trie block: _BLOCK_VALUES // H at H units, but
+# at least _MIN_BLOCK_ROWS. A block's scan holds about ten state-sized
+# float32 arrays per row, so _BLOCK_VALUES // H rows take about 5 MB (2048
+# rows at 64 units), and a worker's memory stays near that of one journey's
+# scan. Each step of a block streams every layer's weights once, which at
+# wide models costs more than the rows' own work: at 1024 units, blocks of
+# 128 rows took 2.3 times as long as blocks of 1024 (about 40 MB of state)
+_BLOCK_VALUES = 2 ** 17
+_MIN_BLOCK_ROWS = 1024
+# distinct mask rows per worker that close a window: four of the largest
+# exact games, so that a window's fork, plans and scan inputs are paid once
+# for many journeys
+_WINDOW_ROWS = 2 ** (EXACT_LIMIT + 2)
 # the trie scores in float32; a scored node whose float32 logit margin is
 # smaller than this gets its hard label from a float64 scan. The largest
 # float32 margin error measured is about 1.2e-5, so outside the band both
@@ -136,33 +145,40 @@ class _Plan:
 
 @dataclass
 class GameStats:
-    """Work counters of game evaluations: trie blocks scanned, distinct
-    prefix node-steps stepped, and scored nodes whose hard label was
-    rechecked in float64."""
+    """Work counters of game evaluations: windows read (one fork and one set
+    of plans each), trie blocks scanned, distinct prefix node-steps stepped,
+    and scored nodes whose hard label was rechecked in float64."""
 
+    windows: int = 0
     blocks: int = 0
     node_steps: int = 0
     rechecked: int = 0
 
     def add(self, other: "GameStats") -> None:
+        self.windows += other.windows
         self.blocks += other.blocks
         self.node_steps += other.node_steps
         self.rechecked += other.rechecked
 
 
-def _pack_blocks(games: list[tuple[int, np.ndarray]]) -> list[list[tuple[int, int, int]]]:
+def _block_rows(params: ModelParams) -> int:
+    """The most distinct mask rows one trie block of `params` holds."""
+    return max(_MIN_BLOCK_ROWS, _BLOCK_VALUES // params.hidden_size)
+
+
+def _pack_blocks(games: list[tuple[int, np.ndarray]], block_rows: int) -> list[list[tuple[int, int, int]]]:
     """Pieces (game, start, stop) of the games' distinct rows, packed into
-    blocks of at most _BLOCK_ROWS rows.
+    blocks of at most `block_rows` rows.
 
     The rows of all games, in game order, are cut into as few runs of equal
-    length as _BLOCK_ROWS allows. A cut may fall inside a game; its pieces
+    length as `block_rows` allows. A cut may fall inside a game; its pieces
     then repeat the prefix nodes they share.
     """
     sizes = [len(rows) for _, rows in games]
     total = sum(sizes)
     if not total:
         return []
-    n_blocks = -(-total // _BLOCK_ROWS)
+    n_blocks = -(-total // block_rows)
     cuts = [-(-total * b // n_blocks) for b in range(n_blocks + 1)]
     blocks: list[list[tuple[int, int, int]]] = [[] for _ in range(n_blocks)]
     offset = 0
@@ -183,18 +199,18 @@ def _game_values(
     """Masked accuracy of the rows of every game, a (journey index in
     `table`, rows) pair with the rows distinct and sorted as `_distinct`
     gives them; one array per game. The table's scan inputs are computed
-    once (`_scan_inputs`); the games' rows are packed into blocks and each
-    block is one trie scan."""
+    once (`_scan_inputs`); the games' rows are packed into blocks of
+    `_block_rows` rows and each block is one trie scan."""
     values = [np.empty(len(rows)) for _, rows in games]
     inputs = _scan_inputs(params, table)
-    for block in _pack_blocks(games):
+    for block in _pack_blocks(games, _block_rows(params)):
         pieces = [(games[g][0], games[g][1][start:stop]) for g, start, stop in block]
         shared = [_shared_steps(games[g][1], start) for g, start, _ in block]
         accs, node_steps, rechecked = _scan_block(params, table, inputs, pieces, shared)
         for (g, start, stop), acc in zip(block, accs):
             values[g][start:stop] = acc
         if stats is not None:
-            stats.add(GameStats(1, node_steps, rechecked))
+            stats.add(GameStats(blocks=1, node_steps=node_steps, rechecked=rechecked))
     return values
 
 
@@ -695,16 +711,18 @@ def attribute_journeys(
     of one AttributionResult per journey, in input order.
 
     Journeys are read in windows of at least N = `workers` journeys and
-    N * 2^EXACT_LIMIT distinct mask rows. A journey's game depends only on
-    its length and the method, so each window builds one plan per length
-    (`_plan_windows`) and its journeys of that length share it. The window is
-    split into N shards of whole journeys, largest first onto the lightest
-    shard. The calling process attributes the first shard, and N - 1
-    children, forked for the window after its plans are built, the others;
-    the shards' counters are summed into `stats`. In each shard the games
-    are scored together in trie blocks of at most _BLOCK_ROWS rows, and the
-    journeys of one length are finished together. So memory is bounded by
-    one window's plans and one block scan. Every child is joined before the
+    N * _WINDOW_ROWS distinct mask rows, four of the largest exact games per
+    worker (the last window may hold fewer). A journey's game depends only
+    on its length and the method, so each window builds one plan per length
+    (`_plan_windows`) and its journeys of that length share it. The window
+    is split into N shards of whole journeys, largest first onto the
+    lightest shard. The calling process attributes the first shard, and
+    N - 1 children, forked for the window after its plans are built, the
+    others; the windows and the shards' counters are summed into `stats`.
+    In each shard the games are scored together in trie blocks of at most
+    `_block_rows` rows, and the journeys of one length are finished
+    together. So memory is bounded by one window's plans and
+    values and one block scan. Every child is joined before the
     window's results are yielded, and on an error; a child that dies
     without sending its results is a WorkerError. Each journey's result
     equals `attribute_journey` on it alone, at any worker count. The
@@ -723,7 +741,9 @@ def _attribute_windows(params, journeys, vocab, method, n_samples, seed, workers
     """The generator of `attribute_journeys`, on checked arguments."""
     # a window gives each worker a journey, also where one journey alone
     # has more rows than the limit
-    for window, plans in _plan_windows(journeys, method, n_samples, seed, workers * 2 ** EXACT_LIMIT, workers):
+    for window, plans in _plan_windows(journeys, method, n_samples, seed, workers * _WINDOW_ROWS, workers):
+        if stats is not None:
+            stats.windows += 1
         # the caller's first shard holds the largest journey
         shards = _shards([len(plans[len(journey.events)].rows) for journey in window], workers)
         parts = _attribute_shards(params, [[window[idx] for idx in shard] for shard in shards], vocab, plans, stats)

@@ -199,6 +199,7 @@ def _cmd_attribute(args) -> None:
     _emit("journeys", len(journeys))
     _emit("unattributed", sum(1 for r in results if r.unattributed))
     _emit("out", args.out)
+    _emit("windows", stats.windows)
     _emit("blocks", stats.blocks)
     _emit("node_steps", stats.node_steps)
     _emit("rechecked", stats.rechecked)

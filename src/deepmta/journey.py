@@ -320,32 +320,27 @@ def _synthetic_journeys(cfg: GeneratorConfig, vocab: Vocabulary, rng: np.random.
         channel_ids = rng.integers(0, cfg.n_channels, size=n_events)
         campaign_ids = rng.integers(0, cfg.n_campaigns, size=n_events)
         start_ts = int(rng.integers(0, START_TS_LIMIT))
-        if n_events > 1:
-            # journeys stretch over roughly the traced window: gap sizes scale
-            # with span/(n-1) plus jitter, so event timing carries structure
-            unit_gap = span_seconds / (n_events - 1)
-            jitter = rng.uniform(GAP_JITTER_LOW, GAP_JITTER_HIGH, size=n_events - 1)
-            gaps = np.maximum(1, (unit_gap * jitter).astype(int))
-        else:
-            gaps = np.empty(0, dtype=int)
-        timestamps = start_ts + np.concatenate([[0], np.cumsum(gaps)]).astype(int)
-
-        key_recent = bool(np.any(channel_ids[-3:] == cfg.key_channel_index))
-        p_convert = cfg.base_rate + (cfg.key_lift if key_recent else 0.0)
-        converted = bool(rng.random() < p_convert)
+        # journeys stretch over roughly the traced window: gap sizes scale
+        # with span/(n-1) plus jitter, so event timing carries structure
+        jitter = rng.uniform(GAP_JITTER_LOW, GAP_JITTER_HIGH, size=n_events - 1) if n_events > 1 else None
+        key_recent = cfg.key_channel_index in channel_ids[-3:].tolist()
+        converted = bool(rng.random() < cfg.base_rate + (cfg.key_lift if key_recent else 0.0))
         gmv = float(rng.lognormal(math.log(GMV_MEDIAN), GMV_SIGMA)) if converted else 0.0
-
         if not converted and not cfg.include_nonconverted:
             continue
+
+        # the draws are done: the rest is plain Python on their values
+        channels, campaigns = channel_ids.tolist(), campaign_ids.tolist()
+        timestamps = [start_ts]
+        if n_events > 1:
+            unit_gap = span_seconds / (n_events - 1)
+            for j in jitter.tolist():
+                timestamps.append(timestamps[-1] + max(1, int(unit_gap * j)))
         yield CustomerJourney(
             user_id=f"u{n_kept:06d}",
             events=[
-                ClickEvent(
-                    channel_id=vocab.channels[channel_ids[i]],
-                    campaign_id=vocab.campaigns[campaign_ids[i]],
-                    timestamp=int(timestamps[i]),
-                )
-                for i in range(n_events)
+                ClickEvent(channel_id=vocab.channels[ch], campaign_id=vocab.campaigns[cmp], timestamp=ts)
+                for ch, cmp, ts in zip(channels, campaigns, timestamps)
             ],
             converted=converted,
             gmv=gmv,

@@ -425,6 +425,11 @@ def _lower_backward(params, inputs, times, caches, masks, Wx, shared, flat, wait
 # the commands that start the helper's part of an SGD step or of a
 # validation pass; every other byte on the pipes is a plain handoff
 _STEP, _VALIDATE = b"s", b"v"
+# the caller's pipe ends of every open _Wavefront of this process. A helper
+# closes those of the others right after its fork: holding an earlier
+# wavefront's ends, it would keep that wavefront's helper from seeing the
+# caller close them, and so from exiting
+_CALLER_ENDS: set[int] = set()
 
 
 class _Lookahead:
@@ -521,13 +526,14 @@ class _Wavefront:
             if self.pid == 0:
                 status = 1
                 try:
-                    os.close(self.send_fd)
-                    os.close(self.recv_fd)
+                    for fd in (self.send_fd, self.recv_fd, *_CALLER_ENDS):
+                        os.close(fd)
                     status = self._helper(helper_reads, helper_writes)
                 finally:  # never return into the caller's code
                     os._exit(status)
             os.close(helper_reads)
             os.close(helper_writes)
+            _CALLER_ENDS.update((self.send_fd, self.recv_fd))
         return self
 
     def _helper(self, recv_fd: int, send_fd: int) -> int:
@@ -581,6 +587,7 @@ class _Wavefront:
 
     def __exit__(self, exc_type, exc, tb) -> None:
         if self.processes > 1:
+            _CALLER_ENDS.difference_update((self.send_fd, self.recv_fd))
             os.close(self.send_fd)
             os.close(self.recv_fd)
             if self.pid is not None:

@@ -6,13 +6,26 @@ and the tests' helpers. No pipeline stage calls them."""
 from __future__ import annotations
 
 import csv
+import math
 from pathlib import Path
 
 import numpy as np
 
 from deepmta.attribution import EXACT_LIMIT, _exact_solver, _permutation_prefixes, mask_powerset
 from deepmta.errors import DimensionError, NumericError, ParameterError, ValidationError
-from deepmta.journey import ClickEvent, CustomerJourney, JourneyTable
+from deepmta.journey import (
+    GAP_JITTER_HIGH,
+    GAP_JITTER_LOW,
+    GMV_MEDIAN,
+    GMV_SIGMA,
+    SECONDS_PER_HOUR,
+    START_TS_LIMIT,
+    ClickEvent,
+    CustomerJourney,
+    GeneratorConfig,
+    JourneyTable,
+    Vocabulary,
+)
 from deepmta.model import (
     ALPHA_TRAIN_DEFAULT,
     LN_EPS,
@@ -265,6 +278,47 @@ def shapley_sampled(
 # ---------------------------------------------------------------------------
 # journeys and reports
 # ---------------------------------------------------------------------------
+
+
+def synthetic_journeys(cfg: GeneratorConfig, vocab: Vocabulary, rng: np.random.Generator):
+    """`journey._synthetic_journeys` as it was with numpy arithmetic after
+    the draws: the oracle of the plain-Python version's journeys."""
+    span_seconds = cfg.time_span_hours * SECONDS_PER_HOUR
+    n_kept = 0
+    while n_kept < cfg.n_journeys:
+        n_events = int(rng.integers(1, cfg.max_len + 1))
+        channel_ids = rng.integers(0, cfg.n_channels, size=n_events)
+        campaign_ids = rng.integers(0, cfg.n_campaigns, size=n_events)
+        start_ts = int(rng.integers(0, START_TS_LIMIT))
+        if n_events > 1:
+            unit_gap = span_seconds / (n_events - 1)
+            jitter = rng.uniform(GAP_JITTER_LOW, GAP_JITTER_HIGH, size=n_events - 1)
+            gaps = np.maximum(1, (unit_gap * jitter).astype(int))
+        else:
+            gaps = np.empty(0, dtype=int)
+        timestamps = start_ts + np.concatenate([[0], np.cumsum(gaps)]).astype(int)
+
+        key_recent = bool(np.any(channel_ids[-3:] == cfg.key_channel_index))
+        p_convert = cfg.base_rate + (cfg.key_lift if key_recent else 0.0)
+        converted = bool(rng.random() < p_convert)
+        gmv = float(rng.lognormal(math.log(GMV_MEDIAN), GMV_SIGMA)) if converted else 0.0
+
+        if not converted and not cfg.include_nonconverted:
+            continue
+        yield CustomerJourney(
+            user_id=f"u{n_kept:06d}",
+            events=[
+                ClickEvent(
+                    channel_id=vocab.channels[channel_ids[i]],
+                    campaign_id=vocab.campaigns[campaign_ids[i]],
+                    timestamp=int(timestamps[i]),
+                )
+                for i in range(n_events)
+            ],
+            converted=converted,
+            gmv=gmv,
+        )
+        n_kept += 1
 
 
 def split_stream(

@@ -1,18 +1,20 @@
 import itertools
 import json
 import math
+import types
 
 import numpy as np
 import pytest
 
 from deepmta.attribution import (
-    _BLOCK_ROWS,
     _SOLVE_VALUES,
+    _WINDOW_ROWS,
     EXACT_LIMIT,
     MAX_PREFIX_ROWS,
     RECHECK_MARGIN,
     AttributionResult,
     GameStats,
+    _block_rows,
     _build_plan,
     _clip_normalize_rows,
     _distinct,
@@ -215,16 +217,21 @@ class TestMaskedAccuracy:
         loop = np.array([masked_accuracy(params, enc, m) for m in masks])
         np.testing.assert_array_equal(batch, loop)
 
-    def test_batch_spans_several_blocks(self):
+    def test_batch_spans_several_blocks(self, monkeypatch):
         # more distinct rows than one trie block holds, plus duplicates;
-        # the reference is one batched forward over every row
+        # the reference is one batched forward over every row. At 8 units
+        # a block of the package's size holds all 6000 rows, so blocks
+        # here hold 1024 rows
+        import deepmta.attribution as attribution
+
+        monkeypatch.setattr(attribution, "_block_rows", lambda params: 1024)
         rng = np.random.default_rng(13)
         n = 14
         params = init_params(VOCAB.encoding_dim, 8, 2, t_span_hours=12.0, rng=5)
         enc = encode_journey(random_journey(rng, n), VOCAB)
         masks = rng.integers(0, 2, size=(6000, n))
         masks[:50] = 0
-        assert len(np.unique(masks, axis=0)) > _BLOCK_ROWS
+        assert len(np.unique(masks, axis=0)) > 1024
         np.testing.assert_array_equal(masked_accuracy_batch(params, enc, masks), forward_reference(params, enc, masks))
 
     def test_non_binary_mask_rejected(self):
@@ -652,7 +659,12 @@ class TestBlockScan:
     own scan and the single-mask reference, whatever the packing."""
 
     @pytest.mark.parametrize("method", ("auto", "ols", "kernel_ols", "shapley_sampled"))
-    def test_mixed_lengths_match_per_journey(self, method):
+    def test_mixed_lengths_match_per_journey(self, method, monkeypatch):
+        # blocks of 1024 rows at 6 units, so that every method's games are
+        # cut into several
+        import deepmta.attribution as attribution
+
+        monkeypatch.setattr(attribution, "_block_rows", lambda params: 1024)
         rng = np.random.default_rng(40)
         params = init_params(VOCAB.encoding_dim, 6, 2, t_span_hours=12.0, rng=4)
         journeys = mixed_journeys(rng, rng.permutation(np.arange(1, 21)))
@@ -661,7 +673,7 @@ class TestBlockScan:
         games = [(idx, plan.rows) for idx, plan in enumerate(plans)]
         stats = GameStats()
         values = _game_values(params, table, games, stats=stats)
-        assert stats.blocks == len(_pack_blocks(games)) >= 2
+        assert stats.blocks == len(_pack_blocks(games, 1024)) >= 2
         for enc, plan, distinct in zip(encs, plans, values):
             masks, acc = plan.rows[plan.inverse], distinct[plan.inverse]
             np.testing.assert_array_equal(acc, masked_accuracy_batch(params, enc, masks))
@@ -677,17 +689,22 @@ class TestBlockScan:
                 single.intercept, single.method, single.unattributed,
             )
 
-    def test_game_cut_across_blocks(self):
-        # a game with more distinct rows than a block, between two small ones
+    def test_game_cut_across_blocks(self, monkeypatch):
+        # a game with more distinct rows than a block, between two small
+        # ones; at 8 units blocks here hold 1024 rows, as in
+        # test_batch_spans_several_blocks
+        import deepmta.attribution as attribution
+
+        monkeypatch.setattr(attribution, "_block_rows", lambda params: 1024)
         rng = np.random.default_rng(41)
         params = init_params(VOCAB.encoding_dim, 8, 2, t_span_hours=12.0, rng=5)
         encs, table = encoded_table(mixed_journeys(rng, (3, 14, 5)))
         masks = [mask_powerset(3), rng.integers(0, 2, size=(6000, 14)), mask_powerset(5)]
         distinct = [_distinct(m != 0) for m in masks]
         games = [(idx, rows) for idx, (rows, _) in enumerate(distinct)]
-        assert len(games[1][1]) > _BLOCK_ROWS
-        blocks = _pack_blocks(games)
-        assert all(sum(stop - start for _, start, stop in block) <= _BLOCK_ROWS for block in blocks)
+        assert len(games[1][1]) > 1024
+        blocks = _pack_blocks(games, 1024)
+        assert all(sum(stop - start for _, start, stop in block) <= 1024 for block in blocks)
         assert sum(any(g == 1 for g, _, _ in block) for block in blocks) >= 2
         stats = GameStats()
         values = _game_values(params, table, games, stats=stats)
@@ -723,12 +740,12 @@ class TestBlockScan:
         # row: the block before stepped only part of that prefix
         import deepmta.attribution as attribution
 
-        monkeypatch.setattr(attribution, "_BLOCK_ROWS", 3)
+        monkeypatch.setattr(attribution, "_block_rows", lambda params: 3)
         rng = np.random.default_rng(46)
         params = init_params(VOCAB.encoding_dim, 6, 2, t_span_hours=12.0, rng=9)
         encs, table = encoded_table(mixed_journeys(rng, (1, 5, 1, 6, 2)))
         games = [(idx, mask_powerset(len(enc.times)) != 0) for idx, enc in enumerate(encs)]
-        blocks = _pack_blocks(games)
+        blocks = _pack_blocks(games, 3)
         cuts = [games[g][1][start - 1:start + 1] for block in blocks for g, start, _ in block if start]
         kept_before = [np.flatnonzero(before) for before, _ in cuts]
         assert any(
@@ -743,9 +760,16 @@ class TestBlockScan:
         steps = [3 * 2 ** (len(enc.times) - 1) - 2 for enc in encs]
         assert stats.node_steps == sum(steps) == sum(live_prefix_steps(rows) for _, rows in games)
 
+    @pytest.mark.parametrize(("H", "rows"), ((8, 16384), (64, 2048), (128, 1024), (1024, 1024), (4096, 1024)))
+    def test_block_rows_follow_the_width(self, H, rows):
+        # 2^17 values of state per block, but never fewer than 1024 rows
+        assert _block_rows(types.SimpleNamespace(hidden_size=H)) == rows
+
     @pytest.mark.parametrize("workers", (1, 2, 5))
     def test_packing_covers_every_row_once(self, workers):
-        # each worker packs the games of its own shard of journeys
+        # each worker packs the games of its own shard of journeys, here in
+        # blocks of 1024 rows
+        block_rows = 1024
         rng = np.random.default_rng(42)
         encs = [encode_journey(j, VOCAB) for j in mixed_journeys(rng, (12, 2, 12, 1, 9, 12, 4))]
         all_games = [(idx, mask_powerset(len(enc.times)) != 0) for idx, enc in enumerate(encs)]
@@ -753,21 +777,21 @@ class TestBlockScan:
         assert sorted(idx for shard in shards for idx in shard) == list(range(len(all_games)))
         for shard in shards:
             games = [all_games[idx] for idx in shard]
-            blocks = _pack_blocks(games)
+            blocks = _pack_blocks(games, block_rows)
             if not games:
                 assert blocks == []
                 continue
             sizes = [sum(stop - start for _, start, stop in block) for block in blocks]
-            assert max(sizes) <= _BLOCK_ROWS and max(sizes) - min(sizes) <= 1
-            assert len(blocks) == -(-sum(sizes) // _BLOCK_ROWS)
+            assert max(sizes) <= block_rows and max(sizes) - min(sizes) <= 1
+            assert len(blocks) == -(-sum(sizes) // block_rows)
             for g, (_, rows) in enumerate(games):
                 pieces = sorted((start, stop) for block in blocks for h, start, stop in block if h == g)
                 assert pieces[0][0] == 0 and pieces[-1][1] == len(rows)
                 assert all(a[1] == b[0] and a[0] < a[1] for a, b in zip(pieces, pieces[1:]))
 
     def test_last_journey_fills_the_window(self):
-        # a full exact game per worker closes the window on the last
-        # journey, leaving an empty one
+        # four full exact games per worker close the window on the last
+        # journey, leaving no empty one
         rng = np.random.default_rng(44)
         params = init_params(VOCAB.encoding_dim, 6, 2, t_span_hours=12.0, rng=7)
         journey = random_journey(rng, EXACT_LIMIT)
@@ -776,7 +800,10 @@ class TestBlockScan:
         table = np.empty(2 ** EXACT_LIMIT)
         table[masks @ (1 << np.arange(EXACT_LIMIT))] = forward_reference(params, encode_journey(journey, VOCAB), masks)
         np.testing.assert_array_equal(result.raw_weights, shapley_table_double_loop(table, EXACT_LIMIT))
-        assert len(list(attribute_journeys(params, [journey, journey], VOCAB, workers=2))) == 2
+        assert _WINDOW_ROWS == 4 * 2 ** EXACT_LIMIT
+        stats = GameStats()
+        assert len(list(attribute_journeys(params, [journey] * 8, VOCAB, workers=2, stats=stats))) == 8
+        assert stats.windows == 1
 
     def test_workers_scan_in_their_own_processes(self, monkeypatch, tmp_path):
         # workers=2 alone runs the blocks in a forked worker and the calling
@@ -817,15 +844,17 @@ class TestBlockScan:
 
     def test_each_worker_gets_a_journey_of_a_long_window(self, monkeypatch, tmp_path):
         # each sampled journey has more distinct rows than a two-worker
-        # window needs, yet a window holds a journey per worker
+        # window needs, yet a window holds a journey per worker. Windows
+        # here close at 4096 rows per worker, so that 1000 samples exceed it
         import os
 
         import deepmta.attribution as attribution
 
+        monkeypatch.setattr(attribution, "_WINDOW_ROWS", 2 ** EXACT_LIMIT)
         rng = np.random.default_rng(51)
         params = init_params(VOCAB.encoding_dim, 6, 1, t_span_hours=12.0, rng=10)
         journeys = mixed_journeys(rng, (16, 17))
-        assert min(len(_build_plan("auto", len(j.events), 1000, 0).rows) for j in journeys) > 2 * 2 ** EXACT_LIMIT
+        assert min(len(_build_plan("auto", len(j.events), 1000, 0).rows) for j in journeys) > 2 * attribution._WINDOW_ROWS
 
         def recorded(*args):
             (tmp_path / str(os.getpid())).touch()
@@ -889,9 +918,11 @@ class TestBlockScan:
         assert_no_child_left()
 
     def test_more_journeys_than_one_window(self, monkeypatch):
-        # at one worker, every 12-event journey fills a window
+        # at one worker, windows here close at 4096 rows: every 12-event
+        # journey fills one
         import deepmta.attribution as attribution
 
+        monkeypatch.setattr(attribution, "_WINDOW_ROWS", 2 ** EXACT_LIMIT)
         rng = np.random.default_rng(43)
         params = init_params(VOCAB.encoding_dim, 6, 2, t_span_hours=12.0, rng=6)
         journeys = mixed_journeys(rng, (12, 3, 5, 12, 1, 12, 7))
@@ -905,12 +936,33 @@ class TestBlockScan:
         stats = GameStats()
         batched = list(attribute_journeys(params, journeys, VOCAB, workers=1, stats=stats))
         assert windows == [1, 3, 2, 1]
+        assert stats.windows == 4
         assert stats.node_steps == sum(3 * 2 ** (len(j.events) - 1) - 2 for j in journeys)
         monkeypatch.undo()
         for journey, result in zip(journeys, batched):
             single = attribute_journey(params, journey, VOCAB)
             np.testing.assert_array_equal(result.raw_weights, single.raw_weights)
             assert result.intercept == single.intercept
+
+    @pytest.mark.parametrize(("count", "windows"), ((8, 1), (20, 3)))
+    def test_four_full_games_per_worker_fill_a_window(self, count, windows):
+        # at two workers a window closes at 8 full 12-event powersets: 8
+        # journeys are one window (one fork), 20 are windows of 8, 8 and 4
+        rng = np.random.default_rng(47)
+        params = init_params(VOCAB.encoding_dim, 6, 2, t_span_hours=12.0, rng=8)
+        journeys = mixed_journeys(rng, [EXACT_LIMIT] * count)
+        stats = GameStats()
+        batched = list(attribute_journeys(params, journeys, VOCAB, workers=2, stats=stats))
+        assert stats.windows == windows
+        assert stats.node_steps == count * (3 * 2 ** (EXACT_LIMIT - 1) - 2)
+        assert_no_child_left()
+        for journey, result in zip(journeys, batched, strict=True):
+            single = attribute_journey(params, journey, VOCAB)
+            np.testing.assert_array_equal(result.raw_weights, single.raw_weights)
+            np.testing.assert_array_equal(result.weights, single.weights)
+            assert (result.intercept, result.method, result.unattributed) == (
+                single.intercept, single.method, single.unattributed,
+            )
 
 
 def permutation_estimates_reference(perms, vals):
@@ -1003,9 +1055,11 @@ class TestBatchedSolves:
     @pytest.mark.parametrize("workers", (1, 2))
     def test_one_plan_per_length_and_window(self, monkeypatch, workers):
         # plans are built as a window fills, once for each length in it,
-        # and before any child is forked
+        # and before any child is forked. Windows here close at 4096 rows
+        # per worker, so that these journeys fill several
         import deepmta.attribution as attribution
 
+        monkeypatch.setattr(attribution, "_WINDOW_ROWS", 2 ** EXACT_LIMIT)
         rng = np.random.default_rng(120)
         params = init_params(VOCAB.encoding_dim, 6, 1, t_span_hours=12.0, rng=11)
         journeys = mixed_journeys(rng, (3, 1, 3, 12, 2, 3, 12, 1, 14, 2, 12, 3, 3))
@@ -1132,7 +1186,7 @@ class TestFloat32Scan:
         encs, table = encoded_table(mixed_journeys(rng, (1, 5, 2, 6)))
         games = [(idx, mask_powerset(len(enc.times)) != 0) for idx, enc in enumerate(encs)]
         whole = [scan_block(params, table, [game]) for game in games]
-        monkeypatch.setattr(attribution, "_BLOCK_ROWS", 3)
+        monkeypatch.setattr(attribution, "_block_rows", lambda params: 3)
         stats = GameStats()
         values = _game_values(params, table, games, stats=stats)
         assert stats.blocks > len(games)

@@ -398,6 +398,37 @@ class TestAttribute:
         keys = list(kv)
         assert keys[keys.index("node_steps") + 1] == "rechecked" and int(kv["rechecked"]) >= 0
 
+    @pytest.mark.parametrize("threads", ("1", "2"))
+    def test_window_counter(self, pipeline, tmp_path, monkeypatch, capsys, threads):
+        # journeys of up to 12 events: a window closes once its powersets
+        # reach four 12-event games per worker; windows= comes before blocks=
+        from deepmta.attribution import _WINDOW_ROWS
+
+        data = tmp_path / "long.jsonl"
+        gen = [arg for arg in GEN_ARGS if arg != "--include-nonconverted"]
+        gen[gen.index("--max-len") + 1] = "12"
+        gen[gen.index("--journeys") + 1] = "120"
+        assert main(gen + ["--out", str(data)]) == 0
+        capsys.readouterr()
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+        monkeypatch.setenv("MTA_THREADS", threads)
+        code, kv, _ = run_cli(capsys, [
+            "attribute", "--model", str(pipeline["ckpt"]), "--data", str(data),
+            "--out", str(tmp_path / "a.jsonl"), "--method", "auto", "--seed", "1",
+        ])
+        assert code == 0
+        windows, rows, count = 0, 0, 0
+        for journey in load_journeys(data):
+            rows += 2 ** len(journey.events)
+            count += 1
+            if rows >= int(threads) * _WINDOW_ROWS and count >= int(threads):
+                windows, rows, count = windows + 1, 0, 0
+        windows += count > 0
+        assert int(kv["windows"]) == windows >= 2
+        keys = list(kv)
+        assert keys[keys.index("windows") + 1] == "blocks"
+        assert int(kv["blocks"]) >= windows * int(threads)
+
     def test_thread_env_capped_at_usable_cpus(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
         for value, workers in (("100000", 3), ("2", 2), ("", 3)):

@@ -19,7 +19,7 @@ from deepmta.journey import (
     save_vocabulary,
     stream_synthetic,
 )
-from reference import split_stream
+from reference import split_stream, synthetic_journeys
 
 
 def ev(channel, ts, campaign="c1"):
@@ -262,6 +262,27 @@ class TestGeneratorLimits:
         assert max(last) < 2**63
         # the gaps are the span's, not a 1-second floor from a wrapped cast
         assert min(j.events[-1].timestamp - j.events[0].timestamp for j in journeys if len(j) > 1) > hours * 3600 * 0.8
+
+    @pytest.mark.parametrize("seed", (0, 7, 31))
+    @pytest.mark.parametrize(
+        "shape",
+        [
+            {},
+            {"max_len": 1},
+            {"max_len": 32, "include_nonconverted": True},
+            {"max_len": 12, "n_channels": 8, "n_campaigns": 3, "key_channel_index": 5},
+            {"max_len": 4, "time_span_hours": 100000.0, "include_nonconverted": True},
+            {"max_len": 6, "base_rate": 0.05, "key_lift": 0.9, "time_span_hours": 0.001},
+        ],
+    )
+    def test_journeys_equal_the_numpy_oracle(self, shape, seed, tmp_path):
+        # the draws are the oracle's, and the arithmetic after them gives
+        # the bytes of its numpy arithmetic
+        cfg = GeneratorConfig(n_journeys=300, **shape)
+        vocab, journeys = stream_synthetic(cfg, seed)
+        save_journeys(tmp_path / "fast.jsonl", journeys)
+        save_journeys(tmp_path / "oracle.jsonl", synthetic_journeys(cfg, vocab, np.random.default_rng(seed)))
+        assert (tmp_path / "fast.jsonl").read_bytes() == (tmp_path / "oracle.jsonl").read_bytes()
 
     def test_stream_draws_the_list(self):
         cfg = GeneratorConfig(n_journeys=300, max_len=6, include_nonconverted=False)

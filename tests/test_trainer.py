@@ -1,5 +1,7 @@
 import csv
 import mmap
+import os
+import signal
 from collections import Counter
 
 import numpy as np
@@ -460,6 +462,43 @@ class TestWavefront:
                 for layer in params.layers:
                     assert layer.tau.min() >= TAU_MIN and RON_CLAMP <= layer.r_on.min() <= layer.r_on.max() <= 1 - RON_CLAMP
         assert bound == 3
+        assert_no_child_left()
+
+
+    def test_two_wavefronts_close_in_opening_order(self):
+        # a helper forked later holds none of an earlier wavefront's pipe
+        # ends, so closing the earlier wavefront first ends its helper at
+        # once; a hang in its waitpid fails the test after 10 s
+        cfg = TrainConfig(hidden_size=8, use_time_feature=True)
+        wavefronts = [
+            trainer_mod._Wavefront(init_params(5, 8, 2, rng=seed), cfg, one_journey_table(3, 5), np.arange(0), 2)
+            for seed in (1, 2)
+        ]
+        rng = np.random.default_rng(9)
+        for wavefront in wavefronts:
+            wavefront.__enter__()
+            feats = rng.normal(0, 1, (4, 3, 5))
+            times = np.cumsum(rng.uniform(0, 12, (4, 3)), axis=1)
+            loss, _ = wavefront.step(feats, times, rng.integers(0, 2, (4, 3)), [None])
+            assert np.isfinite(loss)
+
+        def expired(signum, frame):
+            raise TimeoutError("closing the first wavefront hung")
+
+        previous = signal.signal(signal.SIGALRM, expired)
+        signal.setitimer(signal.ITIMER_REAL, 10.0)
+        try:
+            for wavefront in wavefronts:
+                wavefront.__exit__(None, None, None)
+                assert wavefront.pid is None
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0.0)
+            signal.signal(signal.SIGALRM, previous)
+            for wavefront in wavefronts:  # only after a hang
+                if wavefront.pid is not None:
+                    os.kill(wavefront.pid, signal.SIGKILL)
+                    os.waitpid(wavefront.pid, 0)
+        assert not trainer_mod._CALLER_ENDS
         assert_no_child_left()
 
 
