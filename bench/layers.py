@@ -149,8 +149,6 @@ class Timed:
     def result(self) -> dict:
         return {
             "processes": self.processes, "T": self.T, "steps": len(self.step_ms),
-            # a shape whose per-step products fail the check runs unpipelined
-            "pipelined": trainer._per_step_products_match(self.B, self.T, self.cfg.hidden_size),
             "step_ms": quartiles(self.step_ms), "blocked_ms": quartiles(self.blocked_ms),
             "gap_ms": quartiles(self.gap_ms),
         }
@@ -162,7 +160,7 @@ def bench(lengths, B: int, H: int, repeats: int, block: int) -> list[dict]:
             stack.enter_context(Timed(processes, T, B, H, SEED + T))
             for T in lengths for processes in (1, 2)
         ]
-        for config in configs:  # warm-up: the probe's cache, the first allocations
+        for config in configs:  # warm-up: the first allocations
             config.run(min(block, repeats), record=False)
         done = 0
         while done < repeats:

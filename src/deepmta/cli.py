@@ -11,6 +11,7 @@ closed it before every key was written.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 import time
@@ -62,6 +63,10 @@ _METHOD_FLAGS = {
 }
 # 128 + SIGPIPE: the status a shell reports for a command that a closed pipe stopped
 CLOSED_STDOUT_EXIT = 141
+# how far from 1 an attributed record's weights may sum (by math.fsum)
+WEIGHT_SUM_TOL = 1e-9
+# the variables that pin a BLAS's thread count, read as numpy loads
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def _emit(key: str, value) -> None:
@@ -70,6 +75,14 @@ def _emit(key: str, value) -> None:
 
 def _info(message: str) -> None:
     print(message, file=sys.stderr)
+
+
+def _note_blas_threads(processes: int) -> None:
+    """A stderr note when processes > 1 and no BLAS thread count is set: each
+    process's BLAS may then start a thread per CPU, and they contend."""
+    if processes > 1 and not any(os.environ.get(name) for name in _BLAS_THREAD_VARS):
+        _info(f"note: {processes} processes and no {'/'.join(_BLAS_THREAD_VARS)} set; each BLAS may start a thread "
+              "per CPU, which can make the run several times slower (set OPENBLAS_NUM_THREADS=1)")
 
 
 def _check_outputs(*paths, inputs=()) -> None:
@@ -136,6 +149,7 @@ def _cmd_train(args) -> None:
         _info(f"training on {len(table)} journeys ({len(table.times)} events, {table.nbytes / 2**20:.1f} MB table; "
               f"preset {args.preset}, H={cfg.hidden_size}, {cfg.epochs} epochs) "
               f"on {processes} process{'es' if processes > 1 else ''}")
+        _note_blas_threads(processes)
 
     result = train(table, vocab, cfg, workers=workers, on_start=announce)
     save_checkpoint(args.out, result.params, result.vocab, seed=cfg.seed)
@@ -187,9 +201,11 @@ def _cmd_attribute(args) -> None:
     journeys = load_journeys(args.data)
     stats = GameStats()
     results = []
+    workers = _workers()
+    _note_blas_threads(workers)
     batches = attribute_journeys(
         params, journeys, vocab, method=_METHOD_FLAGS[args.method], n_samples=args.samples, seed=args.seed,
-        workers=_workers(), stats=stats,
+        workers=workers, stats=stats,
     )
     for idx, result in enumerate(batches, start=1):
         results.append(result)
@@ -221,6 +237,12 @@ def _cmd_report(args) -> None:
             raise ValidationError(f"line {idx}: weight vector length does not match the journey")
         if record["channels"] != journey.channels:
             raise ValidationError(f"line {idx}: attribution channels {record['channels']!r} do not match data")
+        # clip-and-normalize's weights: >= 0 and summing to 1, or all 0 where unattributed
+        weights, total = record["weights"], math.fsum(record["weights"])
+        if any(weights) if record["unattributed"] else min(weights, default=0) < 0 or abs(total - 1) > WEIGHT_SUM_TOL:
+            raise ValidationError(
+                f"line {idx}: weights must be >= 0 summing to 1, or all 0 if unattributed; they sum to {total!r}"
+            )
         result = AttributionResult(
             raw_weights=np.asarray(record["raw_weights"], dtype=np.float64),
             intercept=float(record["intercept"]),

@@ -14,8 +14,12 @@ float64. Tests cover the kernel against a readable single-step reference
 (tests/reference.py) and its two modes against each other. The layer scan
 (`_layer_scan`) and the backward's reverse scan (`_layer_backward`) are
 generators that take each step's input and hand on each step's output, so
-the trainer can run two layers one time step apart. The part of a layer's
-backward that depends only on its forward, the recurrence's factors
+the trainer can run two layers one time step apart. One product order
+serves training, eval and the wavefront: layer 0's input projection is one
+(B*T)-row product; every higher layer's input projection and input gradient
+are one B-row product per step, made only in `_link` and `_link_back`, so
+all their callers get the same bits at every batch shape. The part of a
+layer's backward that depends only on its forward, the recurrence's factors
 (`_step_factors`, per step or for all steps) and the time gate's
 (`_gate_cache`, the dk-free half of `_gate_backward`), is made apart from
 the reverse scan, so the trainer can make it before the output gradient is
@@ -565,30 +569,35 @@ def _layer_scan(x_proj, Wh, k, lp, ln_g, ln_b, cache=None):
         yield h
 
 
-def _layer_forward(x, times, lp, ln_g, ln_b, alpha, training=True):
-    """One layer over a batch x (B, T, d) at `times` (B, T) hours: the input
-    projections of all steps in one product, and `_layer_scan` over them.
-    Returns (scan, cache): the scan, a generator of each step's h, not yet
-    started, and the cache it fills in (None unless training)."""
-    B, T, d = x.shape
-    Wx, Wh, k, cache = _layer_setup(times, lp, alpha, training)
-    x_proj = (x.reshape(B * T, d) @ Wx).reshape(B, T, -1)
-    return _layer_scan(x_proj.swapaxes(0, 1), Wh, k, lp, ln_g, ln_b, cache), cache
+def _link(scan, x, mask, Wx):
+    """The input projections of the layer above `scan`'s, a generator:
+    after the scan's step t it writes that layer's input x[:, t], the step's
+    h times mask[:, t] unless mask is None, and yields x[:, t] @ Wx, one
+    B-row product. The only place that product is made."""
+    for t, h in enumerate(scan):
+        x[:, t] = h if mask is None else h * mask[:, t]
+        yield x[:, t] @ Wx
 
 
 def _stack_scan(x, times, params, masks, alpha, training, n):
-    """Layers 0 .. n-1 of the stack over a batch x (B, T, d): each but the
-    last is scanned over every step, and its output, times its dropout mask
-    masks[idx] unless that is None, is the next layer's input. Returns the
-    layers' inputs, their caches (None unless training) and the last
-    layer's scan, not yet started."""
+    """Layers 0 .. n-1 of the stack over a batch x (B, T, d), chained as
+    generators, one step apart. Layer 0's input projections are one product
+    over all B*T rows, since its input exists before the scan; layer idx's
+    input is the layer below's output times masks[idx - 1], projected step
+    by step (`_link`). Returns the layers' inputs (those above layer 0
+    filled in as the scans run), their caches (None unless training) and
+    the last layer's scan, not yet started: running it runs them all."""
+    B, T, d = x.shape
     inputs, caches = [], []
     for idx in range(n):
-        if idx:
-            h_seq = np.stack(list(scan), axis=1)
-            x = h_seq * masks[idx - 1] if masks[idx - 1] is not None else h_seq
         lp, ln_g, ln_b = params.layers[idx], params.ln_gain[idx], params.ln_bias[idx]
-        scan, cache = _layer_forward(x, times, lp, ln_g, ln_b, alpha, training)
+        Wx, Wh, k, cache = _layer_setup(times, lp, alpha, training)
+        if idx:
+            x = np.empty((B, T, lp.input_size))
+            x_proj = _link(scan, x, masks[idx - 1], Wx)
+        else:
+            x_proj = (x.reshape(B * T, d) @ Wx).reshape(B, T, -1).swapaxes(0, 1)
+        scan = _layer_scan(x_proj, Wh, k, lp, ln_g, ln_b, cache)
         inputs.append(x)
         caches.append(cache)
     return inputs, caches, scan
@@ -676,7 +685,7 @@ def forward_batch(
 # ---------------------------------------------------------------------------
 
 
-def _layer_backward(dH, x, cache, params, idx, flat, dA, dX=None):
+def _layer_backward(dH, x, cache, params, idx, flat, dA):
     """Reverse scan of layer idx, a generator. It takes the gradient w.r.t.
     each step's output h, (B, H), from the iterable dH, from step T-1 down
     to 0; it writes the step's pre-activation gradient into dA[t] (B, 4, H)
@@ -690,10 +699,10 @@ def _layer_backward(dH, x, cache, params, idx, flat, dA, dX=None):
 
     After the last step it writes the gradients of the layer's tensors and
     of its layer norm into their stretches of `flat`, laid out as
-    params.flat, and, if dX is given, the input gradient (B, T, d) into dX.
-    The loop carries only the recurrence. The per-step sums are taken after
-    it and added from t = T-1 down to 0, starting from 0.0, as a per-step
-    accumulation would.
+    params.flat (the input gradient is `_link_back`'s, of the yielded
+    steps). The loop carries only the recurrence. The per-step sums are
+    taken after it and added from t = T-1 down to 0, starting from 0.0, as
+    a per-step accumulation would.
     """
     B, T, d = x.shape
     lp, ln_g = params.layers[idx], params.ln_gain[idx]
@@ -755,8 +764,16 @@ def _layer_backward(dH, x, cache, params, idx, flat, dA, dX=None):
     # W_xi .. W_xo, then W_hi .. W_ho, each (rows, H), one after the other
     out[:4 * d * H].reshape(4, d, H)[...] = (x.reshape(B * T, d).T @ dA_flat).reshape(d, 4, H).transpose(1, 0, 2)
     out[4 * d * H:4 * (d + H) * H].reshape(4, H, H)[...] = (hp_flat.T @ dA_flat).reshape(H, 4, H).transpose(1, 0, 2)
-    if dX is not None:
-        dX[...] = (dA_flat @ cache["Wx"].T).reshape(B, T, d)
+
+
+def _link_back(steps, Wx, mask):
+    """The output gradients of the layer below, a generator over a reverse
+    scan's `steps` (t = T-1 down to 0), which it runs to their end: each
+    step's da (B, 4H) @ Wx.T, one B-row product, times mask[:, t] unless
+    mask is None. The only place that product is made."""
+    for i, da in enumerate(steps):
+        dX = da @ Wx.T
+        yield dX if mask is None else dX * mask[:, -1 - i]
 
 
 def _stack_backward(dH, inputs, caches, params, masks, flat, n):
@@ -766,21 +783,16 @@ def _stack_backward(dH, inputs, caches, params, masks, flat, n):
     its cache holds them; the scan drops them, so one layer's at most are
     held at a time. dH is layer n-1's output gradient, in the steps
     `_layer_backward` takes; each lower layer's is the input gradient of
-    the layer above it, times its dropout mask masks[idx] unless that is
-    None."""
+    the layer above it (`_link_back`), one step at a time."""
     for idx in range(n - 1, -1, -1):
         x, cache = inputs[idx], caches[idx]
         B, T, _ = x.shape
         if "gate" not in cache:
             _step_factors(cache)
             _gate_cache(cache, params.layers[idx])
-        dX = np.empty(x.shape) if idx else None
         dA = np.empty((T, B, 4, params.hidden_size))
-        for _ in _layer_backward(dH, x, cache, params, idx, flat, dA, dX):
-            pass
-        if idx:
-            mask = masks[idx - 1]
-            dH = (dX * mask if mask is not None else dX).swapaxes(0, 1)[::-1]
+        steps = _layer_backward(dH, x, cache, params, idx, flat, dA)
+        dH = list(_link_back(steps, cache["Wx"], masks[idx - 1]) if idx else steps)
 
 
 class Gradients(dict):

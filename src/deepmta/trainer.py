@@ -6,10 +6,12 @@ stage is every layer below the top one, the second the top layer, the
 output projection and the loss. In the forward the second stage runs one
 time step behind the first; in the backward the first runs one step behind
 the second. The first stage also makes the two products that link them,
-one per step: the top layer's input projection and its input gradient. On
-two processes (`train(workers=2)`) the first stage runs in the calling
-process and the second in a helper forked at the start of `train`; each
-writes its layers' gradients into one flat gradient in shared memory.
+one B-row product per step, in `model._link` and `model._link_back` as
+`forward_batch` and `backward_batch` do: the top layer's input projection
+and its input gradient. On two processes (`train(workers=2)`) the first
+stage runs in the calling process and the second in a helper forked at
+the start of `train`; each writes its layers' gradients into one flat
+gradient in shared memory.
 
 Each process also does the rest of the step for the tensors it owns. It
 sums the squares of its gradients, tensor by tensor; the caller adds those
@@ -30,13 +32,9 @@ them (`_eval_owners`).
 On one process the same functions run one after the other. Either way
 every operation keeps the operands and order of `forward_batch`,
 `backward_batch` and one clip and update of the whole flat vector, so the
-parameters and the loss history come out bit for bit the same. That holds
-only where the per-step products equal the rows of the one product over all
-B * T rows that forward_batch and backward_batch make, which a BLAS may
-break by picking its kernel by the row count; `_per_step_products_match`
-checks each batch shape once, and a batch of a shape that fails runs
-through `forward_batch` and `backward_batch` in the calling process, as
-does every batch of a one-layer model, which has no first stage.
+parameters and the loss history come out bit for bit the same at every
+batch shape. A one-layer model has no first stage: its batches run through
+`forward_batch` and `backward_batch` in the calling process.
 """
 
 from __future__ import annotations
@@ -51,7 +49,6 @@ import sys
 import time
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass, replace
-from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -74,6 +71,8 @@ from .model import (
     _layer_backward,
     _layer_scan,
     _layer_setup,
+    _link,
+    _link_back,
     _output_backward,
     _stack_backward,
     _stack_scan,
@@ -257,32 +256,6 @@ def _train_val_split(n: int, fraction: float, rng: np.random.Generator) -> tuple
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _per_step_products_match(B: int, T: int, H: int) -> bool:
-    """Whether this process's BLAS gives the two products the wavefront
-    makes one step at a time the bits of the rows of the one product over
-    all B * T rows that forward_batch and backward_batch make: the top
-    layer's input projection x_t @ Wx, (B, H) @ (H, 4H), and its input
-    gradient dA_t @ Wx.T, (B, 4H) @ (4H, H). Both may pick their kernel by
-    the row count: numpy makes a one-row product with gemv, and OpenBLAS
-    has small-matrix kernels. Checked on seeded random operands laid out as
-    the stages and the batched code lay theirs out: a strided row block of
-    x, a contiguous one of dA. The two products are checked one after the
-    other, so that at most one product's operands are held at a time."""
-    rng = np.random.default_rng(0)
-    Wx = rng.standard_normal((H, 4 * H))
-    x = rng.standard_normal((B * T, H))
-    rows = (x @ Wx).reshape(B, T, 4 * H)
-    x = x.reshape(B, T, H)
-    if not all(np.array_equal(x[:, t] @ Wx, rows[:, t]) for t in range(T)):
-        return False
-    del x, rows
-    dA = rng.standard_normal((B * T, 4 * H))
-    rows = (dA @ Wx.T).reshape(B, T, H)
-    dA = dA.reshape(B, T, 4 * H)
-    return all(np.array_equal(np.ascontiguousarray(dA[:, t]) @ Wx.T, rows[:, t]) for t in range(T))
-
-
 def _shared_arrays(sizes: dict[str, int]) -> dict[str, np.ndarray]:
     """name -> float64 vector of the given size, each in one anonymous
     shared mapping: a process forked after they are made reads and writes
@@ -335,23 +308,17 @@ def _sgd_update(params: ModelParams, grads: Gradients, velocity, parts, norm: fl
 
 def _lower_forward(params, feats, times, masks, shared, handoff):
     """The first stage's forward: the layers below the top one over the
-    batch (`_stack_scan`), the last of them one step at a time. After its
-    step t it writes the top layer's input row top_in[:, t], the step's
-    output times its dropout mask, and that row's projection proj[t], then
-    calls handoff(). Returns the layers' inputs and caches and the top
-    layer's stacked input weights."""
+    batch (`_stack_scan`), one step at a time. After step t the top
+    layer's input row top_in[:, t] and its projection proj[t] are written
+    (`_link`), then handoff() is called. Returns the layers' inputs and
+    caches and the top layer's stacked input weights."""
     B, T, _ = feats.shape
     H = params.hidden_size
     inputs, caches, scan = _stack_scan(feats, times, params, masks, params.alpha, True, params.n_layers - 1)
-    top_in, proj = _view(shared["top_in"], B, T, H), _view(shared["proj"], T, B, 4 * H)
+    proj = _view(shared["proj"], T, B, 4 * H)
     Wx = _stacked_weights(params.layers[-1])[0]
-    mask = masks[-1]
-    for t, h in enumerate(scan):
-        if mask is None:
-            top_in[:, t] = h
-        else:
-            np.multiply(h, mask[:, t], out=top_in[:, t])
-        proj[t] = top_in[:, t] @ Wx
+    for t, x_proj in enumerate(_link(scan, _view(shared["top_in"], B, T, H), masks[-1], Wx)):
+        proj[t] = x_proj
         handoff()
     return inputs, caches, Wx
 
@@ -407,19 +374,17 @@ def _top_step(params, shared, grads, wait, handoff) -> None:
 def _lower_backward(params, inputs, times, caches, masks, Wx, shared, flat, wait) -> None:
     """The first stage's backward: the reverse scans of the layers below the
     top one (`_stack_backward`). The output gradient of the last of them at
-    step t is dA[t] @ Wx.T, the top layer's input gradient, times its
-    dropout mask, made after wait(), from t = T-1 down to 0."""
+    step t is the top layer's input gradient (`_link_back` of dA[t]), made
+    after wait(), from t = T-1 down to 0."""
     B, T = times.shape
     dA = _view(shared["dA"], T, B, 4 * params.hidden_size)
-    mask = masks[-1]
 
     def steps():
         for t in range(T - 1, -1, -1):
             wait()
-            dX = dA[t] @ Wx.T
-            yield dX * mask[:, t] if mask is not None else dX
+            yield dA[t]
 
-    _stack_backward(steps(), inputs, caches, params, masks, flat, params.n_layers - 1)
+    _stack_backward(_link_back(steps(), Wx, masks[-1]), inputs, caches, params, masks, flat, params.n_layers - 1)
 
 
 # the commands that start the helper's part of an SGD step or of a
@@ -634,14 +599,12 @@ class _Wavefront:
         helper's stage stops at the loss). masks are the dropout masks of
         the layers below the top one, None where there is no dropout.
         while_waiting, if given, is called once while the caller waits for
-        the loss: the next batch is read there. A batch of a shape that
-        fails `_per_step_products_match`, and every batch of a one-layer
-        model, runs through forward_batch and backward_batch and is updated
+        the loss: the next batch is read there. Every batch of a one-layer
+        model runs through forward_batch and backward_batch and is updated
         in the calling process."""
         params, shared, grads = self.params, self.shared, self.grads
         sums = shared["sums"]
-        B, T = times.shape
-        pipelined = params.n_layers > 1 and _per_step_products_match(B, T, params.hidden_size)
+        pipelined = params.n_layers > 1
         if pipelined:
             loss = self._wavefront(feats, times, labels, masks, while_waiting)
         else:

@@ -31,7 +31,7 @@ def test_step_bench_reports_every_configuration(tmp_path, monkeypatch):
     assert [(row["processes"], row["T"]) for row in report["results"]] == [(1, 1), (2, 1), (1, 2), (2, 2)]
     for row in report["results"]:
         assert row["steps"] == 3
-        assert set(row) == {"processes", "T", "steps", "pipelined", "step_ms", "blocked_ms", "gap_ms"}
+        assert set(row) == {"processes", "T", "steps", "step_ms", "blocked_ms", "gap_ms"}
         for key in ("step_ms", "blocked_ms", "gap_ms"):
             assert set(row[key]) == {"median", "q1", "q3"}
         assert row["step_ms"]["q1"] <= row["step_ms"]["median"] <= row["step_ms"]["q3"]

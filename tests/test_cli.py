@@ -692,6 +692,56 @@ def test_malformed_attribution_record_exits_2(pipeline, tmp_path, capsys, case, 
     assert kv == {} and not out.exists()
 
 
+@pytest.mark.parametrize("case", ("doubled", "negative", "unattributed_nonzero"))
+def test_attribution_weights_off_the_simplex_exit_2(pipeline, tmp_path, capsys, case):
+    # clip-and-normalize writes weights >= 0 that sum to 1, or all 0 where
+    # unattributed; report sums what it reads, so other weights would make
+    # its TOTAL row differ from the attributed GMV
+    lines = pipeline["attr"].read_text().splitlines()
+    records = [json.loads(line) for line in lines]
+    idx = next(i for i, r in enumerate(records) if not r["unattributed"] and len(r["weights"]) > 1)
+    record = records[idx]
+    n = len(record["weights"])
+    if case == "doubled":
+        record["weights"] = [2 * w for w in record["weights"]]
+    elif case == "negative":
+        record["weights"] = [1.5, -0.5] + [0.0] * (n - 2)
+    else:
+        record["unattributed"] = True
+    lines[idx] = json.dumps(record)
+    attr = tmp_path / "attr.jsonl"
+    attr.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "r.csv"
+    code, kv, err = run_cli(capsys, ["report", "--attr", str(attr), "--data", str(pipeline["data"]), "--out", str(out)])
+    assert code == 2
+    assert f"line {idx + 1}: weights must be >= 0 summing to 1" in err and "Traceback" not in err
+    assert kv == {} and not out.exists()
+
+
+@pytest.mark.parametrize("command", ("train", "attribute"))
+def test_unpinned_blas_threads_noted_when_forking(pipeline, tmp_path, capsys, monkeypatch, command):
+    # two processes and no BLAS thread count set: each BLAS may start a
+    # thread per CPU, so a stderr note says so; with a count set, or on one
+    # process, there is none
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    argv = {
+        "train": ["train", "--data", str(pipeline["data"]), "--vocab", str(pipeline["vocab"]),
+                  "--out", str(tmp_path / "m.json"), "--epochs", "1", "--hidden-size", "4"],
+        "attribute": ["attribute", "--model", str(pipeline["ckpt"]), "--data", str(pipeline["data"]),
+                      "--out", str(tmp_path / "a.jsonl"), "--seed", "1"],
+    }[command]
+    for threads, blas_var, noted in (("2", None, True), ("2", "OMP_NUM_THREADS", False), ("1", None, False)):
+        monkeypatch.setenv("MTA_THREADS", threads)
+        for name in cli._BLAS_THREAD_VARS:
+            monkeypatch.delenv(name, raising=False)
+        if blas_var:
+            monkeypatch.setenv(blas_var, "1")
+        code, _, err = run_cli(capsys, argv)
+        assert code == 0
+        assert ("note: 2 processes and no OPENBLAS_NUM_THREADS/OMP_NUM_THREADS/MKL_NUM_THREADS set" in err) == noted
+    assert_no_child_left()
+
+
 def test_attribution_not_utf8_exits_2(pipeline, tmp_path, capsys):
     lines = pipeline["attr"].read_bytes().splitlines(keepends=True)
     attr = tmp_path / "attr.jsonl"

@@ -22,6 +22,7 @@ from deepmta.model import (
     _gate_backward,
     _gate_factors,
     _gate_forward,
+    _stack_scan,
     _step_factors,
     backward_batch,
     cell_step,
@@ -30,7 +31,6 @@ from deepmta.model import (
     load_checkpoint,
     param_shapes,
     save_checkpoint,
-    _layer_forward,
 )
 from deepmta.trainer import softmax
 from reference import cell_forward, dropout, gate_backward, layer_norm, time_gate
@@ -325,24 +325,27 @@ class TestForwardSequence:
 
     @pytest.mark.parametrize("H", (7, 8))
     def test_infer_step_matches_layer_forward(self, H):
-        # the cache-free inference cell against the batched scan at alpha 0
+        # the cache-free inference cell against the chained scan at alpha 0:
+        # layer 0's input projections are one product over all rows, layer
+        # 1's one product per step
         rng = np.random.default_rng(31)
         params = random_model(rng, 5, H, 2)
         x = rng.normal(0, 1, (6, 9, 5))
         times = np.broadcast_to(np.sort(rng.uniform(0, 48, 9)), (6, 9))
+        inputs, _, scan = _stack_scan(x, times, params, [None], 0.0, False, 2)
+        outputs = [inputs[1], np.stack(list(scan), axis=1)]
         for idx, lp in enumerate(params.layers):
             ln_g, ln_b = params.ln_gain[idx], params.ln_bias[idx]
-            scan, _ = _layer_forward(x, times, lp, ln_g, ln_b, 0.0)
-            expected = np.stack(list(scan), axis=1)
             Wx = np.concatenate([lp.W_xi, lp.W_xf, lp.W_xc, lp.W_xo], axis=1)
             Wh = np.concatenate([lp.W_hi, lp.W_hf, lp.W_hc, lp.W_ho], axis=1)
-            x_proj = (x.reshape(-1, x.shape[2]) @ Wx).reshape(6, 9, -1)
+            x = inputs[idx]
+            x_proj = (x.reshape(-1, x.shape[2]) @ Wx).reshape(6, 9, -1) if idx == 0 else None
             h = c = np.zeros((6, H))
             for t in range(9):
                 k = time_gate(times[0, t], lp.tau, lp.s, lp.r_on, 0.0)
-                h, c = cell_step(x_proj[:, t] + h @ Wh, h, c, k, lp, ln_g, ln_b)
-                np.testing.assert_array_equal(h, expected[:, t])
-            x = expected
+                x_t = x_proj[:, t] if idx == 0 else x[:, t] @ Wx
+                h, c = cell_step(x_t + h @ Wh, h, c, k, lp, ln_g, ln_b)
+                np.testing.assert_array_equal(h, outputs[idx][:, t])
 
     def test_float32_inputs_give_float32_states(self):
         # the kernel's temporaries follow a's dtype, so no float64 operand
@@ -552,6 +555,7 @@ def reference_layer_backward(dH, x, times, cache, lp, ln_g):
     d_bias = np.zeros(H)
     acc = {name: np.zeros(H) for name in ("w_ci", "w_cf", "w_co", "b_i", "b_f", "b_c", "b_o", "tau", "s", "r_on")}
 
+    dX = np.empty((B, T, d))
     dh_next = np.zeros((B, H))
     dc_next = np.zeros((B, H))
     for t in range(T - 1, -1, -1):
@@ -599,6 +603,7 @@ def reference_layer_backward(dH, x, times, cache, lp, ln_g):
         d_bias += db_step
         da = da4.reshape(B, 4 * H)
         dA[t] = da
+        dX[:, t] = da @ Wx.T  # one product per step, as `model._link_back` makes it
         dh_prev = dh_prev + da @ Wh.T
 
         dh_next = dh_prev
@@ -617,7 +622,6 @@ def reference_layer_backward(dH, x, times, cache, lp, ln_g):
     hp_flat = cache["h_prev"].transpose(1, 0, 2).reshape(B * T, H)
     dWx = x.reshape(B * T, d).T @ dA_flat
     dWh = hp_flat.T @ dA_flat
-    dX = (dA_flat @ Wx.T).reshape(B, T, d)
 
     grads = {
         "W_xi": dWx[:, 0:H], "W_xf": dWx[:, H:2 * H], "W_xc": dWx[:, 2 * H:3 * H], "W_xo": dWx[:, 3 * H:],

@@ -322,13 +322,27 @@ class TestFlatUpdateMatchesReference:
         assert processes == [1]
         assert_no_child_left()
 
+    def test_three_layers(self, small_planted):
+        # the middle layer's input projection and input gradient are
+        # per-step products on both stages' sides of the wavefront, with a
+        # dropout mask on each link: the reference's parameters at one and
+        # two workers, and the same losses
+        vocab, journeys = small_planted
+        cfg = TrainConfig(hidden_size=8, n_layers=3, epochs=2, batch_size=16, seed=7, learning_rate=0.05)
+        results = [train(journeys[:160], vocab, cfg, workers=workers) for workers in (1, 2)]
+        expected = reference_train(journeys[:160], vocab, cfg, trainer_mod.GRAD_CLIP_NORM)
+        for result in results:
+            assert result.params.flat.tobytes() == expected.flat.tobytes()
+        assert results[0].train_losses == results[1].train_losses
+        assert results[0].val_losses == results[1].val_losses
+        assert_no_child_left()
+
     @pytest.mark.parametrize("workers", (1, 2))
     def test_one_journey_batches_and_long_journeys(self, workers):
         # journeys of 1-32 events, and every length's bucket leaves a
-        # one-journey batch. Such a batch, and any batch shape whose
-        # per-step products are not the batched product's rows, runs
-        # through forward_batch and backward_batch; the others through the
-        # wavefront. Both give the reference's bits
+        # one-journey batch, whose per-step products a BLAS may make with
+        # another kernel than the products of more rows. The wavefront runs
+        # every batch and gives the reference's bits
         gen = GeneratorConfig(
             n_journeys=500, n_channels=3, n_campaigns=2, max_len=32, time_span_hours=48.0, include_nonconverted=True,
         )
@@ -348,44 +362,9 @@ class TestFlatUpdateMatchesReference:
         assert_no_child_left()
 
 
-def per_step_rows_equal(rng, B, T, H):
-    """The comparison of trainer._per_step_products_match on other operands:
-    dropout-masked activations, gradients of a loss's size, and weights of
-    an init's."""
-    Wx = rng.uniform(-0.1, 0.1, (H, 4 * H))
-    x = np.tanh(rng.normal(0, 1, (B, T, H))) * (rng.random((B, T, H)) >= 0.5) / 0.5
-    dA = rng.normal(0, 1e-3, (T, B, 4 * H))
-    proj = (x.reshape(B * T, H) @ Wx).reshape(B, T, 4 * H)
-    dX = (dA.transpose(1, 0, 2).reshape(B * T, 4 * H) @ Wx.T).reshape(B, T, H)
-    return all(
-        np.array_equal(x[:, t] @ Wx, proj[:, t]) and np.array_equal(dA[t] @ Wx.T, dX[:, t]) for t in range(T)
-    )
-
-
 class TestWavefront:
-    """The per-step products that link the two stages, and one SGD step of
-    the wavefront against forward_batch and backward_batch."""
-
-    def test_probe_verdict_is_the_shapes_at_desk_size(self):
-        # every batch shape the desk preset can make (B <= 32, T <= 32 at
-        # H = 64): where the probe finds the per-step products equal to the
-        # batched rows they are equal on other operands too, and where it
-        # finds them different they differ there too. So the verdict is a
-        # property of the shape, and a batch that fails it runs unpipelined
-        rng = np.random.default_rng(0)
-        verdicts = {}
-        for B in range(1, 33):
-            for T in range(1, 33):
-                verdicts[B, T] = trainer_mod._per_step_products_match(B, T, 64)
-                assert per_step_rows_equal(rng, B, T, 64) == verdicts[B, T], (B, T)
-        # a one-row step product is a gemv, the batched one a gemm
-        assert not any(verdicts[1, T] for T in range(2, 33))
-
-    @pytest.mark.parametrize("B, T", [(B, T) for B in (1, 2, 127, 128) for T in (1, 2, 4)])
-    def test_probe_verdict_is_the_shapes_at_paper_size(self, B, T):
-        # the paper preset's H = 1024 at batch 128 and its tails
-        rng = np.random.default_rng(B * 10 + T)
-        assert per_step_rows_equal(rng, B, T, 1024) == trainer_mod._per_step_products_match(B, T, 1024)
+    """One SGD step of the wavefront against forward_batch and
+    backward_batch, at every batch shape."""
 
     def test_workers_below_one_rejected(self, small_planted):
         vocab, journeys = small_planted
@@ -407,7 +386,7 @@ class TestWavefront:
         velocity = {name: np.zeros_like(arr) for name, arr in reference.named_parameters()}
         norms = []
         with trainer_mod._Wavefront(params, cfg, one_journey_table(5, 7), np.arange(0), processes) as wavefront:
-            for B, T in ((32, 1), (32, 2), (32, 3), (32, 4), (9, 3), (1, 5), (2, 5), (32, 4)):
+            for B, T in ((32, 1), (32, 2), (32, 3), (32, 4), (9, 3), (1, 5), (2, 5), (1, 2), (5, 4), (13, 4), (32, 4)):
                 feats = rng.normal(0, 1, (B, T, 7))
                 times = np.cumsum(rng.uniform(0, 12, (B, T)), axis=1)
                 labels = rng.integers(0, 2, (B, T))
@@ -432,6 +411,27 @@ class TestWavefront:
                     assert wavefront.grads[name].tobytes() == value.tobytes(), (B, T, name)
                 assert params.flat.tobytes() == reference.flat.tobytes(), (B, T)
         assert min(norms) < trainer_mod.GRAD_CLIP_NORM < max(norms)
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("processes", (1, 2))
+    def test_every_two_layer_batch_pipelines(self, processes, monkeypatch):
+        # shapes whose one-row or small-matrix per-step products a BLAS may
+        # make with another kernel than a product of all B * T rows: step
+        # runs the wavefront at each, never forward_batch or backward_batch
+        calls = []
+        for name in ("forward_batch", "backward_batch"):
+            monkeypatch.setattr(trainer_mod, name, lambda *args, name=name, **kwargs: calls.append(name))
+        rng = np.random.default_rng(6)
+        cfg = TrainConfig(hidden_size=64, use_time_feature=True)
+        params = init_params(7, 64, 2, dropout_p=0.5, rng=rng)
+        with trainer_mod._Wavefront(params, cfg, one_journey_table(4, 7), np.arange(0), processes) as wavefront:
+            for B, T in ((1, 2), (1, 3), (1, 4), (5, 4), (13, 4)):
+                feats = rng.normal(0, 1, (B, T, 7))
+                times = np.cumsum(rng.uniform(0, 12, (B, T)), axis=1)
+                masks = [(rng.random((B, T, 64)) >= 0.5) / 0.5]
+                loss, norm = wavefront.step(feats, times, rng.integers(0, 2, (B, T)), masks)
+                assert np.isfinite(loss) and norm is not None, (B, T)
+        assert calls == []
         assert_no_child_left()
 
     @pytest.mark.parametrize("n_layers, processes", [(1, 1), (1, 2), (2, 1), (2, 2)])
