@@ -8,15 +8,19 @@ Shapley values, and always ends in clip-and-normalize.
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import json
 import math
+import pickle
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError, NumericError, ValidationError, WorkerError
+from ._fork import Worker, can_fork
+from .errors import ConfigError, DimensionError, NumericError, ValidationError
 # encode_journey and forward_batch are not called here, but perfbench's
 # tracer wraps deepmta.attribution.encode_journey and .forward_batch, so the
 # names must stay importable
@@ -637,63 +641,38 @@ def _attribute_shard(params, journeys, vocab, plans, stats=None) -> list[Attribu
     return results
 
 
-def _shard_child(sender, params, journeys, vocab, plans) -> None:
-    """A forked child's work: its shard's results and counters, or the
-    error that stopped it, sent once to the parent."""
+def _send_shard(params, journeys, vocab, plans, _, writes) -> None:
+    """A forked child's work: one pickle of its shard's results and
+    counters, or of the error that stopped it, written to the caller."""
     try:
         stats = GameStats()
         reply = (_attribute_shard(params, journeys, vocab, plans, stats), stats)
-    except Exception as exc:  # reported to the parent, which raises it
+    except Exception as exc:  # reported to the caller, which raises it
         reply = exc
-    sender.send(reply)
+    with open(writes, "wb") as pipe:
+        pickle.dump(reply, pipe)
 
 
 def _attribute_shards(params, shards, vocab, plans, stats=None) -> list[list[AttributionResult]]:
     """The results of each shard of a window. The calling process takes the
     first shard; each other shard that is not empty goes to a child process
-    forked for it, which so starts with its shard, the plans and the model
-    in its memory, and sends back its results and counters, or its error,
-    over a one-way pipe. Every child is joined before this returns or
-    raises: one still working when an error ends the window is killed."""
+    forked for it (`_send_shard`), which so starts with its shard, the plans
+    and the model in its memory."""
     parts: list[list[AttributionResult]] = [[] for _ in shards]
-    pending = []  # (shard index, child, receiver) not yet heard from
-    try:
-        if any(shards[1:]):
-            # imported here: it adds about 15 ms to a cold `import deepmta.cli`
-            import multiprocessing
-
-            context = multiprocessing.get_context("fork")
-            for k, journeys in enumerate(shards[1:], start=1):
-                if journeys:
-                    receiver, sender = context.Pipe(duplex=False)
-                    child = context.Process(target=_shard_child, args=(sender, params, journeys, vocab, plans))
-                    child.start()
-                    # the child holds the only sending end, so its death ends the pipe
-                    sender.close()
-                    pending.append((k, child, receiver))
+    with contextlib.ExitStack() as stack:
+        children = []
+        for k, journeys in enumerate(shards[1:], start=1):
+            if journeys:
+                work = functools.partial(_send_shard, params, journeys, vocab, plans)
+                children.append((k, stack.enter_context(Worker("an attribution worker process", work))))
         parts[0] = _attribute_shard(params, shards[0], vocab, plans, stats)
-        while pending:
-            k, child, receiver = pending[0]
-            try:
-                reply = receiver.recv()
-            except EOFError:
-                child.join()
-                raise WorkerError(
-                    f"an attribution worker process ended with exit status {child.exitcode} before sending its results"
-                ) from None
+        for k, child in children:
+            reply = pickle.loads(child.read_to_end())
             if isinstance(reply, BaseException):
                 raise reply
             parts[k], child_stats = reply
             if stats is not None:
                 stats.add(child_stats)
-            pending.pop(0)
-            child.join()
-            receiver.close()
-    finally:
-        for _, child, receiver in pending:
-            child.kill()
-            child.join()
-            receiver.close()
     return parts
 
 
@@ -722,11 +701,12 @@ def attribute_journeys(
     In each shard the games are scored together in trie blocks of at most
     `_block_rows` rows, and the journeys of one length are finished
     together. So memory is bounded by one window's plans and
-    values and one block scan. Every child is joined before the
+    values and one block scan. Every child is reaped before the
     window's results are yielded, and on an error; a child that dies
-    without sending its results is a WorkerError. Each journey's result
-    equals `attribute_journey` on it alone, at any worker count. The
-    arguments are checked at the call, before any journey is read.
+    without sending its results is a WorkerError. Where the platform cannot
+    fork, N is 1. Each journey's result equals `attribute_journey` on it
+    alone, at any worker count. The arguments are checked at the call,
+    before any journey is read.
     """
     if workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
@@ -734,6 +714,7 @@ def attribute_journeys(
         raise ConfigError(f"the number of sampled permutations must be >= 1, got {n_samples}")
     if seed < 0:
         raise ConfigError(f"seed must be >= 0, got {seed}")
+    workers = workers if can_fork() else 1
     return _attribute_windows(params, journeys, vocab, method, n_samples, seed, workers, stats)
 
 

@@ -29,6 +29,7 @@ from .attribution import (  # noqa: F401
     load_attributions,
     save_attributions,
 )
+from ._fork import can_fork
 from .errors import ConfigError, DeepMtaError, ValidationError
 # generate_synthetic is not called here either; the tracer wraps it by this name
 from .journey import (  # noqa: F401
@@ -192,7 +193,7 @@ def _workers() -> int:
         if asked < 1:
             raise ConfigError("MTA_THREADS must be >= 1")
         workers = min(asked, workers)
-    return workers if hasattr(os, "fork") else 1
+    return workers if can_fork() else 1
 
 
 def _cmd_attribute(args) -> None:

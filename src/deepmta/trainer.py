@@ -44,7 +44,6 @@ import itertools
 import math
 import mmap
 import os
-import signal
 import sys
 import time
 from collections.abc import Callable, Iterable
@@ -53,12 +52,12 @@ from pathlib import Path
 
 import numpy as np
 
+from ._fork import Worker, can_fork
 from .errors import (
     ConfigError,
     EvaluationError,
     TrainingDivergedError,
     ValidationError,
-    WorkerError,
 )
 from .journey import CustomerJourney, JourneyTable, Vocabulary, encode_journey, journey_table
 from .model import (
@@ -390,11 +389,6 @@ def _lower_backward(params, inputs, times, caches, masks, Wx, shared, flat, wait
 # the commands that start the helper's part of an SGD step or of a
 # validation pass; every other byte on the pipes is a plain handoff
 _STEP, _VALIDATE = b"s", b"v"
-# the caller's pipe ends of every open _Wavefront of this process. A helper
-# closes those of the others right after its fork: holding an earlier
-# wavefront's ends, it would keep that wavefront's helper from seeing the
-# caller close them, and so from exiting
-_CALLER_ENDS: set[int] = set()
 
 
 class _Lookahead:
@@ -436,18 +430,17 @@ class _Wavefront:
     the stages' exchange arrays (sized for batches of up to
     cfg.batch_size journeys of up to the table's longest length), the clip
     norm's per-tensor square sums and the validation batches' losses. On
-    entry the helper is forked, so it holds them all, the table and the
-    validation indices from the start.
+    entry the helper is forked (a `_fork.Worker`), so it holds them all,
+    the table and the validation indices from the start.
 
-    The two processes hand each other one byte over a pipe per event of
-    the schedule. The caller sends a command (_STEP, _VALIDATE) to start
-    each of the helper's parts, a byte after each forward step of its stage
-    and one once the clip norm is in meta[3]; the helper sends one after
-    the loss, after each backward step of its stage, at the end of its
-    backward, at the end of its update and at the end of its validation
+    The two processes hand each other one byte over the worker's pipes per
+    event of the schedule. The caller sends a command (_STEP, _VALIDATE) to
+    start each of the helper's parts, a byte after each forward step of its
+    stage and one once the clip norm is in meta[3]; the helper sends one
+    after the loss, after each backward step of its stage, at the end of
+    its backward, at the end of its update and at the end of its validation
     share. A step returns after both updates, so the caller reads the
-    helper's tensors only after their update. The helper is joined on every
-    exit, killed first on an error."""
+    helper's tensors only after their update."""
 
     def __init__(self, params: ModelParams, cfg: TrainConfig, table: JourneyTable, val_idx: np.ndarray, processes: int):
         H, n = params.hidden_size, cfg.batch_size * int(table.lengths.max())
@@ -476,36 +469,20 @@ class _Wavefront:
                 [_span(layout, f"layers.{top}.W_hi", f"layers.{top}.r_on"), _span(layout, f"ln.{top}.gain", "b_out")],
             )
             self.clamped = range(top), [top]
-        self.pid = None
+        self.helper = None
 
     def __enter__(self) -> "_Wavefront":
         if self.processes > 1:
-            helper_reads, self.send_fd = os.pipe()
-            self.recv_fd, helper_writes = os.pipe()
-            try:
-                self.pid = os.fork()
-            except OSError:
-                for fd in (helper_reads, self.send_fd, self.recv_fd, helper_writes):
-                    os.close(fd)
-                raise
-            if self.pid == 0:
-                status = 1
-                try:
-                    for fd in (self.send_fd, self.recv_fd, *_CALLER_ENDS):
-                        os.close(fd)
-                    status = self._helper(helper_reads, helper_writes)
-                finally:  # never return into the caller's code
-                    os._exit(status)
-            os.close(helper_reads)
-            os.close(helper_writes)
-            _CALLER_ENDS.update((self.send_fd, self.recv_fd))
+            self.helper = Worker("the training helper process", self._helper).__enter__()
         return self
 
-    def _helper(self, recv_fd: int, send_fd: int) -> int:
+    def __exit__(self, *exc) -> None:
+        if self.helper is not None:
+            self.helper.__exit__(*exc)
+
+    def _helper(self, recv_fd: int, send_fd: int) -> None:
         """The helper process's loop: its part of each step or validation
-        pass the caller starts, until the caller closes its pipe. Returns
-        the exit status: 0, or 1 after an error, which it names on stderr
-        (an interrupt exits 1 as well)."""
+        pass the caller starts, until the caller closes its pipe."""
         def wait() -> bytes:
             command = os.read(recv_fd, 1)
             if not command:
@@ -527,39 +504,15 @@ class _Wavefront:
                     self._update(1)
                     handoff()
         except (EOFError, BrokenPipeError):  # the caller is done, or gone
-            return 0
-        except Exception as exc:  # named here; the caller sees the pipe close and exits 4
-            print(f"error: the training helper process failed: {exc!r}", file=sys.stderr)
-            return 1
-
-    def _died(self) -> WorkerError:
-        _, status = os.waitpid(self.pid, 0)
-        self.pid = None
-        return WorkerError(
-            f"the training helper process ended with exit status {os.waitstatus_to_exitcode(status)} mid-step"
-        )
+            return
 
     def _send(self, command: bytes = b"\0") -> None:
-        if self.pid is not None:
-            try:
-                os.write(self.send_fd, command)
-            except BrokenPipeError:
-                raise self._died() from None
+        if self.helper is not None:
+            self.helper.write(command)
 
     def _wait(self) -> None:
-        if self.pid is not None and not os.read(self.recv_fd, 1):
-            raise self._died()
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        if self.processes > 1:
-            _CALLER_ENDS.difference_update((self.send_fd, self.recv_fd))
-            os.close(self.send_fd)
-            os.close(self.recv_fd)
-            if self.pid is not None:
-                if exc_type is not None:
-                    os.kill(self.pid, signal.SIGKILL)
-                os.waitpid(self.pid, 0)
-                self.pid = None
+        if self.helper is not None:
+            self.helper.read(1)
 
     def _update(self, owner: int) -> None:
         """The clip, momentum and SGD step and the gate clamp of the tensors
@@ -577,7 +530,7 @@ class _Wavefront:
         """`_dataset_loss` of the validation indices; on two processes each
         scores its share of the batches (`_eval_owners`), and the batches'
         losses are added in batch order."""
-        if self.pid is None or not len(self.val_idx):
+        if self.helper is None or not len(self.val_idx):
             return _dataset_loss(self.table, self.val_idx, self.params)
         self._send(_VALIDATE)
         self._score_validation(0)
@@ -621,7 +574,7 @@ class _Wavefront:
         # the clip norm: the square sums added in `grads` order, one tensor
         # at a time (one dot product over the vector would round differently)
         shared["meta"][3] = norm = float(np.sqrt(_ordered_sum(sums)))
-        helper = pipelined and self.pid is not None
+        helper = pipelined and self.helper is not None
         if helper:
             self._send()
         self._update(0)
@@ -642,7 +595,7 @@ class _Wavefront:
         shared["meta"][:2] = B, T
         self._send(_STEP)
         inputs, caches, Wx = _lower_forward(params, feats, times, masks, shared, self._send)
-        if self.pid is None:  # one process: the second stage runs here, and _wait and _send do nothing
+        if self.helper is None:  # one process: the second stage runs here, and _wait and _send do nothing
             _top_step(params, shared, grads, self._wait, self._send)
         # the lower layers' backward factors and the next batch while the
         # helper ends its forward, their gates' while it starts its backward
@@ -723,7 +676,7 @@ def train(
 
     train_losses: list[float] = []
     val_losses: list[float] = []
-    processes = 2 if workers >= 2 and cfg.n_layers >= 2 and hasattr(os, "fork") else 1
+    processes = 2 if workers >= 2 and cfg.n_layers >= 2 and can_fork() else 1
     with _Wavefront(params, cfg, table, val_idx, processes) as wavefront:
         if on_start is not None:
             on_start(processes)

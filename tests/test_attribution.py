@@ -810,7 +810,6 @@ class TestBlockScan:
         # process, with the results and counters of one worker. A small
         # output layer puts many margins inside the recheck band, so the
         # rechecked counts compared are not 0
-        import multiprocessing
         import os
 
         import deepmta.attribution as attribution
@@ -839,7 +838,25 @@ class TestBlockScan:
         assert serial_stats.rechecked > 0
         assert parallel_stats.node_steps == serial_stats.node_steps
         assert parallel_stats.rechecked == serial_stats.rechecked
-        assert multiprocessing.active_children() == []
+        assert_no_child_left()
+
+    def test_no_fork_means_one_worker(self, monkeypatch):
+        # where the platform cannot fork, two workers give the results and
+        # counters of one, and start no process
+        import os
+
+        rng = np.random.default_rng(52)
+        params = init_params(VOCAB.encoding_dim, 6, 2, t_span_hours=12.0, rng=12)
+        journeys = mixed_journeys(rng, (12, 5, 14, 12, 9, 3))
+        serial_stats, parallel_stats = GameStats(), GameStats()
+        serial = list(attribute_journeys(params, journeys, VOCAB, n_samples=64, workers=1, stats=serial_stats))
+        monkeypatch.delattr(os, "fork")
+        parallel = list(attribute_journeys(params, journeys, VOCAB, n_samples=64, workers=2, stats=parallel_stats))
+        for a, b in zip(parallel, serial, strict=True):
+            np.testing.assert_array_equal(a.raw_weights, b.raw_weights)
+            np.testing.assert_array_equal(a.weights, b.weights)
+            assert (a.intercept, a.method, a.unattributed) == (b.intercept, b.method, b.unattributed)
+        assert parallel_stats == serial_stats
         assert_no_child_left()
 
     def test_each_worker_gets_a_journey_of_a_long_window(self, monkeypatch, tmp_path):
@@ -906,15 +923,12 @@ class TestBlockScan:
     def test_pool_is_joined_when_the_caller_closes_early(self):
         # the caller stops after the first window's first result; the
         # processes are gone (an error in a worker: see test_cli)
-        import multiprocessing
-
         rng = np.random.default_rng(49)
         params = init_params(VOCAB.encoding_dim, 6, 1, t_span_hours=12.0, rng=9)
         journeys = mixed_journeys(rng, (12, 12, 12, 3, 12, 12, 5))
         batches = attribute_journeys(params, journeys, VOCAB, workers=2)
         next(batches)
         batches.close()
-        assert multiprocessing.active_children() == []
         assert_no_child_left()
 
     def test_more_journeys_than_one_window(self, monkeypatch):

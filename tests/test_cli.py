@@ -27,6 +27,20 @@ from reference import load_report_csv
 from test_attribution import assert_no_child_left
 from test_model import as_v1, set_tensor_entry
 
+# the package from this checkout, for a fresh interpreter
+SRC_ENV = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))}
+# a two-layer train and an attribute_journeys, each at two workers, in a
+# fresh interpreter; forks counts the processes they start
+FORKING_RUN = """
+import os
+from deepmta import GeneratorConfig, TrainConfig, attribute_journeys, generate_synthetic, train
+forks = [0]
+os.register_at_fork(after_in_parent=lambda: forks.__setitem__(0, forks[0] + 1))
+vocab, journeys = generate_synthetic(GeneratorConfig(n_journeys=60, max_len=4), seed=3)
+result = train(journeys, vocab, TrainConfig(hidden_size=4, epochs=1, seed=1), workers=2)
+list(attribute_journeys(result.params, journeys[:8], vocab, workers=2))
+"""
+
 
 def parse_kv(stdout: str) -> dict:
     out = {}
@@ -443,21 +457,20 @@ class TestAttribute:
     def test_huge_thread_env_starts_a_small_pool(self, pipeline, tmp_path, monkeypatch):
         # the processes started per window are counted: the calling process
         # and two children, whatever MTA_THREADS asks for
-        import multiprocessing
-        from multiprocessing.context import ForkProcess
+        from deepmta import _fork
 
         started = []
-        real_start, real_shards = ForkProcess.start, attribution._attribute_shards
+        real_enter, real_shards = _fork.Worker.__enter__, attribution._attribute_shards
 
-        def start(self):
+        def enter(self):
             started[-1] += 1
-            real_start(self)
+            return real_enter(self)
 
         def shards(*args, **kwargs):
             started.append(0)
             return real_shards(*args, **kwargs)
 
-        monkeypatch.setattr(ForkProcess, "start", start)
+        monkeypatch.setattr(_fork.Worker, "__enter__", enter)
         monkeypatch.setattr(attribution, "_attribute_shards", shards)
         monkeypatch.setattr(cli, "_usable_cpus", lambda: 3)
         monkeypatch.setenv("MTA_THREADS", "100000")
@@ -468,7 +481,6 @@ class TestAttribute:
         ]) == 0
         assert started == [2]
         assert out.read_bytes() == pipeline["attr"].read_bytes()
-        assert multiprocessing.active_children() == []
         assert_no_child_left()
 
     def test_no_fork_means_one_worker(self, monkeypatch):
@@ -486,8 +498,6 @@ class TestAttribute:
     def test_worker_numeric_error_exits_3(self, pipeline, tmp_path, monkeypatch, capsys):
         # an error raised in a worker process ends the run like one raised
         # in the caller: its exit code, no output file, no process left
-        import multiprocessing
-
         caller = os.getpid()
         scan = attribution._scan_block
 
@@ -506,14 +516,12 @@ class TestAttribute:
         assert code == 3
         assert "non-finite logits in a worker" in err
         assert not out.exists()
-        assert multiprocessing.active_children() == []
         assert_no_child_left()
 
     def test_caller_shard_error_ends_the_workers(self, pipeline, tmp_path, monkeypatch, capsys):
         # an error in the caller's own shard, while its children still
         # work, ends the run with its exit code; the children are killed
         # and reaped, and no output file is written
-        import multiprocessing
         import time
 
         caller = os.getpid()
@@ -537,13 +545,11 @@ class TestAttribute:
         assert time.perf_counter() - start < 20
         assert "non-finite logits in the caller" in err
         assert not out.exists()
-        assert multiprocessing.active_children() == []
         assert_no_child_left()
 
     def test_dead_worker_exits_4(self, pipeline, tmp_path, monkeypatch, capsys):
         # a worker killed before it sends its results (SIGKILL, as the OOM
         # killer sends) is an evaluation error naming its exit status
-        import multiprocessing
         import signal
 
         caller = os.getpid()
@@ -565,16 +571,63 @@ class TestAttribute:
         assert f"exit status {-signal.SIGKILL}" in err
         assert "Traceback" not in err
         assert not out.exists()
-        assert multiprocessing.active_children() == []
+        assert_no_child_left()
+
+    def test_first_worker_death_seen_while_another_works(self, pipeline, tmp_path, monkeypatch, capsys):
+        # at three workers the first child is killed while the second still
+        # works: no later child holds the first one's pipe, so the caller
+        # sees the death at once, then kills and reaps the second
+        import signal
+        import time
+
+        caller = os.getpid()
+        firsts = []
+        real_shards, real_shard = attribution._attribute_shards, attribution._attribute_shard
+
+        def shards(params, shards, *args):
+            firsts.append(shards[1])
+            return real_shards(params, shards, *args)
+
+        def shard(params, journeys, *args):
+            if os.getpid() != caller:
+                if journeys is firsts[-1]:
+                    os.kill(os.getpid(), signal.SIGKILL)
+                time.sleep(30)
+            return real_shard(params, journeys, *args)
+
+        monkeypatch.setattr(attribution, "_attribute_shards", shards)
+        monkeypatch.setattr(attribution, "_attribute_shard", shard)
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 3)
+        monkeypatch.setenv("MTA_THREADS", "3")
+        out = tmp_path / "a.jsonl"
+        start = time.perf_counter()
+        code, _, err = run_cli(capsys, [
+            "attribute", "--model", str(pipeline["ckpt"]), "--data", str(pipeline["data"]), "--out", str(out),
+        ])
+        assert code == 4
+        assert time.perf_counter() - start < 20
+        assert f"exit status {-signal.SIGKILL}" in err
+        assert not out.exists()
         assert_no_child_left()
 
     def test_import_loads_no_process_pool(self):
-        # the pool's modules cost a cold import ~15 ms; attribute loads them
-        # only when it runs more than one worker
+        # multiprocessing costs a cold import ~4 ms; neither the import nor
+        # a run on two workers loads it
         code = "import sys, deepmta.cli; print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))"
-        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))}
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=SRC_ENV, check=True)
         assert proc.stdout.strip() == "[]"
+        code = f"import sys\n{FORKING_RUN}\nprint('multiprocessing' in sys.modules, forks)"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=SRC_ENV, check=True)
+        assert proc.stdout.strip() == "False [2]"
+
+    def test_child_never_writes_the_callers_buffered_stdout(self):
+        # stdout is a pipe, so block-buffered: the marker printed before the
+        # forks is still in the buffer each child copies, and is written once
+        env = {key: value for key, value in SRC_ENV.items() if key != "PYTHONUNBUFFERED"}
+        code = f"print('marker')\n{FORKING_RUN}\nimport sys\nprint(forks, file=sys.stderr)"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+        assert proc.stdout == "marker\n"
+        assert proc.stderr.splitlines()[-1] == "[2]"
 
     @pytest.mark.parametrize("value", ("abc", "1.5", "0"))
     def test_malformed_thread_env_exits_2(self, pipeline, tmp_path, monkeypatch, capsys, value):

@@ -7,6 +7,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from deepmta import _fork
 from deepmta.errors import (
     ConfigError,
     DimensionError,
@@ -490,15 +491,15 @@ class TestWavefront:
         try:
             for wavefront in wavefronts:
                 wavefront.__exit__(None, None, None)
-                assert wavefront.pid is None
+                assert wavefront.helper.pid is None
         finally:
             signal.setitimer(signal.ITIMER_REAL, 0.0)
             signal.signal(signal.SIGALRM, previous)
             for wavefront in wavefronts:  # only after a hang
-                if wavefront.pid is not None:
-                    os.kill(wavefront.pid, signal.SIGKILL)
-                    os.waitpid(wavefront.pid, 0)
-        assert not trainer_mod._CALLER_ENDS
+                if wavefront.helper.pid is not None:
+                    os.kill(wavefront.helper.pid, signal.SIGKILL)
+                    os.waitpid(wavefront.helper.pid, 0)
+        assert not _fork._OPEN_ENDS
         assert_no_child_left()
 
 
