@@ -1,8 +1,10 @@
 """How a worker process is started, talked to, reaped and reported: `train`'s
-helper and each extra shard of an `attribute` window run in a `Worker`."""
+helper, each extra shard of an `attribute` window and `gen`'s journey
+writer run in a `Worker`."""
 
 from __future__ import annotations
 
+import contextlib
 import os
 import signal
 import sys
@@ -82,6 +84,19 @@ class Worker:
             raise self._ended(self._reap())
         return data
 
+    @contextlib.contextmanager
+    def sending(self):
+        """A binary file over the send end, for a stream of any length. On
+        exit the end is closed, so the child reads to its end; a child that
+        closed its own end first is a WorkerError."""
+        fd, self.send_fd = self.send_fd, None
+        _OPEN_ENDS.discard(fd)
+        try:
+            with open(fd, "wb") as pipe:
+                yield pipe
+        except BrokenPipeError:
+            raise self._ended(self._reap()) from None
+
     def read_to_end(self) -> bytes:
         """All the child wrote, once it has ended with status 0."""
         with open(self.recv_fd, "rb", closefd=False) as pipe:
@@ -92,9 +107,10 @@ class Worker:
         return data
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        _OPEN_ENDS.difference_update((self.send_fd, self.recv_fd))
-        os.close(self.send_fd)
-        os.close(self.recv_fd)
+        for fd in (self.send_fd, self.recv_fd):
+            if fd is not None:  # the send end is closed already after `sending`
+                _OPEN_ENDS.discard(fd)
+                os.close(fd)
         if self.pid is not None:
             if exc_type is not None:
                 os.kill(self.pid, signal.SIGKILL)

@@ -303,49 +303,67 @@ def stream_synthetic(cfg: GeneratorConfig, seed: int) -> tuple[Vocabulary, Itera
     with median 50 currency units (a documented synthetic stand-in). The
     seed is checked at the call.
     """
+    vocab, draws = synthetic_draws(cfg, seed)
+    return vocab, (_synthetic_journey(cfg, vocab, draw) for draw in draws)
+
+
+def synthetic_draws(cfg: GeneratorConfig, seed: int) -> tuple[Vocabulary, Iterator[tuple]]:
+    """`stream_synthetic`'s vocabulary and a generator of its journeys'
+    draw records (`_synthetic_draws`), each drawn as it is read; the seed
+    is checked at the call."""
     if seed < 0:
         raise ConfigError(f"seed must be >= 0, got {seed}")
     vocab = Vocabulary(
         channels=tuple(f"ch{i:02d}" for i in range(cfg.n_channels)),
         campaigns=tuple(f"cmp{i:02d}" for i in range(cfg.n_campaigns)),
     )
-    return vocab, _synthetic_journeys(cfg, vocab, np.random.default_rng(seed))
+    return vocab, _synthetic_draws(cfg, np.random.default_rng(seed))
 
 
-def _synthetic_journeys(cfg: GeneratorConfig, vocab: Vocabulary, rng: np.random.Generator) -> Iterator[CustomerJourney]:
-    span_seconds = cfg.time_span_hours * SECONDS_PER_HOUR
+# the index of a draw record's `converted` flag
+DRAW_CONVERTED = 5
+
+
+def _synthetic_draws(cfg: GeneratorConfig, rng: np.random.Generator) -> Iterator[tuple]:
+    """Every `rng` call of the dataset, in its fixed order, and nothing
+    else: one plain-Python record per kept journey, (index, channel
+    indices, campaign indices, start timestamp, gap jitters, converted,
+    gmv), the jitters empty for a one-event journey."""
     n_kept = 0
     while n_kept < cfg.n_journeys:
         n_events = int(rng.integers(1, cfg.max_len + 1))
-        channel_ids = rng.integers(0, cfg.n_channels, size=n_events)
-        campaign_ids = rng.integers(0, cfg.n_campaigns, size=n_events)
+        channels = rng.integers(0, cfg.n_channels, size=n_events).tolist()
+        campaigns = rng.integers(0, cfg.n_campaigns, size=n_events).tolist()
         start_ts = int(rng.integers(0, START_TS_LIMIT))
         # journeys stretch over roughly the traced window: gap sizes scale
         # with span/(n-1) plus jitter, so event timing carries structure
-        jitter = rng.uniform(GAP_JITTER_LOW, GAP_JITTER_HIGH, size=n_events - 1) if n_events > 1 else None
-        key_recent = cfg.key_channel_index in channel_ids[-3:].tolist()
+        jitter = rng.uniform(GAP_JITTER_LOW, GAP_JITTER_HIGH, size=n_events - 1).tolist() if n_events > 1 else []
+        key_recent = cfg.key_channel_index in channels[-3:]
         converted = bool(rng.random() < cfg.base_rate + (cfg.key_lift if key_recent else 0.0))
         gmv = float(rng.lognormal(math.log(GMV_MEDIAN), GMV_SIGMA)) if converted else 0.0
-        if not converted and not cfg.include_nonconverted:
-            continue
+        if converted or cfg.include_nonconverted:
+            yield n_kept, channels, campaigns, start_ts, jitter, converted, gmv
+            n_kept += 1
 
-        # the draws are done: the rest is plain Python on their values
-        channels, campaigns = channel_ids.tolist(), campaign_ids.tolist()
-        timestamps = [start_ts]
-        if n_events > 1:
-            unit_gap = span_seconds / (n_events - 1)
-            for j in jitter.tolist():
-                timestamps.append(timestamps[-1] + max(1, int(unit_gap * j)))
-        yield CustomerJourney(
-            user_id=f"u{n_kept:06d}",
-            events=[
-                ClickEvent(channel_id=vocab.channels[ch], campaign_id=vocab.campaigns[cmp], timestamp=ts)
-                for ch, cmp, ts in zip(channels, campaigns, timestamps)
-            ],
-            converted=converted,
-            gmv=gmv,
-        )
-        n_kept += 1
+
+def _synthetic_journey(cfg: GeneratorConfig, vocab: Vocabulary, draw: tuple) -> CustomerJourney:
+    """The journey of one `_synthetic_draws` record: plain Python on its
+    values, which needs no draw that comes after it."""
+    index, channels, campaigns, start_ts, jitter, converted, gmv = draw
+    timestamps = [start_ts]
+    if jitter:
+        unit_gap = cfg.time_span_hours * SECONDS_PER_HOUR / len(jitter)
+        for j in jitter:
+            timestamps.append(timestamps[-1] + max(1, int(unit_gap * j)))
+    return CustomerJourney(
+        user_id=f"u{index:06d}",
+        events=[
+            ClickEvent(channel_id=vocab.channels[ch], campaign_id=vocab.campaigns[cmp], timestamp=ts)
+            for ch, cmp, ts in zip(channels, campaigns, timestamps)
+        ],
+        converted=converted,
+        gmv=gmv,
+    )
 
 
 def journey_to_dict(journey: CustomerJourney) -> dict:

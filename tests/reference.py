@@ -281,8 +281,9 @@ def shapley_sampled(
 
 
 def synthetic_journeys(cfg: GeneratorConfig, vocab: Vocabulary, rng: np.random.Generator):
-    """`journey._synthetic_journeys` as it was with numpy arithmetic after
-    the draws: the oracle of the plain-Python version's journeys."""
+    """The synthetic journeys as they were made with numpy arithmetic after
+    the draws: the oracle of `journey._synthetic_draws` and
+    `journey._synthetic_journey`'s plain-Python journeys."""
     span_seconds = cfg.time_span_hours * SECONDS_PER_HOUR
     n_kept = 0
     while n_kept < cfg.n_journeys:

@@ -1,8 +1,9 @@
-"""bench/layers.py at tiny sizes: it runs, and its report has the keys a
-committed BENCH_train_step.json has."""
+"""The bench scripts at tiny sizes: each runs, and its report has the keys
+its committed BENCH_*.json has."""
 
 import importlib.util
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -78,3 +79,33 @@ def test_attribution_bench_reports_every_configuration(tmp_path, monkeypatch):
     assert [row["journeys"] for row in exact] == [52, 52]
     assert [row["node_steps"] for row in exact] == [16006, 16006]
     assert [row["H"] for row in report["results"]] == [64, 64, 8, 8]
+
+
+DATA_BENCH = BENCH.parent / "data.py"
+
+
+def test_data_bench_reports_every_row(tmp_path, monkeypatch):
+    # gen at one and two workers, then the reader, over 50 journeys
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.setenv("MTA_THREADS", "3")
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    spec = importlib.util.spec_from_file_location("bench_data", DATA_BENCH)
+    bench = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = bench
+    try:
+        spec.loader.exec_module(bench)
+        out = tmp_path / "bench.json"
+        report = bench.main(["--journeys", "50", "--repeats", "2", "--warmup", "0", "--out", str(out)])
+    finally:
+        del sys.modules[spec.name]
+    assert json.loads(out.read_text(encoding="utf-8")) == report
+    assert set(report) == {"bench", "environment", "gen_args", "results"}
+    assert [(row["stage"], row["workers"]) for row in report["results"]] == [
+        ("gen", 1), ("gen", 2), ("journey_table", 1),
+    ]
+    for row in report["results"]:
+        assert set(row) == {"stage", "workers", "journeys", "calls", "ms_per_1000"}
+        assert row["journeys"] == 50 and row["calls"] == 2
+        assert row["ms_per_1000"]["q1"] <= row["ms_per_1000"]["median"] <= row["ms_per_1000"]["q3"]
+    # the bench restores the caller's MTA_THREADS
+    assert os.environ["MTA_THREADS"] == "3"

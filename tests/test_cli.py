@@ -153,6 +153,148 @@ class TestGen:
             main(["gen", "--out", str(tmp_path / "x.jsonl"), "--frobnicate", "1"])
         assert err.value.code == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        (
+            GEN_ARGS,
+            GEN_ARGS + ["--max-len", "1"],  # no jitter draws
+            GEN_ARGS + ["--journeys", "1"],
+            [arg for arg in GEN_ARGS if arg != "--include-nonconverted"],  # draws of skipped journeys
+            ["gen"],  # GeneratorConfig's defaults
+        ),
+        ids=("nonconverted", "max-len-1", "one-journey", "converted-only", "defaults"),
+    )
+    def test_one_and_two_processes_write_the_same_bytes(self, tmp_path, capsys, monkeypatch, argv):
+        # the writer process builds and writes the journeys of the caller's
+        # draws: the bytes and keys of one process, and of the listed journeys
+        from deepmta.journey import GeneratorConfig, generate_synthetic, save_journeys
+
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+        runs = []
+        for threads in ("1", "2"):
+            monkeypatch.setenv("MTA_THREADS", threads)
+            out = tmp_path / threads / "data.jsonl"
+            out.parent.mkdir()
+            code, kv, _ = run_cli(capsys, argv + ["--out", str(out)])
+            assert code == 0
+            assert kv.pop("out") == str(out) and kv.pop("vocab") == str(out.with_suffix(".vocab.json"))
+            del kv["seconds"]
+            runs.append((out.read_bytes(), out.with_suffix(".vocab.json").read_bytes(), kv))
+            assert sorted(os.listdir(out.parent)) == ["data.jsonl", "data.vocab.json"]
+        assert runs[0] == runs[1]
+        args = cli.build_parser().parse_args(argv + ["--out", "unused"])
+        _, journeys = generate_synthetic(GeneratorConfig(**cli._given_fields(args, GeneratorConfig)), args.seed)
+        save_journeys(tmp_path / "listed.jsonl", journeys)
+        assert runs[0][0] == (tmp_path / "listed.jsonl").read_bytes()
+        assert runs[0][2] == {
+            "journeys": str(len(journeys)),
+            "conversion_rate": repr(sum(j.converted for j in journeys) / len(journeys)),
+        }
+        assert_no_child_left()
+
+    def test_two_processes_fork_one_writer(self, tmp_path, capsys, monkeypatch):
+        from deepmta import _fork
+
+        entered = []
+        real_enter = _fork.Worker.__enter__
+
+        def enter(self):
+            entered.append(self.role)
+            return real_enter(self)
+
+        monkeypatch.setattr(_fork.Worker, "__enter__", enter)
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 4)
+        for threads, roles in (("1", []), ("2", ["the journey writer process"]), ("4", ["the journey writer process"])):
+            monkeypatch.setenv("MTA_THREADS", threads)
+            entered.clear()
+            assert main(GEN_ARGS + ["--out", str(tmp_path / f"{threads}.jsonl")]) == 0
+            assert entered == roles
+        capsys.readouterr()
+        assert (tmp_path / "1.jsonl").read_bytes() == (tmp_path / "2.jsonl").read_bytes()
+        assert (tmp_path / "1.jsonl").read_bytes() == (tmp_path / "4.jsonl").read_bytes()
+        assert_no_child_left()
+
+    def test_no_fork_runs_one_process(self, tmp_path, capsys, monkeypatch):
+        from deepmta import _fork
+
+        assert main(GEN_ARGS + ["--out", str(tmp_path / "forked.jsonl")]) == 0
+        monkeypatch.setattr(_fork.Worker, "__enter__", lambda self: pytest.fail("gen forked"))
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+        monkeypatch.setenv("MTA_THREADS", "2")
+        monkeypatch.delattr(os, "fork")
+        assert main(GEN_ARGS + ["--out", str(tmp_path / "one.jsonl")]) == 0
+        capsys.readouterr()
+        assert (tmp_path / "one.jsonl").read_bytes() == (tmp_path / "forked.jsonl").read_bytes()
+
+    @pytest.mark.parametrize("value", ("abc", "1.5", "0"))
+    def test_malformed_thread_env_exits_2(self, tmp_path, capsys, monkeypatch, value):
+        monkeypatch.setenv("MTA_THREADS", value)
+        out = tmp_path / "data.jsonl"
+        code, kv, err = run_cli(capsys, GEN_ARGS + ["--out", str(out)])
+        assert code == 2
+        assert "MTA_THREADS" in err and "Traceback" not in err
+        assert kv == {} and os.listdir(tmp_path) == []
+
+    def test_killed_writer_exits_4_and_leaves_no_file(self, tmp_path, capsys, monkeypatch):
+        # the writer killed mid-run (SIGKILL, as the OOM killer sends) while
+        # the caller still sends: exit 4 naming its exit status, not the
+        # closed-stdout exit 141, no partial file, no process left
+        import signal
+
+        caller = os.getpid()
+        build = cli._synthetic_journey
+        built = []
+
+        def dying(*args):
+            built.append(1)
+            if os.getpid() != caller and len(built) == 100:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return build(*args)
+
+        monkeypatch.setattr(cli, "_synthetic_journey", dying)
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+        monkeypatch.setenv("MTA_THREADS", "2")
+        out = tmp_path / "data.jsonl"
+        argv = GEN_ARGS + ["--out", str(out), "--journeys", "20000"]
+        code, kv, err = run_cli(capsys, argv)
+        assert code == 4 != cli.CLOSED_STDOUT_EXIT
+        assert f"exit status {-signal.SIGKILL}" in err and "journey writer" in err
+        assert "Traceback" not in err
+        assert kv == {} and os.listdir(tmp_path) == []
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("threads", ("1", "2"))
+    def test_failed_write_leaves_no_file(self, tmp_path, capsys, monkeypatch, threads):
+        # a write that fails partway (here a full disk, on the 150th line, in
+        # the writer process at two) exits 2 naming the error. No partial
+        # file or vocabulary is left, and a file already at --out stays
+        import errno
+
+        import deepmta.journey as journey
+
+        to_dict, written = journey.journey_to_dict, []
+
+        def failing(j):
+            written.append(1)
+            if len(written) == 150:
+                raise OSError(errno.ENOSPC, "No space left on device")
+            return to_dict(j)
+
+        monkeypatch.setattr(journey, "journey_to_dict", failing)
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+        monkeypatch.setenv("MTA_THREADS", threads)
+        out = tmp_path / "data.jsonl"
+        argv = GEN_ARGS + ["--out", str(out), "--journeys", "3000"]
+        code, kv, err = run_cli(capsys, argv)
+        assert code == 2
+        assert "No space left on device" in err and "Traceback" not in err
+        assert kv == {} and os.listdir(tmp_path) == []
+        out.write_text("kept\n")
+        written.clear()
+        assert run_cli(capsys, argv)[0] == 2
+        assert os.listdir(tmp_path) == ["data.jsonl"] and out.read_text() == "kept\n"
+        assert_no_child_left()
+
 
 class TestTrain:
     def test_paper_preset_flag_plumbs_through(self, pipeline, tmp_path, capsys):
