@@ -1,16 +1,24 @@
-"""Time the data stages: `gen` at one and two workers, and the journey reader.
+"""Time the data stages: `gen` and `eval` at one and two workers, and the journey reader.
 
-Two rows, each on the README's acceptance dataset (8 channels, 3
-campaigns, key lift 0.6 on channel 0, base rate 0.2, a 48 h span, journeys
-of 1-4 events, converted or not), the shape of perfbench's pipeline-desk
-passes:
+Rows on the README's acceptance dataset (8 channels, 3 campaigns, key
+lift 0.6 on channel 0, base rate 0.2, a 48 h span, journeys of 1-4
+events, converted or not), the shape of perfbench's pipeline-desk passes,
+whose train file is the first 90% of gen's file and whose holdout the last
+10%:
 
 - gen: `deepmta gen` through `cli.main`, in process as perfbench runs it,
   at `MTA_THREADS` 1 and 2 (`workers`); from two workers on, `gen` forks
   one writer process that builds, checks and writes the journeys while
   the caller draws;
 - journey_table: `journey_table(iter_journeys(path), vocab)` over the
-  file gen wrote, as `train` and `eval` read their data.
+  whole file gen wrote;
+- read_table: `read_table(path, vocab, workers)` over the train file, as
+  `train` reads it, at 1 and 2 workers; from two on, a forked reader
+  process reads the file's second half. On code without `read_table` the
+  row times `journey_table(iter_journeys(path), vocab)` at either count;
+- eval: `deepmta eval` through `cli.main` on the holdout, with a one-epoch
+  desk model trained on the train file, at `MTA_THREADS` 1 and 2; from two
+  on, eval reads its file and scores its batches on two processes.
 
 Each reports the median and quartiles of ms per 1000 journeys over the
 timed calls, after warm-up calls. Writes BENCH_data.json with the
@@ -19,12 +27,13 @@ environment.
     python bench/data.py
     python bench/data.py --journeys 2000 --repeats 5 --out /tmp/d.json
 
-BENCH_data_parent.json holds the numbers of the code before gen's writer
-process (commit 1714972), whose `gen` runs on one process at any
-`MTA_THREADS`. The script uses only `cli.main`, `iter_journeys`,
-`journey_table` and `load_vocabulary`, so it runs unchanged on that code:
+BENCH_data_parent.json holds the numbers of the code before the two-process
+reader and eval scorer (commit de82215), whose `train` and `eval` read and
+score on one process at any `MTA_THREADS`. The script uses only `cli.main`,
+`iter_journeys`, `journey_table`, `load_vocabulary` and, where it exists,
+`read_table`, so it runs unchanged on that code:
 
-    git archive 1714972 | tar -x -C <dir>
+    git archive de82215 | tar -x -C <dir>
     cp bench/data.py <dir>/bench/
     cd <dir> && python bench/data.py --out BENCH_data_parent.json
 """
@@ -54,6 +63,12 @@ import numpy as np  # noqa: E402
 from deepmta import cli  # noqa: E402
 from deepmta.journey import iter_journeys, journey_table, load_vocabulary  # noqa: E402
 
+try:
+    from deepmta.journey import read_table  # noqa: E402
+except ImportError:  # the code before the two-process reader
+    def read_table(path, vocab, workers=1):
+        return journey_table(iter_journeys(path), vocab)
+
 # perfbench's acceptance dataset, as its pipeline-desk passes generate it
 GEN = ["--channels", "8", "--campaigns", "3", "--key-channel", "0", "--key-lift", "0.6", "--base-rate", "0.2",
        "--time-span-hours", "48", "--max-len", "4", "--include-nonconverted"]
@@ -76,12 +91,18 @@ def timed(fn, repeats: int, warmup: int) -> list[float]:
     return seconds
 
 
-def gen(path: Path, journeys: int, workers: int) -> None:
+def run(workers: int, *argv) -> None:
+    """One CLI command through cli.main at MTA_THREADS=workers, its output
+    dropped."""
     os.environ["MTA_THREADS"] = str(workers)
-    with contextlib.redirect_stdout(io.StringIO()) as out:
-        code = cli.main(["gen", "--out", str(path), "--journeys", str(journeys), *GEN, "--seed", str(SEED)])
+    with contextlib.redirect_stdout(io.StringIO()) as out, contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main([str(arg) for arg in argv])
     if code:
-        raise RuntimeError(f"gen exited {code}: {out.getvalue()}")
+        raise RuntimeError(f"{argv[0]} exited {code}: {out.getvalue()}")
+
+
+def gen(path: Path, journeys: int, workers: int) -> None:
+    run(workers, "gen", "--out", path, "--journeys", journeys, *GEN, "--seed", SEED)
 
 
 def row(stage: str, workers: int, journeys: int, seconds: list[float]) -> dict:
@@ -99,7 +120,7 @@ def environment() -> dict:
 
 def main(argv=None) -> dict:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--journeys", type=int, default=10_000, help="journeys per gen call and in the read file")
+    parser.add_argument("--journeys", type=int, default=10_000, help="journeys per gen call; train file and holdout split them 9:1")
     parser.add_argument("--repeats", type=int, default=20, help="timed calls per row")
     parser.add_argument("--warmup", type=int, default=3, help="untimed calls first")
     parser.add_argument("--out", type=Path, default=ROOT / "BENCH_data.json", help="output path")
@@ -109,13 +130,30 @@ def main(argv=None) -> dict:
     results = []
     try:
         with tempfile.TemporaryDirectory(prefix="bench-data-") as work:
-            path = Path(work) / "journeys.jsonl"
+            work = Path(work)
+            path = work / "journeys.jsonl"
             for workers in (1, 2):
                 seconds = timed(lambda: gen(path, args.journeys, workers), args.repeats, args.warmup)
                 results.append(row("gen", workers, args.journeys, seconds))
-            vocab = load_vocabulary(path.with_suffix(".vocab.json"))
+            vocab_path = path.with_suffix(".vocab.json")
+            vocab = load_vocabulary(vocab_path)
             seconds = timed(lambda: journey_table(iter_journeys(path), vocab), args.repeats, args.warmup)
             results.append(row("journey_table", 1, args.journeys, seconds))
+
+            lines = path.read_bytes().splitlines(keepends=True)
+            holdout = len(lines) // 10
+            train, test = work / "train.jsonl", work / "holdout.jsonl"
+            train.write_bytes(b"".join(lines[:-holdout]))
+            test.write_bytes(b"".join(lines[-holdout:]))
+            for workers in (1, 2):
+                seconds = timed(lambda: read_table(train, vocab, workers), args.repeats, args.warmup)
+                results.append(row("read_table", workers, len(lines) - holdout, seconds))
+            model = work / "model.json"
+            run(2, "train", "--data", train, "--vocab", vocab_path, "--out", model, "--epochs", 1, "--seed", 3)
+            for workers in (1, 2):
+                command = ("eval", "--model", model, "--data", test, "--roc-out", work / "roc.csv")
+                seconds = timed(lambda: run(workers, *command), args.repeats, args.warmup)
+                results.append(row("eval", workers, holdout, seconds))
     finally:
         if threads is None:
             os.environ.pop("MTA_THREADS", None)

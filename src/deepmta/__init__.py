@@ -20,6 +20,7 @@ from .errors import (
     DeepMtaError,
     DimensionError,
     EvaluationError,
+    LineError,
     NumericError,
     ParameterError,
     SequenceLengthError,
@@ -41,6 +42,7 @@ from .journey import (
     journey_table,
     load_journeys,
     load_vocabulary,
+    read_table,
     save_journeys,
     save_vocabulary,
 )

@@ -1,11 +1,13 @@
 """How a worker process is started, talked to, reaped and reported: `train`'s
-helper, each extra shard of an `attribute` window and `gen`'s journey
-writer run in a `Worker`."""
+helper, each extra shard of an `attribute` window, `gen`'s journey writer,
+the reader of a journey file's second half and `eval`'s scorer run in a
+`Worker`."""
 
 from __future__ import annotations
 
 import contextlib
 import os
+import pickle
 import signal
 import sys
 
@@ -22,6 +24,17 @@ def can_fork() -> bool:
     return hasattr(os, "fork")
 
 
+def reply(writes: int, compute) -> None:
+    """A child's one pickle to its caller, read by `Worker.result`: the
+    value of compute(), or the Exception that stopped it."""
+    try:
+        value = compute()
+    except Exception as exc:  # reported to the caller, which raises it
+        value = exc
+    with open(writes, "wb") as pipe:
+        pickle.dump(value, pipe, pickle.HIGHEST_PROTOCOL)
+
+
 class Worker:
     """A child process, forked on entry, that runs target(reads, writes)
     over its ends of a pipe from the caller and a pipe to it. The child
@@ -35,6 +48,12 @@ class Worker:
 
     def __init__(self, role: str, target):
         self.role, self.target, self.pid = role, target, None
+
+    @classmethod
+    def computing(cls, role: str, compute) -> "Worker":
+        """A Worker whose child sends the caller one `reply`: compute()'s
+        value, read by `result`."""
+        return cls(role, lambda _, writes: reply(writes, compute))
 
     def __enter__(self) -> "Worker":
         child_reads, self.send_fd = os.pipe()
@@ -105,6 +124,14 @@ class Worker:
         if status or not data:
             raise self._ended(status)
         return data
+
+    def result(self):
+        """The child's `reply`, once it has ended; the Exception that stopped
+        it is raised here."""
+        value = pickle.loads(self.read_to_end())
+        if isinstance(value, BaseException):
+            raise value
+        return value
 
     def __exit__(self, exc_type, exc, tb) -> None:
         for fd in (self.send_fd, self.recv_fd):

@@ -12,7 +12,6 @@ import contextlib
 import functools
 import json
 import math
-import pickle
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -641,36 +640,27 @@ def _attribute_shard(params, journeys, vocab, plans, stats=None) -> list[Attribu
     return results
 
 
-def _send_shard(params, journeys, vocab, plans, _, writes) -> None:
-    """A forked child's work: one pickle of its shard's results and
-    counters, or of the error that stopped it, written to the caller."""
-    try:
-        stats = GameStats()
-        reply = (_attribute_shard(params, journeys, vocab, plans, stats), stats)
-    except Exception as exc:  # reported to the caller, which raises it
-        reply = exc
-    with open(writes, "wb") as pipe:
-        pickle.dump(reply, pipe)
+def _shard_reply(params, journeys, vocab, plans) -> tuple[list[AttributionResult], GameStats]:
+    """A forked child's work: its shard's results and counters."""
+    stats = GameStats()
+    return _attribute_shard(params, journeys, vocab, plans, stats), stats
 
 
 def _attribute_shards(params, shards, vocab, plans, stats=None) -> list[list[AttributionResult]]:
     """The results of each shard of a window. The calling process takes the
     first shard; each other shard that is not empty goes to a child process
-    forked for it (`_send_shard`), which so starts with its shard, the plans
+    forked for it (`_shard_reply`), which so starts with its shard, the plans
     and the model in its memory."""
     parts: list[list[AttributionResult]] = [[] for _ in shards]
     with contextlib.ExitStack() as stack:
         children = []
         for k, journeys in enumerate(shards[1:], start=1):
             if journeys:
-                work = functools.partial(_send_shard, params, journeys, vocab, plans)
-                children.append((k, stack.enter_context(Worker("an attribution worker process", work))))
+                work = functools.partial(_shard_reply, params, journeys, vocab, plans)
+                children.append((k, stack.enter_context(Worker.computing("an attribution worker process", work))))
         parts[0] = _attribute_shard(params, shards[0], vocab, plans, stats)
         for k, child in children:
-            reply = pickle.loads(child.read_to_end())
-            if isinstance(reply, BaseException):
-                raise reply
-            parts[k], child_stats = reply
+            parts[k], child_stats = child.result()
             if stats is not None:
                 stats.add(child_stats)
     return parts

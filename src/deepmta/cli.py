@@ -33,7 +33,7 @@ from .attribution import (  # noqa: F401
     load_attributions,
     save_attributions,
 )
-from ._fork import Worker, can_fork
+from ._fork import Worker, can_fork, reply
 from .errors import ConfigError, DeepMtaError, ValidationError
 # generate_synthetic is not called here either; the tracer wraps it by this name
 from .journey import (  # noqa: F401
@@ -41,10 +41,9 @@ from .journey import (  # noqa: F401
     GeneratorConfig,
     _synthetic_journey,
     generate_synthetic,
-    iter_journeys,
-    journey_table,
     load_journeys,
     load_vocabulary,
+    read_table,
     save_journeys,
     save_vocabulary,
     synthetic_draws,
@@ -142,9 +141,9 @@ def _replacing(path: Path):
 def _write_received(path: Path, cfg: GeneratorConfig, vocab, reads: int, writes: int) -> None:
     """`gen`'s writer process: builds the journeys of the draw records
     read from the caller, chunk by chunk, and writes them with
-    `save_journeys`; then one pickle of None, or of the error that stopped
-    it, to the caller. After an error it still reads to the end, so that
-    the caller's sends fail only when this process dies."""
+    `save_journeys`; then its `_fork.reply` to the caller, None or the
+    error that stopped it. After an error it still reads to the end, so
+    that the caller's sends fail only when this process dies."""
 
     def journeys(pipe):
         while True:
@@ -155,16 +154,16 @@ def _write_received(path: Path, cfg: GeneratorConfig, vocab, reads: int, writes:
             for draw in chunk:
                 yield _synthetic_journey(cfg, vocab, draw)
 
-    with open(reads, "rb") as pipe:
-        try:
-            save_journeys(path, journeys(pipe))
-            reply = None
-        except Exception as exc:  # reported to the caller, which raises it
-            reply = exc
-            while pipe.read(1 << 16):
-                pass
-    with open(writes, "wb") as pipe:
-        pickle.dump(reply, pipe)
+    def write() -> None:
+        with open(reads, "rb") as pipe:
+            try:
+                save_journeys(path, journeys(pipe))
+            except Exception:
+                while pipe.read(1 << 16):
+                    pass
+                raise
+
+    reply(writes, write)
 
 
 def _cmd_gen(args) -> None:
@@ -194,9 +193,7 @@ def _cmd_gen(args) -> None:
                 with writer.sending() as pipe:
                     for chunk in iter(lambda: list(itertools.islice(records, GEN_CHUNK)), []):
                         pickle.dump(chunk, pipe, pickle.HIGHEST_PROTOCOL)
-                reply = pickle.loads(writer.read_to_end())
-            if reply is not None:
-                raise reply
+                writer.result()
     save_vocabulary(vocab_path, vocab)
     _emit("journeys", cfg.n_journeys)
     _emit("conversion_rate", repr(converted / cfg.n_journeys))
@@ -211,7 +208,7 @@ def _cmd_train(args) -> None:
     cfg = TrainConfig.preset(args.preset, **_given_fields(args, TrainConfig))
     workers = _workers()
     # the file is read line by line into the table; no journey outlives its line
-    table = journey_table(iter_journeys(args.data), vocab)
+    table = read_table(args.data, vocab, workers)
 
     def announce(processes: int) -> None:
         _info(f"training on {len(table)} journeys ({len(table.times)} events, {table.nbytes / 2**20:.1f} MB table; "
@@ -231,7 +228,9 @@ def _cmd_train(args) -> None:
 def _cmd_eval(args) -> None:
     _check_outputs(args.roc_out, inputs=(args.model, args.data))
     params, vocab, _ = load_checkpoint(args.model)
-    result = evaluate_roc(params, vocab, iter_journeys(args.data))
+    workers = _workers()
+    table = read_table(args.data, vocab, workers)
+    result = evaluate_roc(params, vocab, table, workers=workers, on_start=_note_blas_threads)
     save_roc_csv(args.roc_out, result)
     _emit("auc", repr(result.auc))
     _emit("per_step_accuracy", repr(result.per_step_accuracy))
@@ -250,7 +249,10 @@ def _workers() -> int:
     the calling one among them: `attribute` gives each whole journeys;
     `train` runs on at most two, and on one for a one-layer model; `gen` runs
     on at most two, the caller drawing and one writer building, checking and
-    writing the journeys. More workers than CPUs add no speed, only
+    writing the journeys. `train` and `eval` read a journey file of at least
+    `journey.READ_SPLIT_BYTES` on two, one reader process taking its second
+    half, and `eval` scores its batches on two, one scorer process taking
+    the second process's share. More workers than CPUs add no speed, only
     processes."""
     env = os.environ.get("MTA_THREADS", "").strip()
     workers = _usable_cpus()

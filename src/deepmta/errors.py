@@ -17,6 +17,17 @@ class ValidationError(DeepMtaError):
     """Input data violates a documented invariant."""
 
 
+class LineError(ValidationError):
+    """A fault of one line of a JSONL file: "line N: detail", N 1-based."""
+
+    def __init__(self, line_no: int, detail: str):
+        super().__init__(line_no, detail)
+        self.line_no, self.detail = line_no, detail
+
+    def __str__(self) -> str:
+        return f"line {self.line_no}: {self.detail}"
+
+
 class VocabularyError(ValidationError):
     """A channel or campaign token is not present in the vocabulary."""
 

@@ -39,7 +39,9 @@ batch shape. A one-layer model has no first stage: its batches run through
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import functools
 import itertools
 import math
 import mmap
@@ -209,14 +211,27 @@ def _batches(table: JourneyTable, order: np.ndarray, size: int):
         yield chunk, *_gather(table, chunk)
 
 
+def _inferred(table: JourneyTable, chunks: list[np.ndarray], params: ModelParams, which):
+    """(i, logits at inference, labels) of the journeys of chunks[i], for
+    each i in `which`: the one batching loop of validation and eval."""
+    for i in which:
+        feats, times, labels = _gather(table, chunks[i])
+        yield i, forward_batch(feats, times, params, training=False)[0], labels
+
+
 def _batch_losses(table: JourneyTable, chunks: list[np.ndarray], params: ModelParams, totals, which) -> None:
     """totals[i] = the summed per-journey loss at inference of the journeys
     of chunks[i], for each i in `which`."""
-    for i in which:
-        feats, times, labels = _gather(table, chunks[i])
-        logits = forward_batch(feats, times, params, training=False)[0]
+    for i, logits, labels in _inferred(table, chunks, params, which):
         ce, _ = _step_cross_entropy(logits, labels)
         totals[i] = ce.mean(axis=1).sum()
+
+
+def _batch_scores(table: JourneyTable, chunks: list[np.ndarray], params: ModelParams, which) -> list:
+    """(scores, labels) of every step of the journeys of chunks[i], each
+    flat, for each i in `which`: a score is the positive-class softmax."""
+    inferred = _inferred(table, chunks, params, which)
+    return [(softmax(logits)[..., 1].ravel(), labels.ravel()) for _, logits, labels in inferred]
 
 
 def _ordered_sum(values) -> float:
@@ -771,25 +786,46 @@ def roc_curve(scores: np.ndarray, labels: np.ndarray) -> tuple[list[float], list
 
 
 def evaluate_roc(
-    params: ModelParams, vocab: Vocabulary, journeys: Iterable[CustomerJourney] | JourneyTable
+    params: ModelParams,
+    vocab: Vocabulary,
+    journeys: Iterable[CustomerJourney] | JourneyTable,
+    workers: int = 1,
+    on_start: Callable[[int], None] | None = None,
 ) -> EvalResult:
     """Score every step of every journey (any iterable of them, read once
     into a JourneyTable, or such a table) and evaluate step-level ROC/AUC.
 
     Positives are the conversion steps (label 1); negatives are all other
     steps, including every step of non-converted journeys.
+
+    The journeys are scored in the batches of validation. Where `workers`
+    allows two, the platform can fork and there are two batches or more, a
+    forked scorer process (`_fork.Worker`) scores the batches that
+    `_eval_owners` gives the second process and sends back their scores and
+    labels in one pickle; the scores are joined in batch order, so the
+    result is the same either way. on_start, if given, is called with that
+    process count before the first batch is scored. Raises WorkerError if
+    the scorer dies.
     """
+    if workers < 1:
+        raise ConfigError(f"workers must be >= 1, got {workers}")
     table = journey_table(journeys, vocab)
     if not len(table):
         raise EvaluationError("evaluation requires a non-empty dataset")
-    scores_parts = []
-    labels_parts = []
-    for _, feats, times, labels in _batches(table, np.arange(len(table)), EVAL_BATCH):
-        logits = forward_batch(feats, times, params, training=False)[0]
-        scores_parts.append(softmax(logits)[..., 1].ravel())
-        labels_parts.append(labels.ravel())
-    scores = np.concatenate(scores_parts)
-    labels = np.concatenate(labels_parts)
+    chunks = list(_chunks(table, np.arange(len(table)), EVAL_BATCH))
+    owners = _eval_owners(table, chunks) if workers >= 2 and can_fork() else [0] * len(chunks)
+    theirs = [i for i, owner in enumerate(owners) if owner]
+    if on_start is not None:
+        on_start(2 if theirs else 1)
+    mine = [i for i, owner in enumerate(owners) if not owner]
+    score = functools.partial(_batch_scores, table, chunks, params)
+    scorer = Worker.computing("the eval scorer process", functools.partial(score, theirs)) if theirs else None
+    with scorer or contextlib.nullcontext():
+        parts = dict(zip(mine, score(mine)))
+        if scorer is not None:
+            parts.update(zip(theirs, scorer.result()))
+    scores = np.concatenate([parts[i][0] for i in range(len(chunks))])
+    labels = np.concatenate([parts[i][1] for i in range(len(chunks))])
     auc = auc_score(scores, labels)
     thresholds, points = roc_curve(scores, labels)
     acc = float(((scores >= 0.5).astype(int) == labels).mean())

@@ -913,7 +913,7 @@ def test_attribution_weights_off_the_simplex_exit_2(pipeline, tmp_path, capsys, 
     assert kv == {} and not out.exists()
 
 
-@pytest.mark.parametrize("command", ("train", "attribute"))
+@pytest.mark.parametrize("command", ("train", "attribute", "eval"))
 def test_unpinned_blas_threads_noted_when_forking(pipeline, tmp_path, capsys, monkeypatch, command):
     # two processes and no BLAS thread count set: each BLAS may start a
     # thread per CPU, so a stderr note says so; with a count set, or on one
@@ -924,6 +924,8 @@ def test_unpinned_blas_threads_noted_when_forking(pipeline, tmp_path, capsys, mo
                   "--out", str(tmp_path / "m.json"), "--epochs", "1", "--hidden-size", "4"],
         "attribute": ["attribute", "--model", str(pipeline["ckpt"]), "--data", str(pipeline["data"]),
                       "--out", str(tmp_path / "a.jsonl"), "--seed", "1"],
+        "eval": ["eval", "--model", str(pipeline["ckpt"]), "--data", str(pipeline["data"]),
+                 "--roc-out", str(tmp_path / "roc.csv")],
     }[command]
     for threads, blas_var, noted in (("2", None, True), ("2", "OMP_NUM_THREADS", False), ("1", None, False)):
         monkeypatch.setenv("MTA_THREADS", threads)
@@ -935,6 +937,80 @@ def test_unpinned_blas_threads_noted_when_forking(pipeline, tmp_path, capsys, mo
         assert code == 0
         assert ("note: 2 processes and no OPENBLAS_NUM_THREADS/OMP_NUM_THREADS/MKL_NUM_THREADS set" in err) == noted
     assert_no_child_left()
+
+
+@pytest.mark.parametrize(("command", "role"), (("train", "reader"), ("eval", "reader"), ("eval", "scorer")))
+def test_killed_reader_or_scorer_exits_4_and_writes_nothing(pipeline, tmp_path, capsys, monkeypatch, command, role):
+    # the journey reader process (every file splits here) or eval's scorer
+    # killed (SIGKILL, as the OOM killer sends) before it replies: exit 4
+    # naming it and its exit status, no output, no process left
+    import signal
+
+    import deepmta.journey as journey
+    import deepmta.trainer as trainer
+
+    caller = os.getpid()
+    module, name = (journey, "_journey_columns") if role == "reader" else (trainer, "_batch_scores")
+    work = getattr(module, name)
+
+    def dying(*args):
+        if os.getpid() != caller:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return work(*args)
+
+    monkeypatch.setattr(module, name, dying)
+    monkeypatch.setattr(journey, "READ_SPLIT_BYTES", 1)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    monkeypatch.setenv("MTA_THREADS", "2")
+    out = tmp_path / "out.json"
+    argv = {
+        "train": ["train", "--data", str(pipeline["data"]), "--vocab", str(pipeline["vocab"]), "--out", str(out),
+                  "--epochs", "1", "--hidden-size", "4"],
+        "eval": ["eval", "--model", str(pipeline["ckpt"]), "--data", str(pipeline["data"]), "--roc-out", str(out)],
+    }[command]
+    code, kv, err = run_cli(capsys, argv)
+    assert code == 4
+    assert f"the {'journey reader' if role == 'reader' else 'eval scorer'} process ended with exit status " \
+        f"{-signal.SIGKILL}" in err and "Traceback" not in err
+    assert kv == {} and os.listdir(tmp_path) == []
+    assert_no_child_left()
+
+
+def test_train_and_eval_bytes_at_one_and_two_workers(pipeline, tmp_path, capsys, monkeypatch):
+    # LF, CRLF and lone-CR copies of one file (every file of two lines or
+    # more splits here, but lone CRs leave no \n to split at): the same
+    # checkpoint, history, ROC CSV and stdout keys at one and two workers
+    import deepmta.journey as journey
+
+    monkeypatch.setattr(journey, "READ_SPLIT_BYTES", 1)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    outputs = set()
+    for end in (b"\n", b"\r\n", b"\r"):
+        data = tmp_path / "journeys.jsonl"
+        data.write_bytes(pipeline["data"].read_bytes().replace(b"\n", end))
+        for threads in ("1", "2"):
+            monkeypatch.setenv("MTA_THREADS", threads)
+            ckpt, roc = tmp_path / "model.json", tmp_path / "roc.csv"
+            _, trained, _ = run_cli(capsys, ["train", "--data", str(data), "--vocab", str(pipeline["vocab"]),
+                                             "--out", str(ckpt), "--epochs", "1", "--hidden-size", "4"])
+            _, evaluated, _ = run_cli(capsys, ["eval", "--model", str(ckpt), "--data", str(data),
+                                               "--roc-out", str(roc)])
+            keys = tuple((k, v) for kv in (trained, evaluated) for k, v in kv.items() if k != "seconds")
+            outputs.add((ckpt.read_bytes(), ckpt.with_suffix(".history.csv").read_bytes(), roc.read_bytes(), keys))
+    assert len(outputs) == 1
+
+
+@pytest.mark.parametrize("what", ("data", "vocab"))
+def test_json_nested_too_deep_exits_2(pipeline, tmp_path, capsys, what):
+    # the decoder's recursion limit is a malformed file, named, not a traceback
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "\n")
+    data, vocab = (deep, pipeline["vocab"]) if what == "data" else (pipeline["data"], deep)
+    out = tmp_path / "m.json"
+    code, kv, err = run_cli(capsys, ["train", "--data", str(data), "--vocab", str(vocab), "--out", str(out)])
+    assert code == 2 and "Traceback" not in err
+    assert ("line 1: malformed JSON" if what == "data" else f"vocabulary {deep} is not JSON") in err
+    assert kv == {} and not out.exists()
 
 
 def test_attribution_not_utf8_exits_2(pipeline, tmp_path, capsys):
@@ -1037,10 +1113,11 @@ def test_samples_below_one_exits_2(pipeline, tmp_path, capsys, monkeypatch, samp
 def test_closed_stdout_exits_141_without_a_traceback(pipeline, tmp_path, unbuffered):
     # the reader is gone before the first key is written, so every write
     # fails: at the first print when stdout is unbuffered, else at the flush.
-    # (Reading a line first would race the child's remaining writes.)
+    # (Reading a line first would race the child's remaining writes.) One
+    # BLAS thread, so that the two-process eval prints no note on stderr
     read_end, write_end = os.pipe()
     os.close(read_end)
-    env = dict(os.environ, PYTHONUNBUFFERED=unbuffered)
+    env = dict(os.environ, PYTHONUNBUFFERED=unbuffered, OPENBLAS_NUM_THREADS="1")
     try:
         proc = subprocess.run(
             [sys.executable, "-m", "deepmta", "eval", "--model", str(pipeline["ckpt"]),

@@ -1,11 +1,15 @@
+import itertools
 import json
+import random
 
 import numpy as np
 import pytest
 
-from deepmta.errors import ConfigError, SequenceLengthError, ValidationError, VocabularyError
+from deepmta import _fork
+from deepmta.errors import ConfigError, LineError, SequenceLengthError, ValidationError, VocabularyError
 import deepmta.journey as journey_mod
 from deepmta.journey import (
+    MAX_SEQ_LEN,
     ClickEvent,
     CustomerJourney,
     GeneratorConfig,
@@ -13,13 +17,17 @@ from deepmta.journey import (
     Vocabulary,
     encode_journey,
     generate_synthetic,
+    iter_journeys,
+    journey_table,
     load_journeys,
     load_vocabulary,
+    read_table,
     save_journeys,
     save_vocabulary,
     stream_synthetic,
 )
 from reference import split_stream, synthetic_journeys
+from test_attribution import assert_no_child_left
 
 
 def ev(channel, ts, campaign="c1"):
@@ -385,3 +393,144 @@ class TestJsonlRoundTrip:
         save_vocabulary(path, vocab)
         assert load_vocabulary(path) == vocab
         assert vocab.encoding_dim == 5
+
+
+READ_VOCAB = Vocabulary(channels=("A", "B"), campaigns=("c1", "c2"))
+READER = "the journey reader process"
+
+
+def record(user: str, channels, converted: bool = False) -> bytes:
+    events = [{"channel": c, "campaign": "c1", "ts": 60 * i} for i, c in enumerate(channels)]
+    gmv = 5.0 if converted else 0.0
+    return json.dumps({"user_id": user, "events": events, "converted": converted, "gmv": gmv}).encode()
+
+
+# a record of each fault, in place of a good line: two faulty records, then
+# the two encoding errors, which the types do not see
+FAULTS = {
+    "record": b"{broken",
+    "utf8": record("u\xff", ["A"]).replace(b"u\\u00ff", b"u\xff\xfe"),
+    "unknown": record("zed", ["A", "Z"]),
+    "long": record("long", ["A"] * (MAX_SEQ_LEN + 1)),
+}
+
+
+def outcome(read):
+    """The bytes of the table's columns, or the class and message of the
+    error that stopped the read."""
+    try:
+        table = read()
+    except ValidationError as exc:
+        return type(exc), str(exc)
+    return tuple(getattr(table, name).tobytes() for name in ("features", "times", "labels", "lengths"))
+
+
+def one_process(path):
+    return outcome(lambda: journey_table(iter_journeys(path), READ_VOCAB))
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The roles of the workers read_table forks, with every file of at
+    least 64 bytes split."""
+    roles = []
+
+    class Counted(_fork.Worker):
+        def __enter__(self):
+            roles.append(self.role)
+            return super().__enter__()
+
+    monkeypatch.setattr(journey_mod, "Worker", Counted)
+    monkeypatch.setattr(journey_mod, "READ_SPLIT_BYTES", 64)
+    return roles
+
+
+class TestReadTable:
+    """read_table against journey_table(iter_journeys(path)): the same table
+    or the same error, on one process or two."""
+
+    @pytest.mark.parametrize("end", (b"\n", b"\r\n"))
+    def test_two_processes_read_the_table_of_one(self, tmp_path, forks, end):
+        cfg = GeneratorConfig(n_journeys=200, max_len=6, include_nonconverted=True)
+        vocab, journeys = generate_synthetic(cfg, seed=3)
+        path = tmp_path / "journeys.jsonl"
+        save_journeys(path, journeys)
+        path.write_bytes(path.read_bytes().replace(b"\n", end))
+        expected = outcome(lambda: journey_table(iter_journeys(path), vocab))
+        assert outcome(lambda: read_table(path, vocab)) == expected and forks == []
+        assert outcome(lambda: read_table(path, vocab, workers=2)) == expected and forks == [READER]
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("layout", ("lone-cr", "cr-after-the-middle", "last-byte"))
+    def test_no_newline_after_the_middle_reads_on_one_process(self, tmp_path, forks, layout):
+        # the split needs a \n after the middle that does not end the file
+        lines = [record(f"u{i}", ["A", "B"], i % 3 == 0) for i in range(40)]
+        data = {
+            "lone-cr": b"\r".join(lines),
+            "cr-after-the-middle": b"\n".join(lines[:10]) + b"\n" + b"\r".join(lines[10:]),
+            "last-byte": b"\r".join(lines) + b"\n",
+        }[layout]
+        path = tmp_path / "journeys.jsonl"
+        path.write_bytes(data)
+        assert outcome(lambda: read_table(path, READ_VOCAB, workers=2)) == one_process(path)
+        assert forks == []
+
+    def test_tail_lines_count_from_the_head_by_text_rules(self, tmp_path, forks):
+        # the head ends lines with \n, \r\n and lone \r, and has blank lines;
+        # a fault past the split names its line counted from the file's start
+        good = record("u", ["A", "B"])
+        ends = itertools.cycle((b"\n", b"\r\n", b"\r", b"\n\n", b"\r\r\n", b" \t\n"))
+        head = b"".join(good + next(ends) for _ in range(30))
+        data = head + (good + b"\n") * 60 + b"{broken\n" + good + b"\n"
+        path = tmp_path / "journeys.jsonl"
+        path.write_bytes(data)
+        line_no = len(data.decode().splitlines()) - 1
+        with pytest.raises(LineError) as err:
+            read_table(path, READ_VOCAB, workers=2)
+        assert err.value.line_no == line_no and str(err.value).startswith(f"line {line_no}: malformed JSON")
+        assert one_process(path) == (LineError, str(err.value)) and forks == [READER]
+        assert_no_child_left()
+
+    @pytest.mark.parametrize(("first", "second"), itertools.product(FAULTS, FAULTS))
+    def test_record_faults_come_before_encoding_errors(self, tmp_path, forks, first, second):
+        # a faulty record anywhere wins over an encoding error anywhere, and
+        # the earliest of each kind wins: by where each was found, since the
+        # encoding errors are ValidationErrors too
+        lines = [record(f"u{i}", ["A", "B"], i % 3 == 0) for i in range(60)]
+        lines[4], lines[50] = FAULTS[first], FAULTS[second]
+        path = tmp_path / "journeys.jsonl"
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        kind, message = outcome(lambda: read_table(path, READ_VOCAB, workers=2))
+        records = ("record", "utf8")
+        if first in records or second in records:
+            assert kind is LineError and message.startswith(f"line {5 if first in records else 51}: ")
+        else:
+            assert kind is {"unknown": VocabularyError, "long": SequenceLengthError}[first]
+            assert ("zed" if first == "unknown" else "long") in message
+        assert (kind, message) == one_process(path) and forks == [READER]
+        assert_no_child_left()
+
+    def test_fuzzed_files_read_as_on_one_process(self, tmp_path, forks):
+        # random LF, CRLF and lone-CR line ends, blank lines and one random
+        # fault, or none, at a random line: the same table or the same error
+        rng = random.Random(2028)
+        path = tmp_path / "journeys.jsonl"
+        split = 0
+        for case in range(80):
+            lines = [
+                record(f"u{case}-{i}", rng.choices("AB", k=rng.randint(1, 6)), rng.random() < 0.3)
+                for i in range(rng.randint(1, 30))
+            ]
+            fault = rng.choice([None, *FAULTS])
+            if fault is not None:
+                lines[rng.randrange(len(lines))] = FAULTS[fault]
+            blanks = (b"", b"", b"", b"\n", b"  \r\n", b"\r")
+            ends = [rng.choice((b"\n", b"\r\n", b"\r")) + rng.choice(blanks) for _ in lines]
+            if rng.random() < 0.2:
+                ends[-1] = b""
+            path.write_bytes(b"".join(line + end for line, end in zip(lines, ends)))
+            forked = len(forks)
+            assert outcome(lambda: read_table(path, READ_VOCAB, workers=2)) == one_process(path), case
+            split += len(forks) > forked
+        assert split > 40
+        assert_no_child_left()

@@ -729,6 +729,24 @@ class TestBatchLoopMatchesPerJourney:
         assert evaluated.auc == auc_score(scores, labels)
         assert evaluated.per_step_accuracy == float(((scores >= 0.5).astype(int) == labels).mean())
 
+    def test_evaluate_roc_on_two_processes_equals_one(self, bucketed):
+        # a forked scorer takes the second process's batches (`_eval_owners`),
+        # and the scores are joined in batch order: the same result. One
+        # batch, or one worker, scores on one process
+        vocab, journeys, _, result = bucketed
+        processes = []
+        one = evaluate_roc(result.params, vocab, journeys, workers=1, on_start=processes.append)
+        two = evaluate_roc(result.params, vocab, journeys, workers=2, on_start=processes.append)
+        assert two == one and processes == [1, 2]
+        ones = [j for j in journeys if len(j) == 1]
+        batch = [next(j for j in ones if j.converted), next(j for j in ones if not j.converted)]
+        assert evaluate_roc(result.params, vocab, batch, workers=2, on_start=processes.append) == evaluate_roc(
+            result.params, vocab, batch
+        )
+        assert processes == [1, 2, 1]
+        with pytest.raises(ConfigError, match="workers"):
+            evaluate_roc(result.params, vocab, journeys, workers=0)
+
     def test_evaluate_roc_empty_rejected(self, bucketed):
         vocab, _, _, result = bucketed
         with pytest.raises(EvaluationError):
