@@ -1,8 +1,9 @@
 """Time one SGD step of the two-stage training wavefront.
 
 Runs `trainer._Wavefront.step` on seeded random batches at one and at two
-processes, for each journey length T, and reports per configuration the
-median and quartiles of:
+processes (at one only for a one-layer model, which has no helper), for
+each journey length T, and reports per configuration the median and
+quartiles of:
 
 - step_ms: one step, its update and the read of the next batch included;
 - blocked_ms: the caller's time blocked in `_Wavefront._wait`, waiting for
@@ -18,7 +19,14 @@ a slow spell of the host spreads over all of them. Writes
 BENCH_train_step.json with the environment.
 
     python bench/layers.py                      # desk shape, T = 1..4
+    python bench/layers.py --layers 1 --out one-layer.json
     python bench/layers.py --batch 4 --hidden 8 --lengths 1 2 --repeats 3 --out /tmp/b.json
+
+The two-process T = 2 row is bimodal from one run of the script to the
+next, whatever the commit: alternating two commits on a 2-vCPU x86 host,
+its median read 1.39-1.40 ms in some runs and 1.54-1.59 ms in others,
+while T = 1, 3 and 4 moved by 1-4%. Compare that row over several runs,
+alternating the commits, before reading a change into it.
 
 BENCH_train_step_parent.json holds the numbers of the code before the
 owner-split update (commit 3836c98), where the clip, momentum, step and
@@ -71,9 +79,9 @@ class Timed:
     """One configuration: a wavefront whose `_wait` and `_send` record their
     times, and its seeded batches."""
 
-    def __init__(self, processes: int, T: int, B: int, H: int, seed: int):
+    def __init__(self, processes: int, T: int, B: int, H: int, layers: int, seed: int):
         self.rng = np.random.default_rng(seed)
-        self.cfg = trainer.TrainConfig.preset("desk", batch_size=B, hidden_size=H)
+        self.cfg = trainer.TrainConfig.preset("desk", batch_size=B, hidden_size=H, n_layers=layers)
         params = init_params(INPUT_DIM, H, self.cfg.n_layers, dropout_p=self.cfg.dropout_p, rng=self.rng)
         # sizes the exchange arrays for B journeys of T events; no validation
         table = JourneyTable(
@@ -154,11 +162,11 @@ class Timed:
         }
 
 
-def bench(lengths, B: int, H: int, repeats: int, block: int) -> list[dict]:
+def bench(lengths, B: int, H: int, layers: int, repeats: int, block: int) -> list[dict]:
     with contextlib.ExitStack() as stack:
         configs = [
-            stack.enter_context(Timed(processes, T, B, H, SEED + T))
-            for T in lengths for processes in (1, 2)
+            stack.enter_context(Timed(processes, T, B, H, layers, SEED + T))
+            for T in lengths for processes in ((1, 2) if layers > 1 else (1,))
         ]
         for config in configs:  # warm-up: the first allocations
             config.run(min(block, repeats), record=False)
@@ -183,6 +191,7 @@ def main(argv=None) -> dict:
     parser.add_argument("--lengths", type=int, nargs="+", default=[1, 2, 3, 4], help="journey lengths T")
     parser.add_argument("--batch", type=int, default=32, help="journeys per batch B")
     parser.add_argument("--hidden", type=int, default=64, help="units per layer H")
+    parser.add_argument("--layers", type=int, default=2, help="recurrent layers (2, the desk shape)")
     parser.add_argument("--repeats", type=int, default=300, help="timed steps per configuration")
     parser.add_argument("--block", type=int, default=25, help="steps per configuration per turn")
     parser.add_argument("--out", type=Path, default=ROOT / "BENCH_train_step.json", help="output path")
@@ -192,11 +201,11 @@ def main(argv=None) -> dict:
         "bench": "train_step",
         "environment": environment(),
         "shape": {
-            "B": args.batch, "H": args.hidden, "input_dim": INPUT_DIM, "n_layers": desk.n_layers,
+            "B": args.batch, "H": args.hidden, "input_dim": INPUT_DIM, "n_layers": args.layers,
             "dropout_p": desk.dropout_p,
         },
         "repeats": args.repeats,
-        "results": bench(args.lengths, args.batch, args.hidden, args.repeats, args.block),
+        "results": bench(args.lengths, args.batch, args.hidden, args.layers, args.repeats, args.block),
     }
     args.out.write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")
     for row in report["results"]:

@@ -501,18 +501,18 @@ def cell_step(a, h, c, k, lp, ln_g, ln_b, slots=None):
     return h_new, c_new
 
 
-def _layer_setup(times, lp, alpha, training):
+def _layer_setup(times, lp, alpha, training, weights=None):
     """What a scan of one layer over a batch at `times` (B, T) hours needs
-    besides its input: the stacked weights Wx and Wh, the time gate's
-    openness k (T, B, H), evaluated for all steps at once since the gate
-    depends only on the times, and the cache for `_layer_backward`, whose
-    (T, B, ...) stacks of each step's slots and of the states before and
-    after it the scan fills in, and to which `_step_factors` and
-    `_gate_cache` add the backward's factors; the cache is None unless
-    training."""
+    besides its input: the stacked weights Wx and Wh (`_stacked_weights`,
+    unless they are given as `weights`), the time gate's openness k (T, B,
+    H), evaluated for all steps at once since the gate depends only on the
+    times, and the cache for `_layer_backward`, whose (T, B, ...) stacks of
+    each step's slots and of the states before and after it the scan fills
+    in, and to which `_step_factors` and `_gate_cache` add the backward's
+    factors; the cache is None unless training."""
     B, T = times.shape
     H = lp.hidden_size
-    Wx, Wh = _stacked_weights(lp)
+    Wx, Wh = _stacked_weights(lp) if weights is None else weights
     k, phi = _gate_forward(times.T[:, :, None], lp.tau, lp.s, lp.r_on, alpha)
     cache = None
     if training:
@@ -579,25 +579,32 @@ def _link(scan, x, mask, Wx):
         yield x[:, t] @ Wx
 
 
+def _projections(idx, x, Wx, below, masks):
+    """Layer idx's input projections x_t @ Wx, (B, 4H) each, in step order.
+    Layer 0's input x (B, T, d) exists before its scan, so its projections
+    are one product over all B*T rows; a higher layer's input x is filled
+    in step by step from `below`, the scan of layer idx - 1, times
+    masks[idx - 1], and projected by `_link`."""
+    if idx:
+        return _link(below, x, masks[idx - 1], Wx)
+    B, T, d = x.shape
+    return (x.reshape(B * T, d) @ Wx).reshape(B, T, -1).swapaxes(0, 1)
+
+
 def _stack_scan(x, times, params, masks, alpha, training, n):
     """Layers 0 .. n-1 of the stack over a batch x (B, T, d), chained as
-    generators, one step apart. Layer 0's input projections are one product
-    over all B*T rows, since its input exists before the scan; layer idx's
-    input is the layer below's output times masks[idx - 1], projected step
-    by step (`_link`). Returns the layers' inputs (those above layer 0
-    filled in as the scans run), their caches (None unless training) and
-    the last layer's scan, not yet started: running it runs them all."""
-    B, T, d = x.shape
-    inputs, caches = [], []
+    generators, one step apart, each over its `_projections`. Returns the
+    layers' inputs (those above layer 0 filled in as the scans run), their
+    caches (None unless training) and the last layer's scan, not yet
+    started: running it runs them all (None where n is 0)."""
+    B, T, _ = x.shape
+    inputs, caches, scan = [], [], None
     for idx in range(n):
         lp, ln_g, ln_b = params.layers[idx], params.ln_gain[idx], params.ln_bias[idx]
         Wx, Wh, k, cache = _layer_setup(times, lp, alpha, training)
         if idx:
             x = np.empty((B, T, lp.input_size))
-            x_proj = _link(scan, x, masks[idx - 1], Wx)
-        else:
-            x_proj = (x.reshape(B * T, d) @ Wx).reshape(B, T, -1).swapaxes(0, 1)
-        scan = _layer_scan(x_proj, Wh, k, lp, ln_g, ln_b, cache)
+        scan = _layer_scan(_projections(idx, x, Wx, scan, masks), Wh, k, lp, ln_g, ln_b, cache)
         inputs.append(x)
         caches.append(cache)
     return inputs, caches, scan

@@ -5,12 +5,13 @@ An SGD step runs as a two-stage wavefront over the time steps. The first
 stage is every layer below the top one, the second the top layer, the
 output projection and the loss. In the forward the second stage runs one
 time step behind the first; in the backward the first runs one step behind
-the second. The first stage also makes the two products that link them,
-one B-row product per step, in `model._link` and `model._link_back` as
-`forward_batch` and `backward_batch` do: the top layer's input projection
-and its input gradient. On two processes (`train(workers=2)`) the first
-stage runs in the calling process and the second in a helper forked at
-the start of `train`; each writes its layers' gradients into one flat
+the second. The first stage also makes the top layer's input projections
+(`model._projections`) and input gradients (`model._link_back`), as
+`forward_batch` and `backward_batch` do: one B-row product per step, or,
+in a one-layer model, one projection of all B*T rows and no gradient. On
+two processes (`train(workers=2)`, two or more layers) the first stage
+runs in the calling process and the second in a helper forked at the
+start of `train`; each writes its layers' gradients into one flat
 gradient in shared memory.
 
 Each process also does the rest of the step for the tensors it owns. It
@@ -33,8 +34,8 @@ On one process the same functions run one after the other. Either way
 every operation keeps the operands and order of `forward_batch`,
 `backward_batch` and one clip and update of the whole flat vector, so the
 parameters and the loss history come out bit for bit the same at every
-batch shape. A one-layer model has no first stage: its batches run through
-`forward_batch` and `backward_batch` in the calling process.
+batch shape. Those two stay the readable reference the tests check a step
+against; no training step calls them.
 """
 
 from __future__ import annotations
@@ -72,18 +73,20 @@ from .model import (
     _layer_backward,
     _layer_scan,
     _layer_setup,
-    _link,
     _link_back,
     _output_backward,
+    _projections,
     _stack_backward,
     _stack_scan,
     _stacked_weights,
     _step_factors,
-    backward_batch,
     clamp_gate_timing,
     forward_batch,
     init_params,
 )
+# backward_batch is not called here, but perfbench's tracer wraps
+# deepmta.trainer.backward_batch, so the name must stay importable
+from .model import backward_batch  # noqa: F401
 
 PROB_CLIP = 1e-12
 MOMENTUM = 0.9
@@ -322,39 +325,48 @@ def _sgd_update(params: ModelParams, grads: Gradients, velocity, parts, norm: fl
 
 def _lower_forward(params, feats, times, masks, shared, handoff):
     """The first stage's forward: the layers below the top one over the
-    batch (`_stack_scan`), one step at a time. After step t the top
-    layer's input row top_in[:, t] and its projection proj[t] are written
-    (`_link`), then handoff() is called. Returns the layers' inputs and
-    caches and the top layer's stacked input weights."""
+    batch (`_stack_scan`), one step at a time. After step t the top layer's
+    input row top_in[:, t] (in a one-layer model, the batch's) and its
+    projection proj[t] (`_projections`) are written, then handoff() is
+    called. Returns the lower layers' inputs and caches and the top layer's
+    stacked weights."""
     B, T, _ = feats.shape
-    H = params.hidden_size
-    inputs, caches, scan = _stack_scan(feats, times, params, masks, params.alpha, True, params.n_layers - 1)
-    proj = _view(shared["proj"], T, B, 4 * H)
-    Wx = _stacked_weights(params.layers[-1])[0]
-    for t, x_proj in enumerate(_link(scan, _view(shared["top_in"], B, T, H), masks[-1], Wx)):
+    top = params.n_layers - 1
+    lp = params.layers[top]
+    inputs, caches, scan = _stack_scan(feats, times, params, masks, params.alpha, True, top)
+    top_in = _view(shared["top_in"], B, T, lp.input_size)
+    if not top:
+        top_in[...] = feats
+    proj = _view(shared["proj"], T, B, 4 * lp.hidden_size)
+    weights = _stacked_weights(lp)
+    for t, x_proj in enumerate(_projections(top, top_in, weights[0], scan, masks)):
         proj[t] = x_proj
         handoff()
-    return inputs, caches, Wx
+    return inputs, caches, weights
 
 
-def _top_step(params, shared, grads, wait, handoff) -> None:
+def _top_step(params, shared, grads, wait, handoff, weights=None) -> None:
     """The second stage's part of an SGD step: the top layer, whose step t
     input projection proj[t] is read after wait(), the logits, and the loss,
     written into meta[2] before a handoff(). The layer's gate factors are
     made before the first wait. If the loss is finite, then the output
-    projection's gradients and the top layer's reverse scan, which makes
-    step t's recurrence factors, writes dA[t] and calls handoff() for each
-    step t, and one more handoff() once every gradient of the stage is
-    written into grads and its square sums into sums. (In the forward the
-    stage keeps pace with the first and hardly waits, so the recurrence
-    factors made there would delay the loss.)"""
+    projection's gradients and the top layer's reverse scan, which writes
+    dA[t] and calls handoff() for each step t, and one more handoff() once
+    every gradient of the stage is written into grads and its square sums
+    into sums. On one process, weights are the top layer's stacked weights,
+    which the first stage has made, and the recurrence's factors are made
+    at once, as `_stack_backward` makes them. The helper makes its own
+    weights, and each step's factors just before that step's backward, so
+    that the caller gets its first dA early. (In the forward the stage
+    keeps pace with the first and hardly waits, so the factors made there
+    would delay the loss.)"""
     B, T = int(shared["meta"][0]), int(shared["meta"][1])
     H = params.hidden_size
     times, labels = _view(shared["times"], B, T), _view(shared["labels"], B, T)
     proj = _view(shared["proj"], T, B, 4 * H)
     top = params.n_layers - 1
     lp = params.layers[top]
-    _, Wh, k, cache = _layer_setup(times, lp, params.alpha, True)
+    _, Wh, k, cache = _layer_setup(times, lp, params.alpha, True, weights)
     _gate_cache(cache, lp)
 
     def steps():
@@ -369,16 +381,17 @@ def _top_step(params, shared, grads, wait, handoff) -> None:
     if not np.isfinite(shared["meta"][2]):
         return
     dH = _output_backward(hidden, grad_logits, params.W_out, grads)
+    stepwise = weights is None
 
     def upstream():
         for t in range(T - 1, -1, -1):
             yield dH[:, t]
-            if t:
+            if t and stepwise:
                 _step_factors(cache, t - 1)
 
-    _step_factors(cache, T - 1)  # it also makes the arrays, which the reverse scan reads from its start
-
-    top_in, dA = _view(shared["top_in"], B, T, H), _view(shared["dA"], T, B, 4, H)
+    # this call also makes the arrays, which the reverse scan reads from its start
+    _step_factors(cache, T - 1 if stepwise else slice(None))
+    top_in, dA = _view(shared["top_in"], B, T, lp.input_size), _view(shared["dA"], T, B, 4, H)
     for _ in _layer_backward(upstream(), top_in, cache, params, top, grads.flat, dA):
         handoff()
     _square_sums(grads, range(_TOP_TENSORS), shared["sums"])
@@ -440,13 +453,14 @@ def _eval_owners(table: JourneyTable, chunks: list[np.ndarray]) -> list[int]:
 
 class _Wavefront:
     """The SGD steps and validation passes of one `train` run, and, on two
-    processes, their helper. When it is made, the parameters and the
-    momentum velocity move into shared memory, next to the flat gradient,
-    the stages' exchange arrays (sized for batches of up to
-    cfg.batch_size journeys of up to the table's longest length), the clip
-    norm's per-tensor square sums and the validation batches' losses. On
-    entry the helper is forked (a `_fork.Worker`), so it holds them all,
-    the table and the validation indices from the start.
+    processes, their helper: where two are asked for and the model has a
+    layer below the top one (`processes` says how many run). When it is
+    made, the parameters and the momentum velocity move into shared memory,
+    next to the flat gradient, the stages' exchange arrays (sized for
+    batches of up to cfg.batch_size journeys of up to the table's longest
+    length), the clip norm's per-tensor square sums and the validation
+    batches' losses. On entry the helper is forked (a `_fork.Worker`), so
+    it holds them all, the table and the validation indices from the start.
 
     The two processes hand each other one byte over the worker's pipes per
     event of the schedule. The caller sends a command (_STEP, _VALIDATE) to
@@ -460,16 +474,16 @@ class _Wavefront:
     def __init__(self, params: ModelParams, cfg: TrainConfig, table: JourneyTable, val_idx: np.ndarray, processes: int):
         H, n = params.hidden_size, cfg.batch_size * int(table.lengths.max())
         momentum = cfg.optimizer == "sgd_momentum"
-        self.params, self.table, self.processes = params, table, processes
+        self.params, self.table = params, table
+        self.processes = processes if params.n_layers > 1 else 1
         self.learning_rate = cfg.learning_rate
-        self.frozen_row = None if cfg.use_time_feature else params.input_dim - 1
         self.val_idx = val_idx
         self.val_chunks = list(_chunks(table, val_idx, EVAL_BATCH))
         self.val_owners = _eval_owners(table, self.val_chunks)
         self.shared = _shared_arrays({
             "params": params.flat.size, "grads": params.flat.size, "velocity": params.flat.size if momentum else 0,
-            "top_in": n * H, "proj": n * 4 * H, "dA": n * 4 * H, "times": n, "labels": n, "meta": 4,
-            "sums": len(params.layout), "val": len(self.val_chunks),
+            "top_in": n * params.layers[-1].input_size, "proj": n * 4 * H, "dA": n * 4 * H, "times": n, "labels": n,
+            "meta": 4, "sums": len(params.layout), "val": len(self.val_chunks),
         })
         params.move_to(self.shared["params"])
         self.velocity = self.shared["velocity"] if momentum else None
@@ -552,13 +566,6 @@ class _Wavefront:
         self._wait()
         return _ordered_sum(self.shared["val"]) / len(self.val_idx)
 
-    def _freeze(self) -> None:
-        """Zero the gradient of layer 0's input weights on the hour-offset
-        column where that input is ablated."""
-        if self.frozen_row is not None:
-            for gate in "ifco":
-                self.grads[f"layers.0.W_x{gate}"][self.frozen_row] = 0.0
-
     def step(self, feats, times, labels, masks, while_waiting: Callable[[], None] | None = None):
         """One SGD step: the loss and the gradients, the clip, the momentum
         and SGD update and the gate clamp. Returns the loss and the
@@ -567,51 +574,19 @@ class _Wavefront:
         helper's stage stops at the loss). masks are the dropout masks of
         the layers below the top one, None where there is no dropout.
         while_waiting, if given, is called once while the caller waits for
-        the loss: the next batch is read there. Every batch of a one-layer
-        model runs through forward_batch and backward_batch and is updated
-        in the calling process."""
-        params, shared, grads = self.params, self.shared, self.grads
-        sums = shared["sums"]
-        pipelined = params.n_layers > 1
-        if pipelined:
-            loss = self._wavefront(feats, times, labels, masks, while_waiting)
-        else:
-            logits, trace = forward_batch(feats, times, params, training=True, dropout_masks=masks)
-            loss, grad_logits = _loss_and_grad_batch(logits, labels)
-            if while_waiting is not None:
-                while_waiting()
-            if np.isfinite(loss):
-                grads.flat[...] = backward_batch(trace, grad_logits).flat
-                self._freeze()
-                _square_sums(grads, range(len(grads)), sums)
-        if not np.isfinite(loss):
-            return loss, None
-        # the clip norm: the square sums added in `grads` order, one tensor
-        # at a time (one dot product over the vector would round differently)
-        shared["meta"][3] = norm = float(np.sqrt(_ordered_sum(sums)))
-        helper = pipelined and self.helper is not None
-        if helper:
-            self._send()
-        self._update(0)
-        if helper:
-            self._wait()
-        else:
-            self._update(1)
-        return loss, norm
-
-    def _wavefront(self, feats, times, labels, masks, while_waiting) -> float:
-        """The loss and the gradients of a step, its second stage on the
-        helper (or after the first stage's forward on one process), and the
-        square sums of the caller's gradients, once the helper's are in."""
+        the loss: the next batch is read there. The second stage runs on the
+        helper, or on one process after the first stage's forward; the
+        caller adds the square sums of its gradients once the helper's are
+        in."""
         params, shared, grads = self.params, self.shared, self.grads
         B, T = times.shape
         _view(shared["times"], B, T)[...] = times
         _view(shared["labels"], B, T)[...] = labels
         shared["meta"][:2] = B, T
         self._send(_STEP)
-        inputs, caches, Wx = _lower_forward(params, feats, times, masks, shared, self._send)
+        inputs, caches, weights = _lower_forward(params, feats, times, masks, shared, self._send)
         if self.helper is None:  # one process: the second stage runs here, and _wait and _send do nothing
-            _top_step(params, shared, grads, self._wait, self._send)
+            _top_step(params, shared, grads, self._wait, self._send, weights)
         # the lower layers' backward factors and the next batch while the
         # helper ends its forward, their gates' while it starts its backward
         for cache in caches:
@@ -621,22 +596,35 @@ class _Wavefront:
         self._wait()
         loss = float(shared["meta"][2])
         if not np.isfinite(loss):
-            return loss
+            return loss, None
         for cache, lp in zip(caches, params.layers):
             _gate_cache(cache, lp)
-        _lower_backward(params, inputs, times, caches, masks, Wx, shared, grads.flat, self._wait)
-        self._freeze()
+        if caches:  # none in a one-layer model
+            _lower_backward(params, inputs, times, caches, masks, weights[0], shared, grads.flat, self._wait)
         _square_sums(grads, range(_TOP_TENSORS, len(grads)), shared["sums"])
         self._wait()
-        return loss
+        # the clip norm: the square sums added in `grads` order, one tensor
+        # at a time (one dot product over the vector would round differently)
+        shared["meta"][3] = norm = float(np.sqrt(_ordered_sum(shared["sums"])))
+        self._send()
+        self._update(0)
+        self._wait()
+        if self.helper is None:
+            self._update(1)
+        return loss, norm
 
 
 def _drawn_batches(table: JourneyTable, order: np.ndarray, cfg: TrainConfig, rng: np.random.Generator):
     """The `_batches` of `order`, each with the dropout masks of the layers
     below the top one, drawn from rng as the batch is read: the masks
-    forward_batch would draw, in its order (None without dropout)."""
+    forward_batch would draw, in its order (None without dropout). Without
+    cfg.use_time_feature the hour-offset column of the gathered features, a
+    copy, is zeroed: its input weights start at +0.0, so their gradients
+    are signed zeros, and the update keeps them at +0.0."""
     n_lower = cfg.n_layers - 1
     for chunk, feats, times, labels in _batches(table, order, cfg.batch_size):
+        if not cfg.use_time_feature:
+            feats[..., -1] = 0.0
         shape = (*times.shape, cfg.hidden_size)
         masks = _dropout_draws(rng, shape, cfg.dropout_p, n_lower) if cfg.dropout_p > 0 else [None] * n_lower
         yield chunk, feats, times, labels, masks
@@ -691,10 +679,9 @@ def train(
 
     train_losses: list[float] = []
     val_losses: list[float] = []
-    processes = 2 if workers >= 2 and cfg.n_layers >= 2 and can_fork() else 1
-    with _Wavefront(params, cfg, table, val_idx, processes) as wavefront:
+    with _Wavefront(params, cfg, table, val_idx, 2 if workers >= 2 and can_fork() else 1) as wavefront:
         if on_start is not None:
-            on_start(processes)
+            on_start(wavefront.processes)
         for epoch in range(cfg.epochs):
             start = time.perf_counter()
             order = train_idx[rng.permutation(len(train_idx))]

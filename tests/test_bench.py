@@ -10,7 +10,8 @@ from pathlib import Path
 BENCH = Path(__file__).resolve().parents[1] / "bench" / "layers.py"
 
 
-def test_step_bench_reports_every_configuration(tmp_path, monkeypatch):
+def run_step_bench(tmp_path, monkeypatch, *args) -> dict:
+    """The step bench's report at B=4, H=8, T=1..2, 3 steps, with `args`."""
     # the script pins one BLAS thread and puts src/ on the path as it is
     # imported; both are undone after the test
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
@@ -23,12 +24,18 @@ def test_step_bench_reports_every_configuration(tmp_path, monkeypatch):
         out = tmp_path / "bench.json"
         report = bench.main([
             "--lengths", "1", "2", "--batch", "4", "--hidden", "8", "--repeats", "3", "--block", "2", "--out", str(out),
+            *args,
         ])
     finally:
         del sys.modules[spec.name]
     assert json.loads(out.read_text(encoding="utf-8")) == report
+    return report
+
+
+def test_step_bench_reports_every_configuration(tmp_path, monkeypatch):
+    report = run_step_bench(tmp_path, monkeypatch)
     assert set(report) == {"bench", "environment", "shape", "repeats", "results"}
-    assert report["shape"]["B"] == 4 and report["shape"]["H"] == 8
+    assert report["shape"]["B"] == 4 and report["shape"]["H"] == 8 and report["shape"]["n_layers"] == 2
     assert [(row["processes"], row["T"]) for row in report["results"]] == [(1, 1), (2, 1), (1, 2), (2, 2)]
     for row in report["results"]:
         assert row["steps"] == 3
@@ -36,6 +43,13 @@ def test_step_bench_reports_every_configuration(tmp_path, monkeypatch):
         for key in ("step_ms", "blocked_ms", "gap_ms"):
             assert set(row[key]) == {"median", "q1", "q3"}
         assert row["step_ms"]["q1"] <= row["step_ms"]["median"] <= row["step_ms"]["q3"]
+
+
+def test_step_bench_times_one_layer_on_one_process(tmp_path, monkeypatch):
+    # a one-layer model has no helper, so each length has one row
+    report = run_step_bench(tmp_path, monkeypatch, "--layers", "1")
+    assert report["shape"]["n_layers"] == 1
+    assert [(row["processes"], row["T"], row["steps"]) for row in report["results"]] == [(1, 1, 3), (1, 2, 3)]
 
 
 ATTRIBUTION_BENCH = BENCH.parent / "attribution.py"

@@ -312,8 +312,8 @@ class TestFlatUpdateMatchesReference:
 
     @pytest.mark.parametrize("workers", (1, 2))
     def test_one_layer(self, small_planted, workers):
-        # a one-layer model has no first stage: its steps run through
-        # forward_batch and backward_batch in the calling process
+        # a one-layer model's first stage is only its input projection: its
+        # steps run the wavefront on one process, whatever the workers
         vocab, journeys = small_planted
         cfg = TrainConfig(hidden_size=8, n_layers=1, epochs=2, batch_size=16, seed=7, learning_rate=0.05)
         processes = []
@@ -321,6 +321,27 @@ class TestFlatUpdateMatchesReference:
         expected = reference_train(journeys[:160], vocab, cfg, trainer_mod.GRAD_CLIP_NORM)
         assert result.params.flat.tobytes() == expected.flat.tobytes()
         assert processes == [1]
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("n_layers", (1, 2))
+    @pytest.mark.parametrize("workers", (1, 2))
+    def test_ablated_time_column_is_zeroed_in_a_copy(self, small_planted, n_layers, workers):
+        # without the time feature each batch's hour-offset column is zeroed
+        # in its gathered copy: the given table keeps its features, and the
+        # column's input weights stay +0.0, not -0.0, through the updates
+        vocab, journeys = small_planted
+        table = journey_table(journeys[:160], vocab)
+        features = table.features.copy()
+        assert np.any(features[:, -1] > 0)
+        cfg = TrainConfig(
+            hidden_size=8, n_layers=n_layers, epochs=2, batch_size=16, seed=7, optimizer="sgd_momentum",
+            learning_rate=0.05,
+        )
+        result = train(table, vocab, cfg, workers=workers)
+        assert table.features.tobytes() == features.tobytes()
+        for gate in "ifco":
+            row = getattr(result.params.layers[0], f"W_x{gate}")[-1]
+            assert np.all(row == 0.0) and not np.any(np.signbit(row)), gate
         assert_no_child_left()
 
     def test_three_layers(self, small_planted):
@@ -372,8 +393,12 @@ class TestWavefront:
         with pytest.raises(ConfigError, match="workers"):
             train(journeys[:20], vocab, TrainConfig(hidden_size=4, epochs=1), workers=0)
 
-    @pytest.mark.parametrize("processes", (1, 2))
-    def test_step_equals_forward_and_backward_batch(self, processes, monkeypatch):
+    @pytest.mark.parametrize(
+        "n_layers, processes",
+        # the two-layer cases keep the ids they had before n_layers was a parameter
+        [pytest.param(n, p, id=str(p) if n == 2 else f"{n}layers-{p}") for n in (1, 2) for p in (1, 2)],
+    )
+    def test_step_equals_forward_and_backward_batch(self, n_layers, processes, monkeypatch):
         # the desk shape at every T in 1..4, and tails of a length bucket,
         # with dropout: the loss, the gradients, the norm and the momentum
         # update's parameters of forward_batch, backward_batch and the
@@ -381,8 +406,10 @@ class TestWavefront:
         # norms, so some steps clip and some do not
         monkeypatch.setattr(trainer_mod, "GRAD_CLIP_NORM", 0.5)
         rng = np.random.default_rng(5)
-        cfg = TrainConfig(hidden_size=64, optimizer="sgd_momentum", learning_rate=0.1, use_time_feature=True)
-        params = init_params(7, 64, 2, dropout_p=0.5, rng=rng)
+        cfg = TrainConfig(
+            hidden_size=64, n_layers=n_layers, optimizer="sgd_momentum", learning_rate=0.1, use_time_feature=True,
+        )
+        params = init_params(7, 64, n_layers, dropout_p=0.5, rng=rng)
         reference = params.copy()
         velocity = {name: np.zeros_like(arr) for name, arr in reference.named_parameters()}
         norms = []
@@ -391,7 +418,7 @@ class TestWavefront:
                 feats = rng.normal(0, 1, (B, T, 7))
                 times = np.cumsum(rng.uniform(0, 12, (B, T)), axis=1)
                 labels = rng.integers(0, 2, (B, T))
-                masks = [(rng.random((B, T, 64)) >= 0.5) / 0.5]
+                masks = [(rng.random((B, T, 64)) >= 0.5) / 0.5 for _ in range(n_layers - 1)]
                 logits, trace = forward_batch(feats, times, reference, training=True, dropout_masks=masks)
                 loss, grad_logits = _loss_and_grad_batch(logits, labels)
                 expected = dict(backward_batch(trace, grad_logits))
@@ -414,22 +441,30 @@ class TestWavefront:
         assert min(norms) < trainer_mod.GRAD_CLIP_NORM < max(norms)
         assert_no_child_left()
 
-    @pytest.mark.parametrize("processes", (1, 2))
-    def test_every_two_layer_batch_pipelines(self, processes, monkeypatch):
+    @pytest.mark.parametrize(
+        "n_layers, processes",
+        # the two-layer cases keep the ids they had before n_layers was a parameter
+        [pytest.param(n, p, id=str(p) if n == 2 else f"{n}layers-{p}") for n in (1, 2, 3) for p in (1, 2)],
+    )
+    def test_every_two_layer_batch_pipelines(self, n_layers, processes, monkeypatch):
         # shapes whose one-row or small-matrix per-step products a BLAS may
         # make with another kernel than a product of all B * T rows: step
-        # runs the wavefront at each, never forward_batch or backward_batch
+        # runs the wavefront at each, never forward_batch or backward_batch,
+        # at every depth. A one-layer model has no stage for a helper to
+        # overlap, so it runs on one process whatever is asked
         calls = []
         for name in ("forward_batch", "backward_batch"):
             monkeypatch.setattr(trainer_mod, name, lambda *args, name=name, **kwargs: calls.append(name))
         rng = np.random.default_rng(6)
-        cfg = TrainConfig(hidden_size=64, use_time_feature=True)
-        params = init_params(7, 64, 2, dropout_p=0.5, rng=rng)
+        cfg = TrainConfig(hidden_size=64, n_layers=n_layers, use_time_feature=True)
+        params = init_params(7, 64, n_layers, dropout_p=0.5, rng=rng)
         with trainer_mod._Wavefront(params, cfg, one_journey_table(4, 7), np.arange(0), processes) as wavefront:
+            assert wavefront.processes == (processes if n_layers > 1 else 1)
+            assert (wavefront.helper is not None) == (wavefront.processes > 1)
             for B, T in ((1, 2), (1, 3), (1, 4), (5, 4), (13, 4)):
                 feats = rng.normal(0, 1, (B, T, 7))
                 times = np.cumsum(rng.uniform(0, 12, (B, T)), axis=1)
-                masks = [(rng.random((B, T, 64)) >= 0.5) / 0.5]
+                masks = [(rng.random((B, T, 64)) >= 0.5) / 0.5 for _ in range(n_layers - 1)]
                 loss, norm = wavefront.step(feats, times, rng.integers(0, 2, (B, T)), masks)
                 assert np.isfinite(loss) and norm is not None, (B, T)
         assert calls == []
