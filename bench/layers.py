@@ -101,7 +101,8 @@ class Timed:
         feats[np.arange(B)[:, None], np.arange(T), 8 + self.rng.integers(0, 3, (B, T))] = 1.0
         times = np.cumsum(self.rng.uniform(0, 12, (B, T)), axis=1)
         times -= times[:, :1]
-        feats[..., -1] = times
+        # the hour offset, zeroed where the preset ablates it, as `train` does
+        feats[..., -1] = times if self.cfg.use_time_feature else 0.0
         labels = np.zeros((B, T), dtype=np.int64)
         labels[:, -1] = self.rng.random(B) < 0.3
         masks = _dropout_draws(self.rng, (B, T, self.cfg.hidden_size), self.cfg.dropout_p, self.cfg.n_layers - 1)

@@ -501,18 +501,18 @@ def cell_step(a, h, c, k, lp, ln_g, ln_b, slots=None):
     return h_new, c_new
 
 
-def _layer_setup(times, lp, alpha, training, weights=None):
+def _layer_setup(times, lp, alpha, training):
     """What a scan of one layer over a batch at `times` (B, T) hours needs
-    besides its input: the stacked weights Wx and Wh (`_stacked_weights`,
-    unless they are given as `weights`), the time gate's openness k (T, B,
-    H), evaluated for all steps at once since the gate depends only on the
-    times, and the cache for `_layer_backward`, whose (T, B, ...) stacks of
-    each step's slots and of the states before and after it the scan fills
-    in, and to which `_step_factors` and `_gate_cache` add the backward's
-    factors; the cache is None unless training."""
+    besides its input: the stacked weights Wx and Wh, the time gate's
+    openness k (T, B, H), evaluated for all steps at once since the gate
+    depends only on the times, and the cache for `_layer_backward`, whose
+    (T, B, ...) stacks of each step's slots and of the states before and
+    after it the scan fills in, and to which `_step_factors` and
+    `_gate_cache` add the backward's factors; the cache is None unless
+    training."""
     B, T = times.shape
     H = lp.hidden_size
-    Wx, Wh = _stacked_weights(lp) if weights is None else weights
+    Wx, Wh = _stacked_weights(lp)
     k, phi = _gate_forward(times.T[:, :, None], lp.tau, lp.s, lp.r_on, alpha)
     cache = None
     if training:

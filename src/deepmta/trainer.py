@@ -329,7 +329,7 @@ def _lower_forward(params, feats, times, masks, shared, handoff):
     input row top_in[:, t] (in a one-layer model, the batch's) and its
     projection proj[t] (`_projections`) are written, then handoff() is
     called. Returns the lower layers' inputs and caches and the top layer's
-    stacked weights."""
+    stacked input weights."""
     B, T, _ = feats.shape
     top = params.n_layers - 1
     lp = params.layers[top]
@@ -338,35 +338,31 @@ def _lower_forward(params, feats, times, masks, shared, handoff):
     if not top:
         top_in[...] = feats
     proj = _view(shared["proj"], T, B, 4 * lp.hidden_size)
-    weights = _stacked_weights(lp)
-    for t, x_proj in enumerate(_projections(top, top_in, weights[0], scan, masks)):
+    Wx = _stacked_weights(lp)[0]
+    for t, x_proj in enumerate(_projections(top, top_in, Wx, scan, masks)):
         proj[t] = x_proj
         handoff()
-    return inputs, caches, weights
+    return inputs, caches, Wx
 
 
-def _top_step(params, shared, grads, wait, handoff, weights=None) -> None:
+def _top_step(params, shared, grads, wait, handoff) -> None:
     """The second stage's part of an SGD step: the top layer, whose step t
     input projection proj[t] is read after wait(), the logits, and the loss,
     written into meta[2] before a handoff(). The layer's gate factors are
     made before the first wait. If the loss is finite, then the output
-    projection's gradients and the top layer's reverse scan, which writes
-    dA[t] and calls handoff() for each step t, and one more handoff() once
-    every gradient of the stage is written into grads and its square sums
-    into sums. On one process, weights are the top layer's stacked weights,
-    which the first stage has made, and the recurrence's factors are made
-    at once, as `_stack_backward` makes them. The helper makes its own
-    weights, and each step's factors just before that step's backward, so
-    that the caller gets its first dA early. (In the forward the stage
-    keeps pace with the first and hardly waits, so the factors made there
-    would delay the loss.)"""
+    projection's gradients and the top layer's reverse scan, which makes
+    step t's recurrence factors, writes dA[t] and calls handoff() for each
+    step t, and one more handoff() once every gradient of the stage is
+    written into grads and its square sums into sums. (In the forward the
+    stage keeps pace with the first and hardly waits, so the recurrence
+    factors made there would delay the loss.)"""
     B, T = int(shared["meta"][0]), int(shared["meta"][1])
     H = params.hidden_size
     times, labels = _view(shared["times"], B, T), _view(shared["labels"], B, T)
     proj = _view(shared["proj"], T, B, 4 * H)
     top = params.n_layers - 1
     lp = params.layers[top]
-    _, Wh, k, cache = _layer_setup(times, lp, params.alpha, True, weights)
+    _, Wh, k, cache = _layer_setup(times, lp, params.alpha, True)
     _gate_cache(cache, lp)
 
     def steps():
@@ -381,16 +377,15 @@ def _top_step(params, shared, grads, wait, handoff, weights=None) -> None:
     if not np.isfinite(shared["meta"][2]):
         return
     dH = _output_backward(hidden, grad_logits, params.W_out, grads)
-    stepwise = weights is None
 
     def upstream():
         for t in range(T - 1, -1, -1):
             yield dH[:, t]
-            if t and stepwise:
+            if t:
                 _step_factors(cache, t - 1)
 
-    # this call also makes the arrays, which the reverse scan reads from its start
-    _step_factors(cache, T - 1 if stepwise else slice(None))
+    _step_factors(cache, T - 1)  # it also makes the arrays, which the reverse scan reads from its start
+
     top_in, dA = _view(shared["top_in"], B, T, lp.input_size), _view(shared["dA"], T, B, 4, H)
     for _ in _layer_backward(upstream(), top_in, cache, params, top, grads.flat, dA):
         handoff()
@@ -572,9 +567,12 @@ class _Wavefront:
         gradient's norm before clipping, or the loss and None where the loss
         is not finite (the run then ends: nothing is updated, and the
         helper's stage stops at the loss). masks are the dropout masks of
-        the layers below the top one, None where there is no dropout.
-        while_waiting, if given, is called once while the caller waits for
-        the loss: the next batch is read there. The second stage runs on the
+        the layers below the top one, None where there is no dropout. Where
+        cfg.use_time_feature is False, feats' hour-offset column must be
+        zero, as `_drawn_batches` makes it: the step trains that column's
+        input weights like any other. while_waiting, if given, is called
+        once while the caller waits for the loss: the next batch is read
+        there. The second stage runs on the
         helper, or on one process after the first stage's forward; the
         caller adds the square sums of its gradients once the helper's are
         in."""
@@ -584,9 +582,9 @@ class _Wavefront:
         _view(shared["labels"], B, T)[...] = labels
         shared["meta"][:2] = B, T
         self._send(_STEP)
-        inputs, caches, weights = _lower_forward(params, feats, times, masks, shared, self._send)
+        inputs, caches, Wx = _lower_forward(params, feats, times, masks, shared, self._send)
         if self.helper is None:  # one process: the second stage runs here, and _wait and _send do nothing
-            _top_step(params, shared, grads, self._wait, self._send, weights)
+            _top_step(params, shared, grads, self._wait, self._send)
         # the lower layers' backward factors and the next batch while the
         # helper ends its forward, their gates' while it starts its backward
         for cache in caches:
@@ -600,7 +598,7 @@ class _Wavefront:
         for cache, lp in zip(caches, params.layers):
             _gate_cache(cache, lp)
         if caches:  # none in a one-layer model
-            _lower_backward(params, inputs, times, caches, masks, weights[0], shared, grads.flat, self._wait)
+            _lower_backward(params, inputs, times, caches, masks, Wx, shared, grads.flat, self._wait)
         _square_sums(grads, range(_TOP_TENSORS, len(grads)), shared["sums"])
         self._wait()
         # the clip norm: the square sums added in `grads` order, one tensor

@@ -300,9 +300,15 @@ class TestFlatUpdateMatchesReference:
         vocab, journeys = small_planted
         cfg = TrainConfig(hidden_size=8, epochs=2, batch_size=16, seed=7, optimizer=optimizer, learning_rate=0.05)
         monkeypatch.setattr(trainer_mod, "GRAD_CLIP_NORM", clip_norm)
-        result = train(journeys[:160], vocab, cfg, workers=workers)
+        # the reference freezes the hour-offset rows of W_x at +0.0; train
+        # zeroes that column in each batch's copy, and the table keeps it
+        table = journey_table(journeys[:160], vocab)
+        features = table.features.copy()
+        assert np.any(features[:, -1])
+        result = train(table, vocab, cfg, workers=workers)
         expected = reference_train(journeys[:160], vocab, cfg, clip_norm)
         assert result.params.flat.tobytes() == expected.flat.tobytes()
+        assert table.features.tobytes() == features.tobytes()
         for (name, a), (_, b) in zip(result.params.named_parameters(), expected.named_parameters()):
             assert a.tobytes() == b.tobytes(), name
         shares = [line.split("clipped_share=")[1] for line in capsys.readouterr().err.splitlines()]
@@ -313,35 +319,18 @@ class TestFlatUpdateMatchesReference:
     @pytest.mark.parametrize("workers", (1, 2))
     def test_one_layer(self, small_planted, workers):
         # a one-layer model's first stage is only its input projection: its
-        # steps run the wavefront on one process, whatever the workers
+        # steps run the wavefront on one process, whatever the workers. Its
+        # hour-offset column is zeroed in each batch's copy, not in the table
         vocab, journeys = small_planted
         cfg = TrainConfig(hidden_size=8, n_layers=1, epochs=2, batch_size=16, seed=7, learning_rate=0.05)
-        processes = []
-        result = train(journeys[:160], vocab, cfg, workers=workers, on_start=processes.append)
-        expected = reference_train(journeys[:160], vocab, cfg, trainer_mod.GRAD_CLIP_NORM)
-        assert result.params.flat.tobytes() == expected.flat.tobytes()
-        assert processes == [1]
-        assert_no_child_left()
-
-    @pytest.mark.parametrize("n_layers", (1, 2))
-    @pytest.mark.parametrize("workers", (1, 2))
-    def test_ablated_time_column_is_zeroed_in_a_copy(self, small_planted, n_layers, workers):
-        # without the time feature each batch's hour-offset column is zeroed
-        # in its gathered copy: the given table keeps its features, and the
-        # column's input weights stay +0.0, not -0.0, through the updates
-        vocab, journeys = small_planted
         table = journey_table(journeys[:160], vocab)
         features = table.features.copy()
-        assert np.any(features[:, -1] > 0)
-        cfg = TrainConfig(
-            hidden_size=8, n_layers=n_layers, epochs=2, batch_size=16, seed=7, optimizer="sgd_momentum",
-            learning_rate=0.05,
-        )
-        result = train(table, vocab, cfg, workers=workers)
+        processes = []
+        result = train(table, vocab, cfg, workers=workers, on_start=processes.append)
+        expected = reference_train(journeys[:160], vocab, cfg, trainer_mod.GRAD_CLIP_NORM)
+        assert result.params.flat.tobytes() == expected.flat.tobytes()
         assert table.features.tobytes() == features.tobytes()
-        for gate in "ifco":
-            row = getattr(result.params.layers[0], f"W_x{gate}")[-1]
-            assert np.all(row == 0.0) and not np.any(np.signbit(row)), gate
+        assert processes == [1]
         assert_no_child_left()
 
     def test_three_layers(self, small_planted):
