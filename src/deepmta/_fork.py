@@ -1,4 +1,5 @@
-"""How a worker process is started, talked to, reaped and reported: `train`'s
+"""How many processes a stage runs, how its work is shared between them, and
+how a worker process is started, talked to, reaped and reported: `train`'s
 helper, each extra shard of an `attribute` window, `gen`'s journey writer,
 the reader of a journey file's second half and `eval`'s scorer run in a
 `Worker`."""
@@ -6,12 +7,13 @@ the reader of a journey file's second half and `eval`'s scorer run in a
 from __future__ import annotations
 
 import contextlib
+import functools
 import os
 import pickle
 import signal
 import sys
 
-from .errors import WorkerError
+from .errors import ConfigError, WorkerError
 
 # the caller's pipe ends of every Worker entered in this process. A child
 # closes them all first: holding another worker's, it would keep that worker
@@ -19,9 +21,40 @@ from .errors import WorkerError
 _OPEN_ENDS: set[int] = set()
 
 
-def can_fork() -> bool:
-    """Whether this platform can start a Worker."""
-    return hasattr(os, "fork")
+def processes(workers: int, most: int | None = None) -> int:
+    """How many processes a stage asked for `workers` runs on: that many,
+    at most `most`, and 1 where the platform cannot fork. Fewer than 1
+    worker is a ConfigError."""
+    if workers < 1:
+        raise ConfigError(f"workers must be >= 1, got {workers}")
+    if not hasattr(os, "fork"):
+        return 1
+    return workers if most is None else min(workers, most)
+
+
+def shares(costs: list[int], n: int) -> list[list[int]]:
+    """The indices of `costs` split into n shares, each in index order: the
+    costliest first, each onto the share with the least cost so far (the
+    first of those on a tie)."""
+    taken: list[list[int]] = [[] for _ in range(n)]
+    loads = [0] * n
+    for idx in sorted(range(len(costs)), key=lambda idx: -costs[idx]):
+        least = loads.index(min(loads))
+        taken[least].append(idx)
+        loads[least] += costs[idx]
+    return [sorted(share) for share in taken]
+
+
+def sharded(role: str, work, parts: list) -> list:
+    """work(part) of each part, in order. A child is forked for each part
+    after the first (a `Worker.computing` named `role`), so it starts with
+    its part in its memory; then the caller does the first. Callers drop
+    empty parts: each costs a fork. Every child is reaped before this
+    returns, and on an error."""
+    with contextlib.ExitStack() as stack:
+        children = [stack.enter_context(Worker.computing(role, functools.partial(work, part))) for part in parts[1:]]
+        first = work(parts[0])
+        return [first, *(child.result() for child in children)]
 
 
 def reply(writes: int, compute) -> None:

@@ -8,7 +8,6 @@ Shapley values, and always ends in clip-and-normalize.
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import json
 import math
@@ -18,7 +17,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from ._fork import Worker, can_fork
+from ._fork import processes, sharded, shares
 from .errors import ConfigError, DimensionError, NumericError, ValidationError
 # encode_journey and forward_batch are not called here, but perfbench's
 # tracer wraps deepmta.attribution.encode_journey and .forward_batch, so the
@@ -109,7 +108,7 @@ def masked_accuracy_batch(params: ModelParams, enc: JourneyTable, masks: np.ndar
     if len(bits) == 0:
         return np.empty(0)
     rows, inverse = _distinct(bits)
-    return _game_values(params, enc, [(0, rows)])[0][inverse]
+    return _game_values(params, enc, [(0, rows)], GameStats())[0][inverse]
 
 
 def _distinct(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -197,13 +196,14 @@ def _pack_blocks(games: list[tuple[int, np.ndarray]], block_rows: int) -> list[l
 
 
 def _game_values(
-    params: ModelParams, table: JourneyTable, games: list[tuple[int, np.ndarray]], stats: GameStats | None = None
+    params: ModelParams, table: JourneyTable, games: list[tuple[int, np.ndarray]], stats: GameStats
 ) -> list[np.ndarray]:
     """Masked accuracy of the rows of every game, a (journey index in
     `table`, rows) pair with the rows distinct and sorted as `_distinct`
     gives them; one array per game. The table's scan inputs are computed
     once (`_scan_inputs`); the games' rows are packed into blocks of
-    `_block_rows` rows and each block is one trie scan."""
+    `_block_rows` rows and each block is one trie scan, counted in
+    `stats`."""
     values = [np.empty(len(rows)) for _, rows in games]
     inputs = _scan_inputs(params, table)
     for block in _pack_blocks(games, _block_rows(params)):
@@ -212,8 +212,7 @@ def _game_values(
         accs, node_steps, rechecked = _scan_block(params, table, inputs, pieces, shared)
         for (g, start, stop), acc in zip(block, accs):
             values[g][start:stop] = acc
-        if stats is not None:
-            stats.add(GameStats(blocks=1, node_steps=node_steps, rechecked=rechecked))
+        stats.add(GameStats(blocks=1, node_steps=node_steps, rechecked=rechecked))
     return values
 
 
@@ -607,23 +606,12 @@ def _plan_windows(journeys, method: str, n_samples: int, seed: int, limit: int, 
         yield window, plans
 
 
-def _shards(rows: list[int], n_shards: int) -> list[list[int]]:
-    """Item indices of each of `n_shards` shards, each in input order: the
-    largest item first, onto the shard with the fewest rows so far."""
-    shards: list[list[int]] = [[] for _ in range(n_shards)]
-    loads = [0] * n_shards
-    for idx in sorted(range(len(rows)), key=lambda idx: -rows[idx]):
-        lightest = loads.index(min(loads))
-        shards[lightest].append(idx)
-        loads[lightest] += rows[idx]
-    return [sorted(shard) for shard in shards]
-
-
-def _attribute_shard(params, journeys, vocab, plans, stats=None) -> list[AttributionResult]:
+def _attribute_shard(params, vocab, plans, journeys) -> tuple[list[AttributionResult], GameStats]:
     """One process's path over a shard of journeys, in input order: they are
     encoded into one JourneyTable, their games are scored together in trie
     blocks, and the journeys of each length are finished by one solve over
-    their stacked values."""
+    their stacked values. Returns the results and the shard's counters."""
+    stats = GameStats()
     table = journey_table(journeys, vocab)
     lengths = table.lengths.tolist()
     values = _game_values(params, table, [(idx, plans[n].rows) for idx, n in enumerate(lengths)], stats)
@@ -637,33 +625,7 @@ def _attribute_shard(params, journeys, vocab, plans, stats=None) -> list[Attribu
             stacked = np.stack([values[idx] for idx in chunk])[:, plan.inverse]
             for idx, result in zip(chunk, plan.finish(stacked)):
                 results[idx] = result
-    return results
-
-
-def _shard_reply(params, journeys, vocab, plans) -> tuple[list[AttributionResult], GameStats]:
-    """A forked child's work: its shard's results and counters."""
-    stats = GameStats()
-    return _attribute_shard(params, journeys, vocab, plans, stats), stats
-
-
-def _attribute_shards(params, shards, vocab, plans, stats=None) -> list[list[AttributionResult]]:
-    """The results of each shard of a window. The calling process takes the
-    first shard; each other shard that is not empty goes to a child process
-    forked for it (`_shard_reply`), which so starts with its shard, the plans
-    and the model in its memory."""
-    parts: list[list[AttributionResult]] = [[] for _ in shards]
-    with contextlib.ExitStack() as stack:
-        children = []
-        for k, journeys in enumerate(shards[1:], start=1):
-            if journeys:
-                work = functools.partial(_shard_reply, params, journeys, vocab, plans)
-                children.append((k, stack.enter_context(Worker.computing("an attribution worker process", work))))
-        parts[0] = _attribute_shard(params, shards[0], vocab, plans, stats)
-        for k, child in children:
-            parts[k], child_stats = child.result()
-            if stats is not None:
-                stats.add(child_stats)
-    return parts
+    return results, stats
 
 
 def attribute_journeys(
@@ -685,26 +647,26 @@ def attribute_journeys(
     on its length and the method, so each window builds one plan per length
     (`_plan_windows`) and its journeys of that length share it. The window
     is split into N shards of whole journeys, largest first onto the
-    lightest shard. The calling process attributes the first shard, and
-    N - 1 children, forked for the window after its plans are built, the
-    others; the windows and the shards' counters are summed into `stats`.
+    lightest shard (`_fork.shares`). The calling process attributes the
+    first shard, and a child forked for the window after its plans are
+    built each other shard that is not empty (`_fork.sharded`); the windows
+    and the shards' counters are summed into `stats`.
     In each shard the games are scored together in trie blocks of at most
     `_block_rows` rows, and the journeys of one length are finished
     together. So memory is bounded by one window's plans and
     values and one block scan. Every child is reaped before the
     window's results are yielded, and on an error; a child that dies
     without sending its results is a WorkerError. Where the platform cannot
-    fork, N is 1. Each journey's result equals `attribute_journey` on it
-    alone, at any worker count. The arguments are checked at the call,
+    fork, N is 1 (`_fork.processes`). Each journey's result equals
+    `attribute_journey` on it alone, at any worker count. The arguments are checked at the call,
     before any journey is read.
     """
-    if workers < 1:
-        raise ConfigError(f"workers must be >= 1, got {workers}")
+    workers = processes(workers)
     if n_samples < 1:
         raise ConfigError(f"the number of sampled permutations must be >= 1, got {n_samples}")
     if seed < 0:
         raise ConfigError(f"seed must be >= 0, got {seed}")
-    workers = workers if can_fork() else 1
+    stats = GameStats() if stats is None else stats
     return _attribute_windows(params, journeys, vocab, method, n_samples, seed, workers, stats)
 
 
@@ -713,13 +675,15 @@ def _attribute_windows(params, journeys, vocab, method, n_samples, seed, workers
     # a window gives each worker a journey, also where one journey alone
     # has more rows than the limit
     for window, plans in _plan_windows(journeys, method, n_samples, seed, workers * _WINDOW_ROWS, workers):
-        if stats is not None:
-            stats.windows += 1
+        stats.windows += 1
         # the caller's first shard holds the largest journey
-        shards = _shards([len(plans[len(journey.events)].rows) for journey in window], workers)
-        parts = _attribute_shards(params, [[window[idx] for idx in shard] for shard in shards], vocab, plans, stats)
+        rows = [len(plans[len(journey.events)].rows) for journey in window]
+        shards = [shard for shard in shares(rows, workers) if shard]
+        work = functools.partial(_attribute_shard, params, vocab, plans)
+        parts = sharded("an attribution worker process", work, [[window[idx] for idx in shard] for shard in shards])
         results = [None] * len(window)
-        for shard, part in zip(shards, parts):
+        for shard, (part, part_stats) in zip(shards, parts):
+            stats.add(part_stats)
             for idx, result in zip(shard, part):
                 results[idx] = result
         yield from results

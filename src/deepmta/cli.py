@@ -33,7 +33,7 @@ from .attribution import (  # noqa: F401
     load_attributions,
     save_attributions,
 )
-from ._fork import Worker, can_fork, reply
+from ._fork import Worker, processes, reply
 from .errors import ConfigError, DeepMtaError, ValidationError
 # generate_synthetic is not called here either; the tracer wraps it by this name
 from .journey import (  # noqa: F401
@@ -171,7 +171,7 @@ def _cmd_gen(args) -> None:
     out = Path(args.out)
     vocab_path = out.with_suffix(".vocab.json")
     _check_outputs(out, vocab_path)
-    workers = _workers()
+    workers = processes(_workers(), 2)
     vocab, draws = synthetic_draws(cfg, seed=args.seed)
     converted = 0
 
@@ -245,15 +245,8 @@ def _usable_cpus() -> int:
 
 def _workers() -> int:
     """MTA_THREADS, capped at the CPUs this process may run on (their count
-    by default); 1 where the platform cannot fork. Each worker is a process,
-    the calling one among them: `attribute` gives each whole journeys;
-    `train` runs on at most two, and on one for a one-layer model; `gen` runs
-    on at most two, the caller drawing and one writer building, checking and
-    writing the journeys. `train` and `eval` read a journey file of at least
-    `journey.READ_SPLIT_BYTES` on two, one reader process taking its second
-    half, and `eval` scores its batches on two, one scorer process taking
-    the second process's share. More workers than CPUs add no speed, only
-    processes."""
+    by default); each stage runs as many processes as `_fork.processes`
+    allows it. More workers than CPUs add no speed, only processes."""
     env = os.environ.get("MTA_THREADS", "").strip()
     workers = _usable_cpus()
     if env:
@@ -264,7 +257,7 @@ def _workers() -> int:
         if asked < 1:
             raise ConfigError("MTA_THREADS must be >= 1")
         workers = min(asked, workers)
-    return workers if can_fork() else 1
+    return workers
 
 
 def _cmd_attribute(args) -> None:
@@ -274,7 +267,7 @@ def _cmd_attribute(args) -> None:
     stats = GameStats()
     results = []
     workers = _workers()
-    _note_blas_threads(workers)
+    _note_blas_threads(processes(workers))
     batches = attribute_journeys(
         params, journeys, vocab, method=_METHOD_FLAGS[args.method], n_samples=args.samples, seed=args.seed,
         workers=workers, stats=stats,

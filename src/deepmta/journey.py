@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._fork import Worker, can_fork
+from ._fork import Worker, processes
 from .errors import ConfigError, DimensionError, LineError, SequenceLengthError, ValidationError, VocabularyError
 
 MAX_SEQ_LEN = 32
@@ -551,17 +551,19 @@ def read_table(path: str | Path, vocab: Vocabulary, workers: int = 1) -> Journey
     """`journey_table(iter_journeys(path), vocab)`: the same table, or the
     same error, each process holding at most one line of the file's text.
 
-    With workers >= 2, where the platform can fork and the file has at
-    least READ_SPLIT_BYTES bytes, the file is split just past the first
-    \\n at or after its middle. A forked reader process (`_fork.Worker`)
-    opens the file, reads the lines past the split into columns
-    (`_journey_columns`) and sends them back while this process reads the
-    lines before it; the joined columns make one table (`_table_of`). The
-    first faulty record of either half wins over any encoding error, its
-    line counted from the file's start, then the first encoding error.
+    Where `workers` allows two processes (`_fork.processes`) and the file
+    has at least READ_SPLIT_BYTES bytes, the file is split just past the
+    first \\n at or after its middle. A forked reader process
+    (`_fork.Worker`) opens the file, reads the lines past the split into
+    columns (`_journey_columns`) and sends them back while this process
+    reads the lines before it; the joined columns make one table
+    (`_table_of`). The first faulty record of either half wins over any
+    encoding error, its line counted from the file's start, then the first
+    encoding error.
     """
+    split_in_two = processes(workers, 2) == 2
     with open(path, "rb", buffering=0) as raw:
-        split = _split_point(raw) if workers >= 2 and can_fork() else None
+        split = _split_point(raw) if split_in_two else None
         if split is None:
             return journey_table(_journeys(_text(io.BufferedReader(raw))), vocab)
         tail = functools.partial(_tail_columns, path, split, vocab)

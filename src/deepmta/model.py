@@ -38,9 +38,7 @@ closed-phase leak rate is one hyperparameter of the model, `ModelParams.alpha`.
 A checkpoint is JSON. `save_checkpoint` writes format version 2, in which
 each tensor's data is one base64 string of its row-major, little-endian
 float64 bytes: loading decodes bytes instead of parsing a decimal number per
-weight. `load_checkpoint` also reads format version 1, whose tensor data are
-flat lists of numbers. The two versions differ only in that decoder; every
-other check, and the finiteness check in `ModelParams`, is shared.
+weight.
 """
 
 from __future__ import annotations
@@ -897,29 +895,9 @@ def _entry(obj: dict, key: str, kind, where: str, default=None):
     return value
 
 
-def _list_tensor(name: str, entry: dict, size: int) -> np.ndarray:
-    """Format 1: the tensor's data is a flat list of JSON numbers."""
-    data = _entry(entry, "data", list, f"tensor {name!r} field")
-    try:
-        arr = np.asarray(data)
-    except ValueError:
-        arr = None
-    # an int too large for int64 makes the list an object array; it is
-    # read as a float if every entry is a finite number
-    if arr is not None and arr.dtype == object and all(map(finite_number, data)):
-        arr = np.asarray(data, dtype=np.float64)
-    # numpy reads a JSON true or false among numbers as 1 or 0; only a
-    # list of bools alone keeps the bool dtype
-    if arr is None or arr.ndim != 1 or arr.dtype.kind not in "iuf" or bool in set(map(type, data)):
-        raise ValidationError(f"tensor {name!r} data must be a flat list of numbers")
-    if arr.size != size:
-        raise ValidationError(f"tensor {name!r} data length does not match its shape")
-    return arr
-
-
 def _base64_tensor(name: str, entry: dict, size: int) -> np.ndarray:
-    """Format 2: the tensor's data is one base64 string of its row-major,
-    little-endian float64 bytes."""
+    """A tensor's data: one base64 string of its row-major, little-endian
+    float64 bytes."""
     data = _entry(entry, "data", str, f"tensor {name!r} field")
     try:
         raw = base64.b64decode(data, validate=True)
@@ -930,20 +908,14 @@ def _base64_tensor(name: str, entry: dict, size: int) -> np.ndarray:
     return np.frombuffer(raw, "<f8")
 
 
-# format_version -> the decoder of a tensor entry's data; the rest of the file
-# is the same in every version
-_TENSOR_DECODERS = {1: _list_tensor, 2: _base64_tensor}
-
-
 def load_checkpoint(path: str | Path) -> tuple[ModelParams, Vocabulary, int]:
-    """Read a checkpoint of format version 1 or 2, validating its structure
+    """Read a checkpoint of format version 2, validating its structure
     and every tensor shape against the `param_shapes` table of its
     hyperparams; a malformed file is a ValidationError."""
     obj = read_json(path, "checkpoint")
     version = obj.get("format_version") if isinstance(obj, dict) else None
-    if not isinstance(version, int) or isinstance(version, bool) or version not in _TENSOR_DECODERS:
+    if type(version) is not int or version != CHECKPOINT_VERSION:
         raise ValidationError(f"unsupported checkpoint format_version {version!r}")
-    decode = _TENSOR_DECODERS[version]
     hp = _entry(obj, "hyperparams", dict, "field")
     input_dim, hidden_size, n_layers = (
         _entry(hp, key, int, "hyperparam") for key in ("input_dim", "hidden_size", "n_layers")
@@ -968,7 +940,7 @@ def load_checkpoint(path: str | Path) -> tuple[ModelParams, Vocabulary, int]:
         entry = _entry(tensors, name, dict, "tensor")
         if tuple(_entry(entry, "shape", list, f"tensor {name!r} field")) != shape:
             raise ValidationError(f"tensor {name!r} has shape {tuple(entry['shape'])}, expected {shape}")
-        arrays[name] = decode(name, entry, math.prod(shape)).reshape(shape)
+        arrays[name] = _base64_tensor(name, entry, math.prod(shape)).reshape(shape)
     # ModelParams checks each tensor's finiteness as it packs it
     params = ModelParams(**_tensor_fields(arrays, n_layers), **{key: float(value) for key, value in numbers.items()})
     vocab = vocabulary_from_dict(obj.get("vocab"), "checkpoint vocab")

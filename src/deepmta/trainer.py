@@ -28,7 +28,7 @@ gates' factors while it waits for the top layer's first input gradient; the
 helper makes the top layer's gate factors before its first input arrives
 and each step's recurrence factors just before that step's backward.
 After each epoch the two processes score the validation batches between
-them (`_eval_owners`).
+them (`_eval_shares`).
 
 On one process the same functions run one after the other. Either way
 every operation keeps the operands and order of `forward_batch`,
@@ -40,7 +40,6 @@ against; no training step calls them.
 
 from __future__ import annotations
 
-import contextlib
 import csv
 import functools
 import itertools
@@ -55,7 +54,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._fork import Worker, can_fork
+from ._fork import Worker, processes, sharded, shares
 from .errors import (
     ConfigError,
     EvaluationError,
@@ -434,16 +433,10 @@ class _Lookahead:
         return self.ahead.pop()
 
 
-def _eval_owners(table: JourneyTable, chunks: list[np.ndarray]) -> list[int]:
-    """Which of two processes, 0 or 1, scores each eval batch: the largest
-    in rows times steps first, each onto the one with the fewer row-steps
-    so far (0 on a tie)."""
-    owners, loads = [0] * len(chunks), [0, 0]
-    costs = [len(chunk) * int(table.lengths[chunk[0]]) for chunk in chunks]
-    for i in sorted(range(len(chunks)), key=lambda i: -costs[i]):
-        owners[i] = loads.index(min(loads))
-        loads[owners[i]] += costs[i]
-    return owners
+def _eval_shares(table: JourneyTable, chunks: list[np.ndarray], n: int) -> list[list[int]]:
+    """The eval batches each of n processes scores, shared by rows times
+    steps (`_fork.shares`)."""
+    return shares([len(chunk) * int(table.lengths[chunk[0]]) for chunk in chunks], n)
 
 
 class _Wavefront:
@@ -474,7 +467,7 @@ class _Wavefront:
         self.learning_rate = cfg.learning_rate
         self.val_idx = val_idx
         self.val_chunks = list(_chunks(table, val_idx, EVAL_BATCH))
-        self.val_owners = _eval_owners(table, self.val_chunks)
+        self.val_shares = _eval_shares(table, self.val_chunks, 2)
         self.shared = _shared_arrays({
             "params": params.flat.size, "grads": params.flat.size, "velocity": params.flat.size if momentum else 0,
             "top_in": n * params.layers[-1].input_size, "proj": n * 4 * H, "dA": n * 4 * H, "times": n, "labels": n,
@@ -547,12 +540,11 @@ class _Wavefront:
         clamp_gate_timing(params, self.clamped[owner])
 
     def _score_validation(self, owner: int) -> None:
-        which = [i for i, o in enumerate(self.val_owners) if o == owner]
-        _batch_losses(self.table, self.val_chunks, self.params, self.shared["val"], which)
+        _batch_losses(self.table, self.val_chunks, self.params, self.shared["val"], self.val_shares[owner])
 
     def validation_loss(self) -> float:
         """`_dataset_loss` of the validation indices; on two processes each
-        scores its share of the batches (`_eval_owners`), and the batches'
+        scores its share of the batches (`_eval_shares`), and the batches'
         losses are added in batch order."""
         if self.helper is None or not len(self.val_idx):
             return _dataset_loss(self.table, self.val_idx, self.params)
@@ -648,8 +640,7 @@ def train(
     epoch. Raises TrainingDivergedError with epoch/step context if the loss
     goes non-finite, and WorkerError if the helper process dies.
     """
-    if workers < 1:
-        raise ConfigError(f"workers must be >= 1, got {workers}")
+    n_processes = processes(workers, 2)
     table = journey_table(journeys, vocab)
     if not len(table):
         raise ValidationError("train requires a non-empty dataset")
@@ -677,7 +668,7 @@ def train(
 
     train_losses: list[float] = []
     val_losses: list[float] = []
-    with _Wavefront(params, cfg, table, val_idx, 2 if workers >= 2 and can_fork() else 1) as wavefront:
+    with _Wavefront(params, cfg, table, val_idx, n_processes) as wavefront:
         if on_start is not None:
             on_start(wavefront.processes)
         for epoch in range(cfg.epochs):
@@ -784,33 +775,26 @@ def evaluate_roc(
     steps, including every step of non-converted journeys.
 
     The journeys are scored in the batches of validation. Where `workers`
-    allows two, the platform can fork and there are two batches or more, a
-    forked scorer process (`_fork.Worker`) scores the batches that
-    `_eval_owners` gives the second process and sends back their scores and
-    labels in one pickle; the scores are joined in batch order, so the
+    allows two processes (`_fork.processes`) and there are two batches or
+    more, a forked scorer process scores the batches that `_eval_shares`
+    gives the second process and sends back their scores and labels in one
+    pickle (`_fork.sharded`); the scores are joined in batch order, so the
     result is the same either way. on_start, if given, is called with that
     process count before the first batch is scored. Raises WorkerError if
     the scorer dies.
     """
-    if workers < 1:
-        raise ConfigError(f"workers must be >= 1, got {workers}")
+    n_processes = processes(workers, 2)
     table = journey_table(journeys, vocab)
     if not len(table):
         raise EvaluationError("evaluation requires a non-empty dataset")
     chunks = list(_chunks(table, np.arange(len(table)), EVAL_BATCH))
-    owners = _eval_owners(table, chunks) if workers >= 2 and can_fork() else [0] * len(chunks)
-    theirs = [i for i, owner in enumerate(owners) if owner]
+    parts = [part for part in _eval_shares(table, chunks, n_processes) if part]
     if on_start is not None:
-        on_start(2 if theirs else 1)
-    mine = [i for i, owner in enumerate(owners) if not owner]
-    score = functools.partial(_batch_scores, table, chunks, params)
-    scorer = Worker.computing("the eval scorer process", functools.partial(score, theirs)) if theirs else None
-    with scorer or contextlib.nullcontext():
-        parts = dict(zip(mine, score(mine)))
-        if scorer is not None:
-            parts.update(zip(theirs, scorer.result()))
-    scores = np.concatenate([parts[i][0] for i in range(len(chunks))])
-    labels = np.concatenate([parts[i][1] for i in range(len(chunks))])
+        on_start(len(parts))
+    scored = sharded("the eval scorer process", functools.partial(_batch_scores, table, chunks, params), parts)
+    by_batch = dict(zip(itertools.chain(*parts), itertools.chain(*scored)))
+    scores = np.concatenate([by_batch[i][0] for i in range(len(chunks))])
+    labels = np.concatenate([by_batch[i][1] for i in range(len(chunks))])
     auc = auc_score(scores, labels)
     thresholds, points = roc_curve(scores, labels)
     acc = float(((scores >= 0.5).astype(int) == labels).mean())

@@ -28,7 +28,6 @@ from deepmta.attribution import (
     _scan_block,
     _scan_inputs,
     _shapley_kernel_row_weights,
-    _shards,
     _trie_steps,
     attribute_journey,
     attribute_journeys,
@@ -39,6 +38,7 @@ from deepmta.attribution import (
     resolve_method,
     save_attributions,
 )
+from deepmta._fork import shares
 from deepmta.errors import ConfigError, DimensionError, NumericError, ValidationError
 from deepmta.journey import ClickEvent, CustomerJourney, Vocabulary, encode_journey, journey_table
 from deepmta.model import LAYER_TENSOR_FIELDS, ModelParams, PhasedLstmLayerParams, forward_batch, init_params
@@ -773,7 +773,7 @@ class TestBlockScan:
         rng = np.random.default_rng(42)
         encs = [encode_journey(j, VOCAB) for j in mixed_journeys(rng, (12, 2, 12, 1, 9, 12, 4))]
         all_games = [(idx, mask_powerset(len(enc.times)) != 0) for idx, enc in enumerate(encs)]
-        shards = _shards([len(rows) for _, rows in all_games], workers)
+        shards = shares([len(rows) for _, rows in all_games], workers)
         assert sorted(idx for shard in shards for idx in shard) == list(range(len(all_games)))
         for shard in shards:
             games = [all_games[idx] for idx in shard]
@@ -910,7 +910,7 @@ class TestBlockScan:
     @pytest.mark.parametrize("n_shards", (1, 2, 3, 8))
     def test_shards_cover_each_journey_once(self, n_shards):
         rows = [16, 4096, 2, 4096, 2048, 8, 2, 624, 4096, 32]
-        shards = _shards(rows, n_shards)
+        shards = shares(rows, n_shards)
         assert len(shards) == n_shards
         assert sorted(idx for shard in shards for idx in shard) == list(range(len(rows)))
         assert all(shard == sorted(shard) for shard in shards)
@@ -1083,13 +1083,13 @@ class TestBatchedSolves:
             events.append(("plan", method, n))
             return _build_plan(method, n, *args)
 
-        def shards(params, shards, *args):
-            events.append(("window", sorted({len(j.events) for shard in shards for j in shard})))
-            return real_shards(params, shards, *args)
+        def sharded(role, work, parts):
+            events.append(("window", sorted({len(j.events) for part in parts for j in part})))
+            return real_sharded(role, work, parts)
 
-        real_shards = attribution._attribute_shards
+        real_sharded = attribution.sharded
         monkeypatch.setattr(attribution, "_build_plan", build)
-        monkeypatch.setattr(attribution, "_attribute_shards", shards)
+        monkeypatch.setattr(attribution, "sharded", sharded)
         results = list(attribute_journeys(params, journeys, VOCAB, n_samples=8, seed=2, workers=workers))
         windows = [event for event in events if event[0] == "window"]
         assert len(windows) >= 2

@@ -25,7 +25,7 @@ from deepmta.errors import (
 from deepmta.journey import load_journeys
 from reference import load_report_csv
 from test_attribution import assert_no_child_left
-from test_model import as_v1, set_tensor_entry
+from test_model import set_tensor_entry
 
 # the package from this checkout, for a fresh interpreter
 SRC_ENV = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))}
@@ -602,18 +602,18 @@ class TestAttribute:
         from deepmta import _fork
 
         started = []
-        real_enter, real_shards = _fork.Worker.__enter__, attribution._attribute_shards
+        real_enter, real_sharded = _fork.Worker.__enter__, attribution.sharded
 
         def enter(self):
             started[-1] += 1
             return real_enter(self)
 
-        def shards(*args, **kwargs):
+        def sharded(*args, **kwargs):
             started.append(0)
-            return real_shards(*args, **kwargs)
+            return real_sharded(*args, **kwargs)
 
         monkeypatch.setattr(_fork.Worker, "__enter__", enter)
-        monkeypatch.setattr(attribution, "_attribute_shards", shards)
+        monkeypatch.setattr(attribution, "sharded", sharded)
         monkeypatch.setattr(cli, "_usable_cpus", lambda: 3)
         monkeypatch.setenv("MTA_THREADS", "100000")
         out = tmp_path / "a.jsonl"
@@ -628,11 +628,13 @@ class TestAttribute:
     def test_no_fork_means_one_worker(self, monkeypatch):
         # where the platform cannot fork, every MTA_THREADS value runs the
         # serial path; a malformed one still fails
+        from deepmta import _fork
+
         monkeypatch.setattr(cli, "_usable_cpus", lambda: 4)
         monkeypatch.delattr(os, "fork", raising=False)
         for value in ("", "3", "100000"):
             monkeypatch.setenv("MTA_THREADS", value)
-            assert cli._workers() == 1
+            assert _fork.processes(cli._workers()) == 1
         monkeypatch.setenv("MTA_THREADS", "0")
         with pytest.raises(ConfigError, match="MTA_THREADS"):
             cli._workers()
@@ -724,20 +726,20 @@ class TestAttribute:
 
         caller = os.getpid()
         firsts = []
-        real_shards, real_shard = attribution._attribute_shards, attribution._attribute_shard
+        real_sharded, real_shard = attribution.sharded, attribution._attribute_shard
 
-        def shards(params, shards, *args):
-            firsts.append(shards[1])
-            return real_shards(params, shards, *args)
+        def sharded(role, work, parts):
+            firsts.append(parts[1])
+            return real_sharded(role, work, parts)
 
-        def shard(params, journeys, *args):
+        def shard(params, vocab, plans, journeys):
             if os.getpid() != caller:
                 if journeys is firsts[-1]:
                     os.kill(os.getpid(), signal.SIGKILL)
                 time.sleep(30)
-            return real_shard(params, journeys, *args)
+            return real_shard(params, vocab, plans, journeys)
 
-        monkeypatch.setattr(attribution, "_attribute_shards", shards)
+        monkeypatch.setattr(attribution, "sharded", sharded)
         monkeypatch.setattr(attribution, "_attribute_shard", shard)
         monkeypatch.setattr(cli, "_usable_cpus", lambda: 3)
         monkeypatch.setenv("MTA_THREADS", "3")
@@ -1309,15 +1311,9 @@ def test_divergence_maps_to_exit_3(pipeline, monkeypatch):
     assert code == 3
 
 
-@pytest.mark.parametrize(
-    ("command", "version"),
-    [pytest.param(command, version, id=command if version == 1 else f"{command}-v2")
-     for command in ("eval", "attribute") for version in (1, 2)],
-)
-def test_non_finite_checkpoint_exits_3(pipeline, tmp_path, capsys, command, version):
+@pytest.mark.parametrize("command", [pytest.param(command, id=f"{command}-v2") for command in ("eval", "attribute")])
+def test_non_finite_checkpoint_exits_3(pipeline, tmp_path, capsys, command):
     obj = json.loads(pipeline["ckpt"].read_text())
-    if version == 1:
-        as_v1(obj)
     set_tensor_entry(obj, "W_out", 0, float("nan"))
     ckpt = tmp_path / "nan_model.json"
     ckpt.write_text(json.dumps(obj))

@@ -1,5 +1,6 @@
 import itertools
 import json
+import os
 import random
 
 import numpy as np
@@ -460,6 +461,26 @@ class TestReadTable:
         assert outcome(lambda: read_table(path, vocab)) == expected and forks == []
         assert outcome(lambda: read_table(path, vocab, workers=2)) == expected and forks == [READER]
         assert_no_child_left()
+
+    def test_no_fork_reads_on_one_process(self, tmp_path, forks, monkeypatch):
+        # where the platform cannot fork, two workers read the table of one
+        # and start no process
+        vocab, journeys = generate_synthetic(GeneratorConfig(n_journeys=200, max_len=6), seed=3)
+        path = tmp_path / "journeys.jsonl"
+        save_journeys(path, journeys)
+        expected = outcome(lambda: read_table(path, vocab))
+        monkeypatch.delattr(os, "fork")
+        monkeypatch.setattr(_fork.Worker, "__enter__", lambda self: pytest.fail(f"{self.role} was forked"))
+        assert outcome(lambda: read_table(path, vocab, workers=2)) == expected
+
+    @pytest.mark.parametrize("workers", (0, -3))
+    def test_fewer_than_one_worker_rejected(self, tmp_path, workers):
+        # as in train, evaluate_roc and attribute_journeys
+        vocab, journeys = generate_synthetic(GeneratorConfig(n_journeys=5), seed=3)
+        path = tmp_path / "journeys.jsonl"
+        save_journeys(path, journeys)
+        with pytest.raises(ConfigError, match=f"workers must be >= 1, got {workers}"):
+            read_table(path, vocab, workers=workers)
 
     @pytest.mark.parametrize("layout", ("lone-cr", "cr-after-the-middle", "last-byte"))
     def test_no_newline_after_the_middle_reads_on_one_process(self, tmp_path, forks, layout):

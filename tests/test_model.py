@@ -777,25 +777,12 @@ def decode_tensor(data: str) -> np.ndarray:
     return np.frombuffer(base64.b64decode(data), "<f8").copy()
 
 
-def as_v1(obj: dict) -> dict:
-    """A checkpoint object of format version 2 rewritten, in place, as
-    format version 1: each tensor's data a flat list of numbers."""
-    obj["format_version"] = 1
-    for entry in obj["tensors"].values():
-        entry["data"] = decode_tensor(entry["data"]).tolist()
-    return obj
-
-
 def set_tensor_entry(obj: dict, name: str, at: int, value) -> None:
-    """Set entry `at` of tensor `name`'s data in a checkpoint object of
-    either format version."""
+    """Set entry `at` of tensor `name`'s data in a checkpoint object."""
     entry = obj["tensors"][name]
-    if obj["format_version"] == 1:
-        entry["data"][at] = value
-    else:
-        data = decode_tensor(entry["data"])
-        data[at] = value
-        entry["data"] = encode_tensor(data)
+    data = decode_tensor(entry["data"])
+    data[at] = value
+    entry["data"] = encode_tensor(data)
 
 
 class TestInitAndCheckpoint:
@@ -856,13 +843,9 @@ class TestInitAndCheckpoint:
             load_checkpoint(path)
 
     @pytest.mark.parametrize(
-        ("name", "version"),
-        [
-            pytest.param(name, version, id=name if version == 1 else f"{name}-v2")
-            for name in ("W_out", "b_out", "ln.1.gain", "ln.0.bias") for version in (1, 2)
-        ],
+        "name", [pytest.param(name, id=f"{name}-v2") for name in ("W_out", "b_out", "ln.1.gain", "ln.0.bias")]
     )
-    def test_checkpoint_non_finite_tensor_rejected(self, tmp_path, name, version):
+    def test_checkpoint_non_finite_tensor_rejected(self, tmp_path, name):
         import json as _json
 
         rng = np.random.default_rng(21)
@@ -871,8 +854,6 @@ class TestInitAndCheckpoint:
         path = tmp_path / "model.json"
         save_checkpoint(path, params, vocab)
         obj = _json.loads(path.read_text())
-        if version == 1:
-            as_v1(obj)
         set_tensor_entry(obj, name, 0, float("nan"))
         path.write_text(_json.dumps(obj))
         with pytest.raises(NumericError, match=name):
@@ -888,19 +869,15 @@ class TestInitAndCheckpoint:
             load_checkpoint(path)
 
     def test_golden_checkpoint_round_trips_to_its_bytes(self, tmp_path):
-        # checkpoint_v2.json was written from checkpoint_v1.json (d=5, H=4,
-        # two layers, alpha 0.002, saved before the parameter table and the
-        # model-wide alpha). The v2 file loads and saves back to its bytes;
-        # the v1 file, read but no longer written, loads to the same model
+        # checkpoint_v2.json (d=5, H=4, two layers, alpha 0.002) was saved
+        # before the parameter table and the model-wide alpha; it loads and
+        # saves back to its bytes
         data = Path(__file__).parent / "data"
         loaded, vocab, seed = load_checkpoint(data / "checkpoint_v2.json")
         path = tmp_path / "model.json"
         save_checkpoint(path, loaded, vocab, seed=seed)
         assert path.read_bytes() == (data / "checkpoint_v2.json").read_bytes()
-        old, old_vocab, old_seed = load_checkpoint(data / "checkpoint_v1.json")
-        assert old.alpha == loaded.alpha == 0.002
-        assert old.flat.tobytes() == loaded.flat.tobytes()
-        assert (old_vocab, old_seed) == (vocab, seed)
+        assert loaded.alpha == 0.002
 
 
 class TestParameterTable:
@@ -924,12 +901,9 @@ class TestParameterTable:
         monkeypatch.setattr(model_mod, "_checked", lambda name, *rest: checked.append(name) or real(name, *rest))
         params.copy()
         assert checked == list(params.layout)
-        for version in (2, 1):
-            if version == 1:
-                path.write_text(json.dumps(as_v1(json.loads(path.read_text()))))
-            checked.clear()
-            load_checkpoint(path)
-            assert checked == list(params.layout)
+        checked.clear()
+        load_checkpoint(path)
+        assert checked == list(params.layout)
         checked.clear()
         init_params(5, 7, 2, rng=3, time_feature_index=4)
         assert checked == list(params.layout)
@@ -961,13 +935,12 @@ class TestParameterTable:
             )
 
 
-def _saved_checkpoint(tmp_path, version=2):
-    """A valid checkpoint's path and its JSON object, of format `version`."""
+def _saved_checkpoint(tmp_path):
+    """A valid checkpoint's path and its JSON object."""
     params = random_model(np.random.default_rng(22), 5, 8, 2)
     path = tmp_path / "model.json"
     save_checkpoint(path, params, Vocabulary(channels=("A", "B"), campaigns=("c1", "c2")))
-    obj = json.loads(path.read_text())
-    return path, as_v1(obj) if version == 1 else obj
+    return path, json.loads(path.read_text())
 
 
 class TestCheckpointStructure:
@@ -992,13 +965,14 @@ class TestCheckpointStructure:
         with pytest.raises(ValidationError, match="format_version"):
             load_checkpoint(path)
 
-    @pytest.mark.parametrize("value", (True, 1.0, 3, 0, "2", None))
+    @pytest.mark.parametrize("value", (True, 1.0, 1, 3, 0, "2", None))
     def test_bad_format_version(self, tmp_path, value):
-        # a bool or a float equal to 1 or 2 is not a version
-        path, obj = _saved_checkpoint(tmp_path, version=1)
+        # version 1 is no longer read, and a bool or a float equal to 1 is
+        # not a version
+        path, obj = _saved_checkpoint(tmp_path)
         obj["format_version"] = value
         path.write_text(json.dumps(obj))
-        with pytest.raises(ValidationError, match="format_version"):
+        with pytest.raises(ValidationError, match=f"unsupported checkpoint format_version {value!r}"):
             load_checkpoint(path)
 
     def test_missing_hyperparams(self, tmp_path):
@@ -1099,21 +1073,6 @@ class TestCheckpointStructure:
 
     @pytest.mark.parametrize(
         "value",
-        (None, 1.0, "data", [[1.0] * 2] * 8, [1.0] * 15 + ["x"], [1.0] * 15 + [None], [[1.0], 2.0],
-         pytest.param(encode_tensor([0.5] * 16), id="base64")),
-    )
-    def test_bad_data(self, tmp_path, value):
-        path, obj = _saved_checkpoint(tmp_path, version=1)
-        if value is None:
-            del obj["tensors"]["W_out"]["data"]
-        else:
-            obj["tensors"]["W_out"]["data"] = value
-        path.write_text(json.dumps(obj))
-        with pytest.raises(ValidationError, match="W_out.*data"):
-            load_checkpoint(path)
-
-    @pytest.mark.parametrize(
-        "value",
         (
             None, 1.0, [1.0] * 16, {"b64": ""},  # not a string
             "not base64!", encode_tensor([0.5] * 16)[:-1] + "*", encode_tensor([0.5] * 16) + "\n", "\u00e9" * 4,
@@ -1134,36 +1093,3 @@ class TestCheckpointStructure:
         with pytest.raises(ValidationError, match="W_out.*data") as err:
             load_checkpoint(path)
         assert err.value.exit_code == 2
-
-
-    def test_int_beyond_int64_is_a_number(self, tmp_path):
-        # an int too large for int64 but not for a float makes the list an
-        # object array; it is read as that float
-        path, obj = _saved_checkpoint(tmp_path, version=1)
-        data = obj["tensors"]["W_out"]["data"]
-        data[1] = 10**30
-        path.write_text(json.dumps(obj))
-        params, _, _ = load_checkpoint(path)
-        expected = np.asarray([float(x) for x in data]).reshape(params.W_out.shape)
-        np.testing.assert_array_equal(params.W_out, expected)
-
-    @pytest.mark.parametrize("entry", (True, False))
-    @pytest.mark.parametrize("at", (0, 5))
-    def test_bool_among_numbers(self, tmp_path, entry, at):
-        # numpy would read the bool as 1.0 or 0.0 beside float entries
-        path, obj = _saved_checkpoint(tmp_path, version=1)
-        obj["tensors"]["W_out"]["data"][at] = entry
-        path.write_text(json.dumps(obj))
-        with pytest.raises(ValidationError, match="tensor 'W_out' data must be a flat list of numbers"):
-            load_checkpoint(path)
-
-    @pytest.mark.parametrize(
-        "entry", (True, 10**400, -(10**400), None, "1.0"), ids=("bool", "huge", "-huge", "null", "str")
-    )
-    def test_int_beyond_int64_beside_a_bad_entry(self, tmp_path, entry):
-        path, obj = _saved_checkpoint(tmp_path, version=1)
-        obj["tensors"]["W_out"]["data"][1] = 10**30
-        obj["tensors"]["W_out"]["data"][5] = entry
-        path.write_text(json.dumps(obj))
-        with pytest.raises(ValidationError, match="tensor 'W_out' data"):
-            load_checkpoint(path)

@@ -382,6 +382,22 @@ class TestWavefront:
         with pytest.raises(ConfigError, match="workers"):
             train(journeys[:20], vocab, TrainConfig(hidden_size=4, epochs=1), workers=0)
 
+    def test_no_fork_trains_and_scores_on_one_process(self, small_planted, monkeypatch):
+        # where the platform cannot fork, two workers give the bytes of one
+        # and start no process, in train and in evaluate_roc
+        vocab, journeys = small_planted
+        cfg = TrainConfig(hidden_size=8, epochs=2, batch_size=16, seed=4, val_fraction=0.4)
+        one = train(journeys[:200], vocab, cfg, workers=1)
+        scored = evaluate_roc(one.params, vocab, journeys, workers=1)
+        monkeypatch.delattr(os, "fork")
+        monkeypatch.setattr(_fork.Worker, "__enter__", lambda self: pytest.fail(f"{self.role} was forked"))
+        processes = []
+        two = train(journeys[:200], vocab, cfg, workers=2, on_start=processes.append)
+        assert two.params.flat.tobytes() == one.params.flat.tobytes()
+        assert (two.train_losses, two.val_losses) == (one.train_losses, one.val_losses)
+        assert evaluate_roc(one.params, vocab, journeys, workers=2, on_start=processes.append) == scored
+        assert processes == [1, 1]
+
     @pytest.mark.parametrize(
         "n_layers, processes",
         # the two-layer cases keep the ids they had before n_layers was a parameter
@@ -543,16 +559,16 @@ class TestWaitsFilled:
     def test_validation_on_two_processes_writes_one_process_bytes(self, small_planted, tmp_path, monkeypatch):
         vocab, journeys = small_planted
         cfg = TrainConfig(hidden_size=8, epochs=2, batch_size=16, seed=4, val_fraction=0.4)
-        owners = []
-        eval_owners = trainer_mod._eval_owners
-        monkeypatch.setattr(trainer_mod, "_eval_owners", lambda *args: owners.append(eval_owners(*args)) or owners[-1])
+        shares = []
+        eval_shares = trainer_mod._eval_shares
+        monkeypatch.setattr(trainer_mod, "_eval_shares", lambda *args: shares.append(eval_shares(*args)) or shares[-1])
         histories = []
         for workers in (1, 2):
             result = train(journeys[:200], vocab, cfg, workers=workers)
             save_loss_history(tmp_path / "history.csv", result.train_losses, result.val_losses)
             histories.append((tmp_path / "history.csv").read_bytes())
         # both processes scored some of the eval batches
-        assert set(owners[-1]) == {0, 1}
+        assert len(shares[-1]) == 2 and all(shares[-1])
         assert histories[0] == histories[1]
         table = journey_table(journeys[:200], vocab)
         _, val_idx = _train_val_split(len(table), cfg.val_fraction, np.random.default_rng(cfg.seed))
@@ -754,7 +770,7 @@ class TestBatchLoopMatchesPerJourney:
         assert evaluated.per_step_accuracy == float(((scores >= 0.5).astype(int) == labels).mean())
 
     def test_evaluate_roc_on_two_processes_equals_one(self, bucketed):
-        # a forked scorer takes the second process's batches (`_eval_owners`),
+        # a forked scorer takes the second process's batches (`_eval_shares`),
         # and the scores are joined in batch order: the same result. One
         # batch, or one worker, scores on one process
         vocab, journeys, _, result = bucketed
