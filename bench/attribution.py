@@ -1,6 +1,6 @@
 """Time `attribution.attribute_journeys` on seeded inputs at one and two workers.
 
-Four inputs, each attributed with `--method auto` semantics at 1 and 2
+Five inputs, each attributed with `--method auto` semantics at 1 and 2
 workers:
 
 - exact: 52 converted journeys of 1-12 events, six of each length 1-8 and
@@ -10,6 +10,10 @@ workers:
   permutations, on the desk model;
 - holdout: 1000 journeys of 1-4 events, converted or not (pipeline-desk's
   holdout shape), on the desk model;
+- holdout-cli: the same file through the whole `attribute` command,
+  `cli.main(["attribute", ...])` at MTA_THREADS=1 and 2: reading the file,
+  loading the model and writing the JSONL included, which
+  `attribute_journeys` alone leaves out;
 - paper: one converted journey of each length 1-8 and one of 10 events on
   a model of the paper preset's width (H=1024, two layers, seeded init; its
   speed does not depend on its training).
@@ -28,12 +32,13 @@ BENCH_attribute.json with the environment.
     python bench/attribution.py
     python bench/attribution.py --inputs exact holdout --repeats 5 --out /tmp/a.json
 
-BENCH_attribute_parent.json holds the numbers of the code before windows
-of four 12-event games per worker and blocks of 2^17 // H rows (commit
-48c9a0b). The script uses only `attribute_journeys`, `GameStats` and the
-package's data and model functions, so it runs unchanged on that code:
+BENCH_attribute_parent.json holds the numbers of the code before the
+shard processes built, checked and rendered their own journeys (commit
+425673d), on the same host. The script uses only `attribute_journeys`,
+`GameStats`, `cli.main` and the package's data and model functions, so it
+runs unchanged on that code:
 
-    git archive 48c9a0b | tar -x -C <dir>
+    git archive 425673d | tar -x -C <dir>
     cp bench/attribution.py <dir>/bench/
     cd <dir> && python bench/attribution.py --out BENCH_attribute_parent.json
 """
@@ -47,6 +52,8 @@ import os
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import argparse  # noqa: E402
+import contextlib  # noqa: E402
+import io  # noqa: E402
 import json  # noqa: E402
 import platform  # noqa: E402
 import resource  # noqa: E402
@@ -61,6 +68,7 @@ sys.path.insert(0, str(ROOT / "src"))
 
 import numpy as np  # noqa: E402
 
+from deepmta import cli  # noqa: E402
 from deepmta.attribution import GameStats, attribute_journeys  # noqa: E402
 from deepmta.journey import GeneratorConfig, generate_synthetic, load_journeys, save_journeys  # noqa: E402
 from deepmta.model import init_params, load_checkpoint, save_checkpoint  # noqa: E402
@@ -69,7 +77,7 @@ from deepmta.trainer import TrainConfig, train  # noqa: E402
 # perfbench's acceptance dataset: 8 channels, 3 campaigns, key channel 0
 GEN = {"n_channels": 8, "n_campaigns": 3, "key_channel_index": 0, "key_lift": 0.6, "base_rate": 0.2,
        "time_span_hours": 48.0}
-INPUTS = ("exact", "sampled", "holdout", "paper")
+INPUTS = ("exact", "sampled", "holdout", "holdout-cli", "paper")
 SAMPLES = 32  # sampled Shapley's permutations, as in perfbench's attribute-sampled
 SEED = 0
 
@@ -99,7 +107,7 @@ def make_input(name: str) -> list:
         return by_quota({**{n: 6 for n in range(1, 9)}, **{n: 1 for n in range(9, 13)}}, 12, SEED + 1)
     if name == "sampled":
         return by_quota({n: 1 for n in range(13, 21)}, 20, SEED + 2)
-    if name == "holdout":
+    if name in ("holdout", "holdout-cli"):
         return generate_synthetic(
             GeneratorConfig(n_journeys=1000, max_len=4, include_nonconverted=True, **GEN), SEED + 3)[1]
     return by_quota({**{n: 1 for n in range(1, 9)}, 10: 1}, 10, SEED + 4)
@@ -112,9 +120,35 @@ def train_desk_model(path: Path, journeys: int) -> None:
     save_checkpoint(path, result.params, result.vocab, seed=3)
 
 
+def run_cli(work: Path, workers: int, repeats: int, warmup: int) -> tuple[list[float], dict]:
+    """ms per `attribute` command on the holdout-cli input at MTA_THREADS =
+    `workers`, and the key=value lines of the last one."""
+    os.environ["MTA_THREADS"] = str(workers)
+    argv = ["attribute", "--model", str(work / "desk.json"), "--data", str(work / "holdout-cli.jsonl"),
+            "--out", str(work / f"holdout-cli-{workers}.out.jsonl"), "--samples", str(SAMPLES), "--seed", str(SEED)]
+    ms, kv = [], {}
+    for call in range(warmup + repeats):
+        stdout = io.StringIO()
+        start = time.perf_counter()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main(argv)
+        elapsed = time.perf_counter() - start
+        if code:
+            raise RuntimeError(f"attribute exited {code}")
+        if call >= warmup:
+            ms.append(1e3 * elapsed)
+        kv = dict(line.split("=", 1) for line in stdout.getvalue().splitlines())
+    return ms, kv
+
+
 def run_config(work: Path, name: str, workers: int, repeats: int, warmup: int, paper_hidden: int) -> dict:
     """One configuration, in this (fresh) interpreter."""
     params, vocab, _ = load_checkpoint(work / "desk.json")
+    if name == "holdout-cli":
+        rss_before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+        ms, kv = run_cli(work, workers, repeats, warmup)
+        stats = GameStats(**{key: int(kv[key]) for key in ("windows", "blocks", "node_steps")})
+        return row(name, workers, int(kv["journeys"]), params.hidden_size, ms, stats, rss_before)
     if name == "paper":
         paper = TrainConfig.preset("paper", hidden_size=paper_hidden)
         params = init_params(vocab.encoding_dim, paper.hidden_size, paper.n_layers, dropout_p=paper.dropout_p,
@@ -132,9 +166,14 @@ def run_config(work: Path, name: str, workers: int, repeats: int, warmup: int, p
             raise RuntimeError(f"{len(results)} results for {len(journeys)} journeys")
         if call >= warmup:
             ms.append(1e3 * elapsed)
+    return row(name, workers, len(journeys), params.hidden_size, ms, stats, rss_before)
+
+
+def row(name: str, workers: int, journeys: int, hidden: int, ms: list[float], stats, rss_before: float) -> dict:
+    """A configuration's report, with this process's and its children's peak RSS."""
     child_peak = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024
     return {
-        "input": name, "workers": workers, "journeys": len(journeys), "H": params.hidden_size, "calls": len(ms),
+        "input": name, "workers": workers, "journeys": journeys, "H": hidden, "calls": len(ms),
         "ms_per_call": quartiles(ms), "windows": getattr(stats, "windows", None), "blocks": stats.blocks,
         "node_steps": stats.node_steps,
         "rss_before_mb": round(rss_before, 1),

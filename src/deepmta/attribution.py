@@ -9,20 +9,32 @@ Shapley values, and always ends in clip-and-normalize.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
 from ._fork import processes, sharded, shares
-from .errors import ConfigError, DimensionError, NumericError, ValidationError
+from .errors import ConfigError, DeepMtaError, DimensionError, LineError, NumericError, ValidationError
 # encode_journey and forward_batch are not called here, but perfbench's
 # tracer wraps deepmta.attribution.encode_journey and .forward_batch, so the
 # names must stay importable
-from .journey import CustomerJourney, JourneyTable, Vocabulary, finite_number, journey_table, read_jsonl
+from .journey import (
+    CustomerJourney,
+    JourneyRecords,
+    JourneyTable,
+    Vocabulary,
+    _journey_columns,
+    _table_of,
+    finite_number,
+    read_jsonl,
+    record_events,
+    record_journey,
+)
 from .journey import encode_journey  # noqa: F401
 from .model import ModelParams, _bare_layer, _gate_forward, _stacked_weights, cell_step, forward_batch  # noqa: F401
 from .trainer import softmax
@@ -149,18 +161,21 @@ class _Plan:
 class GameStats:
     """Work counters of game evaluations: windows read (one fork and one set
     of plans each), trie blocks scanned, distinct prefix node-steps stepped,
-    and scored nodes whose hard label was rechecked in float64."""
+    scored nodes whose hard label was rechecked in float64, and journeys
+    left unattributed."""
 
     windows: int = 0
     blocks: int = 0
     node_steps: int = 0
     rechecked: int = 0
+    unattributed: int = 0
 
     def add(self, other: "GameStats") -> None:
         self.windows += other.windows
         self.blocks += other.blocks
         self.node_steps += other.node_steps
         self.rechecked += other.rechecked
+        self.unattributed += other.unattributed
 
 
 def _block_rows(params: ModelParams) -> int:
@@ -588,31 +603,89 @@ def _build_plan(method: str, n: int, n_samples: int, seed: int) -> _Plan:
     return _Plan(resolved, rows, inverse, solve)
 
 
-def _plan_windows(journeys, method: str, n_samples: int, seed: int, limit: int, count: int):
-    """Runs of at least `count` consecutive journeys whose games' distinct
-    mask rows reach `limit`, and the rest; each with its plans by length,
-    built once per window when its first journey of that length comes."""
-    window, plans, total = [], {}, 0
-    for journey in journeys:
-        n = len(journey.events)
-        if n not in plans:
-            plans[n] = _build_plan(method, n, n_samples, seed)
-        window.append(journey)
+class _Source(NamedTuple):
+    """How the window path reads its input items. In the calling process,
+    `events` gives an item's event count, for its plan, and `check` raises
+    the first record fault among the items it is given. In each shard
+    process, `build` makes the items of its part journeys in place and
+    returns its first record fault, (index, error), or None; `end` maps the
+    part's journeys and their results to what the shard sends back."""
+
+    events: Callable[[object], int]
+    check: Callable[[Iterable], None]
+    build: Callable[[list], tuple[int, Exception] | None]
+    end: Callable[[list, list], list]
+
+
+def _build_records(part: list) -> tuple[int, Exception] | None:
+    """Each `JourneyRecords` record of `part` replaced by its journey, in
+    order, up to the first whose check fails: (its index, its LineError)."""
+    for idx, record in enumerate(part):
+        try:
+            part[idx] = record_journey(record)
+        except LineError as exc:
+            return idx, exc
+    return None
+
+
+def _check_records(records: Iterable) -> None:
+    for record in records:
+        record_journey(record)
+
+
+def _attribution_lines(journeys: list, results: list) -> list[str]:
+    return [attribution_line(journey, result) for journey, result in zip(journeys, results)]
+
+
+# journeys are their own items: counted as they are, never faulty, and
+# each shard sends back its results
+_JOURNEYS = _Source(lambda journey: len(journey.events), lambda items: None, lambda part: None,
+                    lambda journeys, results: results)
+# the decoded records of a journey file: each shard process builds and checks
+# its own journeys and sends back their attribution lines
+_RECORDS = _Source(record_events, _check_records, _build_records, _attribution_lines)
+
+
+def _plan_windows(items, source: _Source, method: str, n_samples: int, seed: int, limit: int, count: int):
+    """Runs of at least `count` consecutive items whose games' distinct
+    mask rows reach `limit`, and the rest; each with its items' event counts
+    (`source.events`) and its plans by length, built once per window when
+    its first item of that length comes. An item whose count or plan fails
+    ends the windows. Its error is raised unless `source.check` finds a
+    record fault first: in the window so far, in that item or in the rest
+    of `items`, an iterator."""
+    window, lengths, plans, total = [], [], {}, 0
+    for item in items:
+        try:
+            n = source.events(item)
+            if n not in plans:
+                plans[n] = _build_plan(method, n, n_samples, seed)
+        except DeepMtaError:
+            source.check(itertools.chain(window, [item], items))
+            raise
+        window.append(item)
+        lengths.append(n)
         total += len(plans[n].rows)
         if total >= limit and len(window) >= count:
-            yield window, plans
-            window, plans, total = [], {}, 0
+            yield window, lengths, plans
+            window, lengths, plans, total = [], [], {}, 0
     if window:
-        yield window, plans
+        yield window, lengths, plans
 
 
-def _attribute_shard(params, vocab, plans, journeys) -> tuple[list[AttributionResult], GameStats]:
-    """One process's path over a shard of journeys, in input order: they are
-    encoded into one JourneyTable, their games are scored together in trie
-    blocks, and the journeys of each length are finished by one solve over
-    their stacked values. Returns the results and the shard's counters."""
+def _attribute_shard(params, vocab, plans, journeys) -> tuple[list[AttributionResult] | None, GameStats, tuple | None]:
+    """One process's scoring of a shard of journeys, in input order: they
+    are encoded into one JourneyTable, their games are scored together in
+    trie blocks, and the journeys of each length are finished by one solve
+    over their stacked values. Returns the results, the shard's counters and
+    None; or, where a journey cannot be encoded (an unknown token, too many
+    events), no results and (its index, that error) for the first such."""
     stats = GameStats()
-    table = journey_table(journeys, vocab)
+    columns, failed = _journey_columns(journeys, vocab)
+    if failed is not None:
+        # the columns end with the journey before it: none after it is encoded
+        return None, stats, (len(columns[-1]), failed)
+    table = _table_of(columns, vocab)
     lengths = table.lengths.tolist()
     values = _game_values(params, table, [(idx, plans[n].rows) for idx, n in enumerate(lengths)], stats)
     results = [None] * len(journeys)
@@ -625,7 +698,24 @@ def _attribute_shard(params, vocab, plans, journeys) -> tuple[list[AttributionRe
             stacked = np.stack([values[idx] for idx in chunk])[:, plan.inverse]
             for idx, result in zip(chunk, plan.finish(stacked)):
                 results[idx] = result
-    return results, stats
+    stats.unattributed = sum(result.unattributed for result in results)
+    return results, stats, None
+
+
+def _shard(source: _Source, attribute, part: list) -> tuple[list | None, GameStats, tuple | None]:
+    """One process's path over its part of a window: `source.build` makes
+    the part's journeys, `attribute` (`_attribute_shard`) scores them, and
+    `source.end` maps them to what is sent back. Returns that, the counters
+    and None; or nothing and the part's fault, (0, index, error) for its
+    first record fault, else (1, index, error) for its first encoding
+    error. A faulty part is not scored."""
+    fault = source.build(part)
+    if fault is not None:
+        return None, GameStats(), (0, *fault)
+    results, stats, fault = attribute(part)
+    if fault is not None:
+        return None, stats, (1, *fault)
+    return source.end(part, results), stats, None
 
 
 def attribute_journeys(
@@ -639,27 +729,38 @@ def attribute_journeys(
     stats: GameStats | None = None,
 ):
     """Attribute many journeys against a frozen model; returns a generator
-    of one AttributionResult per journey, in input order.
+    of one AttributionResult per journey, in input order. Given a
+    `JourneyRecords` in place of journeys, it yields each record's
+    attribution line (`attribution_line`) instead, and no journey is built
+    in the calling process unless a record is faulty.
 
     Journeys are read in windows of at least N = `workers` journeys and
     N * _WINDOW_ROWS distinct mask rows, four of the largest exact games per
     worker (the last window may hold fewer). A journey's game depends only
     on its length and the method, so each window builds one plan per length
-    (`_plan_windows`) and its journeys of that length share it. The window
-    is split into N shards of whole journeys, largest first onto the
-    lightest shard (`_fork.shares`). The calling process attributes the
-    first shard, and a child forked for the window after its plans are
-    built each other shard that is not empty (`_fork.sharded`); the windows
-    and the shards' counters are summed into `stats`.
-    In each shard the games are scored together in trie blocks of at most
-    `_block_rows` rows, and the journeys of one length are finished
-    together. So memory is bounded by one window's plans and
-    values and one block scan. Every child is reaped before the
-    window's results are yielded, and on an error; a child that dies
-    without sending its results is a WorkerError. Where the platform cannot
-    fork, N is 1 (`_fork.processes`). Each journey's result equals
-    `attribute_journey` on it alone, at any worker count. The arguments are checked at the call,
-    before any journey is read.
+    (`_plan_windows`), from the event counts alone, and its journeys of that
+    length share it. The window is split into N shards of whole journeys,
+    largest first onto the lightest shard (`_fork.shares`). The calling
+    process attributes the first shard, and a child forked for the window
+    after its plans are built each other shard that is not empty
+    (`_fork.sharded`); the windows and the shards' counters are summed into
+    `stats`. Each shard process builds its records' journeys, scores its
+    games together in trie blocks of at most `_block_rows` rows, finishes
+    the journeys of one length together, and for records renders their
+    lines. So memory is bounded by one window's plans, items and values and
+    one block scan. Every child is reaped before the window's output is
+    yielded, and on an error; a child that dies without replying is a
+    WorkerError. Where the platform cannot fork, N is 1 (`_fork.processes`).
+    Each journey's result equals `attribute_journey` on it alone, at any
+    worker count.
+
+    A fault is raised as if every record were built first, then every
+    journey encoded: the first record fault of the input (as `record_journey`
+    names it) wins over any encoding error (an unknown token, too many
+    events) and any plan error, and of those the first met, in input order.
+    Shards send their faults back, and the window's first is raised once
+    the rest of the input has been checked for a record fault. The
+    arguments are checked at the call, before any journey is read.
     """
     workers = processes(workers)
     if n_samples < 1:
@@ -667,26 +768,40 @@ def attribute_journeys(
     if seed < 0:
         raise ConfigError(f"seed must be >= 0, got {seed}")
     stats = GameStats() if stats is None else stats
-    return _attribute_windows(params, journeys, vocab, method, n_samples, seed, workers, stats)
+    source = _RECORDS if isinstance(journeys, JourneyRecords) else _JOURNEYS
+    return _attribute_windows(params, journeys, vocab, method, n_samples, seed, workers, stats, source)
 
 
-def _attribute_windows(params, journeys, vocab, method, n_samples, seed, workers, stats):
+def _attribute_windows(params, items, vocab, method, n_samples, seed, workers, stats, source):
     """The generator of `attribute_journeys`, on checked arguments."""
+    items = iter(items)
     # a window gives each worker a journey, also where one journey alone
     # has more rows than the limit
-    for window, plans in _plan_windows(journeys, method, n_samples, seed, workers * _WINDOW_ROWS, workers):
+    for window, lengths, plans in _plan_windows(items, source, method, n_samples, seed, workers * _WINDOW_ROWS, workers):
         stats.windows += 1
         # the caller's first shard holds the largest journey
-        rows = [len(plans[len(journey.events)].rows) for journey in window]
-        shards = [shard for shard in shares(rows, workers) if shard]
-        work = functools.partial(_attribute_shard, params, vocab, plans)
-        parts = sharded("an attribution worker process", work, [[window[idx] for idx in shard] for shard in shards])
-        results = [None] * len(window)
-        for shard, (part, part_stats) in zip(shards, parts):
+        shards = [shard for shard in shares([len(plans[n].rows) for n in lengths], workers) if shard]
+        work = functools.partial(_shard, source, functools.partial(_attribute_shard, params, vocab, plans))
+        parts = [[window[idx] for idx in shard] for shard in shards]
+        # each part holds the only reference to its items, so the caller's
+        # shard frees each record as it builds its journey
+        window.clear()
+        replies = sharded("an attribution worker process", work, parts)
+        outputs, faults = [None] * len(lengths), []
+        for shard, (part, part_stats, fault) in zip(shards, replies):
             stats.add(part_stats)
-            for idx, result in zip(shard, part):
-                results[idx] = result
-        yield from results
+            if fault is not None:
+                kind, idx, exc = fault
+                faults.append((kind, shard[idx], exc))
+                continue
+            for idx, output in zip(shard, part):
+                outputs[idx] = output
+        if faults:
+            kind, _, exc = min(faults, key=lambda fault: fault[:2])
+            if kind:  # an encoding error: a later record fault wins over it
+                source.check(items)
+            raise exc
+        yield from outputs
 
 
 def attribute_journey(
@@ -724,12 +839,18 @@ def attribution_to_dict(journey: CustomerJourney, result: AttributionResult) -> 
     }
 
 
+def attribution_line(journey: CustomerJourney, result: AttributionResult) -> str:
+    """The JSONL line of one journey's attribution, newline included: the
+    one format of `save_attributions` and of the `attribute` command."""
+    return json.dumps(attribution_to_dict(journey, result)) + "\n"
+
+
 def save_attributions(path: str | Path, journeys: list[CustomerJourney], results: list[AttributionResult]) -> None:
     if len(journeys) != len(results):
         raise ValidationError("journeys and results must align one-to-one")
     with open(path, "w", encoding="utf-8") as fh:
         for journey, result in zip(journeys, results):
-            fh.write(json.dumps(attribution_to_dict(journey, result)) + "\n")
+            fh.write(attribution_line(journey, result))
 
 
 def _finite_numbers(value) -> bool:

@@ -22,8 +22,8 @@ import time
 from dataclasses import fields
 from pathlib import Path
 
-# attribute_journey is not called here, but perfbench's tracer wraps
-# deepmta.cli.attribute_journey, so the name must stay importable
+# attribute_journey and save_attributions are not called here, but
+# perfbench's tracer wraps them by these names, so they must stay importable
 from .attribution import (  # noqa: F401
     PERMUTATION_SAMPLES,
     AttributionResult,
@@ -39,6 +39,7 @@ from .errors import ConfigError, DeepMtaError, ValidationError
 from .journey import (  # noqa: F401
     DRAW_CONVERTED,
     GeneratorConfig,
+    JourneyRecords,
     _synthetic_journey,
     generate_synthetic,
     load_journeys,
@@ -128,7 +129,13 @@ def _given_fields(args, config) -> dict:
 def _replacing(path: Path):
     """A temporary path next to `path`, renamed to `path` when the block
     succeeds and removed when it fails, so that a failed command leaves no
-    partial file at `path` and an existing one as it was."""
+    partial file at `path` and an existing one as it was. A symlink, or a
+    path that names something other than a regular file (a device such as
+    /dev/stdout, a FIFO), is yielded itself and written in place: a rename
+    would replace that node, not write through it."""
+    if path.is_symlink() or path.exists() and not path.is_file():
+        yield path
+        return
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         yield tmp
@@ -263,22 +270,23 @@ def _workers() -> int:
 def _cmd_attribute(args) -> None:
     _check_outputs(args.out, inputs=(args.model, args.data))
     params, vocab, _ = load_checkpoint(args.model)
-    journeys = load_journeys(args.data)
     stats = GameStats()
-    results = []
     workers = _workers()
     _note_blas_threads(processes(workers))
-    batches = attribute_journeys(
-        params, journeys, vocab, method=_METHOD_FLAGS[args.method], n_samples=args.samples, seed=args.seed,
-        workers=workers, stats=stats,
+    # this process decodes the file's lines; the shard processes build,
+    # check and attribute the journeys and render their lines
+    lines = attribute_journeys(
+        params, JourneyRecords(args.data), vocab, method=_METHOD_FLAGS[args.method], n_samples=args.samples,
+        seed=args.seed, workers=workers, stats=stats,
     )
-    for idx, result in enumerate(batches, start=1):
-        results.append(result)
-        if idx % 200 == 0:
-            _info(f"attributed {idx}/{len(journeys)} journeys")
-    save_attributions(args.out, journeys, results)
-    _emit("journeys", len(journeys))
-    _emit("unattributed", sum(1 for r in results if r.unattributed))
+    count = 0
+    with _replacing(Path(args.out)) as tmp, open(tmp, "w", encoding="utf-8") as fh:
+        for count, line in enumerate(lines, start=1):
+            fh.write(line)
+            if count % 200 == 0:
+                _info(f"attributed {count} journeys")
+    _emit("journeys", count)
+    _emit("unattributed", stats.unattributed)
     _emit("out", args.out)
     _emit("windows", stats.windows)
     _emit("blocks", stats.blocks)

@@ -497,6 +497,54 @@ def load_journeys(path: str | Path) -> list[CustomerJourney]:
     return list(iter_journeys(path))
 
 
+def _decoded(line: str):
+    """`_parsed` of a line, or its ValidationError in place of the value."""
+    try:
+        return _parsed(line)
+    except ValidationError as exc:
+        return exc
+
+
+class JourneyRecords:
+    """A JSONL journey file whose lines are decoded but not yet built into
+    journeys. Iterating it reads the file line by line and yields a record,
+    (1-based line number, JSON value), for each non-blank line; a line that
+    is not UTF-8 or not JSON has its ValidationError in place of the value.
+    `record_events` counts a record's events, and `record_journey` builds
+    and checks its journey, so that the caller that reads a file need not
+    be the process that builds its journeys."""
+
+    def __init__(self, path: str | Path):
+        self.path = path
+
+    def __iter__(self) -> Iterator[tuple[int, object]]:
+        with _text(open(self.path, "rb")) as fh:
+            yield from _numbered(fh, _decoded)
+
+
+def record_journey(record: tuple[int, object]) -> CustomerJourney:
+    """The journey of a `JourneyRecords` record; its fault, the line's
+    decoding or a check of `_journey_from_dict`, is a LineError naming the
+    line."""
+    line_no, value = record
+    if isinstance(value, ValidationError):
+        raise LineError(line_no, str(value))
+    try:
+        return _journey_from_dict(value)
+    except ValidationError as exc:
+        raise LineError(line_no, str(exc)) from None
+
+
+def record_events(record: tuple[int, object]) -> int:
+    """The number of events of a `JourneyRecords` record, read from its
+    value without building its journey. A record that has no list of
+    events raises its fault (`record_journey`)."""
+    value = record[1]
+    if isinstance(value, dict) and isinstance(value.get("events"), list):
+        return len(value["events"])
+    return len(record_journey(record).events)  # raises: no such record is a journey
+
+
 # journey files of at least this many bytes are read on two processes by
 # read_table(workers >= 2). On a 2-vCPU x86 host the fork and the columns'
 # pickle back cost about 1.5 ms, and the first lines of the desk train file

@@ -83,11 +83,11 @@ def _gate_forward(t, tau, s, r_on, alpha):
     """Return (k, phi) with k piecewise in phi: rise to 1 over [0, r_on/2),
     fall back to 0 over [r_on/2, r_on), and leak alpha*phi elsewhere."""
     phi = _gate_phase(t, tau, s)
-    k = np.where(
-        phi < 0.5 * r_on,
-        2.0 * phi / r_on,
-        np.where(phi < r_on, 2.0 - 2.0 * phi / r_on, alpha * phi),
-    )
+    # q <= 1 where phi < r_on/2 and q >= 1 from there to r_on, so the
+    # minimum returns the rise or the fall unchanged, each the expression of
+    # the branch-by-branch form; where q == 1 both are 1.0
+    q = 2.0 * phi / r_on
+    k = np.where(phi < r_on, np.minimum(q, 2.0 - q), alpha * phi)
     return k, phi
 
 

@@ -34,6 +34,7 @@ from deepmta.model import (
     _check_alpha,
     _check_gate_ranges,
     _gate_forward,
+    _gate_phase,
     forward_batch,
 )
 from deepmta.report import TOTAL_ROW_LABEL, channel_weights
@@ -64,8 +65,19 @@ def time_gate(t, tau, s, r_on, alpha):
     _check_alpha(alpha)
     if not np.all(np.isfinite(t)):
         raise ParameterError("t must be finite")
-    k, _ = _gate_forward(t, tau, s, r_on, float(alpha))
+    k = gate_openness(_gate_phase(t, tau, s), r_on, float(alpha))
     return float(k) if np.ndim(k) == 0 else k
+
+
+def gate_openness(phi, r_on, alpha):
+    """The time gate's openness at phase phi, branch by branch: rise to 1
+    over [0, r_on/2), fall back to 0 over [r_on/2, r_on), and leak alpha*phi
+    elsewhere. The readable oracle of `model._gate_forward`'s k."""
+    return np.where(
+        phi < 0.5 * r_on,
+        2.0 * phi / r_on,
+        np.where(phi < r_on, 2.0 - 2.0 * phi / r_on, alpha * phi),
+    )
 
 
 def gate_backward(dk, phi, t_minus_s, tau, r_on, alpha):

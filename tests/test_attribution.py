@@ -920,6 +920,25 @@ class TestBlockScan:
             if shard:
                 assert sum(rows[idx] for idx in shard) - loads[0] <= min(rows[idx] for idx in shard)
 
+    def test_first_encoding_error_in_input_order_is_raised(self):
+        # two journeys with unknown tokens, the earlier in the child's shard
+        # and the later in the caller's: each shard sends its error back,
+        # and the earlier one is raised
+        from deepmta.errors import VocabularyError
+
+        rng = np.random.default_rng(53)
+        params = init_params(VOCAB.encoding_dim, 6, 1, t_span_hours=12.0, rng=13)
+        journeys = mixed_journeys(rng, (3, 5, 2, 4, 1, 3, 2, 5))
+        caller_shard, child_shard = shares([2 ** len(j.events) for j in journeys], 2)
+        first = child_shard[0]
+        later = next(idx for idx in caller_shard if idx > first)
+        for idx, token in ((first, "X"), (later, "Y")):
+            events = [ClickEvent(token, "c1", e.timestamp) for e in journeys[idx].events]
+            journeys[idx] = CustomerJourney(f"bad{idx}", events, False, 0.0)
+        with pytest.raises(VocabularyError, match=f"journey 'bad{first}', event 0: unknown channel token 'X'"):
+            list(attribute_journeys(params, journeys, VOCAB, workers=2))
+        assert_no_child_left()
+
     def test_pool_is_joined_when_the_caller_closes_early(self):
         # the caller stops after the first window's first result; the
         # processes are gone (an error in a worker: see test_cli)

@@ -95,6 +95,35 @@ def test_attribution_bench_reports_every_configuration(tmp_path, monkeypatch):
     assert [row["H"] for row in report["results"]] == [64, 64, 8, 8]
 
 
+def test_attribution_bench_times_the_attribute_command(tmp_path, monkeypatch):
+    # the holdout through `attribute` and through attribute_journeys: the
+    # same journeys and counters, at one worker and at two
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    spec = importlib.util.spec_from_file_location("bench_attribution", ATTRIBUTION_BENCH)
+    bench = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = bench
+    try:
+        spec.loader.exec_module(bench)
+        out = tmp_path / "bench.json"
+        report = bench.main([
+            "--inputs", "holdout", "holdout-cli", "--repeats", "1", "--warmup", "0", "--train-journeys", "40",
+            "--out", str(out),
+        ])
+    finally:
+        del sys.modules[spec.name]
+    assert json.loads(out.read_text(encoding="utf-8")) == report
+    rows = report["results"]
+    assert [(row["input"], row["workers"]) for row in rows] == [
+        ("holdout", 1), ("holdout", 2), ("holdout-cli", 1), ("holdout-cli", 2),
+    ]
+    for row in rows:
+        assert row["calls"] == 1 and row["journeys"] == 1000 and row["windows"] == 1
+        assert (row["child_peak_rss_mb"] is None) == (row["workers"] == 1)
+    assert len({(row["node_steps"], row["H"]) for row in rows}) == 1
+    assert rows[2]["blocks"] == rows[0]["blocks"] and rows[3]["blocks"] == rows[1]["blocks"]
+
+
 DATA_BENCH = BENCH.parent / "data.py"
 
 

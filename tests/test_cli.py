@@ -8,6 +8,7 @@ import pytest
 
 import deepmta.attribution as attribution
 import deepmta.cli as cli
+from deepmta.attribution import attribute_journeys
 from deepmta.cli import main
 from deepmta.errors import (
     ConfigError,
@@ -792,6 +793,182 @@ class TestAttribute:
         code = main(["attribute", "--model", str(pipeline["ckpt"]), "--data", str(other),
                      "--out", str(tmp_path / "a.jsonl")])
         assert code == 2
+
+
+class TestAttributeShardedFile:
+    """`attribute` reads and decodes the file in the calling process, and
+    each shard process builds, checks and attributes its own journeys and
+    renders their lines: the bytes of the library's results saved, and a
+    fault's precedence as if the whole file were read first."""
+
+    ATTRIBUTE = ["--method", "auto", "--seed", "1", "--samples", "16"]
+
+    def attribute(self, capsys, pipeline, data, out):
+        return run_cli(capsys, [
+            "attribute", "--model", str(pipeline["ckpt"]), "--data", str(data), "--out", str(out), *self.ATTRIBUTE,
+        ])
+
+    @pytest.mark.parametrize("shape", ("desk", "mixed"))
+    def test_lines_equal_the_saved_results(self, pipeline, tmp_path, capsys, monkeypatch, shape):
+        # desk: 300 journeys of 1-4 events, converted or not; mixed: journeys
+        # of up to 16 events, exact games up to 12 and sampled ones above
+        from deepmta.attribution import save_attributions
+        from deepmta.model import load_checkpoint
+
+        data = pipeline["data"]
+        if shape == "mixed":
+            data = tmp_path / "mixed.jsonl"
+            gen = [arg for arg in GEN_ARGS if arg != "--include-nonconverted"]
+            gen[gen.index("--max-len") + 1] = "16"
+            gen[gen.index("--journeys") + 1] = "60"
+            assert main(gen + ["--out", str(data)]) == 0
+        params, vocab, _ = load_checkpoint(pipeline["ckpt"])
+        journeys = load_journeys(data)
+        results = list(attribute_journeys(params, journeys, vocab, n_samples=16, seed=1))
+        assert shape == "desk" or {r.method for r in results} == {"shapley_exact", "shapley_sampled"}
+        expected = tmp_path / "expected.jsonl"
+        save_attributions(expected, journeys, results)
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 3)
+        for threads in ("1", "2", "3"):
+            monkeypatch.setenv("MTA_THREADS", threads)
+            out = tmp_path / f"attr-{threads}.jsonl"
+            code, kv, _ = self.attribute(capsys, pipeline, data, out)
+            assert code == 0
+            assert out.read_bytes() == expected.read_bytes()
+            assert kv["journeys"] == str(len(journeys))
+            assert kv["unattributed"] == str(sum(r.unattributed for r in results))
+        assert_no_child_left()
+
+    def faulty(self, pipeline, tmp_path, monkeypatch, small_windows, edit):
+        """The pipeline's journey file with `edit` applied to its lines, run
+        at two workers. With small windows, each holds a few journeys, so
+        that the faults fall in different windows."""
+        lines = pipeline["data"].read_text().splitlines()
+        edit(lines)
+        data = tmp_path / "journeys.jsonl"
+        data.write_text("\n".join(lines) + "\n")
+        if small_windows:
+            monkeypatch.setattr(attribution, "_WINDOW_ROWS", 64)
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+        monkeypatch.setenv("MTA_THREADS", "2")
+        return data, len(lines)
+
+    def set_event(self, lines, idx, key, value):
+        obj = json.loads(lines[idx])
+        obj["events"][0][key] = value
+        lines[idx] = json.dumps(obj)
+        return obj["user_id"]
+
+    def assert_failed(self, code, kv, err, out, message):
+        assert code == 2
+        assert message in err and "Traceback" not in err
+        assert kv == {} and not out.exists() and os.listdir(out.parent) == ["journeys.jsonl"]
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("small_windows", (False, True))
+    def test_record_fault_on_the_last_line_wins_over_an_unknown_token(
+        self, pipeline, tmp_path, capsys, monkeypatch, small_windows,
+    ):
+        def edit(lines):
+            self.set_event(lines, 0, "channel", "zz")
+            self.set_event(lines, len(lines) - 1, "ts", -5)
+
+        data, n_lines = self.faulty(pipeline, tmp_path, monkeypatch, small_windows, edit)
+        out = tmp_path / "a.jsonl"
+        code, kv, err = self.attribute(capsys, pipeline, data, out)
+        self.assert_failed(code, kv, err, out, f"line {n_lines}: timestamp must be an integer >= 0")
+        assert "unknown channel" not in err
+
+    @pytest.mark.parametrize("small_windows", (False, True))
+    def test_shape_fault_before_a_malformed_line_is_named(self, pipeline, tmp_path, capsys, monkeypatch, small_windows):
+        # line 5's event has no campaign; line 250 is not JSON
+        def edit(lines):
+            obj = json.loads(lines[4])
+            del obj["events"][0]["campaign"]
+            lines[4] = json.dumps(obj)
+            lines[249] = "{broken"
+
+        data, _ = self.faulty(pipeline, tmp_path, monkeypatch, small_windows, edit)
+        out = tmp_path / "a.jsonl"
+        code, kv, err = self.attribute(capsys, pipeline, data, out)
+        self.assert_failed(code, kv, err, out, "line 5: event 0 is missing field 'campaign'")
+        assert "malformed JSON" not in err
+
+    def test_first_unknown_token_in_file_order_is_named(self, pipeline, tmp_path, capsys, monkeypatch):
+        # the first unknown token falls in the child's shard, a later one in
+        # the caller's: the child's, first in the file, is named
+        from deepmta._fork import shares
+
+        lengths = [len(json.loads(line)["events"]) for line in pipeline["data"].read_text().splitlines()]
+        caller_shard, child_shard = shares([2 ** n for n in lengths], 2)
+        first = child_shard[0]
+        later = next(idx for idx in caller_shard if idx > first)
+        names = []
+        data, _ = self.faulty(pipeline, tmp_path, monkeypatch, False, lambda lines: names.extend(
+            self.set_event(lines, idx, "channel", token) for idx, token in ((first, "zz"), (later, "yy"))))
+        out = tmp_path / "a.jsonl"
+        code, kv, err = self.attribute(capsys, pipeline, data, out)
+        self.assert_failed(code, kv, err, out, f"journey {names[0]!r}, event 0: unknown channel token 'zz'")
+        assert "'yy'" not in err
+
+    def test_failed_write_keeps_the_old_file(self, pipeline, tmp_path, capsys, monkeypatch):
+        # a full disk after 200 characters of the output: exit 2 naming the
+        # error, the old file's bytes kept and no temporary file left
+        import builtins
+        import errno
+
+        class FullDisk:
+            def __init__(self, fh):
+                self.fh, self.written = fh, 0
+
+            def write(self, text):
+                self.written += len(text)
+                if self.written > 200:
+                    raise OSError(errno.ENOSPC, "No space left on device")
+                return self.fh.write(text)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+        monkeypatch.setattr(cli, "open", lambda *args, **kwargs: FullDisk(builtins.open(*args, **kwargs)),
+                            raising=False)
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+        monkeypatch.setenv("MTA_THREADS", "2")
+        out = tmp_path / "attr.jsonl"
+        out.write_text("old\n")
+        code, kv, err = self.attribute(capsys, pipeline, pipeline["data"], out)
+        assert code == 2
+        assert "No space left on device" in err and "Traceback" not in err
+        assert kv == {} and out.read_text() == "old\n" and os.listdir(tmp_path) == ["attr.jsonl"]
+        assert_no_child_left()
+
+    def test_fifo_and_symlink_written_in_place(self, pipeline, tmp_path, capsys, monkeypatch):
+        # a rename would replace the FIFO or the link with a regular file
+        import stat
+        import threading
+
+        monkeypatch.setenv("MTA_THREADS", "1")
+        expected = pipeline["attr"].read_bytes()
+        fifo = tmp_path / "attr.fifo"
+        os.mkfifo(fifo)
+        got = []
+        reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        argv = ["attribute", "--model", str(pipeline["ckpt"]), "--data", str(pipeline["data"]),
+                "--method", "auto", "--seed", "1", "--out"]
+        code, kv, _ = run_cli(capsys, argv + [str(fifo)])
+        reader.join(30)
+        assert code == 0 and kv["out"] == str(fifo)
+        assert got == [expected] and stat.S_ISFIFO(os.stat(fifo).st_mode)
+        target, link = tmp_path / "target.jsonl", tmp_path / "link.jsonl"
+        target.write_text("old\n")
+        link.symlink_to(target)
+        assert run_cli(capsys, argv + [str(link)])[0] == 0
+        assert link.is_symlink() and target.read_bytes() == expected
+        assert sorted(os.listdir(tmp_path)) == ["attr.fifo", "link.jsonl", "target.jsonl"]
 
 
 class TestReport:

@@ -14,6 +14,7 @@ from deepmta.journey import (
     ClickEvent,
     CustomerJourney,
     GeneratorConfig,
+    JourneyRecords,
     JourneyTable,
     Vocabulary,
     encode_journey,
@@ -23,6 +24,8 @@ from deepmta.journey import (
     load_journeys,
     load_vocabulary,
     read_table,
+    record_events,
+    record_journey,
     save_journeys,
     save_vocabulary,
     stream_synthetic,
@@ -444,6 +447,45 @@ def forks(monkeypatch):
     monkeypatch.setattr(journey_mod, "Worker", Counted)
     monkeypatch.setattr(journey_mod, "READ_SPLIT_BYTES", 64)
     return roles
+
+
+class TestJourneyRecords:
+    """A file's records, decoded but not built: each builds the journey and
+    names the fault that `load_journeys` does."""
+
+    LINES = [
+        json.dumps({"user_id": "u1", "events": [{"channel": "A", "campaign": "c", "ts": 1}] * 3, "converted": False,
+                    "gmv": 0.0}),
+        "",
+        json.dumps({"user_id": "u2", "events": [{"channel": "A", "campaign": "c", "ts": -1}], "converted": False,
+                    "gmv": 0.0}),
+        "{broken",
+        json.dumps({"user_id": "u3", "events": "AB", "converted": False, "gmv": 0.0}),
+        json.dumps(["not", "a", "record"]),
+    ]
+
+    def test_each_record_is_its_line(self, tmp_path):
+        raw = [line.encode() for line in self.LINES] + [b"\xff"]
+        path = tmp_path / "journeys.jsonl"
+        path.write_bytes(b"\n".join(raw) + b"\n")
+        records = list(JourneyRecords(path))
+        assert [line_no for line_no, _ in records] == [1, 3, 4, 5, 6, 7]
+        assert record_journey(records[0]).events == [ClickEvent("A", "c", 1)] * 3
+        assert record_events(records[0]) == 3 and record_events(records[1]) == 1
+        for record, message in zip(records[1:], (
+            "line 3: timestamp must be", "line 4: malformed JSON", "line 5: field 'events' must be a list",
+            "line 6: journey record must be a JSON object", "line 7: not UTF-8 text",
+        )):
+            with pytest.raises(LineError, match=message):
+                record_journey(record)
+            if record[0] != 3:  # a record with no list of events cannot be counted either
+                with pytest.raises(LineError, match=message):
+                    record_events(record)
+            # the fault that reading the line alone, at its place, names
+            line_no = record[0]
+            path.write_bytes(b"\n" * (line_no - 1) + raw[line_no - 1] + b"\n")
+            with pytest.raises(LineError, match=message):
+                load_journeys(path)
 
 
 class TestReadTable:

@@ -33,7 +33,7 @@ from deepmta.model import (
     save_checkpoint,
 )
 from deepmta.trainer import softmax
-from reference import cell_forward, dropout, gate_backward, layer_norm, time_gate
+from reference import cell_forward, dropout, gate_backward, gate_openness, layer_norm, time_gate
 
 
 def random_layer(rng, d, H, scale=0.4):
@@ -106,6 +106,27 @@ class TestTimeGate:
             time_gate(1.0, 1.0, 0.0, 1.5, 0.0)
         with pytest.raises(ParameterError):
             time_gate(1.0, 1.0, 0.0, 0.5, -0.1)
+
+
+    @pytest.mark.parametrize("alpha", (0.0, 1e-3, 0.5))
+    def test_openness_has_the_bits_of_the_nested_form(self, alpha):
+        # 300 cases per alpha, each over 64 units, the break points phi = 0,
+        # r_on/2 and r_on among them: with tau = 1 and s = 0, phi is t itself
+        rng = np.random.default_rng(31)
+        for case in range(300):
+            tau = np.exp(rng.uniform(np.log(1e-2), np.log(500), 64))
+            s = tau * rng.random(64)
+            r_on = rng.uniform(1e-3, 0.999, 64)
+            t = rng.uniform(0, 1e3, (3, 64))
+            if case % 3 == 0:
+                tau, s = np.ones(64), np.zeros(64)
+                t = np.stack([np.zeros(64), 0.5 * r_on, r_on, rng.random(64) * r_on])
+            k, phi = _gate_forward(t, tau, s, r_on, alpha)
+            expected = gate_openness(phi, r_on, alpha)
+            if case % 3 == 0:
+                np.testing.assert_array_equal(phi, t)
+            assert k.dtype == expected.dtype
+            np.testing.assert_array_equal(k.view(np.uint64), expected.view(np.uint64))
 
 
 class TestGateBackwardInTwoParts:
