@@ -1,11 +1,15 @@
 """Time `attribution.attribute_journeys` on seeded inputs at one and two workers.
 
-Five inputs, each attributed with `--method auto` semantics at 1 and 2
-workers:
+Seven inputs, each attributed at 1 and 2 workers, with `--method auto`
+semantics unless named otherwise:
 
 - exact: 52 converted journeys of 1-12 events, six of each length 1-8 and
   one of each length 9-12 (perfbench's attribute-exact batch shape), on a
   desk model;
+- exact-ols, exact-kernel: the exact batch under `method="ols"` and
+  `method="kernel_ols"`, whose games of up to 12 events take the same
+  powerset and the same stacked exact solver as exact Shapley. No
+  perfbench workload runs these methods;
 - sampled: 8 converted journeys, one of each length 13-20, at 32
   permutations, on the desk model;
 - holdout: 1000 journeys of 1-4 events, converted or not (pipeline-desk's
@@ -32,13 +36,13 @@ BENCH_attribute.json with the environment.
     python bench/attribution.py
     python bench/attribution.py --inputs exact holdout --repeats 5 --out /tmp/a.json
 
-BENCH_attribute_parent.json holds the numbers of the code before the
-shard processes built, checked and rendered their own journeys (commit
-425673d), on the same host. The script uses only `attribute_journeys`,
-`GameStats`, `cli.main` and the package's data and model functions, so it
-runs unchanged on that code:
+BENCH_attribute_parent.json holds the numbers of the code before ols and
+kernel_ols took their powerset games' closed forms from the exact solver
+(commit ce9faed), on the same host. The script uses only
+`attribute_journeys`, `GameStats`, `cli.main` and the package's data and
+model functions, so it runs unchanged on that code:
 
-    git archive 425673d | tar -x -C <dir>
+    git archive ce9faed | tar -x -C <dir>
     cp bench/attribution.py <dir>/bench/
     cd <dir> && python bench/attribution.py --out BENCH_attribute_parent.json
 """
@@ -77,7 +81,9 @@ from deepmta.trainer import TrainConfig, train  # noqa: E402
 # perfbench's acceptance dataset: 8 channels, 3 campaigns, key channel 0
 GEN = {"n_channels": 8, "n_campaigns": 3, "key_channel_index": 0, "key_lift": 0.6, "base_rate": 0.2,
        "time_span_hours": 48.0}
-INPUTS = ("exact", "sampled", "holdout", "holdout-cli", "paper")
+INPUTS = ("exact", "exact-ols", "exact-kernel", "sampled", "holdout", "holdout-cli", "paper")
+# the inputs attributed under another method than auto
+METHODS = {"exact-ols": "ols", "exact-kernel": "kernel_ols"}
 SAMPLES = 32  # sampled Shapley's permutations, as in perfbench's attribute-sampled
 SEED = 0
 
@@ -103,7 +109,7 @@ def by_quota(quotas: dict[int, int], max_len: int, seed: int) -> list:
 
 
 def make_input(name: str) -> list:
-    if name == "exact":
+    if name in ("exact", *METHODS):
         return by_quota({**{n: 6 for n in range(1, 9)}, **{n: 1 for n in range(9, 13)}}, 12, SEED + 1)
     if name == "sampled":
         return by_quota({n: 1 for n in range(13, 21)}, 20, SEED + 2)
@@ -159,8 +165,8 @@ def run_config(work: Path, name: str, workers: int, repeats: int, warmup: int, p
     for call in range(warmup + repeats):
         stats = GameStats()
         start = time.perf_counter()
-        results = list(attribute_journeys(params, journeys, vocab, n_samples=SAMPLES, seed=SEED, workers=workers,
-                                          stats=stats))
+        results = list(attribute_journeys(params, journeys, vocab, method=METHODS.get(name, "auto"), n_samples=SAMPLES,
+                                          seed=SEED, workers=workers, stats=stats))
         elapsed = time.perf_counter() - start
         if len(results) != len(journeys):
             raise RuntimeError(f"{len(results)} results for {len(journeys)} journeys")

@@ -431,14 +431,11 @@ def _trie_steps(params: ModelParams, inputs: dict, starts: np.ndarray, bits: np.
 
 
 def _shapley_kernel_row_weights(masks: np.ndarray) -> np.ndarray:
-    m, n = masks.shape
+    n = masks.shape[1]
     sizes = masks.sum(axis=1).astype(int)
-    w = np.empty(m)
-    for idx, size in enumerate(sizes):
-        if size == 0 or size == n:
-            w[idx] = KERNEL_ENDPOINT_WEIGHT
-        else:
-            w[idx] = (n - 1) / (math.comb(n, size) * size * (n - size))
+    inner = (sizes > 0) & (sizes < n)
+    w = np.full(len(masks), KERNEL_ENDPOINT_WEIGHT)
+    w[inner] = [(n - 1) / (math.comb(n, size) * size * (n - size)) for size in sizes[inner]]
     return w
 
 
@@ -478,18 +475,20 @@ def _least_squares(Xw: np.ndarray, M: np.ndarray, acc: np.ndarray) -> np.ndarray
 # ---------------------------------------------------------------------------
 
 
-def _exact_solver(n: int):
-    """Exact Shapley values of many n-player games at once: the returned
-    function maps their values, stacked (J, 2^n) with the coalitions in
-    `mask_powerset` order, to (J, n).
-
-    Player i's value sums coeff[|S|] * (v(S + i) - v(S)) over the subsets S
-    without i in ascending bitmask order (bit j = player j), left to right:
-    one cumsum per game and player over a row of the term matrix. The
-    coefficients and the powerset rows of S + i and S are built once.
+def _exact_solver(n: int, coeff: np.ndarray, banzhaf: bool = False):
+    """The semivalues of many n-player games at once, each game's exact
+    least-squares fit on the full powerset: the returned function maps their
+    values, stacked (J, 2^n) in `mask_powerset` order, to intercepts (J,)
+    and values (J, n). Player i's value sums coeff[|S|] * (v(S + i) - v(S))
+    over the subsets S without i in ascending bitmask order (bit j = player
+    j), left to right: one cumsum per game and player over a row of the term
+    matrix, whose coefficients and powerset rows are built once. The
+    Shapley weights s!(n-s-1)!/n! give the Shapley-kernel fit (Lundberg & Lee
+    2017, Theorem 2), with intercept v(empty). With `banzhaf`, weights
+    1/2^(n-1) give the unweighted fit (Hammer & Holzman 1992), with
+    intercept mean(v) - sum(values) / 2; both sums run left to right along
+    each game's row, so a game's bits do not depend on how many are stacked.
     """
-    fact = [math.factorial(i) for i in range(n + 1)]
-    coeff = np.array([fact[size] * fact[n - size - 1] / fact[n] for size in range(n)])
     sizes = ((np.arange(2 ** n)[:, None] >> np.arange(n)) & 1).sum(axis=1)
     # row i lists the subsets without player i, ascending: k with a 0 bit
     # inserted at position i
@@ -502,10 +501,13 @@ def _exact_solver(n: int):
     coeffs = coeff[sizes[without]]
     with_rows, without_rows = row[without | (1 << player)], row[without]
 
-    def solve(values: np.ndarray) -> np.ndarray:
+    def solve(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         terms = np.zeros((len(values), n, 2 ** (n - 1) + 1))
         terms[:, :, 1:] = coeffs * (values[:, with_rows] - values[:, without_rows])
-        return np.cumsum(terms, axis=2)[:, :, -1]
+        phi = np.cumsum(terms, axis=2)[:, :, -1]
+        if banzhaf:
+            return np.cumsum(values, axis=1)[:, -1] / 2 ** n - np.cumsum(phi, axis=1)[:, -1] / 2, phi
+        return values[:, 0], phi  # row 0 of the powerset is the empty coalition
 
     return solve
 
@@ -569,38 +571,35 @@ def resolve_method(method: str, n_events: int) -> str:
 
 
 def _build_plan(method: str, n: int, n_samples: int, seed: int) -> _Plan:
-    """The plan of every n-event journey under `method`: its mask rows
-    (the powerset up to EXACT_LIMIT events; OLS above draws 2048 rows and
-    sampled Shapley its permutations from `seed`, the same for every
-    journey) and its solver."""
+    """The plan of every n-event journey under `method`: its mask rows and
+    solver. Up to EXACT_LIMIT events all but shapley_sampled take the
+    powerset and `_exact_solver`, the Banzhaf values for ols and the Shapley
+    values else. Above it, sampled Shapley draws its permutations from
+    `seed`, and OLS 2048 rows that it solves on one normal matrix."""
     resolved = resolve_method(method, n)
+    if resolved == "shapley_exact" and n > EXACT_LIMIT:
+        raise ConfigError(f"shapley_exact supports at most {EXACT_LIMIT} events; use shapley_sampled")
+    if resolved != "shapley_sampled" and n <= EXACT_LIMIT:
+        banzhaf = resolved == "ols"
+        fact = [math.factorial(i) for i in range(n + 1)]
+        coeff = np.full(n, 0.5 ** (n - 1)) if banzhaf else np.array(
+            [fact[size] * fact[n - size - 1] / fact[n] for size in range(n)])
+        # the powerset rows are distinct and already in sorted order
+        return _Plan(resolved, mask_powerset(n) != 0, np.arange(2 ** n), _exact_solver(n, coeff, banzhaf))
     if resolved == "shapley_sampled":
         perms, masks = _permutation_prefixes(n, n_samples, seed)
         # row 0 is the first permutation's empty coalition
         return _Plan(resolved, *_distinct(masks), lambda values: (values[:, 0], _permutation_estimates(perms, values)))
-    if resolved == "shapley_exact" and n > EXACT_LIMIT:
-        raise ConfigError(f"shapley_exact supports at most {EXACT_LIMIT} events; use shapley_sampled")
-    if n <= EXACT_LIMIT:
-        # the powerset rows are distinct and already in sorted order
-        masks = mask_powerset(n)
-        rows, inverse = masks != 0, np.arange(len(masks))
-    else:
-        rng = np.random.default_rng(seed)
-        masks = rng.integers(0, 2, size=(OLS_SAMPLE_ROWS, n))
-        masks[0] = 0
-        masks[1] = 1
-        rows, inverse = _distinct(masks != 0)
-    if resolved == "shapley_exact":
-        exact = _exact_solver(n)
-        # row 0 of the powerset is the empty coalition
-        return _Plan(resolved, rows, inverse, lambda values: (values[:, 0], exact(values)))
+    rng = np.random.default_rng(seed)
+    masks = rng.integers(0, 2, size=(OLS_SAMPLE_ROWS, n))
+    masks[0], masks[1] = 0, 1
     normal = _normal_matrix(masks.astype(np.float64), kernel=resolved == "kernel_ols")
 
     def solve(values):
         betas = np.array([_least_squares(*normal, acc) for acc in values])
         return betas[:, 0], betas[:, 1:]
 
-    return _Plan(resolved, rows, inverse, solve)
+    return _Plan(resolved, *_distinct(masks != 0), solve)
 
 
 class _Source(NamedTuple):
@@ -814,10 +813,11 @@ def attribute_journey(
 ) -> AttributionResult:
     """Attribute one journey's events against a frozen model.
 
-    auto picks exact Shapley up to 12 events and permutation sampling above;
-    ols/kernel_ols regress masked accuracy on the full powerset (or 2048
-    uniform subset rows above the exact limit). Every path ends in
-    clip-and-normalize. The one-journey case of `attribute_journeys`.
+    auto picks exact Shapley up to 12 events and permutation sampling above.
+    Up to 12 events ols and kernel_ols take the closed forms of their
+    powerset regressions, the Banzhaf and Shapley values; above, they regress
+    on 2048 uniform subset rows. Every path ends in clip-and-normalize. The
+    one-journey case of `attribute_journeys`.
     """
     return next(attribute_journeys(params, [journey], vocab, method, n_samples, seed))
 

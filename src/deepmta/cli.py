@@ -4,8 +4,10 @@ stdout carries machine-parseable key=value lines, ending with the
 subcommand's `seconds=`; progress and prose go to stderr. Exit codes: 0 ok,
 else the `exit_code` of the package error that ended the run (2
 usage/config/data/shape, 3 numeric failure or trace mismatch, 4 evaluation
-impossible), 2 for an unusable path, and 141 when the reader of stdout
-closed it before every key was written.
+impossible), 2 for an unusable path, 130 when interrupted (Ctrl-C), and
+141 when the reader of stdout closed it before every key was written. A
+failed or interrupted command leaves no partial output: each is written to
+a temporary file and renamed once all of the command's outputs are written.
 """
 
 from __future__ import annotations
@@ -70,6 +72,8 @@ _METHOD_FLAGS = {
 }
 # 128 + SIGPIPE: the status a shell reports for a command that a closed pipe stopped
 CLOSED_STDOUT_EXIT = 141
+# 128 + SIGINT: the status a shell reports for a command that Ctrl-C stopped
+INTERRUPTED_EXIT = 130
 # how far from 1 an attributed record's weights may sum (by math.fsum)
 WEIGHT_SUM_TOL = 1e-9
 # the variables that pin a BLAS's thread count, read as numpy loads
@@ -126,14 +130,17 @@ def _given_fields(args, config) -> dict:
 
 
 @contextlib.contextmanager
-def _replacing(path: Path):
+def _replacing(path: str | Path | None):
     """A temporary path next to `path`, renamed to `path` when the block
     succeeds and removed when it fails, so that a failed command leaves no
-    partial file at `path` and an existing one as it was. A symlink, or a
-    path that names something other than a regular file (a device such as
-    /dev/stdout, a FIFO), is yielded itself and written in place: a rename
-    would replace that node, not write through it."""
-    if path.is_symlink() or path.exists() and not path.is_file():
+    partial file at `path` and an existing one as it was. A command with two
+    outputs enters both in one `with`, so that neither is renamed before
+    both are written. A symlink, or a path that names something other than
+    a regular file (a device such as /dev/stdout, a FIFO), is yielded itself
+    and written in place: a rename would replace that node, not write
+    through it. None (an output not asked for) is yielded as None."""
+    path = None if path is None else Path(path)
+    if path is None or path.is_symlink() or path.exists() and not path.is_file():
         yield path
         return
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
@@ -189,7 +196,7 @@ def _cmd_gen(args) -> None:
             converted += draw[DRAW_CONVERTED]
             yield draw
 
-    with _replacing(out) as tmp:
+    with _replacing(out) as tmp, _replacing(vocab_path) as vocab_tmp:
         if workers == 1:
             save_journeys(tmp, (_synthetic_journey(cfg, vocab, draw) for draw in counted()))
         else:
@@ -201,7 +208,7 @@ def _cmd_gen(args) -> None:
                     for chunk in iter(lambda: list(itertools.islice(records, GEN_CHUNK)), []):
                         pickle.dump(chunk, pipe, pickle.HIGHEST_PROTOCOL)
                 writer.result()
-    save_vocabulary(vocab_path, vocab)
+        save_vocabulary(vocab_tmp, vocab)
     _emit("journeys", cfg.n_journeys)
     _emit("conversion_rate", repr(converted / cfg.n_journeys))
     _emit("out", out)
@@ -224,8 +231,9 @@ def _cmd_train(args) -> None:
         _note_blas_threads(processes)
 
     result = train(table, vocab, cfg, workers=workers, on_start=announce)
-    save_checkpoint(args.out, result.params, result.vocab, seed=cfg.seed)
-    save_loss_history(history_path, result.train_losses, result.val_losses)
+    with _replacing(args.out) as ckpt, _replacing(history_path) as history:
+        save_checkpoint(ckpt, result.params, result.vocab, seed=cfg.seed)
+        save_loss_history(history, result.train_losses, result.val_losses)
     _emit("final_train_loss", repr(result.train_losses[-1]))
     _emit("final_val_loss", repr(result.val_losses[-1]))
     _emit("checkpoint", args.out)
@@ -238,7 +246,8 @@ def _cmd_eval(args) -> None:
     workers = _workers()
     table = read_table(args.data, vocab, workers)
     result = evaluate_roc(params, vocab, table, workers=workers, on_start=_note_blas_threads)
-    save_roc_csv(args.roc_out, result)
+    with _replacing(args.roc_out) as roc:
+        save_roc_csv(roc, result)
     _emit("auc", repr(result.auc))
     _emit("per_step_accuracy", repr(result.per_step_accuracy))
     _emit("roc_out", args.roc_out)
@@ -280,7 +289,7 @@ def _cmd_attribute(args) -> None:
         seed=args.seed, workers=workers, stats=stats,
     )
     count = 0
-    with _replacing(Path(args.out)) as tmp, open(tmp, "w", encoding="utf-8") as fh:
+    with _replacing(args.out) as tmp, open(tmp, "w", encoding="utf-8") as fh:
         for count, line in enumerate(lines, start=1):
             fh.write(line)
             if count % 200 == 0:
@@ -330,9 +339,10 @@ def _cmd_report(args) -> None:
     else:
         report = ChannelReport(method="deepmta")
         baseline = ChannelReport(method="last_click")
-    emit_report(report, baseline, args.out, fmt="csv")
-    if args.json:
-        emit_report(report, baseline, args.json, fmt="json")
+    with _replacing(args.out) as out, _replacing(args.json) as mirror:
+        emit_report(report, baseline, out, fmt="csv")
+        if mirror:
+            emit_report(report, baseline, mirror, fmt="json")
     _emit("channels", len(set(report.channels) | set(baseline.channels)))
     _emit("attributed", report.attributed_journeys)
     _emit("unattributed", report.unattributed_journeys)
@@ -416,6 +426,11 @@ def main(argv: list[str] | None = None) -> int:
     except (OSError, DeepMtaError) as exc:  # OSError: a path that is missing, a directory, or not writable
         _info(f"error: {exc}")
         return getattr(exc, "exit_code", 2)
+    except KeyboardInterrupt:
+        # every forked child has been reaped and every temporary file removed
+        # on the way out
+        _info("interrupted")
+        return INTERRUPTED_EXIT
     return 0
 
 

@@ -239,6 +239,13 @@ def masked_accuracy(params: ModelParams, enc: JourneyTable, mask: np.ndarray) ->
     return float(((preds == enc.labels) & scored).sum() / count)
 
 
+def shapley_coeff(n: int) -> np.ndarray:
+    """The Shapley weight of each coalition size s < n, s!(n-s-1)!/n!, by the
+    expression the package's plans use."""
+    fact = [math.factorial(i) for i in range(n + 1)]
+    return np.array([fact[size] * fact[n - size - 1] / fact[n] for size in range(n)])
+
+
 def shapley_exact(value, n: int) -> np.ndarray:
     """Exact Shapley values by subset enumeration, one evaluation per subset.
 
@@ -249,7 +256,7 @@ def shapley_exact(value, n: int) -> np.ndarray:
     if n > EXACT_LIMIT:
         raise ValidationError(f"n={n} exceeds exact_limit={EXACT_LIMIT}; use shapley_sampled")
     values = np.array([float(value(mask)) for mask in mask_powerset(n)])
-    return _exact_solver(n)(values[None])[0]
+    return _exact_solver(n, shapley_coeff(n))(values[None])[1][0]
 
 
 def shapley_sampled(

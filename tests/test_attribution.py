@@ -1,12 +1,12 @@
 import itertools
 import json
-import math
 import types
 
 import numpy as np
 import pytest
 
 from deepmta.attribution import (
+    METHODS,
     _SOLVE_VALUES,
     _WINDOW_ROWS,
     EXACT_LIMIT,
@@ -43,7 +43,7 @@ from deepmta.errors import ConfigError, DimensionError, NumericError, Validation
 from deepmta.journey import ClickEvent, CustomerJourney, Vocabulary, encode_journey, journey_table
 from deepmta.model import LAYER_TENSOR_FIELDS, ModelParams, PhasedLstmLayerParams, forward_batch, init_params
 from deepmta.trainer import softmax
-from reference import masked_accuracy, shapley_exact, shapley_sampled
+from reference import masked_accuracy, shapley_coeff, shapley_exact, shapley_sampled
 from test_model import random_model
 
 
@@ -61,12 +61,13 @@ def shapley_permutation_oracle(values_by_subset, n):
     return phi / len(perms)
 
 
-def shapley_table_double_loop(values, n):
+def shapley_table_double_loop(values, coeff):
     """The subset-by-player double loop over a table indexed by bitmask (bit
     j = player j) that `_exact_solver` replaced, kept as its oracle: same
-    terms, same order."""
-    fact = [math.factorial(i) for i in range(n + 1)]
-    coeff = np.array([fact[size] * fact[n - size - 1] / fact[n] for size in range(n)])
+    terms, same order. `coeff` gives the semivalue's weight of each coalition
+    size: `shapley_coeff(n)` for the Shapley values, `banzhaf_coeff(n)` for
+    the Banzhaf values."""
+    n = len(coeff)
     sizes = np.array([bin(s).count("1") for s in range(2 ** n)])
     phi = np.zeros(n)
     for s in range(2 ** n):
@@ -75,6 +76,23 @@ def shapley_table_double_loop(values, n):
             if not (s >> i) & 1:
                 phi[i] += coeff[size] * (values[s | (1 << i)] - values[s])
     return phi
+
+
+def banzhaf_coeff(n):
+    return np.full(n, 0.5 ** (n - 1))
+
+
+def banzhaf_intercept(values, raw):
+    """The unweighted least-squares intercept on the full powerset, mean(v) -
+    sum(raw) / 2, with both sums added left to right in a loop (the built-in
+    sum compensates its rounding from Python 3.12 on)."""
+    total = 0.0
+    for value in values:
+        total += value
+    weight = 0.0
+    for value in raw:
+        weight += value
+    return total / len(values) - weight / 2
 
 
 def assert_no_child_left():
@@ -360,17 +378,20 @@ class TestShapleyExact:
     @pytest.mark.parametrize("n", range(1, EXACT_LIMIT + 1))
     def test_table_sum_matches_double_loop(self, n):
         # one solve over several games' stacked values equals the double
-        # loop on each game's table, bit for bit
+        # loop on each game's table, bit for bit, under the Shapley and the
+        # Banzhaf weights
         rng = np.random.default_rng(20 + n)
         tables = rng.random((4, 2 ** n))
         for table in tables:
             table[rng.integers(0, 2 ** n, size=2 ** n // 3)] = 0.5  # ties give zero terms
         # the value of powerset row r is the table's entry at r's bitmask
         bitmask = mask_powerset(n) @ (1 << np.arange(n))
-        solved = _exact_solver(n)(tables[:, bitmask])
-        assert solved.shape == (4, n)
-        for table, phi in zip(tables, solved):
-            np.testing.assert_array_equal(phi, shapley_table_double_loop(table, n))
+        for coeff in (banzhaf_coeff(n), shapley_coeff(n)):
+            _, solved = _exact_solver(n, coeff)(tables[:, bitmask])
+            assert solved.shape == (4, n)
+            for table, phi in zip(tables, solved):
+                np.testing.assert_array_equal(phi, shapley_table_double_loop(table, coeff))
+        # the last solve is Shapley's
         np.testing.assert_array_equal(
             shapley_exact(lambda mask: tables[0][mask @ (1 << np.arange(n))], n), solved[0]
         )
@@ -799,7 +820,7 @@ class TestBlockScan:
         masks = mask_powerset(EXACT_LIMIT)
         table = np.empty(2 ** EXACT_LIMIT)
         table[masks @ (1 << np.arange(EXACT_LIMIT))] = forward_reference(params, encode_journey(journey, VOCAB), masks)
-        np.testing.assert_array_equal(result.raw_weights, shapley_table_double_loop(table, EXACT_LIMIT))
+        np.testing.assert_array_equal(result.raw_weights, shapley_table_double_loop(table, shapley_coeff(EXACT_LIMIT)))
         assert _WINDOW_ROWS == 4 * 2 ** EXACT_LIMIT
         stats = GameStats()
         assert len(list(attribute_journeys(params, [journey] * 8, VOCAB, workers=2, stats=stats))) == 8
@@ -1062,28 +1083,73 @@ class TestBatchedSolves:
     )
     def test_plan_finish_matches_per_journey_solves(self, method, n):
         # every method's stacked solve and clip-normalize equal the
-        # per-journey path they replaced
+        # per-journey path they replaced. Up to EXACT_LIMIT events, ols and
+        # kernel_ols are the closed forms of the powerset regression, which
+        # they equal within the old solve's rounding and, for kernel_ols, its
+        # soft endpoint weight
         rng = np.random.default_rng(110 + n)
         plan = _build_plan(method, n, 16, 4)
         values = accuracy_values(rng, (6, len(plan.rows)), n)[:, plan.inverse]
         values[0] = 0.0  # an all-zero game leaves its journey unattributed
         masks = plan.rows[plan.inverse].astype(np.int64)
         for vals, result in zip(values, plan.finish(values), strict=True):
-            if method == "shapley_exact":
-                table = np.empty(2 ** n)
-                table[masks @ (1 << np.arange(n))] = vals
-                intercept, raw = table[0], shapley_table_double_loop(table, n)
-            elif method == "shapley_sampled":
+            if method == "shapley_sampled":
                 perms, _ = _permutation_prefixes(n, 16, 4)
                 intercept, raw = vals[0], permutation_estimates_reference(perms, vals)
-            else:
+            elif n > EXACT_LIMIT:
                 beta = _least_squares(*_normal_matrix(masks, method == "kernel_ols"), vals)
                 intercept, raw = beta[0], beta[1:]
+            else:
+                table = np.empty(2 ** n)
+                table[masks @ (1 << np.arange(n))] = vals
+                banzhaf = method == "ols"
+                raw = shapley_table_double_loop(table, banzhaf_coeff(n) if banzhaf else shapley_coeff(n))
+                intercept = banzhaf_intercept(vals, raw) if banzhaf else table[0]
+                if method != "shapley_exact":
+                    # the regression these closed forms replaced; its gaps,
+                    # like the fit, scale with the values, which here reach n
+                    beta = _least_squares(*_normal_matrix(masks, method == "kernel_ols"), vals)
+                    scale = max(1.0, np.abs(vals).max())
+                    atol = (1e-12, 1e-12) if banzhaf else (5e-7, 5e-6)
+                    np.testing.assert_allclose(raw, beta[1:], rtol=0, atol=atol[0] * scale)
+                    assert abs(intercept - beta[0]) <= atol[1] * scale
             weights, unattributed = clip_normalize_reference(raw)
             np.testing.assert_array_equal(result.raw_weights, raw)
             np.testing.assert_array_equal(result.weights, weights)
             assert (result.intercept, result.method, result.unattributed) == (float(intercept), method, unattributed)
             assert type(result.intercept) is float and type(result.unattributed) is bool
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_stacked_games_equal_each_journey_alone(self, method):
+        # many journeys of each length up to EXACT_LIMIT are solved stacked,
+        # in one window or several; each result has the bits of its journey
+        # attributed alone, at one and two workers
+        rng = np.random.default_rng(122)
+        params = init_params(VOCAB.encoding_dim, 6, 1, t_span_hours=12.0, rng=13)
+        journeys = mixed_journeys(rng, rng.integers(1, EXACT_LIMIT + 1, size=80))
+        alone = [attribute_journey(params, journey, VOCAB, method=method, n_samples=8) for journey in journeys]
+        for workers in (1, 2):
+            stacked = list(attribute_journeys(params, journeys, VOCAB, method=method, n_samples=8, workers=workers))
+            for a, b in zip(stacked, alone, strict=True):
+                np.testing.assert_array_equal(a.raw_weights, b.raw_weights)
+                assert a.intercept == b.intercept
+
+    def test_powerset_games_skip_the_normal_equations(self, monkeypatch):
+        # ols and kernel_ols take their closed forms up to EXACT_LIMIT
+        # events; only sampled rows reach the least-squares solve
+        import deepmta.attribution as attribution
+
+        def spy(*args):
+            raise AssertionError("a least-squares solve")
+
+        monkeypatch.setattr(attribution, "_least_squares", spy)
+        rng = np.random.default_rng(123)
+        params = init_params(VOCAB.encoding_dim, 6, 1, t_span_hours=12.0, rng=14)
+        journeys = mixed_journeys(rng, range(1, EXACT_LIMIT + 1))
+        for method in ("ols", "kernel_ols"):
+            assert len(list(attribute_journeys(params, journeys, VOCAB, method=method))) == EXACT_LIMIT
+            with pytest.raises(AssertionError, match="a least-squares solve"):
+                attribute_journey(params, random_journey(rng, EXACT_LIMIT + 1), VOCAB, method=method)
 
     @pytest.mark.parametrize("workers", (1, 2))
     def test_one_plan_per_length_and_window(self, monkeypatch, workers):

@@ -43,6 +43,40 @@ list(attribute_journeys(result.params, journeys[:8], vocab, workers=2))
 """
 
 
+class FullDisk:
+    """A text file whose writes fail with ENOSPC once more than 200
+    characters have been written to it."""
+
+    def __init__(self, fh):
+        self.fh, self.written = fh, 0
+
+    def write(self, text):
+        import errno
+
+        self.written += len(text)
+        if self.written > 200:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return self.fh.write(text)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+
+def full_disk(name: str):
+    """An `open` that makes a FullDisk of each file opened for writing whose
+    name holds `name` (the output itself, or its temporary file)."""
+    import builtins
+
+    def opener(path, mode="r", *args, **kwargs):
+        fh = builtins.open(path, mode, *args, **kwargs)
+        return FullDisk(fh) if "w" in mode and name in os.path.basename(path) else fh
+
+    return opener
+
+
 def parse_kv(stdout: str) -> dict:
     out = {}
     for line in stdout.strip().splitlines():
@@ -914,27 +948,7 @@ class TestAttributeShardedFile:
     def test_failed_write_keeps_the_old_file(self, pipeline, tmp_path, capsys, monkeypatch):
         # a full disk after 200 characters of the output: exit 2 naming the
         # error, the old file's bytes kept and no temporary file left
-        import builtins
-        import errno
-
-        class FullDisk:
-            def __init__(self, fh):
-                self.fh, self.written = fh, 0
-
-            def write(self, text):
-                self.written += len(text)
-                if self.written > 200:
-                    raise OSError(errno.ENOSPC, "No space left on device")
-                return self.fh.write(text)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                self.fh.close()
-
-        monkeypatch.setattr(cli, "open", lambda *args, **kwargs: FullDisk(builtins.open(*args, **kwargs)),
-                            raising=False)
+        monkeypatch.setattr(cli, "open", full_disk("attr.jsonl"), raising=False)
         monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
         monkeypatch.setenv("MTA_THREADS", "2")
         out = tmp_path / "attr.jsonl"
@@ -1308,6 +1322,90 @@ def test_closed_stdout_exits_141_without_a_traceback(pipeline, tmp_path, unbuffe
     assert proc.returncode == cli.CLOSED_STDOUT_EXIT == 141
     assert proc.stderr == ""
     assert (tmp_path / "roc.csv").exists()
+
+
+def command_outputs(pipeline, root):
+    """command -> (argv writing under `root` at one worker, {output file
+    name: the module whose `open` writes it})."""
+    import deepmta.journey as journey
+    import deepmta.model as model
+    import deepmta.report as report
+    import deepmta.trainer as trainer
+
+    ckpt, data = str(pipeline["ckpt"]), str(pipeline["data"])
+    return {
+        # 40 channels make a vocabulary of more than 200 characters
+        "gen": (GEN_ARGS + ["--channels", "40", "--out", str(root / "data.jsonl")],
+                {"data.jsonl": journey, "data.vocab.json": journey}),
+        # six epochs make a history of more than 200 characters
+        "train": (["train", "--data", data, "--vocab", str(pipeline["vocab"]), "--out", str(root / "model.json"),
+                   "--epochs", "6", "--hidden-size", "4", "--seed", "3"],
+                  {"model.json": model, "model.history.csv": trainer}),
+        "eval": (["eval", "--model", ckpt, "--data", data, "--roc-out", str(root / "roc.csv")], {"roc.csv": trainer}),
+        "attribute": (["attribute", "--model", ckpt, "--data", data, "--out", str(root / "attr.jsonl")],
+                      {"attr.jsonl": cli}),
+        "report": (["report", "--attr", str(pipeline["attr"]), "--data", data, "--out", str(root / "report.csv"),
+                    "--json", str(root / "report.json")],
+                   {"report.csv": report, "report.json": report}),
+    }
+
+
+@pytest.mark.parametrize(
+    "command, name",
+    (
+        ("gen", "data.jsonl"), ("gen", "data.vocab.json"), ("train", "model.json"), ("train", "model.history.csv"),
+        ("eval", "roc.csv"), ("attribute", "attr.jsonl"), ("report", "report.csv"), ("report", "report.json"),
+    ),
+)
+def test_failed_write_leaves_every_output_as_it_was(pipeline, tmp_path, capsys, monkeypatch, command, name):
+    # a full disk after 200 characters of one output, an old file of which
+    # is there: exit 2 naming the error, its bytes kept, and neither the
+    # command's other outputs nor a temporary file left, also where the
+    # failed output is written after another
+    argv, outputs = command_outputs(pipeline, tmp_path)[command]
+    monkeypatch.setattr(outputs[name], "open", full_disk(name), raising=False)
+    monkeypatch.setenv("MTA_THREADS", "1")
+    (tmp_path / name).write_text("old\n")
+    code, kv, err = run_cli(capsys, argv)
+    assert code == 2
+    assert "No space left on device" in err and "Traceback" not in err
+    assert kv == {} and os.listdir(tmp_path) == [name] and (tmp_path / name).read_text() == "old\n"
+
+
+def test_interrupt_exits_130_without_a_traceback(pipeline, tmp_path):
+    # Ctrl-C reaches every process of the terminal's process group: here a
+    # two-process train in a session of its own. It exits 130 with one
+    # stderr line, its helper process reaped and no file written
+    import signal
+    import time
+
+    env = dict(SRC_ENV, MTA_THREADS="2", OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "deepmta", "train", "--data", str(pipeline["data"]), "--vocab", str(pipeline["vocab"]),
+         "--out", str(tmp_path / "model.json"), "--epochs", "1000", "--hidden-size", "4"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env, start_new_session=True,
+    )
+    try:
+        first = proc.stderr.readline()
+        assert first.startswith("training on") and "2 processes" in first
+        os.killpg(proc.pid, signal.SIGINT)
+        stdout, rest = proc.communicate(timeout=60)
+    finally:
+        if proc.poll() is None:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
+    assert proc.returncode == cli.INTERRUPTED_EXIT == 130
+    assert stdout == "" and "Traceback" not in rest and rest.strip() == "interrupted"
+    # no process of the group is left: the helper, once reaped, is gone
+    deadline = time.monotonic() + 10
+    while True:
+        try:
+            os.killpg(proc.pid, 0)
+        except ProcessLookupError:
+            break
+        assert time.monotonic() < deadline, "a process of the interrupted train is left"
+        time.sleep(0.05)
+    assert os.listdir(tmp_path) == []
 
 
 @pytest.mark.parametrize(
