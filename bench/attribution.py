@@ -29,20 +29,22 @@ is that of loading the model and inputs and attributing them, not of the
 set-up or of another configuration. Per configuration it reports the
 median and quartiles of ms per call (after warm-up calls), the windows,
 blocks and node-steps of one call (GameStats; `windows` is null where the
-package does not count it), the calling process's peak RSS, and the peak
-RSS of its forked workers (null at one worker). Writes
-BENCH_attribute.json with the environment.
+package does not count it), the node-steps per second of the median call
+(its node-steps over its whole time: reading, planning and solving are in
+it too, and at two workers the scans of both processes), the calling
+process's peak RSS, and the peak RSS of its forked workers (null at one
+worker). Writes BENCH_attribute.json with the environment.
 
     python bench/attribution.py
     python bench/attribution.py --inputs exact holdout --repeats 5 --out /tmp/a.json
 
-BENCH_attribute_parent.json holds the numbers of the code before ols and
-kernel_ols took their powerset games' closed forms from the exact solver
-(commit ce9faed), on the same host. The script uses only
+BENCH_attribute_parent.json holds the numbers of the code before the trie
+scan had a cell step of its own, when it stepped its nodes with training's
+`cell_step` (commit 07dea24), on the same host. The script uses only
 `attribute_journeys`, `GameStats`, `cli.main` and the package's data and
 model functions, so it runs unchanged on that code:
 
-    git archive ce9faed | tar -x -C <dir>
+    git archive 07dea24 | tar -x -C <dir>
     cp bench/attribution.py <dir>/bench/
     cd <dir> && python bench/attribution.py --out BENCH_attribute_parent.json
 """
@@ -178,10 +180,11 @@ def run_config(work: Path, name: str, workers: int, repeats: int, warmup: int, p
 def row(name: str, workers: int, journeys: int, hidden: int, ms: list[float], stats, rss_before: float) -> dict:
     """A configuration's report, with this process's and its children's peak RSS."""
     child_peak = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024
+    ms_per_call = quartiles(ms)
     return {
         "input": name, "workers": workers, "journeys": journeys, "H": hidden, "calls": len(ms),
-        "ms_per_call": quartiles(ms), "windows": getattr(stats, "windows", None), "blocks": stats.blocks,
-        "node_steps": stats.node_steps,
+        "ms_per_call": ms_per_call, "windows": getattr(stats, "windows", None), "blocks": stats.blocks,
+        "node_steps": stats.node_steps, "node_steps_per_s": round(1e3 * stats.node_steps / ms_per_call["median"]),
         "rss_before_mb": round(rss_before, 1),
         "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
         "child_peak_rss_mb": round(child_peak, 1) if workers > 1 else None,
@@ -237,6 +240,7 @@ def main(argv=None) -> dict:
         ms = row["ms_per_call"]
         print(f"input={row['input']} workers={row['workers']} ms={ms['median']} [{ms['q1']}-{ms['q3']}] "
               f"windows={row['windows']} blocks={row['blocks']} node_steps={row['node_steps']} "
+              f"node_steps_per_s={row['node_steps_per_s']} "
               f"peak_rss_mb={row['peak_rss_mb']} child_peak_rss_mb={row['child_peak_rss_mb']}")
     return report
 

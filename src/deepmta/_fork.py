@@ -143,11 +143,17 @@ class Worker:
         closed its own end first is a WorkerError."""
         fd, self.send_fd = self.send_fd, None
         _OPEN_ENDS.discard(fd)
+        pipe = open(fd, "wb")
         try:
-            with open(fd, "wb") as pipe:
-                yield pipe
+            yield pipe
+            pipe.close()
         except BrokenPipeError:
             raise self._ended(self._reap()) from None
+        finally:
+            # on the way out of an interrupt the child may be gone already:
+            # what is still buffered is dropped, and the interrupt goes on
+            with contextlib.suppress(OSError):
+                pipe.close()
 
     def read_to_end(self) -> bytes:
         """All the child wrote, once it has ended with status 0."""

@@ -36,7 +36,7 @@ from .journey import (
     record_journey,
 )
 from .journey import encode_journey  # noqa: F401
-from .model import ModelParams, _bare_layer, _gate_forward, _stacked_weights, cell_step, forward_batch  # noqa: F401
+from .model import ModelParams, _gate_forward, forward_batch, gate_major_cell, gate_major_step, gate_stack  # noqa: F401
 from .trainer import softmax
 
 EXACT_LIMIT = 12
@@ -347,18 +347,28 @@ def _scan_inputs(params: ModelParams, table: JourneyTable) -> dict:
     """The operands that a trie scan gathers by event row, computed once in
     float64 for all the blocks scanned over `table` and cast once to
     float32, as dtype -> (x0, gates): layer 0's input projection of every
-    event, with a last row of zeros that nodes masking their event gather
-    instead, and each layer's time-gate openness at every event."""
-    Wx0 = _stacked_weights(params.layers[0])[0]
-    x0 = np.zeros((len(table.times) + 1, Wx0.shape[1]))
-    np.matmul(table.features, Wx0, out=x0[:-1])
+    event, gate-major (4, events + 1, H) in `GATES` order, with a last
+    row of zeros that nodes masking their event gather instead, and each
+    layer's time-gate openness at every event."""
+    Wx0 = gate_stack(params, 0, "W_x")
+    x0 = np.zeros((len(Wx0), len(table.times) + 1, Wx0.shape[2]))
+    np.matmul(table.features, Wx0, out=x0[:, :-1])
     gates = [_gate_forward(table.times[:, None], lp.tau, lp.s, lp.r_on, 0.0)[0] for lp in params.layers]
     return {dtype: (x0.astype(dtype, copy=False), [gate.astype(dtype, copy=False) for gate in gates])
             for dtype in (np.float64, np.float32)}
 
 
-# the layer vectors that cell_step reads
-_CELL_VECTORS = ("w_ci", "w_cf", "w_co", "b_i", "b_f", "b_c", "b_o")
+def _pre_activations(cell, h: np.ndarray, x: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
+    """The gate-major pre-activations (4, N, H) of N trie nodes whose
+    previous hidden states are h: one batched product h @ Wh written into
+    the buffer, plus each gate's input projection, made in one (N, H)
+    scratch array: x @ Wx of the nodes' inputs x, or, given `rows`, those
+    rows of x, a gate-major table of projections."""
+    a = np.matmul(h, cell.Wh, out=np.empty((len(cell.Wh), *h.shape), dtype=h.dtype))
+    part = np.empty_like(h)
+    for j, a_j in enumerate(a):
+        a_j += np.matmul(x, cell.Wx[j], out=part) if rows is None else np.take(x[j], rows, axis=0, out=part)
+    return a
 
 
 def _trie_steps(params: ModelParams, inputs: dict, starts: np.ndarray, bits: np.ndarray, row_piece: np.ndarray, dtype):
@@ -372,21 +382,20 @@ def _trie_steps(params: ModelParams, inputs: dict, starts: np.ndarray, bits: np.
     trie node. A row's value counts only its kept steps, so a row is
     stepped up to its last kept event and no further (the all-zero row not
     at all). At step t each node of the rows still live is stepped once by
-    `cell_step`, with no cache; a full powerset of n events costs
-    3 * 2^(n-1) - 2 node-steps instead of n * 2^n row-steps. Live rows keep
-    their block order, so the live rows of one node stay adjacent: a row
-    starts a new node where its bit or its previous node differs from the
-    live row before it. Each piece starts from a root node of its own, so
-    no node spans two pieces even where a piece's first rows have already
-    left. The time gate and layer 0's input projection, `inputs[dtype]`,
-    are gathered per node by event row. Every other operand is cast to
-    `dtype` once, before the first step.
+    `gate_major_step`; a full powerset of n events costs 3 * 2^(n-1) - 2
+    node-steps instead of n * 2^n row-steps. Live rows keep their block
+    order, so the live rows of one node stay adjacent: a row starts a new
+    node where its bit or its previous node differs from the live row
+    before it. Each piece starts from a root node of its own, so no node
+    spans two pieces even where a piece's first rows have already left. A
+    step's pre-activations are one batched product h @ Wh into a gate-major
+    buffer, plus layer 0's projection, `inputs[dtype]`, gathered per gate
+    by event row, or a higher layer's x @ Wx per gate; the time gates are
+    gathered by event row too. Every other operand is cast to `dtype` once,
+    before the first step (`gate_major_cell`).
     """
-    weights = [tuple(w.astype(dtype, copy=False) for w in _stacked_weights(lp)) for lp in params.layers]
+    cells = [gate_major_cell(params, idx, dtype) for idx in range(params.n_layers)]
     x0, gates = inputs[dtype]
-    norms = [(g.astype(dtype, copy=False), b.astype(dtype, copy=False)) for g, b in zip(params.ln_gain, params.ln_bias)]
-    cells = [_bare_layer({name: getattr(lp, name).astype(dtype, copy=False) for name in _CELL_VECTORS})
-             for lp in params.layers]
 
     # the live rows and each one's node at the previous step (its piece's
     # root before step 0)
@@ -407,17 +416,14 @@ def _trie_steps(params: ModelParams, inputs: dict, starts: np.ndarray, bits: np.
         node = np.cumsum(fresh) - 1
         head = live[first]
         index = starts[row_piece[head]] + t
-        x0_index = np.where(kept, index, len(x0) - 1)
+        x0_index = np.where(kept, index, x0.shape[1] - 1)
         x = None
-        for idx, (cell, (Wx, Wh), (ln_g, ln_b)) in enumerate(zip(cells, weights, norms)):
+        for idx, cell in enumerate(cells):
             h, c = (state[parent] for state in states[idx])
             states[idx] = None  # free the previous step's states before this step's temporaries
-            a = h @ Wh
-            if idx == 0:
-                a += x0[x0_index]
-            else:
-                a += x @ Wx
-            x, c = cell_step(a, h, c, gates[idx][index], cell, ln_g, ln_b)
+            a = _pre_activations(cell, h, x0, x0_index) if idx == 0 else _pre_activations(cell, h, x)
+            x, c = gate_major_step(a, h, c, gates[idx][index], cell)
+            del a  # spent: freed before the next layer makes its own
             states[idx] = (x, c)
         done = live_last == t
         yield _TrieStep(live, node, done, head, parent, kept, index, x)

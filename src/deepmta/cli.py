@@ -4,10 +4,11 @@ stdout carries machine-parseable key=value lines, ending with the
 subcommand's `seconds=`; progress and prose go to stderr. Exit codes: 0 ok,
 else the `exit_code` of the package error that ended the run (2
 usage/config/data/shape, 3 numeric failure or trace mismatch, 4 evaluation
-impossible), 2 for an unusable path, 130 when interrupted (Ctrl-C), and
-141 when the reader of stdout closed it before every key was written. A
-failed or interrupted command leaves no partial output: each is written to
-a temporary file and renamed once all of the command's outputs are written.
+impossible), 2 for an unusable path, 130 when interrupted (Ctrl-C), 143
+when terminated (SIGTERM), and 141 when the reader of stdout closed it
+before every key was written. A failed, interrupted or terminated command
+leaves no partial output: each is written to a temporary file and renamed
+once all of the command's outputs are written.
 """
 
 from __future__ import annotations
@@ -19,7 +20,9 @@ import itertools
 import math
 import os
 import pickle
+import signal
 import sys
+import threading
 import time
 from dataclasses import fields
 from pathlib import Path
@@ -74,6 +77,8 @@ _METHOD_FLAGS = {
 CLOSED_STDOUT_EXIT = 141
 # 128 + SIGINT: the status a shell reports for a command that Ctrl-C stopped
 INTERRUPTED_EXIT = 130
+# 128 + SIGTERM: the status a shell reports for a command that `kill` stopped
+TERMINATED_EXIT = 143
 # how far from 1 an attributed record's weights may sum (by math.fsum)
 WEIGHT_SUM_TOL = 1e-9
 # the variables that pin a BLAS's thread count, read as numpy loads
@@ -409,13 +414,43 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+class _Terminated(BaseException):
+    """A SIGTERM, raised in the main thread so that it unwinds as Ctrl-C
+    does: through every `_replacing` and every `_fork.Worker` on the way
+    out. Forked children inherit the handler and, as for Ctrl-C, leave
+    silently."""
+
+
+def _terminate(signum, frame):
+    raise _Terminated
+
+
+@contextlib.contextmanager
+def _sigterm_unwinds():
+    """SIGTERM raises _Terminated inside the block; the previous handler
+    is restored after it, for callers that run `main` in their own process.
+    Nothing changes where SIGTERM is ignored (as Python leaves an ignored
+    SIGINT ignored), outside the main thread, where no handler can be set,
+    or where the handler was not set from Python, so could not be restored."""
+    previous = signal.getsignal(signal.SIGTERM)
+    if previous in (None, signal.SIG_IGN) or threading.current_thread() is not threading.main_thread():
+        yield
+        return
+    signal.signal(signal.SIGTERM, _terminate)
+    try:
+        yield
+    finally:
+        signal.signal(signal.SIGTERM, previous)
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     start = time.perf_counter()
     try:
-        args.func(args)
-        _emit("seconds", f"{time.perf_counter() - start:.3f}")
-        sys.stdout.flush()
+        with _sigterm_unwinds():
+            args.func(args)
+            _emit("seconds", f"{time.perf_counter() - start:.3f}")
+            sys.stdout.flush()
     except BrokenPipeError:
         # the reader closed stdout; what is still buffered goes to devnull,
         # so that the interpreter's flush at exit cannot raise again
@@ -431,6 +466,9 @@ def main(argv: list[str] | None = None) -> int:
         # on the way out
         _info("interrupted")
         return INTERRUPTED_EXIT
+    except _Terminated:
+        _info("terminated")
+        return TERMINATED_EXIT
     return 0
 
 

@@ -4,14 +4,14 @@ A stack of recurrent cells with peephole connections whose cell and hidden
 states are written through a periodic, piecewise-linear time gate, plus layer
 normalization on gate pre-activations and inverted dropout between layers.
 Gradients are hand-derived reverse-mode for this one architecture.
-`cell_step` is the one batched step kernel behind training, eval and
-attribution. It runs in two modes: with cache slots (a training scan writes
-each step's gates and layer norm statistics into the arrays
-`_layer_backward` reads) and without (eval and the attribution trie keep no
-backward cache). Its dtype follows its
-input: the attribution trie runs it in float32, everything else in
-float64. Tests cover the kernel against a readable single-step reference
-(tests/reference.py) and its two modes against each other. The layer scan
+`cell_step` is the batched step kernel of training and eval. It runs in
+two modes: with cache slots (a training scan writes each step's gates and
+layer norm statistics into the arrays `_layer_backward` reads) and without
+(eval keeps no backward cache). Tests cover the kernel against a readable
+single-step reference (tests/reference.py) and its two modes against each
+other. The attribution trie steps its nodes with a kernel of its own,
+`gate_major_step`, laid out for blocks of many rows and run in float32 (and
+float64 for its rechecks); `cell_step` is its oracle. The layer scan
 (`_layer_scan`) and the backward's reverse scan (`_layer_backward`) are
 generators that take each step's input and hand on each step's output, so
 the trainer can run two layers one time step apart. One product order
@@ -49,6 +49,7 @@ import math
 from collections.abc import Iterable
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -435,8 +436,8 @@ _FACTORS = ("keep", "not_o", "not_f", "not_i", "d_tanh_ct", "d_tanh_u", "dh_dk",
 
 
 def cell_step(a, h, c, k, lp, ln_g, ln_b, slots=None):
-    """One batched recurrence step for N states: the kernel of training,
-    eval and the attribution trie.
+    """One batched recurrence step for N states: the kernel of training and
+    eval, and the oracle of the attribution trie's `gate_major_step`.
 
     a: (N, 4H) gate pre-activations x @ Wx + h @ Wh, overwritten in place;
     h, c: (N, H) previous states; k: the time gate's openness, (H,) when all
@@ -496,6 +497,104 @@ def cell_step(a, h, c, k, lp, ln_g, ln_b, slots=None):
     kh = np.multiply(h_tilde, k, out=g)
     h_new = np.multiply(keep, h, out=keep)
     h_new += kh
+    return h_new, c_new
+
+
+# the gate order of `gate_major_step`'s operands, the order of each layer's
+# four gate tensors in `ModelParams.flat`, so that a float64 stack of them is
+# a view; the rows of the sigmoid gates among them
+GATES = ("i", "f", "c", "o")
+_SIGMOID_ROWS = (0, 1, 3)
+
+
+class GateMajorCell(NamedTuple):
+    """A layer's operands for `gate_major_step`, all in one dtype: the input
+    and recurrent weights as gate-major stacks, (4, d, H) and (4, H, H); the
+    layer norm's gain and, folded together, the layer norm's bias plus each
+    gate's bias, (4, 1, H); and the peepholes of i, f and o, (3, 1, H).
+    Gates run in GATES order, and the rows of the sigmoid gates i, f and o
+    in gain, bias and peepholes are halved, so each sigmoid(z) is
+    tanh(z') / 2 + 1 / 2 of the folded pre-activation z' = z / 2."""
+
+    Wx: np.ndarray
+    Wh: np.ndarray
+    gain: np.ndarray
+    bias: np.ndarray
+    peep: np.ndarray
+
+
+def gate_stack(params: ModelParams, idx: int, prefix: str, gates=GATES) -> np.ndarray:
+    """Layer idx's tensors named prefix + gate, one per gate of `gates`, as
+    one float64 view (len(gates), ...) of `params.flat`, where they lie next
+    to each other in that order."""
+    (start, shape), (stop, _) = (params.layout[f"layers.{idx}.{prefix}{gate}"] for gate in (gates[0], gates[-1]))
+    return params.flat[start.start:stop.stop].reshape(len(gates), *shape)
+
+
+def gate_major_cell(params: ModelParams, idx: int, dtype) -> GateMajorCell:
+    """The `GateMajorCell` of layer idx and its layer norm in `dtype`; in
+    float64 its weights are views of `params.flat`, else cast copies."""
+    half = np.array([0.5 if row in _SIGMOID_ROWS else 1.0 for row in range(len(GATES))])[:, None, None]
+    return GateMajorCell(
+        Wx=gate_stack(params, idx, "W_x").astype(dtype, copy=False),
+        Wh=gate_stack(params, idx, "W_h").astype(dtype, copy=False),
+        gain=(half * params.ln_gain[idx]).astype(dtype),
+        bias=(half * (params.ln_bias[idx] + gate_stack(params, idx, "b_")[:, None])).astype(dtype),
+        peep=(0.5 * gate_stack(params, idx, "w_c", [GATES[row] for row in _SIGMOID_ROWS])[:, None]).astype(dtype),
+    )
+
+
+def gate_major_step(a, h, c, k, cell: GateMajorCell):
+    """One batched recurrence step for N states, gate-major: the kernel of
+    the attribution trie, whose blocks step hundreds to thousands of rows
+    per call, so that its cost is per element, not per call.
+
+    a: (4, N, H) gate pre-activations x @ Wx + h @ Wh in GATES order,
+    overwritten in place; h, c: (N, H) previous states; k: the time gate's
+    openness, (N, H) or (H,); cell: the layer's `GateMajorCell` in the dtype
+    of `a`, which every operand shares. Returns (h_new, c_new).
+
+    It computes `cell_step`'s values, not its bits: the layer norm's means
+    and variances are products with a 1/H vector, the biases and sigmoid's
+    halving are folded into `cell`, so one tanh covers all four gates, and
+    the blends are c + k * (c~ - c) and h + k * (h~ - h). Every elementwise
+    operation runs over a contiguous array of one gate or more. Besides `a`,
+    it holds no state-sized temporary but the two new states, which serve
+    as scratch first.
+    """
+    G, N, H = a.shape
+    h_new, c_new = np.empty((N, H), dtype=a.dtype), np.empty((N, H), dtype=a.dtype)
+    mean = np.full(H, 1.0 / H, dtype=a.dtype)
+    rows = a.reshape(G * N, H)
+    rows -= (rows @ mean)[:, None]
+    # each gate's squares in turn take h_new
+    inv_std = np.empty((G, N, 1), dtype=a.dtype)
+    for j in range(G):
+        np.matmul(np.square(a[j], out=h_new), mean, out=inv_std[j, :, 0])
+    inv_std += LN_EPS
+    np.divide(1.0, np.sqrt(inv_std, out=inv_std), out=inv_std)
+    a *= inv_std
+    a *= cell.gain
+    a += cell.bias
+    for j, peep in zip(_SIGMOID_ROWS, cell.peep):
+        a[j] += np.multiply(c, peep, out=h_new)
+    np.tanh(a, out=a)
+    i, f, u, o = a
+    for sigmoids in (a[:2], o):
+        sigmoids *= 0.5
+        sigmoids += 0.5
+    # c~ = f * c + i * u, written over f
+    i *= u
+    f *= c
+    f += i
+    np.subtract(f, c, out=c_new)
+    c_new *= k
+    c_new += c
+    # h~ = o * tanh(c~), written over o
+    o *= np.tanh(f, out=f)
+    np.subtract(o, h, out=h_new)
+    h_new *= k
+    h_new += h
     return h_new, c_new
 
 

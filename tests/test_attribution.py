@@ -664,6 +664,29 @@ def scan_block(params, table, pieces, dtype=np.float32):
     return _scan_block(params, table, _scan_inputs(params, table), pieces, dtype=dtype)
 
 
+@pytest.mark.parametrize("H", (64, 256))
+def test_block_scan_peak_is_at_most_nine_states_per_row(H):
+    # a trie block's memory: one 2048-row block, the full powerset of 11
+    # events on a two-layer model, peaks at no more than nine state-sized
+    # float32 arrays (H values) per row
+    import tracemalloc
+
+    rng = np.random.default_rng(95)
+    params = init_params(VOCAB.encoding_dim, H, 2, rng=5, r_on_init=0.5)
+    _, table = encoded_table([random_journey(rng, 11)])
+    inputs = _scan_inputs(params, table)
+    pieces = [(0, mask_powerset(11) != 0)]
+    _scan_block(params, table, inputs, pieces)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        _scan_block(params, table, inputs, pieces)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= 9 * 2048 * H * np.dtype(np.float32).itemsize, peak / (2048 * H * 4)
+
+
 def mixed_journeys(rng, lengths):
     """Journeys of the given lengths, every third one not converted."""
     journeys = []
@@ -1296,10 +1319,32 @@ class TestFloat32Scan:
 
     @pytest.mark.parametrize("H", (64, 256))
     def test_margin_error_far_inside_the_band(self, H):
-        # the band is safe only while float32 errs by far less than it
+        # the band is safe only while float32 errs by far less than it: on
+        # a sampled 20-event game's rows and on a full 12-event powerset
         rng = np.random.default_rng(80 + H)
         params = random_model(rng, VOCAB.encoding_dim, H, 2)
-        enc = encode_journey(random_journey(rng, 20), VOCAB)
-        rows = _distinct(_permutation_prefixes(20, 8, 3)[1])[0]
-        error = np.abs(trie_margins(params, enc, rows, np.float32) - trie_margins(params, enc, rows, np.float64))
-        assert error.max() < RECHECK_MARGIN / 10
+        games = [(encode_journey(random_journey(rng, 20), VOCAB), _distinct(_permutation_prefixes(20, 8, 3)[1])[0]),
+                 (encode_journey(random_journey(rng, EXACT_LIMIT), VOCAB), mask_powerset(EXACT_LIMIT) != 0)]
+        for enc, rows in games:
+            error = np.abs(trie_margins(params, enc, rows, np.float32) - trie_margins(params, enc, rows, np.float64))
+            assert error.max() < RECHECK_MARGIN / 10
+
+    @pytest.mark.parametrize("n_layers", (1, 2))
+    def test_rechecking_every_node_changes_nothing(self, n_layers, monkeypatch):
+        # outside the band the float32 labels are the float64 ones: with
+        # every scored node rechecked in float64, no result moves a bit
+        import deepmta.attribution as attribution
+
+        rng = np.random.default_rng(90 + n_layers)
+        params = random_model(rng, VOCAB.encoding_dim, 8, n_layers)
+        journeys = mixed_journeys(rng, rng.permutation(np.arange(1, 21)))
+        stats, every = GameStats(), GameStats()
+        banded = list(attribute_journeys(params, journeys, VOCAB, n_samples=16, stats=stats))
+        monkeypatch.setattr(attribution, "RECHECK_MARGIN", np.inf)
+        rechecked = list(attribute_journeys(params, journeys, VOCAB, n_samples=16, stats=every))
+        assert every.node_steps == stats.node_steps
+        assert every.rechecked > stats.rechecked
+        for a, b in zip(banded, rechecked, strict=True):
+            np.testing.assert_array_equal(a.raw_weights, b.raw_weights)
+            np.testing.assert_array_equal(a.weights, b.weights)
+            assert (a.intercept, a.method, a.unattributed) == (b.intercept, b.method, b.unattributed)

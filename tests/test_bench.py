@@ -82,10 +82,11 @@ def test_attribution_bench_reports_every_configuration(tmp_path, monkeypatch):
     for row in report["results"]:
         assert set(row) == {
             "input", "workers", "journeys", "H", "calls", "ms_per_call", "windows", "blocks", "node_steps",
-            "rss_before_mb", "peak_rss_mb", "child_peak_rss_mb",
+            "node_steps_per_s", "rss_before_mb", "peak_rss_mb", "child_peak_rss_mb",
         }
         assert set(row["ms_per_call"]) == {"median", "q1", "q3"}
         assert row["ms_per_call"]["q1"] <= row["ms_per_call"]["median"] <= row["ms_per_call"]["q3"]
+        assert row["node_steps_per_s"] == round(1e3 * row["node_steps"] / row["ms_per_call"]["median"]) > 0
         assert row["calls"] == (1 if row["input"] == "paper" else 2)
         assert row["windows"] == 1 and row["blocks"] >= row["workers"]
         assert row["peak_rss_mb"] >= row["rss_before_mb"] > 0
@@ -121,6 +122,7 @@ def test_attribution_bench_times_the_attribute_command(tmp_path, monkeypatch):
     ]
     for row in rows:
         assert row["calls"] == 1 and row["journeys"] == 1000 and row["windows"] == 1
+        assert row["node_steps_per_s"] > 0
         assert (row["child_peak_rss_mb"] is None) == (row["workers"] == 1)
     assert len({(row["node_steps"], row["H"]) for row in rows}) == 1
     assert rows[2]["blocks"] == rows[0]["blocks"] and rows[3]["blocks"] == rows[1]["blocks"]

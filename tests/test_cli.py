@@ -1408,6 +1408,68 @@ def test_interrupt_exits_130_without_a_traceback(pipeline, tmp_path):
     assert os.listdir(tmp_path) == []
 
 
+@pytest.mark.parametrize("target", ("process", "group"))
+def test_sigterm_exits_143_and_leaves_no_temporary_file(tmp_path, target):
+    # `kill PID` reaches the command alone, a service manager's stop every
+    # process of its group: here a two-process gen in a session of its own,
+    # stopped once its writer has begun the temporary file. Either way it
+    # exits 143 with one stderr line, its writer reaped, the temporary file
+    # removed and the old output's bytes kept
+    import signal
+    import time
+
+    out = tmp_path / "journeys.jsonl"
+    out.write_text("old\n")
+    env = dict(SRC_ENV, MTA_THREADS="2", OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "deepmta", "gen", "--out", str(out), "--journeys", "300000", "--seed", "3"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env, start_new_session=True,
+    )
+    tmp = tmp_path / f".{out.name}.{proc.pid}.tmp"
+    try:
+        deadline = time.monotonic() + 60
+        while not tmp.exists():
+            assert proc.poll() is None, proc.communicate()
+            assert time.monotonic() < deadline, "gen wrote no temporary file"
+            time.sleep(0.01)
+        if target == "group":
+            os.killpg(proc.pid, signal.SIGTERM)
+        else:
+            os.kill(proc.pid, signal.SIGTERM)
+        stdout, stderr = proc.communicate(timeout=60)
+    finally:
+        if proc.poll() is None:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
+    assert proc.returncode == cli.TERMINATED_EXIT == 143
+    assert stdout == "" and "Traceback" not in stderr and stderr.strip() == "terminated"
+    deadline = time.monotonic() + 10
+    while True:
+        try:
+            os.killpg(proc.pid, 0)
+        except ProcessLookupError:
+            break
+        assert time.monotonic() < deadline, "a process of the terminated gen is left"
+        time.sleep(0.05)
+    assert sorted(os.listdir(tmp_path)) == [out.name]
+    assert out.read_text() == "old\n"
+
+
+def test_main_restores_the_sigterm_handler(tmp_path, capsys):
+    # perfbench and library callers run main in their own process
+    import signal
+
+    def handler(signum, frame):
+        pass
+
+    previous = signal.signal(signal.SIGTERM, handler)
+    try:
+        assert main(["gen", "--out", str(tmp_path / "j.jsonl"), "--journeys", "20"]) == 0
+        assert signal.getsignal(signal.SIGTERM) is handler
+    finally:
+        signal.signal(signal.SIGTERM, previous)
+
+
 @pytest.mark.parametrize(
     "command, flag, value",
     (
@@ -1663,3 +1725,40 @@ def test_train_peak_memory_grows_less_than_1kb_per_journey(tmp_path):
         assert proc.returncode == 0, proc.stderr[-500:]
         peaks[n] = int(parse_kv(proc.stdout)["peak_kb"])
     assert peaks[20000] - peaks[2000] < 18000, peaks
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KB on Linux only")
+def test_attribute_peak_memory_grows_less_than_100_bytes_per_journey(tmp_path):
+    # attribute holds one window's records, results and lines, never the
+    # file's: with every window full, its peak and its workers' do not grow
+    # with the number of windows. About 9 bytes per journey on a 2-vCPU x86
+    # host at 10k -> 30k journeys
+    data = tmp_path / "journeys.jsonl"
+    assert main(["gen", "--out", str(data), "--journeys", "30000", "--max-len", "4", "--include-nonconverted",
+                 "--seed", "9"]) == 0
+    small = tmp_path / "small.jsonl"
+    small.write_text("".join(data.read_text().splitlines(keepends=True)[:10000]))
+    model = tmp_path / "model.json"
+    assert main(["train", "--data", str(small), "--vocab", str(data.with_suffix(".vocab.json")), "--out", str(model),
+                 "--preset", "desk", "--hidden-size", "8", "--epochs", "1"]) == 0
+    child = (
+        "import resource, sys\n"
+        "from deepmta.cli import main\n"
+        "code = main(sys.argv[1:])\n"
+        "peak = max(resource.getrusage(who).ru_maxrss for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN))\n"
+        "print(f'peak_kb={peak}')\n"
+        "sys.exit(code)\n"
+    )
+    env = dict(SRC_ENV, MTA_THREADS="2", OPENBLAS_NUM_THREADS="1")
+    peaks = {}
+    for n, path in ((10000, small), (30000, data)):
+        proc = subprocess.run(
+            [sys.executable, "-c", child, "attribute", "--model", str(model), "--data", str(path),
+             "--out", str(tmp_path / f"attr-{n}.jsonl"), "--seed", "1"],
+            capture_output=True, text=True, timeout=300, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr[-500:]
+        kv = parse_kv(proc.stdout)
+        assert int(kv["journeys"]) == n and int(kv["windows"]) >= 3
+        peaks[n] = int(kv["peak_kb"])
+    assert (peaks[30000] - peaks[10000]) * 1024 < 100 * 20000, peaks

@@ -27,6 +27,8 @@ from deepmta.model import (
     backward_batch,
     cell_step,
     forward_batch,
+    gate_major_cell,
+    gate_major_step,
     init_params,
     load_checkpoint,
     param_shapes,
@@ -426,6 +428,77 @@ class TestForwardSequence:
         times = np.cumsum(rng.uniform(0, 5, (10, 1000)), axis=1)
         logits, _ = forward_batch(feats, times, params)
         assert np.all(np.isfinite(logits))
+
+
+class TestGateMajorStep:
+    """The attribution trie's kernel against `cell_step`, its oracle: the
+    same values in another arrangement, not the same bits."""
+
+    @staticmethod
+    def run_stack(params, x, states, k, dtype):
+        """Each layer's (h, c) after one step of both kernels from the same
+        inputs; a layer's input is the new h of the layer below, each
+        kernel's own. cell_step runs in float64 and the gate-major kernel in
+        `dtype`."""
+        ref_x, new_x = x, x.astype(dtype)
+        pairs = []
+        for idx, lp in enumerate(params.layers):
+            ln_g, ln_b = params.ln_gain[idx], params.ln_bias[idx]
+            h, c = states[idx]
+            Wx = np.concatenate([lp.W_xi, lp.W_xf, lp.W_xc, lp.W_xo], axis=1)
+            Wh = np.concatenate([lp.W_hi, lp.W_hf, lp.W_hc, lp.W_ho], axis=1)
+            ref = cell_step(ref_x @ Wx + h @ Wh, h, c, k[idx], lp, ln_g, ln_b)
+            cell = gate_major_cell(params, idx, dtype)
+            h32, c32, k32 = (v.astype(dtype) for v in (h, c, k[idx]))
+            new = gate_major_step(np.matmul(h32, cell.Wh) + np.matmul(new_x, cell.Wx), h32, c32, k32, cell)
+            pairs.append((ref, new))
+            ref_x, new_x = ref[0], new[0]
+        return pairs
+
+    @pytest.mark.parametrize("n_layers", (1, 2))
+    @pytest.mark.parametrize("N", (1, 5, 513))
+    @pytest.mark.parametrize("H", (7, 8, 64))
+    def test_matches_cell_step(self, H, N, n_layers):
+        rng = np.random.default_rng(40 + H + N + n_layers)
+        params = random_model(rng, 5, H, n_layers)
+        x = rng.normal(0, 1, (N, 5))
+        states = [rng.normal(0, 0.5, (2, N, H)) for _ in range(n_layers)]
+        k = [rng.uniform(0, 1, (N, H)) for _ in range(n_layers)]
+        for gate in k:  # a closed row and an open one, where there are rows enough
+            gate[N // 2] = 0.0
+            gate[-1] = 1.0
+        # the blends round relative to the larger of the old and new states,
+        # so an entry near 0 may differ by an ulp of its old state
+        for (ref_h, ref_c), (h, c) in self.run_stack(params, x, states, k, np.float64):
+            assert h.dtype == c.dtype == np.float64
+            np.testing.assert_allclose(h, ref_h, rtol=1e-12, atol=1e-15)
+            np.testing.assert_allclose(c, ref_c, rtol=1e-12, atol=1e-15)
+        for (ref_h, ref_c), (h, c) in self.run_stack(params, x, states, k, np.float32):
+            assert h.dtype == c.dtype == np.float32
+            np.testing.assert_allclose(h, ref_h, rtol=0, atol=1e-5)
+            np.testing.assert_allclose(c, ref_c, rtol=0, atol=1e-5)
+
+    def test_float64_weights_are_views_of_the_parameters(self):
+        # the float64 recheck scan copies no weight: each gate-major stack is
+        # the layer's four gate tensors where they lie in ModelParams.flat
+        params = random_model(np.random.default_rng(42), 5, 8, 2)
+        for idx, lp in enumerate(params.layers):
+            cell64, cell32 = gate_major_cell(params, idx, np.float64), gate_major_cell(params, idx, np.float32)
+            for prefix, stack in (("W_x", cell64.Wx), ("W_h", cell64.Wh)):
+                assert np.shares_memory(stack, params.flat)
+                np.testing.assert_array_equal(stack, np.stack([getattr(lp, prefix + gate) for gate in "ifco"]))
+            assert cell32.Wh.dtype == np.float32 and not np.shares_memory(cell32.Wh, params.flat)
+
+    def test_a_closed_gate_keeps_the_states(self):
+        # k = 0 leaves a row's states as they were, bit for bit, as in cell_step
+        rng = np.random.default_rng(41)
+        params = random_model(rng, 5, 8, 1)
+        cell = gate_major_cell(params, 0, np.float32)
+        h, c = rng.normal(0, 0.5, (2, 4, 8)).astype(np.float32)
+        a = rng.normal(0, 1, (4, 4, 8)).astype(np.float32)
+        h_new, c_new = gate_major_step(a, h, c, np.zeros(8, dtype=np.float32), cell)
+        np.testing.assert_array_equal(h_new, h)
+        np.testing.assert_array_equal(c_new, c)
 
 
 def ce_loss_and_grad(logits, labels):
