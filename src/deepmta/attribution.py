@@ -608,65 +608,29 @@ def _build_plan(method: str, n: int, n_samples: int, seed: int) -> _Plan:
     return _Plan(resolved, *_distinct(masks != 0), solve)
 
 
-class _Source(NamedTuple):
-    """How the window path reads its input items. In the calling process,
-    `events` gives an item's event count, for its plan, and `check` raises
-    the first record fault among the items it is given. In each shard
-    process, `build` makes the items of its part journeys in place and
-    returns its first record fault, (index, error), or None; `end` maps the
-    part's journeys and their results to what the shard sends back."""
-
-    events: Callable[[object], int]
-    check: Callable[[Iterable], None]
-    build: Callable[[list], tuple[int, Exception] | None]
-    end: Callable[[list, list], list]
-
-
-def _build_records(part: list) -> tuple[int, Exception] | None:
-    """Each `JourneyRecords` record of `part` replaced by its journey, in
-    order, up to the first whose check fails: (its index, its LineError)."""
-    for idx, record in enumerate(part):
-        try:
-            part[idx] = record_journey(record)
-        except LineError as exc:
-            return idx, exc
-    return None
-
-
 def _check_records(records: Iterable) -> None:
+    """Raise the first record fault of `records`, an iterator's own LineError
+    or a record's (`record_journey`)."""
     for record in records:
         record_journey(record)
 
 
-def _attribution_lines(journeys: list, results: list) -> list[str]:
-    return [attribution_line(journey, result) for journey, result in zip(journeys, results)]
-
-
-# journeys are their own items: counted as they are, never faulty, and
-# each shard sends back its results
-_JOURNEYS = _Source(lambda journey: len(journey.events), lambda items: None, lambda part: None,
-                    lambda journeys, results: results)
-# the decoded records of a journey file: each shard process builds and checks
-# its own journeys and sends back their attribution lines
-_RECORDS = _Source(record_events, _check_records, _build_records, _attribution_lines)
-
-
-def _plan_windows(items, source: _Source, method: str, n_samples: int, seed: int, limit: int, count: int):
+def _plan_windows(items, method: str, n_samples: int, seed: int, limit: int, count: int):
     """Runs of at least `count` consecutive items whose games' distinct
     mask rows reach `limit`, and the rest; each with its items' event counts
-    (`source.events`) and its plans by length, built once per window when
+    (`record_events`) and its plans by length, built once per window when
     its first item of that length comes. An item whose count or plan fails
-    ends the windows. Its error is raised unless `source.check` finds a
+    ends the windows. Its error is raised unless `_check_records` finds a
     record fault first: in the window so far, in that item or in the rest
     of `items`, an iterator."""
     window, lengths, plans, total = [], [], {}, 0
     for item in items:
         try:
-            n = source.events(item)
+            n = record_events(item)
             if n not in plans:
                 plans[n] = _build_plan(method, n, n_samples, seed)
         except DeepMtaError:
-            source.check(itertools.chain(window, [item], items))
+            _check_records(itertools.chain(window, [item], items))
             raise
         window.append(item)
         lengths.append(n)
@@ -678,22 +642,30 @@ def _plan_windows(items, source: _Source, method: str, n_samples: int, seed: int
         yield window, lengths, plans
 
 
-def _attribute_shard(params, vocab, plans, journeys) -> tuple[list[AttributionResult] | None, GameStats, tuple | None]:
-    """One process's scoring of a shard of journeys, in input order: they
-    are encoded into one JourneyTable, their games are scored together in
-    trie blocks, and the journeys of each length are finished by one solve
-    over their stacked values. Returns the results, the shard's counters and
-    None; or, where a journey cannot be encoded (an unknown token, too many
-    events), no results and (its index, that error) for the first such."""
+def _attribute_shard(params, vocab, plans, render: bool, items: list) -> tuple[list | None, GameStats, tuple | None]:
+    """One process's path over its shard of a window, in input order: each
+    item is replaced by its journey (`record_journey`), the journeys are
+    encoded into one JourneyTable, their games are scored together in trie
+    blocks, and the journeys of each length are finished by one solve over
+    their stacked values. Returns the results, or with `render` their
+    attribution lines (`attribution_line`), the shard's counters and None;
+    or nothing and the shard's first fault, (0, index, error) for a record
+    fault, else (1, index, error) for an encoding error (an unknown token,
+    too many events). A faulty shard is not scored."""
     stats = GameStats()
-    columns, failed = _journey_columns(journeys, vocab)
+    for idx, item in enumerate(items):
+        try:
+            items[idx] = record_journey(item)
+        except LineError as exc:
+            return None, stats, (0, idx, exc)
+    columns, failed = _journey_columns(items, vocab)
     if failed is not None:
         # the columns end with the journey before it: none after it is encoded
-        return None, stats, (len(columns[-1]), failed)
+        return None, stats, (1, len(columns[-1]), failed)
     table = _table_of(columns, vocab)
     lengths = table.lengths.tolist()
     values = _game_values(params, table, [(idx, plans[n].rows) for idx, n in enumerate(lengths)], stats)
-    results = [None] * len(journeys)
+    results = [None] * len(items)
     for n in dict.fromkeys(lengths):
         plan = plans[n]
         indices = np.flatnonzero(table.lengths == n)
@@ -704,23 +676,9 @@ def _attribute_shard(params, vocab, plans, journeys) -> tuple[list[AttributionRe
             for idx, result in zip(chunk, plan.finish(stacked)):
                 results[idx] = result
     stats.unattributed = sum(result.unattributed for result in results)
+    if render:
+        return [attribution_line(journey, result) for journey, result in zip(items, results)], stats, None
     return results, stats, None
-
-
-def _shard(source: _Source, attribute, part: list) -> tuple[list | None, GameStats, tuple | None]:
-    """One process's path over its part of a window: `source.build` makes
-    the part's journeys, `attribute` (`_attribute_shard`) scores them, and
-    `source.end` maps them to what is sent back. Returns that, the counters
-    and None; or nothing and the part's fault, (0, index, error) for its
-    first record fault, else (1, index, error) for its first encoding
-    error. A faulty part is not scored."""
-    fault = source.build(part)
-    if fault is not None:
-        return None, GameStats(), (0, *fault)
-    results, stats, fault = attribute(part)
-    if fault is not None:
-        return None, stats, (1, *fault)
-    return source.end(part, results), stats, None
 
 
 def attribute_journeys(
@@ -749,44 +707,48 @@ def attribute_journeys(
     process attributes the first shard, and a child forked for the window
     after its plans are built each other shard that is not empty
     (`_fork.sharded`); the windows and the shards' counters are summed into
-    `stats`. Each shard process builds its records' journeys, scores its
-    games together in trie blocks of at most `_block_rows` rows, finishes
-    the journeys of one length together, and for records renders their
-    lines. So memory is bounded by one window's plans, items and values and
-    one block scan. Every child is reaped before the window's output is
-    yielded, and on an error; a child that dies without replying is a
-    WorkerError. Where the platform cannot fork, N is 1 (`_fork.processes`).
-    Each journey's result equals `attribute_journey` on it alone, at any
-    worker count.
+    `stats`. Each shard process (`_attribute_shard`) builds its records'
+    journeys, scores its games together in trie blocks of at most
+    `_block_rows` rows, finishes the journeys of one length together, and
+    for records renders their lines. So memory is bounded by one window's
+    plans, items and values and one block scan. Every child is reaped before
+    the window's output is yielded, and on an error; a child that dies
+    without replying is a WorkerError. Where the platform cannot fork, N is
+    1 (`_fork.processes`). Each journey's result equals `attribute_journey`
+    on it alone, at any worker count.
 
-    A fault is raised as if every record were built first, then every
-    journey encoded: the first record fault of the input (as `record_journey`
-    names it) wins over any encoding error (an unknown token, too many
-    events) and any plan error, and of those the first met, in input order.
-    Shards send their faults back, and the window's first is raised once
-    the rest of the input has been checked for a record fault. The
-    arguments are checked at the call, before any journey is read.
+    A journey is its own record, so every input has one fault order, as if
+    every record were built first, then every journey encoded: the first
+    record fault anywhere in the input (as `record_journey` names it, or a
+    LineError raised by an iterator such as `iter_journeys`) wins over any
+    encoding error (an unknown token, too many events) and any plan error,
+    and of those the first met, in input order, is raised. Shards send
+    their faults back, and the window's first is raised once the rest of
+    the input has been checked for a record fault. The arguments, `method`
+    among them, are checked at the call, before any journey is read.
     """
     workers = processes(workers)
+    if method not in METHODS:
+        raise ConfigError(f"unknown attribution method {method!r}")
     if n_samples < 1:
         raise ConfigError(f"the number of sampled permutations must be >= 1, got {n_samples}")
     if seed < 0:
         raise ConfigError(f"seed must be >= 0, got {seed}")
     stats = GameStats() if stats is None else stats
-    source = _RECORDS if isinstance(journeys, JourneyRecords) else _JOURNEYS
-    return _attribute_windows(params, journeys, vocab, method, n_samples, seed, workers, stats, source)
+    render = isinstance(journeys, JourneyRecords)
+    return _attribute_windows(params, journeys, vocab, method, n_samples, seed, workers, stats, render)
 
 
-def _attribute_windows(params, items, vocab, method, n_samples, seed, workers, stats, source):
+def _attribute_windows(params, items, vocab, method, n_samples, seed, workers, stats, render):
     """The generator of `attribute_journeys`, on checked arguments."""
     items = iter(items)
     # a window gives each worker a journey, also where one journey alone
     # has more rows than the limit
-    for window, lengths, plans in _plan_windows(items, source, method, n_samples, seed, workers * _WINDOW_ROWS, workers):
+    for window, lengths, plans in _plan_windows(items, method, n_samples, seed, workers * _WINDOW_ROWS, workers):
         stats.windows += 1
         # the caller's first shard holds the largest journey
         shards = [shard for shard in shares([len(plans[n].rows) for n in lengths], workers) if shard]
-        work = functools.partial(_shard, source, functools.partial(_attribute_shard, params, vocab, plans))
+        work = functools.partial(_attribute_shard, params, vocab, plans, render)
         parts = [[window[idx] for idx in shard] for shard in shards]
         # each part holds the only reference to its items, so the caller's
         # shard frees each record as it builds its journey
@@ -804,7 +766,7 @@ def _attribute_windows(params, items, vocab, method, n_samples, seed, workers, s
         if faults:
             kind, _, exc = min(faults, key=lambda fault: fault[:2])
             if kind:  # an encoding error: a later record fault wins over it
-                source.check(items)
+                _check_records(items)
             raise exc
         yield from outputs
 

@@ -512,7 +512,8 @@ class JourneyRecords:
     is not UTF-8 or not JSON has its ValidationError in place of the value.
     `record_events` counts a record's events, and `record_journey` builds
     and checks its journey, so that the caller that reads a file need not
-    be the process that builds its journeys."""
+    be the process that builds its journeys. A CustomerJourney is its own
+    record."""
 
     def __init__(self, path: str | Path):
         self.path = path
@@ -522,10 +523,12 @@ class JourneyRecords:
             yield from _numbered(fh, _decoded)
 
 
-def record_journey(record: tuple[int, object]) -> CustomerJourney:
-    """The journey of a `JourneyRecords` record; its fault, the line's
-    decoding or a check of `_journey_from_dict`, is a LineError naming the
-    line."""
+def record_journey(record: tuple[int, object] | CustomerJourney) -> CustomerJourney:
+    """The journey of a `JourneyRecords` record, or a journey as it is; a
+    record's fault, the line's decoding or a check of `_journey_from_dict`,
+    is a LineError naming the line."""
+    if isinstance(record, CustomerJourney):
+        return record
     line_no, value = record
     if isinstance(value, ValidationError):
         raise LineError(line_no, str(value))
@@ -535,10 +538,12 @@ def record_journey(record: tuple[int, object]) -> CustomerJourney:
         raise LineError(line_no, str(exc)) from None
 
 
-def record_events(record: tuple[int, object]) -> int:
-    """The number of events of a `JourneyRecords` record, read from its
-    value without building its journey. A record that has no list of
-    events raises its fault (`record_journey`)."""
+def record_events(record: tuple[int, object] | CustomerJourney) -> int:
+    """The number of events of a journey or of a `JourneyRecords` record,
+    read from its value without building its journey. A record that has no
+    list of events raises its fault (`record_journey`)."""
+    if isinstance(record, CustomerJourney):
+        return len(record.events)
     value = record[1]
     if isinstance(value, dict) and isinstance(value.get("events"), list):
         return len(value["events"])

@@ -538,7 +538,7 @@ class TestAttributeJourney:
         with pytest.raises(ConfigError):
             attribute_journey(params, long_j, VOCAB, method="shapley_exact")
 
-    @pytest.mark.parametrize("bad", ({"n_samples": 0}, {"workers": 0}, {"seed": -1}))
+    @pytest.mark.parametrize("bad", ({"n_samples": 0}, {"workers": 0}, {"seed": -1}, {"method": "bogus"}))
     def test_many_journey_arguments_checked_at_the_call(self, bad):
         params = init_params(VOCAB.encoding_dim, 8, 2, rng=1)
 

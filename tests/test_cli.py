@@ -23,7 +23,7 @@ from deepmta.errors import (
     ValidationError,
     VocabularyError,
 )
-from deepmta.journey import load_journeys
+from deepmta.journey import iter_journeys, load_journeys
 from reference import load_report_csv
 from test_attribution import assert_no_child_left
 from test_model import set_tensor_entry
@@ -767,12 +767,12 @@ class TestAttribute:
             firsts.append(parts[1])
             return real_sharded(role, work, parts)
 
-        def shard(params, vocab, plans, journeys):
+        def shard(params, vocab, plans, render, items):
             if os.getpid() != caller:
-                if journeys is firsts[-1]:
+                if items is firsts[-1]:
                     os.kill(os.getpid(), signal.SIGKILL)
                 time.sleep(30)
-            return real_shard(params, vocab, plans, journeys)
+            return real_shard(params, vocab, plans, render, items)
 
         monkeypatch.setattr(attribution, "sharded", sharded)
         monkeypatch.setattr(attribution, "_attribute_shard", shard)
@@ -835,11 +835,12 @@ class TestAttributeShardedFile:
     renders their lines: the bytes of the library's results saved, and a
     fault's precedence as if the whole file were read first."""
 
-    ATTRIBUTE = ["--method", "auto", "--seed", "1", "--samples", "16"]
+    ATTRIBUTE = ["--seed", "1", "--samples", "16"]
 
-    def attribute(self, capsys, pipeline, data, out):
+    def attribute(self, capsys, pipeline, data, out, method="auto"):
         return run_cli(capsys, [
             "attribute", "--model", str(pipeline["ckpt"]), "--data", str(data), "--out", str(out), *self.ATTRIBUTE,
+            "--method", method,
         ])
 
     @pytest.mark.parametrize("shape", ("desk", "mixed"))
@@ -893,25 +894,46 @@ class TestAttributeShardedFile:
         lines[idx] = json.dumps(obj)
         return obj["user_id"]
 
-    def assert_failed(self, code, kv, err, out, message):
+    def assert_failed(self, pipeline, code, kv, err, out, message, method="auto"):
+        """The command exited 2 naming `message` and left nothing, and the
+        library, given the file's journeys (`iter_journeys`), raises the
+        same fault."""
+        from deepmta.model import load_checkpoint
+
         assert code == 2
         assert message in err and "Traceback" not in err
         assert kv == {} and not out.exists() and os.listdir(out.parent) == ["journeys.jsonl"]
         assert_no_child_left()
+        params, vocab, _ = load_checkpoint(pipeline["ckpt"])
+        journeys = iter_journeys(out.parent / "journeys.jsonl")
+        with pytest.raises(DeepMtaError) as raised:
+            list(attribute_journeys(params, journeys, vocab, method=cli._METHOD_FLAGS[method], n_samples=16, seed=1))
+        assert message in str(raised.value)
 
+    @pytest.mark.parametrize("method", ("auto", "shapley-exact"))
     @pytest.mark.parametrize("small_windows", (False, True))
     def test_record_fault_on_the_last_line_wins_over_an_unknown_token(
-        self, pipeline, tmp_path, capsys, monkeypatch, small_windows,
+        self, pipeline, tmp_path, capsys, monkeypatch, small_windows, method,
     ):
+        # auto: line 1 has an unknown channel and the last line a negative
+        # ts; shapley-exact: line 2 has 13 events, a plan error, and the
+        # last line is not JSON
         def edit(lines):
-            self.set_event(lines, 0, "channel", "zz")
-            self.set_event(lines, len(lines) - 1, "ts", -5)
+            if method == "auto":
+                self.set_event(lines, 0, "channel", "zz")
+                self.set_event(lines, len(lines) - 1, "ts", -5)
+                return
+            obj = json.loads(lines[1])
+            obj["events"] = obj["events"][:1] * 13
+            lines[1] = json.dumps(obj)
+            lines[-1] = "{broken"
 
         data, n_lines = self.faulty(pipeline, tmp_path, monkeypatch, small_windows, edit)
         out = tmp_path / "a.jsonl"
-        code, kv, err = self.attribute(capsys, pipeline, data, out)
-        self.assert_failed(code, kv, err, out, f"line {n_lines}: timestamp must be an integer >= 0")
-        assert "unknown channel" not in err
+        code, kv, err = self.attribute(capsys, pipeline, data, out, method)
+        fault = "timestamp must be an integer >= 0" if method == "auto" else "malformed JSON"
+        self.assert_failed(pipeline, code, kv, err, out, f"line {n_lines}: {fault}", method)
+        assert "unknown channel" not in err and "at most 12 events" not in err
 
     @pytest.mark.parametrize("small_windows", (False, True))
     def test_shape_fault_before_a_malformed_line_is_named(self, pipeline, tmp_path, capsys, monkeypatch, small_windows):
@@ -925,7 +947,7 @@ class TestAttributeShardedFile:
         data, _ = self.faulty(pipeline, tmp_path, monkeypatch, small_windows, edit)
         out = tmp_path / "a.jsonl"
         code, kv, err = self.attribute(capsys, pipeline, data, out)
-        self.assert_failed(code, kv, err, out, "line 5: event 0 is missing field 'campaign'")
+        self.assert_failed(pipeline, code, kv, err, out, "line 5: event 0 is missing field 'campaign'")
         assert "malformed JSON" not in err
 
     def test_first_unknown_token_in_file_order_is_named(self, pipeline, tmp_path, capsys, monkeypatch):
@@ -942,7 +964,7 @@ class TestAttributeShardedFile:
             self.set_event(lines, idx, "channel", token) for idx, token in ((first, "zz"), (later, "yy"))))
         out = tmp_path / "a.jsonl"
         code, kv, err = self.attribute(capsys, pipeline, data, out)
-        self.assert_failed(code, kv, err, out, f"journey {names[0]!r}, event 0: unknown channel token 'zz'")
+        self.assert_failed(pipeline, code, kv, err, out, f"journey {names[0]!r}, event 0: unknown channel token 'zz'")
         assert "'yy'" not in err
 
     def test_failed_write_keeps_the_old_file(self, pipeline, tmp_path, capsys, monkeypatch):

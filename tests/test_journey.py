@@ -472,6 +472,9 @@ class TestJourneyRecords:
         assert [line_no for line_no, _ in records] == [1, 3, 4, 5, 6, 7]
         assert record_journey(records[0]).events == [ClickEvent("A", "c", 1)] * 3
         assert record_events(records[0]) == 3 and record_events(records[1]) == 1
+        # a journey is its own record
+        journey = record_journey(records[0])
+        assert record_journey(journey) is journey and record_events(journey) == 3
         for record, message in zip(records[1:], (
             "line 3: timestamp must be", "line 4: malformed JSON", "line 5: field 'events' must be a list",
             "line 6: journey record must be a JSON object", "line 7: not UTF-8 text",

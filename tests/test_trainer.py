@@ -214,6 +214,30 @@ class TestTrain:
         assert processes == [2]
         assert_no_child_left()
 
+    def test_helper_dead_during_validation_is_a_worker_error(self, small_planted, monkeypatch):
+        # the helper kills itself while it scores its share of the
+        # validation batches: the caller's wait for it ends train with
+        # WorkerError, and the helper is reaped
+        import os
+        import signal
+
+        vocab, journeys = small_planted
+        caller = os.getpid()
+        batch_losses = trainer_mod._batch_losses
+
+        def dying(*args):
+            if os.getpid() != caller:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return batch_losses(*args)
+
+        monkeypatch.setattr(trainer_mod, "_batch_losses", dying)
+        cfg = TrainConfig(hidden_size=8, epochs=1, val_fraction=0.4)
+        message = f"the training helper process ended with exit status {-signal.SIGKILL}"
+        with pytest.raises(WorkerError, match=message) as err:
+            train(journeys[:100], vocab, cfg, workers=2)
+        assert isinstance(err.value, EvaluationError) and err.value.exit_code == 4
+        assert_no_child_left()
+
     def test_empty_dataset_rejected(self):
         vocab = Vocabulary(channels=("A", "B"), campaigns=("c",))
         with pytest.raises(ValidationError):
