@@ -18,7 +18,12 @@ whose train file is the first 90% of gen's file and whose holdout the last
   row times `journey_table(iter_journeys(path), vocab)` at either count;
 - eval: `deepmta eval` through `cli.main` on the holdout, with a one-epoch
   desk model trained on the train file, at `MTA_THREADS` 1 and 2; from two
-  on, eval reads its file and scores its batches on two processes.
+  on, eval reads its file on two processes, and its 1000 journeys make
+  four blocks, which it scores on two;
+- eval_lengths_1_20: the same model's `eval` on the attribute workloads'
+  shape: three converted journeys of each length 1-20 (60 journeys, one
+  block), drawn from `gen --max-len 20` of the same channels and
+  campaigns, at `MTA_THREADS` 1 and 2.
 
 Each reports the median and quartiles of ms per 1000 journeys over the
 timed calls, after warm-up calls. Writes BENCH_data.json with the
@@ -27,13 +32,14 @@ environment.
     python bench/data.py
     python bench/data.py --journeys 2000 --repeats 5 --out /tmp/d.json
 
-BENCH_data_parent.json holds the numbers of the code before the two-process
-reader and eval scorer (commit de82215), whose `train` and `eval` read and
-score on one process at any `MTA_THREADS`. The script uses only `cli.main`,
-`iter_journeys`, `journey_table`, `load_vocabulary` and, where it exists,
-`read_table`, so it runs unchanged on that code:
+BENCH_data_parent.json holds the numbers of the code before eval and
+validation scored through the trie scan (commit 07c5f78), whose `eval`
+ran one forward per journey length, in length-bucketed batches of up to
+256 journeys, and forked its scorer for two batches or more. The script
+uses only `cli.main`, `iter_journeys`, `journey_table`, `load_vocabulary`
+and `read_table`, so it runs unchanged on that code:
 
-    git archive de82215 | tar -x -C <dir>
+    git archive 07c5f78 | tar -x -C <dir>
     cp bench/data.py <dir>/bench/
     cd <dir> && python bench/data.py --out BENCH_data_parent.json
 """
@@ -61,18 +67,15 @@ sys.path.insert(0, str(ROOT / "src"))
 import numpy as np  # noqa: E402
 
 from deepmta import cli  # noqa: E402
-from deepmta.journey import iter_journeys, journey_table, load_vocabulary  # noqa: E402
-
-try:
-    from deepmta.journey import read_table  # noqa: E402
-except ImportError:  # the code before the two-process reader
-    def read_table(path, vocab, workers=1):
-        return journey_table(iter_journeys(path), vocab)
+from deepmta.journey import iter_journeys, journey_table, load_vocabulary, read_table  # noqa: E402
 
 # perfbench's acceptance dataset, as its pipeline-desk passes generate it
-GEN = ["--channels", "8", "--campaigns", "3", "--key-channel", "0", "--key-lift", "0.6", "--base-rate", "0.2",
-       "--time-span-hours", "48", "--max-len", "4", "--include-nonconverted"]
+ACCEPTANCE = ["--channels", "8", "--campaigns", "3", "--key-channel", "0", "--key-lift", "0.6", "--base-rate", "0.2",
+              "--time-span-hours", "48"]
+GEN = [*ACCEPTANCE, "--max-len", "4", "--include-nonconverted"]
 SEED = 11
+# the attribute workloads' shape: converted journeys, a few of each length
+LENGTHS, PER_LENGTH, POOL = range(1, 21), 3, 2000
 
 
 def quartiles(values: list[float]) -> dict[str, float]:
@@ -103,6 +106,19 @@ def run(workers: int, *argv) -> None:
 
 def gen(path: Path, journeys: int, workers: int) -> None:
     run(workers, "gen", "--out", path, "--journeys", journeys, *GEN, "--seed", SEED)
+
+
+def lengths_1_20(work: Path) -> list[bytes]:
+    """PER_LENGTH lines of each length of LENGTHS, the first of a pool of
+    converted journeys, in length order."""
+    pool = work / "pool.jsonl"
+    run(1, "gen", "--out", pool, "--journeys", POOL, *ACCEPTANCE, "--max-len", max(LENGTHS), "--seed", SEED)
+    by_length = {n: [] for n in LENGTHS}
+    for line in pool.read_bytes().splitlines(keepends=True):
+        taken = by_length[len(json.loads(line)["events"])]
+        if len(taken) < PER_LENGTH:
+            taken.append(line)
+    return [line for n in LENGTHS for line in by_length[n]]
 
 
 def row(stage: str, workers: int, journeys: int, seconds: list[float]) -> dict:
@@ -150,10 +166,13 @@ def main(argv=None) -> dict:
                 results.append(row("read_table", workers, len(lines) - holdout, seconds))
             model = work / "model.json"
             run(2, "train", "--data", train, "--vocab", vocab_path, "--out", model, "--epochs", 1, "--seed", 3)
-            for workers in (1, 2):
-                command = ("eval", "--model", model, "--data", test, "--roc-out", work / "roc.csv")
-                seconds = timed(lambda: run(workers, *command), args.repeats, args.warmup)
-                results.append(row("eval", workers, holdout, seconds))
+            short = work / "lengths.jsonl"
+            short.write_bytes(b"".join(lengths_1_20(work)))
+            for stage, data, journeys in (("eval", test, holdout), ("eval_lengths_1_20", short, len(LENGTHS) * PER_LENGTH)):
+                for workers in (1, 2):
+                    command = ("eval", "--model", model, "--data", data, "--roc-out", work / "roc.csv")
+                    seconds = timed(lambda: run(workers, *command), args.repeats, args.warmup)
+                    results.append(row(stage, workers, journeys, seconds))
     finally:
         if threads is None:
             os.environ.pop("MTA_THREADS", None)

@@ -28,16 +28,13 @@ its median read 1.39-1.40 ms in some runs and 1.54-1.59 ms in others,
 while T = 1, 3 and 4 moved by 1-4%. Compare that row over several runs,
 alternating the commits, before reading a change into it.
 
-BENCH_train_step_parent.json holds the numbers of the code before the
-owner-split update (commit 3836c98), where the clip, momentum, step and
-clamp ran in `train`'s loop after `_Wavefront.step` and the next batch was
-read after them. layers_parent.diff adapts this script to that code, so
-that each timed span covers the same work:
+BENCH_train_step_parent.json holds the numbers of commit 07c5f78, the code
+before validation scored through the trie scan. Validation runs outside
+the timed step, so its rows should agree with BENCH_train_step.json within
+the T = 2 spread above. The script runs unchanged on that code:
 
-    git archive 3836c98 | tar -x -C <dir>
-    cp bench/layers.py bench/layers_parent.diff <dir>/bench/
-    cd <dir> && patch -p1 < bench/layers_parent.diff
-    python bench/layers.py --out BENCH_train_step_parent.json
+    git archive 07c5f78 | tar -x -C <dir>
+    cd <dir> && python bench/layers.py --out BENCH_train_step_parent.json
 """
 
 from __future__ import annotations

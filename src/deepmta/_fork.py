@@ -19,6 +19,11 @@ from .errors import ConfigError, WorkerError
 # closes them all first: holding another worker's, it would keep that worker
 # from seeing its caller close them, or its caller from seeing it die
 _OPEN_ENDS: set[int] = set()
+# held back across a fork: a Ctrl-C or SIGTERM reaches every process of the
+# group, and in a child still in its at-fork hooks it would print "Exception
+# ignored" on the caller's stderr. The child takes it once inside its own
+# handling, and the caller once the worker is set up
+_STOPS = {signal.SIGINT, signal.SIGTERM}
 
 
 def processes(workers: int, most: int | None = None) -> int:
@@ -91,15 +96,18 @@ class Worker:
     def __enter__(self) -> "Worker":
         child_reads, self.send_fd = os.pipe()
         self.recv_fd, child_writes = os.pipe()
+        mask = signal.pthread_sigmask(signal.SIG_BLOCK, _STOPS)
         try:
             self.pid = os.fork()
         except OSError:
+            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
             for fd in (child_reads, self.send_fd, self.recv_fd, child_writes):
                 os.close(fd)
             raise
         if self.pid == 0:
             status = 1
             try:
+                signal.pthread_sigmask(signal.SIG_SETMASK, mask)
                 for fd in (self.send_fd, self.recv_fd, *_OPEN_ENDS):
                     os.close(fd)
                 self.target(child_reads, child_writes)
@@ -111,6 +119,11 @@ class Worker:
         os.close(child_reads)
         os.close(child_writes)
         _OPEN_ENDS.update((self.send_fd, self.recv_fd))
+        try:
+            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+        except BaseException:  # a stop that came during the fork: the child is killed and reaped
+            self.__exit__(*sys.exc_info())
+            raise
         return self
 
     def _reap(self) -> int:

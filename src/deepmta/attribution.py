@@ -14,15 +14,12 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, Iterable
 
 import numpy as np
 
 from ._fork import processes, sharded, shares
 from .errors import ConfigError, DeepMtaError, DimensionError, LineError, NumericError, ValidationError
-# encode_journey and forward_batch are not called here, but perfbench's
-# tracer wraps deepmta.attribution.encode_journey and .forward_batch, so the
-# names must stay importable
 from .journey import (
     CustomerJourney,
     JourneyRecords,
@@ -35,9 +32,12 @@ from .journey import (
     record_events,
     record_journey,
 )
+from .model import ModelParams, _last_kept, _scan_inputs, _trie_steps, softmax
+# encode_journey and forward_batch are not called here, but perfbench's
+# tracer wraps deepmta.attribution.encode_journey and .forward_batch, so the
+# names must stay importable
 from .journey import encode_journey  # noqa: F401
-from .model import ModelParams, _gate_forward, forward_batch, gate_major_cell, gate_major_step, gate_stack  # noqa: F401
-from .trainer import softmax
+from .model import forward_batch  # noqa: F401
 
 EXACT_LIMIT = 12
 OLS_SAMPLE_ROWS = 2048
@@ -241,11 +241,6 @@ def _shared_steps(rows: np.ndarray, start: int) -> int:
     return min(shared, int(_last_kept(rows[start - 1:start])[0]) + 1)
 
 
-def _last_kept(bits: np.ndarray) -> np.ndarray:
-    """Index of each row's last set bit, -1 for the all-zero row."""
-    return np.where(bits.any(axis=1), bits.shape[1] - 1 - np.argmax(bits[:, ::-1], axis=1), -1)
-
-
 def _scan_block(
     params: ModelParams, table: JourneyTable, inputs: dict, pieces: list[tuple[int, np.ndarray]],
     shared: list[int] | None = None, dtype=np.float32,
@@ -326,109 +321,6 @@ def _scan_block(
     counts = bits.sum(axis=1)
     acc = np.where(counts > 0, final / np.maximum(counts, 1), 0.0)
     return np.split(acc, row_start[1:]), node_steps, rechecked
-
-
-class _TrieStep(NamedTuple):
-    """One step t of a trie scan. Live rows are the rows with a kept event
-    at t or later, as indices into the block's rows; nodes are in the order
-    of their live rows."""
-
-    rows: np.ndarray  # the live rows
-    node: np.ndarray  # each live row's node
-    done: np.ndarray  # whether a live row's last kept event is t; it leaves after this step
-    head: np.ndarray  # each node's first live row
-    parent: np.ndarray  # each node's node at step t - 1 (its piece's root at step 0)
-    kept: np.ndarray  # whether the node keeps event t
-    index: np.ndarray  # the node's event row in the table: its journey's first row plus t
-    x: np.ndarray  # each node's new top-layer hidden state
-
-
-def _scan_inputs(params: ModelParams, table: JourneyTable) -> dict:
-    """The operands that a trie scan gathers by event row, computed once in
-    float64 for all the blocks scanned over `table` and cast once to
-    float32, as dtype -> (x0, gates): layer 0's input projection of every
-    event, gate-major (4, events + 1, H) in `GATES` order, with a last
-    row of zeros that nodes masking their event gather instead, and each
-    layer's time-gate openness at every event."""
-    Wx0 = gate_stack(params, 0, "W_x")
-    x0 = np.zeros((len(Wx0), len(table.times) + 1, Wx0.shape[2]))
-    np.matmul(table.features, Wx0, out=x0[:, :-1])
-    gates = [_gate_forward(table.times[:, None], lp.tau, lp.s, lp.r_on, 0.0)[0] for lp in params.layers]
-    return {dtype: (x0.astype(dtype, copy=False), [gate.astype(dtype, copy=False) for gate in gates])
-            for dtype in (np.float64, np.float32)}
-
-
-def _pre_activations(cell, h: np.ndarray, x: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
-    """The gate-major pre-activations (4, N, H) of N trie nodes whose
-    previous hidden states are h: one batched product h @ Wh written into
-    the buffer, plus each gate's input projection, made in one (N, H)
-    scratch array: x @ Wx of the nodes' inputs x, or, given `rows`, those
-    rows of x, a gate-major table of projections."""
-    a = np.matmul(h, cell.Wh, out=np.empty((len(cell.Wh), *h.shape), dtype=h.dtype))
-    part = np.empty_like(h)
-    for j, a_j in enumerate(a):
-        a_j += np.matmul(x, cell.Wx[j], out=part) if rows is None else np.take(x[j], rows, axis=0, out=part)
-    return a
-
-
-def _trie_steps(params: ModelParams, inputs: dict, starts: np.ndarray, bits: np.ndarray, row_piece: np.ndarray, dtype):
-    """The prefix-trie scan of mask rows `bits` at `dtype`: yields one
-    `_TrieStep` per step. Row i masks piece row_piece[i], whose journey's
-    first event row in the table is starts[row_piece[i]]; the rows of one
-    piece are adjacent, distinct and lexicographically sorted.
-
-    The model is causal and a masked event keeps its slot and time, so a
-    row's state at step t depends only on its journey and mask[0..t]: one
-    trie node. A row's value counts only its kept steps, so a row is
-    stepped up to its last kept event and no further (the all-zero row not
-    at all). At step t each node of the rows still live is stepped once by
-    `gate_major_step`; a full powerset of n events costs 3 * 2^(n-1) - 2
-    node-steps instead of n * 2^n row-steps. Live rows keep their block
-    order, so the live rows of one node stay adjacent: a row starts a new
-    node where its bit or its previous node differs from the live row
-    before it. Each piece starts from a root node of its own, so no node
-    spans two pieces even where a piece's first rows have already left. A
-    step's pre-activations are one batched product h @ Wh into a gate-major
-    buffer, plus layer 0's projection, `inputs[dtype]`, gathered per gate
-    by event row, or a higher layer's x @ Wx per gate; the time gates are
-    gathered by event row too. Every other operand is cast to `dtype` once,
-    before the first step (`gate_major_cell`).
-    """
-    cells = [gate_major_cell(params, idx, dtype) for idx in range(params.n_layers)]
-    x0, gates = inputs[dtype]
-
-    # the live rows and each one's node at the previous step (its piece's
-    # root before step 0)
-    last = _last_kept(bits)
-    live = np.flatnonzero(last >= 0)
-    node = row_piece[live]
-    live_last = last[live]
-    states = [(np.zeros((len(starts), lp.hidden_size), dtype=dtype),) * 2 for lp in params.layers]
-    for t in range(last.max() + 1):
-        col = bits[live, t]
-        fresh = np.empty(len(live), dtype=bool)
-        fresh[0] = True
-        np.not_equal(node[1:], node[:-1], out=fresh[1:])
-        fresh[1:] |= col[1:] != col[:-1]
-        first = np.flatnonzero(fresh)
-        parent = node[first]
-        kept = col[first]
-        node = np.cumsum(fresh) - 1
-        head = live[first]
-        index = starts[row_piece[head]] + t
-        x0_index = np.where(kept, index, x0.shape[1] - 1)
-        x = None
-        for idx, cell in enumerate(cells):
-            h, c = (state[parent] for state in states[idx])
-            states[idx] = None  # free the previous step's states before this step's temporaries
-            a = _pre_activations(cell, h, x0, x0_index) if idx == 0 else _pre_activations(cell, h, x)
-            x, c = gate_major_step(a, h, c, gates[idx][index], cell)
-            del a  # spent: freed before the next layer makes its own
-            states[idx] = (x, c)
-        done = live_last == t
-        yield _TrieStep(live, node, done, head, parent, kept, index, x)
-        stay = ~done
-        live, node, live_last = live[stay], node[stay], live_last[stay]
 
 
 # ---------------------------------------------------------------------------

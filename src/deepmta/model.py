@@ -4,18 +4,21 @@ A stack of recurrent cells with peephole connections whose cell and hidden
 states are written through a periodic, piecewise-linear time gate, plus layer
 normalization on gate pre-activations and inverted dropout between layers.
 Gradients are hand-derived reverse-mode for this one architecture.
-`cell_step` is the batched step kernel of training and eval. It runs in
-two modes: with cache slots (a training scan writes each step's gates and
-layer norm statistics into the arrays `_layer_backward` reads) and without
-(eval keeps no backward cache). Tests cover the kernel against a readable
-single-step reference (tests/reference.py) and its two modes against each
-other. The attribution trie steps its nodes with a kernel of its own,
-`gate_major_step`, laid out for blocks of many rows and run in float32 (and
-float64 for its rechecks); `cell_step` is its oracle. The layer scan
+`cell_step` is the batched step kernel of training. It runs in two modes:
+with cache slots (a training scan writes each step's gates and layer norm
+statistics into the arrays `_layer_backward` reads) and without (an
+inference `forward_batch` keeps no backward cache). Tests cover the kernel
+against a readable single-step reference (tests/reference.py) and its two
+modes against each other. Every inference forward is a prefix-trie scan
+(`_trie_steps`): the attribution games' mask rows, in float32 with float64
+rechecks, and, with one all-ones row per journey (`scan_logits`), eval,
+validation and prediction in float64. It steps its nodes with a kernel of
+its own, `gate_major_step`, laid out for blocks of many rows; `cell_step`
+and `forward_batch(training=False)` are its oracles. The layer scan
 (`_layer_scan`) and the backward's reverse scan (`_layer_backward`) are
 generators that take each step's input and hand on each step's output, so
 the trainer can run two layers one time step apart. One product order
-serves training, eval and the wavefront: layer 0's input projection is one
+serves training and the wavefront: layer 0's input projection is one
 (B*T)-row product; every higher layer's input projection and input gradient
 are one B-row product per step, made only in `_link` and `_link_back`, so
 all their callers get the same bits at every batch shape. The part of a
@@ -61,7 +64,7 @@ from .errors import (
     TraceError,
     ValidationError,
 )
-from .journey import Vocabulary, finite_number, read_json, vocabulary_from_dict
+from .journey import JourneyTable, Vocabulary, finite_number, read_json, vocabulary_from_dict
 
 LN_EPS = 1e-5
 N_CLASSES = 2
@@ -596,6 +599,146 @@ def gate_major_step(a, h, c, k, cell: GateMajorCell):
     h_new *= k
     h_new += h
     return h_new, c_new
+
+
+def softmax(logits: np.ndarray) -> np.ndarray:
+    z = np.asarray(logits, dtype=np.float64)
+    z = z - z.max(axis=-1, keepdims=True)
+    e = np.exp(z)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+# ---------------------------------------------------------------------------
+# the prefix-trie scan: every inference forward
+# ---------------------------------------------------------------------------
+
+
+class _TrieStep(NamedTuple):
+    """One step t of a trie scan. Live rows are the rows with a kept event
+    at t or later, as indices into the block's rows; nodes are in the order
+    of their live rows."""
+
+    rows: np.ndarray  # the live rows
+    node: np.ndarray  # each live row's node
+    done: np.ndarray  # whether a live row's last kept event is t; it leaves after this step
+    head: np.ndarray  # each node's first live row
+    parent: np.ndarray  # each node's node at step t - 1 (its piece's root at step 0)
+    kept: np.ndarray  # whether the node keeps event t
+    index: np.ndarray  # the node's event row in the table: its journey's first row plus t
+    x: np.ndarray  # each node's new top-layer hidden state
+
+
+def _scan_inputs(params: ModelParams, table: JourneyTable, dtypes=(np.float64, np.float32)) -> dict:
+    """The operands that a trie scan gathers by event row, computed once in
+    float64 for all the blocks scanned over `table` and cast once to each
+    of `dtypes`, as dtype -> (x0, gates): layer 0's input projection of
+    every event, gate-major (4, events + 1, H) in `GATES` order, with a
+    last row of zeros that nodes masking their event gather instead, and
+    each layer's time-gate openness at every event (alpha 0: inference)."""
+    Wx0 = gate_stack(params, 0, "W_x")
+    x0 = np.zeros((len(Wx0), len(table.times) + 1, Wx0.shape[2]))
+    np.matmul(table.features, Wx0, out=x0[:, :-1])
+    gates = [_gate_forward(table.times[:, None], lp.tau, lp.s, lp.r_on, 0.0)[0] for lp in params.layers]
+    return {dtype: (x0.astype(dtype, copy=False), [gate.astype(dtype, copy=False) for gate in gates])
+            for dtype in dtypes}
+
+
+def _pre_activations(cell, h: np.ndarray, x: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
+    """The gate-major pre-activations (4, N, H) of N trie nodes whose
+    previous hidden states are h: one batched product h @ Wh written into
+    the buffer, plus each gate's input projection, made in one (N, H)
+    scratch array: x @ Wx of the nodes' inputs x, or, given `rows`, those
+    rows of x, a gate-major table of projections."""
+    a = np.matmul(h, cell.Wh, out=np.empty((len(cell.Wh), *h.shape), dtype=h.dtype))
+    part = np.empty_like(h)
+    for j, a_j in enumerate(a):
+        a_j += np.matmul(x, cell.Wx[j], out=part) if rows is None else np.take(x[j], rows, axis=0, out=part)
+    return a
+
+
+def _last_kept(bits: np.ndarray) -> np.ndarray:
+    """Index of each row's last set bit, -1 for the all-zero row."""
+    return np.where(bits.any(axis=1), bits.shape[1] - 1 - np.argmax(bits[:, ::-1], axis=1), -1)
+
+
+def _trie_steps(params: ModelParams, inputs: dict, starts: np.ndarray, bits: np.ndarray, row_piece: np.ndarray, dtype):
+    """The prefix-trie scan of mask rows `bits` at `dtype`: yields one
+    `_TrieStep` per step. Row i masks piece row_piece[i], whose journey's
+    first event row in the table is starts[row_piece[i]]; the rows of one
+    piece are adjacent, distinct and lexicographically sorted.
+
+    The model is causal and a masked event keeps its slot and time, so a
+    row's state at step t depends only on its journey and mask[0..t]: one
+    trie node. A row's value counts only its kept steps, so a row is
+    stepped up to its last kept event and no further (the all-zero row not
+    at all). At step t each node of the rows still live is stepped once by
+    `gate_major_step`; a full powerset of n events costs 3 * 2^(n-1) - 2
+    node-steps instead of n * 2^n row-steps. Live rows keep their block
+    order, so the live rows of one node stay adjacent: a row starts a new
+    node where its bit or its previous node differs from the live row
+    before it. Each piece starts from a root node of its own, so no node
+    spans two pieces even where a piece's first rows have already left. A
+    step's pre-activations are one batched product h @ Wh into a gate-major
+    buffer, plus layer 0's projection, `inputs[dtype]`, gathered per gate
+    by event row, or a higher layer's x @ Wx per gate; the time gates are
+    gathered by event row too. Every other operand is cast to `dtype` once,
+    before the first step (`gate_major_cell`).
+
+    Two kinds of scan run it: attribution's games, whose pieces are
+    journeys and rows their mask rows, and inference (`scan_logits`),
+    where every journey is a piece of one all-ones row, which leaves the
+    scan after its last event, so journeys of any lengths step together.
+    """
+    cells = [gate_major_cell(params, idx, dtype) for idx in range(params.n_layers)]
+    x0, gates = inputs[dtype]
+
+    # the live rows and each one's node at the previous step (its piece's
+    # root before step 0)
+    last = _last_kept(bits)
+    live = np.flatnonzero(last >= 0)
+    node = row_piece[live]
+    live_last = last[live]
+    states = [(np.zeros((len(starts), lp.hidden_size), dtype=dtype),) * 2 for lp in params.layers]
+    for t in range(last.max() + 1):
+        col = bits[live, t]
+        fresh = np.empty(len(live), dtype=bool)
+        fresh[0] = True
+        np.not_equal(node[1:], node[:-1], out=fresh[1:])
+        fresh[1:] |= col[1:] != col[:-1]
+        first = np.flatnonzero(fresh)
+        parent = node[first]
+        kept = col[first]
+        node = np.cumsum(fresh) - 1
+        head = live[first]
+        index = starts[row_piece[head]] + t
+        x0_index = np.where(kept, index, x0.shape[1] - 1)
+        x = None
+        for idx, cell in enumerate(cells):
+            h, c = (state[parent] for state in states[idx])
+            states[idx] = None  # free the previous step's states before this step's temporaries
+            a = _pre_activations(cell, h, x0, x0_index) if idx == 0 else _pre_activations(cell, h, x)
+            x, c = gate_major_step(a, h, c, gates[idx][index], cell)
+            del a  # spent: freed before the next layer makes its own
+            states[idx] = (x, c)
+        done = live_last == t
+        yield _TrieStep(live, node, done, head, parent, kept, index, x)
+        stay = ~done
+        live, node, live_last = live[stay], node[stay], live_last[stay]
+
+
+def scan_logits(params: ModelParams, table: JourneyTable) -> np.ndarray:
+    """The logits at inference of every event of `table`, (events, 2) in
+    table order: the values of `forward_batch(training=False)` on each
+    journey, not its bits. One float64 trie scan (`_trie_steps`) over one
+    all-ones row per journey, each its own piece, with the scan inputs of
+    the table's own events; the top layer's states are projected once, after
+    the scan."""
+    bits = np.arange(table.lengths.max()) < table.lengths[:, None]
+    hidden = np.empty((len(table.times), params.hidden_size))
+    inputs = _scan_inputs(params, table, (np.float64,))
+    for step in _trie_steps(params, inputs, table.starts, bits, np.arange(len(table)), np.float64):
+        hidden[step.index] = step.x
+    return hidden @ params.W_out + params.b_out
 
 
 def _layer_setup(times, lp, alpha, training):

@@ -27,15 +27,20 @@ then reads the next batch and draws its dropout masks, and makes their time
 gates' factors while it waits for the top layer's first input gradient; the
 helper makes the top layer's gate factors before its first input arrives
 and each step's recurrence factors just before that step's backward.
-After each epoch the two processes score the validation batches between
-them (`_eval_shares`).
+After each epoch the two processes score the validation blocks between
+them (`_blocks`, shared by events): runs of at most EVAL_BATCH validation
+journeys in their order, lengths mixed, each one float64 trie scan
+(`model.scan_logits`). The blocks' losses are added in block order, so
+the loss has the bits of one process.
 
 On one process the same functions run one after the other. Either way
 every operation keeps the operands and order of `forward_batch`,
 `backward_batch` and one clip and update of the whole flat vector, so the
 parameters and the loss history come out bit for bit the same at every
 batch shape. Those two stay the readable reference the tests check a step
-against; no training step calls them.
+against; no training step calls them. Validation, `evaluate_roc` and
+`predict` score through the trie scan, which gives `forward_batch`'s
+values at inference, not its bits.
 """
 
 from __future__ import annotations
@@ -80,12 +85,14 @@ from .model import (
     _stacked_weights,
     _step_factors,
     clamp_gate_timing,
-    forward_batch,
     init_params,
+    scan_logits,
+    softmax,
 )
-# backward_batch is not called here, but perfbench's tracer wraps
-# deepmta.trainer.backward_batch, so the name must stay importable
-from .model import backward_batch  # noqa: F401
+# forward_batch and backward_batch are not called here, but perfbench's
+# tracer wraps deepmta.trainer.forward_batch and .backward_batch, so the
+# names must stay importable
+from .model import backward_batch, forward_batch  # noqa: F401
 
 PROB_CLIP = 1e-12
 MOMENTUM = 0.9
@@ -152,13 +159,6 @@ class TrainConfig:
         return replace(cfg, **overrides) if overrides else cfg
 
 
-def softmax(logits: np.ndarray) -> np.ndarray:
-    z = np.asarray(logits, dtype=np.float64)
-    z = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
-
-
 def _step_cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-step binary cross-entropy and the softmax it uses. The
     positive-class probability comes from a two-way softmax and is clipped
@@ -197,43 +197,47 @@ def _chunks(table: JourneyTable, order: np.ndarray, size: int):
             yield bucket[start:start + size]
 
 
-def _gather(table: JourneyTable, chunk: np.ndarray):
-    """The rows of the journeys of `chunk`, all of one length: (features,
-    times, labels), shaped (batch, length, ...)."""
-    rows = table.starts[chunk, None] + np.arange(table.lengths[chunk[0]])
-    return table.features[rows], table.times[rows], table.labels[rows]
-
-
 def _batches(table: JourneyTable, order: np.ndarray, size: int):
     """Journeys of `order` grouped by length, in ascending length, in `order`
     within a length and at most `size` per batch, so batches never pad:
     yields (chunk, features, times, labels) with the chunk's indices and its
     rows gathered from the table, shaped (batch, length, ...)."""
     for chunk in _chunks(table, order, size):
-        yield chunk, *_gather(table, chunk)
+        rows = table.starts[chunk, None] + np.arange(table.lengths[chunk[0]])
+        yield chunk, table.features[rows], table.times[rows], table.labels[rows]
 
 
-def _inferred(table: JourneyTable, chunks: list[np.ndarray], params: ModelParams, which):
-    """(i, logits at inference, labels) of the journeys of chunks[i], for
-    each i in `which`: the one batching loop of validation and eval."""
-    for i in which:
-        feats, times, labels = _gather(table, chunks[i])
-        yield i, forward_batch(feats, times, params, training=False)[0], labels
+def _blocks(table: JourneyTable, idxs: np.ndarray, n: int) -> tuple[list[np.ndarray], list[list[int]]]:
+    """The blocks of inference: `idxs` cut into runs of at most EVAL_BATCH
+    journeys, in their order, lengths mixed; and the blocks each of n
+    processes scores, shared by events (`_fork.shares`)."""
+    blocks = [idxs[start:start + EVAL_BATCH] for start in range(0, len(idxs), EVAL_BATCH)]
+    return blocks, shares([int(table.lengths[block].sum()) for block in blocks], n)
 
 
-def _batch_losses(table: JourneyTable, chunks: list[np.ndarray], params: ModelParams, totals, which) -> None:
+def _block_logits(table: JourneyTable, block: np.ndarray, params: ModelParams) -> tuple[np.ndarray, JourneyTable]:
+    """The table of the journeys of `block`, in its order, and the logits
+    at inference of each of its events (`scan_logits`)."""
+    lengths = table.lengths[block]
+    rows = np.arange(lengths.sum()) + np.repeat(table.starts[block] - (np.cumsum(lengths) - lengths), lengths)
+    sub = JourneyTable(table.features[rows], table.times[rows], table.labels[rows], lengths)
+    return scan_logits(params, sub), sub
+
+
+def _block_losses(table: JourneyTable, blocks: list[np.ndarray], params: ModelParams, totals, which) -> None:
     """totals[i] = the summed per-journey loss at inference of the journeys
-    of chunks[i], for each i in `which`."""
-    for i, logits, labels in _inferred(table, chunks, params, which):
-        ce, _ = _step_cross_entropy(logits, labels)
-        totals[i] = ce.mean(axis=1).sum()
+    of blocks[i], for each i in `which`: a journey's loss is the mean of
+    its steps' cross-entropies."""
+    for i in which:
+        logits, sub = _block_logits(table, blocks[i], params)
+        ce, _ = _step_cross_entropy(logits, sub.labels)
+        totals[i] = (np.add.reduceat(ce, sub.starts) / sub.lengths).sum()
 
 
-def _batch_scores(table: JourneyTable, chunks: list[np.ndarray], params: ModelParams, which) -> list:
-    """(scores, labels) of every step of the journeys of chunks[i], each
-    flat, for each i in `which`: a score is the positive-class softmax."""
-    inferred = _inferred(table, chunks, params, which)
-    return [(softmax(logits)[..., 1].ravel(), labels.ravel()) for _, logits, labels in inferred]
+def _block_scores(table: JourneyTable, blocks: list[np.ndarray], params: ModelParams, which) -> list[np.ndarray]:
+    """The scores of every event of the journeys of blocks[i], in their
+    order, for each i in `which`: a score is the positive-class softmax."""
+    return [softmax(_block_logits(table, blocks[i], params)[0])[:, 1] for i in which]
 
 
 def _ordered_sum(values) -> float:
@@ -248,13 +252,13 @@ def _ordered_sum(values) -> float:
 
 
 def _dataset_loss(table: JourneyTable, idxs: np.ndarray, params: ModelParams) -> float:
-    """Mean per-journey loss at inference over the given indices, in
-    batches of EVAL_BATCH journeys."""
+    """Mean per-journey loss at inference over the given indices, in their
+    `_blocks`, whose totals are added in block order."""
     if len(idxs) == 0:
         return float("nan")
-    chunks = list(_chunks(table, idxs, EVAL_BATCH))
-    totals = np.empty(len(chunks))
-    _batch_losses(table, chunks, params, totals, range(len(chunks)))
+    blocks, _ = _blocks(table, idxs, 1)
+    totals = np.empty(len(blocks))
+    _block_losses(table, blocks, params, totals, range(len(blocks)))
     return _ordered_sum(totals) / len(idxs)
 
 
@@ -433,12 +437,6 @@ class _Lookahead:
         return self.ahead.pop()
 
 
-def _eval_shares(table: JourneyTable, chunks: list[np.ndarray], n: int) -> list[list[int]]:
-    """The eval batches each of n processes scores, shared by rows times
-    steps (`_fork.shares`)."""
-    return shares([len(chunk) * int(table.lengths[chunk[0]]) for chunk in chunks], n)
-
-
 class _Wavefront:
     """The SGD steps and validation passes of one `train` run, and, on two
     processes, their helper: where two are asked for and the model has a
@@ -466,12 +464,11 @@ class _Wavefront:
         self.processes = processes if params.n_layers > 1 else 1
         self.learning_rate = cfg.learning_rate
         self.val_idx = val_idx
-        self.val_chunks = list(_chunks(table, val_idx, EVAL_BATCH))
-        self.val_shares = _eval_shares(table, self.val_chunks, 2)
+        self.val_blocks, self.val_shares = _blocks(table, val_idx, 2)
         self.shared = _shared_arrays({
             "params": params.flat.size, "grads": params.flat.size, "velocity": params.flat.size if momentum else 0,
             "top_in": n * params.layers[-1].input_size, "proj": n * 4 * H, "dA": n * 4 * H, "times": n, "labels": n,
-            "meta": 4, "sums": len(params.layout), "val": len(self.val_chunks),
+            "meta": 4, "sums": len(params.layout), "val": len(self.val_blocks),
         })
         params.move_to(self.shared["params"])
         self.velocity = self.shared["velocity"] if momentum else None
@@ -540,12 +537,12 @@ class _Wavefront:
         clamp_gate_timing(params, self.clamped[owner])
 
     def _score_validation(self, owner: int) -> None:
-        _batch_losses(self.table, self.val_chunks, self.params, self.shared["val"], self.val_shares[owner])
+        _block_losses(self.table, self.val_blocks, self.params, self.shared["val"], self.val_shares[owner])
 
     def validation_loss(self) -> float:
         """`_dataset_loss` of the validation indices; on two processes each
-        scores its share of the batches (`_eval_shares`), and the batches'
-        losses are added in batch order."""
+        scores its share of their `_blocks`, and the blocks' losses are
+        added in block order."""
         if self.helper is None or not len(self.val_idx):
             return _dataset_loss(self.table, self.val_idx, self.params)
         self._send(_VALIDATE)
@@ -697,10 +694,9 @@ def train(
 
 def predict(params: ModelParams, journey: CustomerJourney, vocab: Vocabulary) -> np.ndarray:
     """Per-step conversion probability (positive-class softmax) for one
-    journey. Pure function of (params, journey); hard labels are prob >= 0.5."""
-    enc = encode_journey(journey, vocab)
-    logits, _ = forward_batch(enc.features[None], enc.times[None], params, training=False)
-    return softmax(logits[0])[:, 1]
+    journey, from the scan of eval and validation (`scan_logits`). Pure
+    function of (params, journey); hard labels are prob >= 0.5."""
+    return softmax(scan_logits(params, encode_journey(journey, vocab)))[:, 1]
 
 
 # ---------------------------------------------------------------------------
@@ -774,27 +770,29 @@ def evaluate_roc(
     Positives are the conversion steps (label 1); negatives are all other
     steps, including every step of non-converted journeys.
 
-    The journeys are scored in the batches of validation. Where `workers`
-    allows two processes (`_fork.processes`) and there are two batches or
-    more, a forked scorer process scores the batches that `_eval_shares`
-    gives the second process and sends back their scores and labels in one
-    pickle (`_fork.sharded`); the scores are joined in batch order, so the
-    result is the same either way. on_start, if given, is called with that
-    process count before the first batch is scored. Raises WorkerError if
-    the scorer dies.
+    The journeys are scored as validation scores them: in blocks of at
+    most EVAL_BATCH journeys in table order, each one trie scan
+    (`_blocks`, `scan_logits`). Where `workers` allows two processes
+    (`_fork.processes`) and there are two blocks or more, a forked scorer
+    process scores the blocks that `_fork.shares` gives the second process
+    and sends back their scores in one pickle (`_fork.sharded`); the
+    scores are joined in block order, so the result is the same either
+    way. on_start, if given, is called with that process count before the
+    first block is scored. Raises WorkerError if the scorer dies.
     """
     n_processes = processes(workers, 2)
     table = journey_table(journeys, vocab)
     if not len(table):
         raise EvaluationError("evaluation requires a non-empty dataset")
-    chunks = list(_chunks(table, np.arange(len(table)), EVAL_BATCH))
-    parts = [part for part in _eval_shares(table, chunks, n_processes) if part]
+    blocks, parts = _blocks(table, np.arange(len(table)), n_processes)
+    parts = [part for part in parts if part]
     if on_start is not None:
         on_start(len(parts))
-    scored = sharded("the eval scorer process", functools.partial(_batch_scores, table, chunks, params), parts)
-    by_batch = dict(zip(itertools.chain(*parts), itertools.chain(*scored)))
-    scores = np.concatenate([by_batch[i][0] for i in range(len(chunks))])
-    labels = np.concatenate([by_batch[i][1] for i in range(len(chunks))])
+    scored = sharded("the eval scorer process", functools.partial(_block_scores, table, blocks, params), parts)
+    by_block = dict(zip(itertools.chain(*parts), itertools.chain(*scored)))
+    # the blocks cover the table in order, so the scores are in the labels' order
+    scores = np.concatenate([by_block[i] for i in range(len(blocks))])
+    labels = table.labels
     auc = auc_score(scores, labels)
     thresholds, points = roc_curve(scores, labels)
     acc = float(((scores >= 0.5).astype(int) == labels).mean())

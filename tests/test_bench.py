@@ -133,7 +133,8 @@ DATA_BENCH = BENCH.parent / "data.py"
 
 def test_data_bench_reports_every_row(tmp_path, monkeypatch):
     # gen at one and two workers, the reader over all 50 journeys, the
-    # two-process reader over the first 45 and eval over the last 5
+    # two-process reader over the first 45, eval over the last 5 and over
+    # three journeys of each length 1-20
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
     monkeypatch.setenv("MTA_THREADS", "3")
     monkeypatch.setattr(sys, "path", list(sys.path))
@@ -150,10 +151,11 @@ def test_data_bench_reports_every_row(tmp_path, monkeypatch):
     assert set(report) == {"bench", "environment", "gen_args", "results"}
     assert [(row["stage"], row["workers"]) for row in report["results"]] == [
         ("gen", 1), ("gen", 2), ("journey_table", 1), ("read_table", 1), ("read_table", 2), ("eval", 1), ("eval", 2),
+        ("eval_lengths_1_20", 1), ("eval_lengths_1_20", 2),
     ]
     for row in report["results"]:
         assert set(row) == {"stage", "workers", "journeys", "calls", "ms_per_1000"}
-        assert row["journeys"] == {"read_table": 45, "eval": 5}.get(row["stage"], 50) and row["calls"] == 2
+        assert row["journeys"] == {"read_table": 45, "eval": 5, "eval_lengths_1_20": 60}.get(row["stage"], 50) and row["calls"] == 2
         assert row["ms_per_1000"]["q1"] <= row["ms_per_1000"]["median"] <= row["ms_per_1000"]["q3"]
     # the bench restores the caller's MTA_THREADS
     assert os.environ["MTA_THREADS"] == "3"

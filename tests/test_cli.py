@@ -22,6 +22,7 @@ from deepmta.errors import (
     TrainingDivergedError,
     ValidationError,
     VocabularyError,
+    WorkerError,
 )
 from deepmta.journey import iter_journeys, load_journeys
 from reference import load_report_csv
@@ -1165,7 +1166,7 @@ def test_killed_reader_or_scorer_exits_4_and_writes_nothing(pipeline, tmp_path, 
     import deepmta.trainer as trainer
 
     caller = os.getpid()
-    module, name = (journey, "_journey_columns") if role == "reader" else (trainer, "_batch_scores")
+    module, name = (journey, "_journey_columns") if role == "reader" else (trainer, "_block_scores")
     work = getattr(module, name)
 
     def dying(*args):
@@ -1428,6 +1429,35 @@ def test_interrupt_exits_130_without_a_traceback(pipeline, tmp_path):
         assert time.monotonic() < deadline, "a process of the interrupted train is left"
         time.sleep(0.05)
     assert os.listdir(tmp_path) == []
+
+
+def test_stop_at_a_fork_reaches_the_child_inside_its_own_handling(monkeypatch, capfd):
+    # a Ctrl-C that reaches a child before it is out of os.fork (in Python's
+    # at-fork hooks) is held back until the child's own handling, which ends
+    # it with status 1 and prints nothing; the caller's mask is restored
+    import signal
+
+    from deepmta import _fork
+
+    real_fork = os.fork
+
+    def fork():
+        pid = real_fork()
+        if pid == 0:
+            try:
+                os.kill(os.getpid(), signal.SIGINT)
+                signal.pthread_sigmask(signal.SIG_BLOCK, [])  # a call, where a pending interrupt is raised
+            except KeyboardInterrupt:  # taken in the fork: not held back
+                os._exit(99)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    with pytest.raises(WorkerError, match="exit status 1 "):
+        with _fork.Worker.computing("a test worker", lambda: 1) as worker:
+            worker.result()
+    assert signal.SIGINT not in signal.pthread_sigmask(signal.SIG_BLOCK, [])
+    assert capfd.readouterr().err == ""
+    assert_no_child_left()
 
 
 @pytest.mark.parametrize("target", ("process", "group"))

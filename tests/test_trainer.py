@@ -19,7 +19,7 @@ from deepmta.errors import (
 )
 from deepmta.journey import GeneratorConfig, JourneyTable, Vocabulary, encode_journey, generate_synthetic
 import deepmta.trainer as trainer_mod
-from deepmta.model import RON_CLAMP, TAU_MIN, backward_batch, clamp_gate_timing, forward_batch, init_params
+from deepmta.model import RON_CLAMP, TAU_MIN, backward_batch, clamp_gate_timing, forward_batch, init_params, scan_logits
 from deepmta.trainer import (
     MOMENTUM,
     EvalResult,
@@ -216,21 +216,22 @@ class TestTrain:
 
     def test_helper_dead_during_validation_is_a_worker_error(self, small_planted, monkeypatch):
         # the helper kills itself while it scores its share of the
-        # validation batches: the caller's wait for it ends train with
-        # WorkerError, and the helper is reaped
+        # validation blocks (three of 16 journeys): the caller's wait for it
+        # ends train with WorkerError, and the helper is reaped
         import os
         import signal
 
         vocab, journeys = small_planted
         caller = os.getpid()
-        batch_losses = trainer_mod._batch_losses
+        block_losses = trainer_mod._block_losses
 
         def dying(*args):
             if os.getpid() != caller:
                 os.kill(os.getpid(), signal.SIGKILL)
-            return batch_losses(*args)
+            return block_losses(*args)
 
-        monkeypatch.setattr(trainer_mod, "_batch_losses", dying)
+        monkeypatch.setattr(trainer_mod, "_block_losses", dying)
+        monkeypatch.setattr(trainer_mod, "EVAL_BATCH", 16)
         cfg = TrainConfig(hidden_size=8, epochs=1, val_fraction=0.4)
         message = f"the training helper process ended with exit status {-signal.SIGKILL}"
         with pytest.raises(WorkerError, match=message) as err:
@@ -583,15 +584,17 @@ class TestWaitsFilled:
     def test_validation_on_two_processes_writes_one_process_bytes(self, small_planted, tmp_path, monkeypatch):
         vocab, journeys = small_planted
         cfg = TrainConfig(hidden_size=8, epochs=2, batch_size=16, seed=4, val_fraction=0.4)
+        # 80 validation journeys make five blocks of 16
+        monkeypatch.setattr(trainer_mod, "EVAL_BATCH", 16)
         shares = []
-        eval_shares = trainer_mod._eval_shares
-        monkeypatch.setattr(trainer_mod, "_eval_shares", lambda *args: shares.append(eval_shares(*args)) or shares[-1])
+        block_shares = trainer_mod.shares
+        monkeypatch.setattr(trainer_mod, "shares", lambda *args: shares.append(block_shares(*args)) or shares[-1])
         histories = []
         for workers in (1, 2):
             result = train(journeys[:200], vocab, cfg, workers=workers)
             save_loss_history(tmp_path / "history.csv", result.train_losses, result.val_losses)
             histories.append((tmp_path / "history.csv").read_bytes())
-        # both processes scored some of the eval batches
+        # both processes scored some of the validation blocks
         assert len(shares[-1]) == 2 and all(shares[-1])
         assert histories[0] == histories[1]
         table = journey_table(journeys[:200], vocab)
@@ -763,6 +766,44 @@ def bucketed():
     return vocab, journeys, train_cfg, train(journeys, vocab, train_cfg)
 
 
+class TestInferenceScan:
+    """Eval, validation and `predict` score through one trie scan per block
+    (`scan_logits`), whose logits are forward_batch(training=False)'s values
+    to 1e-12 relative to their scale."""
+
+    @pytest.mark.parametrize("n_layers", (1, 2))
+    @pytest.mark.parametrize("block", (256, 7))
+    def test_block_logits_equal_forward_batch(self, monkeypatch, n_layers, block):
+        # three journeys of each length 1-20, shuffled: one block of lengths
+        # mixed, or nine blocks of 7 and one of 4
+        monkeypatch.setattr(trainer_mod, "EVAL_BATCH", block)
+        cfg = GeneratorConfig(n_journeys=400, n_channels=4, n_campaigns=2, max_len=20, include_nonconverted=True)
+        vocab, journeys = generate_synthetic(cfg, seed=12)
+        journeys = [j for n in range(1, 21) for j in [j for j in journeys if len(j) == n][:3]]
+        assert len(journeys) == 60
+        rng = np.random.default_rng(12)
+        params = init_params(vocab.encoding_dim, 16, n_layers, 0.5, 48.0, rng, 0.5)
+        table = journey_table(journeys, vocab)
+        order = rng.permutation(len(table))
+        blocks, _ = trainer_mod._blocks(table, order, 1)
+        assert len(blocks) == -(-60 // block)
+        for idxs in blocks:
+            logits, sub = trainer_mod._block_logits(table, idxs, params)
+            for i, start, n in zip(idxs, sub.starts, sub.lengths):
+                enc = encode_journey(journeys[i], vocab)
+                want = forward_batch(enc.features[None], enc.times[None], params, training=False)[0][0]
+                np.testing.assert_allclose(logits[start:start + n], want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+                assert sub.labels[start:start + n].tobytes() == enc.labels.tobytes()
+
+    def test_predict_is_the_scan_of_one_journey(self, small_planted):
+        vocab, journeys = small_planted
+        params = init_params(vocab.encoding_dim, 8, 2, 0.5, 48.0, np.random.default_rng(3), 0.5)
+        for journey in journeys[:20]:
+            enc = encode_journey(journey, vocab)
+            logits = forward_batch(enc.features[None], enc.times[None], params, training=False)[0][0]
+            np.testing.assert_allclose(predict(params, journey, vocab), softmax(logits)[:, 1], rtol=1e-12)
+
+
 class TestBatchLoopMatchesPerJourney:
     """The length-bucketed batch loop against one forward per journey."""
 
@@ -794,9 +835,9 @@ class TestBatchLoopMatchesPerJourney:
         assert evaluated.per_step_accuracy == float(((scores >= 0.5).astype(int) == labels).mean())
 
     def test_evaluate_roc_on_two_processes_equals_one(self, bucketed):
-        # a forked scorer takes the second process's batches (`_eval_shares`),
-        # and the scores are joined in batch order: the same result. One
-        # batch, or one worker, scores on one process
+        # a forked scorer takes the second process's blocks (`_blocks`), and
+        # the scores are joined in block order: the same result. One block,
+        # or one worker, scores on one process
         vocab, journeys, _, result = bucketed
         processes = []
         one = evaluate_roc(result.params, vocab, journeys, workers=1, on_start=processes.append)
@@ -890,12 +931,16 @@ class TestJourneyTable:
                 assert a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
     def test_dataset_loss_over_a_subset(self, bucketed):
+        # blocks of 256 journeys in the subset's order, each one scan of its
+        # journeys' one-journey tables joined; the blocks' totals added in
+        # order
         vocab, journeys, _, result = bucketed
         idxs = np.random.default_rng(6).permutation(len(journeys))[:300]
         total = 0.0
-        for _, feats, times, labels in stacked_batches([encode_journey(j, vocab) for j in journeys], idxs, 256):
-            logits = forward_batch(feats, times, result.params, training=False)[0]
-            total += float(_step_cross_entropy(logits, labels)[0].mean(axis=1).sum())
+        for start in (0, 256):
+            block = concatenated_tables([encode_journey(journeys[i], vocab) for i in idxs[start:start + 256]])
+            ce = _step_cross_entropy(scan_logits(result.params, block), block.labels)[0]
+            total += float((np.add.reduceat(ce, block.starts) / block.lengths).sum())
         assert _dataset_loss(journey_table(journeys, vocab), idxs, result.params) == total / len(idxs)
 
     def test_train_on_a_generator_equals_the_list(self, bucketed):
