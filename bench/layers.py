@@ -28,12 +28,13 @@ its median read 1.39-1.40 ms in some runs and 1.54-1.59 ms in others,
 while T = 1, 3 and 4 moved by 1-4%. Compare that row over several runs,
 alternating the commits, before reading a change into it.
 
-BENCH_train_step_parent.json holds the numbers of commit 07c5f78, the code
-before validation scored through the trie scan. Validation runs outside
-the timed step, so its rows should agree with BENCH_train_step.json within
-the T = 2 spread above. The script runs unchanged on that code:
+BENCH_train_step_parent.json holds the numbers of commit 9ddac1a, the code
+before training stepped through the gate-major cell kernel
+(`model.gate_major_step`) in place of the row-major `cell_step`. The two
+files come from runs alternating the two commits on one host. The script
+runs unchanged on that code:
 
-    git archive 07c5f78 | tar -x -C <dir>
+    git archive 9ddac1a | tar -x -C <dir>
     cd <dir> && python bench/layers.py --out BENCH_train_step_parent.json
 """
 

@@ -314,14 +314,7 @@ MAX_SPAN_HOURS = (2.0**63 * (1 - 1e-9) - START_TS_LIMIT) / (SECONDS_PER_HOUR * G
 
 def generate_synthetic(cfg: GeneratorConfig, seed: int) -> tuple[Vocabulary, list[CustomerJourney]]:
     """Generate a seeded synthetic dataset with the planted key-channel lift:
-    the journeys of `stream_synthetic`, in a list."""
-    vocab, journeys = stream_synthetic(cfg, seed)
-    return vocab, list(journeys)
-
-
-def stream_synthetic(cfg: GeneratorConfig, seed: int) -> tuple[Vocabulary, Iterator[CustomerJourney]]:
-    """The vocabulary of a seeded synthetic dataset and a generator of its
-    journeys, each drawn as it is read, so that only one is held at a time.
+    its vocabulary and its journeys, each built from its draw record.
 
     Deterministic for a fixed (cfg, seed): all randomness flows from one
     generator in a fixed draw order. GMV of converted journeys is log-normal
@@ -329,11 +322,11 @@ def stream_synthetic(cfg: GeneratorConfig, seed: int) -> tuple[Vocabulary, Itera
     seed is checked at the call.
     """
     vocab, draws = synthetic_draws(cfg, seed)
-    return vocab, (_synthetic_journey(cfg, vocab, draw) for draw in draws)
+    return vocab, [_synthetic_journey(cfg, vocab, draw) for draw in draws]
 
 
 def synthetic_draws(cfg: GeneratorConfig, seed: int) -> tuple[Vocabulary, Iterator[tuple]]:
-    """`stream_synthetic`'s vocabulary and a generator of its journeys'
+    """`generate_synthetic`'s vocabulary and a generator of its journeys'
     draw records (`_synthetic_draws`), each drawn as it is read; the seed
     is checked at the call."""
     if seed < 0:

@@ -4,29 +4,30 @@ A stack of recurrent cells with peephole connections whose cell and hidden
 states are written through a periodic, piecewise-linear time gate, plus layer
 normalization on gate pre-activations and inverted dropout between layers.
 Gradients are hand-derived reverse-mode for this one architecture.
-`cell_step` is the batched step kernel of training. It runs in two modes:
-with cache slots (a training scan writes each step's gates and layer norm
-statistics into the arrays `_layer_backward` reads) and without (an
-inference `forward_batch` keeps no backward cache). Tests cover the kernel
-against a readable single-step reference (tests/reference.py) and its two
-modes against each other. Every inference forward is a prefix-trie scan
-(`_trie_steps`): the attribution games' mask rows, in float32 with float64
-rechecks, and, with one all-ones row per journey (`scan_logits`), eval,
-validation and prediction in float64. It steps its nodes with a kernel of
-its own, `gate_major_step`, laid out for blocks of many rows; `cell_step`
-and `forward_batch(training=False)` are its oracles. The layer scan
-(`_layer_scan`) and the backward's reverse scan (`_layer_backward`) are
-generators that take each step's input and hand on each step's output, so
-the trainer can run two layers one time step apart. One product order
+`gate_major_step` is the one batched cell kernel, gate-major: a step's
+pre-activations are one (4, N, H) array in gate order i, f, c, o. It runs
+in two modes: with cache slots (a training scan writes each step's gates
+and layer norm statistics into the arrays `_layer_backward` reads) and
+without (every inference scan). Tests cover the kernel against a readable
+single-row reference (tests/reference.py) and its two modes against each
+other. Every inference forward is a prefix-trie scan (`_trie_steps`): the
+attribution games' mask rows, in float32 with float64 rechecks, and, with
+one all-ones row per journey (`scan_logits`), eval, validation and
+prediction in float64; `forward_batch(training=False)` is its oracle. The
+layer scan (`_layer_scan`) and the backward's reverse scan
+(`_layer_backward`) are generators that take each step's input and hand
+on each step's output, so the trainer can run two layers one time step
+apart. A layer's weights are gate-major views of `ModelParams.flat`
+(`gate_stack`), and its input is step-major, (T, B, d). One product order
 serves training and the wavefront: layer 0's input projection is one
-(B*T)-row product; every higher layer's input projection and input gradient
-are one B-row product per step, made only in `_link` and `_link_back`, so
-all their callers get the same bits at every batch shape. The part of a
-layer's backward that depends only on its forward, the recurrence's factors
-(`_step_factors`, per step or for all steps) and the time gate's
-(`_gate_cache`, the dk-free half of `_gate_backward`), is made apart from
-the reverse scan, so the trainer can make it before the output gradient is
-known.
+batched product over all T*B rows; every higher layer's input projection
+and input gradient are one batched B-row product per step, made only in
+`_link` and `_link_back`, so all their callers get the same bits at every
+batch shape. The part of a layer's backward that depends only on its
+forward, the recurrence's factors (`_step_factors`, per step or for all
+steps) and the time gate's (`_gate_cache`, the dk-free half of
+`_gate_backward`), is made apart from the reverse scan, so the trainer can
+make it before the output gradient is known.
 
 `param_shapes` is the one table of the tensors' names, shapes and order.
 `ModelParams` checks every tensor against it once, as it copies it into one
@@ -407,100 +408,17 @@ def clamp_gate_timing(params: ModelParams, layers: Iterable[int] | None = None) 
 # ---------------------------------------------------------------------------
 
 
-def _stacked_weights(lp: PhasedLstmLayerParams) -> tuple[np.ndarray, np.ndarray]:
-    """The layer's input and recurrent weights of the four gates side by
-    side, (d, 4H) and (H, 4H), in the order i, f, c, o."""
-    Wx = np.concatenate([lp.W_xi, lp.W_xf, lp.W_xc, lp.W_xo], axis=1)
-    Wh = np.concatenate([lp.W_hi, lp.W_hf, lp.W_hc, lp.W_ho], axis=1)
-    return Wx, Wh
-
-
-def _sigmoid_gate(a_j, c, w_peep, bias, out):
-    """sigmoid(a_j + w_peep * c + bias), in its tanh form (no exp overflow
-    for large negative inputs), written into out."""
-    np.multiply(c, w_peep, out=out)
-    out += a_j
-    out += bias
-    out *= 0.5
-    np.tanh(out, out=out)
-    out += 1.0
-    out *= 0.5
-    return out
-
-
-# the (N, H) values of a step that `_layer_backward` reads, besides a_hat,
-# inv_std and the states
-_GATE_SLOTS = ("i", "f", "u", "o", "c_tilde", "tanh_ct", "h_tilde")
-# the (T, B, H) values of `_layer_backward`'s recurrence that depend on the
-# forward alone, which `_step_factors` writes into a cache. They and the
-# gate's factors are made for the backward only, and `_layer_backward` drops
-# each as it last reads it, so that a training forward holds none of them
-_FACTORS = ("keep", "not_o", "not_f", "not_i", "d_tanh_ct", "d_tanh_u", "dh_dk", "dc_dk")
-
-
-def cell_step(a, h, c, k, lp, ln_g, ln_b, slots=None):
-    """One batched recurrence step for N states: the kernel of training and
-    eval, and the oracle of the attribution trie's `gate_major_step`.
-
-    a: (N, 4H) gate pre-activations x @ Wx + h @ Wh, overwritten in place;
-    h, c: (N, H) previous states; k: the time gate's openness, (H,) when all
-    N rows share one time or (N, H) per row. Returns (h_new, c_new). The
-    temporaries take the dtype of `a`, so float32 inputs give float32 states;
-    every operand must then be float32 as well (k, the layer norm, and the
-    peephole and bias vectors of `lp`), or a ufunc computes in float64.
-
-    Without `slots` the step keeps no backward cache: its values share three
-    temporaries. With `slots`, a dict of the step's views into the cache
-    arrays, it writes a_hat, inv_std, the _GATE_SLOTS values (the four
-    gates, c~, tanh(c~), h~) and the new states "h" and "c" into them with
-    `out=`. Both modes run the same operations in the same order, so their
-    states are bit-identical.
-    """
-    N, H = h.shape
-    a4 = a.reshape(N, 4, H)
-    g = np.empty((N, H), dtype=a.dtype)
-    if slots is None:
-        # f, c~, 1 - k and h_new share one temporary; i, o, h~ and the
-        # products share g; u and tanh(c~) share a third. Each value is
-        # overwritten only after its last read
-        f_ct, u = np.empty((N, H), dtype=a.dtype), np.empty((N, H), dtype=a.dtype)
-        slots = {
-            "a_hat": a4, "inv_std": np.empty((N, 4, 1), dtype=a.dtype), "i": g, "f": f_ct, "u": u, "o": g,
-            "c_tilde": f_ct, "tanh_ct": u, "h_tilde": g, "h": f_ct, "c": np.empty((N, H), dtype=a.dtype),
-        }
-    # layer norm; mean and var as ndarray.mean/var compute them (sum, then
-    # divide by H), the squares one gate at a time
-    mu = a4.sum(axis=-1, keepdims=True) / H
-    np.subtract(a4, mu, out=a4)
-    inv_std = slots["inv_std"]
-    for j in range(4):
-        inv_std[:, j] = np.square(a4[:, j], out=g).sum(axis=-1, keepdims=True)
-    inv_std /= H
-    inv_std += LN_EPS
-    np.divide(1.0, np.sqrt(inv_std, out=inv_std), out=inv_std)
-    a_hat = np.multiply(a4, inv_std, out=slots["a_hat"])
-    n4 = np.multiply(a_hat, ln_g, out=a4)
-    n4 += ln_b
-
-    f_g = _sigmoid_gate(n4[:, 1], c, lp.w_cf, lp.b_f, slots["f"])
-    c_tilde = np.multiply(f_g, c, out=slots["c_tilde"])
-    i_g = _sigmoid_gate(n4[:, 0], c, lp.w_ci, lp.b_i, slots["i"])
-    u_g = np.add(n4[:, 2], lp.b_c, out=slots["u"])
-    np.tanh(u_g, out=u_g)
-    c_tilde += np.multiply(i_g, u_g, out=g)
-    tanh_ct = np.tanh(c_tilde, out=slots["tanh_ct"])
-    # c_new = k * c~ + (1 - k) * c
-    kc = np.multiply(c_tilde, k, out=g)
-    keep = np.subtract(1.0, k, out=slots["h"])
-    c_new = np.multiply(keep, c, out=slots["c"])
-    c_new += kc
-    o_g = _sigmoid_gate(n4[:, 3], c, lp.w_co, lp.b_o, slots["o"])
-    h_tilde = np.multiply(o_g, tanh_ct, out=slots["h_tilde"])
-    # h_new = k * h~ + (1 - k) * h, written over keep
-    kh = np.multiply(h_tilde, k, out=g)
-    h_new = np.multiply(keep, h, out=keep)
-    h_new += kh
-    return h_new, c_new
+# the values of a step that `_layer_backward` reads, which a training scan
+# writes into its cache: the layer norm's a_hat and inv_std (4, N, ...), the
+# four gates, gate-major (4, N, H), c~, tanh(c~) and h~ (N, H), and the new
+# states
+_SLOTS = ("a_hat", "inv_std", "gates", "c_tilde", "tanh_ct", "h_tilde", "h", "c")
+# the (T, B, ...) values of `_layer_backward`'s recurrence that depend on the
+# forward alone, which `_step_factors` writes into a cache: not_gates is
+# 1 - gates, (T, 4, B, H), the others (T, B, H). They and the gate's factors
+# are made for the backward only, and `_layer_backward` drops each as it
+# last reads it, so that a training forward holds none of them
+_FACTORS = ("keep", "not_gates", "d_tanh_ct", "d_tanh_u", "dh_dk", "dc_dk")
 
 
 # the gate order of `gate_major_step`'s operands, the order of each layer's
@@ -514,7 +432,8 @@ class GateMajorCell(NamedTuple):
     """A layer's operands for `gate_major_step`, all in one dtype: the input
     and recurrent weights as gate-major stacks, (4, d, H) and (4, H, H); the
     layer norm's gain and, folded together, the layer norm's bias plus each
-    gate's bias, (4, 1, H); and the peepholes of i, f and o, (3, 1, H).
+    gate's bias, (4, 1, H); the peepholes of i, f and o, (3, 1, H); and the
+    vector of 1/H whose products make the layer norm's means, (H,).
     Gates run in GATES order, and the rows of the sigmoid gates i, f and o
     in gain, bias and peepholes are halved, so each sigmoid(z) is
     tanh(z') / 2 + 1 / 2 of the folded pre-activation z' = z / 2."""
@@ -524,6 +443,7 @@ class GateMajorCell(NamedTuple):
     gain: np.ndarray
     bias: np.ndarray
     peep: np.ndarray
+    mean: np.ndarray
 
 
 def gate_stack(params: ModelParams, idx: int, prefix: str, gates=GATES) -> np.ndarray:
@@ -544,58 +464,64 @@ def gate_major_cell(params: ModelParams, idx: int, dtype) -> GateMajorCell:
         gain=(half * params.ln_gain[idx]).astype(dtype),
         bias=(half * (params.ln_bias[idx] + gate_stack(params, idx, "b_")[:, None])).astype(dtype),
         peep=(0.5 * gate_stack(params, idx, "w_c", [GATES[row] for row in _SIGMOID_ROWS])[:, None]).astype(dtype),
+        mean=np.full(params.hidden_size, 1.0 / params.hidden_size, dtype=dtype),
     )
 
 
-def gate_major_step(a, h, c, k, cell: GateMajorCell):
-    """One batched recurrence step for N states, gate-major: the kernel of
-    the attribution trie, whose blocks step hundreds to thousands of rows
-    per call, so that its cost is per element, not per call.
+def gate_major_step(a, h, c, k, cell: GateMajorCell, slots=None):
+    """One batched recurrence step for N states, gate-major: the one cell
+    kernel, of training's scans and of every trie scan.
 
     a: (4, N, H) gate pre-activations x @ Wx + h @ Wh in GATES order,
     overwritten in place; h, c: (N, H) previous states; k: the time gate's
     openness, (N, H) or (H,); cell: the layer's `GateMajorCell` in the dtype
     of `a`, which every operand shares. Returns (h_new, c_new).
 
-    It computes `cell_step`'s values, not its bits: the layer norm's means
-    and variances are products with a 1/H vector, the biases and sigmoid's
-    halving are folded into `cell`, so one tanh covers all four gates, and
-    the blends are c + k * (c~ - c) and h + k * (h~ - h). Every elementwise
-    operation runs over a contiguous array of one gate or more. Besides `a`,
-    it holds no state-sized temporary but the two new states, which serve
-    as scratch first.
+    The layer norm's means and variances are products with a 1/H vector,
+    the biases and sigmoid's halving are folded into `cell`, so one tanh
+    covers all four gates, and the blends are c + k * (c~ - c) and
+    h + k * (h~ - h). Every elementwise operation runs over a contiguous
+    array of one gate or more.
+
+    Without `slots` the step keeps no backward cache: besides `a`, it holds
+    no state-sized temporary but the two new states, which serve as scratch
+    first. With `slots`, the step's views into the cache arrays in _SLOTS
+    order, it writes each of those values into its slot with `out=`, the
+    new states into the last two, which it returns. Both modes run the same
+    operations in the same order, so their states are bit-identical.
     """
     G, N, H = a.shape
-    h_new, c_new = np.empty((N, H), dtype=a.dtype), np.empty((N, H), dtype=a.dtype)
-    mean = np.full(H, 1.0 / H, dtype=a.dtype)
+    if slots is None:
+        # a holds a_hat, then the gates, c~ (over f), tanh(c~) and h~ (over o)
+        slots = (a, np.empty((G, N, 1), dtype=a.dtype), a, a[1], a[1], a[3], np.empty((N, H), dtype=a.dtype),
+                 np.empty((N, H), dtype=a.dtype))
+    a_hat, inv_std, gates, c_tilde, tanh_ct, h_tilde, h_new, c_new = slots
     rows = a.reshape(G * N, H)
-    rows -= (rows @ mean)[:, None]
+    rows -= (rows @ cell.mean)[:, None]
     # each gate's squares in turn take h_new
-    inv_std = np.empty((G, N, 1), dtype=a.dtype)
     for j in range(G):
-        np.matmul(np.square(a[j], out=h_new), mean, out=inv_std[j, :, 0])
+        np.matmul(np.square(a[j], out=h_new), cell.mean, out=inv_std[j, :, 0])
     inv_std += LN_EPS
     np.divide(1.0, np.sqrt(inv_std, out=inv_std), out=inv_std)
-    a *= inv_std
-    a *= cell.gain
+    np.multiply(a, inv_std, out=a_hat)
+    np.multiply(a_hat, cell.gain, out=a)
     a += cell.bias
     for j, peep in zip(_SIGMOID_ROWS, cell.peep):
         a[j] += np.multiply(c, peep, out=h_new)
-    np.tanh(a, out=a)
-    i, f, u, o = a
-    for sigmoids in (a[:2], o):
+    np.tanh(a, out=gates)
+    i, f, u, o = gates
+    for sigmoids in (gates[:2], o):
         sigmoids *= 0.5
         sigmoids += 0.5
-    # c~ = f * c + i * u, written over f
-    i *= u
-    f *= c
-    f += i
-    np.subtract(f, c, out=c_new)
+    # c~ = f * c + i * u, i * u in h_new
+    np.multiply(f, c, out=c_tilde)
+    c_tilde += np.multiply(i, u, out=h_new)
+    np.subtract(c_tilde, c, out=c_new)
     c_new *= k
     c_new += c
-    # h~ = o * tanh(c~), written over o
-    o *= np.tanh(f, out=f)
-    np.subtract(o, h, out=h_new)
+    # h~ = o * tanh(c~)
+    np.multiply(o, np.tanh(c_tilde, out=tanh_ct), out=h_tilde)
+    np.subtract(h_tilde, h, out=h_new)
     h_new *= k
     h_new += h
     return h_new, c_new
@@ -741,29 +667,30 @@ def scan_logits(params: ModelParams, table: JourneyTable) -> np.ndarray:
     return hidden @ params.W_out + params.b_out
 
 
-def _layer_setup(times, lp, alpha, training):
-    """What a scan of one layer over a batch at `times` (B, T) hours needs
-    besides its input: the stacked weights Wx and Wh, the time gate's
-    openness k (T, B, H), evaluated for all steps at once since the gate
-    depends only on the times, and the cache for `_layer_backward`, whose
-    (T, B, ...) stacks of each step's slots and of the states before and
-    after it the scan fills in, and to which `_step_factors` and
-    `_gate_cache` add the backward's factors; the cache is None unless
-    training."""
+def _layer_setup(times, params, idx, alpha, training):
+    """What a scan of layer idx over a batch at `times` (B, T) hours needs
+    besides its input: its float64 `GateMajorCell`, whose weights are views
+    of params.flat, the time gate's openness k (T, B, H), evaluated for all
+    steps at once since the gate depends only on the times, and the cache
+    for `_layer_backward`, whose (T, ...) stacks of each step's _SLOTS and
+    of the states before and after it the scan fills in, and to which
+    `_step_factors` and `_gate_cache` add the backward's factors; the cache
+    is None unless training."""
     B, T = times.shape
+    lp = params.layers[idx]
     H = lp.hidden_size
-    Wx, Wh = _stacked_weights(lp)
+    cell = gate_major_cell(params, idx, np.float64)
     k, phi = _gate_forward(times.T[:, :, None], lp.tau, lp.s, lp.r_on, alpha)
     cache = None
     if training:
         hs, cs = np.zeros((T + 1, B, H)), np.zeros((T + 1, B, H))
-        cache = {name: np.empty((T, B, H)) for name in _GATE_SLOTS}
+        cache = {name: np.empty((T, B, H)) for name in ("c_tilde", "tanh_ct", "h_tilde")}
         cache.update(
-            a_hat=np.empty((T, B, 4, H)), inv_std=np.empty((T, B, 4, 1)),
+            a_hat=np.empty((T, 4, B, H)), inv_std=np.empty((T, 4, B, 1)), gates=np.empty((T, 4, B, H)),
             h=hs[1:], c=cs[1:], h_prev=hs[:-1], c_prev=cs[:-1],
-            k=k, phi=phi, alpha=alpha, times=times, Wx=Wx, Wh=Wh,
+            k=k, phi=phi, alpha=alpha, times=times, Wx=cell.Wx, Wh=cell.Wh,
         )
-    return Wx, Wh, k, cache
+    return cell, k, cache
 
 
 def _gate_cache(cache, lp) -> None:
@@ -781,70 +708,72 @@ def _step_factors(cache, t=slice(None)) -> None:
     call makes their arrays. Each is elementwise, so step by step and all
     at once give the same bits."""
     if "keep" not in cache:
-        cache.update({name: np.empty_like(cache["k"]) for name in _FACTORS})
+        cache.update({name: np.empty_like(cache["gates" if name == "not_gates" else "k"]) for name in _FACTORS})
     np.subtract(1.0, cache["k"][t], out=cache["keep"][t])
-    for gate in "ofi":
-        np.subtract(1.0, cache[gate][t], out=cache[f"not_{gate}"][t])
-    for name, value in (("d_tanh_ct", cache["tanh_ct"][t]), ("d_tanh_u", cache["u"][t])):
+    np.subtract(1.0, cache["gates"][t], out=cache["not_gates"][t])
+    for name, value in (("d_tanh_ct", cache["tanh_ct"][t]), ("d_tanh_u", cache["gates"][t, 2])):
         square = np.multiply(value, value, out=cache[name][t])
         np.subtract(1.0, square, out=square)
     np.subtract(cache["h_tilde"][t], cache["h_prev"][t], out=cache["dh_dk"][t])
     np.subtract(cache["c_tilde"][t], cache["c_prev"][t], out=cache["dc_dk"][t])
 
 
-def _layer_scan(x_proj, Wh, k, lp, ln_g, ln_b, cache=None):
-    """The scan of one layer, a generator: it takes each step's input
-    projection x_t @ Wx, (B, 4H), from the iterable `x_proj` in step order,
-    and yields the step's h (B, H) as soon as it is computed. So a step's
-    input may be made from another layer's output at an earlier step, and
-    the scan may wait for it. k and cache come from `_layer_setup`; with a
-    cache, each step's slots are written into it."""
+def _layer_scan(x_proj, cell, k, cache=None):
+    """The scan of one layer, a generator: it takes each step's gate-major
+    input projection x_t @ Wx, (4, B, H), from the iterable `x_proj` in
+    step order, and yields the step's h (B, H) as soon as it is computed.
+    So a step's input may be made from another layer's output at an earlier
+    step, and the scan may wait for it. cell, k and cache come from
+    `_layer_setup`; with a cache, each step's slots are written into it."""
     T, B, H = k.shape
     h = c = np.zeros((B, H))
     for t, x_t in enumerate(x_proj):
-        slots = None
-        if cache is not None:
-            slots = {name: cache[name][t] for name in ("a_hat", "inv_std", "h", "c", *_GATE_SLOTS)}
-        h, c = cell_step(x_t + h @ Wh, h, c, k[t], lp, ln_g, ln_b, slots)
+        a = np.matmul(h, cell.Wh)
+        a += x_t
+        slots = None if cache is None else tuple(cache[name][t] for name in _SLOTS)
+        h, c = gate_major_step(a, h, c, k[t], cell, slots)
         yield h
 
 
 def _link(scan, x, mask, Wx):
     """The input projections of the layer above `scan`'s, a generator:
-    after the scan's step t it writes that layer's input x[:, t], the step's
-    h times mask[:, t] unless mask is None, and yields x[:, t] @ Wx, one
-    B-row product. The only place that product is made."""
+    after the scan's step t it writes that layer's input x[t], the step's
+    h times mask[:, t] unless mask is None, and yields x[t] @ Wx, gate-major
+    (4, B, H), one batched B-row product. The only place that product is
+    made."""
     for t, h in enumerate(scan):
-        x[:, t] = h if mask is None else h * mask[:, t]
-        yield x[:, t] @ Wx
+        x[t] = h if mask is None else h * mask[:, t]
+        yield np.matmul(x[t], Wx)
 
 
 def _projections(idx, x, Wx, below, masks):
-    """Layer idx's input projections x_t @ Wx, (B, 4H) each, in step order.
-    Layer 0's input x (B, T, d) exists before its scan, so its projections
-    are one product over all B*T rows; a higher layer's input x is filled
-    in step by step from `below`, the scan of layer idx - 1, times
-    masks[idx - 1], and projected by `_link`."""
+    """Layer idx's gate-major input projections x_t @ Wx, (4, B, H) each, in
+    step order, from its step-major input x (T, B, d). Layer 0's input
+    exists before its scan, so its projections are one batched product over
+    all T*B rows; a higher layer's input x is filled in step by step from
+    `below`, the scan of layer idx - 1, times masks[idx - 1], and projected
+    by `_link`."""
     if idx:
         return _link(below, x, masks[idx - 1], Wx)
-    B, T, d = x.shape
-    return (x.reshape(B * T, d) @ Wx).reshape(B, T, -1).swapaxes(0, 1)
+    T, B, d = x.shape
+    return np.matmul(x.reshape(T * B, d), Wx).reshape(len(Wx), T, B, -1).swapaxes(0, 1)
 
 
 def _stack_scan(x, times, params, masks, alpha, training, n):
     """Layers 0 .. n-1 of the stack over a batch x (B, T, d), chained as
     generators, one step apart, each over its `_projections`. Returns the
-    layers' inputs (those above layer 0 filled in as the scans run), their
-    caches (None unless training) and the last layer's scan, not yet
-    started: running it runs them all (None where n is 0)."""
-    B, T, _ = x.shape
+    layers' inputs, step-major (T, B, d) (those above layer 0 filled in as
+    the scans run), their caches (None unless training) and the last
+    layer's scan, not yet started: running it runs them all (None where n
+    is 0)."""
+    x = np.ascontiguousarray(x.swapaxes(0, 1))
+    T, B, _ = x.shape
     inputs, caches, scan = [], [], None
     for idx in range(n):
-        lp, ln_g, ln_b = params.layers[idx], params.ln_gain[idx], params.ln_bias[idx]
-        Wx, Wh, k, cache = _layer_setup(times, lp, alpha, training)
+        cell, k, cache = _layer_setup(times, params, idx, alpha, training)
         if idx:
-            x = np.empty((B, T, lp.input_size))
-        scan = _layer_scan(_projections(idx, x, Wx, scan, masks), Wh, k, lp, ln_g, ln_b, cache)
+            x = np.empty((T, B, params.layers[idx].input_size))
+        scan = _layer_scan(_projections(idx, x, cell.Wx, scan, masks), cell, k, cache)
         inputs.append(x)
         caches.append(cache)
     return inputs, caches, scan
@@ -859,7 +788,8 @@ def _dropout_draws(rng: np.random.Generator, shape: tuple[int, ...], p: float, n
 @dataclass
 class ForwardTrace:
     """One forward evaluation; a training forward's trace holds everything
-    the backward pass needs, an inference trace no backward cache."""
+    the backward pass needs, an inference trace no backward cache. Each
+    layer's input is step-major, (T, B, d)."""
 
     params: ModelParams
     times: np.ndarray
@@ -935,33 +865,36 @@ def forward_batch(
 def _layer_backward(dH, x, cache, params, idx, flat, dA):
     """Reverse scan of layer idx, a generator. It takes the gradient w.r.t.
     each step's output h, (B, H), from the iterable dH, from step T-1 down
-    to 0; it writes the step's pre-activation gradient into dA[t] (B, 4, H)
-    and yields it, (B, 4H), as soon as it is computed. So a step's output
-    gradient may be made from another layer's dA at a later step, and the
-    scan may wait for it. It reads step t's _FACTORS from the cache, so
-    their arrays must be in the cache when it starts and `_step_factors`
-    must have written step t's by the time it reaches step t, and the
-    gate's factors (`_gate_cache`) by the end of the loop. It removes each
-    factor from the cache once it has read it for the last time.
+    to 0; it writes the step's gate-major pre-activation gradient into
+    dA[:, t] (4, B, H) and yields it as soon as it is computed. So a step's
+    output gradient may be made from another layer's dA at a later step,
+    and the scan may wait for it. It reads step t's _FACTORS from the cache,
+    so their arrays must be in the cache when it starts and `_step_factors`
+    must have written step t's by the time it reaches step t, and the gate's
+    factors (`_gate_cache`) by the end of the loop. It removes each factor
+    from the cache once it has read it for the last time.
 
     After the last step it writes the gradients of the layer's tensors and
     of its layer norm into their stretches of `flat`, laid out as
     params.flat (the input gradient is `_link_back`'s, of the yielded
     steps). The loop carries only the recurrence. The per-step sums are
     taken after it and added from t = T-1 down to 0, starting from 0.0, as
-    a per-step accumulation would.
+    a per-step accumulation would. x is the layer's step-major input (T, B,
+    d), and each gate's weight gradients are one product over all T*B rows.
     """
-    B, T, d = x.shape
+    T, B, d = x.shape
     lp, ln_g = params.layers[idx], params.ln_gain[idx]
     H = lp.hidden_size
     layout = params.layout
     # the layer's tensors sit side by side, W_xi first and r_on last
     out = flat[layout[f"layers.{idx}.W_xi"][0].start:layout[f"layers.{idx}.r_on"][0].stop]
     k, c_prev = cache["k"], cache["c_prev"]
-    i_g, f_g, u_g, o_g, _, tanh_ct, _ = (cache[name] for name in _GATE_SLOTS)
-    keep, not_o, not_f, not_i, d_tanh_ct, d_tanh_u = (cache[name] for name in _FACTORS[:6])
+    i_g, f_g, u_g, o_g = (cache["gates"][:, j] for j in range(4))
+    tanh_ct = cache["tanh_ct"]
+    keep, not_gates, d_tanh_ct, d_tanh_u = (cache[name] for name in _FACTORS[:4])
+    not_i, not_f, _, not_o = (not_gates[:, j] for j in range(4))
 
-    dn = np.empty((T, B, 4, H))  # pre-activation gradients of gates i, f, c, o
+    dn = np.empty((T, 4, B, H))  # pre-activation gradients of gates i, f, c, o
     dhs = np.empty((T, B, H))
     dcs = np.zeros((T + 1, B, H))  # step t's dc is dcs[t + 1]
     dh_next = np.zeros((B, H))
@@ -971,30 +904,30 @@ def _layer_backward(dH, x, cache, params, idx, flat, dA):
         dh_tilde = dh * k[t]
         dc_tilde = dc * k[t]
         dc_tilde += dh_tilde * o_g[t] * d_tanh_ct[t]
-        np.multiply(dh_tilde * tanh_ct[t] * o_g[t], not_o[t], out=dn[t, :, 3])
-        np.multiply(dc_tilde * i_g[t], d_tanh_u[t], out=dn[t, :, 2])
-        np.multiply(dc_tilde * c_prev[t] * f_g[t], not_f[t], out=dn[t, :, 1])
-        np.multiply(dc_tilde * u_g[t] * i_g[t], not_i[t], out=dn[t, :, 0])
-        da = _ln_backward(dn[t], cache["a_hat"][t], cache["inv_std"][t], ln_g, dA[t]).reshape(B, 4 * H)
+        np.multiply(dh_tilde * tanh_ct[t] * o_g[t], not_o[t], out=dn[t, 3])
+        np.multiply(dc_tilde * i_g[t], d_tanh_u[t], out=dn[t, 2])
+        np.multiply(dc_tilde * c_prev[t] * f_g[t], not_f[t], out=dn[t, 1])
+        np.multiply(dc_tilde * u_g[t] * i_g[t], not_i[t], out=dn[t, 0])
+        da = _ln_backward(dn[t], cache["a_hat"][t], cache["inv_std"][t], ln_g, dA[:, t])
         yield da
         if t == 0:  # step 0's dc_prev and dh_prev reach nothing
             break
         dc_prev = np.multiply(dc, keep[t], out=dcs[t])
-        dc_prev += dn[t, :, 3] * lp.w_co
+        dc_prev += dn[t, 3] * lp.w_co
         dc_prev += dc_tilde * f_g[t]
-        dc_prev += dn[t, :, 1] * lp.w_cf
-        dc_prev += dn[t, :, 0] * lp.w_ci
-        dh_next = dh * keep[t] + da @ cache["Wh"].T
+        dc_prev += dn[t, 1] * lp.w_cf
+        dc_prev += dn[t, 0] * lp.w_ci
+        dh_next = dh * keep[t] + _gate_sum(da, cache["Wh"])
 
-    for name in _FACTORS[:6]:
+    for name in _FACTORS[:4]:
         del cache[name]
-    del keep, not_o, not_f, not_i, d_tanh_ct, d_tanh_u
+    del keep, not_gates, not_i, not_f, not_o, d_tanh_ct, d_tanh_u
     dK = dhs * cache.pop("dh_dk") + dcs[1:] * cache.pop("dc_dk")
     # each step's row sums: w_ci, w_cf, w_co, b_i .. b_o, tau, s, r_on (the
     # order of the layer's vectors in `out`), then the layer norm's gain, bias
     per_step = np.empty((T, 12, H))
-    per_step[:, 0:3] = (dn * c_prev[:, :, None]).sum(axis=1)[:, [0, 1, 3]]
-    np.sum(dn, axis=1, out=per_step[:, 3:7])
+    per_step[:, 0:3] = (dn * c_prev[:, None]).sum(axis=2)[:, [0, 1, 3]]
+    np.sum(dn, axis=2, out=per_step[:, 3:7])
     for j, g in enumerate(_gate_backward(dK, cache.pop("gate"))):
         np.sum(g, axis=1, out=per_step[:, 7 + j])
     np.sum(dn * cache["a_hat"], axis=(1, 2), out=per_step[:, 10])
@@ -1006,20 +939,26 @@ def _layer_backward(dH, x, cache, params, idx, flat, dA):
     flat[layout[f"ln.{idx}.gain"][0]] = sums[10]
     flat[layout[f"ln.{idx}.bias"][0]] = sums[11]
 
-    dA_flat = dA.transpose(1, 0, 2, 3).reshape(B * T, 4 * H)
-    hp_flat = cache["h_prev"].transpose(1, 0, 2).reshape(B * T, H)
-    # W_xi .. W_xo, then W_hi .. W_ho, each (rows, H), one after the other
-    out[:4 * d * H].reshape(4, d, H)[...] = (x.reshape(B * T, d).T @ dA_flat).reshape(d, 4, H).transpose(1, 0, 2)
-    out[4 * d * H:4 * (d + H) * H].reshape(4, H, H)[...] = (hp_flat.T @ dA_flat).reshape(H, 4, H).transpose(1, 0, 2)
+    # W_xi .. W_xo, then W_hi .. W_ho: each gate's rows, one after the other
+    dA_rows = dA.reshape(4, T * B, H)
+    np.matmul(x.reshape(T * B, d).T, dA_rows, out=out[:4 * d * H].reshape(4, d, H))
+    np.matmul(cache["h_prev"].reshape(T * B, H).T, dA_rows, out=out[4 * d * H:4 * (d + H) * H].reshape(4, H, H))
+
+
+def _gate_sum(da, W):
+    """The sum over the four gates j of da[j] @ W[j].T: the gradient that
+    gate-major pre-activation gradients da (4, B, H) pass back through
+    gate-major weights W (4, m, H) to their input, (B, m)."""
+    return np.matmul(da, W.transpose(0, 2, 1)).sum(axis=0)
 
 
 def _link_back(steps, Wx, mask):
     """The output gradients of the layer below, a generator over a reverse
     scan's `steps` (t = T-1 down to 0), which it runs to their end: each
-    step's da (B, 4H) @ Wx.T, one B-row product, times mask[:, t] unless
-    mask is None. The only place that product is made."""
+    step's gate-major da (4, B, H) through Wx (`_gate_sum`), times
+    mask[:, t] unless mask is None. The only place that product is made."""
     for i, da in enumerate(steps):
-        dX = da @ Wx.T
+        dX = _gate_sum(da, Wx)
         yield dX if mask is None else dX * mask[:, -1 - i]
 
 
@@ -1033,11 +972,11 @@ def _stack_backward(dH, inputs, caches, params, masks, flat, n):
     the layer above it (`_link_back`), one step at a time."""
     for idx in range(n - 1, -1, -1):
         x, cache = inputs[idx], caches[idx]
-        B, T, _ = x.shape
+        T, B, _ = x.shape
         if "gate" not in cache:
             _step_factors(cache)
             _gate_cache(cache, params.layers[idx])
-        dA = np.empty((T, B, 4, params.hidden_size))
+        dA = np.empty((4, T, B, params.hidden_size))
         steps = _layer_backward(dH, x, cache, params, idx, flat, dA)
         dH = list(_link_back(steps, cache["Wx"], masks[idx - 1]) if idx else steps)
 

@@ -5,14 +5,17 @@ An SGD step runs as a two-stage wavefront over the time steps. The first
 stage is every layer below the top one, the second the top layer, the
 output projection and the loss. In the forward the second stage runs one
 time step behind the first; in the backward the first runs one step behind
-the second. The first stage also makes the top layer's input projections
-(`model._projections`) and input gradients (`model._link_back`), as
-`forward_batch` and `backward_batch` do: one B-row product per step, or,
-in a one-layer model, one projection of all B*T rows and no gradient. On
-two processes (`train(workers=2)`, two or more layers) the first stage
-runs in the calling process and the second in a helper forked at the
-start of `train`; each writes its layers' gradients into one flat
-gradient in shared memory.
+the second. Both step their layers through the one cell kernel,
+`model.gate_major_step`, with the layers' weights as gate-major views of
+the parameters. The first stage also makes the top layer's input
+projections (`model._projections`) and input gradients
+(`model._link_back`), as `forward_batch` and `backward_batch` do: one
+batched B-row product per step, or, in a one-layer model, one projection
+of all B*T rows and no gradient; the stages exchange them gate-major,
+(4, T, B, H). On two processes (`train(workers=2)`, two or more layers)
+the first stage runs in the calling process and the second in a helper
+forked at the start of `train`; each writes its layers' gradients into
+one flat gradient in shared memory.
 
 Each process also does the rest of the step for the tensors it owns. It
 sums the squares of its gradients, tensor by tensor; the caller adds those
@@ -82,9 +85,9 @@ from .model import (
     _projections,
     _stack_backward,
     _stack_scan,
-    _stacked_weights,
     _step_factors,
     clamp_gate_timing,
+    gate_stack,
     init_params,
     scan_logits,
     softmax,
@@ -329,32 +332,32 @@ def _sgd_update(params: ModelParams, grads: Gradients, velocity, parts, norm: fl
 def _lower_forward(params, feats, times, masks, shared, handoff):
     """The first stage's forward: the layers below the top one over the
     batch (`_stack_scan`), one step at a time. After step t the top layer's
-    input row top_in[:, t] (in a one-layer model, the batch's) and its
-    projection proj[t] (`_projections`) are written, then handoff() is
-    called. Returns the lower layers' inputs and caches and the top layer's
-    stacked input weights."""
+    input row top_in[t] (in a one-layer model, the batch's) and its
+    gate-major projection proj[:, t] (`_projections`) are written, then
+    handoff() is called. Returns the lower layers' inputs and caches and
+    the top layer's gate-major input weights, a view of params.flat."""
     B, T, _ = feats.shape
     top = params.n_layers - 1
     lp = params.layers[top]
     inputs, caches, scan = _stack_scan(feats, times, params, masks, params.alpha, True, top)
-    top_in = _view(shared["top_in"], B, T, lp.input_size)
+    top_in = _view(shared["top_in"], T, B, lp.input_size)
     if not top:
-        top_in[...] = feats
-    proj = _view(shared["proj"], T, B, 4 * lp.hidden_size)
-    Wx = _stacked_weights(lp)[0]
+        top_in[...] = feats.swapaxes(0, 1)
+    proj = _view(shared["proj"], 4, T, B, lp.hidden_size)
+    Wx = gate_stack(params, top, "W_x")
     for t, x_proj in enumerate(_projections(top, top_in, Wx, scan, masks)):
-        proj[t] = x_proj
+        proj[:, t] = x_proj
         handoff()
     return inputs, caches, Wx
 
 
 def _top_step(params, shared, grads, wait, handoff) -> None:
     """The second stage's part of an SGD step: the top layer, whose step t
-    input projection proj[t] is read after wait(), the logits, and the loss,
-    written into meta[2] before a handoff(). The layer's gate factors are
-    made before the first wait. If the loss is finite, then the output
+    input projection proj[:, t] is read after wait(), the logits, and the
+    loss, written into meta[2] before a handoff(). The layer's gate factors
+    are made before the first wait. If the loss is finite, then the output
     projection's gradients and the top layer's reverse scan, which makes
-    step t's recurrence factors, writes dA[t] and calls handoff() for each
+    step t's recurrence factors, writes dA[:, t] and calls handoff() for each
     step t, and one more handoff() once every gradient of the stage is
     written into grads and its square sums into sums. (In the forward the
     stage keeps pace with the first and hardly waits, so the recurrence
@@ -362,18 +365,18 @@ def _top_step(params, shared, grads, wait, handoff) -> None:
     B, T = int(shared["meta"][0]), int(shared["meta"][1])
     H = params.hidden_size
     times, labels = _view(shared["times"], B, T), _view(shared["labels"], B, T)
-    proj = _view(shared["proj"], T, B, 4 * H)
+    proj = _view(shared["proj"], 4, T, B, H)
     top = params.n_layers - 1
     lp = params.layers[top]
-    _, Wh, k, cache = _layer_setup(times, lp, params.alpha, True)
+    cell, k, cache = _layer_setup(times, params, top, params.alpha, True)
     _gate_cache(cache, lp)
 
     def steps():
         for t in range(T):
             wait()
-            yield proj[t]
+            yield proj[:, t]
 
-    hidden = np.stack(list(_layer_scan(steps(), Wh, k, lp, params.ln_gain[top], params.ln_bias[top], cache)), axis=1)
+    hidden = np.stack(list(_layer_scan(steps(), cell, k, cache)), axis=1)
     logits = hidden @ params.W_out + params.b_out
     shared["meta"][2], grad_logits = _loss_and_grad_batch(logits, labels)
     handoff()
@@ -389,7 +392,7 @@ def _top_step(params, shared, grads, wait, handoff) -> None:
 
     _step_factors(cache, T - 1)  # it also makes the arrays, which the reverse scan reads from its start
 
-    top_in, dA = _view(shared["top_in"], B, T, lp.input_size), _view(shared["dA"], T, B, 4, H)
+    top_in, dA = _view(shared["top_in"], T, B, lp.input_size), _view(shared["dA"], 4, T, B, H)
     for _ in _layer_backward(upstream(), top_in, cache, params, top, grads.flat, dA):
         handoff()
     _square_sums(grads, range(_TOP_TENSORS), shared["sums"])
@@ -399,15 +402,15 @@ def _top_step(params, shared, grads, wait, handoff) -> None:
 def _lower_backward(params, inputs, times, caches, masks, Wx, shared, flat, wait) -> None:
     """The first stage's backward: the reverse scans of the layers below the
     top one (`_stack_backward`). The output gradient of the last of them at
-    step t is the top layer's input gradient (`_link_back` of dA[t]), made
-    after wait(), from t = T-1 down to 0."""
+    step t is the top layer's input gradient (`_link_back` of dA[:, t]),
+    made after wait(), from t = T-1 down to 0."""
     B, T = times.shape
-    dA = _view(shared["dA"], T, B, 4 * params.hidden_size)
+    dA = _view(shared["dA"], 4, T, B, params.hidden_size)
 
     def steps():
         for t in range(T - 1, -1, -1):
             wait()
-            yield dA[t]
+            yield dA[:, t]
 
     _stack_backward(_link_back(steps(), Wx, masks[-1]), inputs, caches, params, masks, flat, params.n_layers - 1)
 

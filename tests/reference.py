@@ -138,7 +138,28 @@ def cell_forward(
     ln_bias: np.ndarray | None = None,
     alpha: float = ALPHA_TRAIN_DEFAULT,
 ):
-    """One recurrence step on a single example (reference implementation).
+    """One recurrence step on a single example (reference implementation)
+    at time t: the step of `cell_forward_at` at the time gate's openness k
+    at t, with k and the gate's phase phi added to its cache."""
+    if not np.isfinite(t):
+        raise NumericError("cell_forward received non-finite inputs")
+    k, phi = _gate_forward(t, params.tau, params.s, params.r_on, alpha)
+    h_t, c_t, cache = cell_forward_at(x_t, h_prev, c_prev, k, params, ln_gain, ln_bias)
+    cache.update(k=k, phi=phi)
+    return h_t, c_t, cache
+
+
+def cell_forward_at(
+    x_t: np.ndarray,
+    h_prev: np.ndarray,
+    c_prev: np.ndarray,
+    k: np.ndarray,
+    params: PhasedLstmLayerParams,
+    ln_gain: np.ndarray | None = None,
+    ln_bias: np.ndarray | None = None,
+):
+    """One recurrence step on a single example at a given time-gate
+    openness k, one value per unit (reference implementation).
 
     Gates read peepholes on the previous cell state; the candidate state
     c~ = f*c_prev + i*tanh(.) and candidate hidden h~ = o*tanh(c~) are
@@ -155,7 +176,7 @@ def cell_forward(
         raise DimensionError(f"x_t must have shape ({lp.input_size},), got {x.shape}")
     if h0.shape != (H,) or c0.shape != (H,):
         raise DimensionError(f"h_prev and c_prev must have shape ({H},)")
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(h0)) and np.all(np.isfinite(c0)) and np.isfinite(t)):
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(h0)) and np.all(np.isfinite(c0)) and np.all(np.isfinite(k))):
         raise NumericError("cell_forward received non-finite inputs")
 
     a_i = x @ lp.W_xi + h0 @ lp.W_hi
@@ -173,13 +194,9 @@ def cell_forward(
     c_tilde = f_g * c0 + i_g * u_g
     o_g = _sigmoid(a_o + lp.w_co * c0 + lp.b_o)
     h_tilde = o_g * np.tanh(c_tilde)
-    k, phi = _gate_forward(t, lp.tau, lp.s, lp.r_on, alpha)
     c_t = k * c_tilde + (1.0 - k) * c0
     h_t = k * h_tilde + (1.0 - k) * h0
-    cache = {
-        "i": i_g, "f": f_g, "u": u_g, "o": o_g,
-        "c_tilde": c_tilde, "h_tilde": h_tilde, "k": k, "phi": phi,
-    }
+    cache = {"i": i_g, "f": f_g, "u": u_g, "o": o_g, "c_tilde": c_tilde, "h_tilde": h_tilde}
     return h_t, c_t, cache
 
 

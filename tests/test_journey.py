@@ -28,7 +28,6 @@ from deepmta.journey import (
     record_journey,
     save_journeys,
     save_vocabulary,
-    stream_synthetic,
 )
 from reference import split_stream, synthetic_journeys
 from test_attribution import assert_no_child_left
@@ -291,16 +290,10 @@ class TestGeneratorLimits:
         # the draws are the oracle's, and the arithmetic after them gives
         # the bytes of its numpy arithmetic
         cfg = GeneratorConfig(n_journeys=300, **shape)
-        vocab, journeys = stream_synthetic(cfg, seed)
+        vocab, journeys = generate_synthetic(cfg, seed)
         save_journeys(tmp_path / "fast.jsonl", journeys)
         save_journeys(tmp_path / "oracle.jsonl", synthetic_journeys(cfg, vocab, np.random.default_rng(seed)))
         assert (tmp_path / "fast.jsonl").read_bytes() == (tmp_path / "oracle.jsonl").read_bytes()
-
-    def test_stream_draws_the_list(self):
-        cfg = GeneratorConfig(n_journeys=300, max_len=6, include_nonconverted=False)
-        vocab, journeys = generate_synthetic(cfg, seed=4)
-        streamed_vocab, streamed = stream_synthetic(cfg, seed=4)
-        assert streamed_vocab == vocab and list(streamed) == journeys
 
 
 class TestJsonlRoundTrip:

@@ -14,8 +14,8 @@ from deepmta.errors import (
 )
 from deepmta.journey import JourneyTable, Vocabulary
 from deepmta.model import (
-    _GATE_SLOTS,
     _FACTORS,
+    _SLOTS,
     LAYER_TENSOR_FIELDS,
     ModelParams,
     PhasedLstmLayerParams,
@@ -25,7 +25,6 @@ from deepmta.model import (
     _stack_scan,
     _step_factors,
     backward_batch,
-    cell_step,
     forward_batch,
     gate_major_cell,
     gate_major_step,
@@ -35,7 +34,7 @@ from deepmta.model import (
     save_checkpoint,
 )
 from deepmta.trainer import softmax
-from reference import cell_forward, dropout, gate_backward, gate_openness, layer_norm, time_gate
+from reference import cell_forward, cell_forward_at, dropout, gate_backward, gate_openness, layer_norm, time_gate
 
 
 def random_layer(rng, d, H, scale=0.4):
@@ -356,37 +355,32 @@ class TestForwardSequence:
         x = rng.normal(0, 1, (6, 9, 5))
         times = np.broadcast_to(np.sort(rng.uniform(0, 48, 9)), (6, 9))
         inputs, _, scan = _stack_scan(x, times, params, [None], 0.0, False, 2)
-        outputs = [inputs[1], np.stack(list(scan), axis=1)]
+        outputs = [inputs[1], np.stack(list(scan))]  # step-major, (T, B, H)
         for idx, lp in enumerate(params.layers):
-            ln_g, ln_b = params.ln_gain[idx], params.ln_bias[idx]
-            Wx = np.concatenate([lp.W_xi, lp.W_xf, lp.W_xc, lp.W_xo], axis=1)
-            Wh = np.concatenate([lp.W_hi, lp.W_hf, lp.W_hc, lp.W_ho], axis=1)
+            cell = gate_major_cell(params, idx, np.float64)
             x = inputs[idx]
-            x_proj = (x.reshape(-1, x.shape[2]) @ Wx).reshape(6, 9, -1) if idx == 0 else None
+            x_proj = np.matmul(x.reshape(-1, x.shape[2]), cell.Wx).reshape(4, 9, 6, H) if idx == 0 else None
             h = c = np.zeros((6, H))
             for t in range(9):
                 k = time_gate(times[0, t], lp.tau, lp.s, lp.r_on, 0.0)
-                x_t = x_proj[:, t] if idx == 0 else x[:, t] @ Wx
-                h, c = cell_step(x_t + h @ Wh, h, c, k, lp, ln_g, ln_b)
-                np.testing.assert_array_equal(h, outputs[idx][:, t])
+                a = np.matmul(h, cell.Wh)
+                a += x_proj[:, t] if idx == 0 else np.matmul(x[t], cell.Wx)
+                h, c = gate_major_step(a, h, c, k, cell)
+                np.testing.assert_array_equal(h, outputs[idx][t])
 
     def test_float32_inputs_give_float32_states(self):
         # the kernel's temporaries follow a's dtype, so no float64 operand
         # upcasts a float32 step
-        from types import SimpleNamespace
-
         rng = np.random.default_rng(33)
         params = random_model(rng, 5, 8, 1)
-        lp, ln_g, ln_b = params.layers[0], params.ln_gain[0], params.ln_bias[0]
-        Wx = np.concatenate([lp.W_xi, lp.W_xf, lp.W_xc, lp.W_xo], axis=1)
-        Wh = np.concatenate([lp.W_hi, lp.W_hf, lp.W_hc, lp.W_ho], axis=1)
+        lp = params.layers[0]
+        cell64, cell32 = gate_major_cell(params, 0, np.float64), gate_major_cell(params, 0, np.float32)
         h, c = rng.normal(0, 0.5, (2, 6, 8))
-        a = rng.normal(0, 1, (6, 5)) @ Wx + h @ Wh
+        a = np.matmul(rng.normal(0, 1, (6, 5)), cell64.Wx) + np.matmul(h, cell64.Wh)
         k = time_gate(3.5, lp.tau, lp.s, lp.r_on, 0.0)
-        h64, c64 = cell_step(a.copy(), h, c, k, lp, ln_g, ln_b)
+        h64, c64 = gate_major_step(a.copy(), h, c, k, cell64)
         f32 = lambda v: v.astype(np.float32)
-        lp32 = SimpleNamespace(**{name: f32(getattr(lp, name)) for name in ("w_ci", "w_cf", "w_co", "b_i", "b_f", "b_c", "b_o")})
-        h32, c32 = cell_step(f32(a), f32(h), f32(c), f32(k), lp32, f32(ln_g), f32(ln_b))
+        h32, c32 = gate_major_step(f32(a), f32(h), f32(c), f32(k), cell32)
         assert h32.dtype == c32.dtype == np.float32
         assert h64.dtype == c64.dtype == np.float64
         np.testing.assert_allclose(h32, h64, atol=1e-5)
@@ -430,24 +424,32 @@ class TestForwardSequence:
         assert np.all(np.isfinite(logits))
 
 
+def reference_rows(x, h, c, k, params, idx):
+    """(h, c, cache) of tests/reference.py's single-row step of layer idx
+    at openness k, row by row, each stacked over the rows."""
+    lp, ln_g, ln_b = params.layers[idx], params.ln_gain[idx], params.ln_bias[idx]
+    rows = [cell_forward_at(x[n], h[n], c[n], k[n], lp, ln_g, ln_b) for n in range(len(x))]
+    return (
+        np.stack([row[0] for row in rows]), np.stack([row[1] for row in rows]),
+        {name: np.stack([row[2][name] for row in rows]) for name in rows[0][2]},
+    )
+
+
 class TestGateMajorStep:
-    """The attribution trie's kernel against `cell_step`, its oracle: the
-    same values in another arrangement, not the same bits."""
+    """The cell kernel against tests/reference.py's single-row step, its
+    oracle: the same values in another arrangement, not the same bits."""
 
     @staticmethod
     def run_stack(params, x, states, k, dtype):
-        """Each layer's (h, c) after one step of both kernels from the same
-        inputs; a layer's input is the new h of the layer below, each
-        kernel's own. cell_step runs in float64 and the gate-major kernel in
-        `dtype`."""
+        """Each layer's (h, c) after one step of the reference and of the
+        kernel from the same inputs; a layer's input is the new h of the
+        layer below, each one's own. The reference runs in float64 and the
+        kernel in `dtype`."""
         ref_x, new_x = x, x.astype(dtype)
         pairs = []
-        for idx, lp in enumerate(params.layers):
-            ln_g, ln_b = params.ln_gain[idx], params.ln_bias[idx]
+        for idx in range(params.n_layers):
             h, c = states[idx]
-            Wx = np.concatenate([lp.W_xi, lp.W_xf, lp.W_xc, lp.W_xo], axis=1)
-            Wh = np.concatenate([lp.W_hi, lp.W_hf, lp.W_hc, lp.W_ho], axis=1)
-            ref = cell_step(ref_x @ Wx + h @ Wh, h, c, k[idx], lp, ln_g, ln_b)
+            ref = reference_rows(ref_x, h, c, k[idx], params, idx)[:2]
             cell = gate_major_cell(params, idx, dtype)
             h32, c32, k32 = (v.astype(dtype) for v in (h, c, k[idx]))
             new = gate_major_step(np.matmul(h32, cell.Wh) + np.matmul(new_x, cell.Wx), h32, c32, k32, cell)
@@ -490,7 +492,7 @@ class TestGateMajorStep:
             assert cell32.Wh.dtype == np.float32 and not np.shares_memory(cell32.Wh, params.flat)
 
     def test_a_closed_gate_keeps_the_states(self):
-        # k = 0 leaves a row's states as they were, bit for bit, as in cell_step
+        # k = 0 leaves a row's states as they were, bit for bit
         rng = np.random.default_rng(41)
         params = random_model(rng, 5, 8, 1)
         cell = gate_major_cell(params, 0, np.float32)
@@ -499,6 +501,36 @@ class TestGateMajorStep:
         h_new, c_new = gate_major_step(a, h, c, np.zeros(8, dtype=np.float32), cell)
         np.testing.assert_array_equal(h_new, h)
         np.testing.assert_array_equal(c_new, c)
+
+    @pytest.mark.parametrize("N", (1, 32, 513))
+    def test_cache_mode_writes_the_slots(self, N):
+        # the states of the cache mode are those of the cache-free mode, bit
+        # for bit, and its slots hold the reference's gates, c~ and h~
+        rng = np.random.default_rng(60 + N)
+        H = 64
+        params = random_model(rng, 5, H, 1)
+        cell = gate_major_cell(params, 0, np.float64)
+        x = rng.normal(0, 1, (N, 5))
+        h, c = rng.normal(0, 0.5, (2, N, H))
+        k = rng.uniform(0, 1, (N, H))
+        k[N // 2] = 0.0
+        k[-1] = 1.0
+        a = np.matmul(x, cell.Wx) + np.matmul(h, cell.Wh)
+        free = gate_major_step(a.copy(), h, c, k, cell)
+        shapes = {"a_hat": (4, N, H), "inv_std": (4, N, 1), "gates": (4, N, H)}
+        slots = {name: np.full(shapes.get(name, (N, H)), np.nan) for name in _SLOTS}
+        h_new, c_new = gate_major_step(a.copy(), h, c, k, cell, tuple(slots[name] for name in _SLOTS))
+        assert h_new is slots["h"] and c_new is slots["c"]
+        assert h_new.tobytes() == free[0].tobytes() and c_new.tobytes() == free[1].tobytes()
+        _, _, ref = reference_rows(x, h, c, k, params, 0)
+        for j, name in enumerate("ifuo"):
+            np.testing.assert_allclose(slots["gates"][j], ref[name], rtol=0, atol=1e-12)
+        for name in ("c_tilde", "h_tilde"):
+            np.testing.assert_allclose(slots[name], ref[name], rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(slots["tanh_ct"], np.tanh(slots["c_tilde"]))
+        # a_hat * inv_std^-1 gives back the centred pre-activations
+        centred = a - a.mean(axis=-1, keepdims=True)
+        np.testing.assert_allclose(slots["a_hat"] / slots["inv_std"], centred, rtol=0, atol=1e-12)
 
 
 def ce_loss_and_grad(logits, labels):
@@ -637,13 +669,15 @@ def reference_ln_backward(dn: np.ndarray, a_hat: np.ndarray, inv_std: np.ndarray
 
 def reference_layer_backward(dH, x, times, cache, lp, ln_g):
     """The per-step reverse scan of one layer, every reduction inside the
-    loop: the readable oracle of the hoisted `_layer_backward`. Returns
-    (gradients dict, dX, d_gain, d_bias)."""
-    B, T, d = x.shape
+    loop: the readable oracle of the hoisted `_layer_backward`. x is the
+    layer's step-major input (T, B, d); the cache holds each step's gates
+    and layer norm gate-major. Returns (gradients dict, dX (B, T, d),
+    d_gain, d_bias)."""
+    T, B, d = x.shape
     H = lp.hidden_size
-    Wx, Wh = cache["Wx"], cache["Wh"]
+    Wx, Wh = cache["Wx"], cache["Wh"]  # gate-major, (4, d, H) and (4, H, H)
 
-    dA = np.empty((T, B, 4 * H))
+    dA = np.empty((4, T, B, H))
     dK = np.empty((T, B, H))
     d_gain = np.zeros(H)
     d_bias = np.zeros(H)
@@ -656,7 +690,8 @@ def reference_layer_backward(dH, x, times, cache, lp, ln_g):
         k = cache["k"][t]
         h_prev = cache["h_prev"][t]
         c_prev = cache["c_prev"][t]
-        i_g, f_g, u_g, o_g, c_tilde, tanh_ct, h_tilde = (cache[name][t] for name in _GATE_SLOTS)
+        i_g, f_g, u_g, o_g = cache["gates"][t]
+        c_tilde, tanh_ct, h_tilde = (cache[name][t] for name in ("c_tilde", "tanh_ct", "h_tilde"))
 
         dh = dH[:, t, :] + dh_next
         dc = dc_next
@@ -691,14 +726,14 @@ def reference_layer_backward(dH, x, times, cache, lp, ln_g):
         acc["w_ci"] += (dpre_i * c_prev).sum(axis=0)
         dc_prev = dc_prev + dpre_i * lp.w_ci
 
-        dn4 = np.stack([dpre_i, dpre_f, dpre_c, dpre_o], axis=1)
+        dn4 = np.stack([dpre_i, dpre_f, dpre_c, dpre_o])
         da4, dg_step, db_step = reference_ln_backward(dn4, cache["a_hat"][t], cache["inv_std"][t], ln_g)
         d_gain += dg_step
         d_bias += db_step
-        da = da4.reshape(B, 4 * H)
-        dA[t] = da
-        dX[:, t] = da @ Wx.T  # one product per step, as `model._link_back` makes it
-        dh_prev = dh_prev + da @ Wh.T
+        dA[:, t] = da4
+        # each gate's product, summed over the gates, as `model._gate_sum` makes it
+        dX[:, t] = np.matmul(da4, Wx.transpose(0, 2, 1)).sum(axis=0)
+        dh_prev = dh_prev + np.matmul(da4, Wh.transpose(0, 2, 1)).sum(axis=0)
 
         dh_next = dh_prev
         dc_next = dc_prev
@@ -712,15 +747,12 @@ def reference_layer_backward(dH, x, times, cache, lp, ln_g):
         acc["s"] += g_s[t].sum(axis=0)
         acc["r_on"] += g_ron[t].sum(axis=0)
 
-    dA_flat = dA.transpose(1, 0, 2).reshape(B * T, 4 * H)
-    hp_flat = cache["h_prev"].transpose(1, 0, 2).reshape(B * T, H)
-    dWx = x.reshape(B * T, d).T @ dA_flat
-    dWh = hp_flat.T @ dA_flat
-
-    grads = {
-        "W_xi": dWx[:, 0:H], "W_xf": dWx[:, H:2 * H], "W_xc": dWx[:, 2 * H:3 * H], "W_xo": dWx[:, 3 * H:],
-        "W_hi": dWh[:, 0:H], "W_hf": dWh[:, H:2 * H], "W_hc": dWh[:, 2 * H:3 * H], "W_ho": dWh[:, 3 * H:],
-    }
+    # each gate's weight gradients, one product over all T * B rows
+    dA_rows = dA.reshape(4, T * B, H)
+    dWx = np.matmul(x.reshape(T * B, d).T, dA_rows)
+    dWh = np.matmul(cache["h_prev"].reshape(T * B, H).T, dA_rows)
+    grads = {f"W_x{gate}": dWx[j] for j, gate in enumerate("ifco")}
+    grads.update({f"W_h{gate}": dWh[j] for j, gate in enumerate("ifco")})
     grads.update(acc)
     return grads, dX, d_gain, d_bias
 
