@@ -1,15 +1,14 @@
 """Time `attribution.attribute_journeys` on seeded inputs at one and two workers.
 
-Seven inputs, each attributed at 1 and 2 workers, with `--method auto`
+Six inputs, each attributed at 1 and 2 workers, with `--method auto`
 semantics unless named otherwise:
 
 - exact: 52 converted journeys of 1-12 events, six of each length 1-8 and
   one of each length 9-12 (perfbench's attribute-exact batch shape), on a
   desk model;
-- exact-ols, exact-kernel: the exact batch under `method="ols"` and
-  `method="kernel_ols"`, whose games of up to 12 events take the same
-  powerset and the same stacked exact solver as exact Shapley. No
-  perfbench workload runs these methods;
+- exact-ols: the exact batch under `method="ols"`, whose games of up to
+  12 events take the same powerset and the same stacked exact solver as
+  exact Shapley. No perfbench workload runs this method;
 - sampled: 8 converted journeys, one of each length 13-20, at 32
   permutations, on the desk model;
 - holdout: 1000 journeys of 1-4 events, converted or not (pipeline-desk's
@@ -83,9 +82,9 @@ from deepmta.trainer import TrainConfig, train  # noqa: E402
 # perfbench's acceptance dataset: 8 channels, 3 campaigns, key channel 0
 GEN = {"n_channels": 8, "n_campaigns": 3, "key_channel_index": 0, "key_lift": 0.6, "base_rate": 0.2,
        "time_span_hours": 48.0}
-INPUTS = ("exact", "exact-ols", "exact-kernel", "sampled", "holdout", "holdout-cli", "paper")
+INPUTS = ("exact", "exact-ols", "sampled", "holdout", "holdout-cli", "paper")
 # the inputs attributed under another method than auto
-METHODS = {"exact-ols": "ols", "exact-kernel": "kernel_ols"}
+METHODS = {"exact-ols": "ols"}
 SAMPLES = 32  # sampled Shapley's permutations, as in perfbench's attribute-sampled
 SEED = 0
 

@@ -1,9 +1,11 @@
 """Interpretation stage: per-event credit for a trained model's prediction.
 
 Events of one journey are treated as players of a cooperative game whose
-value is the model's masked-prediction accuracy. Credit comes either from a
-least-squares fit of accuracy on mask indicator rows or from exact/sampled
-Shapley values, and always ends in clip-and-normalize.
+value is the model's masked-prediction accuracy. Credit comes from Shapley
+values, exact up to EXACT_LIMIT events and permutation-sampled above, or
+from a least-squares fit of accuracy on mask indicator rows (`ols`, the
+Banzhaf values in closed form on the full powerset), and always ends in
+clip-and-normalize.
 """
 
 from __future__ import annotations
@@ -44,7 +46,6 @@ OLS_SAMPLE_ROWS = 2048
 # sampled Shapley's default number of permutations per journey
 PERMUTATION_SAMPLES = 2048
 RIDGE = 1e-8
-KERNEL_ENDPOINT_WEIGHT = 1e6
 # the distinct mask rows per trie block: _BLOCK_VALUES // H at H units, but
 # at least _MIN_BLOCK_ROWS. A block's scan holds about ten state-sized
 # float32 arrays per row, so _BLOCK_VALUES // H rows take about 5 MB (2048
@@ -74,7 +75,7 @@ MAX_PREFIX_ROWS = 2 ** 20
 # 16 games of 12 events, take about 9 MB)
 _SOLVE_VALUES = 2 ** 16
 
-METHODS = ("ols", "kernel_ols", "shapley_exact", "shapley_sampled", "auto")
+METHODS = ("ols", "shapley_exact", "shapley_sampled", "auto")
 
 
 @dataclass
@@ -94,7 +95,7 @@ def mask_powerset(n: int) -> np.ndarray:
     if n < 1:
         raise ValidationError("mask_powerset needs n >= 1")
     if n > EXACT_LIMIT:
-        raise ValidationError(f"n={n} exceeds exact_limit={EXACT_LIMIT}; use sampling mode")
+        raise ValidationError(f"n={n} exceeds exact_limit={EXACT_LIMIT}; use shapley_sampled or auto")
     rows = np.arange(2 ** n, dtype=np.int64)
     bits = (rows[:, None] >> np.arange(n - 1, -1, -1)) & 1
     return bits.astype(np.int64)
@@ -328,33 +329,20 @@ def _scan_block(
 # ---------------------------------------------------------------------------
 
 
-def _shapley_kernel_row_weights(masks: np.ndarray) -> np.ndarray:
-    n = masks.shape[1]
-    sizes = masks.sum(axis=1).astype(int)
-    inner = (sizes > 0) & (sizes < n)
-    w = np.full(len(masks), KERNEL_ENDPOINT_WEIGHT)
-    w[inner] = [(n - 1) / (math.comb(n, size) * size * (n - size)) for size in sizes[inner]]
-    return w
-
-
-def _normal_matrix(masks: np.ndarray, kernel: bool) -> tuple[np.ndarray, np.ndarray]:
-    """The weighted design Xw and the normal matrix Xw.T @ X of float64 mask
-    rows, shared by every game played on those rows. With `kernel`, each row
-    is weighted by the Shapley kernel of its subset size (all-zero and
-    all-one rows get weight 1e6); else every row weighs 1."""
-    m = len(masks)
-    w = _shapley_kernel_row_weights(masks) if kernel else np.ones(m)
-    X = np.hstack([np.ones((m, 1)), masks])
-    Xw = X * w[:, None]
-    return Xw, Xw.T @ X
+def _normal_matrix(masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The design X = [1 | mask] of float64 mask rows and its normal matrix
+    X.T @ X, shared by every game played on those rows."""
+    X = np.hstack([np.ones((len(masks), 1)), masks])
+    return X, X.T @ X
 
 
 def _least_squares(Xw: np.ndarray, M: np.ndarray, acc: np.ndarray) -> np.ndarray:
     """[intercept, weights]: least squares of one game's values on the
-    [1 | mask] rows of a `_normal_matrix`, via the normal equations with
-    ridge 1e-8 for rank safety; two iterated-refinement steps remove the
-    ridge bias, so residuals stay orthogonal to the design columns to
-    machine precision on full-rank systems."""
+    [1 | mask] rows X, given the design Xw (X, or X with weighted rows) and
+    the normal matrix M = Xw.T @ X (`_normal_matrix`), via the normal
+    equations with ridge 1e-8 for rank safety; two iterated-refinement steps
+    remove the ridge bias, so residuals stay orthogonal to the design
+    columns to machine precision on full-rank systems."""
     b = Xw.T @ acc
     A = M + RIDGE * np.eye(M.shape[0])
     try:
@@ -461,8 +449,9 @@ def _clip_normalize_rows(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def resolve_method(method: str, n_events: int) -> str:
-    if method not in METHODS:
-        raise ConfigError(f"unknown attribution method {method!r}")
+    """The method that plays an n-event game under `method`, one of
+    METHODS: auto is exact Shapley up to EXACT_LIMIT events and sampled
+    Shapley above."""
     if method == "auto":
         return "shapley_exact" if n_events <= EXACT_LIMIT else "shapley_sampled"
     return method
@@ -470,10 +459,10 @@ def resolve_method(method: str, n_events: int) -> str:
 
 def _build_plan(method: str, n: int, n_samples: int, seed: int) -> _Plan:
     """The plan of every n-event journey under `method`: its mask rows and
-    solver. Up to EXACT_LIMIT events all but shapley_sampled take the
-    powerset and `_exact_solver`, the Banzhaf values for ols and the Shapley
-    values else. Above it, sampled Shapley draws its permutations from
-    `seed`, and OLS 2048 rows that it solves on one normal matrix."""
+    solver. Up to EXACT_LIMIT events ols and exact Shapley take the powerset
+    and `_exact_solver`, the Banzhaf values for ols and the Shapley values
+    else. Above it, sampled Shapley draws its permutations from `seed`, and
+    OLS 2048 rows that it solves on one normal matrix."""
     resolved = resolve_method(method, n)
     if resolved == "shapley_exact" and n > EXACT_LIMIT:
         raise ConfigError(f"shapley_exact supports at most {EXACT_LIMIT} events; use shapley_sampled")
@@ -491,7 +480,7 @@ def _build_plan(method: str, n: int, n_samples: int, seed: int) -> _Plan:
     rng = np.random.default_rng(seed)
     masks = rng.integers(0, 2, size=(OLS_SAMPLE_ROWS, n))
     masks[0], masks[1] = 0, 1
-    normal = _normal_matrix(masks.astype(np.float64), kernel=resolved == "kernel_ols")
+    normal = _normal_matrix(masks.astype(np.float64))
 
     def solve(values):
         betas = np.array([_least_squares(*normal, acc) for acc in values])
@@ -674,10 +663,10 @@ def attribute_journey(
     """Attribute one journey's events against a frozen model.
 
     auto picks exact Shapley up to 12 events and permutation sampling above.
-    Up to 12 events ols and kernel_ols take the closed forms of their
-    powerset regressions, the Banzhaf and Shapley values; above, they regress
-    on 2048 uniform subset rows. Every path ends in clip-and-normalize. The
-    one-journey case of `attribute_journeys`.
+    Up to 12 events ols takes the closed form of its powerset regression,
+    the Banzhaf values; above, it regresses on 2048 uniform subset rows.
+    Every path ends in clip-and-normalize. The one-journey case of
+    `attribute_journeys`.
     """
     return next(attribute_journeys(params, [journey], vocab, method, n_samples, seed))
 

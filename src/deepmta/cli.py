@@ -30,6 +30,7 @@ from pathlib import Path
 # attribute_journey and save_attributions are not called here, but
 # perfbench's tracer wraps them by these names, so they must stay importable
 from .attribution import (  # noqa: F401
+    METHODS,
     PERMUTATION_SAMPLES,
     AttributionResult,
     GameStats,
@@ -66,13 +67,6 @@ from .trainer import (
 
 import numpy as np
 
-_METHOD_FLAGS = {
-    "ols": "ols",
-    "kernel": "kernel_ols",
-    "shapley-exact": "shapley_exact",
-    "shapley-sampled": "shapley_sampled",
-    "auto": "auto",
-}
 # 128 + SIGPIPE: the status a shell reports for a command that a closed pipe stopped
 CLOSED_STDOUT_EXIT = 141
 # 128 + SIGINT: the status a shell reports for a command that Ctrl-C stopped
@@ -290,7 +284,7 @@ def _cmd_attribute(args) -> None:
     # this process decodes the file's lines; the shard processes build,
     # check and attribute the journeys and render their lines
     lines = attribute_journeys(
-        params, JourneyRecords(args.data), vocab, method=_METHOD_FLAGS[args.method], n_samples=args.samples,
+        params, JourneyRecords(args.data), vocab, method=args.method.replace("-", "_"), n_samples=args.samples,
         seed=args.seed, workers=workers, stats=stats,
     )
     count = 0
@@ -400,7 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
     at.add_argument("--model", required=True)
     at.add_argument("--data", required=True)
     at.add_argument("--out", required=True, help="attribution JSONL path")
-    at.add_argument("--method", choices=sorted(_METHOD_FLAGS), default="auto")
+    at.add_argument("--method", choices=sorted(method.replace("_", "-") for method in METHODS), default="auto")
     at.add_argument("--samples", type=int, default=PERMUTATION_SAMPLES)
     at.add_argument("--seed", type=int, default=0)
     at.set_defaults(func=_cmd_attribute)

@@ -1,6 +1,7 @@
 """Readable references that the package's fast paths are tested against
 (the single-step cell, the time gate, per-journey stacked batches,
-single-mask accuracy, Shapley values by enumeration and by a memo loop),
+single-mask accuracy, Shapley values by enumeration, by a memo loop and by
+the Shapley-kernel regression),
 and the tests' helpers. No pipeline stage calls them."""
 
 from __future__ import annotations
@@ -261,6 +262,34 @@ def shapley_coeff(n: int) -> np.ndarray:
     expression the package's plans use."""
     fact = [math.factorial(i) for i in range(n + 1)]
     return np.array([fact[size] * fact[n - size - 1] / fact[n] for size in range(n)])
+
+
+# the weight of the all-zero and all-one rows in the Shapley-kernel
+# regression, large enough to pin its fit at v(empty) and v(full)
+KERNEL_ENDPOINT_WEIGHT = 1e6
+
+
+def shapley_kernel_row_weights(masks: np.ndarray) -> np.ndarray:
+    """The Shapley-kernel weight of each 0/1 mask row of s players out of n,
+    (n-1) / (C(n, s) s (n-s)) for 0 < s < n, and KERNEL_ENDPOINT_WEIGHT for
+    the all-zero and all-one rows (Lundberg & Lee 2017)."""
+    n = masks.shape[1]
+    sizes = masks.sum(axis=1).astype(int)
+    inner = (sizes > 0) & (sizes < n)
+    w = np.full(len(masks), KERNEL_ENDPOINT_WEIGHT)
+    w[inner] = [(n - 1) / (math.comb(n, size) * size * (n - size)) for size in sizes[inner]]
+    return w
+
+
+def kernel_normal_matrix(masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The Shapley-kernel-weighted design Xw of the [1 | mask] rows X of
+    `masks` and its normal matrix Xw.T @ X, for `attribution._least_squares`.
+    On the full powerset, the weights of that fit are the Shapley values
+    (Lundberg & Lee 2017, Theorem 2), within the soft endpoint weight: the
+    oracle of `_exact_solver`'s closed form."""
+    X = np.hstack([np.ones((len(masks), 1)), masks])
+    Xw = X * shapley_kernel_row_weights(masks)[:, None]
+    return Xw, Xw.T @ X
 
 
 def shapley_exact(value, n: int) -> np.ndarray:

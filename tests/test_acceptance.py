@@ -17,7 +17,6 @@ from deepmta.attribution import (
     _clip_normalize_rows,
     _least_squares,
     _normal_matrix,
-    _shapley_kernel_row_weights,
     attribute_journey,
     mask_powerset,
 )
@@ -31,7 +30,14 @@ from deepmta.journey import (
 from deepmta.model import backward_batch, forward_batch, init_params, load_checkpoint
 from deepmta.trainer import TrainConfig, evaluate_roc, train
 
-from reference import load_report_csv, shapley_exact, shapley_sampled, time_gate
+from reference import (
+    kernel_normal_matrix,
+    load_report_csv,
+    shapley_exact,
+    shapley_kernel_row_weights,
+    shapley_sampled,
+    time_gate,
+)
 from test_attribution import random_game, shapley_permutation_oracle, table_to_value_fn
 from test_model import ce_loss_and_grad, finite_difference_check, gate_phase_margin, random_model
 
@@ -142,7 +148,7 @@ def test_criterion_3_sampled_shapley_convergence():
 
 
 def test_criterion_4_ols_solver():
-    intercept, *w = _least_squares(*_normal_matrix(mask_powerset(2), kernel=False), np.array([0.5, 0.6, 0.7, 0.9]))
+    intercept, *w = _least_squares(*_normal_matrix(mask_powerset(2)), np.array([0.5, 0.6, 0.7, 0.9]))
     assert abs(intercept - 0.475) < 1e-9
     np.testing.assert_allclose(w, [0.25, 0.15], atol=1e-9)
 
@@ -153,9 +159,9 @@ def test_criterion_4_ols_solver():
         masks = rng.integers(0, 2, (m, n))
         acc = rng.random(m)
         kernel = rng.random() >= 0.5
-        beta = _least_squares(*_normal_matrix(masks, kernel), acc)
+        beta = _least_squares(*(kernel_normal_matrix if kernel else _normal_matrix)(masks), acc)
         X = np.hstack([np.ones((m, 1)), masks])
-        row_w = _shapley_kernel_row_weights(masks) if kernel else np.ones(m)
+        row_w = shapley_kernel_row_weights(masks) if kernel else np.ones(m)
         residual = acc - X @ beta
         assert np.max(np.abs(X.T @ (row_w * residual))) < 1e-8
     passed(4, "ols worked example + residual orthogonality on 1000 systems")

@@ -56,7 +56,7 @@ ATTRIBUTION_BENCH = BENCH.parent / "attribution.py"
 
 
 def test_attribution_bench_reports_every_configuration(tmp_path, monkeypatch):
-    # the exact batch under auto, ols and kernel_ols on a desk model trained
+    # the exact batch under auto and ols on a desk model trained
     # on 40 journeys, and the paper-width input on an 8-unit model; each
     # configuration runs in an interpreter of its own
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
@@ -68,7 +68,7 @@ def test_attribution_bench_reports_every_configuration(tmp_path, monkeypatch):
         spec.loader.exec_module(bench)
         out = tmp_path / "bench.json"
         report = bench.main([
-            "--inputs", "exact", "exact-ols", "exact-kernel", "paper", "--repeats", "2", "--paper-repeats", "1", "--warmup", "0",
+            "--inputs", "exact", "exact-ols", "paper", "--repeats", "2", "--paper-repeats", "1", "--warmup", "0",
             "--train-journeys", "40", "--paper-hidden", "8", "--out", str(out),
         ])
     finally:
@@ -76,8 +76,7 @@ def test_attribution_bench_reports_every_configuration(tmp_path, monkeypatch):
     assert json.loads(out.read_text(encoding="utf-8")) == report
     assert set(report) == {"bench", "environment", "desk_model", "samples", "results"}
     assert [(row["input"], row["workers"]) for row in report["results"]] == [
-        ("exact", 1), ("exact", 2), ("exact-ols", 1), ("exact-ols", 2), ("exact-kernel", 1), ("exact-kernel", 2),
-        ("paper", 1), ("paper", 2),
+        ("exact", 1), ("exact", 2), ("exact-ols", 1), ("exact-ols", 2), ("paper", 1), ("paper", 2),
     ]
     for row in report["results"]:
         assert set(row) == {
@@ -91,11 +90,11 @@ def test_attribution_bench_reports_every_configuration(tmp_path, monkeypatch):
         assert row["windows"] == 1 and row["blocks"] >= row["workers"]
         assert row["peak_rss_mb"] >= row["rss_before_mb"] > 0
         assert (row["child_peak_rss_mb"] is None) == (row["workers"] == 1)
-    # the three methods play the same powerset games
+    # the two methods play the same powerset games
     exact = [row for row in report["results"] if row["input"] != "paper"]
-    assert [row["journeys"] for row in exact] == [52] * 6
-    assert [row["node_steps"] for row in exact] == [16006] * 6
-    assert [row["H"] for row in report["results"]] == [64] * 6 + [8, 8]
+    assert [row["journeys"] for row in exact] == [52] * 4
+    assert [row["node_steps"] for row in exact] == [16006] * 4
+    assert [row["H"] for row in report["results"]] == [64] * 4 + [8, 8]
 
 
 def test_attribution_bench_times_the_attribute_command(tmp_path, monkeypatch):

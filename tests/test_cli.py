@@ -542,6 +542,27 @@ class TestAttribute:
             assert len(record["weights"]) == len(journey.events)
             assert record["method"] == "shapley_exact"  # auto at n <= 12
 
+    def test_method_choices_are_the_hyphenated_methods(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["attribute", "--help"])
+        assert err.value.code == 0
+        choices = sorted(method.replace("_", "-") for method in attribution.METHODS)
+        assert choices == ["auto", "ols", "shapley-exact", "shapley-sampled"]
+        assert "--method {" + ",".join(choices) + "}" in capsys.readouterr().out
+
+    def test_kernel_method_exits_2(self, pipeline, tmp_path, capsys):
+        # --method kernel, whose regression is gone, is argparse's invalid
+        # choice: nothing is attributed or written
+        out = tmp_path / "attr.jsonl"
+        with pytest.raises(SystemExit) as err:
+            main([
+                "attribute", "--model", str(pipeline["ckpt"]), "--data", str(pipeline["data"]),
+                "--out", str(out), "--method", "kernel",
+            ])
+        assert err.value.code == 2
+        assert "invalid choice: 'kernel'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_single_event_journeys_full_weight(self, pipeline):
         journeys = load_journeys(pipeline["data"])
         for line, journey in zip(pipeline["attr"].read_text().splitlines(), journeys):
@@ -908,7 +929,7 @@ class TestAttributeShardedFile:
         params, vocab, _ = load_checkpoint(pipeline["ckpt"])
         journeys = iter_journeys(out.parent / "journeys.jsonl")
         with pytest.raises(DeepMtaError) as raised:
-            list(attribute_journeys(params, journeys, vocab, method=cli._METHOD_FLAGS[method], n_samples=16, seed=1))
+            list(attribute_journeys(params, journeys, vocab, method=method.replace("-", "_"), n_samples=16, seed=1))
         assert message in str(raised.value)
 
     @pytest.mark.parametrize("method", ("auto", "shapley-exact"))
