@@ -1,6 +1,6 @@
 """Time `attribution.attribute_journeys` on seeded inputs at one and two workers.
 
-Six inputs, each attributed at 1 and 2 workers, with `--method auto`
+Seven inputs, each attributed at 1 and 2 workers, with `--method auto`
 semantics unless named otherwise:
 
 - exact: 52 converted journeys of 1-12 events, six of each length 1-8 and
@@ -19,7 +19,10 @@ semantics unless named otherwise:
   `attribute_journeys` alone leaves out;
 - paper: one converted journey of each length 1-8 and one of 10 events on
   a model of the paper preset's width (H=1024, two layers, seeded init; its
-  speed does not depend on its training).
+  speed does not depend on its training);
+- holdout-paper: the holdout on the paper-width model, where a shard's scan
+  inputs (layer 0's projection and the time gates of every event, at
+  4 + n_layers values of H per event and dtype) weigh the most.
 
 The desk model is trained once in set-up as perfbench trains its frozen
 model: the desk preset, 2 epochs over 2000 journeys of 1-4 events, seed 3.
@@ -32,18 +35,24 @@ package does not count it), the node-steps per second of the median call
 (its node-steps over its whole time: reading, planning and solving are in
 it too, and at two workers the scans of both processes), the calling
 process's peak RSS, and the peak RSS of its forked workers (null at one
-worker). Writes BENCH_attribute.json with the environment.
+worker). After those, one more call runs under tracemalloc for the calling
+process's peak of traced allocations (`traced_peak_mb`, the growth over what
+was allocated before it), and `scan_inputs_bytes_per_event` gives the bytes
+of the arrays `model._scan_inputs` returns by default for the input's whole
+table (the inputs an attribution shard holds while it scores its table)
+per event. Writes BENCH_attribute.json with the environment.
 
     python bench/attribution.py
     python bench/attribution.py --inputs exact holdout --repeats 5 --out /tmp/a.json
 
-BENCH_attribute_parent.json holds the numbers of the code before the trie
-scan had a cell step of its own, when it stepped its nodes with training's
-`cell_step` (commit 07dea24), on the same host. The script uses only
-`attribute_journeys`, `GameStats`, `cli.main` and the package's data and
-model functions, so it runs unchanged on that code:
+BENCH_attribute_parent.json holds the numbers of the code before an
+attribution shard held its scan inputs in float32 only and made the time
+gate once per distinct event time, when it held them in float64 and
+float32 both (commit e6b62f7), on the same host. The script uses only
+`attribute_journeys`, `GameStats`, `cli.main`, `model._scan_inputs` and the
+package's data and model functions, so it runs unchanged on that code:
 
-    git archive 07dea24 | tar -x -C <dir>
+    git archive e6b62f7 | tar -x -C <dir>
     cp bench/attribution.py <dir>/bench/
     cd <dir> && python bench/attribution.py --out BENCH_attribute_parent.json
 """
@@ -66,6 +75,7 @@ import subprocess  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
 import time  # noqa: E402
+import tracemalloc  # noqa: E402
 from pathlib import Path  # noqa: E402
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -75,14 +85,22 @@ import numpy as np  # noqa: E402
 
 from deepmta import cli  # noqa: E402
 from deepmta.attribution import GameStats, attribute_journeys  # noqa: E402
-from deepmta.journey import GeneratorConfig, generate_synthetic, load_journeys, save_journeys  # noqa: E402
-from deepmta.model import init_params, load_checkpoint, save_checkpoint  # noqa: E402
+from deepmta.journey import (  # noqa: E402
+    GeneratorConfig,
+    generate_synthetic,
+    journey_table,
+    load_journeys,
+    save_journeys,
+)
+from deepmta.model import _scan_inputs, init_params, load_checkpoint, save_checkpoint  # noqa: E402
 from deepmta.trainer import TrainConfig, train  # noqa: E402
 
 # perfbench's acceptance dataset: 8 channels, 3 campaigns, key channel 0
 GEN = {"n_channels": 8, "n_campaigns": 3, "key_channel_index": 0, "key_lift": 0.6, "base_rate": 0.2,
        "time_span_hours": 48.0}
-INPUTS = ("exact", "exact-ols", "sampled", "holdout", "holdout-cli", "paper")
+INPUTS = ("exact", "exact-ols", "sampled", "holdout", "holdout-cli", "paper", "holdout-paper")
+# the inputs attributed on the paper-width model
+PAPER = ("paper", "holdout-paper")
 # the inputs attributed under another method than auto
 METHODS = {"exact-ols": "ols"}
 SAMPLES = 32  # sampled Shapley's permutations, as in perfbench's attribute-sampled
@@ -114,7 +132,7 @@ def make_input(name: str) -> list:
         return by_quota({**{n: 6 for n in range(1, 9)}, **{n: 1 for n in range(9, 13)}}, 12, SEED + 1)
     if name == "sampled":
         return by_quota({n: 1 for n in range(13, 21)}, 20, SEED + 2)
-    if name in ("holdout", "holdout-cli"):
+    if name in ("holdout", "holdout-cli", "holdout-paper"):
         return generate_synthetic(
             GeneratorConfig(n_journeys=1000, max_len=4, include_nonconverted=True, **GEN), SEED + 3)[1]
     return by_quota({**{n: 1 for n in range(1, 9)}, 10: 1}, 10, SEED + 4)
@@ -127,67 +145,82 @@ def train_desk_model(path: Path, journeys: int) -> None:
     save_checkpoint(path, result.params, result.vocab, seed=3)
 
 
-def run_cli(work: Path, workers: int, repeats: int, warmup: int) -> tuple[list[float], dict]:
-    """ms per `attribute` command on the holdout-cli input at MTA_THREADS =
-    `workers`, and the key=value lines of the last one."""
+def cli_call(work: Path, workers: int):
+    """One `attribute` command on the holdout-cli input at MTA_THREADS =
+    `workers`, as a function returning its journeys and counters."""
     os.environ["MTA_THREADS"] = str(workers)
     argv = ["attribute", "--model", str(work / "desk.json"), "--data", str(work / "holdout-cli.jsonl"),
             "--out", str(work / f"holdout-cli-{workers}.out.jsonl"), "--samples", str(SAMPLES), "--seed", str(SEED)]
-    ms, kv = [], {}
-    for call in range(warmup + repeats):
+
+    def call() -> tuple[int, GameStats]:
         stdout = io.StringIO()
-        start = time.perf_counter()
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
             code = cli.main(argv)
-        elapsed = time.perf_counter() - start
         if code:
             raise RuntimeError(f"attribute exited {code}")
-        if call >= warmup:
-            ms.append(1e3 * elapsed)
         kv = dict(line.split("=", 1) for line in stdout.getvalue().splitlines())
-    return ms, kv
+        return int(kv["journeys"]), GameStats(**{key: int(kv[key]) for key in ("windows", "blocks", "node_steps")})
+
+    return call
 
 
 def run_config(work: Path, name: str, workers: int, repeats: int, warmup: int, paper_hidden: int) -> dict:
     """One configuration, in this (fresh) interpreter."""
     params, vocab, _ = load_checkpoint(work / "desk.json")
-    if name == "holdout-cli":
-        rss_before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-        ms, kv = run_cli(work, workers, repeats, warmup)
-        stats = GameStats(**{key: int(kv[key]) for key in ("windows", "blocks", "node_steps")})
-        return row(name, workers, int(kv["journeys"]), params.hidden_size, ms, stats, rss_before)
-    if name == "paper":
+    if name in PAPER:
         paper = TrainConfig.preset("paper", hidden_size=paper_hidden)
         params = init_params(vocab.encoding_dim, paper.hidden_size, paper.n_layers, dropout_p=paper.dropout_p,
                              r_on_init=paper.r_on_init, rng=SEED)
-    journeys = load_journeys(work / f"{name}.jsonl")
+    if name == "holdout-cli":
+        call = cli_call(work, workers)
+    else:
+        journeys = load_journeys(work / f"{name}.jsonl")
+
+        def call() -> tuple[int, GameStats]:
+            stats = GameStats()
+            results = list(attribute_journeys(params, journeys, vocab, method=METHODS.get(name, "auto"),
+                                              n_samples=SAMPLES, seed=SEED, workers=workers, stats=stats))
+            if len(results) != len(journeys):
+                raise RuntimeError(f"{len(results)} results for {len(journeys)} journeys")
+            return len(results), stats
+
     rss_before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-    ms, stats = [], None
-    for call in range(warmup + repeats):
-        stats = GameStats()
+    ms = []
+    for index in range(warmup + repeats):
         start = time.perf_counter()
-        results = list(attribute_journeys(params, journeys, vocab, method=METHODS.get(name, "auto"), n_samples=SAMPLES,
-                                          seed=SEED, workers=workers, stats=stats))
+        count, stats = call()
         elapsed = time.perf_counter() - start
-        if len(results) != len(journeys):
-            raise RuntimeError(f"{len(results)} results for {len(journeys)} journeys")
-        if call >= warmup:
+        if index >= warmup:
             ms.append(1e3 * elapsed)
-    return row(name, workers, len(journeys), params.hidden_size, ms, stats, rss_before)
-
-
-def row(name: str, workers: int, journeys: int, hidden: int, ms: list[float], stats, rss_before: float) -> dict:
-    """A configuration's report, with this process's and its children's peak RSS."""
+    peak_rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     child_peak = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        call()
+        traced_peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    table = journey_table(load_journeys(work / f"{name}.jsonl"), vocab)
+    inputs = _scan_inputs(params, table)
     ms_per_call = quartiles(ms)
     return {
-        "input": name, "workers": workers, "journeys": journeys, "H": hidden, "calls": len(ms),
+        "input": name, "workers": workers, "journeys": count, "H": params.hidden_size, "calls": len(ms),
         "ms_per_call": ms_per_call, "windows": getattr(stats, "windows", None), "blocks": stats.blocks,
         "node_steps": stats.node_steps, "node_steps_per_s": round(1e3 * stats.node_steps / ms_per_call["median"]),
-        "rss_before_mb": round(rss_before, 1),
-        "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
+        "rss_before_mb": round(rss_before, 1), "peak_rss_mb": round(peak_rss, 1),
         "child_peak_rss_mb": round(child_peak, 1) if workers > 1 else None,
+        "traced_peak_mb": round(traced_peak / 2**20, 2),
+        "scan_inputs_bytes_per_event": round(nbytes(inputs) / len(table.times)),
     }
+
+
+def nbytes(value) -> int:
+    """The bytes of the arrays in `value`, nested in dicts, tuples and lists."""
+    if isinstance(value, np.ndarray):
+        return value.nbytes
+    items = value.values() if isinstance(value, dict) else value
+    return sum(nbytes(item) for item in items)
 
 
 def environment() -> dict:
@@ -219,7 +252,7 @@ def main(argv=None) -> dict:
         for name in args.inputs:
             save_journeys(work / f"{name}.jsonl", make_input(name))
         for name in args.inputs:
-            paper = name == "paper"
+            paper = name in PAPER
             repeats, warmup = (args.paper_repeats, min(1, args.warmup)) if paper else (args.repeats, args.warmup)
             for workers in (1, 2):
                 config = json.dumps([name, workers, repeats, warmup, args.paper_hidden])
@@ -240,7 +273,9 @@ def main(argv=None) -> dict:
         print(f"input={row['input']} workers={row['workers']} ms={ms['median']} [{ms['q1']}-{ms['q3']}] "
               f"windows={row['windows']} blocks={row['blocks']} node_steps={row['node_steps']} "
               f"node_steps_per_s={row['node_steps_per_s']} "
-              f"peak_rss_mb={row['peak_rss_mb']} child_peak_rss_mb={row['child_peak_rss_mb']}")
+              f"peak_rss_mb={row['peak_rss_mb']} child_peak_rss_mb={row['child_peak_rss_mb']} "
+              f"traced_peak_mb={row['traced_peak_mb']} "
+              f"scan_inputs_bytes_per_event={row['scan_inputs_bytes_per_event']}")
     return report
 
 

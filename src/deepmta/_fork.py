@@ -2,11 +2,12 @@
 how a worker process is started, talked to, reaped and reported: `train`'s
 helper, each extra shard of an `attribute` window, `gen`'s journey writer,
 the reader of a journey file's second half and `eval`'s scorer run in a
-`Worker`."""
+`Worker`, and while one runs the BLAS runs one thread per process."""
 
 from __future__ import annotations
 
 import contextlib
+import ctypes
 import functools
 import os
 import pickle
@@ -24,6 +25,21 @@ _OPEN_ENDS: set[int] = set()
 # ignored" on the caller's stderr. The child takes it once inside its own
 # handling, and the caller once the worker is set up
 _STOPS = {signal.SIGINT, signal.SIGTERM}
+# the variables that pin a BLAS's thread count, read as numpy loads
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+# the (setter, getter) of the thread count of each BLAS numpy may load:
+# numpy's wheels' scipy-openblas, OpenBLAS with 64-bit and 32-bit integers,
+# and MKL, tried in this order (the symbols threadpoolctl calls)
+_BLAS_SETTERS = (
+    ("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
+    ("openblas_set_num_threads64_", "openblas_get_num_threads64_"),
+    ("openblas_set_num_threads", "openblas_get_num_threads"),
+    ("MKL_Set_Num_Threads", "MKL_Get_Max_Threads"),
+)
+# the Workers open in this process, and the BLAS thread count the caller had
+# before the first of them pinned it, None where nothing was pinned; held
+# per process, as the BLAS's own count is
+_PINNED = {"open": 0, "threads": None}
 
 
 def processes(workers: int, most: int | None = None) -> int:
@@ -35,6 +51,56 @@ def processes(workers: int, most: int | None = None) -> int:
     if not hasattr(os, "fork"):
         return 1
     return workers if most is None else min(workers, most)
+
+
+@functools.cache
+def blas_threads():
+    """The (set, get) thread-count functions of the BLAS loaded in this
+    process, or None where none is found: the first of `_BLAS_SETTERS`
+    that a library mapped into the process (Linux's /proc/self/maps)
+    whose file name names a BLAS exports, called through ctypes. Found
+    once; every module that forks has loaded numpy, and its BLAS, first."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as maps:
+            fields = [line.split(maxsplit=5) for line in maps]
+    except OSError:
+        return None
+    for path in dict.fromkeys(entry[5].strip() for entry in fields if len(entry) == 6):
+        name = os.path.basename(path).lower()
+        if ".so" not in name or not ("blas" in name or "mkl" in name):
+            continue
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for setter, getter in _BLAS_SETTERS:
+            if hasattr(lib, setter) and hasattr(lib, getter):
+                set_threads, get_threads = getattr(lib, setter), getattr(lib, getter)
+                set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+                get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+                return set_threads, get_threads
+    return None
+
+
+def _pin_blas() -> None:
+    """Before a Worker's fork: where no variable of BLAS_THREAD_VARS is set
+    and the BLAS's setter is found (`blas_threads`), the first Worker open
+    keeps the caller's thread count and sets one thread, which the children
+    inherit, so that the processes do not contend for the CPUs with BLAS
+    threads; the last Worker closed restores the count (`_unpin_blas`)."""
+    _PINNED["open"] += 1
+    if _PINNED["open"] > 1 or any(os.environ.get(name) for name in BLAS_THREAD_VARS) or blas_threads() is None:
+        return
+    set_threads, get_threads = blas_threads()
+    _PINNED["threads"] = get_threads()
+    set_threads(1)
+
+
+def _unpin_blas() -> None:
+    _PINNED["open"] -= 1
+    if not _PINNED["open"] and _PINNED["threads"] is not None:
+        blas_threads()[0](_PINNED["threads"])
+        _PINNED["threads"] = None
 
 
 def shares(costs: list[int], n: int) -> list[list[int]]:
@@ -50,16 +116,20 @@ def shares(costs: list[int], n: int) -> list[list[int]]:
     return [sorted(share) for share in taken]
 
 
-def sharded(role: str, work, parts: list) -> list:
-    """work(part) of each part, in order. A child is forked for each part
-    after the first (a `Worker.computing` named `role`), so it starts with
-    its part in its memory; then the caller does the first. Callers drop
-    empty parts: each costs a fork. Every child is reaped before this
+def sharded(role: str, work, parts) -> list:
+    """work(part) of each of `parts`, an iterable, in order. A child is
+    forked for each part after the first (a `Worker.computing` named
+    `role`), so it starts with its part in its memory; then the caller does
+    the first. The parts are taken one at a time and a Worker drops its part
+    once its child is forked, so the caller holds no forked part that its
+    iterable does not: a list keeps them, a generator's are freed. Callers
+    drop empty parts: each costs a fork. Every child is reaped before this
     returns, and on an error."""
+    parts = iter(parts)
+    first = next(parts)
     with contextlib.ExitStack() as stack:
-        children = [stack.enter_context(Worker.computing(role, functools.partial(work, part))) for part in parts[1:]]
-        first = work(parts[0])
-        return [first, *(child.result() for child in children)]
+        children = [stack.enter_context(Worker.computing(role, functools.partial(work, part))) for part in parts]
+        return [work(first), *(child.result() for child in children)]
 
 
 def reply(writes: int, compute) -> None:
@@ -79,7 +149,9 @@ class Worker:
     first closes the caller's ends of every worker open at the fork, and
     always leaves through os._exit, so it never returns into the caller's
     code nor flushes the caller's stdio buffers: with status 0 when target
-    returns, else 1, after naming an Exception on stderr. In the caller, a
+    returns, else 1, after naming an Exception on stderr. The caller drops
+    target once the child is forked, and while any Worker is open its BLAS
+    runs one thread where it would run more (`_pin_blas`). In the caller, a
     pipe the child closed is a WorkerError naming `role` and the child's
     exit status. On every exit the caller's ends are closed and the child
     is reaped, killed first when an exception is leaving."""
@@ -97,9 +169,11 @@ class Worker:
         child_reads, self.send_fd = os.pipe()
         self.recv_fd, child_writes = os.pipe()
         mask = signal.pthread_sigmask(signal.SIG_BLOCK, _STOPS)
+        _pin_blas()
         try:
             self.pid = os.fork()
         except OSError:
+            _unpin_blas()
             signal.pthread_sigmask(signal.SIG_SETMASK, mask)
             for fd in (child_reads, self.send_fd, self.recv_fd, child_writes):
                 os.close(fd)
@@ -116,6 +190,7 @@ class Worker:
                 print(f"error: {self.role} failed: {exc!r}", file=sys.stderr)
             finally:
                 os._exit(status)
+        self.target = None
         os.close(child_reads)
         os.close(child_writes)
         _OPEN_ENDS.update((self.send_fd, self.recv_fd))
@@ -194,3 +269,4 @@ class Worker:
             if exc_type is not None:
                 os.kill(self.pid, signal.SIGKILL)
             self._reap()
+        _unpin_blas()

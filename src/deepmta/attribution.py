@@ -217,11 +217,14 @@ def _game_values(
     """Masked accuracy of the rows of every game, a (journey index in
     `table`, rows) pair with the rows distinct and sorted as `_distinct`
     gives them; one array per game. The table's scan inputs are computed
-    once (`_scan_inputs`); the games' rows are packed into blocks of
-    `_block_rows` rows and each block is one trie scan, counted in
-    `stats`."""
+    once and held in float32 only, the precision the blocks scan in
+    (`_scan_inputs`): (16 + 4 L) H bytes per event at L layers of H units,
+    with no float64 copy; a block's recheck makes float64 inputs for the
+    journeys it rescans only (`_scan_block`). The games' rows are packed
+    into blocks of `_block_rows` rows and each block is one trie scan,
+    counted in `stats`."""
     values = [np.empty(len(rows)) for _, rows in games]
-    inputs = _scan_inputs(params, table)
+    inputs = _scan_inputs(params, table, np.float32)
     for block in _pack_blocks(games, _block_rows(params)):
         pieces = [(games[g][0], games[g][1][start:stop]) for g, start, stop in block]
         shared = [_shared_steps(games[g][1], start) for g, start, _ in block]
@@ -243,26 +246,30 @@ def _shared_steps(rows: np.ndarray, start: int) -> int:
 
 
 def _scan_block(
-    params: ModelParams, table: JourneyTable, inputs: dict, pieces: list[tuple[int, np.ndarray]],
-    shared: list[int] | None = None, dtype=np.float32,
+    params: ModelParams, table: JourneyTable, inputs: tuple, pieces: list[tuple[int, np.ndarray]],
+    shared: list[int] | None = None,
 ) -> tuple[list[np.ndarray], int, int]:
     """Masked accuracy of the distinct rows of several journeys' games in one
-    prefix-trie scan (`_trie_steps`) at `dtype`; returns one accuracy array
-    per piece, the number of node-steps and the number of rechecked nodes.
+    prefix-trie scan (`_trie_steps`) in the dtype of `inputs`, the table's
+    `_scan_inputs`; returns one accuracy array per piece, the number of
+    node-steps and the number of rechecked nodes.
 
     `pieces` are (journey index in `table`, rows) with each journey's rows
-    distinct and lexicographically sorted; `inputs` are the table's
-    `_scan_inputs`. `shared` gives, per piece, how many prefix nodes of its
-    first row an earlier scan has stepped; they are stepped again but not
-    counted. Each kept node is scored once, by its logit margin (class 1
-    minus class 0). Its hard label is margin >= 0, except that a node with
-    |margin| < RECHECK_MARGIN, a rechecked node, takes the label of the
-    float64 scan of its prefix row, by the softmax test (class 1
-    probability >= 0.5). One float64 scan after the block rechecks all its
-    nodes; where it changes a label, the rows through the node, which are
-    adjacent, change their count.
+    distinct and lexicographically sorted. `shared` gives, per piece, how
+    many prefix nodes of its first row an earlier scan has stepped; they
+    are stepped again but not counted. Each kept node is scored once, by
+    its logit margin (class 1 minus class 0). Its hard label is margin >= 0,
+    except that a node with |margin| < RECHECK_MARGIN, a rechecked node,
+    takes the label of the float64 scan of its prefix row, by the softmax
+    test (class 1 probability >= 0.5). One float64 scan after the block
+    rechecks all its nodes, over the float64 scan inputs of a table of
+    their journeys alone (`JourneyTable.take`): an event's inputs do not
+    depend on the other events of its table, so the labels are those of a
+    float64 scan over `table`. Where it changes a label, the rows through
+    the node, which are adjacent, change their count.
     """
-    starts = table.starts[[journey for journey, _ in pieces]]
+    journeys = np.array([journey for journey, _ in pieces])
+    starts = table.starts[journeys]
     sizes = np.array([len(rows) for _, rows in pieces])
     row_start = np.cumsum(sizes) - sizes
     bits = np.zeros((sizes.sum(), max(rows.shape[1] for _, rows in pieces)), dtype=bool)
@@ -274,6 +281,7 @@ def _scan_block(
     uncounted = np.zeros(len(bits), dtype=np.int64)
     if shared is not None:
         uncounted[row_start] = shared
+    dtype = inputs[0].dtype
     w_margin = (params.W_out[:, 1] - params.W_out[:, 0]).astype(dtype)
     b_margin = (params.b_out[1] - params.b_out[0]).astype(dtype)
 
@@ -281,7 +289,7 @@ def _scan_block(
     final = np.zeros(len(bits), dtype=np.int64)
     node_steps = 0
     ties = []  # per step, of the nodes to recheck: step, head, float32 label, true label, counted
-    for t, step in enumerate(_trie_steps(params, inputs, starts, bits, row_piece, dtype)):
+    for t, step in enumerate(_trie_steps(params, inputs, starts, bits, row_piece)):
         counted = uncounted[step.head] <= t
         scored = np.flatnonzero(step.kept)
         margin = step.x[scored] @ w_margin + b_margin
@@ -303,11 +311,14 @@ def _scan_block(
         rechecked = int(np.count_nonzero(counted))
         # one float64 scan labels them all: each node's row is cut after its
         # step, so it leaves the scan there as its own node, and the rows,
-        # sorted by piece and then by bits, share their common prefix nodes
+        # sorted by piece and then by bits, share their common prefix nodes.
+        # It runs over a table of the rechecked nodes' journeys only
+        hit_pieces, piece = np.unique(row_piece[heads], return_inverse=True)
+        sub = table.take(journeys[hit_pieces])
         cut = bits[heads] & (np.arange(bits.shape[1]) <= steps[:, None])
-        order = np.lexsort([*cut.T[::-1], row_piece[heads]])
+        order = np.lexsort([*cut.T[::-1], piece])
         labels = np.empty(len(heads), dtype=bool)
-        for step in _trie_steps(params, inputs, starts, cut[order], row_piece[heads][order], np.float64):
+        for step in _trie_steps(params, _scan_inputs(params, sub, np.float64), sub.starts, cut[order], piece[order]):
             logits = step.x[step.node[step.done]] @ params.W_out + params.b_out
             labels[order[step.rows[step.done]]] = softmax(logits)[:, 1] >= 0.5
         flip = labels != pred
@@ -620,6 +631,16 @@ def attribute_journeys(
     return _attribute_windows(params, journeys, vocab, method, n_samples, seed, workers, stats, render)
 
 
+def _window_parts(window: list, shards: list[list[int]]):
+    """The items of each shard of the window, each part a list of its own;
+    the window is emptied after the last part is taken. So each part holds
+    the only reference to its items: the caller's shard frees each record
+    as it builds its journey, and a forked shard's records go with its
+    fork (`_fork.sharded`)."""
+    yield from ([window[idx] for idx in shard] for shard in shards)
+    window.clear()
+
+
 def _attribute_windows(params, items, vocab, method, n_samples, seed, workers, stats, render):
     """The generator of `attribute_journeys`, on checked arguments."""
     items = iter(items)
@@ -630,11 +651,7 @@ def _attribute_windows(params, items, vocab, method, n_samples, seed, workers, s
         # the caller's first shard holds the largest journey
         shards = [shard for shard in shares([len(plans[n].rows) for n in lengths], workers) if shard]
         work = functools.partial(_attribute_shard, params, vocab, plans, render)
-        parts = [[window[idx] for idx in shard] for shard in shards]
-        # each part holds the only reference to its items, so the caller's
-        # shard frees each record as it builds its journey
-        window.clear()
-        replies = sharded("an attribution worker process", work, parts)
+        replies = sharded("an attribution worker process", work, _window_parts(window, shards))
         outputs, faults = [None] * len(lengths), []
         for shard, (part, part_stats, fault) in zip(shards, replies):
             stats.add(part_stats)

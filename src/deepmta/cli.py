@@ -39,7 +39,7 @@ from .attribution import (  # noqa: F401
     load_attributions,
     save_attributions,
 )
-from ._fork import Worker, processes, reply
+from ._fork import BLAS_THREAD_VARS, Worker, blas_threads, processes, reply
 from .errors import ConfigError, DeepMtaError, ValidationError
 # generate_synthetic is not called here either; the tracer wraps it by this name
 from .journey import (  # noqa: F401
@@ -75,8 +75,6 @@ INTERRUPTED_EXIT = 130
 TERMINATED_EXIT = 143
 # how far from 1 an attributed record's weights may sum (by math.fsum)
 WEIGHT_SUM_TOL = 1e-9
-# the variables that pin a BLAS's thread count, read as numpy loads
-_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 # draw records per pickle that `gen` sends its writer process. On a 2-vCPU
 # x86 host, 10k acceptance journeys took 122-124 ms at 16-256 records,
 # 135 ms at 1024 and 167 ms at 4096: the writer waits for the first chunk,
@@ -93,10 +91,12 @@ def _info(message: str) -> None:
 
 
 def _note_blas_threads(processes: int) -> None:
-    """A stderr note when processes > 1 and no BLAS thread count is set: each
-    process's BLAS may then start a thread per CPU, and they contend."""
-    if processes > 1 and not any(os.environ.get(name) for name in _BLAS_THREAD_VARS):
-        _info(f"note: {processes} processes and no {'/'.join(_BLAS_THREAD_VARS)} set; each BLAS may start a thread "
+    """A stderr note when processes > 1, no BLAS thread count is set and the
+    BLAS's setter is not found, so that the forks cannot pin one thread
+    (`_fork.blas_threads`): each process's BLAS may then start a thread per
+    CPU, and they contend."""
+    if processes > 1 and not any(os.environ.get(name) for name in BLAS_THREAD_VARS) and blas_threads() is None:
+        _info(f"note: {processes} processes and no {'/'.join(BLAS_THREAD_VARS)} set; each BLAS may start a thread "
               "per CPU, which can make the run several times slower (set OPENBLAS_NUM_THREADS=1)")
 
 

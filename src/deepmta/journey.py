@@ -168,6 +168,12 @@ class JourneyTable:
     def __len__(self) -> int:
         return len(self.lengths)
 
+    def take(self, journeys: np.ndarray) -> "JourneyTable":
+        """The table of the journeys at indices `journeys`, in their order."""
+        lengths = self.lengths[journeys]
+        rows = np.arange(lengths.sum()) + np.repeat(self.starts[journeys] - (np.cumsum(lengths) - lengths), lengths)
+        return JourneyTable(self.features[rows], self.times[rows], self.labels[rows], lengths)
+
     @property
     def nbytes(self) -> int:
         return sum(a.nbytes for a in (self.features, self.times, self.labels, self.starts, self.lengths))
@@ -411,8 +417,12 @@ def _journey_from_dict(obj) -> CustomerJourney:
         raise ValidationError("field 'events' must be a list")
     events = []
     for j, ev in enumerate(obj["events"]):
-        _require_object(ev, ("channel", "campaign", "ts"), f"event {j}")
-        events.append(ClickEvent(channel_id=ev["channel"], campaign_id=ev["campaign"], timestamp=ev["ts"]))
+        try:
+            channel, campaign, ts = ev["channel"], ev["campaign"], ev["ts"]
+        except (KeyError, TypeError):  # not an object, or a field missing: named only here
+            _require_object(ev, ("channel", "campaign", "ts"), f"event {j}")
+            raise
+        events.append(ClickEvent(channel_id=channel, campaign_id=campaign, timestamp=ts))
     return CustomerJourney(user_id=obj["user_id"], events=events, converted=obj["converted"], gmv=obj["gmv"])
 
 

@@ -554,19 +554,26 @@ class _TrieStep(NamedTuple):
     x: np.ndarray  # each node's new top-layer hidden state
 
 
-def _scan_inputs(params: ModelParams, table: JourneyTable, dtypes=(np.float64, np.float32)) -> dict:
-    """The operands that a trie scan gathers by event row, computed once in
-    float64 for all the blocks scanned over `table` and cast once to each
-    of `dtypes`, as dtype -> (x0, gates): layer 0's input projection of
-    every event, gate-major (4, events + 1, H) in `GATES` order, with a
-    last row of zeros that nodes masking their event gather instead, and
-    each layer's time-gate openness at every event (alpha 0: inference)."""
+def _scan_inputs(params: ModelParams, table: JourneyTable, dtype=np.float32) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The operands that a trie scan gathers by event row, computed once for
+    all the blocks scanned over `table` and held only in `dtype`, as (x0,
+    gates): layer 0's input projection of every event, gate-major (4,
+    events + 1, H) in `GATES` order, with a last row of zeros that nodes
+    masking their event gather instead, and each layer's time-gate openness
+    at every event (alpha 0: inference), (events, H). Each gate's float64
+    product is cast into x0 in turn, so no float64 table of all four is
+    held. The gate depends only on an event's time, so it is evaluated in
+    float64 once per distinct time and its rows gathered by event after the
+    cast; every journey's first event is at hour 0. Both have the bits of
+    one batched product of all four gates and of the gate per event."""
     Wx0 = gate_stack(params, 0, "W_x")
-    x0 = np.zeros((len(Wx0), len(table.times) + 1, Wx0.shape[2]))
-    np.matmul(table.features, Wx0, out=x0[:, :-1])
-    gates = [_gate_forward(table.times[:, None], lp.tau, lp.s, lp.r_on, 0.0)[0] for lp in params.layers]
-    return {dtype: (x0.astype(dtype, copy=False), [gate.astype(dtype, copy=False) for gate in gates])
-            for dtype in dtypes}
+    x0 = np.zeros((len(Wx0), len(table.times) + 1, Wx0.shape[2]), dtype=dtype)
+    for x0_j, Wx0_j in zip(x0, Wx0):
+        x0_j[:-1] = table.features @ Wx0_j
+    times, event_time = np.unique(table.times, return_inverse=True)
+    gates = [_gate_forward(times[:, None], lp.tau, lp.s, lp.r_on, 0.0)[0].astype(dtype, copy=False)[event_time]
+             for lp in params.layers]
+    return x0, gates
 
 
 def _pre_activations(cell, h: np.ndarray, x: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
@@ -587,8 +594,9 @@ def _last_kept(bits: np.ndarray) -> np.ndarray:
     return np.where(bits.any(axis=1), bits.shape[1] - 1 - np.argmax(bits[:, ::-1], axis=1), -1)
 
 
-def _trie_steps(params: ModelParams, inputs: dict, starts: np.ndarray, bits: np.ndarray, row_piece: np.ndarray, dtype):
-    """The prefix-trie scan of mask rows `bits` at `dtype`: yields one
+def _trie_steps(params: ModelParams, inputs: tuple, starts: np.ndarray, bits: np.ndarray, row_piece: np.ndarray):
+    """The prefix-trie scan of mask rows `bits` in the dtype of `inputs`,
+    the `_scan_inputs` of the table that `starts` index: yields one
     `_TrieStep` per step. Row i masks piece row_piece[i], whose journey's
     first event row in the table is starts[row_piece[i]]; the rows of one
     piece are adjacent, distinct and lexicographically sorted.
@@ -605,18 +613,19 @@ def _trie_steps(params: ModelParams, inputs: dict, starts: np.ndarray, bits: np.
     before it. Each piece starts from a root node of its own, so no node
     spans two pieces even where a piece's first rows have already left. A
     step's pre-activations are one batched product h @ Wh into a gate-major
-    buffer, plus layer 0's projection, `inputs[dtype]`, gathered per gate
-    by event row, or a higher layer's x @ Wx per gate; the time gates are
-    gathered by event row too. Every other operand is cast to `dtype` once,
-    before the first step (`gate_major_cell`).
+    buffer, plus layer 0's projection, gathered from `inputs` per gate by
+    event row, or a higher layer's x @ Wx per gate; the time gates are
+    gathered by event row too. Every other operand is cast to that dtype
+    once, before the first step (`gate_major_cell`).
 
     Two kinds of scan run it: attribution's games, whose pieces are
     journeys and rows their mask rows, and inference (`scan_logits`),
     where every journey is a piece of one all-ones row, which leaves the
     scan after its last event, so journeys of any lengths step together.
     """
+    x0, gates = inputs
+    dtype = x0.dtype
     cells = [gate_major_cell(params, idx, dtype) for idx in range(params.n_layers)]
-    x0, gates = inputs[dtype]
 
     # the live rows and each one's node at the previous step (its piece's
     # root before step 0)
@@ -661,8 +670,8 @@ def scan_logits(params: ModelParams, table: JourneyTable) -> np.ndarray:
     the scan."""
     bits = np.arange(table.lengths.max()) < table.lengths[:, None]
     hidden = np.empty((len(table.times), params.hidden_size))
-    inputs = _scan_inputs(params, table, (np.float64,))
-    for step in _trie_steps(params, inputs, table.starts, bits, np.arange(len(table)), np.float64):
+    inputs = _scan_inputs(params, table, np.float64)
+    for step in _trie_steps(params, inputs, table.starts, bits, np.arange(len(table))):
         hidden[step.index] = step.x
     return hidden @ params.W_out + params.b_out
 

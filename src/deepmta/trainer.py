@@ -221,9 +221,7 @@ def _blocks(table: JourneyTable, idxs: np.ndarray, n: int) -> tuple[list[np.ndar
 def _block_logits(table: JourneyTable, block: np.ndarray, params: ModelParams) -> tuple[np.ndarray, JourneyTable]:
     """The table of the journeys of `block`, in its order, and the logits
     at inference of each of its events (`scan_logits`)."""
-    lengths = table.lengths[block]
-    rows = np.arange(lengths.sum()) + np.repeat(table.starts[block] - (np.cumsum(lengths) - lengths), lengths)
-    sub = JourneyTable(table.features[rows], table.times[rows], table.labels[rows], lengths)
+    sub = table.take(block)
     return scan_logits(params, sub), sub
 
 

@@ -676,7 +676,7 @@ def encoded_table(journeys):
 
 def scan_block(params, table, pieces, dtype=np.float32):
     """`_scan_block` over pieces (journey index in `table`, rows)."""
-    return _scan_block(params, table, _scan_inputs(params, table), pieces, dtype=dtype)
+    return _scan_block(params, table, _scan_inputs(params, table, dtype), pieces)
 
 
 @pytest.mark.parametrize("H", (64, 256))
@@ -700,6 +700,60 @@ def test_block_scan_peak_is_at_most_nine_states_per_row(H):
     finally:
         tracemalloc.stop()
     assert peak <= 9 * 2048 * H * np.dtype(np.float32).itemsize, peak / (2048 * H * 4)
+
+
+@pytest.mark.parametrize("dtype", (np.float64, np.float32))
+def test_scan_inputs_per_distinct_time_equal_per_event_gates_and_batched_product(dtype):
+    # every journey's first event is at hour 0 and later events share a few
+    # gaps, so many events share a time: the gates made once per distinct
+    # time and gathered by event, and the projection made gate by gate into
+    # `dtype`, are the bits of the per-event gate and of the one batched
+    # product, cast
+    from deepmta.model import _gate_forward, gate_stack
+
+    rng = np.random.default_rng(96)
+    params = random_model(rng, VOCAB.encoding_dim, 16, 2)
+    journeys = []
+    for idx, n in enumerate(rng.integers(1, 6, size=60)):
+        ts = np.cumsum(rng.choice([0, 1800, 3600, 7200], size=n))
+        events = [ClickEvent(("A", "B")[t % 2], "c1", int(t)) for t in ts]
+        journeys.append(CustomerJourney(f"u{idx}", events, True, 1.0))
+    _, table = encoded_table(journeys)
+    assert 2 * len(np.unique(table.times)) < len(table.times)
+    x0, gates = _scan_inputs(params, table, dtype)
+    Wx0 = gate_stack(params, 0, "W_x")
+    batched = np.zeros((len(Wx0), len(table.times) + 1, Wx0.shape[2]))
+    np.matmul(table.features, Wx0, out=batched[:, :-1])
+    assert x0.dtype == dtype and all(gate.dtype == dtype for gate in gates)
+    np.testing.assert_array_equal(x0, batched.astype(dtype))
+    assert len(gates) == params.n_layers
+    for gate, lp in zip(gates, params.layers):
+        per_event = _gate_forward(table.times[:, None], lp.tau, lp.s, lp.r_on, 0.0)[0]
+        np.testing.assert_array_equal(gate, per_event.astype(dtype))
+
+
+def test_game_values_peak_per_event():
+    # an attribution shard holds its scan inputs once, in float32: 24 H
+    # bytes per event at two layers, no float64 copy. On a desk-shaped table
+    # (500 journeys of 1-4 events, H = 64) the peak of _game_values, its two
+    # block scans included, measured 60 H bytes per event (108 H when the
+    # inputs were held in float64 and float32 both)
+    import tracemalloc
+
+    H = 64
+    rng = np.random.default_rng(97)
+    params = init_params(VOCAB.encoding_dim, H, 2, rng=5, r_on_init=0.5)
+    _, table = encoded_table(mixed_journeys(rng, rng.integers(1, 5, size=500)))
+    games = [(idx, _build_plan("auto", int(n), 8, 1).rows) for idx, n in enumerate(table.lengths)]
+    _game_values(params, table, games, GameStats())
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        _game_values(params, table, games, GameStats())
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= 64 * H * len(table.times), peak / (H * len(table.times))
 
 
 def mixed_journeys(rng, lengths):
@@ -1205,6 +1259,7 @@ class TestBatchedSolves:
             return _build_plan(method, n, *args)
 
         def sharded(role, work, parts):
+            parts = list(parts)
             events.append(("window", sorted({len(j.events) for part in parts for j in part})))
             return real_sharded(role, work, parts)
 
@@ -1252,7 +1307,7 @@ def trie_margins(params, enc, rows, dtype):
     two scans' margins align node by node."""
     w = (params.W_out[:, 1] - params.W_out[:, 0]).astype(dtype)
     b = (params.b_out[1] - params.b_out[0]).astype(dtype)
-    steps = _trie_steps(params, _scan_inputs(params, enc), enc.starts, rows, np.zeros(len(rows), dtype=np.int64), dtype)
+    steps = _trie_steps(params, _scan_inputs(params, enc, dtype), enc.starts, rows, np.zeros(len(rows), dtype=np.int64))
     return np.concatenate([step.x[step.kept] @ w + b for step in steps])
 
 
@@ -1308,6 +1363,61 @@ class TestFloat32Scan:
                 np.testing.assert_array_equal(acc, ref)
                 np.testing.assert_array_equal(acc, forward_reference(params, enc, rows))
         assert flips > 0
+
+    def test_recheck_over_its_journeys_gives_the_whole_tables_labels(self, monkeypatch):
+        # the rechecked nodes of two journeys away from the table's start are
+        # labelled by a float64 scan over a table of those two journeys: the
+        # labels of a float64 scan over the whole table, without a recheck of
+        # its own. b_out puts one node's float64 margin at -1e-9, as in
+        # test_recheck_fires_where_margins_straddle_zero, and a small output
+        # layer puts nodes of both journeys inside the band
+        import deepmta.attribution as attribution
+
+        rng = np.random.default_rng(73)
+        params = random_model(rng, VOCAB.encoding_dim, 8, 2)
+        params.W_out[...] *= 0.1
+        encs, table = encoded_table(mixed_journeys(rng, (4, 6, 7, 2, 8, 3)))
+        pieces = [(idx, mask_powerset(len(encs[idx].times)) != 0) for idx in (2, 4)]
+        bias = params.b_out[1]
+        margins = np.sort(trie_margins(params, encs[4], pieces[1][1], np.float64))
+        flips = 0
+        for target in margins[len(margins) // 2 - 8:len(margins) // 2 + 8]:
+            params.b_out[1] = bias - target - 1e-9
+            per_journey = [(trie_margins(params, encs[idx], rows, np.float32),
+                            trie_margins(params, encs[idx], rows, np.float64)) for idx, rows in pieces]
+            assert all(np.any(np.abs(m32) < RECHECK_MARGIN) for m32, _ in per_journey)
+            flips += sum(np.count_nonzero((m32 >= 0) != (m64 >= 0)) for m32, m64 in per_journey)
+            accs, _, rechecked = scan_block(params, table, pieces)
+            assert rechecked == sum(np.count_nonzero(np.abs(m32) < RECHECK_MARGIN) for m32, _ in per_journey)
+            with monkeypatch.context() as patch:
+                patch.setattr(attribution, "RECHECK_MARGIN", 0.0)
+                reference, _, unchecked = scan_block(params, table, pieces, dtype=np.float64)
+            assert unchecked == 0
+            for (idx, rows), acc, ref in zip(pieces, accs, reference):
+                np.testing.assert_array_equal(acc, ref)
+                np.testing.assert_array_equal(acc, forward_reference(params, encs[idx], rows))
+        assert flips > 0
+
+    def test_rechecks_equal_at_one_and_two_workers(self):
+        # a small output layer puts many margins inside the band: the
+        # journeys' results and rechecked counts are the same at one and two
+        # workers, each shard rechecking over its own journeys
+        rng = np.random.default_rng(73)
+        params = random_model(rng, VOCAB.encoding_dim, 8, 2)
+        params.W_out[...] *= 1e-3
+        params.b_out[...] = 0.0
+        journeys = mixed_journeys(rng, rng.permutation(np.arange(1, 15)))
+        runs = []
+        for workers in (1, 2):
+            stats = GameStats()
+            runs.append((list(attribute_journeys(params, journeys, VOCAB, n_samples=16, workers=workers, stats=stats)),
+                         stats))
+        (serial, serial_stats), (parallel, parallel_stats) = runs
+        assert parallel_stats.rechecked == serial_stats.rechecked > 0
+        for a, b in zip(serial, parallel, strict=True):
+            np.testing.assert_array_equal(a.raw_weights, b.raw_weights)
+            np.testing.assert_array_equal(a.weights, b.weights)
+            assert (a.intercept, a.method, a.unattributed) == (b.intercept, b.method, b.unattributed)
 
     def test_rechecks_counted_once_across_cuts(self, monkeypatch):
         # a small output layer puts most margins inside the band; blocks of

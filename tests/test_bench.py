@@ -81,7 +81,8 @@ def test_attribution_bench_reports_every_configuration(tmp_path, monkeypatch):
     for row in report["results"]:
         assert set(row) == {
             "input", "workers", "journeys", "H", "calls", "ms_per_call", "windows", "blocks", "node_steps",
-            "node_steps_per_s", "rss_before_mb", "peak_rss_mb", "child_peak_rss_mb",
+            "node_steps_per_s", "rss_before_mb", "peak_rss_mb", "child_peak_rss_mb", "traced_peak_mb",
+            "scan_inputs_bytes_per_event",
         }
         assert set(row["ms_per_call"]) == {"median", "q1", "q3"}
         assert row["ms_per_call"]["q1"] <= row["ms_per_call"]["median"] <= row["ms_per_call"]["q3"]
@@ -125,6 +126,36 @@ def test_attribution_bench_times_the_attribute_command(tmp_path, monkeypatch):
         assert (row["child_peak_rss_mb"] is None) == (row["workers"] == 1)
     assert len({(row["node_steps"], row["H"]) for row in rows}) == 1
     assert rows[2]["blocks"] == rows[0]["blocks"] and rows[3]["blocks"] == rows[1]["blocks"]
+
+
+def test_attribution_bench_holdout_on_the_paper_width_model(tmp_path, monkeypatch):
+    # the holdout on a seeded model of the paper preset's shape, here 8
+    # units wide: its scan inputs are held in float32 only, 16 H bytes of
+    # layer 0's projection and 4 H per layer of time gates per event
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    spec = importlib.util.spec_from_file_location("bench_attribution", ATTRIBUTION_BENCH)
+    bench = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = bench
+    try:
+        spec.loader.exec_module(bench)
+        out = tmp_path / "bench.json"
+        report = bench.main([
+            "--inputs", "holdout", "holdout-paper", "--repeats", "1", "--paper-repeats", "1", "--warmup", "0",
+            "--train-journeys", "40", "--paper-hidden", "8", "--out", str(out),
+        ])
+    finally:
+        del sys.modules[spec.name]
+    assert json.loads(out.read_text(encoding="utf-8")) == report
+    rows = report["results"]
+    assert [(row["input"], row["workers"], row["H"]) for row in rows] == [
+        ("holdout", 1, 64), ("holdout", 2, 64), ("holdout-paper", 1, 8), ("holdout-paper", 2, 8),
+    ]
+    for row in rows:
+        assert row["calls"] == 1 and row["journeys"] == 1000 and row["windows"] == 1
+        assert row["scan_inputs_bytes_per_event"] == 24 * row["H"]
+        assert row["traced_peak_mb"] > 0
+    assert rows[2]["node_steps"] == rows[0]["node_steps"]
 
 
 DATA_BENCH = BENCH.parent / "data.py"

@@ -786,6 +786,7 @@ class TestAttribute:
         real_sharded, real_shard = attribution.sharded, attribution._attribute_shard
 
         def sharded(role, work, parts):
+            parts = list(parts)
             firsts.append(parts[1])
             return real_sharded(role, work, parts)
 
@@ -1152,8 +1153,9 @@ def test_attribution_weights_off_the_simplex_exit_2(pipeline, tmp_path, capsys, 
 
 @pytest.mark.parametrize("command", ("train", "attribute", "eval"))
 def test_unpinned_blas_threads_noted_when_forking(pipeline, tmp_path, capsys, monkeypatch, command):
-    # two processes and no BLAS thread count set: each BLAS may start a
-    # thread per CPU, so a stderr note says so; with a count set, or on one
+    # two processes, no BLAS thread count set and no BLAS setter found to
+    # pin one thread in-process: each BLAS may start a thread per CPU, so a
+    # stderr note says so; with a setter found, a count set, or on one
     # process, there is none
     monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
     argv = {
@@ -1164,15 +1166,73 @@ def test_unpinned_blas_threads_noted_when_forking(pipeline, tmp_path, capsys, mo
         "eval": ["eval", "--model", str(pipeline["ckpt"]), "--data", str(pipeline["data"]),
                  "--roc-out", str(tmp_path / "roc.csv")],
     }[command]
-    for threads, blas_var, noted in (("2", None, True), ("2", "OMP_NUM_THREADS", False), ("1", None, False)):
+    setter = (lambda threads: None, lambda: 1)
+    for threads, blas_var, found, noted in (
+        ("2", None, None, True), ("2", None, setter, False),
+        ("2", "OMP_NUM_THREADS", None, False), ("1", None, None, False),
+    ):
         monkeypatch.setenv("MTA_THREADS", threads)
-        for name in cli._BLAS_THREAD_VARS:
+        for name in cli.BLAS_THREAD_VARS:
             monkeypatch.delenv(name, raising=False)
         if blas_var:
             monkeypatch.setenv(blas_var, "1")
+        monkeypatch.setattr(cli, "blas_threads", lambda: found)
         code, _, err = run_cli(capsys, argv)
         assert code == 0
         assert ("note: 2 processes and no OPENBLAS_NUM_THREADS/OMP_NUM_THREADS/MKL_NUM_THREADS set" in err) == noted
+    assert_no_child_left()
+
+
+def test_forks_pin_one_blas_thread_and_restore_the_callers(pipeline, tmp_path, capsys, monkeypatch):
+    # with no BLAS thread count set, a stage on two processes sets one BLAS
+    # thread in the caller before its first fork: the training helper, an
+    # attribution child and eval's scorer each run one, as does the caller
+    # while they live, and the caller has its own count back once the stage
+    # returns
+    import deepmta.trainer as trainer
+    from deepmta import _fork
+
+    if _fork.blas_threads() is None:
+        pytest.skip("no BLAS thread-count setter found")
+    set_threads, get_threads = _fork.blas_threads()
+    caller, log = os.getpid(), tmp_path / "threads.log"
+
+    def spy(module, name):
+        work = getattr(module, name)
+
+        def counted(*args):
+            with open(log, "a", encoding="utf-8") as fh:
+                fh.write(f"{'caller' if os.getpid() == caller else 'child'} {name} {get_threads()}\n")
+            return work(*args)
+
+        monkeypatch.setattr(module, name, counted)
+
+    spy(trainer, "_top_step")
+    spy(attribution, "_attribute_shard")
+    spy(trainer, "_block_scores")
+    for name in cli.BLAS_THREAD_VARS:
+        monkeypatch.delenv(name, raising=False)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    monkeypatch.setenv("MTA_THREADS", "2")
+    before = get_threads()
+    set_threads(2)
+    try:
+        for argv in (
+            ["train", "--data", str(pipeline["data"]), "--vocab", str(pipeline["vocab"]),
+             "--out", str(tmp_path / "m.json"), "--epochs", "1", "--hidden-size", "4"],
+            ["attribute", "--model", str(pipeline["ckpt"]), "--data", str(pipeline["data"]),
+             "--out", str(tmp_path / "a.jsonl"), "--seed", "1"],
+            ["eval", "--model", str(pipeline["ckpt"]), "--data", str(pipeline["data"]),
+             "--roc-out", str(tmp_path / "roc.csv")],
+        ):
+            code, _, _ = run_cli(capsys, argv)
+            assert code == 0
+            assert get_threads() == 2, argv[0]
+    finally:
+        set_threads(before)
+    seen = set(log.read_text(encoding="utf-8").splitlines())
+    assert {"child _top_step 1", "child _attribute_shard 1", "child _block_scores 1"} <= seen
+    assert {line.split()[-1] for line in seen} == {"1"}, seen
     assert_no_child_left()
 
 
